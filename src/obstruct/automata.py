@@ -14,11 +14,7 @@ HorizonError instead of approximating.
 
 from __future__ import annotations
 
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
-
-import networkx as nx
+from math import gcd
 
 from .errors import EnumerationCapError, HorizonError
 from .words import Word
@@ -26,13 +22,71 @@ from .words import Word
 DEFAULT_ENUMERATION_CAP = 24
 
 
-def thread_cap() -> int:
-    """Parallelism cap from OBSTRUCT_THREADS (>= 1)."""
-    raw = os.environ.get("OBSTRUCT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+def strongly_connected_components(successors) -> list[list[int]]:
+    """SCCs of the digraph on 0..n-1 with successors[s] the targets of s.
+
+    Iterative Tarjan; components come out in reverse topological order.
+    """
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    stack: list[int] = []
+    on_stack: set[int] = set()
+    work: list = []  # DFS path: (node, iterator over its unexplored targets)
+    out = []
+
+    def enter(s):
+        index[s] = low[s] = len(index)
+        stack.append(s)
+        on_stack.add(s)
+        work.append((s, iter(successors[s])))
+
+    for root in range(len(successors)):
+        if root in index:
+            continue
+        enter(root)
+        while work:
+            s, targets = work[-1]
+            for t in targets:
+                if t not in index:
+                    enter(t)
+                    break
+                if t in on_stack:
+                    low[s] = min(low[s], index[t])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[s])
+                if low[s] == index[s]:
+                    comp = []
+                    while not comp or comp[-1] != s:
+                        comp.append(stack.pop())
+                        on_stack.discard(comp[-1])
+                    out.append(comp)
+    return out
+
+
+def cycle_length_gcd(successors) -> int:
+    """gcd of the cycle lengths reachable from node 0 (0 when there are none).
+
+    With BFS levels from node 0, every edge s -> t in the reachable part
+    contributes level[s] + 1 - level[t]; for a strongly connected graph the
+    gcd of these is its period.
+    """
+    level = {0: 0}
+    frontier = [0]
+    g = 0
+    while frontier:
+        nxt = []
+        for s in frontier:
+            for t in successors[s]:
+                if t not in level:
+                    level[t] = level[s] + 1
+                    nxt.append(t)
+                else:
+                    g = gcd(g, level[s] + 1 - level[t])
+        frontier = nxt
+    return g
 
 
 class Presentation:
@@ -53,7 +107,6 @@ class Presentation:
             raise ValueError("marker state must have no outgoing edges")
         self._state_counts = [self._unit_vector(start)]
         self._ext = {0: [1] * n_states}
-        self._lock = threading.Lock()  # guards lazy count-table growth
 
     def _unit_vector(self, s):
         v = [0] * self.n_states
@@ -91,45 +144,43 @@ class Presentation:
 
     def state_counts(self, n: int) -> list[int]:
         """Vector of path counts of length n from the start state."""
-        with self._lock:
-            while len(self._state_counts) <= n:
-                cur = self._state_counts[-1]
-                if self.marker is not None and cur[self.marker]:
-                    raise HorizonError(
-                        "path counting would continue past the stored horizon",
-                        certified=len(self._state_counts) - 1,
-                    )
-                new = [0] * self.n_states
-                for s, c in enumerate(cur):
-                    if c:
-                        for t in self.delta[s].values():
-                            new[t] += c
-                self._state_counts.append(new)
-            return self._state_counts[n]
+        while len(self._state_counts) <= n:
+            cur = self._state_counts[-1]
+            if self.marker is not None and cur[self.marker]:
+                raise HorizonError(
+                    "path counting would continue past the stored horizon",
+                    certified=len(self._state_counts) - 1,
+                )
+            new = [0] * self.n_states
+            for s, c in enumerate(cur):
+                if c:
+                    for t in self.delta[s].values():
+                        new[t] += c
+            self._state_counts.append(new)
+        return self._state_counts[n]
 
     def count_words(self, n: int) -> int:
         return sum(self.state_counts(n))
 
     def extension_counts(self, j: int) -> list:
         """Per-state counts of length-j continuations; None marks poisoned states."""
-        with self._lock:
-            while max(self._ext) < j:
-                m = max(self._ext)
-                prev = self._ext[m]
-                new = []
-                for s in range(self.n_states):
-                    if s == self.marker:
-                        new.append(None)
-                        continue
-                    total = 0
-                    for t in self.delta[s].values():
-                        if prev[t] is None:
-                            total = None
-                            break
-                        total += prev[t]
-                    new.append(total)
-                self._ext[m + 1] = new
-            return self._ext[j]
+        while max(self._ext) < j:
+            m = max(self._ext)
+            prev = self._ext[m]
+            new = []
+            for s in range(self.n_states):
+                if s == self.marker:
+                    new.append(None)
+                    continue
+                total = 0
+                for t in self.delta[s].values():
+                    if prev[t] is None:
+                        total = None
+                        break
+                    total += prev[t]
+                new.append(total)
+            self._ext[m + 1] = new
+        return self._ext[j]
 
     def extensions_from(self, state: int, j: int) -> int:
         c = self.extension_counts(j)[state]
@@ -148,19 +199,7 @@ class Presentation:
                 f"enumeration of length {n} exceeds cap {cap}; "
                 "count_language gives exact sizes without materializing words"
             )
-        if n == 0:
-            return [()]
-        shards = sorted(self.delta[self.start])
-        workers = min(thread_cap(), len(shards)) if shards else 1
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                parts = pool.map(
-                    lambda a: self._dfs((a,), self.delta[self.start][a], n), shards
-                )
-                out = [w for part in parts for w in part]
-        else:
-            out = self._dfs((), self.start, n)
-        return out
+        return self._dfs((), self.start, n)
 
     def _dfs(self, prefix, state, n):
         if len(prefix) == n:
@@ -242,25 +281,17 @@ class Presentation:
         return Presentation(len(keep), self.alphabet_size, edges,
                             start=index[live.start])
 
-    def digraph(self) -> "nx.MultiDiGraph":
-        g = nx.MultiDiGraph()
-        g.add_nodes_from(range(self.n_states))
-        for s, a, t in self.edges():
-            g.add_edge(s, t, label=a)
-        return g
-
     def is_primitive(self) -> bool:
         """Essential part strongly connected and aperiodic."""
         try:
             core = self.essential_part()
         except HorizonError:
             return False
-        g = nx.DiGraph()
-        g.add_nodes_from(range(core.n_states))
-        g.add_edges_from((s, t) for s, _, t in core.edges())
-        if g.number_of_nodes() == 1:
-            return g.has_edge(0, 0)
-        return nx.is_strongly_connected(g) and nx.is_aperiodic(g)
+        successors = [list(d.values()) for d in core.delta]
+        return (
+            len(strongly_connected_components(successors)) == 1
+            and cycle_length_gcd(successors) == 1
+        )
 
     def dump_edges_csv(self, path) -> None:
         """Edge list as `state,symbol,state` rows."""

@@ -18,7 +18,6 @@ state otherwise).
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -265,52 +264,6 @@ def _normalize_periodic(pre: Word, per: Word) -> tuple[Word, Word]:
     return pre, per
 
 
-# -- KMP machinery over the expansion ------------------------------------------
-
-
-class _MatchTable:
-    """Longest-suffix-matching-a-prefix transitions for one expansion."""
-
-    def __init__(self, expansion: BetaExpansion):
-        self.expansion = expansion
-        self._digits: list[int] = []
-        self._pi = [0]
-        self._lock = threading.Lock()
-
-    def ensure(self, n: int) -> None:
-        if len(self._digits) >= n:
-            return
-        with self._lock:
-            while len(self._digits) < n:
-                i = len(self._digits) + 1
-                self._digits.append(self.expansion.digit(i))
-                if i == 1:
-                    self._pi.append(0)
-                    continue
-                d = self._digits
-                t = self._pi[i - 1]
-                while t and d[t] != d[i - 1]:
-                    t = self._pi[t]
-                self._pi.append(t + 1 if d[t] == d[i - 1] else 0)
-
-    def digit(self, i: int) -> int:
-        self.ensure(i)
-        return self._digits[i - 1]
-
-    def advance(self, m: int, a: int) -> int | None:
-        """New longest match after reading `a` with current match m; None = reject."""
-        self.ensure(m + 1)
-        c = self._digits[m]
-        if a > c:
-            return None
-        if a == c:
-            return m + 1
-        t = m
-        while t and self._digits[t] != a:
-            t = self._pi[t]
-        return t + 1 if self._digits[t] == a else 0
-
-
 # -- the beta-shift ---------------------------------------------------------------
 
 
@@ -332,24 +285,23 @@ class BetaSystem:
         self.expansion = expansion
         self.alphabet_size = expansion.digits[0] + 1
         self.enumeration_cap = enumeration_cap
-        self._match = _MatchTable(expansion)
-        self._match_counts: list[list[int]] = [[1]]  # per length: counts by match value
-        self._counts_lock = threading.Lock()
+        self._core_counts = [1]  # Z_t for t = 0, 1, ...
         self._check_self_admissible()
         self.presentation = self._build_presentation()
 
     # -- construction -------------------------------------------------------------
 
     def _check_self_admissible(self) -> None:
-        """Every shifted tail of the expansion must be <= the expansion itself."""
+        """Every shifted tail of the expansion must be <= the expansion itself.
+
+        A periodic expansion stores p + q digits, and two tails with
+        preperiod <= p and period q that agree on p + q positions agree
+        forever, so each shift is compared over that whole window.
+        """
         e = self.expansion
-        if e.is_periodic:
-            p, q = e.tail.preperiod, e.tail.period
-            starts, span = p + q, p + 2 * q + 2
-        else:
-            starts, span = len(e.digits), len(e.digits)
-        for t in range(1, starts):
-            for i in range(1, span - t + 1):
+        n = len(e.digits)
+        for t in range(1, n):
+            for i in range(1, (n if e.is_periodic else n - t) + 1):
                 a, b = e.digit(t + i), e.digit(i)
                 if a > b:
                     raise InputError(
@@ -358,6 +310,17 @@ class BetaSystem:
                     )
                 if a < b:
                     break
+
+    def _advance(self, m: int, a: int) -> int | None:
+        """Exact match after reading `a` with exact match m; None = reject.
+
+        A digit below d_{m+1} resets the match to 0: for a self-admissible
+        expansion no suffix of d_1..d_m a can agree with a prefix of d.
+        """
+        c = self.digit(m + 1)
+        if a > c:
+            return None
+        return m + 1 if a == c else 0
 
     def _canonical(self, k: int) -> int:
         e = self.expansion
@@ -376,10 +339,8 @@ class BetaSystem:
             marker = n_states - 1
         edges = []
         for k in range(n_states if marker is None else n_states - 1):
-            c = self._match.digit(k + 1)
-            for a in range(c):
-                edges.append((k, a, self._canonical(self._match.advance(k, a))))
-            edges.append((k, c, self._canonical(k + 1) if marker is None else k + 1))
+            for a in range(self.digit(k + 1) + 1):
+                edges.append((k, a, self._canonical(self._advance(k, a))))
         return Presentation(
             n_states, self.alphabet_size, edges, start=0, marker=marker
         )
@@ -481,7 +442,7 @@ class BetaSystem:
         """
         m = 0
         for a in v:
-            m = self._match.advance(m, a)
+            m = self._advance(m, a)
             if m is None:
                 raise InputError("word is not in the language")
         return m
@@ -504,31 +465,26 @@ class BetaSystem:
             n, self.enumeration_cap if cap is None else cap
         )
 
-    def match_count_vectors(self, n: int) -> list[list[int]]:
-        """For t <= n, counts of admissible t-words by exact suffix-match value.
+    def core_counts(self, n: int) -> list[int]:
+        """Z_0..Z_n, where Z_t = #{v in L_t : suffix_match_length(v) = 0}.
 
-        vectors[t][m] = #{v in L_t : suffix_match_length(v) = m}.  Row t has
-        t + 1 entries.  Needs expansion digits up to n.
+        Z_0 = 1 and Z_t = sum_k state_counts(t - 1)[k] * d_{k+1}: a t-word
+        ends in match 0 exactly when its last digit is below the next
+        expansion digit.  The admissible n-words with exact match m are
+        u d_1..d_m with u counted by Z_{n-m}.  Needs expansion digits up to
+        n: past a truncation at h, Z_{h+1} reads d_{h+1} and raises.
         """
-        self._match.ensure(n)
-        with self._counts_lock:
-            while len(self._match_counts) <= n:
-                t = len(self._match_counts)
-                prev = self._match_counts[-1]
-                new = [0] * (t + 1)
-                for m, c in enumerate(prev):
-                    if not c:
-                        continue
-                    bound = self._match.digit(m + 1)
-                    for a in range(bound + 1):
-                        nxt = self._match.advance(m, a)
-                        new[nxt] += c
-                self._match_counts.append(new)
-            return self._match_counts[: n + 1]
+        pres = self.presentation
+        while len(self._core_counts) <= n:
+            prev = pres.state_counts(len(self._core_counts) - 1)
+            self._core_counts.append(
+                sum(c * self.digit(k + 1) for k, c in enumerate(prev) if c)
+            )
+        return self._core_counts[: n + 1]
 
     def core_count(self, n: int) -> int:
         """#{v in L_n ending in no prefix of the expansion}."""
-        return self.match_count_vectors(n)[n][0]
+        return self.core_counts(n)[n]
 
     def extensions(self, v: Word, j: int) -> int:
         """#length-j admissible continuations of v."""

@@ -161,8 +161,8 @@ class BetaDecomposition(DecompositionScheme):
         return out
 
     def coverage_count(self, M: int, n: int) -> int:
-        row = self.system.match_count_vectors(n)[n]
-        return sum(c for m, c in enumerate(row) if m <= M)
+        z = self.system.core_counts(n)
+        return sum(z[n - m] for m in range(min(M, n) + 1))
 
 
 class DegenerateDecomposition(DecompositionScheme):

@@ -24,9 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import networkx as nx
-
-from .automata import Presentation
+from .automata import Presentation, strongly_connected_components
 from .decomposition import DecompositionScheme
 from .errors import EnumerationCapError, InputError
 from .orbits import (
@@ -482,13 +480,11 @@ class PairAutomaton:
         return out
 
     def nondiagonal_cycle_exists(self) -> bool:
-        g = nx.DiGraph()
-        g.add_nodes_from(range(len(self.states)))
-        for s, moves in self.edges.items():
-            for _, _, t in moves:
-                g.add_edge(s, t)
-        for scc in nx.strongly_connected_components(g):
-            has_cycle = len(scc) > 1 or any(g.has_edge(s, s) for s in scc)
+        successors = [
+            [t for _, _, t in self.edges.get(s, ())] for s in range(len(self.states))
+        ]
+        for scc in strongly_connected_components(successors):
+            has_cycle = len(scc) > 1 or scc[0] in successors[scc[0]]
             if has_cycle and any(not self.diagonal[s] for s in scc):
                 return True
         return False

@@ -108,13 +108,13 @@ class OrbitCollection:
             )
 
         def counter(n, j):
-            row = system.match_count_vectors(n)[n]
+            z = system.core_counts(n)
             ext = system.presentation.extensions_from
-            total = 0
-            for m, c in enumerate(row):
-                if c and match_predicate(m, n):
-                    total += c * ext(system.match_state(m), j)
-            return total
+            return sum(
+                z[n - m] * ext(system.match_state(m), j)
+                for m in range(n + 1)
+                if z[n - m] and match_predicate(m, n)
+            )
 
         return cls(system, label, at=at, counter=counter)
 

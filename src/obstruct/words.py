@@ -60,10 +60,11 @@ def parse_word(line: str, alphabet_size: int = 10) -> Word:
     line = line.strip()
     if not line:
         return EMPTY
-    if alphabet_size <= 10 and " " not in line:
-        w = tuple(int(c) for c in line)
-    else:
-        w = tuple(int(tok) for tok in line.split())
+    tokens = line if alphabet_size <= 10 and " " not in line else line.split()
+    try:
+        w = tuple(int(tok) for tok in tokens)
+    except ValueError as exc:
+        raise InputError(f"non-integer symbol in word {line!r}") from exc
     if any(s < 0 for s in w):
         raise InputError(f"negative symbol in word {line!r}")
     if any(s >= alphabet_size for s in w):

@@ -1,0 +1,71 @@
+from hypothesis import given, settings, strategies as st
+
+from obstruct.automata import Presentation
+from obstruct.factors import PairAutomaton
+
+
+def _mat_mul(a, b):
+    n = len(a)
+    return [
+        [int(any(a[i][k] and b[k][j] for k in range(n))) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def _mat_pow(a, e):
+    n = len(a)
+    out = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(e):
+        out = _mat_mul(out, a)
+    return out
+
+
+def _reach(n, arcs, s):
+    """Nodes reachable from s by a path with at least one edge."""
+    seen, stack = set(), [s]
+    while stack:
+        u = stack.pop()
+        for v in (v for (x, v) in arcs if x == u):
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return seen
+
+
+digraphs = st.integers(min_value=1, max_value=7).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))),
+    )
+)
+
+
+@given(digraphs)
+@settings(max_examples=300, deadline=None)
+def test_is_primitive_matches_wielandt(graph):
+    n, arcs = graph
+    # label each edge by its target, so the presentation is deterministic
+    pres = Presentation(n, n, [(s, t, t) for s, t in arcs], start=0)
+    adj = [[int((i, j) in arcs) for j in range(n)] for i in range(n)]
+    # essential states: those with paths of every length, i.e. of length n
+    power = _mat_pow(adj, n)
+    essential = [i for i in range(n) if any(power[i])]
+    if 0 not in essential:
+        expected = False
+    else:
+        k = len(essential)
+        sub = [[adj[i][j] for j in essential] for i in essential]
+        expected = all(all(row) for row in _mat_pow(sub, (k - 1) ** 2 + 1))
+    assert pres.is_primitive() == expected
+
+
+@given(digraphs, st.lists(st.booleans(), min_size=7, max_size=7))
+@settings(max_examples=300, deadline=None)
+def test_nondiagonal_cycle_matches_reachability(graph, flags):
+    n, arcs = graph
+    edges = {s: [(0, 0, t) for (x, t) in sorted(arcs) if x == s] for s in range(n)}
+    pair = PairAutomaton(
+        states=list(range(n)), edges=edges, initial=0, diagonal=tuple(flags[:n])
+    )
+    expected = any(not flags[s] and s in _reach(n, arcs, s) for s in range(n))
+    assert pair.nondiagonal_cycle_exists() == expected

@@ -193,6 +193,14 @@ class TestTruncation:
         with pytest.raises(HorizonError):
             threehalf.count_language(61)
 
+    def test_core_counts_stop_at_horizon(self, threehalf):
+        # Z_60 needs digits up to d_60 only; Z_61 would read the marker state
+        z = threehalf.core_counts(60)
+        assert len(z) == 61
+        assert sum(z) == threehalf.count_language(60)
+        with pytest.raises(HorizonError):
+            threehalf.core_counts(61)
+
     def test_membership_undecided(self, threehalf):
         prefix = threehalf.expansion_prefix(60)
         with pytest.raises(HorizonError):
@@ -245,6 +253,10 @@ class TestConstruction:
     def test_from_expansion_rejects_inadmissible(self):
         with pytest.raises(InputError):
             BetaSystem.from_expansion((1, 2), period=2)
+        # shift 9 reads 2 1 1 1 1 1 ..., above d = 2 1 1 1 1 0 ... only at
+        # offset 6: the comparison window must span preperiod + period
+        with pytest.raises(InputError):
+            BetaSystem.from_expansion((2, 1, 1, 1, 1, 0, 0, 0, 0, 2, 1), period=1)
 
     def test_normalization_minimizes_period(self):
         a = BetaSystem.from_expansion((1, 0, 1, 0), period=4)
@@ -252,10 +264,11 @@ class TestConstruction:
         assert a.presentation.n_states == b.presentation.n_states == 2
 
     def test_match_counts_total(self, golden, threehalf):
+        # every n-word is u d_1..d_m with u in match 0: |L_n| = Z_0 + .. + Z_n
         for system in (golden, threehalf):
-            rows = system.match_count_vectors(12)
+            z = system.core_counts(12)
             for n in range(1, 13):
-                assert sum(rows[n]) == system.count_language(n)
+                assert sum(z[: n + 1]) == system.count_language(n)
 
     def test_all_states_reachable(self, golden):
         wide = BetaSystem.from_expansion((2, 1, 0, 1), period=2)
@@ -302,10 +315,23 @@ class TestPreperiodicQuotient:
             for n in range(1, 10):
                 assert system.count_language(n) == len(system.enumerate_language(n))
 
+    def test_core_counts_match_brute_force(self):
+        for digits, period in self.CASES:
+            system = BetaSystem.from_expansion(digits, period=period)
+            z = system.core_counts(9)
+            for n in range(10):
+                d = system.expansion_prefix(n)
+                zeros = 0
+                for v in system.enumerate_language(n):
+                    longest = max(m for m in range(n + 1) if v[n - m:] == d[:m])
+                    assert system.suffix_match_length(v) == longest, (digits, v)
+                    zeros += longest == 0
+                assert z[n] == zeros, (digits, n)
+
 
 digit_blocks = st.integers(min_value=1, max_value=3).flatmap(
     lambda lead: st.lists(
-        st.integers(min_value=0, max_value=lead), min_size=0, max_size=4
+        st.integers(min_value=0, max_value=lead), min_size=0, max_size=9
     ).map(lambda rest: (lead,) + tuple(rest))
 )
 
@@ -318,8 +344,9 @@ def test_random_systems_are_consistent(block, period):
         system = BetaSystem.from_expansion(block, period=period)
     except InputError:
         return  # not self-admissible; rejected by construction
+    z = system.core_counts(8)
     for n in range(1, 9):
         assert system.count_language(n) == len(system.enumerate_language(n))
-        assert sum(system.match_count_vectors(n)[n]) == system.count_language(n)
+        assert sum(z[: n + 1]) == system.count_language(n)
     for v in system.enumerate_language(6):
         assert system.lex_admissible(v)

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -252,14 +255,24 @@ def test_factor_window_beyond_cap(golden_file, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_thread_cap_does_not_change_results(golden_file, monkeypatch):
-    system = build_system(RunConfig(expansion_file=golden_file))
-    base = system.enumerate_language(8)
-    monkeypatch.setenv("OBSTRUCT_THREADS", "4")
-    sharded = system.enumerate_language(8)
-    assert sharded == base
-    monkeypatch.setenv("OBSTRUCT_THREADS", "not-a-number")
-    assert system.enumerate_language(5) == system.enumerate_language(5)
+def test_non_integer_word_is_input_error(capsys):
+    code = main(["decomp", "--op", "split", "--beta", "2", "--word", "0a1"])
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_cli_import_leaves_networkx_out():
+    probe = "import obstruct.cli, sys; print('networkx' in sys.modules)"
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_measure_file_accepted_when_valid(golden_file, tmp_path):
