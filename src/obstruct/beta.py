@@ -32,6 +32,9 @@ DEFAULT_HORIZON = 64
 DEFAULT_PRECISION = 128
 MAX_PRECISION = 4096
 MATRIX_POWER_CAP = 10 ** 6
+# size caps, checked before any digit is computed or state built
+MAX_ALPHABET = 256
+MAX_HORIZON = 10_000
 
 
 @dataclass(frozen=True)
@@ -264,6 +267,21 @@ def _normalize_periodic(pre: Word, per: Word) -> tuple[Word, Word]:
     return pre, per
 
 
+def _check_caps(beta, horizon: int) -> None:
+    """Refuse a beta needing more than MAX_ALPHABET symbols or a long horizon.
+
+    The alphabet of a beta-shift has ceil(beta) symbols, so it exceeds the
+    cap exactly when beta does (the alphabet size itself may stand in for
+    beta); the horizon bounds digits, states and counting depth.
+    """
+    if horizon > MAX_HORIZON:
+        raise InputError(f"horizon {horizon} exceeds the cap {MAX_HORIZON}")
+    if beta > MAX_ALPHABET:
+        raise InputError(
+            f"beta needs more than {MAX_ALPHABET} symbols (the alphabet cap)"
+        )
+
+
 # -- the beta-shift ---------------------------------------------------------------
 
 
@@ -282,6 +300,7 @@ class BetaSystem:
                 tail=Tail("periodic", preperiod=len(pre), period=len(per)),
                 beta=expansion.beta,
             )
+        _check_caps(expansion.digits[0] + 1, len(expansion.digits))
         self.expansion = expansion
         self.alphabet_size = expansion.digits[0] + 1
         self.enumeration_cap = enumeration_cap
@@ -354,6 +373,9 @@ class BetaSystem:
         max_precision: int = MAX_PRECISION,
         enumeration_cap: int = 24,
     ) -> "BetaSystem":
+        if isinstance(beta, str):
+            beta = parse_beta(beta)
+        _check_caps(beta, horizon)
         e = greedy_expansion(beta, horizon, precision, max_precision)
         return cls(quasi_greedy(e), enumeration_cap=enumeration_cap)
 

@@ -6,11 +6,14 @@ state of a digit-expansion presentation admits) and averages the first n
 shift images.  Its cylinder masses are computed exactly from automaton
 occurrence counts as rationals with denominator n * |L_n|.
 
-The stationary oracle is the Markov measure built from Perron eigendata of
-the presentation: mass of a cylinder is a sum over start states of
-stationary weight times an eigenvector ratio, divided by the eigenvalue
-power.  With exact eigendata (rational or quadratic) the masses are exact
-field elements; otherwise they are high-precision floats.
+The stationary oracle is the Parry (Markov) measure built from Perron
+eigendata of the presentation (see `obstruct.perron` for its three paths:
+exact, renewal closed form, power iteration): the mass of [u] sums l_s r_t
+over the walks s -> t of u, divided by x^|u| sum_s l_s r_s.  With exact
+eigendata (rational or quadratic) the masses are exact field elements;
+otherwise they are computed with POWER_DPS digits and rounded to floats.
+A truncated system's provenance states the eigen-residual and, when beta
+is exact, the gap beta - x to the true beta-shift.
 """
 
 from __future__ import annotations
@@ -19,8 +22,11 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import DepthError, InputError, NonMixingError
-from .perron import perron_eigendata
+import mpmath
+
+from .errors import DepthError, EnumerationCapError, InputError, NonMixingError
+from .perron import POWER_DPS, perron_eigendata
+from .quadratic import QuadraticNumber
 from .words import Word, format_word, parse_word
 
 
@@ -200,38 +206,56 @@ def empirical_mme(system, n: int, depth: int) -> CylinderMeasure:
 def parry_measure(system, depth: int) -> CylinderMeasure:
     """Stationary Markov measure from Perron eigendata of the presentation.
 
-    Exact field arithmetic when the eigenvalue is rational or quadratic;
-    high-precision floats otherwise.  Refuses non-primitive presentations.
+    With eigenvalue x, right/left vectors r, l on the essential part and
+    v_u[t] = sum of l_s over the states s whose walk of u ends at t, the mass
+    of [u] is sum_t v_u[t] r_t / (x^|u| sum_s l_s r_s).  One depth-first pass
+    over the word tree computes every cylinder, extending v along the
+    current path only.  Exact field arithmetic when the eigenvalue is
+    rational or quadratic; otherwise POWER_DPS-digit arithmetic, rounded to
+    a float once per cylinder.  Refuses non-primitive presentations, and
+    raises where enumerating the language up to `depth` would.
     """
     pres = system.presentation
     if not pres.is_primitive():
         raise NonMixingError(
             "presentation is not primitive; no stationary construction"
         )
+    # fail as enumerating L_0..L_depth would: HorizonError when a shorter
+    # path meets the truncation marker, else EnumerationCapError past the cap
+    cap = system.enumeration_cap
+    pres.state_counts(min(depth, cap))
+    if depth > cap:
+        raise EnumerationCapError(
+            f"measure depth {depth} exceeds enumeration cap {cap}"
+        )
     live = pres.essential_part()
     eigen = perron_eigendata(live)
     lam, right = eigen.eigenvalue, eigen.right
-    pi = eigen.stationary()
     table = {}
-    for length in range(depth + 1):
-        lam_pow = lam ** length
-        for u in system.enumerate_language(length, cap=None):
-            acc = None
-            for s in range(live.n_states):
-                t = live.walk(u, state=s)
-                if t is None:
-                    continue
-                term = pi[s] * right[t] / (lam_pow * right[s])
-                acc = term if acc is None else acc + term
-            if acc is not None:
-                table[u] = acc if eigen.exact else float(acc)
-    if system.horizon is None:
-        provenance = "parry-exact" if eigen.exact else "parry-numeric"
-    else:
-        provenance = (
-            f"parry-truncated(horizon={system.horizon}, "
-            f"residual={eigen.residual:.3g})"
-        )
+    with mpmath.workdps(POWER_DPS):
+        scale = [1 / sum(l * r for l, r in zip(eigen.left, right))]
+        for _ in range(depth):
+            scale.append(scale[-1] / lam)
+        stack = [((), dict(enumerate(eigen.left)))]
+        while stack:
+            u, v = stack.pop()
+            mass = sum(w * right[t] for t, w in v.items()) * scale[len(u)]
+            table[u] = mass if eigen.exact else float(mass)
+            if len(u) == depth:
+                continue
+            children: dict[int, dict] = {}
+            for s, w in v.items():
+                for a, t in live.delta[s].items():
+                    child = children.setdefault(a, {})
+                    child[t] = child[t] + w if t in child else w
+            stack.extend((u + (a,), child) for a, child in children.items())
+        if system.horizon is None:
+            provenance = "parry-exact" if eigen.exact else "parry-numeric"
+        else:
+            provenance = (
+                f"parry-truncated(horizon={system.horizon}, "
+                f"residual={eigen.residual:.3g}{_beta_gap(system, lam)})"
+            )
     return CylinderMeasure(
         alphabet_size=system.alphabet_size,
         depth=depth,
@@ -244,6 +268,22 @@ def parry_measure(system, depth: int) -> CylinderMeasure:
             "exact_eigendata": eigen.exact,
         },
     )
+
+
+def _beta_gap(system, lam) -> str:
+    """`, beta_gap=...` (beta - lam) when the system carries an exact beta."""
+    beta = getattr(getattr(system, "expansion", None), "beta", None)
+    if not isinstance(beta, (int, Fraction, QuadraticNumber)):
+        return ""
+    return f", beta_gap={float(_to_mpf(beta) - _to_mpf(lam)):.3g}"
+
+
+def _to_mpf(x):
+    if isinstance(x, QuadraticNumber):
+        return _to_mpf(x.a) + _to_mpf(x.b) * mpmath.sqrt(x.D)
+    if isinstance(x, Fraction):
+        return mpmath.mpf(x.numerator) / x.denominator
+    return mpmath.mpf(x)
 
 
 def measure_entropy_rate(measure: CylinderMeasure, length: int) -> float:

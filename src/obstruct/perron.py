@@ -1,10 +1,18 @@
 """Perron eigendata of presentation adjacency matrices.
 
-For small presentations the characteristic polynomial is factored over the
-rationals; when the factor carrying the spectral radius is linear or
-quadratic, the eigenvalue and both eigenvectors are computed exactly (as
-rationals or elements of a real quadratic field).  Otherwise a
-high-precision power iteration is used, with residual pushed below 1e-30.
+Three paths, tried in order on the essential part of a presentation:
+
+1. Exact (at most EXACT_STATE_LIMIT states): the characteristic
+   polynomial is factored over the rationals; when the factor carrying the
+   spectral radius is linear or quadratic, the eigenvalue and both
+   eigenvectors are exact rationals or elements of a real quadratic field.
+2. Renewal closed form: when row k of the adjacency matrix is
+   c_k e_0 + e_{k+1} and the last row is c_{n-1} e_0 (truncated and purely
+   periodic beta-shift presentations), the eigenvalue x is the root > 0 of
+   sum_k c_k x^(-k-1) = 1, r_k = sum_{j>=k} c_j x^(k-1-j) and l_k = x^(-k)
+   (Parry 1960; Hofbauer 1978), computed to POWER_DPS digits in O(n).
+3. Otherwise (factor presentations, preperiodic wraps) a high-precision
+   power iteration, with residual pushed below 1e-30.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ from .quadratic import QuadraticNumber, _squarefree_split
 EXACT_STATE_LIMIT = 12
 POWER_DPS = 60
 POWER_RESIDUAL = mpmath.mpf("1e-30")
+GUARD_DPS = 10
 
 
 @dataclass(frozen=True)
@@ -30,15 +39,7 @@ class PerronData:
     right: tuple
     left: tuple
     exact: bool
-    residual: float | None = None
-
-    def stationary(self) -> tuple:
-        """State weights l_s r_s, normalized to total 1."""
-        lr = [l * r for l, r in zip(self.left, self.right)]
-        total = lr[0]
-        for x in lr[1:]:
-            total = total + x
-        return tuple(x / total for x in lr)
+    residual: float | None = None  # max_k |(A r - x r)_k| of the stored data
 
 
 def _kernel_vector(rows, one):
@@ -99,7 +100,12 @@ def _power_iteration(matrix, dps=POWER_DPS, max_iter=200_000):
 
 
 def perron_eigendata(presentation, exact_state_limit=EXACT_STATE_LIMIT) -> PerronData:
-    """Eigendata of the adjacency matrix of the essential part."""
+    """Eigendata of the adjacency matrix of the essential part.
+
+    Exact when the matrix is small and its Perron root rational or
+    quadratic, else the renewal closed form when the matrix has that shape,
+    else power iteration (see the module docstring).
+    """
     live = presentation.essential_part()
     matrix = live.adjacency()
     n = len(matrix)
@@ -107,6 +113,9 @@ def perron_eigendata(presentation, exact_state_limit=EXACT_STATE_LIMIT) -> Perro
         data = _exact_eigendata(matrix)
         if data is not None:
             return data
+    data = _renewal_eigendata(matrix)
+    if data is not None:
+        return data
     lam, right, res = _power_iteration(matrix)
     transposed = [[matrix[j][i] for j in range(n)] for i in range(n)]
     _, left, res2 = _power_iteration(transposed)
@@ -116,6 +125,73 @@ def perron_eigendata(presentation, exact_state_limit=EXACT_STATE_LIMIT) -> Perro
         left=tuple(left),
         exact=False,
         residual=max(res, res2),
+    )
+
+
+def _renewal_eigendata(matrix) -> PerronData | None:
+    """Closed-form eigendata of a renewal matrix; None for any other matrix.
+
+    Row k must be c_k e_0 + e_{k+1} and the last row c_{n-1} e_0 with
+    c_{n-1} > 0.  With r_0 = 1 the eigen-equations read
+    r_{k+1} = x r_k - c_k and c_{n-1} = x r_{n-1}, so r follows by backward
+    Horner once x solves sum_k c_k x^(-k-1) = 1; the left equations give
+    l_k = l_0 x^(-k).
+    """
+    n = len(matrix)
+    coeffs = [row[0] for row in matrix]
+    for k, row in enumerate(matrix):
+        if row[1:] != [int(j == k + 1) for j in range(1, n)]:
+            return None
+    if not coeffs[-1]:
+        return None
+    with mpmath.workdps(POWER_DPS + GUARD_DPS):
+        def excess(x):
+            """sum_k c_k x^(-k-1) - 1 and its derivative, by Horner in 1/x."""
+            y = 1 / x
+            f = df = mpmath.mpf(0)
+            for k in range(n - 1, -1, -1):
+                f = (f + coeffs[k]) * y
+                df = (df + (k + 1) * coeffs[k]) * y
+            return f - 1, -df * y
+
+        # the excess decreases from sum(c) - 1 >= 0 at x = 1 to at most 0 at
+        # x = sum(c); it is convex, so Newton from the left of the root
+        # climbs to it monotonically
+        lo, hi = mpmath.mpf(1), mpmath.mpf(max(1, sum(coeffs)))
+        while hi - lo > 1e-6:
+            mid = (lo + hi) / 2
+            if excess(mid)[0] > 0:
+                lo = mid
+            else:
+                hi = mid
+        x = lo
+        tol = mpmath.mpf(10) ** -(POWER_DPS + GUARD_DPS - 2)
+        for _ in range(100):
+            f, df = excess(x)
+            step = f / df
+            x -= step
+            if abs(step) <= tol * x:
+                break
+        right = [coeffs[-1] / x]
+        for c in reversed(coeffs[:-1]):
+            right.append((c + right[-1]) / x)
+        right.reverse()
+        left = [mpmath.mpf(1)]
+        for _ in range(n - 1):
+            left.append(left[-1] / x)
+    # products of stored values are exact at twice the digits, so this is
+    # the residual of the stored vector, not rounding noise of the check
+    with mpmath.workdps(2 * (POWER_DPS + GUARD_DPS)):
+        residual = max(
+            abs(c * right[0] + (right[k + 1] if k + 1 < n else 0) - x * right[k])
+            for k, c in enumerate(coeffs)
+        )
+    return PerronData(
+        eigenvalue=x,
+        right=tuple(right),
+        left=tuple(left),
+        exact=False,
+        residual=float(residual),
     )
 
 

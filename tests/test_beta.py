@@ -258,6 +258,19 @@ class TestConstruction:
         with pytest.raises(InputError):
             BetaSystem.from_expansion((2, 1, 1, 1, 1, 0, 0, 0, 0, 2, 1), period=1)
 
+    def test_size_caps(self):
+        from obstruct.beta import MAX_ALPHABET, MAX_HORIZON
+
+        BetaSystem.from_beta(MAX_ALPHABET, horizon=4)
+        with pytest.raises(InputError):
+            BetaSystem.from_beta(Fraction(2 * MAX_ALPHABET + 1, 2))
+        with pytest.raises(InputError):
+            BetaSystem.from_beta(Fraction(3, 2), horizon=MAX_HORIZON + 1)
+        with pytest.raises(InputError):
+            BetaSystem.from_expansion((MAX_ALPHABET,), period=1)
+        with pytest.raises(InputError):
+            BetaSystem.from_expansion((1,) + (0,) * MAX_HORIZON)
+
     def test_normalization_minimizes_period(self):
         a = BetaSystem.from_expansion((1, 0, 1, 0), period=4)
         b = BetaSystem.from_expansion((1, 0), period=2)

@@ -262,6 +262,19 @@ def test_non_integer_word_is_input_error(capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expand", "--beta", "1e400"],
+        ["expand", "--beta", "1.5", "--horizon", "10000000"],
+    ],
+    ids=["alphabet", "horizon"],
+)
+def test_size_caps_refuse_before_work(argv, capsys):
+    assert main(argv) == EXIT_INPUT
+    assert "cap" in capsys.readouterr().err
+
+
 def test_cli_import_leaves_networkx_out():
     probe = "import obstruct.cli, sys; print('networkx' in sys.modules)"
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")

@@ -1,10 +1,18 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from obstruct.errors import DepthError, InputError, NonMixingError
+from obstruct.beta import BetaSystem
+from obstruct.errors import (
+    DepthError,
+    EnumerationCapError,
+    HorizonError,
+    InputError,
+    NonMixingError,
+)
 from obstruct.factors import BlockCode, FactorSystem
 from obstruct.measures import (
     CylinderMeasure,
@@ -13,9 +21,37 @@ from obstruct.measures import (
     measure_entropy_rate,
     parry_measure,
 )
+from obstruct.perron import perron_eigendata
+from obstruct.quadratic import QuadraticNumber
 from obstruct.words import word
 
 LOG_PHI = math.log((1 + math.sqrt(5)) / 2)
+
+
+def per_start_state_masses(system, depth):
+    """Reference masses: for each word, a sum over start states s of
+    pi_s r_t / (lam^|u| r_s), with 60-digit arithmetic on float eigendata."""
+    with mpmath.workdps(60):
+        live = system.presentation.essential_part()
+        eigen = perron_eigendata(live)
+        lam, right = eigen.eigenvalue, eigen.right
+        weights = [l * r for l, r in zip(eigen.left, right)]
+        total = sum(weights[1:], weights[0])
+        pi = [w / total for w in weights]
+        table = {}
+        for length in range(depth + 1):
+            lam_pow = lam ** length
+            for u in system.enumerate_language(length, cap=None):
+                acc = None
+                for s in range(live.n_states):
+                    t = live.walk(u, state=s)
+                    if t is None:
+                        continue
+                    term = pi[s] * right[t] / (lam_pow * right[s])
+                    acc = term if acc is None else acc + term
+                if acc is not None:
+                    table[u] = acc if eigen.exact else float(acc)
+    return table
 
 
 class TestEmpirical:
@@ -114,8 +150,56 @@ class TestParry:
         m = parry_measure(threehalf, 4)
         assert m.provenance.startswith("parry-truncated")
         assert not m.exact
+        # the real eigen-residual, and the gap to beta = 3/2 (about beta^-60)
+        eigen = perron_eigendata(threehalf.presentation)
+        with mpmath.workdps(60):
+            gap = float(mpmath.mpf(3) / 2 - eigen.eigenvalue)
+        assert 1e-13 < gap < 1e-10 and 0 < eigen.residual < 1e-60
+        assert m.provenance == (
+            f"parry-truncated(horizon=60, residual={eigen.residual:.3g}, "
+            f"beta_gap={gap:.3g})"
+        )
         total = sum(m.table[w] for w in m.words_at(4))
         assert total == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("beta", [Fraction(3, 2), Fraction(9, 5)])
+    def test_float_masses_match_per_start_state_sum(self, beta):
+        system = BetaSystem.from_beta(beta, horizon=60)
+        m = parry_measure(system, 8)
+        reference = per_start_state_masses(system, 8)
+        assert list(m.table) and sorted(m.table) == sorted(reference)
+        assert all(type(m.table[u]) is float for u in m.table)
+        assert all(m.table[u] == reference[u] for u in reference)
+
+    @pytest.mark.parametrize(
+        "system",
+        [
+            BetaSystem.golden_mean(),
+            BetaSystem.full_shift(2),
+            BetaSystem.from_beta(1 + QuadraticNumber.sqrt(2)),
+            BetaSystem.from_expansion((2, 1, 0, 0, 1), period=5),
+        ],
+        ids=["golden", "full2", "silver", "p5"],
+    )
+    def test_masses_unchanged(self, system):
+        m = parry_measure(system, 7)
+        reference = per_start_state_masses(system, 7)
+        assert sorted(m.table) == sorted(reference)
+        for u, mass in reference.items():
+            assert m.table[u] == mass and type(m.table[u]) is type(mass)
+
+    def test_errors_where_enumeration_fails(self):
+        short = BetaSystem.from_beta(Fraction(3, 2), horizon=6)
+        with pytest.raises(HorizonError):
+            short.enumerate_language(8)
+        with pytest.raises(HorizonError):
+            parry_measure(short, 8)
+        parry_measure(short, 6)
+        capped = BetaSystem.golden_mean(enumeration_cap=5)
+        with pytest.raises(EnumerationCapError):
+            capped.enumerate_language(6)
+        with pytest.raises(EnumerationCapError):
+            parry_measure(capped, 6)
 
     def test_non_primitive_rejected(self, golden):
         collapsed = FactorSystem(golden, BlockCode.merge_all(2))

@@ -1,0 +1,133 @@
+from fractions import Fraction
+
+import mpmath
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from obstruct.beta import BetaSystem
+from obstruct.factors import BlockCode, FactorSystem
+from obstruct.perron import _power_iteration, _renewal_eigendata, perron_eigendata
+
+AGREE = mpmath.mpf("1e-28")
+
+
+def _renewal_matrix(coeffs):
+    n = len(coeffs)
+    rows = [[0] * n for _ in range(n)]
+    for k, c in enumerate(coeffs):
+        rows[k][0] += c
+        if k + 1 < n:
+            rows[k][k + 1] += 1
+    return rows
+
+
+def _by_power_iteration(matrix):
+    n = len(matrix)
+    lam, right, _ = _power_iteration(matrix)
+    _, left, _ = _power_iteration([[matrix[j][i] for j in range(n)] for i in range(n)])
+    return lam, right, left
+
+
+def _max_gap(u, v):
+    """Largest entry gap after scaling each vector to maximum entry 1."""
+    with mpmath.workdps(60):
+        mu, mv = max(u), max(v)
+        return max(abs(a / mu - b / mv) for a, b in zip(u, v))
+
+
+def _assert_agree(data, matrix):
+    lam, right, left = _by_power_iteration(matrix)
+    with mpmath.workdps(60):
+        assert abs(data.eigenvalue - lam) < AGREE
+    assert _max_gap(data.right, right) < AGREE
+    assert _max_gap(data.left, left) < AGREE
+
+
+def _true_residual(matrix, data):
+    with mpmath.workdps(300):
+        return max(
+            abs(sum(a * r for a, r in zip(row, data.right)) - data.eigenvalue * ri)
+            for row, ri in zip(matrix, data.right)
+        )
+
+
+@pytest.mark.parametrize(
+    "system",
+    [
+        BetaSystem.from_beta(Fraction(3, 2), horizon=60),
+        BetaSystem.from_beta(Fraction(9, 5), horizon=60),
+        BetaSystem.from_beta(Fraction(5, 2), horizon=60),
+        BetaSystem.from_expansion((1, 1, 0, 1, 0, 0, 1, 0, 0), period=9),
+    ],
+    ids=["3/2", "9/5", "5/2", "p9"],
+)
+def test_beta_shift_closed_form_matches_power_iteration(system):
+    matrix = system.presentation.essential_part().adjacency()
+    data = _renewal_eigendata(matrix)
+    assert data is not None and not data.exact
+    assert abs(data.right[0] - 1) < 1e-60
+    _assert_agree(data, matrix)
+    assert perron_eigendata(system.presentation) == data
+
+
+@given(
+    st.lists(st.integers(min_value=0, max_value=3), min_size=0, max_size=6),
+    st.integers(min_value=1, max_value=3),
+)
+@settings(max_examples=30, deadline=None)
+def test_random_renewal_matrices(head, last):
+    # zero c_k, n = 1 and the pure cycle (a single 1) all occur
+    matrix = _renewal_matrix(head + [last])
+    data = _renewal_eigendata(matrix)
+    assert data is not None
+    _assert_agree(data, matrix)
+    assert data.residual == pytest.approx(float(_true_residual(matrix, data)), rel=1e-6)
+    assert data.residual < 1e-60
+
+
+def test_full_shift_is_one_state_renewal():
+    data = _renewal_eigendata([[3]])
+    assert data.eigenvalue == 3 and data.right == (1,) and data.left == (1,)
+    assert data.residual == 0
+
+
+def test_residual_is_the_real_sup_norm(threehalf):
+    matrix = threehalf.presentation.essential_part().adjacency()
+    data = _renewal_eigendata(matrix)
+    true = _true_residual(matrix, data)
+    assert true > 0
+    assert data.residual == pytest.approx(float(true), rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "presentation",
+    [
+        # preperiodic wrap: the last state returns to state p = 2, not 0
+        BetaSystem.from_expansion((2, 1, 1, 0), period=2).presentation,
+        # subset presentation of a factor image
+        FactorSystem(
+            BetaSystem.from_expansion((1, 1, 0, 1, 0, 0, 1, 0, 0), period=9),
+            BlockCode.xor(),
+        ).presentation,
+    ],
+    ids=["preperiodic", "factor"],
+)
+def test_non_renewal_keeps_power_iteration(presentation):
+    matrix = presentation.essential_part().adjacency()
+    assert _renewal_eigendata(matrix) is None
+    data = perron_eigendata(presentation)
+    lam, right, left = _by_power_iteration(matrix)
+    assert (data.eigenvalue, data.right, data.left) == (lam, tuple(right), tuple(left))
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        [[1, 2], [1, 0]],  # super-diagonal entry 2
+        [[1, 1, 0], [1, 0, 1], [1, 1, 0]],  # last row leaves column 0
+        [[1, 1], [0, 0]],  # last state has no return edge
+        [[1, 0], [1, 1]],  # no edge 0 -> 1
+    ],
+)
+def test_other_shapes_are_not_renewal(matrix):
+    assert _renewal_eigendata(matrix) is None
