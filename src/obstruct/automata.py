@@ -106,7 +106,7 @@ class Presentation:
         if marker is not None and self.delta[marker]:
             raise ValueError("marker state must have no outgoing edges")
         self._state_counts = [self._unit_vector(start)]
-        self._ext = {0: [1] * n_states}
+        self._ext = [[1] * n_states]
 
     def _unit_vector(self, s):
         v = [0] * self.n_states
@@ -164,9 +164,10 @@ class Presentation:
 
     def extension_counts(self, j: int) -> list:
         """Per-state counts of length-j continuations; None marks poisoned states."""
-        while max(self._ext) < j:
-            m = max(self._ext)
-            prev = self._ext[m]
+        if j < 0:
+            raise ValueError(f"negative continuation length {j}")
+        while len(self._ext) <= j:
+            prev = self._ext[-1]
             new = []
             for s in range(self.n_states):
                 if s == self.marker:
@@ -179,7 +180,7 @@ class Presentation:
                         break
                     total += prev[t]
                 new.append(total)
-            self._ext[m + 1] = new
+            self._ext.append(new)
         return self._ext[j]
 
     def extensions_from(self, state: int, j: int) -> int:

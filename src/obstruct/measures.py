@@ -29,6 +29,9 @@ from .perron import POWER_DPS, perron_eigendata
 from .quadratic import QuadraticNumber
 from .words import Word, format_word, parse_word
 
+# largest n for empirical_mme: it keeps every count vector up to n
+MAX_EMPIRICAL_N = 10_000
+
 
 @dataclass
 class CylinderMeasure:
@@ -159,39 +162,61 @@ def empirical_mme(system, n: int, depth: int) -> CylinderMeasure:
     (1/n) sum over shifts k < n of the fraction of length-n words whose
     representative lies in the k-fold shift preimage of [u]; window
     positions past n read the representative tail exactly.
+
+    A full window (k + |u| <= n) contributes state_counts(k)[s] *
+    extensions(n - k - |u|)[t] for each state s whose walk of u ends at t.
+    The window sums W(l, s, t) = sum_k state_counts(k)[s] * extensions(n - k -
+    l)[t] take n big-int products each, are computed once per (l, s, t) that
+    some word needs, and are shared by every word of length l; a word then
+    costs one walk from each state plus its at most depth - 1 tail windows.
+    n above MAX_EMPIRICAL_N is refused before any counting.
     """
     if depth > n:
         raise InputError("measure depth cannot exceed n")
     if n < 1:
         raise InputError("n must be >= 1")
+    if n > MAX_EMPIRICAL_N:
+        raise InputError(f"empirical n {n} exceeds the cap {MAX_EMPIRICAL_N}")
     tails = _verify_representative_tails(system)
     pres = system.presentation
     total_words = system.count_language(n)
     state_counts = [pres.state_counts(k) for k in range(n + 1)]
     denom = n * total_words
+    # first shift at which each state is reached (n + 1: never)
+    first = [
+        next((k for k in range(n + 1) if state_counts[k][s]), n + 1)
+        for s in range(pres.n_states)
+    ]
 
     table: dict[Word, Fraction] = {}
     for length in range(depth + 1):
+        last_full = min(n - length, n - 1)
+        starts = [s for s in range(pres.n_states) if first[s] <= last_full]
+        window_sums: dict[tuple[int, int], int] = {}
         for u in system.enumerate_language(length, cap=None):
             acc = 0
-            for k in range(n):
-                if k + length <= n:
-                    for s, c in enumerate(state_counts[k]):
-                        if not c:
-                            continue
-                        t = pres.walk(u, state=s)
-                        if t is not None:
-                            acc += c * pres.extensions_from(t, n - k - length)
-                else:
-                    head = n - k
-                    for s, c in enumerate(state_counts[k]):
-                        if not c:
-                            continue
-                        t = pres.walk(u[:head], state=s)
-                        if t is None:
-                            continue
-                        if u[head:] == _tail_prefix(pres, tails, t, length - head):
-                            acc += c
+            for s in starts:
+                t = pres.walk(u, state=s)
+                if t is None:
+                    continue
+                if (s, t) not in window_sums:
+                    window_sums[s, t] = sum(
+                        state_counts[k][s]
+                        * pres.extensions_from(t, n - k - length)
+                        for k in range(first[s], last_full + 1)
+                        if state_counts[k][s]
+                    )
+                acc += window_sums[s, t]
+            for k in range(n - length + 1, n):
+                head = n - k
+                for s, c in enumerate(state_counts[k]):
+                    if not c:
+                        continue
+                    t = pres.walk(u[:head], state=s)
+                    if t is None:
+                        continue
+                    if u[head:] == _tail_prefix(pres, tails, t, length - head):
+                        acc += c
             table[u] = Fraction(acc, denom)
     return CylinderMeasure(
         alphabet_size=system.alphabet_size,

@@ -1,6 +1,10 @@
+from itertools import product
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from obstruct.automata import Presentation
+from obstruct.errors import HorizonError
 from obstruct.factors import PairAutomaton
 
 
@@ -69,3 +73,56 @@ def test_nondiagonal_cycle_matches_reachability(graph, flags):
     )
     expected = any(not flags[s] and s in _reach(n, arcs, s) for s in range(n))
     assert pair.nondiagonal_cycle_exists() == expected
+
+
+@st.composite
+def presentations(draw):
+    """Random deterministic presentations, half of them with a marker."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    k = draw(st.integers(min_value=1, max_value=3))
+    marker = draw(st.one_of(st.none(), st.integers(0, n - 1)))
+    edges = [
+        (s, a, t)
+        for s in range(n)
+        for a in range(k)
+        if s != marker
+        for t in [draw(st.one_of(st.none(), st.integers(0, n - 1)))]
+        if t is not None
+    ]
+    return Presentation(n, k, edges, start=0, marker=marker)
+
+
+def _brute_extensions(pres, s, j):
+    """Count the label sequences of length j readable from s, by listing
+    every sequence; None when one of them reaches the marker early."""
+    count = 0
+    for labels in product(range(pres.alphabet_size), repeat=j):
+        t = s
+        for a in labels:
+            if t == pres.marker:
+                return None
+            t = pres.delta[t].get(a)
+            if t is None:
+                break
+        else:
+            count += 1
+    return count
+
+
+@given(presentations(), st.lists(st.integers(0, 6), max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_extension_counts_match_brute_force(pres, more):
+    # large, then small, then larger, then whatever was drawn
+    for j in [4, 1, 6] + more:
+        counts = pres.extension_counts(j)
+        assert len(counts) == pres.n_states
+        for s in range(pres.n_states):
+            want = _brute_extensions(pres, s, j)
+            assert counts[s] == want, (s, j)
+            if want is None:
+                with pytest.raises(HorizonError):
+                    pres.extensions_from(s, j)
+            else:
+                assert pres.extensions_from(s, j) == want
+    with pytest.raises(ValueError):
+        pres.extension_counts(-1)

@@ -267,8 +267,9 @@ def test_non_integer_word_is_input_error(capsys):
     [
         ["expand", "--beta", "1e400"],
         ["expand", "--beta", "1.5", "--horizon", "10000000"],
+        ["mme", "--beta", "2", "--n", "10001"],
     ],
-    ids=["alphabet", "horizon"],
+    ids=["alphabet", "horizon", "empirical-n"],
 )
 def test_size_caps_refuse_before_work(argv, capsys):
     assert main(argv) == EXIT_INPUT

@@ -16,6 +16,8 @@ from obstruct.errors import (
 from obstruct.factors import BlockCode, FactorSystem
 from obstruct.measures import (
     CylinderMeasure,
+    _tail_prefix,
+    _verify_representative_tails,
     empirical_mme,
     max_depth_gap,
     measure_entropy_rate,
@@ -52,6 +54,84 @@ def per_start_state_masses(system, depth):
                 if acc is not None:
                     table[u] = acc if eigen.exact else float(acc)
     return table
+
+
+def per_shift_empirical(system, n, depth):
+    """Reference table: the direct sum over every shift k and state s,
+    one walk and one extension count per (word, k, s)."""
+    if depth > n:
+        raise InputError("measure depth cannot exceed n")
+    tails = _verify_representative_tails(system)
+    pres = system.presentation
+    total_words = system.count_language(n)
+    state_counts = [pres.state_counts(k) for k in range(n + 1)]
+    denom = n * total_words
+    table = {}
+    for length in range(depth + 1):
+        for u in system.enumerate_language(length, cap=None):
+            acc = 0
+            for k in range(n):
+                if k + length <= n:
+                    for s, c in enumerate(state_counts[k]):
+                        if not c:
+                            continue
+                        t = pres.walk(u, state=s)
+                        if t is not None:
+                            acc += c * pres.extensions_from(t, n - k - length)
+                else:
+                    head = n - k
+                    for s, c in enumerate(state_counts[k]):
+                        if not c:
+                            continue
+                        t = pres.walk(u[:head], state=s)
+                        if t is None:
+                            continue
+                        if u[head:] == _tail_prefix(pres, tails, t, length - head):
+                            acc += c
+            table[u] = Fraction(acc, denom)
+    return table
+
+
+def _maj3():
+    rule = {
+        (a, b, c): int(a + b + c >= 2)
+        for a in (0, 1) for b in (0, 1) for c in (0, 1)
+    }
+    return BlockCode(3, rule, 2)
+
+
+ORACLE_SYSTEMS = {
+    "golden": lambda: BetaSystem.golden_mean(),
+    "full2": lambda: BetaSystem.full_shift(2),
+    "full3": lambda: BetaSystem.full_shift(3),
+    "p5": lambda: BetaSystem.from_expansion((2, 1, 0, 0, 1), period=5),
+    "p9": lambda: BetaSystem.from_expansion(
+        (1, 1, 0, 1, 0, 0, 1, 0, 0), period=9
+    ),
+    "preperiodic": lambda: BetaSystem.from_expansion((2, 1, 1, 0), period=2),
+    "user-truncated": lambda: BetaSystem.from_expansion((2, 1, 0, 1)),
+    "threehalf@20": lambda: BetaSystem.from_beta("1.5", horizon=20),
+    "xor(golden)": lambda: FactorSystem(BetaSystem.golden_mean(), BlockCode.xor()),
+    "maj3(full2)": lambda: FactorSystem(BetaSystem.full_shift(2), _maj3()),
+}
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except HorizonError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SYSTEMS))
+def test_empirical_matches_per_shift_oracle(name):
+    # fresh systems per side, so neither side reads counts the other cached
+    make = ORACLE_SYSTEMS[name]
+    for n in (1, 2, 3, 4, 19, 20, 21, 60):
+        for depth in range(min(n, 4) + 1):
+            got = _outcome(lambda: empirical_mme(make(), n, depth).table)
+            want = _outcome(lambda: per_shift_empirical(make(), n, depth))
+            assert got == want, (name, n, depth)
 
 
 class TestEmpirical:
