@@ -219,11 +219,18 @@ class Presentation:
         return self._dfs((), state, length)
 
     def lex_min_tail(self, state: int, length: int) -> Word | None:
-        """Lexicographically least length-`length` continuation from `state`."""
+        """Lexicographically least length-`length` continuation from `state`.
+
+        None when there is no continuation.  HorizonError when the search
+        meets the truncation marker before it finds one: a continuation
+        through the marker would come first, and it is unknown.
+        """
         if length == 0:
             return ()
         if state == self.marker:
-            return None
+            raise HorizonError(
+                "least-tail search would continue past the stored horizon"
+            )
         for a in sorted(self.delta[state]):
             tail = self.lex_min_tail(self.delta[state][a], length - 1)
             if tail is not None:

@@ -305,6 +305,7 @@ class BetaSystem:
         self.alphabet_size = expansion.digits[0] + 1
         self.enumeration_cap = enumeration_cap
         self._core_counts = [1]  # Z_t for t = 0, 1, ...
+        self.perron_cache: dict = {}  # see perron.perron_eigendata
         self._check_self_admissible()
         self.presentation = self._build_presentation()
 
@@ -429,7 +430,9 @@ class BetaSystem:
             return self.expansion.beta
         from .perron import perron_eigendata
 
-        return perron_eigendata(self.presentation.live_part()).eigenvalue
+        return perron_eigendata(
+            self.presentation.live_part(), cache=self.perron_cache
+        ).eigenvalue
 
     def log_beta(self) -> float:
         import math

@@ -10,7 +10,11 @@ Specification of a collection at depth j with gap tau is checked
 literally: for every sampled tuple of depth-extended words, some single
 word must carry all of them at offsets spaced by the gap.  The search
 fills the free positions left-to-right, smallest symbol first, so the
-all-zero gap word is tried before anything else.
+all-zero gap word is tried before anything else.  It is memoised on the
+head class of the first segment (the state its base block reaches and its
+depth tail) and the remaining segments, which fix everything the search
+does past that base block, so each (head class, rest) is searched once;
+see `check_specification`.
 """
 
 from __future__ import annotations
@@ -309,6 +313,7 @@ def _fill_template(presentation, template, state=None, pos=0):
 
 
 def _segment_pool(system, collection, lengths, depth):
+    """Depth-extended segments, each with the state its base block reaches."""
     pool = []
     for n in sorted(set(lengths)):
         base = collection.at(n)
@@ -319,7 +324,7 @@ def _segment_pool(system, collection, lengths, depth):
             if state is None:
                 raise InputError(f"collection word {v} not in the language")
             for tail in system.presentation.tails(state, depth):
-                pool.append(v + tail)
+                pool.append((v + tail, state))
     return pool
 
 
@@ -343,40 +348,89 @@ def check_specification(
     check is exhaustive when the tuple space fits the budget (or when
     `sample` forces it); otherwise tuples are sampled with a fixed seed and
     the report says so.
+
+    The search is memoised, with the same results as one search per tuple.
+    In the template of a tuple (a, *rest) the first h = |a| - j positions
+    hold the base block of `a` alone (the next segment starts at h + tau),
+    so the search walks them to the state s that the base block reaches,
+    and from there it is the search on the template of (a[h:], *rest).  The
+    glued word is a[:h] followed by the result for the key (s, a[h:], rest),
+    the head class of `a` with `rest`, and each key is searched once.
+    Exhaustively, one row of results over all rests is built per head class,
+    the first time the class appears in product order, so the cost is one
+    sub-search per (head class, rest), and the first tuple whose search
+    meets the truncation marker raises as it would in product order;
+    tuples and glued words are built only for the reported witnesses and
+    failures.  Sampled tuples keep their seeded draws and go through the
+    same memo one at a time.
     """
     if k_max < 2:
         raise InputError("k_max must be at least 2")
+    if j < 0 or tau < 0:
+        raise InputError("depth and gap must be non-negative")
     pool = _segment_pool(system, collection, lengths, j)
+    # head class of each segment: its base block's state and its depth tail
+    heads: dict = {}
+    head_of = [heads.setdefault((s, w[len(w) - j :]), len(heads)) for w, s in pool]
+    head_list = list(heads)
     sizes = [len(pool) ** k for k in range(2, k_max + 1)]
     total = sum(sizes)
     exhaustive = sample == "all" or total <= budget
     witnesses, failures = [], []
     checked = 0
 
-    def tuples():
-        if exhaustive:
-            for k in range(2, k_max + 1):
-                yield from itertools.product(pool, repeat=k)
-        else:
-            rng = random.Random(seed)
-            per_k = max(1, budget // max(1, k_max - 1))
-            for k in range(2, k_max + 1):
-                for _ in range(min(per_k, len(pool) ** k)):
-                    yield tuple(rng.choice(pool) for _ in range(k))
-
-    for elements in tuples():
-        checked += 1
-        template = _merge_template(elements, tau, j)
-        glued = (
-            None
-            if template is None
-            else _fill_template(system.presentation, template)
+    def glue_tail(head, rest):
+        """Glued word from the end of the first base block, or None."""
+        state, tail = head_list[head]
+        template = _merge_template(
+            (tail,) + tuple(pool[i][0] for i in rest), tau, j
         )
-        if glued is None:
-            if len(failures) < witness_limit:
-                failures.append(elements)
-        elif len(witnesses) < witness_limit:
-            witnesses.append((elements, glued))
+        if template is None:
+            return None
+        return _fill_template(system.presentation, template, state)
+
+    def record(first, rest, tail):
+        a = pool[first][0]
+        elements = (a,) + tuple(pool[i][0] for i in rest)
+        if tail is None:
+            failures.append(elements)
+        else:
+            witnesses.append((elements, a[: len(a) - j] + tail))
+
+    if exhaustive:
+        for k in range(2, k_max + 1):
+            rests = list(itertools.product(range(len(pool)), repeat=k - 1))
+            rows = {}  # head class -> (glued tails, failing rests, passing rests)
+            for first, head in enumerate(head_of):
+                if head not in rows:
+                    row = [glue_tail(head, rest) for rest in rests]
+                    rows[head] = (
+                        row,
+                        [i for i, g in enumerate(row) if g is None],
+                        [i for i, g in enumerate(row) if g is not None],
+                    )
+                row, failing, passing = rows[head]
+                checked += len(rests)
+                for i in failing[: witness_limit - len(failures)]:
+                    record(first, rests[i], None)
+                for i in passing[: witness_limit - len(witnesses)]:
+                    record(first, rests[i], row[i])
+    else:
+        rng = random.Random(seed)
+        per_k = max(1, budget // max(1, k_max - 1))
+        memo = {}
+        # choosing an index consumes the same draws as choosing the segment
+        indices = range(len(pool))
+        for k in range(2, k_max + 1):
+            for _ in range(min(per_k, len(pool) ** k)):
+                first, *rest = [rng.choice(indices) for _ in range(k)]
+                key = (head_of[first], tuple(rest))
+                if key not in memo:
+                    memo[key] = glue_tail(*key)
+                checked += 1
+                found = failures if memo[key] is None else witnesses
+                if len(found) < witness_limit:
+                    record(first, key[1], memo[key])
     verdict = "fail" if failures else "pass"
     return SpecificationReport(
         collection=collection.label,

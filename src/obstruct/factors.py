@@ -90,21 +90,28 @@ class BlockCode:
     def from_file(cls, path, alphabet_size: int = 10) -> "BlockCode":
         rule = {}
         window = None
-        with open(path, "r", encoding="ascii") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "->" not in line:
-                    raise InputError(f"bad code line {line!r}")
-                left, right = line.split("->", 1)
-                block = parse_word(left, alphabet_size)
+        try:
+            with open(path, "r", encoding="ascii") as fh:
+                lines = fh.readlines()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InputError(f"cannot read code file: {exc}") from exc
+        for line in lines:
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "->" not in line:
+                raise InputError(f"bad code line {line!r}")
+            left, right = line.split("->", 1)
+            block = parse_word(left, alphabet_size)
+            try:
                 out = int(right.strip())
-                if window is None:
-                    window = len(block)
-                elif window != len(block):
-                    raise InputError("mixed block lengths in code file")
-                rule[block] = out
+            except ValueError:
+                raise InputError(f"bad output symbol in code line {line!r}") from None
+            if window is None:
+                window = len(block)
+            elif window != len(block):
+                raise InputError("mixed block lengths in code file")
+            rule[block] = out
         if not rule:
             raise InputError("empty code file")
         return cls(window, rule, max(rule.values()) + 1)
@@ -156,6 +163,7 @@ class FactorSystem:
         )
         self.presentation = self._build_presentation()
         self.horizon = getattr(source, "horizon", None)
+        self.perron_cache: dict = {}  # see perron.perron_eigendata
 
     def _configurations(self):
         """All (state, window) pairs after reading k - 1 source symbols."""
@@ -217,7 +225,7 @@ class FactorSystem:
     def beta_value(self):
         from .perron import perron_eigendata
 
-        return perron_eigendata(self.presentation).eigenvalue
+        return perron_eigendata(self.presentation, cache=self.perron_cache).eigenvalue
 
     def log_beta(self) -> float:
         return math.log(float(self.beta_value()))

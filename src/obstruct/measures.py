@@ -161,7 +161,8 @@ def empirical_mme(system, n: int, depth: int) -> CylinderMeasure:
     on digit-expansion systems; verified to exist).  The mass of [u] is
     (1/n) sum over shifts k < n of the fraction of length-n words whose
     representative lies in the k-fold shift preimage of [u]; window
-    positions past n read the representative tail exactly.
+    positions past n read the representative tail exactly, and a tail the
+    truncation marker leaves undecided raises HorizonError.
 
     A full window (k + |u| <= n) contributes state_counts(k)[s] *
     extensions(n - k - |u|)[t] for each state s whose walk of u ends at t.
@@ -254,7 +255,7 @@ def parry_measure(system, depth: int) -> CylinderMeasure:
             f"measure depth {depth} exceeds enumeration cap {cap}"
         )
     live = pres.essential_part()
-    eigen = perron_eigendata(live)
+    eigen = perron_eigendata(live, cache=system.perron_cache)
     lam, right = eigen.eigenvalue, eigen.right
     table = {}
     with mpmath.workdps(POWER_DPS):

@@ -99,15 +99,29 @@ def _power_iteration(matrix, dps=POWER_DPS, max_iter=200_000):
         return lam - 1, v, float(res)
 
 
-def perron_eigendata(presentation, exact_state_limit=EXACT_STATE_LIMIT) -> PerronData:
+def perron_eigendata(
+    presentation, exact_state_limit=EXACT_STATE_LIMIT, cache: dict | None = None
+) -> PerronData:
     """Eigendata of the adjacency matrix of the essential part.
 
     Exact when the matrix is small and its Perron root rational or
     quadratic, else the renewal closed form when the matrix has that shape,
-    else power iteration (see the module docstring).
+    else power iteration (see the module docstring).  `cache`, a dict the
+    caller owns (one per system), keeps each result under the essential
+    part's adjacency matrix, so callers holding different views of one
+    presentation (its live part, its essential part) compute it once.
     """
-    live = presentation.essential_part()
-    matrix = live.adjacency()
+    matrix = presentation.essential_part().adjacency()
+    key = (tuple(map(tuple, matrix)), exact_state_limit)
+    if cache is not None and key in cache:
+        return cache[key]
+    data = _eigendata(matrix, exact_state_limit)
+    if cache is not None:
+        cache[key] = data
+    return data
+
+
+def _eigendata(matrix, exact_state_limit) -> PerronData:
     n = len(matrix)
     if n <= exact_state_limit:
         data = _exact_eigendata(matrix)

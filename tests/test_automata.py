@@ -126,3 +126,32 @@ def test_extension_counts_match_brute_force(pres, more):
                 assert pres.extensions_from(s, j) == want
     with pytest.raises(ValueError):
         pres.extension_counts(-1)
+
+
+def _brute_lex_min_tail(pres, s, j):
+    """First readable label sequence of length j in lexicographic order;
+    HorizonError when a sequence before it reaches the marker early."""
+    for labels in product(range(pres.alphabet_size), repeat=j):
+        t = s
+        for a in labels:
+            if t == pres.marker:
+                raise HorizonError("marker")
+            t = pres.delta[t].get(a)
+            if t is None:
+                break
+        else:
+            return labels
+    return None
+
+
+@given(presentations(), st.integers(0, 5))
+@settings(max_examples=200, deadline=None)
+def test_lex_min_tail_matches_brute_force(pres, j):
+    for s in range(pres.n_states):
+        try:
+            want = _brute_lex_min_tail(pres, s, j)
+        except HorizonError:
+            with pytest.raises(HorizonError):
+                pres.lex_min_tail(s, j)
+        else:
+            assert pres.lex_min_tail(s, j) == want, (s, j)

@@ -1,10 +1,17 @@
+import contextlib
+import io
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from obstruct.cli import (
     EXIT_INCONCLUSIVE,
@@ -297,3 +304,154 @@ def test_measure_file_accepted_when_valid(golden_file, tmp_path):
     cfg = RunConfig(expansion_file=golden_file, measure_file=str(path))
     code, report = cmd_verify(cfg)
     assert code == EXIT_PASS
+
+
+# -- fuzzing the command line in-process ----------------------------------------------
+
+
+def _below_three_or_unparsable(text):
+    try:
+        return Fraction(text.strip()) < 3
+    except (ValueError, ZeroDivisionError):
+        return True
+
+
+# cost bound: beta >= 3 means 3 or more symbols at every depth, and verify on
+# the full 3-shift alone takes about 20 s
+_FUZZ_BETAS = st.one_of(
+    st.sampled_from(["2", "1.5", "1.8", "2.5", "1.01", "3/2", " 2.0 "]),
+    st.fractions(
+        min_value=Fraction(13, 12), max_value=Fraction(29, 10), max_denominator=12
+    ).map(str),
+)
+_FUZZ_BAD_BETAS = st.one_of(
+    st.sampled_from(
+        ["1", "0.5", "-2", "1e400", "300", "abc", "", "nan", "inf", "1/0", "0"]
+    ),
+    st.text("0123456789./-e", max_size=4).filter(_below_three_or_unparsable),
+)
+_FUZZ_EXPANSIONS = st.sampled_from(
+    ["period=2\n10\n", "period=5\n21001\n", "period=9\n110100100\n",
+     "# note\nperiod=2\n2110\n", "2101\n", "period=1\n1\n", "110\n"]
+)
+_FUZZ_BAD_EXPANSIONS = st.builds(
+    "{}{}\n{}".format,
+    st.sampled_from(
+        ["", "period=0\n", "period=-1\n", "period=9\n", "period=x\n",
+         "period=\x80\n"]
+    ),
+    st.text("012 a-", max_size=6),
+    st.sampled_from(["", "10\n", "\x80\n"]),
+)
+_FUZZ_BAD_CODES = st.lists(
+    st.builds(
+        "{} -> {}".format,
+        st.text("012 ", max_size=3),
+        st.sampled_from(["0", "1", "-1", "x", "", "9"]),
+    ),
+    max_size=4,
+).map(lambda lines: "\n".join(lines) + "\n")
+_FUZZ_MEASURES = st.sampled_from(
+    ["", "{", "[]", "3", '{"depth": 1}',
+     '{"depth": 1, "provenance": "p", "entries": [{"word": "", "mass_num": "1",'
+     ' "mass_den": "1"}, {"word": "0", "mass_float": "0.5"}]}',
+     '{"depth": "x", "provenance": 1, "entries": [{"word": "9"}]}']
+)
+_GLUING_COMMANDS = ("verify", "decomp", "factor")
+
+
+@st.composite
+def _fuzz_code(draw):
+    """A window-1 or window-2 binary code, total on binary blocks."""
+    window = draw(st.integers(1, 2))
+    return "".join(
+        f"{''.join(block)} -> {draw(st.integers(0, 1))}\n"
+        for block in itertools.product("01", repeat=window)
+    )
+
+
+@st.composite
+def _fuzz_argv(draw, files):
+    """A command line with bounded, cheap values.
+
+    About seven in ten are well formed; the rest break one thing: a flag
+    value, the choice of system source, the beta literal, or an input file.
+    """
+    command = draw(st.sampled_from(
+        ["expand", "entropy", "decomp", "mme", "verify", "factor"]
+    ))
+    broken = draw(st.sampled_from(
+        [None] * 12 + ["flag", "source", "beta", "expansion", "code"]
+    ))
+    argv = [command]
+    if broken == "source":
+        sources = draw(st.sampled_from([("beta", "file"), ()]))
+    elif broken == "expansion":
+        sources = ("file",)
+    else:
+        sources = draw(st.sampled_from([("beta",), ("file",)]))
+    if "beta" in sources:
+        argv += ["--beta", draw(_FUZZ_BAD_BETAS if broken == "beta" else _FUZZ_BETAS)]
+    if "file" in sources:
+        text = draw(
+            _FUZZ_BAD_EXPANSIONS if broken == "expansion" else _FUZZ_EXPANSIONS
+        )
+        files["expansion"].write_text(text, encoding="latin-1")
+        argv += ["--expansion-file", str(files["expansion"])]
+    # cost bounds: at depth 2 over 3 symbols the gluing search samples
+    # 100 000 tuples per gap, seconds per run; verify --degenerate lists every
+    # word up to --nmax (verify needs at least 8)
+    flags = {
+        "--horizon": draw(st.integers(1, 30)),
+        "--depth": draw(st.integers(0, 1 if command in _GLUING_COMMANDS else 2)),
+        "--nmax": draw(st.integers(8, 10)),
+        "--tau-max": draw(st.integers(0, 3)),
+        "--M": draw(st.integers(0, 3)),
+        "--measure-depth": draw(st.integers(1, 6)),
+    }
+    if command in ("decomp", "mme"):
+        flags["--n"] = draw(st.integers(1, 50))
+    if broken == "flag":
+        flags[draw(st.sampled_from(sorted(flags)))] = draw(
+            st.sampled_from([-1, 0, "x", ""])
+        )
+    for flag, value in flags.items():
+        argv += [flag, str(value)]
+    argv += draw(st.sampled_from([[]] * 4 + [["--precision", "1"], ["--precision", "8"]]))
+    argv += draw(st.sampled_from([[], ["--emit-csv"], ["--format", "csv"]]))
+    if draw(st.booleans()):
+        argv += ["--out", str(files["out"])]
+    if command == "decomp":
+        argv += ["--op", draw(st.sampled_from(["split", "coverage", "spec"]))]
+        if draw(st.booleans()):
+            argv += ["--word", draw(st.text("012 a-", max_size=6))]
+    elif command == "verify":
+        if draw(st.booleans()):
+            argv += ["--degenerate"]
+        if draw(st.booleans()):
+            files["measure"].write_text(draw(_FUZZ_MEASURES))
+            argv += ["--measure-file", str(files["measure"])]
+    elif command == "factor":
+        code = draw(_FUZZ_BAD_CODES if broken == "code" else _fuzz_code())
+        files["code"].write_text(code)
+        argv += ["--code-file", str(files["code"])]
+    return argv
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_fuzzed_command_lines_exit_cleanly(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        files = {
+            name: root / name for name in ("expansion", "code", "measure", "out")
+        }
+        argv = data.draw(_fuzz_argv(files), label="argv")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+    assert code in (EXIT_PASS, EXIT_VIOLATION, EXIT_INPUT, EXIT_INCONCLUSIVE), code
+    assert "Traceback" not in err.getvalue()

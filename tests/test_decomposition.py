@@ -1,9 +1,18 @@
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, event, given, settings, strategies as st
 
+from obstruct.beta import BetaSystem
 from obstruct.decomposition import (
+    SpecificationReport,
+    _fill_template,
+    _merge_template,
+    _segment_pool,
+    beta_decomposition,
     check_specification,
     degenerate_decomposition,
     filtration_coverage,
@@ -12,10 +21,11 @@ from obstruct.decomposition import (
     split,
     zero_padding_to_core,
 )
-from obstruct.errors import InputError, SpecificationError
+from obstruct.errors import HorizonError, InputError, SpecificationError
 from obstruct.orbits import OrbitCollection
 from obstruct.quadratic import golden_ratio
 from obstruct.words import word
+from test_automata import presentations
 
 LOG_PHI = math.log((1 + math.sqrt(5)) / 2)
 
@@ -199,6 +209,140 @@ class TestSpecification:
         )
         assert not report.exhaustive
         assert report.tuples_checked <= 60
+
+
+def _literal_specification(
+    system, collection, j, tau, k_max, lengths, sample, budget, seed
+):
+    """The gluing search one tuple at a time: merge the template, then fill it."""
+    witness_limit = 16
+    pool = [w for w, _ in _segment_pool(system, collection, lengths, j)]
+    total = sum(len(pool) ** k for k in range(2, k_max + 1))
+    exhaustive = sample == "all" or total <= budget
+    if exhaustive:
+        tuples = itertools.chain.from_iterable(
+            itertools.product(pool, repeat=k) for k in range(2, k_max + 1)
+        )
+    else:
+        rng = random.Random(seed)
+        per_k = max(1, budget // max(1, k_max - 1))
+        tuples = (
+            tuple(rng.choice(pool) for _ in range(k))
+            for k in range(2, k_max + 1)
+            for _ in range(min(per_k, len(pool) ** k))
+        )
+    witnesses, failures, checked = [], [], 0
+    for elements in tuples:
+        checked += 1
+        template = _merge_template(elements, tau, j)
+        glued = (
+            None if template is None
+            else _fill_template(system.presentation, template)
+        )
+        if glued is None:
+            if len(failures) < witness_limit:
+                failures.append(elements)
+        elif len(witnesses) < witness_limit:
+            witnesses.append((elements, glued))
+    return SpecificationReport(
+        collection=collection.label,
+        depth=j,
+        gap=tau,
+        k_max=k_max,
+        lengths=tuple(sorted(set(lengths))),
+        verdict="fail" if failures else "pass",
+        exhaustive=exhaustive,
+        tuples_checked=checked,
+        witnesses=tuple(witnesses),
+        failures=tuple(failures),
+    )
+
+
+class _GraphSystem:
+    """Just enough of a system for the gluing search on a bare presentation."""
+
+    def __init__(self, presentation):
+        self.presentation = presentation
+
+    def enumerate_language(self, n, cap=None):
+        return self.presentation.enumerate_words(n, cap)
+
+
+_BETAS = [
+    lambda: BetaSystem.from_beta("2"),
+    BetaSystem.golden_mean,
+    lambda: BetaSystem.from_expansion((2, 1, 0, 0, 1), period=5),
+    lambda: BetaSystem.from_beta("1.5", horizon=60),
+]
+
+
+@st.composite
+def _gluing_cases(draw):
+    """(system, collection): beta-shifts, short truncations, bare graphs."""
+    kind = draw(st.sampled_from(["beta", "truncated", "graph"]))
+    if kind == "graph":
+        system = _GraphSystem(draw(presentations()))
+        pres = system.presentation
+        collection = draw(st.sampled_from([
+            OrbitCollection.full_language(system),
+            OrbitCollection.from_predicate(
+                system, lambda v: pres.walk(v) == pres.start, "returns"
+            ),
+        ]))
+        return system, collection
+    if kind == "beta":
+        system = draw(st.sampled_from(_BETAS))()
+    else:
+        beta = draw(st.sampled_from(["1.5", "1.8", "2.5"]))
+        system = BetaSystem.from_beta(beta, horizon=draw(st.integers(2, 8)))
+    scheme = beta_decomposition(system)
+    collection = draw(st.sampled_from(
+        [scheme.cores(), OrbitCollection.full_language(system)]
+        + [scheme.level_collection(M) for M in range(3)]
+    ))
+    return system, collection
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except HorizonError as exc:
+        return type(exc), str(exc)
+
+
+@given(
+    _gluing_cases(),
+    st.integers(0, 3),
+    st.integers(0, 4),
+    st.sampled_from([2, 3]),
+    st.sampled_from([(1,), (1, 2), (2, 3), (1, 2, 3)]),
+    st.sampled_from([("exhaustive", 100_000), ("exhaustive", 40), ("all", 0)]),
+    st.integers(0, 3),
+)
+@settings(max_examples=300, deadline=None)
+def test_memoised_gluing_matches_literal_search(
+    case, j, tau, k_max, lengths, mode, seed
+):
+    system, collection = case
+    sample, budget = mode
+    try:
+        pool = _segment_pool(system, collection, lengths, j)
+    except HorizonError:
+        pool = []
+    # keep the literal oracle to a few thousand tuples
+    assume(len(pool) ** k_max <= 4_000 or (sample != "all" and budget < 1000))
+    want = _outcome(lambda: _literal_specification(
+        system, collection, j, tau, k_max, lengths, sample, budget, seed
+    ))
+    got = _outcome(lambda: check_specification(
+        system, collection, j, tau, k_max=k_max, lengths=lengths,
+        sample=sample, budget=budget, seed=seed,
+    ))
+    assert got == want
+    if isinstance(want, SpecificationReport):
+        event(f"{want.verdict}, exhaustive={want.exhaustive}")
+    else:
+        event("HorizonError")
 
 
 class TestObstruction:

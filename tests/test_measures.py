@@ -58,7 +58,9 @@ def per_start_state_masses(system, depth):
 
 def per_shift_empirical(system, n, depth):
     """Reference table: the direct sum over every shift k and state s,
-    one walk and one extension count per (word, k, s)."""
+    one walk and one extension count per (word, k, s).  Tail windows read
+    the least tail through `_tail_prefix`, which raises HorizonError where
+    the truncation marker leaves it undecided."""
     if depth > n:
         raise InputError("measure depth cannot exceed n")
     tails = _verify_representative_tails(system)
@@ -132,6 +134,31 @@ def test_empirical_matches_per_shift_oracle(name):
             got = _outcome(lambda: empirical_mme(make(), n, depth).table)
             want = _outcome(lambda: per_shift_empirical(make(), n, depth))
             assert got == want, (name, n, depth)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: BetaSystem.from_beta("1.5", horizon=20),
+        lambda: BetaSystem.from_expansion((2, 1, 0, 1)),
+        lambda: BetaSystem.from_beta("1.8", horizon=40),
+    ],
+    ids=["threehalf@20", "user-truncated", "ninefifths@40"],
+)
+def test_truncated_empirical_masses_sum_to_one_or_raise(make):
+    # a tail window whose least tail would run into the truncation marker
+    # raises; before, it was dropped and a length's masses summed below 1
+    raised = summed = 0
+    for n in (1, 2, 3, 4, 5, 10, 18, 19, 20, 21, 35, 39, 40, 41):
+        try:
+            m = empirical_mme(make(), n, min(n, 4))
+        except HorizonError:
+            raised += 1
+            continue
+        summed += 1
+        for length in range(m.depth + 1):
+            assert sum(m.table[w] for w in m.words_at(length)) == 1, (n, length)
+    assert raised and summed
 
 
 class TestEmpirical:

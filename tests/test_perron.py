@@ -4,8 +4,10 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from obstruct import perron
 from obstruct.beta import BetaSystem
 from obstruct.factors import BlockCode, FactorSystem
+from obstruct.measures import parry_measure
 from obstruct.perron import _power_iteration, _renewal_eigendata, perron_eigendata
 
 AGREE = mpmath.mpf("1e-28")
@@ -131,3 +133,32 @@ def test_non_renewal_keeps_power_iteration(presentation):
 )
 def test_other_shapes_are_not_renewal(matrix):
     assert _renewal_eigendata(matrix) is None
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: BetaSystem.from_expansion((1, 1, 0, 1, 0, 0, 1, 0, 0), period=9),
+        lambda: BetaSystem.from_expansion((2, 1, 0, 1)),
+        lambda: FactorSystem(
+            BetaSystem.from_expansion((2, 1, 0, 0, 1), period=5),
+            BlockCode.identity(3),
+        ),
+    ],
+    ids=["p9", "user-truncated", "identity(p5)"],
+)
+def test_eigendata_computed_once_per_system(make, monkeypatch):
+    # beta_value reads the live part, parry_measure the essential part: one
+    # essential matrix, so one computation, equal to an uncached one
+    system = make()
+    calls = []
+    compute = perron._eigendata
+    monkeypatch.setattr(
+        perron, "_eigendata", lambda *args: calls.append(args) or compute(*args)
+    )
+    beta = system.beta_value()
+    measure = parry_measure(system, 3)
+    assert system.beta_value() == beta
+    assert len(calls) == 1 and len(system.perron_cache) == 1
+    assert measure.meta["eigenvalue"] == float(beta)
+    assert list(system.perron_cache.values()) == [perron_eigendata(make().presentation)]
