@@ -89,6 +89,15 @@ def cycle_length_gcd(successors) -> int:
     return g
 
 
+def check_enumeration_cap(n: int, cap: int | None) -> None:
+    """Refuse to list the words of length n when n exceeds the cap."""
+    if cap is not None and n > cap:
+        raise EnumerationCapError(
+            f"enumeration of length {n} exceeds cap {cap}; "
+            "count_language gives exact sizes without materializing words"
+        )
+
+
 class Presentation:
     """Immutable deterministic labeled graph with a start state."""
 
@@ -195,11 +204,7 @@ class Presentation:
 
     def enumerate_words(self, n: int, cap: int | None = DEFAULT_ENUMERATION_CAP):
         """All length-n label sequences from the start state, sorted."""
-        if cap is not None and n > cap:
-            raise EnumerationCapError(
-                f"enumeration of length {n} exceeds cap {cap}; "
-                "count_language gives exact sizes without materializing words"
-            )
+        check_enumeration_cap(n, cap)
         return self._dfs((), self.start, n)
 
     def _dfs(self, prefix, state, n):

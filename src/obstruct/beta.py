@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .automata import Presentation
+from .automata import Presentation, check_enumeration_cap
 from .errors import HorizonError, InputError, PrecisionError
 from .quadratic import QuadraticNumber, exact_floor
 from .words import Word
@@ -489,6 +489,38 @@ class BetaSystem:
         return self.presentation.enumerate_words(
             n, self.enumeration_cap if cap is None else cap
         )
+
+    def enumerate_matches(self, n: int) -> list[tuple[Word, int]]:
+        """The admissible n-words in lexicographic order, each with its exact
+        suffix-match value.
+
+        Extends the words one symbol at a time from the empty word at match
+        0, carrying the match through `_advance` (asked once per match
+        value); the cap and the errors are those of `enumerate_language`.
+        """
+        check_enumeration_cap(n, self.enumeration_cap)
+        # only a truncated presentation has a marker, and its states are the
+        # matches themselves
+        marker = self.presentation.marker
+        moves: dict[int, list] = {}  # match -> [(symbol, match after it)]
+        words = [((), 0)]
+        for _ in range(n):
+            longer = []
+            for v, m in words:
+                if m not in moves:
+                    if m == marker:
+                        raise HorizonError(
+                            "enumeration would continue past the stored horizon"
+                        )
+                    moves[m] = []
+                    for a in range(self.alphabet_size):
+                        after = self._advance(m, a)
+                        if after is None:
+                            break
+                        moves[m].append((a, after))
+                longer.extend((v + (a,), after) for a, after in moves[m])
+            words = longer
+        return words
 
     def core_counts(self, n: int) -> list[int]:
         """Z_0..Z_n, where Z_t = #{v in L_t : suffix_match_length(v) = 0}.

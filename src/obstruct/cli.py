@@ -60,6 +60,9 @@ EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_INCONCLUSIVE = 3
 
+# largest --nmax: counting keeps one count vector per length up to it
+MAX_NMAX = 10_000
+
 
 @dataclass
 class RunConfig:
@@ -98,6 +101,8 @@ class RunConfig:
                      "enumeration_cap", "spec_length"):
             if getattr(self, name) < 1:
                 raise InputError(f"{name} must be positive")
+        if self.nmax > MAX_NMAX:
+            raise InputError(f"nmax {self.nmax} exceeds the cap {MAX_NMAX}")
         if self.depth < 0 or self.tau_max < 0 or self.level < 0:
             raise InputError("depth, tau_max and level must be non-negative")
         if self.report_format not in ("json", "csv"):
@@ -384,11 +389,7 @@ def cmd_verify(config: RunConfig):
     )
 
     pair_len = 1
-    level_words = [
-        v
-        for v in system.enumerate_language(pair_len)
-        if scheme.in_level(v, config.level)
-    ]
+    level_words = [v for v, _ in scheme.level_words(config.level, pair_len)]
     pairs = [(u, v) for u in level_words for v in level_words]
     q = max(2 * level_tau, 2)
     mixing = mixing_check(

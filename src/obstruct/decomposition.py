@@ -87,6 +87,16 @@ class DecompositionScheme:
             self.system, lambda v: self.in_level(v, M), f"{self.name}:level{M}"
         )
 
+    def level_words(self, M: int, n: int) -> list[tuple[Word, int]]:
+        """(word, end state) for the level-M words of length n, in
+        lexicographic order; generic enumeration fallback."""
+        walk = self.system.presentation.walk
+        return [
+            (v, walk(v))
+            for v in self.system.enumerate_language(n)
+            if self.in_level(v, M)
+        ]
+
     def coverage_count(self, M: int, n: int) -> int:
         """|level-M words of length n|; generic enumeration fallback."""
         return sum(1 for v in self.system.enumerate_language(n) if self.in_level(v, M))
@@ -164,6 +174,15 @@ class BetaDecomposition(DecompositionScheme):
         out.label = f"{self.name}:boundary"
         return out
 
+    def level_words(self, M: int, n: int) -> list[tuple[Word, int]]:
+        # the level of a word is its exact match, which the walk carries
+        system = self.system
+        return [
+            (v, system.match_state(m))
+            for v, m in system.enumerate_matches(n)
+            if m <= M
+        ]
+
     def coverage_count(self, M: int, n: int) -> int:
         z = self.system.core_counts(n)
         return sum(z[n - m] for m in range(min(M, n) + 1))
@@ -193,6 +212,12 @@ class DegenerateDecomposition(DecompositionScheme):
     def in_suffixes(self, v: Word) -> bool:
         return self.system.is_word(v)
 
+    def prefixes(self) -> OrbitCollection:
+        return _empty_word_class(self.system, f"{self.name}:prefixes")
+
+    def cores(self) -> OrbitCollection:
+        return _empty_word_class(self.system, f"{self.name}:cores")
+
     def suffixes(self) -> OrbitCollection:
         return OrbitCollection.full_language(self.system, f"{self.name}:suffixes")
 
@@ -216,6 +241,16 @@ class DegenerateDecomposition(DecompositionScheme):
 
     def coverage_count(self, M: int, n: int) -> int:
         return self.system.count_language(n) if n <= M else 0
+
+
+def _empty_word_class(system, label) -> OrbitCollection:
+    """The class holding only the empty word: no words of any length n >= 1."""
+    return OrbitCollection(
+        system,
+        label,
+        at=lambda n: (EMPTY,) if n == 0 else (),
+        counter=lambda n, j: 0,
+    )
 
 
 def beta_decomposition(system) -> BetaDecomposition:

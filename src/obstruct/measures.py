@@ -11,9 +11,16 @@ eigendata of the presentation (see `obstruct.perron` for its three paths:
 exact, renewal closed form, power iteration): the mass of [u] sums l_s r_t
 over the walks s -> t of u, divided by x^|u| sum_s l_s r_s.  With exact
 eigendata (rational or quadratic) the masses are exact field elements;
-otherwise they are computed with POWER_DPS digits and rounded to floats.
+otherwise the POWER_DPS-digit eigendata are taken as fixed-point integers
+(each vector scaled by its own binary exponent, so even entries like
+x^-300 keep at least 255 significant bits), every sum over walks is
+exact, and each mass is rounded to a float once.
 A truncated system's provenance states the eigen-residual and, when beta
 is exact, the gap beta - x to the true beta-shift.
+
+A measure indexes its cylinder table by length once (sorted words,
+shared with the table), so per-length queries read a slice of the index
+instead of scanning and sorting the table.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 
 import mpmath
 
@@ -31,6 +39,8 @@ from .words import Word, format_word, parse_word
 
 # largest n for empirical_mme: it keeps every count vector up to n
 MAX_EMPIRICAL_N = 10_000
+# significant bits kept of the fixed-point Parry eigendata
+FIXED_BITS = 256
 
 
 @dataclass
@@ -43,6 +53,19 @@ class CylinderMeasure:
     provenance: str
     exact: bool
     meta: dict = field(default_factory=dict)
+    # length -> the table's words of that length, sorted; built once
+    _by_length: dict = field(init=False, repr=False, compare=False)
+    # length -> that length's masses, largest first; filled on first use
+    _descending: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        by_length: dict[int, list] = {}
+        for w in self.table:
+            by_length.setdefault(len(w), []).append(w)
+        for words in by_length.values():
+            words.sort()
+        self._by_length = by_length
+        self._descending = {}
 
     def mass(self, u: Word):
         """Exact-or-float mass of [u]; inadmissible and unseen words get 0."""
@@ -61,18 +84,37 @@ class CylinderMeasure:
             raise DepthError(
                 f"length {length} exceeds measure depth {self.depth}"
             )
-        return sorted(w for w in self.table if len(w) == length)
+        return list(self._by_length.get(length, ()))
+
+    def masses_descending(self, length: int) -> list:
+        """Masses of the length-cylinders, largest first, ties in word order."""
+        if length not in self._descending:
+            self._descending[length] = sorted(
+                (self.table[w] for w in self.words_at(length)),
+                key=float,
+                reverse=True,
+            )
+        return self._descending[length]
 
     def pattern_mass(self, template):
-        """Total mass of words matching a fixed/free position template."""
+        """Total mass of words matching a fixed/free position template.
+
+        Only the fixed positions are compared, and the matching masses are
+        added in sorted word order.
+        """
         if len(template) > self.depth:
             raise DepthError(
                 f"pattern length {len(template)} exceeds measure depth {self.depth}"
             )
+        words = self._by_length.get(len(template), ())
+        fixed = [i for i, a in enumerate(template) if a is not None]
+        if fixed:
+            key = itemgetter(*fixed)
+            want = key(template)
+            words = [w for w in words if key(w) == want]
         total = 0
-        for w in self.words_at(len(template)):
-            if all(t is None or t == a for t, a in zip(template, w)):
-                total = total + self.table[w]
+        for w in words:
+            total = total + self.table[w]
         return total
 
     def joint_mass(self, u: Word, gap: int, v: Word):
@@ -235,11 +277,19 @@ def parry_measure(system, depth: int) -> CylinderMeasure:
     With eigenvalue x, right/left vectors r, l on the essential part and
     v_u[t] = sum of l_s over the states s whose walk of u ends at t, the mass
     of [u] is sum_t v_u[t] r_t / (x^|u| sum_s l_s r_s).  One depth-first pass
-    over the word tree computes every cylinder, extending v along the
-    current path only.  Exact field arithmetic when the eigenvalue is
-    rational or quadratic; otherwise POWER_DPS-digit arithmetic, rounded to
-    a float once per cylinder.  Refuses non-primitive presentations, and
-    raises where enumerating the language up to `depth` would.
+    over the word tree, in lexicographic order, computes every cylinder; the
+    vectors of the children of [u] follow from v_u alone, so each distinct
+    vector's children, and its mass at each length, are computed once.
+    Exact field arithmetic when the eigenvalue is rational or quadratic.
+    Otherwise l and r are taken as integers L = l 2^(256 - e_l),
+    R = r 2^(256 - e_r), with e_l, e_r the least binary exponents of their
+    entries, and each scale 1 / (x^n sum_s l_s r_s) as S_n 2^(e_n - 256)
+    (all to the nearest integer from the POWER_DPS-digit eigendata), so
+    every entry keeps at least 255 significant bits however small; V and the
+    sum over t are then exact integers, and the float mass is
+    (sum_t V_u[t] R_t) S_n 2^(e_n + e_l + e_r - 768), rounded once.
+    Refuses non-primitive presentations, and raises where enumerating the
+    language up to `depth` would.
     """
     pres = system.presentation
     if not pres.is_primitive():
@@ -256,25 +306,72 @@ def parry_measure(system, depth: int) -> CylinderMeasure:
         )
     live = pres.essential_part()
     eigen = perron_eigendata(live, cache=system.perron_cache)
-    lam, right = eigen.eigenvalue, eigen.right
-    table = {}
+    lam = eigen.eigenvalue
     with mpmath.workdps(POWER_DPS):
-        scale = [1 / sum(l * r for l, r in zip(eigen.left, right))]
+        scale = [1 / sum(l * r for l, r in zip(eigen.left, eigen.right))]
         for _ in range(depth):
             scale.append(scale[-1] / lam)
-        stack = [((), dict(enumerate(eigen.left)))]
+        if eigen.exact:
+            left, right = eigen.left, eigen.right
+
+            def finish(acc, n):
+                return acc * scale[n]
+        else:
+            # each vector and each scale is scaled by its own binary
+            # exponent, so its smallest entry keeps FIXED_BITS - 1
+            # significant bits however small (r_1 ~ x^-(z+1) after a run
+            # of z zeros)
+            e_left = _min_exponent(eigen.left)
+            e_right = _min_exponent(eigen.right)
+            left = [_to_fixed(x, -e_left) for x in eigen.left]
+            right = [_to_fixed(x, -e_right) for x in eigen.right]
+            exponents = [_min_exponent([x]) for x in scale]
+            fixed_scale = [_to_fixed(x, -e) for x, e in zip(scale, exponents)]
+            # sum_s l_s r_s >= 2^(e_left + e_right - 2) and x > 1, so
+            # e + e_left + e_right <= 3 and every shift is positive
+            shifts = [
+                1 << (3 * FIXED_BITS - e - e_left - e_right) for e in exponents
+            ]
+
+            def finish(acc, n):
+                return acc * fixed_scale[n] / shifts[n]
+        # few distinct vectors occur (31 over the 110 407 cylinders of
+        # `21001 period=5` at depth 12); each is numbered once
+        vectors: list[dict] = []
+        numbers: dict[tuple, int] = {}
+
+        def number(v):
+            key = tuple(sorted(v.items()))
+            if key not in numbers:
+                numbers[key] = len(vectors)
+                vectors.append(v)
+            return numbers[key]
+
+        masses: dict[tuple[int, int], object] = {}
+        children: dict[int, list] = {}
+        table = {}
+        stack = [((), number(dict(enumerate(left))))]
         while stack:
-            u, v = stack.pop()
-            mass = sum(w * right[t] for t, w in v.items()) * scale[len(u)]
-            table[u] = mass if eigen.exact else float(mass)
-            if len(u) == depth:
+            u, k = stack.pop()
+            n = len(u)
+            if (k, n) not in masses:
+                v = vectors[k]
+                masses[k, n] = finish(sum(w * right[t] for t, w in v.items()), n)
+            table[u] = masses[k, n]
+            if n == depth:
                 continue
-            children: dict[int, dict] = {}
-            for s, w in v.items():
-                for a, t in live.delta[s].items():
-                    child = children.setdefault(a, {})
-                    child[t] = child[t] + w if t in child else w
-            stack.extend((u + (a,), child) for a, child in children.items())
+            if k not in children:
+                step: dict[int, dict] = {}
+                for s, w in vectors[k].items():
+                    for a, t in live.delta[s].items():
+                        child = step.setdefault(a, {})
+                        child[t] = child[t] + w if t in child else w
+                # largest symbol first, so words leave the stack in
+                # lexicographic order and the per-length index finds them sorted
+                children[k] = [
+                    (a, number(step[a])) for a in sorted(step, reverse=True)
+                ]
+            stack.extend((u + (a,), c) for a, c in children[k])
         if system.horizon is None:
             provenance = "parry-exact" if eigen.exact else "parry-numeric"
         else:
@@ -294,6 +391,16 @@ def parry_measure(system, depth: int) -> CylinderMeasure:
             "exact_eigendata": eigen.exact,
         },
     )
+
+
+def _min_exponent(values) -> int:
+    """Least binary exponent e (x = m 2^e, 1/2 <= |m| < 1) of the values."""
+    return min(int(mpmath.frexp(x)[1]) for x in values)
+
+
+def _to_fixed(x, exponent: int) -> int:
+    """x * 2^(FIXED_BITS + exponent), rounded to the nearest integer."""
+    return int(mpmath.nint(mpmath.ldexp(x, FIXED_BITS + exponent)))
 
 
 def _beta_gap(system, lam) -> str:

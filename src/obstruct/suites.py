@@ -365,19 +365,22 @@ def gibbs_check(
 
     Masses of all depth-(n + j) extensions of level-M words are scaled by
     beta^n; the report carries the minimum, the word attaining it, per-length
-    minima, and any words of zero mass (violations).
+    minima, and any words of zero mass (violations).  The level words come
+    with their end states from `scheme.level_words`, and the depth-j tails
+    are listed once per end state.
     """
     beta = _exact_beta(system)
     per_length = {}
     best = None
     violations = []
+    tails = {}
     for n in n_range:
         scale = beta ** n
         level_min = None
-        for v in system.enumerate_language(n):
-            if not scheme.in_level(v, M):
-                continue
-            for ext in system.presentation.tails(system.presentation.walk(v), j):
+        for v, state in scheme.level_words(M, n):
+            if state not in tails:
+                tails[state] = system.presentation.tails(state, j)
+            for ext in tails[state]:
                 value = _scale_mass(measure.mass(v + ext), scale)
                 if float(value) <= 0:
                     violations.append(v + ext)
@@ -469,9 +472,7 @@ def positive_mass_count(measure, gamma, n: int) -> int:
     gamma = Fraction(gamma) if not isinstance(gamma, float) else gamma
     if not 0 < float(gamma) < 1:
         raise InputError("gamma must lie strictly between 0 and 1")
-    masses = sorted(
-        (measure.table[w] for w in measure.words_at(n)), key=float, reverse=True
-    )
+    masses = measure.masses_descending(n)
     acc = None
     for count, m in enumerate(masses, start=1):
         acc = m if acc is None else acc + m

@@ -18,6 +18,7 @@ from obstruct.cli import (
     EXIT_INPUT,
     EXIT_PASS,
     EXIT_VIOLATION,
+    MAX_NMAX,
     RunConfig,
     build_system,
     cmd_decomp,
@@ -275,8 +276,9 @@ def test_non_integer_word_is_input_error(capsys):
         ["expand", "--beta", "1e400"],
         ["expand", "--beta", "1.5", "--horizon", "10000000"],
         ["mme", "--beta", "2", "--n", "10001"],
+        ["entropy", "--beta", "2", "--nmax", str(MAX_NMAX + 1)],
     ],
-    ids=["alphabet", "horizon", "empirical-n"],
+    ids=["alphabet", "horizon", "empirical-n", "nmax"],
 )
 def test_size_caps_refuse_before_work(argv, capsys):
     assert main(argv) == EXIT_INPUT
@@ -398,13 +400,13 @@ def _fuzz_argv(draw, files):
         )
         files["expansion"].write_text(text, encoding="latin-1")
         argv += ["--expansion-file", str(files["expansion"])]
-    # cost bounds: at depth 2 over 3 symbols the gluing search samples
-    # 100 000 tuples per gap, seconds per run; verify --degenerate lists every
-    # word up to --nmax (verify needs at least 8)
+    # cost bound: at depth 2 over 3 symbols the gluing search samples
+    # 100 000 tuples per gap, seconds per run.  --nmax runs to the default 24
+    # (verify needs at least 8), and now and then past its cap
     flags = {
         "--horizon": draw(st.integers(1, 30)),
         "--depth": draw(st.integers(0, 1 if command in _GLUING_COMMANDS else 2)),
-        "--nmax": draw(st.integers(8, 10)),
+        "--nmax": draw(st.sampled_from([*range(8, 25), MAX_NMAX + 1])),
         "--tau-max": draw(st.integers(0, 3)),
         "--M": draw(st.integers(0, 3)),
         "--measure-depth": draw(st.integers(1, 6)),

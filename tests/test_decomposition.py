@@ -4,10 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, event, given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 
 from obstruct.beta import BetaSystem
 from obstruct.decomposition import (
+    DecompositionScheme,
     SpecificationReport,
     _fill_template,
     _merge_template,
@@ -21,8 +22,13 @@ from obstruct.decomposition import (
     split,
     zero_padding_to_core,
 )
-from obstruct.errors import HorizonError, InputError, SpecificationError
-from obstruct.orbits import OrbitCollection
+from obstruct.errors import (
+    EnumerationCapError,
+    HorizonError,
+    InputError,
+    SpecificationError,
+)
+from obstruct.orbits import OrbitCollection, count_separated
 from obstruct.quadratic import golden_ratio
 from obstruct.words import word
 from test_automata import presentations
@@ -462,3 +468,71 @@ class TestCountingBounds:
         for n in range(1, 31):
             assert golden.core_count(n) <= phi ** n
             assert full2.core_count(n) <= 2 ** n
+
+
+# -- level words with their states -------------------------------------------------
+
+
+_LEVEL_SYSTEMS = {
+    "golden": lambda cap: BetaSystem.from_expansion((1, 0), period=2,
+                                                    enumeration_cap=cap),
+    "p5": lambda cap: BetaSystem.from_expansion((2, 1, 0, 0, 1), period=5,
+                                                enumeration_cap=cap),
+    "p9": lambda cap: BetaSystem.from_expansion(
+        (1, 1, 0, 1, 0, 0, 1, 0, 0), period=9, enumeration_cap=cap
+    ),
+    "2110-period2": lambda cap: BetaSystem.from_expansion(
+        (2, 1, 1, 0), period=2, enumeration_cap=cap
+    ),
+    "user-truncated": lambda cap: BetaSystem.from_expansion(
+        (2, 1, 0, 1), enumeration_cap=cap
+    ),
+}
+
+
+@st.composite
+def _level_systems(draw):
+    cap = draw(st.sampled_from([24] * 3 + [0, 3, 6]))
+    if draw(st.booleans()):
+        return _LEVEL_SYSTEMS[draw(st.sampled_from(sorted(_LEVEL_SYSTEMS)))](cap)
+    beta = draw(st.sampled_from(["1.5", "1.8", "2.5"]))
+    horizon = draw(st.integers(2, 8))
+    return BetaSystem.from_beta(beta, horizon=horizon, enumeration_cap=cap)
+
+
+def _enumeration_outcome(fn):
+    try:
+        return fn()
+    except (HorizonError, EnumerationCapError) as exc:
+        return type(exc), str(exc)
+
+
+@given(_level_systems(), st.integers(0, 12), st.integers(0, 10))
+@example(_LEVEL_SYSTEMS["p5"](24), 5, 10)  # match 5 wraps to state 0
+@settings(max_examples=200, deadline=None)
+def test_level_words_match_enumeration(system, M, n):
+    scheme = beta_decomposition(system)
+    # the generic fallback: enumerate the language, test each word, walk it
+    want = _enumeration_outcome(
+        lambda: DecompositionScheme.level_words(scheme, M, n)
+    )
+    got = _enumeration_outcome(lambda: scheme.level_words(M, n))
+    assert got == want
+    event(want[0].__name__ if isinstance(want, tuple) else "words")
+
+
+def test_degenerate_empty_word_classes_match_predicates(golden):
+    system = BetaSystem.from_beta("1.8", horizon=12)
+    for source in (golden, system):
+        scheme = degenerate_decomposition(source)
+        pairs = [
+            (scheme.prefixes(), scheme.in_prefixes),
+            (scheme.cores(), scheme.in_cores),
+        ]
+        for closed, predicate in pairs:
+            literal = OrbitCollection.from_predicate(source, predicate, "literal")
+            assert closed.at(0) == literal.at(0) == ((),)
+            for n in range(1, 9):
+                assert closed.at(n) == literal.at(n) == ()
+                for j in range(3):
+                    assert count_separated(closed, n, j) == 0

@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -23,9 +24,10 @@ from obstruct.measures import (
     measure_entropy_rate,
     parry_measure,
 )
-from obstruct.perron import perron_eigendata
+from obstruct.perron import POWER_DPS, perron_eigendata
 from obstruct.quadratic import QuadraticNumber
-from obstruct.words import word
+from obstruct.suites import positive_mass_count
+from obstruct.words import format_word, word
 
 LOG_PHI = math.log((1 + math.sqrt(5)) / 2)
 
@@ -53,6 +55,34 @@ def per_start_state_masses(system, depth):
                     acc = term if acc is None else acc + term
                 if acc is not None:
                     table[u] = acc if eigen.exact else float(acc)
+    return table
+
+
+def parry_reference(system, depth):
+    """Reference Parry table: the depth-first pass in POWER_DPS-digit
+    arithmetic, with v_u[t] and the sum over t rounded at every step and
+    one float per cylinder (exact field elements for exact eigendata)."""
+    live = system.presentation.essential_part()
+    eigen = perron_eigendata(live, cache=system.perron_cache)
+    lam, right = eigen.eigenvalue, eigen.right
+    table = {}
+    with mpmath.workdps(POWER_DPS):
+        scale = [1 / sum(l * r for l, r in zip(eigen.left, right))]
+        for _ in range(depth):
+            scale.append(scale[-1] / lam)
+        stack = [((), dict(enumerate(eigen.left)))]
+        while stack:
+            u, v = stack.pop()
+            mass = sum(w * right[t] for t, w in v.items()) * scale[len(u)]
+            table[u] = mass if eigen.exact else float(mass)
+            if len(u) == depth:
+                continue
+            children = {}
+            for s, w in v.items():
+                for a, t in live.delta[s].items():
+                    child = children.setdefault(a, {})
+                    child[t] = child[t] + w if t in child else w
+            stack.extend((u + (a,), child) for a, child in children.items())
     return table
 
 
@@ -295,6 +325,48 @@ class TestParry:
         for u, mass in reference.items():
             assert m.table[u] == mass and type(m.table[u]) is type(mass)
 
+    @pytest.mark.parametrize(
+        "make, depth",
+        [
+            (ORACLE_SYSTEMS["p5"], 12),
+            (ORACLE_SYSTEMS["p9"], 12),
+            (ORACLE_SYSTEMS["preperiodic"], 10),
+            (lambda: BetaSystem.from_beta("1.5", horizon=60), 12),
+            (lambda: BetaSystem.from_beta("1.8", horizon=60), 12),
+            (lambda: BetaSystem.from_beta("2.5", horizon=60), 10),
+            # the primitive images (maj3 of the full shift, xor of golden
+            # are not)
+            (lambda: FactorSystem(BetaSystem.golden_mean(), _maj3()), 10),
+            (lambda: FactorSystem(BetaSystem.full_shift(2), BlockCode.xor()), 10),
+            # long zero runs: r and l reach x^-(z+1), far below 2^-256, so
+            # the fixed point must follow each vector's own exponent (an
+            # absolute 2^-256 grid sends [2] to 0.0 here, and misrounds
+            # [2 1] at z = 170)
+            (lambda: BetaSystem.from_expansion((2,) + (0,) * 300 + (1,)), 4),
+            (lambda: BetaSystem.from_expansion(
+                (2,) + (0,) * 300 + (1,), period=302
+            ), 4),
+            (lambda: BetaSystem.from_expansion((2, 1) + (0,) * 170 + (1,)), 4),
+        ],
+        ids=["p5", "p9", "2110-period2", "1.5@60", "1.8@60", "2.5@60",
+             "maj3(golden)", "xor(full2)", "2(0^300)1", "2(0^300)1-period302",
+             "21(0^170)1"],
+    )
+    def test_masses_match_high_precision_pass(self, make, depth):
+        # the fixed-point pass rounds once per cylinder; every float must
+        # equal the 60-digit pass bit for bit
+        system = make()
+        got = parry_measure(system, depth).table
+        want = parry_reference(system, depth)
+        assert list(got) and got.keys() == want.keys()
+        assert all(mass > 0 for mass in got.values())
+        for u, mass in want.items():
+            assert type(got[u]) is type(mass), u
+            if isinstance(mass, float):
+                assert got[u].hex() == mass.hex(), u
+            else:
+                assert got[u] == mass, u
+
     def test_errors_where_enumeration_fails(self):
         short = BetaSystem.from_beta(Fraction(3, 2), horizon=6)
         with pytest.raises(HorizonError):
@@ -390,3 +462,113 @@ def test_empirical_mass_bounds(golden, n):
     m = empirical_mme(golden, n, 2)
     for w in m.words_at(2):
         assert 0 <= m.table[w] <= 1
+
+
+# -- the per-length index against a scan of the whole table --------------------------
+
+
+def naive_words_at(m, length):
+    if length > m.depth:
+        raise DepthError("too deep")
+    return sorted(w for w in m.table if len(w) == length)
+
+
+def naive_pattern_mass(m, template):
+    total = 0
+    for w in naive_words_at(m, len(template)):
+        if all(t is None or t == a for t, a in zip(template, w)):
+            total = total + m.table[w]
+    return total
+
+
+def naive_positive_mass_count(m, gamma, n):
+    masses = sorted(
+        (m.table[w] for w in naive_words_at(m, n)), key=float, reverse=True
+    )
+    acc = None
+    for count, mass in enumerate(masses, start=1):
+        acc = mass if acc is None else acc + mass
+        if acc >= gamma:
+            return count
+    return len(masses)
+
+
+_INDEX_MEASURES = {
+    "golden": lambda: parry_measure(BetaSystem.golden_mean(), 6),
+    "full2": lambda: parry_measure(BetaSystem.full_shift(2), 5),
+    "p5": lambda: parry_measure(ORACLE_SYSTEMS["p5"](), 6),
+    "2.5@20": lambda: parry_measure(BetaSystem.from_beta("2.5", horizon=20), 5),
+    "empirical": lambda: empirical_mme(ORACLE_SYSTEMS["p5"](), 30, 4),
+}
+
+
+@st.composite
+def _json_measures(draw):
+    """A loaded measure that need not be prefix-closed, with Fraction and
+    float masses mixed."""
+    depth = draw(st.integers(0, 4))
+    words = draw(st.sets(
+        st.lists(st.integers(0, 2), max_size=depth).map(tuple), max_size=30
+    )) | {()}
+    entries = []
+    for w in sorted(words):
+        entry = {"word": format_word(w, 3)}
+        if draw(st.booleans()):
+            entry["mass_num"] = str(draw(st.integers(0, 20)))
+            entry["mass_den"] = str(draw(st.integers(1, 20)))
+        else:
+            entry["mass_float"] = repr(draw(st.floats(0, 1)))
+        entries.append(entry)
+    return CylinderMeasure.from_json_dict({
+        "depth": depth, "alphabet_size": 3, "provenance": "test",
+        "entries": entries,
+    })
+
+
+@functools.lru_cache(maxsize=None)
+def _index_measure(name):
+    return _INDEX_MEASURES[name]()
+
+
+_MEASURES = st.one_of(
+    st.sampled_from(sorted(_INDEX_MEASURES)).map(_index_measure),
+    _json_measures(),
+)
+
+
+def _same(a, b):
+    return type(a) is type(b) and a == b
+
+
+@given(_MEASURES, st.data())
+@settings(max_examples=150, deadline=None)
+def test_indexed_queries_match_table_scan(m, data):
+    for length in range(m.depth + 2):
+        want = _outcome_depth(lambda: naive_words_at(m, length))
+        assert _outcome_depth(lambda: m.words_at(length)) == want
+    symbols = st.one_of(st.none(), st.integers(0, m.alphabet_size - 1))
+    for _ in range(4):
+        template = data.draw(st.lists(symbols, max_size=m.depth + 1))
+        want = _outcome_depth(lambda: naive_pattern_mass(m, template))
+        got = _outcome_depth(lambda: m.pattern_mass(template))
+        assert _same(got, want), template
+    u = data.draw(st.lists(st.integers(0, 1), max_size=2).map(tuple))
+    v = data.draw(st.lists(st.integers(0, 1), max_size=2).map(tuple))
+    gap = data.draw(st.integers(0, 3))
+    want = _outcome_depth(lambda: naive_pattern_mass(m, u + (None,) * gap + v))
+    assert _same(_outcome_depth(lambda: m.joint_mass(u, gap, v)), want)
+    n = data.draw(st.integers(0, m.depth))
+    for gamma in data.draw(st.lists(
+        st.fractions(0, 1, max_denominator=50).filter(lambda g: 0 < g < 1),
+        min_size=1, max_size=3,
+    )):
+        assert positive_mass_count(m, gamma, n) == naive_positive_mass_count(
+            m, gamma, n
+        )
+
+
+def _outcome_depth(fn):
+    try:
+        return fn()
+    except DepthError:
+        return DepthError
