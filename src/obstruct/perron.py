@@ -2,10 +2,13 @@
 
 Three paths, tried in order on the essential part of a presentation:
 
-1. Exact (at most EXACT_STATE_LIMIT states): the characteristic
-   polynomial is factored over the rationals; when the factor carrying the
-   spectral radius is linear or quadratic, the eigenvalue and both
-   eigenvectors are exact rationals or elements of a real quadratic field.
+1. Exact (at most EXACT_STATE_LIMIT states): the integer characteristic
+   polynomial p comes from Faddeev-LeVerrier, and Newton from the maximum
+   row sum descends to its largest real root, the spectral radius.  That
+   root is rational only as an integer k with p(k) = 0, and quadratic only
+   when some x^2 - a x - b with |a| <= 2 rho divides p exactly; then the
+   eigenvalue and both eigenvectors are exact rationals or elements of a
+   real quadratic field.
 2. Renewal closed form: when row k of the adjacency matrix is
    c_k e_0 + e_{k+1} and the last row is c_{n-1} e_0 (truncated and purely
    periodic beta-shift presentations), the eigenvalue x is the root > 0 of
@@ -21,7 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
-import sympy
 
 from .quadratic import QuadraticNumber, _squarefree_split
 
@@ -209,37 +211,96 @@ def _renewal_eigendata(matrix) -> PerronData | None:
     )
 
 
-def _horner(coeffs, t: float) -> float:
-    acc = 0.0
+def _charpoly(matrix) -> list[int]:
+    """det(xI - A) of an integer matrix, leading coefficient first.
+
+    Faddeev-LeVerrier: M_1 = I, c_k = -tr(A M_k) / k and
+    M_{k+1} = A M_k + c_k I, where each division by k is exact.
+    """
+    n = len(matrix)
+    coeffs = [1]
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        cols = list(zip(*m))
+        m = [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in matrix]
+        c = -sum(m[i][i] for i in range(n)) // k
+        coeffs.append(c)
+        for i in range(n):
+            m[i][i] += c
+    return coeffs
+
+
+def _value_and_slope(coeffs, x):
+    """p(x) and p'(x) by Horner, coefficients leading first."""
+    f = df = 0
     for c in coeffs:
-        acc = acc * t + c
-    return acc
+        df = df * x + f
+        f = f * x + c
+    return f, df
+
+
+def _largest_real_root(coeffs, start):
+    """Largest real root of the characteristic polynomial of a non-negative
+    matrix, by Newton from `start` >= the spectral radius rho.
+
+    By Gauss-Lucas every root of p' and p'' has modulus <= rho, so p is
+    increasing and convex on (rho, oo) and the iterates descend to rho.
+    """
+    with mpmath.workdps(POWER_DPS):
+        x = mpmath.mpf(start)
+        tol = mpmath.mpf(10) ** -(POWER_DPS // 2)
+        while True:
+            f, df = _value_and_slope(coeffs, x)
+            if f <= 0 or df <= 0:  # at the root, or rounding noise past it
+                break
+            step = f / df
+            x -= step
+            if step <= tol * (1 + x):
+                break
+        return x
+
+
+def _rational_or_quadratic_factor(coeffs, lam):
+    """The monic linear or quadratic integer factor of p vanishing at lam.
+
+    lam is an algebraic integer: rational only as an integer k with
+    p(k) = 0, and quadratic only as a root of x^2 - a x - b whose other root
+    mu has |mu| <= lam, so |a| <= 2 lam and b = lam^2 - a lam.
+    """
+    with mpmath.workdps(POWER_DPS):
+        k = int(mpmath.nint(lam))
+        if _value_and_slope(coeffs, k)[0] == 0:
+            return [1, -k]
+        top = 2 * int(mpmath.ceil(lam))
+        for a in range(-top, top + 1):
+            b = int(mpmath.nint(lam * (lam - a)))
+            if abs(lam * (lam - a) - b) >= 1e-6 * (2 + abs(a) + abs(b)):
+                continue
+            rem = list(coeffs)  # divide by x^2 - a x - b
+            for i in range(len(rem) - 2):
+                rem[i + 1] += a * rem[i]
+                rem[i + 2] += b * rem[i]
+            if rem[-2] == rem[-1] == 0:
+                return [1, -a, -b]
+    return None
 
 
 def _exact_eigendata(matrix) -> PerronData | None:
+    poly = _charpoly(matrix)
+    lam = _largest_real_root(poly, max(map(sum, matrix)))
+    coeffs = _rational_or_quadratic_factor(poly, lam)
+    return None if coeffs is None else _eigendata_from_factor(matrix, coeffs, float(lam))
+
+
+def _eigendata_from_factor(matrix, coeffs, lam_f) -> PerronData | None:
+    """Exact eigendata from the integer factor (leading coefficient first)
+    whose root near lam_f is the Perron root; None unless both kernel
+    vectors are positive."""
     n = len(matrix)
-    x = sympy.Symbol("x")
-    poly = sympy.Matrix(matrix).charpoly(x)
-    factors = sympy.factor_list(poly.as_expr())[1]
-    lam_num, _, _ = _power_iteration(matrix, dps=40, max_iter=20_000)
-    lam_f = float(lam_num)
-    best = None
-    for fac, _ in factors:
-        p = sympy.Poly(fac, x)
-        coeffs = [float(c) for c in p.all_coeffs()]
-        val = abs(_horner(coeffs, lam_f))
-        scale = 1 + sum(abs(c) for c in coeffs)
-        if val / scale < 1e-6 and (best is None or val < best[0]):
-            best = (val, p)
-    if best is None:
-        return None
-    coeffs = [int(c) for c in best[1].all_coeffs()]
-    if coeffs[0] < 0:
-        coeffs = [-c for c in coeffs]
     if len(coeffs) == 2:  # a x + b, root -b/a
         a, b = coeffs
         lam = Fraction(-b, a)
-    elif len(coeffs) == 3:  # a x^2 + b x + c, larger root
+    else:  # a x^2 + b x + c, larger root
         a, b, c = coeffs
         disc = b * b - 4 * a * c
         if disc <= 0:
@@ -249,8 +310,6 @@ def _exact_eigendata(matrix) -> PerronData | None:
             lam = Fraction(-b + s, 2 * a)
         else:
             lam = QuadraticNumber(Fraction(-b, 2 * a), Fraction(s, 2 * a), d)
-    else:
-        return None
     if abs(float(lam) - lam_f) > 1e-6:
         return None
     one = lam / lam if isinstance(lam, QuadraticNumber) else Fraction(1)

@@ -473,10 +473,13 @@ def positive_mass_count(measure, gamma, n: int) -> int:
     if not 0 < float(gamma) < 1:
         raise InputError("gamma must lie strictly between 0 and 1")
     masses = measure.masses_descending(n)
+    # g is the float nearest gamma, so a float sum other than g lies on the
+    # same side of gamma as of g; only acc == g needs the exact comparison
+    g = float(gamma)
     acc = None
     for count, m in enumerate(masses, start=1):
         acc = m if acc is None else acc + m
-        if acc >= gamma:
+        if acc > g if type(acc) is float and acc != g else acc >= gamma:
             return count
     return len(masses)
 

@@ -62,12 +62,12 @@ def parse_word(line: str, alphabet_size: int = 10) -> Word:
         return EMPTY
     tokens = line if alphabet_size <= 10 and " " not in line else line.split()
     try:
-        w = tuple(int(tok) for tok in tokens)
+        w = tuple(map(int, tokens))
     except ValueError as exc:
         raise InputError(f"non-integer symbol in word {line!r}") from exc
-    if any(s < 0 for s in w):
+    if min(w) < 0:
         raise InputError(f"negative symbol in word {line!r}")
-    if any(s >= alphabet_size for s in w):
+    if max(w) >= alphabet_size:
         raise InputError(f"symbol out of range in word {line!r}")
     return w
 

@@ -285,8 +285,8 @@ def test_size_caps_refuse_before_work(argv, capsys):
     assert "cap" in capsys.readouterr().err
 
 
-def test_cli_import_leaves_networkx_out():
-    probe = "import obstruct.cli, sys; print('networkx' in sys.modules)"
+def _cli_imports(module: str) -> bool:
+    probe = f"import obstruct.cli, sys; print({module!r} in sys.modules)"
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
@@ -295,7 +295,15 @@ def test_cli_import_leaves_networkx_out():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
         check=True,
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_cli_import_leaves_networkx_out():
+    assert not _cli_imports("networkx")
+
+
+def test_cli_import_leaves_sympy_out():
+    assert not _cli_imports("sympy")
 
 
 def test_measure_file_accepted_when_valid(golden_file, tmp_path):

@@ -8,7 +8,14 @@ from obstruct import perron
 from obstruct.beta import BetaSystem
 from obstruct.factors import BlockCode, FactorSystem
 from obstruct.measures import parry_measure
-from obstruct.perron import _power_iteration, _renewal_eigendata, perron_eigendata
+from obstruct.perron import (
+    _eigendata_from_factor,
+    _exact_eigendata,
+    _power_iteration,
+    _renewal_eigendata,
+    perron_eigendata,
+)
+from obstruct.quadratic import QuadraticNumber
 
 AGREE = mpmath.mpf("1e-28")
 
@@ -162,3 +169,85 @@ def test_eigendata_computed_once_per_system(make, monkeypatch):
     assert len(calls) == 1 and len(system.perron_cache) == 1
     assert measure.meta["eigenvalue"] == float(beta)
     assert list(system.perron_cache.values()) == [perron_eigendata(make().presentation)]
+
+
+def _essential_matrix(expansion, period):
+    system = BetaSystem.from_expansion(expansion, period=period)
+    return system.presentation.essential_part().adjacency()
+
+
+P5 = _essential_matrix((2, 1, 0, 0, 1), 5)
+P9 = _essential_matrix((1, 1, 0, 1, 0, 0, 1, 0, 0), 9)
+REDUCIBLE = [[2, 0, 0], [1, 2, 0], [2, 0, 0]]  # Perron root 2, twice
+
+
+def _sympy_eigendata(matrix):
+    """Reference: factor p over Q with sympy and keep the factor that
+    vanishes at lam, taken exactly from `real_roots`."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    poly = sympy.Poly(sympy.Matrix(matrix).charpoly(x).as_expr(), x)
+    lam_f = float(sympy.real_roots(poly)[-1])
+    best = None
+    for fac, _ in sympy.factor_list(poly.as_expr())[1]:
+        coeffs = [int(c) for c in sympy.Poly(fac, x).all_coeffs()]
+        val = abs(sum(float(c) * lam_f ** k for k, c in enumerate(reversed(coeffs))))
+        scale = 1 + sum(abs(c) for c in coeffs)
+        if val / scale < 1e-6 and (best is None or val < best[0]):
+            best = (val, coeffs)
+    if best is None or len(best[1]) > 3:
+        return None
+    coeffs = best[1] if best[1][0] > 0 else [-c for c in best[1]]
+    return _eigendata_from_factor(matrix, coeffs, lam_f)
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        [[2]],
+        [[3]],
+        [[1, 1], [1, 0]],
+        [[1, 2], [1, 0]],
+        [[0, 1], [1, 0]],
+        P5,
+        P9,
+        REDUCIBLE,
+    ],
+    ids=["full-2", "full-3", "golden", "rational", "periodic", "p5", "p9", "reducible"],
+)
+def test_exact_path_matches_sympy_factoring(matrix):
+    assert _exact_eigendata(matrix) == _sympy_eigendata(matrix)
+
+
+@given(
+    st.integers(min_value=1, max_value=12).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(min_value=0, max_value=3), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        )
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_random_matrices_match_sympy_factoring(matrix):
+    assert _exact_eigendata(matrix) == _sympy_eigendata(matrix)
+
+
+@pytest.mark.parametrize(
+    "matrix, eigenvalue",
+    [
+        ([[1, 1], [1, 0]], QuadraticNumber(Fraction(1, 2), Fraction(1, 2), 5)),
+        ([[2]], Fraction(2)),
+        (P5, None),
+        (REDUCIBLE, None),
+    ],
+    ids=["golden", "full-2", "p5", "reducible"],
+)
+def test_exact_path_needs_no_power_iteration(matrix, eigenvalue, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("power iteration reached")
+
+    monkeypatch.setattr(perron, "_power_iteration", refuse)
+    data = _exact_eigendata(matrix)
+    assert (None if data is None else data.eigenvalue) == eigenvalue
+    assert data is None or data.exact

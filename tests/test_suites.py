@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from obstruct.decomposition import beta_decomposition, degenerate_decomposition
 from obstruct.errors import InputError
@@ -189,6 +190,32 @@ class TestPositiveMass:
                 count = positive_mass_count(m, gamma, n)
                 bound = positive_mass_constant(suite.c1, suite.c2, gamma) * PHI ** n
                 assert count >= bound
+
+    @given(
+        st.lists(st.floats(min_value=0, max_value=1), min_size=1, max_size=40),
+        st.fractions(min_value=0, max_value=1, max_denominator=10**20)
+        | st.floats(min_value=0, max_value=1).map(Fraction),
+        st.integers(min_value=-2, max_value=2),
+    )
+    @settings(max_examples=300)
+    def test_float_sums_match_exact_comparison(self, masses, gamma, nudge):
+        # gamma is often exactly a float or one unit away from it, so the
+        # acc == float(gamma) case is reached
+        gamma += nudge * Fraction(1, 2**60)
+        assume(0 < float(gamma) < 1)
+        masses = sorted(masses, reverse=True)
+
+        class Table:
+            def masses_descending(self, n):
+                return masses
+
+        expected, acc = len(masses), None
+        for count, m in enumerate(masses, start=1):
+            acc = m if acc is None else acc + m
+            if acc >= gamma:
+                expected = count
+                break
+        assert positive_mass_count(Table(), gamma, 1) == expected
 
     def test_gamma_validation(self, full2):
         m = parry_measure(full2, 4)
