@@ -296,7 +296,8 @@ def cmd_mme(config: RunConfig, n: int | None = None):
         for nn in sorted({n // 8, n // 4, n // 2, n}):
             if nn < depth or nn < 1:
                 continue
-            m = empirical_mme(system, nn, min(depth, 1))
+            # at nn = n the measure already computed has the same length-1 masses
+            m = empirical if nn == n else empirical_mme(system, nn, min(depth, 1))
             for w in m.words_at(1):
                 rows.append((nn, format_word(w, system.alphabet_size),
                              fmt_float(m.mass_float(w))))

@@ -4,7 +4,11 @@ The empirical measure at time n puts uniform mass on one representative
 point per admissible n-word (the word followed by zeros, which every
 state of a digit-expansion presentation admits) and averages the first n
 shift images.  Its cylinder masses are computed exactly from automaton
-occurrence counts as rationals with denominator n * |L_n|.
+occurrence counts as rationals with denominator n * |L_n|: one n-term
+product sum per (state, state) pair at the deepest length, additions for
+every shorter length (extension counts satisfy e_j[t] = sum of e_{j-1}
+over the edges out of t), and a closed-form test for pairs the
+truncation marker poisons.
 
 The stationary oracle is the Parry (Markov) measure built from Perron
 eigendata of the presentation (see `obstruct.perron` for its three paths:
@@ -28,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import itemgetter
+from operator import itemgetter, mul
 
 import mpmath
 
@@ -37,7 +41,9 @@ from .perron import POWER_DPS, perron_eigendata
 from .quadratic import QuadraticNumber
 from .words import Word, format_word, parse_word
 
-# largest n for empirical_mme: it keeps every count vector up to n
+# largest n for empirical_mme: it keeps every count vector up to n and
+# takes one n-term product sum per deepest-length pair (shorter lengths
+# add; poisoned pairs are found by a closed-form test before any sum)
 MAX_EMPIRICAL_N = 10_000
 # significant bits kept of the fixed-point Parry eigendata
 FIXED_BITS = 256
@@ -209,10 +215,19 @@ def empirical_mme(system, n: int, depth: int) -> CylinderMeasure:
     A full window (k + |u| <= n) contributes state_counts(k)[s] *
     extensions(n - k - |u|)[t] for each state s whose walk of u ends at t.
     The window sums W(l, s, t) = sum_k state_counts(k)[s] * extensions(n - k -
-    l)[t] take n big-int products each, are computed once per (l, s, t) that
-    some word needs, and are shared by every word of length l; a word then
-    costs one walk from each state plus its at most depth - 1 tail windows.
-    n above MAX_EMPIRICAL_N is refused before any counting.
+    l)[t] are shared by every word of length l.  extensions(j)[t] sums
+    extensions(j - 1) over the edges t -> t', so W(l, s, t) is the sum of
+    W(l + 1, s, t') over those edges, plus state_counts(n - l)[s] when
+    l >= 1.  Only a pair at the deepest length therefore takes a product
+    sum (one C-level sum over s's count column and t's reversed extension
+    column); a shorter length costs additions.  extensions(j)[t] is None
+    (poisoned by the truncation marker) exactly for j >= p_t = 1 + the
+    distance from t to the marker, so a pair is poisoned iff its longest
+    continuation, n - l - first[s], is: that one lookup, made when the pair
+    is first needed and before any sum, raises the HorizonError the
+    per-shift sum raised.  A word costs one walk from each state plus its
+    at most depth - 1 tail windows.  n above MAX_EMPIRICAL_N is refused
+    before any counting.
     """
     if depth > n:
         raise InputError("measure depth cannot exceed n")
@@ -230,26 +245,68 @@ def empirical_mme(system, n: int, depth: int) -> CylinderMeasure:
         next((k for k in range(n + 1) if state_counts[k][s]), n + 1)
         for s in range(pres.n_states)
     ]
+    successors = [list(pres.delta[t].values()) for t in range(pres.n_states)]
+    # pairs at the deepest length read j = deep - k for k <= deep_last
+    deep = n - depth
+    deep_last = min(deep, n - 1)
+    ext_rows = [pres.extension_counts(j) for j in range(deep + 1)]
+    # columns of the states some deepest pair uses, built on first use
+    count_columns: dict[int, list[int]] = {}
+    ext_columns: dict[int, list] = {}
+    window_sums: dict[tuple[int, int, int], int] = {}
+
+    def deepest_sum(s, t):
+        lo = first[s]
+        if lo > deep_last:
+            return 0
+        if s not in count_columns:
+            count_columns[s] = [row[s] for row in state_counts]
+        if t not in ext_columns:
+            ext_columns[t] = [row[t] for row in ext_rows]
+        # the pair passed the poison test, so no entry read is None
+        return sum(map(
+            mul,
+            count_columns[s][lo:deep_last + 1],
+            reversed(ext_columns[t][deep - deep_last:deep - lo + 1]),
+        ))
+
+    def window(length, s, t):
+        """W(length, s, t), filling the deeper sums it needs first."""
+        stack = [(length, t)]
+        while stack:
+            ell, x = stack[-1]
+            if (ell, s, x) in window_sums:
+                stack.pop()
+            elif ell == depth:
+                window_sums[ell, s, x] = deepest_sum(s, x)
+                stack.pop()
+            else:
+                todo = [(ell + 1, y) for y in successors[x]
+                        if (ell + 1, s, y) not in window_sums]
+                if todo:
+                    stack.extend(todo)
+                    continue
+                stack.pop()
+                w = sum(window_sums[ell + 1, s, y] for y in successors[x])
+                window_sums[ell, s, x] = w + state_counts[n - ell][s] if ell else w
+        return window_sums[length, s, t]
 
     table: dict[Word, Fraction] = {}
     for length in range(depth + 1):
         last_full = min(n - length, n - 1)
         starts = [s for s in range(pres.n_states) if first[s] <= last_full]
-        window_sums: dict[tuple[int, int], int] = {}
         for u in system.enumerate_language(length, cap=None):
             acc = 0
             for s in starts:
                 t = pres.walk(u, state=s)
                 if t is None:
                     continue
-                if (s, t) not in window_sums:
-                    window_sums[s, t] = sum(
-                        state_counts[k][s]
-                        * pres.extensions_from(t, n - k - length)
-                        for k in range(first[s], last_full + 1)
-                        if state_counts[k][s]
-                    )
-                acc += window_sums[s, t]
+                if (length, s, t) not in window_sums:
+                    # poison test: raises iff the pair's longest
+                    # continuation is None
+                    pres.extensions_from(t, n - length - first[s])
+                    window(length, s, t)
+                acc += window_sums[length, s, t]
             for k in range(n - length + 1, n):
                 head = n - k
                 for s, c in enumerate(state_counts[k]):

@@ -6,6 +6,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from obstruct.automata import Presentation
 from obstruct.beta import BetaSystem
 from obstruct.errors import (
     DepthError,
@@ -28,6 +29,7 @@ from obstruct.perron import POWER_DPS, perron_eigendata
 from obstruct.quadratic import QuadraticNumber
 from obstruct.suites import positive_mass_count
 from obstruct.words import format_word, word
+from test_automata import presentations
 
 LOG_PHI = math.log((1 + math.sqrt(5)) / 2)
 
@@ -148,10 +150,14 @@ ORACLE_SYSTEMS = {
 }
 
 
+# systems also checked at n = 300, where the window sums run deep
+ORACLE_LONG = {"golden", "maj3(full2)"}
+
+
 def _outcome(fn):
     try:
         return fn()
-    except HorizonError as exc:
+    except (HorizonError, InputError) as exc:
         return type(exc), str(exc)
 
 
@@ -159,11 +165,45 @@ def _outcome(fn):
 def test_empirical_matches_per_shift_oracle(name):
     # fresh systems per side, so neither side reads counts the other cached
     make = ORACLE_SYSTEMS[name]
-    for n in (1, 2, 3, 4, 19, 20, 21, 60):
+    long_n = (300,) if name in ORACLE_LONG else ()
+    for n in (1, 2, 3, 4, 19, 20, 21, 60) + long_n:
         for depth in range(min(n, 4) + 1):
             got = _outcome(lambda: empirical_mme(make(), n, depth).table)
             want = _outcome(lambda: per_shift_empirical(make(), n, depth))
             assert got == want, (name, n, depth)
+
+
+class _PresentationSystem:
+    """The part of a system that empirical_mme reads, over a bare presentation."""
+
+    def __init__(self, pres):
+        self.presentation = pres
+        self.alphabet_size = pres.alphabet_size
+
+    def count_language(self, n):
+        return self.presentation.count_words(n)
+
+    def enumerate_language(self, n, cap=None):
+        return self.presentation.enumerate_words(n, cap)
+
+
+@given(presentations(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_empirical_matches_per_shift_oracle_on_random_presentations(pres, data):
+    # markers, dead ends, parallel edges, and start states that do not
+    # reach (or read the words of) every state
+    start = data.draw(st.integers(0, pres.n_states - 1))
+    n = data.draw(st.integers(1, 14))
+    depth = data.draw(st.integers(0, min(n, 4)))
+
+    def make():
+        return _PresentationSystem(Presentation(
+            pres.n_states, pres.alphabet_size, list(pres.edges()),
+            start=start, marker=pres.marker,
+        ))
+
+    got = _outcome(lambda: empirical_mme(make(), n, depth).table)
+    assert got == _outcome(lambda: per_shift_empirical(make(), n, depth))
 
 
 @pytest.mark.parametrize(
