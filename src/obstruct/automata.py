@@ -14,12 +14,17 @@ HorizonError instead of approximating.
 
 from __future__ import annotations
 
+from functools import partial
 from math import gcd
 
 from .errors import EnumerationCapError, HorizonError
 from .words import Word
 
 DEFAULT_ENUMERATION_CAP = 24
+
+# most checkpoint rows a RowStore keeps; even, so that halving keeps every
+# other stride-th row
+MAX_CHECKPOINTS = 128
 
 
 def strongly_connected_components(successors) -> list[list[int]]:
@@ -98,6 +103,90 @@ def check_enumeration_cap(n: int, cap: int | None) -> None:
         )
 
 
+class RowStore:
+    """Rows 0, 1, 2, ... of a forward recurrence, held in memory linear in n.
+
+    `step(row, k)` computes row k + 1 from row k and may raise.  The store
+    keeps every `stride`-th row as a checkpoint, at most MAX_CHECKPOINTS of
+    them (when full, every other one is dropped and the stride doubles),
+    plus the frontier row (the longest computed) and the last row read
+    below it.  A row below the frontier is recomputed from the nearer of its
+    checkpoint and that last row, so rows read in increasing order cost one
+    step each.
+    """
+
+    def __init__(self, first, step):
+        self._step = step
+        self._stride = 1
+        self._checkpoints = [first]  # rows 0, stride, 2 * stride, ...
+        self._frontier, self._frontier_row = 0, first
+        self._last = (0, first)
+
+    def __getitem__(self, n: int):
+        k = self._frontier
+        if n < k:
+            base = n - n % self._stride
+            k, row = self._last
+            if not base <= k <= n:
+                k, row = base, self._checkpoints[base // self._stride]
+            while k < n:
+                row = self._step(row, k)
+                k += 1
+            self._last = (n, row)
+            return row
+        row, step = self._frontier_row, self._step
+        try:
+            while k < n:
+                row = step(row, k)
+                k += 1
+                if k % self._stride == 0:
+                    if len(self._checkpoints) == MAX_CHECKPOINTS:
+                        del self._checkpoints[1::2]
+                        self._stride *= 2
+                    self._checkpoints.append(row)
+        finally:
+            # when a step raises, the frontier is the last row it computed
+            self._frontier, self._frontier_row = k, row
+        return row
+
+    def rows_held(self) -> int:
+        """Number of distinct rows in memory."""
+        rows = self._checkpoints + [self._frontier_row, self._last[1]]
+        return len({id(row) for row in rows})
+
+
+def _next_state_counts(delta, marker, cur, k):
+    """Path counts of length k + 1 from those of length k."""
+    if marker is not None and cur[marker]:
+        raise HorizonError(
+            "path counting would continue past the stored horizon",
+            certified=k,
+        )
+    new = [0] * len(delta)
+    for s, c in enumerate(cur):
+        if c:
+            for t in delta[s].values():
+                new[t] += c
+    return new
+
+
+def _next_extension_counts(delta, marker, prev, j):
+    """Per-state continuation counts of length j + 1 from those of length j."""
+    new = []
+    for s, targets in enumerate(delta):
+        if s == marker:
+            new.append(None)
+            continue
+        total = 0
+        for t in targets.values():
+            if prev[t] is None:
+                total = None
+                break
+            total += prev[t]
+        new.append(total)
+    return new
+
+
 class Presentation:
     """Immutable deterministic labeled graph with a start state."""
 
@@ -114,8 +203,14 @@ class Presentation:
             self.delta[s][a] = t
         if marker is not None and self.delta[marker]:
             raise ValueError("marker state must have no outgoing edges")
-        self._state_counts = [self._unit_vector(start)]
-        self._ext = [[1] * n_states]
+        # the steps hold the graph, not self: no reference cycle
+        self._state_counts = RowStore(
+            self._unit_vector(start),
+            partial(_next_state_counts, self.delta, marker),
+        )
+        self._ext = RowStore(
+            [1] * n_states, partial(_next_extension_counts, self.delta, marker)
+        )
 
     def _unit_vector(self, s):
         v = [0] * self.n_states
@@ -153,19 +248,8 @@ class Presentation:
 
     def state_counts(self, n: int) -> list[int]:
         """Vector of path counts of length n from the start state."""
-        while len(self._state_counts) <= n:
-            cur = self._state_counts[-1]
-            if self.marker is not None and cur[self.marker]:
-                raise HorizonError(
-                    "path counting would continue past the stored horizon",
-                    certified=len(self._state_counts) - 1,
-                )
-            new = [0] * self.n_states
-            for s, c in enumerate(cur):
-                if c:
-                    for t in self.delta[s].values():
-                        new[t] += c
-            self._state_counts.append(new)
+        if n < 0:
+            raise ValueError(f"negative path length {n}")
         return self._state_counts[n]
 
     def count_words(self, n: int) -> int:
@@ -175,21 +259,6 @@ class Presentation:
         """Per-state counts of length-j continuations; None marks poisoned states."""
         if j < 0:
             raise ValueError(f"negative continuation length {j}")
-        while len(self._ext) <= j:
-            prev = self._ext[-1]
-            new = []
-            for s in range(self.n_states):
-                if s == self.marker:
-                    new.append(None)
-                    continue
-                total = 0
-                for t in self.delta[s].values():
-                    if prev[t] is None:
-                        total = None
-                        break
-                    total += prev[t]
-                new.append(total)
-            self._ext.append(new)
         return self._ext[j]
 
     def extensions_from(self, state: int, j: int) -> int:

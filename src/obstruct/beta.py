@@ -531,17 +531,24 @@ class BetaSystem:
         u d_1..d_m with u counted by Z_{n-m}.  Needs expansion digits up to
         n: past a truncation at h, Z_{h+1} reads d_{h+1} and raises.
         """
+        return self._fill_core_counts(n)[: n + 1]
+
+    def core_count(self, n: int) -> int:
+        """#{v in L_n ending in no prefix of the expansion}."""
+        return self._fill_core_counts(n)[n]
+
+    def _fill_core_counts(self, n: int) -> list[int]:
+        """The cached Z_0, Z_1, ..., extended through Z_n.
+
+        Reads the count rows in increasing order, so each costs one step.
+        """
         pres = self.presentation
         while len(self._core_counts) <= n:
             prev = pres.state_counts(len(self._core_counts) - 1)
             self._core_counts.append(
                 sum(c * self.digit(k + 1) for k, c in enumerate(prev) if c)
             )
-        return self._core_counts[: n + 1]
-
-    def core_count(self, n: int) -> int:
-        """#{v in L_n ending in no prefix of the expansion}."""
-        return self.core_counts(n)[n]
+        return self._core_counts
 
     def extensions(self, v: Word, j: int) -> int:
         """#length-j admissible continuations of v."""

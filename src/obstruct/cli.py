@@ -60,7 +60,7 @@ EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_INCONCLUSIVE = 3
 
-# largest --nmax: counting keeps one count vector per length up to it
+# largest --nmax: every length up to it is counted in big integers
 MAX_NMAX = 10_000
 
 

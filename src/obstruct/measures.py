@@ -41,9 +41,9 @@ from .perron import POWER_DPS, perron_eigendata
 from .quadratic import QuadraticNumber
 from .words import Word, format_word, parse_word
 
-# largest n for empirical_mme: it keeps every count vector up to n and
-# takes one n-term product sum per deepest-length pair (shorter lengths
-# add; poisoned pairs are found by a closed-form test before any sum)
+# largest n for empirical_mme: it lists every count and extension row up
+# to n and takes one n-term product sum per deepest-length pair (shorter
+# lengths add; poisoned pairs are found by a closed-form test before any sum)
 MAX_EMPIRICAL_N = 10_000
 # significant bits kept of the fixed-point Parry eigendata
 FIXED_BITS = 256
@@ -178,14 +178,23 @@ class CylinderMeasure:
 
 
 def _verify_representative_tails(system) -> dict:
-    """Check every live state extends; return a lex-min tail cache.
+    """Check every live state the start reaches extends; return a lex-min
+    tail cache.
 
-    On digit-expansion presentations the least continuation from any state
-    is the zero tail, so representatives are word + 0^infinity there.
+    Only those states carry representative points.  On digit-expansion
+    presentations the least continuation from any state is the zero tail,
+    so representatives are word + 0^infinity there.
     """
     pres = system.presentation
     cache: dict = {}
-    for s in range(pres.n_states):
+    reached = {pres.start}
+    stack = [pres.start]
+    while stack:
+        for t in pres.delta[stack.pop()].values():
+            if t not in reached:
+                reached.add(t)
+                stack.append(t)
+    for s in sorted(reached):
         if s == pres.marker:
             continue
         if pres.lex_min_tail(s, 1) is None:
@@ -237,19 +246,20 @@ def empirical_mme(system, n: int, depth: int) -> CylinderMeasure:
         raise InputError(f"empirical n {n} exceeds the cap {MAX_EMPIRICAL_N}")
     tails = _verify_representative_tails(system)
     pres = system.presentation
-    total_words = system.count_language(n)
+    # rows in increasing order, each counted once; |L_n| is the last one
     state_counts = [pres.state_counts(k) for k in range(n + 1)]
-    denom = n * total_words
+    denom = n * sum(state_counts[n])
     # first shift at which each state is reached (n + 1: never)
     first = [
         next((k for k in range(n + 1) if state_counts[k][s]), n + 1)
         for s in range(pres.n_states)
     ]
     successors = [list(pres.delta[t].values()) for t in range(pres.n_states)]
-    # pairs at the deepest length read j = deep - k for k <= deep_last
+    # pairs at the deepest length read j = deep - k for k <= deep_last; the
+    # poison tests read rows up to n
     deep = n - depth
     deep_last = min(deep, n - 1)
-    ext_rows = [pres.extension_counts(j) for j in range(deep + 1)]
+    ext_rows = [pres.extension_counts(j) for j in range(n + 1)]
     # columns of the states some deepest pair uses, built on first use
     count_columns: dict[int, list[int]] = {}
     ext_columns: dict[int, list] = {}
@@ -304,7 +314,9 @@ def empirical_mme(system, n: int, depth: int) -> CylinderMeasure:
                 if (length, s, t) not in window_sums:
                     # poison test: raises iff the pair's longest
                     # continuation is None
-                    pres.extensions_from(t, n - length - first[s])
+                    longest = n - length - first[s]
+                    if ext_rows[longest][t] is None:
+                        pres.extensions_from(t, longest)
                     window(length, s, t)
                 acc += window_sums[length, s, t]
             for k in range(n - length + 1, n):

@@ -3,7 +3,9 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from obstruct.automata import Presentation
+from obstruct import automata
+from obstruct.automata import MAX_CHECKPOINTS, Presentation
+from obstruct.beta import BetaSystem
 from obstruct.errors import HorizonError
 from obstruct.factors import PairAutomaton
 
@@ -155,3 +157,87 @@ def test_lex_min_tail_matches_brute_force(pres, j):
                 pres.lex_min_tail(s, j)
         else:
             assert pres.lex_min_tail(s, j) == want, (s, j)
+
+
+def _forward_state_counts(pres, n_max):
+    """Path-count rows 0, 1, ... by a plain forward list, stopping at the
+    first row that has a path ending on the marker (or at n_max)."""
+    rows = [[int(s == pres.start) for s in range(pres.n_states)]]
+    while len(rows) <= n_max:
+        cur = rows[-1]
+        if pres.marker is not None and cur[pres.marker]:
+            break
+        new = [0] * pres.n_states
+        for s, _, t in pres.edges():
+            new[t] += cur[s]
+        rows.append(new)
+    return rows
+
+
+def _forward_extension_counts(pres, j_max):
+    rows = [[1] * pres.n_states]
+    for _ in range(j_max):
+        prev = rows[-1]
+        new = []
+        for s in range(pres.n_states):
+            targets = [prev[t] for t in pres.delta[s].values()]
+            poisoned = s == pres.marker or None in targets
+            new.append(None if poisoned else sum(targets))
+        rows.append(new)
+    return rows
+
+
+@given(
+    presentations(),
+    st.sampled_from([2, 4, 6, MAX_CHECKPOINTS]),
+    st.lists(st.tuples(st.booleans(), st.integers(0, 300)), min_size=1,
+             max_size=25),
+)
+@settings(max_examples=200, deadline=None)
+def test_row_store_matches_forward_lists(pres, cap, queries):
+    # small caps halve the checkpoints many times within 300 rows
+    counts = _forward_state_counts(pres, 300)
+    ext = _forward_extension_counts(pres, 300)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(automata, "MAX_CHECKPOINTS", cap)
+        for extension, n in queries:
+            if extension:
+                assert pres.extension_counts(n) == ext[n], n
+            elif n < len(counts):
+                assert pres.state_counts(n) == counts[n], n
+            else:
+                with pytest.raises(HorizonError) as info:
+                    pres.state_counts(n)
+                assert info.value.certified == len(counts) - 1
+        for store in (pres._state_counts, pres._ext):
+            assert store.rows_held() <= cap + 2
+
+
+def test_horizon_error_length_and_certified_unchanged():
+    system = BetaSystem.from_beta("1.5", horizon=60)
+    assert system.count_language(60) == 57029556495
+    for n in (61, 62, 100):
+        with pytest.raises(HorizonError) as info:
+            system.count_language(n)
+        assert info.value.certified == 60
+    with pytest.raises(HorizonError) as info:
+        system.core_counts(61)
+    assert info.value.certified == 60
+    # shorter lengths still answer after the error, in any order
+    assert system.count_language(59) == 38019704357
+    assert system.count_language(60) == 57029556495
+    assert system.count_language(1) == 2
+
+
+def test_count_memory_is_bounded():
+    system = BetaSystem.golden_mean()
+    last = system.count_language(20000)
+    store = system.presentation._state_counts
+    assert store.rows_held() <= MAX_CHECKPOINTS + 2
+    # rows below the frontier are recounted from a checkpoint
+    fib = [1, 2]
+    for _ in range(150):
+        fib.append(fib[-1] + fib[-2])
+    assert system.count_language(150) == fib[150]
+    assert system.count_language(20000) == last
+    assert store.rows_held() <= MAX_CHECKPOINTS + 2

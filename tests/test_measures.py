@@ -204,6 +204,28 @@ def test_empirical_matches_per_shift_oracle_on_random_presentations(pres, data):
 
     got = _outcome(lambda: empirical_mme(make(), n, depth).table)
     assert got == _outcome(lambda: per_shift_empirical(make(), n, depth))
+    # only a dead end that the start reaches stops an example
+    reached, stack = {start}, [start]
+    while stack:
+        for t in pres.delta[stack.pop()].values():
+            if t not in reached:
+                reached.add(t)
+                stack.append(t)
+    dead_end = any(not pres.delta[s] and s != pres.marker for s in reached)
+    assert (isinstance(got, tuple) and got[0] is InputError) == dead_end
+
+
+def test_unreachable_dead_end_leaves_the_measure_defined():
+    # state 1 has no continuation, but no representative point reaches it
+    system = _PresentationSystem(Presentation(2, 1, [(0, 0, 0)]))
+    m = empirical_mme(system, 5, 3)
+    assert m.table == {(0,) * k: 1 for k in range(4)}
+
+
+def test_reachable_dead_end_is_refused():
+    system = _PresentationSystem(Presentation(2, 2, [(0, 0, 0), (0, 1, 1)]))
+    with pytest.raises(InputError, match="state 1 admits no continuation"):
+        empirical_mme(system, 5, 3)
 
 
 @pytest.mark.parametrize(
