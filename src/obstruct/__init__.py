@@ -6,7 +6,6 @@ from .beta import BetaExpansion, BetaSystem, greedy_expansion, parse_beta, quasi
 from .decomposition import (
     BetaDecomposition,
     DecompositionScheme,
-    FiltrationLevel,
     GluingResult,
     SpecificationReport,
     beta_decomposition,

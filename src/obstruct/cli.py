@@ -3,7 +3,8 @@
 Subcommands: expand, entropy, decomp, mme, verify, factor.  Every command
 builds one JSON report (written to --out or stdout) and exits with 0 when
 all checks pass, 1 on a violated estimate, 2 on input or configuration
-errors, and 3 when a search was inconclusive within its budget.
+errors, and 3 when a search was inconclusive: nothing found within its
+limits, or refused because it exceeds its budget.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from fractions import Fraction
 from . import beta as beta_mod
 from .automata import DEFAULT_ENUMERATION_CAP
 from .decomposition import (
+    DEFAULT_TUPLE_BUDGET,
     beta_decomposition,
     degenerate_decomposition,
     filtration_coverage,
@@ -306,6 +308,17 @@ def cmd_mme(config: RunConfig, n: int | None = None):
     return code, make_report("mme", payload, config.to_dict())
 
 
+def _no_gluing_summary(result, tau_max: int) -> str:
+    """Why a gluing check has no time: every gap failed, or it was refused."""
+    last = result.reports[-1]
+    if last.exhaustive:
+        return f"no gluing time up to {tau_max}"
+    return (
+        f"not searched: {last.tuple_space} segment tuples exceed "
+        f"the budget {DEFAULT_TUPLE_BUDGET}"
+    )
+
+
 def cmd_verify(config: RunConfig):
     system = build_system(config)
     scheme = _scheme(system, config)
@@ -334,7 +347,7 @@ def cmd_verify(config: RunConfig):
             record(
                 f"gluing-level-{M}",
                 False,
-                f"no gluing time up to {config.tau_max}",
+                _no_gluing_summary(result, config.tau_max),
             )
         else:
             record(
@@ -354,7 +367,7 @@ def cmd_verify(config: RunConfig):
     tau = core_glue.tau
     if tau is None:
         inconclusive = True
-        record("gluing-cores", False, f"no gluing time up to {config.tau_max}")
+        record("gluing-cores", False, _no_gluing_summary(core_glue, config.tau_max))
         tau = config.tau_max
     else:
         record("gluing-cores", True, f"gluing time {tau}", tau=tau)

@@ -7,9 +7,11 @@ follower value, so the split is unique and O(|v|)), and a core that by
 construction ends in no prefix of the expansion.
 
 Specification of a collection at depth j with gap tau is checked
-literally: for every sampled tuple of depth-extended words, some single
-word must carry all of them at offsets spaced by the gap.  The search
-fills the free positions left-to-right, smallest symbol first, so the
+literally: for every tuple of depth-extended words, some single word must
+carry all of them at offsets spaced by the gap.  The check is exhaustive or
+refused: the tuples are counted before any segment is listed, and a tuple
+space over the budget is reported inconclusive without a search.  The
+search fills the free positions left-to-right, smallest symbol first, so the
 all-zero gap word is tried before anything else.  It is memoised on the
 head class of the first segment (the state its base block reaches and its
 depth tail) and the remaining segments, which fix everything the search
@@ -20,12 +22,11 @@ see `check_specification`.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import HorizonError, InputError, SpecificationError
-from .orbits import EntropyEstimate, OrbitCollection, upper_entropy
+from .orbits import EntropyEstimate, OrbitCollection, count_separated, upper_entropy
 from .words import EMPTY, Word
 
 DEFAULT_TUPLE_BUDGET = 100_000
@@ -79,9 +80,6 @@ class DecompositionScheme:
             f"{self.name}:boundary",
         )
 
-    def level(self, M: int) -> "FiltrationLevel":
-        return FiltrationLevel(self, M)
-
     def level_collection(self, M: int) -> OrbitCollection:
         return OrbitCollection.from_predicate(
             self.system, lambda v: self.in_level(v, M), f"{self.name}:level{M}"
@@ -100,20 +98,6 @@ class DecompositionScheme:
     def coverage_count(self, M: int, n: int) -> int:
         """|level-M words of length n|; generic enumeration fallback."""
         return sum(1 for v in self.system.enumerate_language(n) if self.in_level(v, M))
-
-
-@dataclass(frozen=True)
-class FiltrationLevel:
-    """Words whose prefix and suffix pieces both have length at most M."""
-
-    scheme: DecompositionScheme
-    M: int
-
-    def member(self, v: Word) -> bool:
-        return self.scheme.in_level(v, self.M)
-
-    def collection(self) -> OrbitCollection:
-        return self.scheme.level_collection(self.M)
 
 
 class BetaDecomposition(DecompositionScheme):
@@ -292,17 +276,19 @@ def filtration_coverage(system, scheme, M: int, n: int) -> Fraction:
 
 @dataclass(frozen=True)
 class SpecificationReport:
-    """Outcome of a gluing search over sampled tuples of orbit segments."""
+    """Outcome of a gluing search over every tuple of orbit segments, or of
+    its refusal when the tuple space exceeds the budget."""
 
     collection: str
     depth: int
     gap: int
     k_max: int
     lengths: tuple
-    verdict: str  # "pass" | "fail"
-    exhaustive: bool
+    verdict: str  # "pass" | "fail" | "inconclusive" (refused, not searched)
+    exhaustive: bool  # every tuple was searched
+    tuple_space: int  # segment tuples of 2..k_max segments
     tuples_checked: int
-    witnesses: tuple  # (segment words, glued word) for a sample of passing tuples
+    witnesses: tuple  # (segment words, glued word) for the first passing tuples
     failures: tuple  # segment tuples with no glued word
 
     @property
@@ -370,19 +356,18 @@ def check_specification(
     tau: int,
     k_max: int = 2,
     lengths=range(1, 6),
-    sample: str = "exhaustive",
     budget: int = DEFAULT_TUPLE_BUDGET,
-    seed: int = 0,
     witness_limit: int = 16,
 ) -> SpecificationReport:
-    """Check that sampled segment tuples glue with gap `tau` at depth `j`.
+    """Check that every segment tuple glues with gap `tau` at depth `j`.
 
     Segments are the collection's base words over `lengths`, extended to
     depth n + j; a tuple passes when one admissible word realizes every
     extended segment at offsets spaced `tau` past each base block.  The
-    check is exhaustive when the tuple space fits the budget (or when
-    `sample` forces it); otherwise tuples are sampled with a fixed seed and
-    the report says so.
+    tuples of 2..k_max segments are counted first, from the collection's
+    separated counts; when there are more than `budget`, no segment is
+    listed and the report is inconclusive, with nothing checked.  The count
+    does not depend on `tau`, so such a collection is refused at every gap.
 
     The search is memoised, with the same results as one search per tuple.
     In the template of a tuple (a, *rest) the first h = |a| - j positions
@@ -390,27 +375,42 @@ def check_specification(
     so the search walks them to the state s that the base block reaches,
     and from there it is the search on the template of (a[h:], *rest).  The
     glued word is a[:h] followed by the result for the key (s, a[h:], rest),
-    the head class of `a` with `rest`, and each key is searched once.
-    Exhaustively, one row of results over all rests is built per head class,
-    the first time the class appears in product order, so the cost is one
-    sub-search per (head class, rest), and the first tuple whose search
-    meets the truncation marker raises as it would in product order;
-    tuples and glued words are built only for the reported witnesses and
-    failures.  Sampled tuples keep their seeded draws and go through the
-    same memo one at a time.
+    the head class of `a` with `rest`.  One row of results over all rests
+    is built per head class, the first time the class appears in product
+    order, so the cost is one sub-search per (head class, rest), and the
+    first tuple whose search meets the truncation marker raises as it would
+    in product order; tuples and glued words are built only for the
+    reported witnesses and failures.
     """
     if k_max < 2:
         raise InputError("k_max must be at least 2")
     if j < 0 or tau < 0:
         raise InputError("depth and gap must be non-negative")
+    lengths = tuple(sorted(set(lengths)))
+    # len(_segment_pool(...)), counted without listing a segment
+    size = sum(
+        count_separated(collection, n, j) for n in lengths if collection.defined_at(n)
+    )
+    total = sum(size ** k for k in range(2, k_max + 1))
+    if total > budget:
+        return SpecificationReport(
+            collection=collection.label,
+            depth=j,
+            gap=tau,
+            k_max=k_max,
+            lengths=lengths,
+            verdict="inconclusive",
+            exhaustive=False,
+            tuple_space=total,
+            tuples_checked=0,
+            witnesses=(),
+            failures=(),
+        )
     pool = _segment_pool(system, collection, lengths, j)
     # head class of each segment: its base block's state and its depth tail
     heads: dict = {}
     head_of = [heads.setdefault((s, w[len(w) - j :]), len(heads)) for w, s in pool]
     head_list = list(heads)
-    sizes = [len(pool) ** k for k in range(2, k_max + 1)]
-    total = sum(sizes)
-    exhaustive = sample == "all" or total <= budget
     witnesses, failures = [], []
     checked = 0
 
@@ -432,49 +432,32 @@ def check_specification(
         else:
             witnesses.append((elements, a[: len(a) - j] + tail))
 
-    if exhaustive:
-        for k in range(2, k_max + 1):
-            rests = list(itertools.product(range(len(pool)), repeat=k - 1))
-            rows = {}  # head class -> (glued tails, failing rests, passing rests)
-            for first, head in enumerate(head_of):
-                if head not in rows:
-                    row = [glue_tail(head, rest) for rest in rests]
-                    rows[head] = (
-                        row,
-                        [i for i, g in enumerate(row) if g is None],
-                        [i for i, g in enumerate(row) if g is not None],
-                    )
-                row, failing, passing = rows[head]
-                checked += len(rests)
-                for i in failing[: witness_limit - len(failures)]:
-                    record(first, rests[i], None)
-                for i in passing[: witness_limit - len(witnesses)]:
-                    record(first, rests[i], row[i])
-    else:
-        rng = random.Random(seed)
-        per_k = max(1, budget // max(1, k_max - 1))
-        memo = {}
-        # choosing an index consumes the same draws as choosing the segment
-        indices = range(len(pool))
-        for k in range(2, k_max + 1):
-            for _ in range(min(per_k, len(pool) ** k)):
-                first, *rest = [rng.choice(indices) for _ in range(k)]
-                key = (head_of[first], tuple(rest))
-                if key not in memo:
-                    memo[key] = glue_tail(*key)
-                checked += 1
-                found = failures if memo[key] is None else witnesses
-                if len(found) < witness_limit:
-                    record(first, key[1], memo[key])
-    verdict = "fail" if failures else "pass"
+    for k in range(2, k_max + 1):
+        rests = list(itertools.product(range(len(pool)), repeat=k - 1))
+        rows = {}  # head class -> (glued tails, failing rests, passing rests)
+        for first, head in enumerate(head_of):
+            if head not in rows:
+                row = [glue_tail(head, rest) for rest in rests]
+                rows[head] = (
+                    row,
+                    [i for i, g in enumerate(row) if g is None],
+                    [i for i, g in enumerate(row) if g is not None],
+                )
+            row, failing, passing = rows[head]
+            checked += len(rests)
+            for i in failing[: witness_limit - len(failures)]:
+                record(first, rests[i], None)
+            for i in passing[: witness_limit - len(witnesses)]:
+                record(first, rests[i], row[i])
     return SpecificationReport(
         collection=collection.label,
         depth=j,
         gap=tau,
         k_max=k_max,
-        lengths=tuple(sorted(set(lengths))),
-        verdict=verdict,
-        exhaustive=exhaustive,
+        lengths=lengths,
+        verdict="fail" if failures else "pass",
+        exhaustive=True,
+        tuple_space=total,
         tuples_checked=checked,
         witnesses=tuple(witnesses),
         failures=tuple(failures),
@@ -509,7 +492,11 @@ def min_gluing_time(
     lengths=range(1, 6),
     budget: int = DEFAULT_TUPLE_BUDGET,
 ) -> GluingResult:
-    """Smallest gap (up to tau_max) at which the collection glues exhaustively."""
+    """Smallest gap (up to tau_max) at which the collection glues.
+
+    A refused check ends the scan with that one report: the tuple space
+    does not depend on the gap, so every later gap would be refused too.
+    """
     if tau_max < 0:
         raise InputError("tau_max must be >= 0")
     reports = []
@@ -518,8 +505,10 @@ def min_gluing_time(
             system, collection, j, tau, k_max=k_max, lengths=lengths, budget=budget
         )
         reports.append(rep)
-        if rep.passed and rep.exhaustive:
+        if rep.passed:
             return GluingResult(tau=tau, reports=tuple(reports))
+        if not rep.exhaustive:
+            break
     return GluingResult(tau=None, reports=tuple(reports))
 
 

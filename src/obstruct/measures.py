@@ -166,7 +166,7 @@ class CylinderMeasure:
                     exact = False
             if () not in table:
                 raise KeyError("entries")
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise InputError(f"malformed measure file: {exc}") from exc
         return cls(
             alphabet_size=alphabet,
@@ -177,16 +177,14 @@ class CylinderMeasure:
         )
 
 
-def _verify_representative_tails(system) -> dict:
-    """Check every live state the start reaches extends; return a lex-min
-    tail cache.
+def _verify_representative_tails(system) -> None:
+    """Check that every live state the start reaches extends.
 
     Only those states carry representative points.  On digit-expansion
     presentations the least continuation from any state is the zero tail,
     so representatives are word + 0^infinity there.
     """
     pres = system.presentation
-    cache: dict = {}
     reached = {pres.start}
     stack = [pres.start]
     while stack:
@@ -201,7 +199,6 @@ def _verify_representative_tails(system) -> dict:
             raise InputError(
                 f"state {s} admits no continuation; representative points undefined"
             )
-    return cache
 
 
 def _tail_prefix(pres, cache, state, length):
@@ -244,7 +241,8 @@ def empirical_mme(system, n: int, depth: int) -> CylinderMeasure:
         raise InputError("n must be >= 1")
     if n > MAX_EMPIRICAL_N:
         raise InputError(f"empirical n {n} exceeds the cap {MAX_EMPIRICAL_N}")
-    tails = _verify_representative_tails(system)
+    _verify_representative_tails(system)
+    tails: dict = {}  # (state, length) -> least tail, for `_tail_prefix`
     pres = system.presentation
     # rows in increasing order, each counted once; |L_n| is the last one
     state_counts = [pres.state_counts(k) for k in range(n + 1)]

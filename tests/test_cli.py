@@ -36,6 +36,12 @@ from obstruct.measures import parry_measure
 from obstruct.reports import dumps_report, reports_equal
 
 
+_ZERO_DENOMINATOR_MEASURE = (
+    '{"depth": 1, "provenance": "p", "entries": [{"word": "", "mass_num": "1",'
+    ' "mass_den": "0"}]}'
+)
+
+
 @pytest.fixture()
 def golden_file(tmp_path):
     path = tmp_path / "golden.txt"
@@ -126,6 +132,15 @@ class TestCommands:
         assert code == EXIT_PASS
         assert report["payload"]["gluing_time"] == 0
 
+    def test_decomp_spec_over_budget_is_refused(self):
+        # 3 symbols at depth 2: the tuple space exceeds the default budget
+        code, report = cmd_decomp(RunConfig(beta="3", depth=2), "spec")
+        assert code == EXIT_INCONCLUSIVE
+        payload = report["payload"]
+        assert payload["verdict"] == "inconclusive"
+        assert payload["exhaustive"] is False and payload["tuples_checked"] == 0
+        assert payload["gluing_time"] is None and payload["witnesses"] == []
+
     def test_mme(self, golden_file):
         code, report = cmd_mme(RunConfig(expansion_file=golden_file), n=120)
         assert code == EXIT_PASS
@@ -208,6 +223,15 @@ class TestMainEntry:
         )
         assert code == EXIT_INPUT
         capsys.readouterr()
+
+    def test_measure_file_zero_denominator(self, tmp_path, capsys):
+        bad = tmp_path / "zero.json"
+        bad.write_text(_ZERO_DENOMINATOR_MEASURE)
+        code = main(["verify", "--beta", "2", "--measure-file", str(bad)])
+        assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed measure file")
+        assert "Traceback" not in err
 
     def test_out_directory_files(self, golden_file, tmp_path, capsys):
         out = tmp_path / "reports"
@@ -365,9 +389,9 @@ _FUZZ_MEASURES = st.sampled_from(
     ["", "{", "[]", "3", '{"depth": 1}',
      '{"depth": 1, "provenance": "p", "entries": [{"word": "", "mass_num": "1",'
      ' "mass_den": "1"}, {"word": "0", "mass_float": "0.5"}]}',
-     '{"depth": "x", "provenance": 1, "entries": [{"word": "9"}]}']
+     '{"depth": "x", "provenance": 1, "entries": [{"word": "9"}]}',
+     _ZERO_DENOMINATOR_MEASURE]
 )
-_GLUING_COMMANDS = ("verify", "decomp", "factor")
 
 
 @st.composite
@@ -408,12 +432,13 @@ def _fuzz_argv(draw, files):
         )
         files["expansion"].write_text(text, encoding="latin-1")
         argv += ["--expansion-file", str(files["expansion"])]
-    # cost bound: at depth 2 over 3 symbols the gluing search samples
-    # 100 000 tuples per gap, seconds per run.  --nmax runs to the default 24
-    # (verify needs at least 8), and now and then past its cap
+    # cost bound: a gluing search over the budget is refused before any
+    # segment is listed, so depth 2 stays cheap on every command.  --nmax
+    # runs to the default 24 (verify needs at least 8), and now and then
+    # past its cap
     flags = {
         "--horizon": draw(st.integers(1, 30)),
-        "--depth": draw(st.integers(0, 1 if command in _GLUING_COMMANDS else 2)),
+        "--depth": draw(st.integers(0, 2)),
         "--nmax": draw(st.sampled_from([*range(8, 25), MAX_NMAX + 1])),
         "--tau-max": draw(st.integers(0, 3)),
         "--M": draw(st.integers(0, 3)),

@@ -1,6 +1,5 @@
 import itertools
 import math
-import random
 from fractions import Fraction
 
 import pytest
@@ -208,37 +207,50 @@ class TestSpecification:
         with pytest.raises(InputError):
             check_specification(golden, full, j=0, tau=0, k_max=1)
 
-    def test_sampled_run_reports_non_exhaustive(self, golden):
+    def test_over_budget_run_is_refused(self, golden):
         full = OrbitCollection.full_language(golden)
         report = check_specification(
             golden, full, j=0, tau=1, k_max=3, lengths=range(1, 7), budget=50
         )
-        assert not report.exhaustive
-        assert report.tuples_checked <= 60
+        assert report.verdict == "inconclusive"
+        assert not report.passed and not report.exhaustive
+        assert report.tuples_checked == 0
+        assert report.witnesses == () and report.failures == ()
+        size = sum(count_separated(full, n) for n in range(1, 7))
+        assert report.tuple_space == size ** 2 + size ** 3
+
+    def test_over_budget_lists_no_segment(self, golden, golden_scheme, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an over-budget check listed or searched")
+
+        monkeypatch.setattr("obstruct.decomposition._segment_pool", refuse)
+        monkeypatch.setattr("obstruct.decomposition._fill_template", refuse)
+        report = check_specification(
+            golden, golden_scheme.cores(), j=2, tau=0, lengths=range(1, 6), budget=10
+        )
+        assert report.verdict == "inconclusive" and report.tuples_checked == 0
+
+    def test_refused_gluing_search_stops_at_first_gap(self, golden, golden_scheme):
+        result = min_gluing_time(
+            golden, golden_scheme.cores(), tau_max=4, lengths=range(1, 6), budget=10
+        )
+        assert result.tau is None and result.best_failure is None
+        (report,) = result.reports
+        assert report.gap == 0 and report.verdict == "inconclusive"
 
 
-def _literal_specification(
-    system, collection, j, tau, k_max, lengths, sample, budget, seed
-):
+def _literal_specification(system, collection, j, tau, k_max, lengths, budget):
     """The gluing search one tuple at a time: merge the template, then fill it."""
     witness_limit = 16
+    lengths = tuple(sorted(set(lengths)))
     pool = [w for w, _ in _segment_pool(system, collection, lengths, j)]
     total = sum(len(pool) ** k for k in range(2, k_max + 1))
-    exhaustive = sample == "all" or total <= budget
-    if exhaustive:
-        tuples = itertools.chain.from_iterable(
-            itertools.product(pool, repeat=k) for k in range(2, k_max + 1)
-        )
-    else:
-        rng = random.Random(seed)
-        per_k = max(1, budget // max(1, k_max - 1))
-        tuples = (
-            tuple(rng.choice(pool) for _ in range(k))
-            for k in range(2, k_max + 1)
-            for _ in range(min(per_k, len(pool) ** k))
-        )
+    exhaustive = total <= budget
+    tuples = itertools.chain.from_iterable(
+        itertools.product(pool, repeat=k) for k in range(2, k_max + 1)
+    )
     witnesses, failures, checked = [], [], 0
-    for elements in tuples:
+    for elements in tuples if exhaustive else ():
         checked += 1
         template = _merge_template(elements, tau, j)
         glued = (
@@ -250,14 +262,19 @@ def _literal_specification(
                 failures.append(elements)
         elif len(witnesses) < witness_limit:
             witnesses.append((elements, glued))
+    if not exhaustive:
+        verdict = "inconclusive"
+    else:
+        verdict = "fail" if failures else "pass"
     return SpecificationReport(
         collection=collection.label,
         depth=j,
         gap=tau,
         k_max=k_max,
-        lengths=tuple(sorted(set(lengths))),
-        verdict="fail" if failures else "pass",
+        lengths=lengths,
+        verdict=verdict,
         exhaustive=exhaustive,
+        tuple_space=total,
         tuples_checked=checked,
         witnesses=tuple(witnesses),
         failures=tuple(failures),
@@ -272,6 +289,10 @@ class _GraphSystem:
 
     def enumerate_language(self, n, cap=None):
         return self.presentation.enumerate_words(n, cap)
+
+    def extensions(self, v, j):
+        state = self.presentation.walk(v)
+        return 0 if state is None else self.presentation.extensions_from(state, j)
 
 
 _BETAS = [
@@ -310,10 +331,12 @@ def _gluing_cases(draw):
 
 
 def _outcome(fn):
+    # the type only: the check counts the segments before it lists them, so
+    # its error may come from a counter where the oracle's comes from a walk
     try:
         return fn()
     except HorizonError as exc:
-        return type(exc), str(exc)
+        return type(exc)
 
 
 @given(
@@ -322,31 +345,28 @@ def _outcome(fn):
     st.integers(0, 4),
     st.sampled_from([2, 3]),
     st.sampled_from([(1,), (1, 2), (2, 3), (1, 2, 3)]),
-    st.sampled_from([("exhaustive", 100_000), ("exhaustive", 40), ("all", 0)]),
-    st.integers(0, 3),
+    st.sampled_from([100_000, 40, 0]),
 )
 @settings(max_examples=300, deadline=None)
 def test_memoised_gluing_matches_literal_search(
-    case, j, tau, k_max, lengths, mode, seed
+    case, j, tau, k_max, lengths, budget
 ):
     system, collection = case
-    sample, budget = mode
     try:
         pool = _segment_pool(system, collection, lengths, j)
     except HorizonError:
         pool = []
     # keep the literal oracle to a few thousand tuples
-    assume(len(pool) ** k_max <= 4_000 or (sample != "all" and budget < 1000))
+    assume(len(pool) ** k_max <= 4_000 or budget < len(pool) ** 2)
     want = _outcome(lambda: _literal_specification(
-        system, collection, j, tau, k_max, lengths, sample, budget, seed
+        system, collection, j, tau, k_max, lengths, budget
     ))
     got = _outcome(lambda: check_specification(
-        system, collection, j, tau, k_max=k_max, lengths=lengths,
-        sample=sample, budget=budget, seed=seed,
+        system, collection, j, tau, k_max=k_max, lengths=lengths, budget=budget,
     ))
     assert got == want
     if isinstance(want, SpecificationReport):
-        event(f"{want.verdict}, exhaustive={want.exhaustive}")
+        event(want.verdict)
     else:
         event("HorizonError")
 

@@ -95,7 +95,8 @@ def per_shift_empirical(system, n, depth):
     the truncation marker leaves it undecided."""
     if depth > n:
         raise InputError("measure depth cannot exceed n")
-    tails = _verify_representative_tails(system)
+    _verify_representative_tails(system)
+    tails = {}
     pres = system.presentation
     total_words = system.count_language(n)
     state_counts = [pres.state_counts(k) for k in range(n + 1)]
