@@ -1,10 +1,10 @@
 """Digit expansions of 1, beta-shift languages, and follower automata.
 
 The expansion of 1 is produced by the greedy iteration x -> beta*x - floor(beta*x)
-started at x = 1.  Exact engines (integers, rationals, real quadratic
-numbers) certify every digit, detect exact termination, and detect eventual
-periodicity by remainder repetition; an interval engine handles inexact
-inputs and refuses to emit any digit it cannot certify.
+started at x = 1, in exact arithmetic (integers, rationals, real quadratic
+numbers): every digit is certified, exact termination is detected, and so
+is eventual periodicity, by remainder repetition.  Inexact inputs are
+refused.
 
 A finite greedy expansion d_1..d_k is replaced, before any language
 machinery runs, by the infinite word (d_1 .. d_{k-1} (d_k - 1)) repeated.
@@ -21,16 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
 from .automata import Presentation, check_enumeration_cap
-from .errors import HorizonError, InputError, PrecisionError
+from .errors import HorizonError, InputError
 from .quadratic import QuadraticNumber, exact_floor
 from .words import Word
 
 DEFAULT_HORIZON = 64
-DEFAULT_PRECISION = 128
-MAX_PRECISION = 4096
 MATRIX_POWER_CAP = 10 ** 6
 # size caps, checked before any digit is computed or state built
 MAX_ALPHABET = 256
@@ -116,107 +112,48 @@ class BetaExpansion:
         return f"{format_word(self.digits)} [{self.tail.describe()}]"
 
 
-# -- greedy digit engines --------------------------------------------------------
+# -- the greedy digit engine -----------------------------------------------------
 
 
-def _greedy_exact(beta, n: int):
-    """Greedy digits for an exactly represented beta > 1."""
-    if isinstance(beta, int):
-        one = Fraction(1)
-        beta = Fraction(beta)
-    elif isinstance(beta, Fraction):
-        one = Fraction(1)
-    elif isinstance(beta, QuadraticNumber):
-        one = QuadraticNumber(1, 0, beta.D)
+def greedy_expansion(beta, n: int) -> BetaExpansion:
+    """First n greedy digits of 1 in base beta.
+
+    Inputs must be exact (int, Fraction, decimal-literal str,
+    QuadraticNumber); they are iterated exactly, with termination and
+    eventual periodicity detected by remainder repetition.  Any other
+    number (a float) is refused.
+    """
+    if n < 1:
+        raise InputError("need at least one digit")
+    if isinstance(beta, str):
+        beta = parse_beta(beta)
+    if not isinstance(beta, (int, Fraction, QuadraticNumber)):
+        raise InputError(
+            f"beta must be exact (int, Fraction, decimal literal or "
+            f"QuadraticNumber), not {type(beta).__name__}"
+        )
+    if not beta > 1:
+        raise InputError("beta must exceed 1")
+    if isinstance(beta, QuadraticNumber):
+        x = QuadraticNumber(1, 0, beta.D)
     else:
-        raise TypeError(f"no exact engine for {type(beta).__name__}")
-    x = one
+        x = Fraction(1)
     digits = []
     seen = {x: 0}
+    tail = Tail("truncated", horizon=n, certificate="exact-arithmetic")
     for i in range(1, n + 1):
         y = beta * x
         d = exact_floor(y)
         x = y - d
         digits.append(d)
         if x == 0:
-            return tuple(digits), Tail("finite")
+            tail = Tail("finite")
+            break
         if x in seen:
-            pre = seen[x]
-            return tuple(digits), Tail("periodic", preperiod=pre, period=i - pre)
+            tail = Tail("periodic", preperiod=seen[x], period=i - seen[x])
+            break
         seen[x] = i
-    return tuple(digits), Tail("truncated", horizon=n, certificate="exact-arithmetic")
-
-
-def _greedy_interval(beta_value, n: int, precision: int, max_precision: int):
-    """Greedy digits via outward-rounded interval arithmetic.
-
-    Each digit requires the interval image of beta*x to avoid straddling an
-    integer; on failure the working precision is doubled up to the cap.
-    """
-    prec = precision
-    while True:
-        saved = mpmath.iv.prec
-        mpmath.iv.prec = prec
-        try:
-            b = mpmath.iv.mpf(beta_value)
-            x = mpmath.iv.mpf(1)
-            digits = []
-            failed_at = None
-            for i in range(1, n + 1):
-                y = b * x
-                lo = int(mpmath.floor(y.a))
-                hi = int(mpmath.floor(y.b))
-                if lo != hi:
-                    failed_at = i
-                    break
-                digits.append(lo)
-                x = y - lo
-                if x.b < 0 or x.a >= 1:
-                    failed_at = i  # remainder escaped [0, 1): not certifiable
-                    break
-            if failed_at is None:
-                return (
-                    tuple(digits),
-                    Tail(
-                        "truncated",
-                        horizon=n,
-                        certificate=f"interval-arithmetic({prec} bits)",
-                    ),
-                )
-        finally:
-            mpmath.iv.prec = saved
-        if prec >= max_precision:
-            raise PrecisionError(failed_at, prec)
-        prec = min(2 * prec, max_precision)
-
-
-def greedy_expansion(
-    beta,
-    n: int,
-    precision: int = DEFAULT_PRECISION,
-    max_precision: int = MAX_PRECISION,
-) -> BetaExpansion:
-    """First n greedy digits of 1 in base beta.
-
-    Exact inputs (int, Fraction, decimal-literal str, QuadraticNumber) are
-    iterated exactly, with termination and eventual periodicity detected;
-    float / mpf inputs go through the certified interval engine and always
-    come back truncated.
-    """
-    if n < 1:
-        raise InputError("need at least one digit")
-    if isinstance(beta, str):
-        beta = parse_beta(beta)
-    exact = isinstance(beta, (int, Fraction, QuadraticNumber))
-    if exact:
-        if not beta > 1:
-            raise InputError("beta must exceed 1")
-        digits, tail = _greedy_exact(beta, n)
-    else:
-        if not float(beta) > 1:
-            raise InputError("beta must exceed 1")
-        digits, tail = _greedy_interval(beta, n, precision, max_precision)
-    return BetaExpansion(digits=digits, tail=tail, beta=beta)
+    return BetaExpansion(digits=tuple(digits), tail=tail, beta=beta)
 
 
 def parse_beta(text: str):
@@ -370,14 +307,12 @@ class BetaSystem:
         cls,
         beta,
         horizon: int = DEFAULT_HORIZON,
-        precision: int = DEFAULT_PRECISION,
-        max_precision: int = MAX_PRECISION,
         enumeration_cap: int = 24,
     ) -> "BetaSystem":
         if isinstance(beta, str):
             beta = parse_beta(beta)
         _check_caps(beta, horizon)
-        e = greedy_expansion(beta, horizon, precision, max_precision)
+        e = greedy_expansion(beta, horizon)
         return cls(quasi_greedy(e), enumeration_cap=enumeration_cap)
 
     @classmethod

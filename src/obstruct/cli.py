@@ -19,7 +19,6 @@ from fractions import Fraction
 from . import beta as beta_mod
 from .automata import DEFAULT_ENUMERATION_CAP
 from .decomposition import (
-    DEFAULT_TUPLE_BUDGET,
     beta_decomposition,
     degenerate_decomposition,
     filtration_coverage,
@@ -31,7 +30,6 @@ from .errors import (
     InputError,
     NonMixingError,
     ObstructError,
-    PrecisionError,
     SpecificationError,
 )
 from .factors import (
@@ -144,7 +142,6 @@ def build_system(config: RunConfig):
         return beta_mod.BetaSystem.from_beta(
             beta_mod.parse_beta(config.beta),
             horizon=config.horizon,
-            precision=config.precision,
             enumeration_cap=config.enumeration_cap,
         )
     digits, period = read_expansion_file(config.expansion_file)
@@ -308,17 +305,6 @@ def cmd_mme(config: RunConfig, n: int | None = None):
     return code, make_report("mme", payload, config.to_dict())
 
 
-def _no_gluing_summary(result, tau_max: int) -> str:
-    """Why a gluing check has no time: every gap failed, or it was refused."""
-    last = result.reports[-1]
-    if last.exhaustive:
-        return f"no gluing time up to {tau_max}"
-    return (
-        f"not searched: {last.tuple_space} segment tuples exceed "
-        f"the budget {DEFAULT_TUPLE_BUDGET}"
-    )
-
-
 def cmd_verify(config: RunConfig):
     system = build_system(config)
     scheme = _scheme(system, config)
@@ -332,7 +318,7 @@ def cmd_verify(config: RunConfig):
         checks.append(entry)
 
     # gluing certificates for the filtration levels
-    level_taus = {}
+    level_glue = {}
     for M in range(config.level + 1):
         result = min_gluing_time(
             system,
@@ -341,14 +327,10 @@ def cmd_verify(config: RunConfig):
             tau_max=config.tau_max,
             lengths=range(1, config.spec_length + 1),
         )
-        level_taus[M] = result.tau
+        level_glue[M] = result
         if result.tau is None:
             inconclusive = True
-            record(
-                f"gluing-level-{M}",
-                False,
-                _no_gluing_summary(result, config.tau_max),
-            )
+            record(f"gluing-level-{M}", False, result.no_gluing_summary)
         else:
             record(
                 f"gluing-level-{M}",
@@ -357,17 +339,21 @@ def cmd_verify(config: RunConfig):
                 tau=result.tau,
             )
 
-    core_glue = min_gluing_time(
-        system,
-        scheme.cores(),
-        j=j,
-        tau_max=config.tau_max,
-        lengths=range(1, config.spec_length + 1),
-    )
+    if config.degenerate:
+        core_glue = min_gluing_time(
+            system,
+            scheme.cores(),
+            j=j,
+            tau_max=config.tau_max,
+            lengths=range(1, config.spec_length + 1),
+        )
+    else:
+        # on the beta scheme the cores (match 0) are level 0 (match <= 0)
+        core_glue = level_glue[0]
     tau = core_glue.tau
     if tau is None:
         inconclusive = True
-        record("gluing-cores", False, _no_gluing_summary(core_glue, config.tau_max))
+        record("gluing-cores", False, core_glue.no_gluing_summary)
         tau = config.tau_max
     else:
         record("gluing-cores", True, f"gluing time {tau}", tau=tau)
@@ -382,7 +368,7 @@ def cmd_verify(config: RunConfig):
     else:
         measure = parry_measure(system, config.measure_depth)
     entropy = system.log_beta()
-    level_tau = level_taus.get(config.level) or 0
+    level_tau = level_glue[config.level].tau or 0
 
     gibbs_n_top = min(config.measure_depth - j, 12)
     gibbs = gibbs_check(
@@ -458,7 +444,7 @@ def cmd_verify(config: RunConfig):
     margin = 0.05
     hypotheses_met = (
         obstruction.rate + margin < entropy
-        and all(t is not None for t in level_taus.values())
+        and all(r.found for r in level_glue.values())
     )
     record(
         "obstruction-below-entropy",
@@ -579,7 +565,8 @@ def cmd_factor(config: RunConfig, code_file: str):
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--beta", help="beta as a decimal literal, e.g. 1.5")
     parser.add_argument("--expansion-file", help="digits file with optional period= header")
-    parser.add_argument("--precision", type=int, default=128, help="working precision bits")
+    parser.add_argument("--precision", type=int, default=128,
+                        help="kept in the report config; no effect (exact arithmetic)")
     parser.add_argument("--horizon", type=int, default=80, help="digits computed for beta")
     parser.add_argument("--nmax", type=int, default=24, help="largest word length used")
     parser.add_argument("--depth", type=int, default=0, help="scale depth index j")
@@ -669,8 +656,7 @@ def main(argv=None) -> int:
             code, report = cmd_factor(config, args.code_file)
         else:  # pragma: no cover
             raise InputError(f"unknown command {args.command!r}")
-    except (InputError, PrecisionError, HorizonError, EnumerationCapError,
-            NonMixingError) as exc:
+    except (InputError, HorizonError, EnumerationCapError, NonMixingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except SpecificationError as exc:

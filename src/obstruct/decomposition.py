@@ -470,10 +470,23 @@ class GluingResult:
 
     tau: int | None
     reports: tuple
+    budget: int  # the tuple budget each check had
 
     @property
     def found(self) -> bool:
         return self.tau is not None
+
+    @property
+    def no_gluing_summary(self) -> str:
+        """Why no gap was found: every gap failed, or the check was refused."""
+        last = self.reports[-1]
+        if last.exhaustive:
+            # an exhaustive failing scan tried every gap 0..tau_max
+            return f"no gluing time up to {len(self.reports) - 1}"
+        return (
+            f"not searched: {last.tuple_space} segment tuples exceed "
+            f"the budget {self.budget}"
+        )
 
     @property
     def best_failure(self):
@@ -506,10 +519,10 @@ def min_gluing_time(
         )
         reports.append(rep)
         if rep.passed:
-            return GluingResult(tau=tau, reports=tuple(reports))
+            return GluingResult(tau=tau, reports=tuple(reports), budget=budget)
         if not rep.exhaustive:
             break
-    return GluingResult(tau=None, reports=tuple(reports))
+    return GluingResult(tau=None, reports=tuple(reports), budget=budget)
 
 
 def obstruction_entropy_upper(
@@ -539,8 +552,8 @@ def obstruction_entropy_upper(
         )
         if not result.found:
             raise SpecificationError(
-                f"level {M} of scheme {scheme.name!r} has no gluing time "
-                f"up to {tau_max} at depth {j}"
+                f"level {M} of scheme {scheme.name!r} at depth {j}: "
+                f"{result.no_gluing_summary}"
             )
     return upper_entropy(scheme.boundary(), j, n_max)
 

@@ -9,17 +9,6 @@ class InputError(ObstructError):
     """Bad user input: unparseable flags, malformed files, broken schemas."""
 
 
-class PrecisionError(ObstructError):
-    """A digit decision could not be certified at the working precision."""
-
-    def __init__(self, index, precision):
-        self.index = index
-        self.precision = precision
-        super().__init__(
-            f"cannot certify digit {index} at {precision} bits of precision"
-        )
-
-
 class HorizonError(ObstructError):
     """A query on a truncated system needs symbols beyond the stored horizon."""
 

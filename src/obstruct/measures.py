@@ -15,12 +15,12 @@ eigendata of the presentation (see `obstruct.perron` for its three paths:
 exact, renewal closed form, power iteration): the mass of [u] sums l_s r_t
 over the walks s -> t of u, divided by x^|u| sum_s l_s r_s.  With exact
 eigendata (rational or quadratic) the masses are exact field elements;
-otherwise the POWER_DPS-digit eigendata are taken as fixed-point integers
-(each vector scaled by its own binary exponent, so even entries like
-x^-300 keep at least 255 significant bits), every sum over walks is
-exact, and each mass is rounded to a float once.
-A truncated system's provenance states the eigen-residual and, when beta
-is exact, the gap beta - x to the true beta-shift.
+otherwise the eigenvectors are positive integers, the eigenvalue is the
+midpoint of its Collatz-Wielandt enclosure, every mass is an exact
+rational of these, and each is rounded to a float once.
+A truncated system's provenance states the enclosure's width and, when
+beta is exact, the gap beta - lo to the true beta-shift (lo the lower end
+of the enclosure, so the gap bounds beta - rho from above).
 
 A measure indexes its cylinder table by length once (sorted words,
 shared with the table), so per-length queries read a slice of the index
@@ -34,10 +34,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter, mul
 
-import mpmath
-
 from .errors import DepthError, EnumerationCapError, InputError, NonMixingError
-from .perron import POWER_DPS, perron_eigendata
+from .perron import FIXED_BITS, perron_eigendata
 from .quadratic import QuadraticNumber
 from .words import Word, format_word, parse_word
 
@@ -45,8 +43,6 @@ from .words import Word, format_word, parse_word
 # to n and takes one n-term product sum per deepest-length pair (shorter
 # lengths add; poisoned pairs are found by a closed-form test before any sum)
 MAX_EMPIRICAL_N = 10_000
-# significant bits kept of the fixed-point Parry eigendata
-FIXED_BITS = 256
 
 
 @dataclass
@@ -348,13 +344,12 @@ def parry_measure(system, depth: int) -> CylinderMeasure:
     vectors of the children of [u] follow from v_u alone, so each distinct
     vector's children, and its mass at each length, are computed once.
     Exact field arithmetic when the eigenvalue is rational or quadratic.
-    Otherwise l and r are taken as integers L = l 2^(256 - e_l),
-    R = r 2^(256 - e_r), with e_l, e_r the least binary exponents of their
-    entries, and each scale 1 / (x^n sum_s l_s r_s) as S_n 2^(e_n - 256)
-    (all to the nearest integer from the POWER_DPS-digit eigendata), so
-    every entry keeps at least 255 significant bits however small; V and the
-    sum over t are then exact integers, and the float mass is
-    (sum_t V_u[t] R_t) S_n 2^(e_n + e_l + e_r - 768), rounded once.
+    Otherwise l and r are the integer vectors L, R of the eigendata (each
+    in its own unit, which cancels: the mass is homogeneous of degree 0 in
+    l and in r) and x = p / q is the midpoint of the enclosure, so V and
+    the sum over t are exact integers and the float mass is the rational
+    (sum_t V_u[t] R_t) q^n / (p^n sum_s L_s R_s), rounded once by one
+    correctly rounded integer division.
     Refuses non-primitive presentations, and raises where enumerating the
     language up to `depth` would.
     """
@@ -373,79 +368,72 @@ def parry_measure(system, depth: int) -> CylinderMeasure:
         )
     live = pres.essential_part()
     eigen = perron_eigendata(live, cache=system.perron_cache)
-    lam = eigen.eigenvalue
-    with mpmath.workdps(POWER_DPS):
-        scale = [1 / sum(l * r for l, r in zip(eigen.left, eigen.right))]
+    left, right = eigen.left, eigen.right
+    total = sum(map(mul, left, right))
+    if eigen.exact:
+        lam = eigen.eigenvalue
+        scale = [1 / total]
         for _ in range(depth):
             scale.append(scale[-1] / lam)
-        if eigen.exact:
-            left, right = eigen.left, eigen.right
 
-            def finish(acc, n):
-                return acc * scale[n]
-        else:
-            # each vector and each scale is scaled by its own binary
-            # exponent, so its smallest entry keeps FIXED_BITS - 1
-            # significant bits however small (r_1 ~ x^-(z+1) after a run
-            # of z zeros)
-            e_left = _min_exponent(eigen.left)
-            e_right = _min_exponent(eigen.right)
-            left = [_to_fixed(x, -e_left) for x in eigen.left]
-            right = [_to_fixed(x, -e_right) for x in eigen.right]
-            exponents = [_min_exponent([x]) for x in scale]
-            fixed_scale = [_to_fixed(x, -e) for x, e in zip(scale, exponents)]
-            # sum_s l_s r_s >= 2^(e_left + e_right - 2) and x > 1, so
-            # e + e_left + e_right <= 3 and every shift is positive
-            shifts = [
-                1 << (3 * FIXED_BITS - e - e_left - e_right) for e in exponents
+        def finish(acc, n):
+            return acc * scale[n]
+    else:
+        # the midpoint p / q of the enclosure; each mass is the rational
+        # acc q^n / (p^n sum_s L_s R_s) of the integer data, rounded once
+        mid = sum(eigen.enclosure) / 2
+        nums, dens = [1], [total]
+        for _ in range(depth):
+            nums.append(nums[-1] * mid.denominator)
+            dens.append(dens[-1] * mid.numerator)
+
+        def finish(acc, n):
+            return acc * nums[n] / dens[n]
+    # few distinct vectors occur (31 over the 110 407 cylinders of
+    # `21001 period=5` at depth 12); each is numbered once
+    vectors: list[dict] = []
+    numbers: dict[tuple, int] = {}
+
+    def number(v):
+        key = tuple(sorted(v.items()))
+        if key not in numbers:
+            numbers[key] = len(vectors)
+            vectors.append(v)
+        return numbers[key]
+
+    masses: dict[tuple[int, int], object] = {}
+    children: dict[int, list] = {}
+    table = {}
+    stack = [((), number(dict(enumerate(left))))]
+    while stack:
+        u, k = stack.pop()
+        n = len(u)
+        if (k, n) not in masses:
+            v = vectors[k]
+            masses[k, n] = finish(sum(w * right[t] for t, w in v.items()), n)
+        table[u] = masses[k, n]
+        if n == depth:
+            continue
+        if k not in children:
+            step: dict[int, dict] = {}
+            for s, w in vectors[k].items():
+                for a, t in live.delta[s].items():
+                    child = step.setdefault(a, {})
+                    child[t] = child[t] + w if t in child else w
+            # largest symbol first, so words leave the stack in
+            # lexicographic order and the per-length index finds them sorted
+            children[k] = [
+                (a, number(step[a])) for a in sorted(step, reverse=True)
             ]
-
-            def finish(acc, n):
-                return acc * fixed_scale[n] / shifts[n]
-        # few distinct vectors occur (31 over the 110 407 cylinders of
-        # `21001 period=5` at depth 12); each is numbered once
-        vectors: list[dict] = []
-        numbers: dict[tuple, int] = {}
-
-        def number(v):
-            key = tuple(sorted(v.items()))
-            if key not in numbers:
-                numbers[key] = len(vectors)
-                vectors.append(v)
-            return numbers[key]
-
-        masses: dict[tuple[int, int], object] = {}
-        children: dict[int, list] = {}
-        table = {}
-        stack = [((), number(dict(enumerate(left))))]
-        while stack:
-            u, k = stack.pop()
-            n = len(u)
-            if (k, n) not in masses:
-                v = vectors[k]
-                masses[k, n] = finish(sum(w * right[t] for t, w in v.items()), n)
-            table[u] = masses[k, n]
-            if n == depth:
-                continue
-            if k not in children:
-                step: dict[int, dict] = {}
-                for s, w in vectors[k].items():
-                    for a, t in live.delta[s].items():
-                        child = step.setdefault(a, {})
-                        child[t] = child[t] + w if t in child else w
-                # largest symbol first, so words leave the stack in
-                # lexicographic order and the per-length index finds them sorted
-                children[k] = [
-                    (a, number(step[a])) for a in sorted(step, reverse=True)
-                ]
-            stack.extend((u + (a,), c) for a, c in children[k])
-        if system.horizon is None:
-            provenance = "parry-exact" if eigen.exact else "parry-numeric"
-        else:
-            provenance = (
-                f"parry-truncated(horizon={system.horizon}, "
-                f"residual={eigen.residual:.3g}{_beta_gap(system, lam)})"
-            )
+        stack.extend((u + (a,), c) for a, c in children[k])
+    lo, hi = eigen.enclosure
+    if system.horizon is None:
+        provenance = "parry-exact" if eigen.exact else "parry-numeric"
+    else:
+        provenance = (
+            f"parry-truncated(horizon={system.horizon}, "
+            f"cw_width={_to_float(hi - lo):.3g}{_beta_gap(system, lo)})"
+        )
     return CylinderMeasure(
         alphabet_size=system.alphabet_size,
         depth=depth,
@@ -453,37 +441,31 @@ def parry_measure(system, depth: int) -> CylinderMeasure:
         provenance=provenance,
         exact=eigen.exact,
         meta={
-            "eigenvalue": float(lam),
-            "residual": eigen.residual,
+            "eigenvalue": float(eigen.eigenvalue),
+            "enclosure": eigen.enclosure,
             "exact_eigendata": eigen.exact,
         },
     )
 
 
-def _min_exponent(values) -> int:
-    """Least binary exponent e (x = m 2^e, 1/2 <= |m| < 1) of the values."""
-    return min(int(mpmath.frexp(x)[1]) for x in values)
-
-
-def _to_fixed(x, exponent: int) -> int:
-    """x * 2^(FIXED_BITS + exponent), rounded to the nearest integer."""
-    return int(mpmath.nint(mpmath.ldexp(x, FIXED_BITS + exponent)))
-
-
-def _beta_gap(system, lam) -> str:
-    """`, beta_gap=...` (beta - lam) when the system carries an exact beta."""
+def _beta_gap(system, lo) -> str:
+    """`, beta_gap=...` when the system carries an exact beta: beta - lo,
+    with lo the lower end of the enclosure, so at least beta - rho."""
     beta = getattr(getattr(system, "expansion", None), "beta", None)
     if not isinstance(beta, (int, Fraction, QuadraticNumber)):
         return ""
-    return f", beta_gap={float(_to_mpf(beta) - _to_mpf(lam)):.3g}"
+    return f", beta_gap={_to_float(beta - lo):.3g}"
 
 
-def _to_mpf(x):
-    if isinstance(x, QuadraticNumber):
-        return _to_mpf(x.a) + _to_mpf(x.b) * mpmath.sqrt(x.D)
-    if isinstance(x, Fraction):
-        return mpmath.mpf(x.numerator) / x.denominator
-    return mpmath.mpf(x)
+def _to_float(x) -> float:
+    """Nearest float to a rational, or to a + b sqrt(D) with b sqrt(D)
+    first taken to 2^-2 FIXED_BITS by an integer square root, so a
+    difference that cancels keeps its leading digits."""
+    if not isinstance(x, QuadraticNumber):
+        return float(x)
+    bits = 2 * FIXED_BITS
+    root = math.isqrt(x.b.numerator ** 2 * x.D << 2 * bits)
+    return float(x.a + Fraction(root if x.b >= 0 else -root, x.b.denominator << bits))
 
 
 def measure_entropy_rate(measure: CylinderMeasure, length: int) -> float:

@@ -12,36 +12,51 @@ Three paths, tried in order on the essential part of a presentation:
 2. Renewal closed form: when row k of the adjacency matrix is
    c_k e_0 + e_{k+1} and the last row is c_{n-1} e_0 (truncated and purely
    periodic beta-shift presentations), the eigenvalue x is the root > 0 of
-   sum_k c_k x^(-k-1) = 1, r_k = sum_{j>=k} c_j x^(k-1-j) and l_k = x^(-k)
-   (Parry 1960; Hofbauer 1978), computed to POWER_DPS digits in O(n).
-3. Otherwise (factor presentations, preperiodic wraps) a high-precision
-   power iteration, with residual pushed below 1e-30.
+   sum_k c_k x^(-k-1) = 1, the largest root of the same kind of polynomial,
+   r_k = sum_{j>=k} c_j x^(k-1-j) and l_k = x^(-k) (Parry 1960; Hofbauer
+   1978), in O(n).
+3. Otherwise (factor presentations, preperiodic wraps) a power iteration.
+
+The last two work in Python integers only: roots to FIXED_BITS fractional
+bits by fixed-point Newton, and vectors of positive integers in a common
+unit (only their ratios matter).  Their eigenvalue is bounded by the
+Collatz-Wielandt enclosure (Collatz 1942; Wielandt 1950): for a
+non-negative A and a positive vector r, min_i (A r)_i / r_i <= rho <=
+max_i (A r)_i / r_i, an exact rational interval here, taken for the right
+vector against A and the left vector against A^T and intersected.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import mpmath
 
 from .quadratic import QuadraticNumber, _squarefree_split
 
 EXACT_STATE_LIMIT = 12
-POWER_DPS = 60
-POWER_RESIDUAL = mpmath.mpf("1e-30")
-GUARD_DPS = 10
+# fractional bits of every fixed-point root, and significant bits of the
+# least entry of every integer eigenvector
+FIXED_BITS = 256
+# power-iteration steps between two rescalings and enclosure tests
+CHECK_EVERY = 64
 
 
 @dataclass(frozen=True)
 class PerronData:
-    """Spectral radius with positive right/left eigenvectors."""
+    """Spectral radius with positive right/left eigenvectors.
 
-    eigenvalue: object  # Fraction | QuadraticNumber | mpmath.mpf
+    Exact data hold field elements, and the enclosure is the eigenvalue
+    twice.  Otherwise the vectors are positive integers, the enclosure
+    (lo, hi) holds rationals with lo <= rho <= hi, and the eigenvalue is
+    the float nearest their midpoint.
+    """
+
+    eigenvalue: object  # Fraction | QuadraticNumber | float
     right: tuple
     left: tuple
     exact: bool
-    residual: float | None = None  # max_k |(A r - x r)_k| of the stored data
+    enclosure: tuple
 
 
 def _kernel_vector(rows, one):
@@ -74,31 +89,96 @@ def _kernel_vector(rows, one):
     return v
 
 
-def _power_iteration(matrix, dps=POWER_DPS, max_iter=200_000):
-    """Dominant eigenpair of a non-negative integer matrix, high precision."""
-    n = len(matrix)
-    with mpmath.workdps(dps):
-        # shift by I so the dominant eigenvalue is simple on each closed class
-        a = [[mpmath.mpf(matrix[i][j] + (i == j)) for j in range(n)] for i in range(n)]
-        v = [mpmath.mpf(1) for _ in range(n)]
-        lam = mpmath.mpf(0)
-        for _ in range(max_iter):
-            w = [sum(a[i][j] * v[j] for j in range(n)) for i in range(n)]
-            norm = max(w)
-            if norm == 0:
-                break
-            w = [x / norm for x in w]
-            lam_new = sum(
-                sum(a[i][j] * w[j] for j in range(n)) * w[i] for i in range(n)
-            ) / sum(x * x for x in w)
-            res = max(
-                abs(sum(a[i][j] * w[j] for j in range(n)) - lam_new * w[i])
-                for i in range(n)
+def _sparse(matrix):
+    """[(column, entry)] of the nonzero entries of each row."""
+    return [[(j, a) for j, a in enumerate(row) if a] for row in matrix]
+
+
+def _transpose(matrix):
+    return [list(col) for col in zip(*matrix)]
+
+
+def _product(rows, v):
+    """A v for a matrix given by sparse rows (plain loops: most rows hold
+    one to three entries)."""
+    out = []
+    for row in rows:
+        acc = 0
+        for j, a in row:
+            acc += a * v[j]
+        out.append(acc)
+    return out
+
+
+def _enclosure(rows, v, av=None):
+    """Collatz-Wielandt bounds (lo, hi) on rho of a non-negative matrix
+    (sparse rows) from a positive integer vector v; av = A v if known.
+
+    hi = max_i (A v)_i / v_i.  lo = min (A x)_i / x_i over the support of
+    x, the vector v with its entries below 2^(FIXED_BITS/4) set to 0: the
+    lower bound holds for any non-negative x != 0, and so the decayed
+    entries of a reducible matrix, which carry no precision, cannot hold
+    it down.
+    """
+    if av is None:
+        av = _product(rows, v)
+    small = 1 << (FIXED_BITS // 4)
+    x = [e if e >= small else 0 for e in v]
+    ax = av if all(x) else _product(rows, x)
+    lo = min(Fraction(p, q) for p, q, e in zip(ax, v, x) if e)
+    hi = max(Fraction(p, q) for p, q in zip(av, v))
+    return lo, hi
+
+
+def _power_iteration(rows, max_iter=200_000):
+    """Positive integer vector of a non-negative matrix (sparse rows) near
+    its Perron vector.
+
+    Iterates v <- (A + I) v on integers (the shift makes the dominant
+    eigenvalue of each closed class simple).  Every CHECK_EVERY steps, and
+    at max_iter, v is cut by a power of two, rounding up so no entry
+    reaches 0, to give its least entry FIXED_BITS bits, unless its entries
+    spread over more than `spread` bits: (A + I) w = rho w with w > 0 gives
+    w_j <= (rho + 1) w_i for each edge i -> j, so the Perron vector of an
+    irreducible matrix spreads over at most n log2 of the largest row sum
+    of A + I, while decaying entries of a reducible one would spread
+    without end.  The iteration stops once the enclosure of v is narrower
+    than 2^-(3/4 FIXED_BITS).
+    """
+    shifted = [row + [(i, 1)] for i, row in enumerate(rows)]
+    top_row = max(sum(a for _, a in row) for row in shifted)
+    spread = max(FIXED_BITS, len(rows) * top_row.bit_length())
+    v = [1 << FIXED_BITS] * len(rows)
+    for step in range(max_iter + 1):
+        check = step % CHECK_EVERY == 0 or step == max_iter
+        if check:
+            cut = max(
+                min(v).bit_length() - FIXED_BITS,
+                max(v).bit_length() - FIXED_BITS - spread,
             )
-            v, lam = w, lam_new
-            if res < POWER_RESIDUAL:
-                break
-        return lam - 1, v, float(res)
+            if cut > 0:
+                v = [-(-x >> cut) for x in v]
+        w = _product(shifted, v)
+        if check:
+            lo, hi = _enclosure(shifted, v, w)
+            if step == max_iter or (hi - lo) * (1 << 3 * FIXED_BITS // 4) < 1:
+                return v
+        v = w
+
+
+def _fixed_point_data(rows, cols, right, left) -> PerronData:
+    """Integer eigendata, enclosed by the tighter of the Collatz-Wielandt
+    bounds of A (sparse rows) from r and of A^T (sparse cols) from l."""
+    r_lo, r_hi = _enclosure(rows, right)
+    l_lo, l_hi = _enclosure(cols, left)
+    lo, hi = max(r_lo, l_lo), min(r_hi, l_hi)
+    return PerronData(
+        eigenvalue=float((lo + hi) / 2),
+        right=tuple(right),
+        left=tuple(left),
+        exact=False,
+        enclosure=(lo, hi),
+    )
 
 
 def perron_eigendata(
@@ -132,16 +212,8 @@ def _eigendata(matrix, exact_state_limit) -> PerronData:
     data = _renewal_eigendata(matrix)
     if data is not None:
         return data
-    lam, right, res = _power_iteration(matrix)
-    transposed = [[matrix[j][i] for j in range(n)] for i in range(n)]
-    _, left, res2 = _power_iteration(transposed)
-    return PerronData(
-        eigenvalue=lam,
-        right=tuple(right),
-        left=tuple(left),
-        exact=False,
-        residual=max(res, res2),
-    )
+    rows, cols = _sparse(matrix), _sparse(_transpose(matrix))
+    return _fixed_point_data(rows, cols, _power_iteration(rows), _power_iteration(cols))
 
 
 def _renewal_eigendata(matrix) -> PerronData | None:
@@ -150,65 +222,60 @@ def _renewal_eigendata(matrix) -> PerronData | None:
     Row k must be c_k e_0 + e_{k+1} and the last row c_{n-1} e_0 with
     c_{n-1} > 0.  With r_0 = 1 the eigen-equations read
     r_{k+1} = x r_k - c_k and c_{n-1} = x r_{n-1}, so r follows by backward
-    Horner once x solves sum_k c_k x^(-k-1) = 1; the left equations give
-    l_k = l_0 x^(-k).
+    Horner, r_k = (c_k + r_{k+1}) / x, once x solves
+    sum_k c_k x^(-k-1) = 1, that is x^n = sum_k c_k x^(n-1-k); the left
+    equations give l_k = l_0 x^(-k).  Both vectors are kept in the unit
+    2^-shift, and r_k >= c_{n-1} x^(k-n) >= x^-n and l_k >= x^-n give
+    every entry at least FIXED_BITS bits.
     """
     n = len(matrix)
     coeffs = [row[0] for row in matrix]
     for k, row in enumerate(matrix):
-        if row[1:] != [int(j == k + 1) for j in range(1, n)]:
+        # entries are non-negative, so the sum leaves no other entry
+        if (k + 1 < n and row[k + 1] != 1) or sum(row) != row[0] + (k + 1 < n):
             return None
     if not coeffs[-1]:
         return None
-    with mpmath.workdps(POWER_DPS + GUARD_DPS):
-        def excess(x):
-            """sum_k c_k x^(-k-1) - 1 and its derivative, by Horner in 1/x."""
-            y = 1 / x
-            f = df = mpmath.mpf(0)
-            for k in range(n - 1, -1, -1):
-                f = (f + coeffs[k]) * y
-                df = (df + (k + 1) * coeffs[k]) * y
-            return f - 1, -df * y
+    x = _largest_root([1] + [-c for c in coeffs], _renewal_start(coeffs))
+    shift = FIXED_BITS + math.ceil(n * math.log2(x / (1 << FIXED_BITS)))
+    right = [0] * n
+    acc = 0
+    for k in range(n - 1, -1, -1):
+        acc = (((coeffs[k] << shift) + acc) << FIXED_BITS) // x
+        right[k] = acc
+    left = [1 << shift]
+    for _ in range(n - 1):
+        left.append((left[-1] << FIXED_BITS) // x)
+    rows = [[(0, c)] if c else [] for c in coeffs]
+    cols = [[(k, c) for k, c in enumerate(coeffs) if c]]
+    for k in range(n - 1):
+        rows[k].append((k + 1, 1))
+        cols.append([(k, 1)])
+    return _fixed_point_data(rows, cols, right, left)
 
-        # the excess decreases from sum(c) - 1 >= 0 at x = 1 to at most 0 at
-        # x = sum(c); it is convex, so Newton from the left of the root
-        # climbs to it monotonically
-        lo, hi = mpmath.mpf(1), mpmath.mpf(max(1, sum(coeffs)))
-        while hi - lo > 1e-6:
-            mid = (lo + hi) / 2
-            if excess(mid)[0] > 0:
-                lo = mid
-            else:
-                hi = mid
-        x = lo
-        tol = mpmath.mpf(10) ** -(POWER_DPS + GUARD_DPS - 2)
-        for _ in range(100):
-            f, df = excess(x)
-            step = f / df
-            x -= step
-            if abs(step) <= tol * x:
-                break
-        right = [coeffs[-1] / x]
-        for c in reversed(coeffs[:-1]):
-            right.append((c + right[-1]) / x)
-        right.reverse()
-        left = [mpmath.mpf(1)]
-        for _ in range(n - 1):
-            left.append(left[-1] / x)
-    # products of stored values are exact at twice the digits, so this is
-    # the residual of the stored vector, not rounding noise of the check
-    with mpmath.workdps(2 * (POWER_DPS + GUARD_DPS)):
-        residual = max(
-            abs(c * right[0] + (right[k + 1] if k + 1 < n else 0) - x * right[k])
-            for k, c in enumerate(coeffs)
-        )
-    return PerronData(
-        eigenvalue=x,
-        right=tuple(right),
-        left=tuple(left),
-        exact=False,
-        residual=float(residual),
-    )
+
+def _renewal_start(coeffs) -> int:
+    """A fixed-point point above the renewal root, by float bisection.
+
+    The excess sum_k c_k x^(-k-1) - 1 decreases from sum(c) - 1 >= 0 at
+    x = 1 to at most 0 at x = sum(c); the bracket's upper end, moved up by
+    its width, clears the rounding of the float excess.
+    """
+    def excess(x):
+        y = 1 / x
+        f = 0.0
+        for c in reversed(coeffs):
+            f = (f + c) * y
+        return f - 1
+
+    lo, hi = 1.0, float(max(1, sum(coeffs)))
+    while hi - lo > 1e-9 * hi:
+        mid = (lo + hi) / 2
+        if excess(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return math.ceil(math.ldexp(2 * hi - lo, FIXED_BITS))
 
 
 def _charpoly(matrix) -> list[int]:
@@ -231,65 +298,70 @@ def _charpoly(matrix) -> list[int]:
 
 
 def _value_and_slope(coeffs, x):
-    """p(x) and p'(x) by Horner, coefficients leading first."""
+    """p and p' at x 2^-FIXED_BITS, both times 2^FIXED_BITS and rounded
+    down at each Horner step (exact when x is a multiple of 2^FIXED_BITS);
+    coefficients leading first."""
     f = df = 0
     for c in coeffs:
-        df = df * x + f
-        f = f * x + c
+        df = (df * x >> FIXED_BITS) + f
+        f = (f * x >> FIXED_BITS) + (c << FIXED_BITS)
     return f, df
 
 
-def _largest_real_root(coeffs, start):
-    """Largest real root of the characteristic polynomial of a non-negative
-    matrix, by Newton from `start` >= the spectral radius rho.
+def _largest_root(coeffs, start: int) -> int:
+    """Largest real root of the characteristic polynomial p of a
+    non-negative matrix, as x with root ~ x 2^-FIXED_BITS, by fixed-point
+    Newton from `start` >= 2^FIXED_BITS rho.
 
     By Gauss-Lucas every root of p' and p'' has modulus <= rho, so p is
-    increasing and convex on (rho, oo) and the iterates descend to rho.
+    increasing and convex on (rho, oo) and the iterates descend to rho;
+    they stop once p is no longer positive or the step rounds to 0.
     """
-    with mpmath.workdps(POWER_DPS):
-        x = mpmath.mpf(start)
-        tol = mpmath.mpf(10) ** -(POWER_DPS // 2)
-        while True:
-            f, df = _value_and_slope(coeffs, x)
-            if f <= 0 or df <= 0:  # at the root, or rounding noise past it
-                break
-            step = f / df
-            x -= step
-            if step <= tol * (1 + x):
-                break
-        return x
+    x = start
+    while True:
+        f, df = _value_and_slope(coeffs, x)
+        if f <= 0 or df <= 0:  # at the root, or rounding noise past it
+            return x
+        step = (f << FIXED_BITS) // df
+        if not step:
+            return x
+        x -= step
 
 
-def _rational_or_quadratic_factor(coeffs, lam):
-    """The monic linear or quadratic integer factor of p vanishing at lam.
+def _rational_or_quadratic_factor(coeffs, x):
+    """The monic linear or quadratic integer factor of p vanishing at
+    lam = x 2^-FIXED_BITS.
 
     lam is an algebraic integer: rational only as an integer k with
     p(k) = 0, and quadratic only as a root of x^2 - a x - b whose other root
     mu has |mu| <= lam, so |a| <= 2 lam and b = lam^2 - a lam.
     """
-    with mpmath.workdps(POWER_DPS):
-        k = int(mpmath.nint(lam))
-        if _value_and_slope(coeffs, k)[0] == 0:
-            return [1, -k]
-        top = 2 * int(mpmath.ceil(lam))
-        for a in range(-top, top + 1):
-            b = int(mpmath.nint(lam * (lam - a)))
-            if abs(lam * (lam - a) - b) >= 1e-6 * (2 + abs(a) + abs(b)):
-                continue
-            rem = list(coeffs)  # divide by x^2 - a x - b
-            for i in range(len(rem) - 2):
-                rem[i + 1] += a * rem[i]
-                rem[i + 2] += b * rem[i]
-            if rem[-2] == rem[-1] == 0:
-                return [1, -a, -b]
+    unit = 1 << FIXED_BITS
+    k = (x + unit // 2) >> FIXED_BITS
+    if _value_and_slope(coeffs, k << FIXED_BITS)[0] == 0:
+        return [1, -k]
+    top = 2 * -(-x >> FIXED_BITS)
+    for a in range(-top, top + 1):
+        prod = x * (x - a * unit)  # lam (lam - a), times unit^2
+        b = (prod + unit * unit // 2) >> (2 * FIXED_BITS)
+        if 10**6 * abs(prod - b * unit * unit) >= (2 + abs(a) + abs(b)) * unit * unit:
+            continue
+        rem = list(coeffs)  # divide by x^2 - a x - b
+        for i in range(len(rem) - 2):
+            rem[i + 1] += a * rem[i]
+            rem[i + 2] += b * rem[i]
+        if rem[-2] == rem[-1] == 0:
+            return [1, -a, -b]
     return None
 
 
 def _exact_eigendata(matrix) -> PerronData | None:
     poly = _charpoly(matrix)
-    lam = _largest_real_root(poly, max(map(sum, matrix)))
-    coeffs = _rational_or_quadratic_factor(poly, lam)
-    return None if coeffs is None else _eigendata_from_factor(matrix, coeffs, float(lam))
+    x = _largest_root(poly, max(map(sum, matrix)) << FIXED_BITS)
+    coeffs = _rational_or_quadratic_factor(poly, x)
+    if coeffs is None:
+        return None
+    return _eigendata_from_factor(matrix, coeffs, x / (1 << FIXED_BITS))
 
 
 def _eigendata_from_factor(matrix, coeffs, lam_f) -> PerronData | None:
@@ -330,7 +402,11 @@ def _eigendata_from_factor(matrix, coeffs, lam_f) -> PerronData | None:
     if right is None or left is None:
         return None
     return PerronData(
-        eigenvalue=lam, right=tuple(right), left=tuple(left), exact=True, residual=0.0
+        eigenvalue=lam,
+        right=tuple(right),
+        left=tuple(left),
+        exact=True,
+        enclosure=(lam, lam),
     )
 
 

@@ -213,7 +213,7 @@ def golden_ratio() -> QuadraticNumber:
 
 
 def exact_floor(x) -> int:
-    """Floor for the number types used by the greedy digit engines."""
+    """Floor for the number types used by the greedy digit engine."""
     if isinstance(x, QuadraticNumber):
         return math.floor(x)
     if isinstance(x, (int, Fraction)):

@@ -2,12 +2,11 @@ import itertools
 import math
 from fractions import Fraction
 
-import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from obstruct.beta import BetaSystem, greedy_expansion, parse_beta, quasi_greedy
-from obstruct.errors import HorizonError, InputError, PrecisionError
+from obstruct.errors import HorizonError, InputError
 from obstruct.quadratic import QuadraticNumber, golden_ratio
 from obstruct.words import word
 
@@ -53,25 +52,24 @@ class TestGreedy:
         assert (e.tail.preperiod, e.tail.period) == (1, 1)
         assert e.digits == (2, 1)
 
-    def test_interval_engine_agrees_with_exact(self):
-        exact = greedy_expansion(Fraction(3, 2), 30).digits
-        interval = greedy_expansion(1.5, 30).digits
-        assert interval == exact
-
-    def test_precision_error_names_index(self):
-        phi_float = (1 + math.sqrt(5)) / 2
-        with pytest.raises(PrecisionError) as info:
-            greedy_expansion(phi_float, 40, precision=24, max_precision=24)
-        assert info.value.index is not None
-
-    def test_precision_recovers_by_doubling(self):
-        phi_float = (1 + math.sqrt(5)) / 2
-        e = greedy_expansion(phi_float, 30, precision=24, max_precision=4096)
-        assert len(e.digits) == 30
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: greedy_expansion(1.5, 30),
+            lambda: greedy_expansion((1 + math.sqrt(5)) / 2, 40),
+            lambda: BetaSystem.from_beta(1.5, horizon=30),
+        ],
+        ids=["greedy-1.5", "greedy-golden", "from_beta-1.5"],
+    )
+    def test_float_beta_refused(self, make):
+        # only exact numbers are expanded; a float's digits are not certified
+        with pytest.raises(InputError, match="exact"):
+            make()
 
     def test_mpf_input(self):
-        e = greedy_expansion(mpmath.mpf("1.5"), 20)
-        assert e.digits == brute_threehalf_digits(20)
+        mpmath = pytest.importorskip("mpmath")
+        with pytest.raises(InputError, match="exact"):
+            greedy_expansion(mpmath.mpf("1.5"), 20)
 
     def test_bad_beta(self):
         with pytest.raises(InputError):

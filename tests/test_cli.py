@@ -330,6 +330,70 @@ def test_cli_import_leaves_sympy_out():
     assert not _cli_imports("sympy")
 
 
+def test_cli_import_leaves_mpmath_out():
+    assert not _cli_imports("mpmath")
+
+
+_WITHOUT_MPMATH = """
+import json, sys
+sys.modules["mpmath"] = None  # any import of mpmath now fails
+from obstruct.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps(codes))
+"""
+
+
+def test_cli_runs_without_mpmath(tmp_path):
+    # the preperiodic `2110 period=2` reaches the power iteration
+    pre = tmp_path / "pre.txt"
+    pre.write_text("period=2\n2110\n")
+    runs = [
+        ["verify", "--beta", "1.5", "--horizon", "60"],
+        ["mme", "--expansion-file", str(pre)],
+    ]
+    argvs = [argv + ["--out", str(tmp_path / str(i))] for i, argv in enumerate(runs)]
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    out = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_MPMATH, json.dumps(argvs)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert json.loads(out.stdout) == [EXIT_PASS, EXIT_PASS]
+    for i, argv in enumerate(runs):
+        name = f"{argv[0]}.json"
+        with open(tmp_path / str(i) / name, encoding="ascii") as fh:
+            isolated = json.load(fh)
+        assert main(argv + ["--out", str(tmp_path / f"here{i}")]) == EXIT_PASS
+        with open(tmp_path / f"here{i}" / name, encoding="ascii") as fh:
+            here = json.load(fh)
+        isolated["config"]["out"] = here["config"]["out"]
+        assert reports_equal(isolated, here)
+
+
+def test_verify_reuses_level_zero_gluing_for_cores(monkeypatch, capsys):
+    # on the beta scheme the cores are level 0: one search per level
+    from obstruct import cli
+
+    calls = []
+    search = cli.min_gluing_time
+    monkeypatch.setattr(
+        cli, "min_gluing_time",
+        lambda *args, **kwargs: calls.append(args) or search(*args, **kwargs),
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        p5 = Path(tmp) / "p5.txt"
+        p5.write_text("period=5\n21001\n")
+        code = main(["verify", "--expansion-file", str(p5), "--depth", "1"])
+    assert code in (EXIT_PASS, EXIT_INCONCLUSIVE)
+    report = json.loads(capsys.readouterr().out)
+    level = report["config"]["level"]
+    assert len(calls) == level + 1
+    checks = {c["name"]: c for c in report["payload"]["checks"]}
+    assert checks["gluing-cores"]["passed"] == checks["gluing-level-0"]["passed"]
+
+
 def test_measure_file_accepted_when_valid(golden_file, tmp_path):
     system = build_system(RunConfig(expansion_file=golden_file))
     measure = parry_measure(system, 12)

@@ -7,6 +7,7 @@ from hypothesis import assume, event, example, given, settings, strategies as st
 
 from obstruct.beta import BetaSystem
 from obstruct.decomposition import (
+    DEFAULT_TUPLE_BUDGET,
     DecompositionScheme,
     SpecificationReport,
     _fill_template,
@@ -386,10 +387,21 @@ class TestObstruction:
         assert abs(est.rate - LOG_PHI) < 0.02
 
     def test_uncertifiable_level_raises(self, golden, golden_scheme):
-        with pytest.raises(SpecificationError):
+        with pytest.raises(SpecificationError, match="no gluing time up to 0"):
             obstruction_entropy_upper(
                 golden, golden_scheme, j=0, n_max=20, tau_max=0, certify_levels=(2,)
             )
+
+    def test_refused_level_says_not_searched(self):
+        # at depth 2 the tuple space of level 0 exceeds the budget, so the
+        # check is refused, not failed
+        system = BetaSystem.from_beta("3")
+        scheme = beta_decomposition(system)
+        with pytest.raises(SpecificationError) as info:
+            obstruction_entropy_upper(system, scheme, j=2, n_max=8)
+        message = str(info.value)
+        assert "not searched:" in message and "no gluing time" not in message
+        assert f"exceed the budget {DEFAULT_TUPLE_BUDGET}" in message
 
 
 def test_coverage_fast_path_matches_enumeration_on_random_systems():

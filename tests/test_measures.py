@@ -2,7 +2,6 @@ import functools
 import math
 from fractions import Fraction
 
-import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -25,8 +24,8 @@ from obstruct.measures import (
     measure_entropy_rate,
     parry_measure,
 )
-from obstruct.perron import POWER_DPS, perron_eigendata
-from obstruct.quadratic import QuadraticNumber
+from obstruct.perron import perron_eigendata
+from obstruct.quadratic import QuadraticNumber, golden_ratio
 from obstruct.suites import positive_mass_count
 from obstruct.words import format_word, word
 from test_automata import presentations
@@ -36,43 +35,53 @@ LOG_PHI = math.log((1 + math.sqrt(5)) / 2)
 
 def per_start_state_masses(system, depth):
     """Reference masses: for each word, a sum over start states s of
-    pi_s r_t / (lam^|u| r_s), with 60-digit arithmetic on float eigendata."""
-    with mpmath.workdps(60):
-        live = system.presentation.essential_part()
-        eigen = perron_eigendata(live)
-        lam, right = eigen.eigenvalue, eigen.right
-        weights = [l * r for l, r in zip(eigen.left, right)]
-        total = sum(weights[1:], weights[0])
-        pi = [w / total for w in weights]
-        table = {}
-        for length in range(depth + 1):
-            lam_pow = lam ** length
-            for u in system.enumerate_language(length, cap=None):
-                acc = None
-                for s in range(live.n_states):
-                    t = live.walk(u, state=s)
-                    if t is None:
-                        continue
-                    term = pi[s] * right[t] / (lam_pow * right[s])
-                    acc = term if acc is None else acc + term
-                if acc is not None:
-                    table[u] = acc if eigen.exact else float(acc)
+    pi_s r_t / (lam^|u| r_s), in exact arithmetic; integer eigendata take
+    lam as the midpoint of the enclosure and give one float per word."""
+    live = system.presentation.essential_part()
+    eigen = perron_eigendata(live)
+    lam = eigen.eigenvalue if eigen.exact else sum(eigen.enclosure) / 2
+    right = eigen.right
+    if not eigen.exact:
+        right = [Fraction(r) for r in right]
+    weights = [l * r for l, r in zip(eigen.left, right)]
+    total = sum(weights[1:], weights[0])
+    pi = [w / total for w in weights]
+    table = {}
+    for length in range(depth + 1):
+        lam_pow = lam ** length
+        for u in system.enumerate_language(length, cap=None):
+            acc = None
+            for s in range(live.n_states):
+                t = live.walk(u, state=s)
+                if t is None:
+                    continue
+                term = pi[s] * right[t] / (lam_pow * right[s])
+                acc = term if acc is None else acc + term
+            if acc is not None:
+                table[u] = acc if eigen.exact else float(acc)
     return table
 
 
 def parry_reference(system, depth):
-    """Reference Parry table: the depth-first pass in POWER_DPS-digit
+    """Reference Parry table: the depth-first pass in 60-digit mpmath
     arithmetic, with v_u[t] and the sum over t rounded at every step and
     one float per cylinder (exact field elements for exact eigendata)."""
+    mpmath = pytest.importorskip("mpmath")
     live = system.presentation.essential_part()
     eigen = perron_eigendata(live, cache=system.perron_cache)
-    lam, right = eigen.eigenvalue, eigen.right
     table = {}
-    with mpmath.workdps(POWER_DPS):
-        scale = [1 / sum(l * r for l, r in zip(eigen.left, right))]
+    with mpmath.workdps(60):
+        if eigen.exact:
+            lam, left, right = eigen.eigenvalue, eigen.left, eigen.right
+        else:
+            mid = sum(eigen.enclosure) / 2
+            lam = mpmath.mpf(mid.numerator) / mid.denominator
+            left = [mpmath.mpf(x) for x in eigen.left]
+            right = [mpmath.mpf(x) for x in eigen.right]
+        scale = [1 / sum(l * r for l, r in zip(left, right))]
         for _ in range(depth):
             scale.append(scale[-1] / lam)
-        stack = [((), dict(enumerate(eigen.left)))]
+        stack = [((), dict(enumerate(left)))]
         while stack:
             u, v = stack.pop()
             mass = sum(w * right[t] for t, w in v.items()) * scale[len(u)]
@@ -350,17 +359,32 @@ class TestParry:
         m = parry_measure(threehalf, 4)
         assert m.provenance.startswith("parry-truncated")
         assert not m.exact
-        # the real eigen-residual, and the gap to beta = 3/2 (about beta^-60)
+        # the Collatz-Wielandt width, and the gap from its lower end to
+        # beta = 3/2 (about beta^-60)
         eigen = perron_eigendata(threehalf.presentation)
-        with mpmath.workdps(60):
-            gap = float(mpmath.mpf(3) / 2 - eigen.eigenvalue)
-        assert 1e-13 < gap < 1e-10 and 0 < eigen.residual < 1e-60
+        lo, hi = eigen.enclosure
+        gap = float(Fraction(3, 2) - lo)
+        assert 1e-13 < gap < 1e-10 and 0 < hi - lo < Fraction(1, 10**70)
+        assert m.meta["enclosure"] == (lo, hi)
         assert m.provenance == (
-            f"parry-truncated(horizon=60, residual={eigen.residual:.3g}, "
+            f"parry-truncated(horizon=60, cw_width={float(hi - lo):.3g}, "
             f"beta_gap={gap:.3g})"
         )
         total = sum(m.table[w] for w in m.words_at(4))
         assert total == pytest.approx(1.0, abs=1e-12)
+
+    def test_quadratic_beta_gap_keeps_its_digits(self):
+        # the golden mean's expansion (10)^infinity cut after 81 digits:
+        # beta - lo (about phi^-81, 1e-17) cancels in a plain float of
+        # a + b sqrt(5)
+        system = BetaSystem.from_expansion((1, 0) * 40 + (1,), beta=golden_ratio())
+        lo = perron_eigendata(system.presentation).enclosure[0]
+        gap = parry_measure(system, 2).provenance.split("beta_gap=")[1][:-1]
+        # sqrt(5) lies between these two rationals, 1e-40 apart
+        s = math.isqrt(5 * 10**80)
+        bounds = [(1 + Fraction(k, 10**40)) / 2 - lo for k in (s, s + 1)]
+        assert f"{float(bounds[0]):.3g}" == gap == f"{float(bounds[1]):.3g}"
+        assert 0 < bounds[0] < 1e-15
 
     @pytest.mark.parametrize("beta", [Fraction(3, 2), Fraction(9, 5)])
     def test_float_masses_match_per_start_state_sum(self, beta):

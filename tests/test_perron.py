@@ -1,6 +1,6 @@
+import time
 from fractions import Fraction
 
-import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,15 +9,19 @@ from obstruct.beta import BetaSystem
 from obstruct.factors import BlockCode, FactorSystem
 from obstruct.measures import parry_measure
 from obstruct.perron import (
+    _eigendata,
     _eigendata_from_factor,
     _exact_eigendata,
+    _fixed_point_data,
     _power_iteration,
     _renewal_eigendata,
+    _sparse,
+    _transpose,
     perron_eigendata,
 )
 from obstruct.quadratic import QuadraticNumber
 
-AGREE = mpmath.mpf("1e-28")
+AGREE = Fraction(1, 10**40)
 
 
 def _renewal_matrix(coeffs):
@@ -31,36 +35,51 @@ def _renewal_matrix(coeffs):
 
 
 def _by_power_iteration(matrix):
-    n = len(matrix)
-    lam, right, _ = _power_iteration(matrix)
-    _, left, _ = _power_iteration([[matrix[j][i] for j in range(n)] for i in range(n)])
-    return lam, right, left
+    rows, cols = _sparse(matrix), _sparse(_transpose(matrix))
+    return _fixed_point_data(rows, cols, _power_iteration(rows), _power_iteration(cols))
 
 
 def _max_gap(u, v):
     """Largest entry gap after scaling each vector to maximum entry 1."""
-    with mpmath.workdps(60):
-        mu, mv = max(u), max(v)
-        return max(abs(a / mu - b / mv) for a, b in zip(u, v))
+    mu, mv = max(u), max(v)
+    return max(abs(Fraction(a, mu) - Fraction(b, mv)) for a, b in zip(u, v))
 
 
 def _assert_agree(data, matrix):
-    lam, right, left = _by_power_iteration(matrix)
-    with mpmath.workdps(60):
-        assert abs(data.eigenvalue - lam) < AGREE
-    assert _max_gap(data.right, right) < AGREE
-    assert _max_gap(data.left, left) < AGREE
+    """The renewal data against the integer power iteration: overlapping
+    enclosures and the same vectors up to scale."""
+    other = _by_power_iteration(matrix)
+    (lo, hi), (lo2, hi2) = data.enclosure, other.enclosure
+    assert lo <= hi2 and lo2 <= hi
+    assert _max_gap(data.right, other.right) < AGREE
+    assert _max_gap(data.left, other.left) < AGREE
 
 
-def _true_residual(matrix, data):
-    with mpmath.workdps(300):
-        return max(
-            abs(sum(a * r for a, r in zip(row, data.right)) - data.eigenvalue * ri)
-            for row, ri in zip(matrix, data.right)
-        )
+def _collatz_wielandt(matrix, data):
+    """The enclosure recomputed from the stored vectors: the tighter of the
+    bounds min/max_i (A r)_i / r_i and min/max_i (A^T l)_i / l_i."""
+    def bounds(rows, v):
+        ratios = [Fraction(sum(a * x for a, x in zip(row, v)), vi)
+                  for row, vi in zip(rows, v)]
+        return min(ratios), max(ratios)
+
+    (a, b), (c, d) = bounds(matrix, data.right), bounds(_transpose(matrix), data.left)
+    return max(a, c), min(b, d)
 
 
-@pytest.mark.parametrize(
+def _brackets_renewal_root(coeffs, lo, hi):
+    """p(lo) <= 0 <= p(hi) exactly for p(x) = x^n - sum_k c_k x^(n-1-k),
+    whose only positive root is the renewal root."""
+    def p(x):
+        f = Fraction(1)
+        for c in coeffs:
+            f = f * x - c
+        return f
+
+    return p(lo) <= 0 <= p(hi)
+
+
+BETA_SYSTEMS = pytest.mark.parametrize(
     "system",
     [
         BetaSystem.from_beta(Fraction(3, 2), horizon=60),
@@ -70,13 +89,37 @@ def _true_residual(matrix, data):
     ],
     ids=["3/2", "9/5", "5/2", "p9"],
 )
+
+
+@BETA_SYSTEMS
 def test_beta_shift_closed_form_matches_power_iteration(system):
     matrix = system.presentation.essential_part().adjacency()
     data = _renewal_eigendata(matrix)
     assert data is not None and not data.exact
-    assert abs(data.right[0] - 1) < 1e-60
+    # r_0 = 1 = l_0 at the root, both in the same unit
+    assert abs(Fraction(data.right[0], data.left[0]) - 1) < Fraction(1, 10**70)
     _assert_agree(data, matrix)
     assert perron_eigendata(system.presentation) == data
+
+
+@BETA_SYSTEMS
+def test_renewal_enclosure_contains_mpmath_root(system):
+    mpmath = pytest.importorskip("mpmath")
+    matrix = system.presentation.essential_part().adjacency()
+    coeffs = [row[0] for row in matrix]
+    lo, hi = _renewal_eigendata(matrix).enclosure
+    assert 0 < hi - lo < Fraction(1, 10**70)
+    assert _brackets_renewal_root(coeffs, lo, hi)
+    with mpmath.workdps(100):
+        # reference: a 100-digit root of sum_k c_k x^(-k-1) = 1 by mpmath's
+        # secant solver from a float start; it is itself good to about 1e-100
+        root = mpmath.findroot(
+            lambda x: sum(c * x ** (-k - 1) for k, c in enumerate(coeffs)) - 1,
+            mpmath.mpf(float(lo)),
+        )
+        slack = mpmath.mpf(10) ** -90
+        assert mpmath.mpf(lo.numerator) / lo.denominator - slack <= root
+        assert root <= mpmath.mpf(hi.numerator) / hi.denominator + slack
 
 
 @given(
@@ -86,26 +129,52 @@ def test_beta_shift_closed_form_matches_power_iteration(system):
 @settings(max_examples=30, deadline=None)
 def test_random_renewal_matrices(head, last):
     # zero c_k, n = 1 and the pure cycle (a single 1) all occur
-    matrix = _renewal_matrix(head + [last])
+    coeffs = head + [last]
+    matrix = _renewal_matrix(coeffs)
     data = _renewal_eigendata(matrix)
     assert data is not None
     _assert_agree(data, matrix)
-    assert data.residual == pytest.approx(float(_true_residual(matrix, data)), rel=1e-6)
-    assert data.residual < 1e-60
+    lo, hi = data.enclosure
+    assert data.enclosure == _collatz_wielandt(matrix, data)
+    assert hi - lo < Fraction(1, 2**200)
+    assert _brackets_renewal_root(coeffs, lo, hi)
+    assert data.eigenvalue == float((lo + hi) / 2)
 
 
 def test_full_shift_is_one_state_renewal():
     data = _renewal_eigendata([[3]])
-    assert data.eigenvalue == 3 and data.right == (1,) and data.left == (1,)
-    assert data.residual == 0
+    assert data.eigenvalue == 3 and data.enclosure == (3, 3)
+    assert len(data.right) == len(data.left) == 1
 
 
-def test_residual_is_the_real_sup_norm(threehalf):
+def test_enclosure_is_the_collatz_wielandt_bound(threehalf):
     matrix = threehalf.presentation.essential_part().adjacency()
     data = _renewal_eigendata(matrix)
-    true = _true_residual(matrix, data)
-    assert true > 0
-    assert data.residual == pytest.approx(float(true), rel=1e-6)
+    lo, hi = data.enclosure
+    assert (lo, hi) == _collatz_wielandt(matrix, data)
+    assert 0 < hi - lo < Fraction(1, 10**70)
+
+
+def test_reducible_repeated_root_is_enclosed():
+    # a Jordan block at the Perron root 2: the iteration converges only
+    # like 1/steps, so it runs to the step cap, but its enclosure is exact
+    start = time.perf_counter()
+    data = _eigendata(REDUCIBLE, 12)
+    assert time.perf_counter() - start < 5
+    lo, hi = data.enclosure
+    assert not data.exact and lo <= 2 <= hi and hi - lo < Fraction(1, 10**4)
+
+
+def test_wide_spread_vector_keeps_its_bits():
+    # a preperiodic wrap after 300 zeros: the Perron vector spreads over
+    # about 300 bits, more than FIXED_BITS, and still converges
+    system = BetaSystem.from_expansion((2,) + (0,) * 300 + (1, 0), period=2)
+    start = time.perf_counter()
+    data = perron_eigendata(system.presentation)
+    assert time.perf_counter() - start < 5
+    lo, hi = data.enclosure
+    assert not data.exact and lo < hi < lo + Fraction(1, 2**192)
+    assert max(data.right).bit_length() - min(data.right).bit_length() > 256
 
 
 @pytest.mark.parametrize(
@@ -124,9 +193,7 @@ def test_residual_is_the_real_sup_norm(threehalf):
 def test_non_renewal_keeps_power_iteration(presentation):
     matrix = presentation.essential_part().adjacency()
     assert _renewal_eigendata(matrix) is None
-    data = perron_eigendata(presentation)
-    lam, right, left = _by_power_iteration(matrix)
-    assert (data.eigenvalue, data.right, data.left) == (lam, tuple(right), tuple(left))
+    assert perron_eigendata(presentation) == _by_power_iteration(matrix)
 
 
 @pytest.mark.parametrize(
