@@ -243,6 +243,7 @@ class BetaSystem:
         self.enumeration_cap = enumeration_cap
         self._core_counts = [1]  # Z_t for t = 0, 1, ...
         self.perron_cache: dict = {}  # see perron.perron_eigendata
+        self._match_moves: dict[int, list] = {}  # see match_moves
         self._check_self_admissible()
         self.presentation = self._build_presentation()
 
@@ -430,32 +431,35 @@ class BetaSystem:
         suffix-match value.
 
         Extends the words one symbol at a time from the empty word at match
-        0, carrying the match through `_advance` (asked once per match
-        value); the cap and the errors are those of `enumerate_language`.
+        0, carrying the match through `match_moves`; the cap and the errors
+        are those of `enumerate_language`.
         """
         check_enumeration_cap(n, self.enumeration_cap)
-        # only a truncated presentation has a marker, and its states are the
-        # matches themselves
-        marker = self.presentation.marker
-        moves: dict[int, list] = {}  # match -> [(symbol, match after it)]
         words = [((), 0)]
         for _ in range(n):
-            longer = []
-            for v, m in words:
-                if m not in moves:
-                    if m == marker:
-                        raise HorizonError(
-                            "enumeration would continue past the stored horizon"
-                        )
-                    moves[m] = []
-                    for a in range(self.alphabet_size):
-                        after = self._advance(m, a)
-                        if after is None:
-                            break
-                        moves[m].append((a, after))
-                longer.extend((v + (a,), after) for a, after in moves[m])
-            words = longer
+            words = [
+                (v + (a,), after) for v, m in words for a, after in self.match_moves(m)
+            ]
         return words
+
+    def match_moves(self, m: int) -> list[tuple[int, int]]:
+        """(symbol, exact match after it) for each symbol readable at exact
+        match m, in increasing symbol order; computed once per m.
+
+        Raises HorizonError at the truncation marker (only a truncated
+        presentation has one, and its states are the matches themselves).
+        """
+        if m not in self._match_moves:
+            if m == self.presentation.marker:
+                raise HorizonError("enumeration would continue past the stored horizon")
+            moves = []
+            for a in range(self.alphabet_size):
+                after = self._advance(m, a)
+                if after is None:
+                    break
+                moves.append((a, after))
+            self._match_moves[m] = moves
+        return self._match_moves[m]
 
     def core_counts(self, n: int) -> list[int]:
         """Z_0..Z_n, where Z_t = #{v in L_t : suffix_match_length(v) = 0}.

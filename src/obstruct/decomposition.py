@@ -99,6 +99,14 @@ class DecompositionScheme:
         """|level-M words of length n|; generic enumeration fallback."""
         return sum(1 for v in self.system.enumerate_language(n) if self.in_level(v, M))
 
+    def level_automaton(self, M: int):
+        """(start, moves, member) when level membership is read off a walk:
+        `moves(state)` lists (symbol, next state) in increasing symbol order
+        for the symbols a word in that state can read next, and a length-n
+        word is in level M exactly when member(its state, n).  None when
+        only the word itself tells (the generic case)."""
+        return None
+
 
 class BetaDecomposition(DecompositionScheme):
     """The split driven by the expansion of 1.
@@ -171,6 +179,10 @@ class BetaDecomposition(DecompositionScheme):
         z = self.system.core_counts(n)
         return sum(z[n - m] for m in range(min(M, n) + 1))
 
+    def level_automaton(self, M: int):
+        # the state is the exact suffix match, the level test m <= M
+        return 0, self.system.match_moves, lambda m, n: m <= M
+
 
 class DegenerateDecomposition(DecompositionScheme):
     """Everything is suffix: core and prefix classes hold only the empty word.
@@ -225,6 +237,17 @@ class DegenerateDecomposition(DecompositionScheme):
 
     def coverage_count(self, M: int, n: int) -> int:
         return self.system.count_language(n) if n <= M else 0
+
+    def level_automaton(self, M: int):
+        # every word of length n <= M, and no longer one, is in level M
+        pres = self.system.presentation
+
+        def moves(s):
+            if s == pres.marker:
+                raise HorizonError("enumeration would continue past the stored horizon")
+            return sorted(pres.delta[s].items())
+
+        return pres.start, moves, lambda s, n: n <= M
 
 
 def _empty_word_class(system, label) -> OrbitCollection:
@@ -509,9 +532,11 @@ def min_gluing_time(
 
     A refused check ends the scan with that one report: the tuple space
     does not depend on the gap, so every later gap would be refused too.
+    The collection's words of each length are listed once for all gaps.
     """
     if tau_max < 0:
         raise InputError("tau_max must be >= 0")
+    collection = collection.memoized()
     reports = []
     for tau in range(tau_max + 1):
         rep = check_specification(

@@ -22,14 +22,27 @@ A truncated system's provenance states the enclosure's width and, when
 beta is exact, the gap beta - lo to the true beta-shift (lo the lower end
 of the enclosure, so the gap bounds beta - rho from above).
 
-A measure indexes its cylinder table by length once (sorted words,
-shared with the table), so per-length queries read a slice of the index
-instead of scanning and sorting the table.
+The Parry mass of [u] depends only on u's weight vector, the sum of l_s
+over the states s whose walk of u ends at each state, which is a function
+of u's transition class on the right-resolving presentation (Parry 1960).
+So the Parry measure is held as mass classes (`MassClasses`): one per
+distinct vector, each with its children, its word count and least word at
+every length, and its mass rounded once.  Cylinder and pattern masses, and
+the checks in `obstruct.suites`, read the classes; the per-word table is
+listed only when it is read (reports, `max_depth_gap`), and is refused
+over MAX_TABLE_CYLINDERS words before any word is listed.  On float data
+a pattern mass is its exact sum rounded once; the word-order float sum of
+its N rounded masses differs from that by at most (N + 1) 2^-53 of the
+mass, to first order (N roundings in the sum, one in the class value).
+A table read from a file has no classes; it is indexed by length once
+(sorted words, shared with the table), so per-length queries read a
+slice of the index.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter, mul
@@ -43,31 +56,223 @@ from .words import Word, format_word, parse_word
 # to n and takes one n-term product sum per deepest-length pair (shorter
 # lengths add; poisoned pairs are found by a closed-form test before any sum)
 MAX_EMPIRICAL_N = 10_000
+# most cylinders a listed table may hold: sum over lengths n <= depth of
+# |L_n|, counted exactly before any word is listed
+MAX_TABLE_CYLINDERS = 1_000_000
+
+
+def extend(layer: dict, moves) -> dict:
+    """The layer one symbol longer: state -> (word count, least word).
+
+    `moves(state)` lists the (symbol, next state) pairs in increasing
+    symbol order.  The states are visited in increasing order of their
+    least words, so the first word to reach a state is its least one.
+    """
+    out: dict = {}
+    for state, (count, word) in sorted(layer.items(), key=lambda e: e[1][1]):
+        for a, nxt in moves(state):
+            entry = out.get(nxt)
+            if entry is None:
+                out[nxt] = (count, word + (a,))
+            else:
+                out[nxt] = (entry[0] + count, entry[1])
+    return out
+
+
+class MassClasses:
+    """The cylinders of a Parry measure, grouped by their weight vectors.
+
+    The vector of a word u is v_u[t] = sum of l_s over the states s whose
+    walk of u ends at t.  The mass of [u] is finish(sum_t v_u[t] r_t, |u|),
+    and the vectors of the words u a follow from v_u alone, so each
+    distinct vector (a class) is numbered once, with its children and its
+    mass at each length.  `layers[n]` maps each class met at length n to
+    its word count and its least word, extended one symbol at a time from
+    the empty word; the words themselves are listed only by `table`.
+    """
+
+    def __init__(self, live, left, right, finish, depth: int):
+        self.depth = depth
+        self._live = live
+        self._right = right
+        self._finish = finish
+        self._vectors: list[dict] = []
+        self._numbers: dict[tuple, int] = {}
+        self._children: dict[int, dict] = {}  # class -> {symbol: class}
+        self._sums: dict[int, object] = {}  # class -> sum_t v[t] r_t
+        self._masses: dict[tuple[int, int], object] = {}
+        self._runs: dict[int, list] = {}  # see runs_descending
+        self._spreads: dict[int, dict] = {}  # see _spread
+        self.root = self._number(dict(enumerate(left)))
+        self.layers = [{self.root: (1, ())}]
+        for _ in range(depth):
+            self.layers.append(extend(self.layers[-1], self.moves))
+        # the cylinder count of the table, without listing it
+        self.cylinders = sum(c for layer in self.layers for c, _ in layer.values())
+
+    def _number(self, v) -> int:
+        key = tuple(sorted(v.items()))
+        if key not in self._numbers:
+            self._numbers[key] = len(self._vectors)
+            self._vectors.append(v)
+        return self._numbers[key]
+
+    def children(self, k: int) -> dict:
+        """symbol -> class of u a, for u in class k, in increasing symbol
+        order; the symbols missing lead off the table (mass 0)."""
+        if k not in self._children:
+            step: dict[int, dict] = {}
+            for s, w in self._vectors[k].items():
+                for a, t in self._live.delta[s].items():
+                    child = step.setdefault(a, {})
+                    child[t] = child[t] + w if t in child else w
+            self._children[k] = {a: self._number(step[a]) for a in sorted(step)}
+        return self._children[k]
+
+    def moves(self, k: int):
+        """(symbol, child class) of class k, in increasing symbol order."""
+        return self.children(k).items()
+
+    def _spread(self, k: int) -> dict:
+        """child class -> number of symbols that lead to it from class k."""
+        if k not in self._spreads:
+            spread: dict[int, int] = {}
+            for child in self.children(k).values():
+                spread[child] = spread.get(child, 0) + 1
+            self._spreads[k] = spread
+        return self._spreads[k]
+
+    def class_of(self, u: Word) -> int | None:
+        """The class of u; None when u is off the table."""
+        k = self.root
+        for a in u:
+            k = self.children(k).get(a)
+            if k is None:
+                return None
+        return k
+
+    def weight(self, k: int):
+        """sum_t v[t] r_t: the unrounded mass of class k, before scaling."""
+        if k not in self._sums:
+            right = self._right
+            self._sums[k] = sum(w * right[t] for t, w in self._vectors[k].items())
+        return self._sums[k]
+
+    def mass(self, k: int | None, n: int):
+        """Mass of the length-n cylinders of class k, rounded once; 0 off
+        the table."""
+        if k is None:
+            return 0
+        if (k, n) not in self._masses:
+            self._masses[k, n] = self._finish(self.weight(k), n)
+        return self._masses[k, n]
+
+    def runs_descending(self, n: int) -> list:
+        """(mass, word count) of the length-n classes, largest mass first."""
+        if n not in self._runs:
+            self._runs[n] = sorted(
+                ((self.mass(k, n), c) for k, (c, _) in self.layers[n].items()),
+                key=lambda run: float(run[0]),
+                reverse=True,
+            )
+        return self._runs[n]
+
+    def pattern_mass(self, template):
+        """Total mass of the words matching a fixed/free position template:
+        the class path counts times the class weights, as one exact sum
+        finished (so rounded, for float data) once; 0 when no word matches."""
+        paths = {self.root: 1}
+        for want in template:
+            nxt: dict[int, int] = {}
+            for k, c in paths.items():
+                if want is None:
+                    for child, symbols in self._spread(k).items():
+                        nxt[child] = nxt.get(child, 0) + c * symbols
+                elif want in self.children(k):
+                    child = self._children[k][want]
+                    nxt[child] = nxt.get(child, 0) + c
+            paths = nxt
+        if not paths:
+            return 0
+        total = sum(c * self.weight(k) for k, c in paths.items())
+        return self._finish(total, len(template))
+
+    def table(self) -> dict:
+        """Every cylinder's mass, listed in lexicographic preorder; refused
+        over MAX_TABLE_CYLINDERS before any word is listed."""
+        _check_table_size(self.cylinders)
+        table = {}
+        stack = [((), self.root)]
+        while stack:
+            u, k = stack.pop()
+            table[u] = self.mass(k, len(u))
+            if len(u) < self.depth:
+                # largest symbol first, so words leave the stack in order
+                stack.extend((u + (a,), c) for a, c in reversed(self.moves(k)))
+        return table
+
+
+def _check_table_size(count: int) -> None:
+    if count > MAX_TABLE_CYLINDERS:
+        raise InputError(
+            f"cylinder table of {count} words exceeds the cap {MAX_TABLE_CYLINDERS}"
+        )
+
+
+class _ClassTable(Mapping):
+    """The cylinder table of mass classes: listed on first use, except its
+    length, which the class word counts give."""
+
+    def __init__(self, classes: MassClasses):
+        self._classes = classes
+        self._table: dict | None = None
+
+    def _listed(self) -> dict:
+        if self._table is None:
+            self._table = self._classes.table()
+        return self._table
+
+    def __len__(self) -> int:
+        return self._classes.cylinders
+
+    def __getitem__(self, u):
+        return self._listed()[u]
+
+    def __iter__(self):
+        return iter(self._listed())
 
 
 @dataclass
 class CylinderMeasure:
-    """Masses of every admissible cylinder up to a fixed depth."""
+    """Masses of every admissible cylinder up to a fixed depth.
+
+    A Parry measure carries its mass classes, which answer `mass` and
+    `pattern_mass` without listing words; its table is listed only when
+    asked for.  A table read or built word by word has no classes.
+    """
 
     alphabet_size: int
     depth: int
-    table: dict
+    table: Mapping
     provenance: str
     exact: bool
     meta: dict = field(default_factory=dict)
-    # length -> the table's words of that length, sorted; built once
-    _by_length: dict = field(init=False, repr=False, compare=False)
+    classes: MassClasses | None = field(default=None, repr=False, compare=False)
+    # length -> the table's words of that length, sorted; built on first use
+    _by_length: dict | None = field(default=None, init=False, repr=False, compare=False)
     # length -> that length's masses, largest first; filled on first use
-    _descending: dict = field(init=False, repr=False, compare=False)
+    _descending: dict = field(default_factory=dict, init=False, repr=False,
+                              compare=False)
 
-    def __post_init__(self):
-        by_length: dict[int, list] = {}
-        for w in self.table:
-            by_length.setdefault(len(w), []).append(w)
-        for words in by_length.values():
-            words.sort()
-        self._by_length = by_length
-        self._descending = {}
+    def _index(self) -> dict:
+        if self._by_length is None:
+            by_length: dict[int, list] = {}
+            for w in self.table:
+                by_length.setdefault(len(w), []).append(w)
+            for words in by_length.values():
+                words.sort()
+            self._by_length = by_length
+        return self._by_length
 
     def mass(self, u: Word):
         """Exact-or-float mass of [u]; inadmissible and unseen words get 0."""
@@ -76,6 +281,8 @@ class CylinderMeasure:
             raise DepthError(
                 f"cylinder depth {len(u)} exceeds measure depth {self.depth}"
             )
+        if self.classes is not None:
+            return self.classes.mass(self.classes.class_of(u), len(u))
         return self.table.get(u, 0)
 
     def mass_float(self, u: Word) -> float:
@@ -86,7 +293,7 @@ class CylinderMeasure:
             raise DepthError(
                 f"length {length} exceeds measure depth {self.depth}"
             )
-        return list(self._by_length.get(length, ()))
+        return list(self._index().get(length, ()))
 
     def masses_descending(self, length: int) -> list:
         """Masses of the length-cylinders, largest first, ties in word order."""
@@ -101,14 +308,17 @@ class CylinderMeasure:
     def pattern_mass(self, template):
         """Total mass of words matching a fixed/free position template.
 
-        Only the fixed positions are compared, and the matching masses are
+        From the mass classes when the measure has them; otherwise only
+        the fixed positions are compared, and the matching masses are
         added in sorted word order.
         """
         if len(template) > self.depth:
             raise DepthError(
                 f"pattern length {len(template)} exceeds measure depth {self.depth}"
             )
-        words = self._by_length.get(len(template), ())
+        if self.classes is not None:
+            return self.classes.pattern_mass(template)
+        words = self._index().get(len(template), ())
         fixed = [i for i, a in enumerate(template) if a is not None]
         if fixed:
             key = itemgetter(*fixed)
@@ -229,7 +439,8 @@ def empirical_mme(system, n: int, depth: int) -> CylinderMeasure:
     is first needed and before any sum, raises the HorizonError the
     per-shift sum raised.  A word costs one walk from each state plus its
     at most depth - 1 tail windows.  n above MAX_EMPIRICAL_N is refused
-    before any counting.
+    before any counting, and a table of more than MAX_TABLE_CYLINDERS
+    words (counted) before any word is listed.
     """
     if depth > n:
         raise InputError("measure depth cannot exceed n")
@@ -237,9 +448,10 @@ def empirical_mme(system, n: int, depth: int) -> CylinderMeasure:
         raise InputError("n must be >= 1")
     if n > MAX_EMPIRICAL_N:
         raise InputError(f"empirical n {n} exceeds the cap {MAX_EMPIRICAL_N}")
+    pres = system.presentation
+    _check_table_size(sum(pres.count_words(k) for k in range(depth + 1)))
     _verify_representative_tails(system)
     tails: dict = {}  # (state, length) -> least tail, for `_tail_prefix`
-    pres = system.presentation
     # rows in increasing order, each counted once; |L_n| is the last one
     state_counts = [pres.state_counts(k) for k in range(n + 1)]
     denom = n * sum(state_counts[n])
@@ -339,10 +551,11 @@ def parry_measure(system, depth: int) -> CylinderMeasure:
 
     With eigenvalue x, right/left vectors r, l on the essential part and
     v_u[t] = sum of l_s over the states s whose walk of u ends at t, the mass
-    of [u] is sum_t v_u[t] r_t / (x^|u| sum_s l_s r_s).  One depth-first pass
-    over the word tree, in lexicographic order, computes every cylinder; the
-    vectors of the children of [u] follow from v_u alone, so each distinct
-    vector's children, and its mass at each length, are computed once.
+    of [u] is sum_t v_u[t] r_t / (x^|u| sum_s l_s r_s).  The vectors of the
+    children of [u] follow from v_u alone, so the words are grouped into
+    mass classes (`MassClasses`), one per distinct vector, with each
+    class's children, word count, least word and mass at each length
+    computed once; the cylinder table is listed only when it is read.
     Exact field arithmetic when the eigenvalue is rational or quadratic.
     Otherwise l and r are the integer vectors L, R of the eigendata (each
     in its own unit, which cancels: the mass is homogeneous of degree 0 in
@@ -389,43 +602,7 @@ def parry_measure(system, depth: int) -> CylinderMeasure:
 
         def finish(acc, n):
             return acc * nums[n] / dens[n]
-    # few distinct vectors occur (31 over the 110 407 cylinders of
-    # `21001 period=5` at depth 12); each is numbered once
-    vectors: list[dict] = []
-    numbers: dict[tuple, int] = {}
-
-    def number(v):
-        key = tuple(sorted(v.items()))
-        if key not in numbers:
-            numbers[key] = len(vectors)
-            vectors.append(v)
-        return numbers[key]
-
-    masses: dict[tuple[int, int], object] = {}
-    children: dict[int, list] = {}
-    table = {}
-    stack = [((), number(dict(enumerate(left))))]
-    while stack:
-        u, k = stack.pop()
-        n = len(u)
-        if (k, n) not in masses:
-            v = vectors[k]
-            masses[k, n] = finish(sum(w * right[t] for t, w in v.items()), n)
-        table[u] = masses[k, n]
-        if n == depth:
-            continue
-        if k not in children:
-            step: dict[int, dict] = {}
-            for s, w in vectors[k].items():
-                for a, t in live.delta[s].items():
-                    child = step.setdefault(a, {})
-                    child[t] = child[t] + w if t in child else w
-            # largest symbol first, so words leave the stack in
-            # lexicographic order and the per-length index finds them sorted
-            children[k] = [
-                (a, number(step[a])) for a in sorted(step, reverse=True)
-            ]
-        stack.extend((u + (a,), c) for a, c in children[k])
+    classes = MassClasses(live, left, right, finish, depth)
     lo, hi = eigen.enclosure
     if system.horizon is None:
         provenance = "parry-exact" if eigen.exact else "parry-numeric"
@@ -437,7 +614,7 @@ def parry_measure(system, depth: int) -> CylinderMeasure:
     return CylinderMeasure(
         alphabet_size=system.alphabet_size,
         depth=depth,
-        table=table,
+        table=_ClassTable(classes),
         provenance=provenance,
         exact=eigen.exact,
         meta={
@@ -445,6 +622,7 @@ def parry_measure(system, depth: int) -> CylinderMeasure:
             "enclosure": eigen.enclosure,
             "exact_eigendata": eigen.exact,
         },
+        classes=classes,
     )
 
 

@@ -68,6 +68,19 @@ class OrbitCollection:
     def __repr__(self):
         return f"OrbitCollection({self.label!r})"
 
+    def memoized(self) -> "OrbitCollection":
+        """The same collection, with the words of each length listed once."""
+        listed: dict = {}
+
+        def at(n):
+            if n not in listed:
+                listed[n] = self._at(n)
+            return listed[n]
+
+        return OrbitCollection(
+            self.system, self.label, at=at, lengths=self.lengths, counter=self._counter
+        )
+
     # -- constructors ----------------------------------------------------------
 
     @classmethod

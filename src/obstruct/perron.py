@@ -89,13 +89,33 @@ def _kernel_vector(rows, one):
     return v
 
 
-def _sparse(matrix):
-    """[(column, entry)] of the nonzero entries of each row."""
-    return [[(j, a) for j, a in enumerate(row) if a] for row in matrix]
+def _adjacency_rows(presentation) -> tuple:
+    """The adjacency matrix as sparse rows: (column, edge count) pairs in
+    increasing column order, one tuple per state; hashable, O(edges)."""
+    rows = []
+    for targets in presentation.delta:
+        counts: dict[int, int] = {}
+        for t in targets.values():
+            counts[t] = counts.get(t, 0) + 1
+        rows.append(tuple(sorted(counts.items())))
+    return tuple(rows)
 
 
-def _transpose(matrix):
-    return [list(col) for col in zip(*matrix)]
+def _columns(rows) -> list:
+    """The sparse rows of the transpose."""
+    cols: list[list] = [[] for _ in rows]
+    for i, row in enumerate(rows):
+        for j, a in row:
+            cols[j].append((i, a))
+    return cols
+
+
+def _dense(rows) -> list[list[int]]:
+    matrix = [[0] * len(rows) for _ in rows]
+    for i, row in enumerate(rows):
+        for j, a in row:
+            matrix[i][j] = a
+    return matrix
 
 
 def _product(rows, v):
@@ -145,7 +165,7 @@ def _power_iteration(rows, max_iter=200_000):
     without end.  The iteration stops once the enclosure of v is narrower
     than 2^-(3/4 FIXED_BITS).
     """
-    shifted = [row + [(i, 1)] for i, row in enumerate(rows)]
+    shifted = [[*row, (i, 1)] for i, row in enumerate(rows)]
     top_row = max(sum(a for _, a in row) for row in shifted)
     spread = max(FIXED_BITS, len(rows) * top_row.bit_length())
     v = [1 << FIXED_BITS] * len(rows)
@@ -190,33 +210,34 @@ def perron_eigendata(
     quadratic, else the renewal closed form when the matrix has that shape,
     else power iteration (see the module docstring).  `cache`, a dict the
     caller owns (one per system), keeps each result under the essential
-    part's adjacency matrix, so callers holding different views of one
+    part's sparse adjacency rows, so callers holding different views of one
     presentation (its live part, its essential part) compute it once.
     """
-    matrix = presentation.essential_part().adjacency()
-    key = (tuple(map(tuple, matrix)), exact_state_limit)
+    rows = _adjacency_rows(presentation.essential_part())
+    key = (rows, exact_state_limit)
     if cache is not None and key in cache:
         return cache[key]
-    data = _eigendata(matrix, exact_state_limit)
+    data = _eigendata(rows, exact_state_limit)
     if cache is not None:
         cache[key] = data
     return data
 
 
-def _eigendata(matrix, exact_state_limit) -> PerronData:
-    n = len(matrix)
-    if n <= exact_state_limit:
-        data = _exact_eigendata(matrix)
+def _eigendata(rows, exact_state_limit) -> PerronData:
+    """Eigendata of the matrix with these sparse rows; a dense copy is
+    built only for the exact path."""
+    if len(rows) <= exact_state_limit:
+        data = _exact_eigendata(_dense(rows))
         if data is not None:
             return data
-    data = _renewal_eigendata(matrix)
+    data = _renewal_eigendata(rows)
     if data is not None:
         return data
-    rows, cols = _sparse(matrix), _sparse(_transpose(matrix))
+    cols = _columns(rows)
     return _fixed_point_data(rows, cols, _power_iteration(rows), _power_iteration(cols))
 
 
-def _renewal_eigendata(matrix) -> PerronData | None:
+def _renewal_eigendata(rows) -> PerronData | None:
     """Closed-form eigendata of a renewal matrix; None for any other matrix.
 
     Row k must be c_k e_0 + e_{k+1} and the last row c_{n-1} e_0 with
@@ -228,11 +249,15 @@ def _renewal_eigendata(matrix) -> PerronData | None:
     2^-shift, and r_k >= c_{n-1} x^(k-n) >= x^-n and l_k >= x^-n give
     every entry at least FIXED_BITS bits.
     """
-    n = len(matrix)
-    coeffs = [row[0] for row in matrix]
-    for k, row in enumerate(matrix):
-        # entries are non-negative, so the sum leaves no other entry
-        if (k + 1 < n and row[k + 1] != 1) or sum(row) != row[0] + (k + 1 < n):
+    n = len(rows)
+    coeffs = []
+    for k, row in enumerate(rows):
+        entries = dict(row)
+        coeffs.append(entries.get(0, 0))
+        # entries are positive, so the sum leaves no other entry
+        if (k + 1 < n and entries.get(k + 1) != 1) or (
+            sum(entries.values()) != coeffs[-1] + (k + 1 < n)
+        ):
             return None
     if not coeffs[-1]:
         return None
@@ -246,12 +271,7 @@ def _renewal_eigendata(matrix) -> PerronData | None:
     left = [1 << shift]
     for _ in range(n - 1):
         left.append((left[-1] << FIXED_BITS) // x)
-    rows = [[(0, c)] if c else [] for c in coeffs]
-    cols = [[(k, c) for k, c in enumerate(coeffs) if c]]
-    for k in range(n - 1):
-        rows[k].append((k + 1, 1))
-        cols.append([(k, 1)])
-    return _fixed_point_data(rows, cols, right, left)
+    return _fixed_point_data(rows, _columns(rows), right, left)
 
 
 def _renewal_start(coeffs) -> int:

@@ -178,14 +178,20 @@ class QuadraticNumber:
     # -- conversions ----------------------------------------------------------
 
     def __floor__(self) -> int:
+        """Exact floor: with a = A/q and b = B/q, floor((A + B sqrt(D)) / q)
+        is floor((A + f) / q) for f = floor(B sqrt(D)), an integer square
+        root (when B sqrt(D) is not an integer, A + B sqrt(D) lies strictly
+        between A + f and A + f + 1, and no multiple of q does)."""
         if self.b == 0:
             return math.floor(self.a)
-        guess = math.floor(float(self))
-        # float rounding can be off by an ulp near an integer; fix up exactly
-        for m in range(guess - 2, guess + 3):
-            if self._cmp(m) >= 0 and self._cmp(m + 1) < 0:
-                return m
-        raise ArithmeticError("floor search failed")  # pragma: no cover
+        q = math.lcm(self.a.denominator, self.b.denominator)
+        A, B = int(self.a * q), int(self.b * q)
+        root = math.isqrt(B * B * self.D)
+        if B >= 0:
+            f = root
+        else:
+            f = -root if root * root == B * B * self.D else -root - 1
+        return (A + f) // q
 
     def __float__(self) -> float:
         return float(self.a) + float(self.b) * math.sqrt(self.D)

@@ -18,8 +18,10 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .automata import check_enumeration_cap
 from .decomposition import min_gluing_time
-from .errors import InputError
+from .errors import DepthError, InputError
+from .measures import extend
 from .orbits import OrbitCollection, count_separated
 from .quadratic import QuadraticNumber
 
@@ -364,29 +366,33 @@ def gibbs_check(
     """Floor for cylinder masses over level-M words: min mass([v]) * beta^n.
 
     Masses of all depth-(n + j) extensions of level-M words are scaled by
-    beta^n; the report carries the minimum, the word attaining it, per-length
-    minima, and any words of zero mass (violations).  The level words come
-    with their end states from `scheme.level_words`, and the depth-j tails
-    are listed once per end state.
+    beta^n; the report carries the minimum, the word attaining it (the
+    least one, on ties), per-length minima, and any words of zero mass
+    (violations).
+
+    On a measure with mass classes and a scheme with a level automaton no
+    word is listed: the length-n words are grouped by (level state, mass
+    class), each group with its least word, the level test is applied at
+    length n and the groups are extended j more symbols.  The minimum is
+    then taken over the classes, visited in the order of their least
+    words, and only the words of a zero-mass class are listed.  Otherwise
+    the level words come with their end states from `scheme.level_words`,
+    and the depth-j tails are listed once per end state.
     """
     beta = _exact_beta(system)
     per_length = {}
     best = None
     violations = []
-    tails = {}
-    for n in n_range:
-        scale = beta ** n
-        level_min = None
-        for v, state in scheme.level_words(M, n):
-            if state not in tails:
-                tails[state] = system.presentation.tails(state, j)
-            for ext in tails[state]:
-                value = _scale_mass(measure.mass(v + ext), scale)
-                if float(value) <= 0:
-                    violations.append(v + ext)
-                    continue
-                if level_min is None or value < level_min[0]:
-                    level_min = (value, v + ext)
+    classes = getattr(measure, "classes", None)
+    automaton = scheme.level_automaton(M) if classes is not None else None
+    if automaton is None:
+        minima = _level_minima_by_words(measure, system, scheme, M, n_range, j, beta)
+    else:
+        minima = _level_minima_by_classes(
+            measure, system, scheme, automaton, M, n_range, j, beta
+        )
+    for n, level_min, zero in minima:
+        violations.extend(zero)
         if level_min is not None:
             per_length[n] = float(level_min[0])
             if best is None or level_min[0] < best[0]:
@@ -402,6 +408,81 @@ def gibbs_check(
         violations=tuple(violations),
         proof_constant=proof_constant,
     )
+
+
+def _level_minima_by_words(measure, system, scheme, M, n_range, j, beta):
+    """(n, (least scaled mass, its word) or None, zero-mass words) per n,
+    over the listed level words and their tails."""
+    tails = {}
+    for n in n_range:
+        scale = beta ** n
+        level_min = None
+        zero = []
+        for v, state in scheme.level_words(M, n):
+            if state not in tails:
+                tails[state] = system.presentation.tails(state, j)
+            for ext in tails[state]:
+                value = _scale_mass(measure.mass(v + ext), scale)
+                if float(value) <= 0:
+                    zero.append(v + ext)
+                    continue
+                if level_min is None or value < level_min[0]:
+                    level_min = (value, v + ext)
+        yield n, level_min, zero
+
+
+def _level_minima_by_classes(measure, system, scheme, automaton, M, n_range, j, beta):
+    """The same as `_level_minima_by_words`, from (level state, class)
+    groups of words; see `gibbs_check`."""
+    classes = measure.classes
+    start, level_moves, member = automaton
+    group_moves: dict = {}
+
+    def moves(group):
+        """(symbol, group after it): a word leaves the table (class None)
+        on a symbol its class has no child for."""
+        if group not in group_moves:
+            state, k = group
+            kids = {} if k is None else classes.children(k)
+            group_moves[group] = [
+                (a, (after, kids.get(a))) for a, after in level_moves(state)
+            ]
+        return group_moves[group]
+
+    layers = [{(start, classes.root): (1, ())}]
+    for n in n_range:
+        check_enumeration_cap(n, system.enumeration_cap)
+        while len(layers) <= n:
+            layers.append(extend(layers[-1], moves))
+        level = {g: e for g, e in layers[n].items() if member(g[0], n)}
+        for _ in range(j):
+            level = extend(level, moves)
+        least: dict = {}  # class -> least word of the level extensions in it
+        for (_, k), (_, w) in level.items():
+            if k not in least or w < least[k]:
+                least[k] = w
+        if least and n + j > measure.depth:
+            raise DepthError(
+                f"cylinder depth {n + j} exceeds measure depth {measure.depth}"
+            )
+        scale = beta ** n
+        level_min = None
+        zero = set()
+        for k, w in sorted(least.items(), key=lambda e: e[1]):
+            value = _scale_mass(classes.mass(k, n + j), scale)
+            if float(value) <= 0:
+                zero.add(k)
+            elif level_min is None or value < level_min[0]:
+                level_min = (value, w)
+        words = []
+        if zero:
+            words = [
+                v + ext
+                for v, state in scheme.level_words(M, n)
+                for ext in system.presentation.tails(state, j)
+                if classes.class_of(v + ext) in zero
+            ]
+        yield n, level_min, words
 
 
 def mass_floor_over_words(measure, system, words_by_length: dict, j: int = 0):
@@ -469,19 +550,62 @@ def positive_mass_count(measure, gamma, n: int) -> int:
     Greedy accumulation in descending mass order attains the minimum for
     this objective exactly.
     """
-    gamma = Fraction(gamma) if not isinstance(gamma, float) else gamma
+    gamma = Fraction(gamma)  # exact, also for a float gamma
     if not 0 < float(gamma) < 1:
         raise InputError("gamma must lie strictly between 0 and 1")
-    masses = measure.masses_descending(n)
     # g is the float nearest gamma, so a float sum other than g lies on the
     # same side of gamma as of g; only acc == g needs the exact comparison
     g = float(gamma)
+    classes = getattr(measure, "classes", None)
+    if classes is not None:
+        count = _positive_mass_count_by_classes(measure, gamma, g, n)
+        if count is not None:
+            return count
+    masses = measure.masses_descending(n)
     acc = None
     for count, m in enumerate(masses, start=1):
         acc = m if acc is None else acc + m
         if acc > g if type(acc) is float and acc != g else acc >= gamma:
             return count
     return len(masses)
+
+
+def _positive_mass_count_by_classes(measure, gamma, g, n: int) -> int | None:
+    """`positive_mass_count` over the length-n mass classes, largest mass
+    first, each taken with its word count.
+
+    Float masses are added one word at a time, as the per-word pass adds
+    them (a class holds equal masses, so the order inside a run of equal
+    floats does not matter).  An exact class is taken whole, or up to the
+    least t with acc + t m >= gamma.  None when two exact classes have
+    the same float key but different masses: the per-word pass orders
+    such ties by word, which the classes do not record.
+    """
+    if n > measure.depth:
+        raise DepthError(f"length {n} exceeds measure depth {measure.depth}")
+    runs = measure.classes.runs_descending(n)
+    if any(float(a) == float(b) and a != b for (a, _), (b, _) in zip(runs, runs[1:])):
+        return None
+    acc, count = None, 0
+    for m, c in runs:
+        if type(m) is float:
+            start = 0
+            if acc is None:
+                acc, start = m, 1
+                if acc > g or acc == g and acc >= gamma:
+                    return 1
+            for i in range(start, c):
+                acc += m
+                if acc >= g and (acc > g or acc >= gamma):
+                    return count + i + 1
+            count += c
+            continue
+        base = 0 if acc is None else acc
+        need = -math.floor((base - gamma) / m)  # least t with base + t m >= gamma
+        if need <= c:
+            return count + need
+        acc, count = base + c * m, count + c
+    return count
 
 
 def mixing_liminf_probe(measure, u_words, v_words, m_range) -> dict:

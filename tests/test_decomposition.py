@@ -28,6 +28,7 @@ from obstruct.errors import (
     InputError,
     SpecificationError,
 )
+from obstruct.factors import BlockCode, induced_decomposition
 from obstruct.orbits import OrbitCollection, count_separated
 from obstruct.quadratic import golden_ratio
 from obstruct.words import word
@@ -568,3 +569,36 @@ def test_degenerate_empty_word_classes_match_predicates(golden):
                 assert closed.at(n) == literal.at(n) == ()
                 for j in range(3):
                     assert count_separated(closed, n, j) == 0
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: (BetaSystem.full_shift(2), BlockCode(
+            3, {b: int(sum(b) >= 2) for b in itertools.product((0, 1), repeat=3)}, 2
+        )),
+        lambda: (BetaSystem.golden_mean(), BlockCode.xor()),
+    ],
+    ids=["maj3", "xor"],
+)
+def test_induced_level_listed_once_per_gluing_search(make):
+    # the induced level class has no counter: each gap used to list it to
+    # count its tuples and again for the pool
+    system, code = make()
+    induced = induced_decomposition(system, code, beta_decomposition(system))
+    collection = induced.level_collection(2)
+    listed = []
+    at = collection._at
+    collection._at = lambda n: listed.append(n) or at(n)
+    lengths = range(1, 5)
+    result = min_gluing_time(
+        induced.factor, collection, j=0, tau_max=6, lengths=lengths
+    )
+    assert sorted(listed) == list(lengths)
+    # the same reports as one unmemoised check per gap
+    collection._at = at
+    for tau, report in enumerate(result.reports):
+        assert report == check_specification(
+            induced.factor, collection, 0, tau, lengths=lengths
+        )
+    assert result.tau == 2

@@ -33,10 +33,11 @@ from test_automata import presentations
 LOG_PHI = math.log((1 + math.sqrt(5)) / 2)
 
 
-def per_start_state_masses(system, depth):
+def per_start_state_masses(system, depth, rounded=True):
     """Reference masses: for each word, a sum over start states s of
     pi_s r_t / (lam^|u| r_s), in exact arithmetic; integer eigendata take
-    lam as the midpoint of the enclosure and give one float per word."""
+    lam as the midpoint of the enclosure and give one float per word, or
+    the exact rational when `rounded` is false."""
     live = system.presentation.essential_part()
     eigen = perron_eigendata(live)
     lam = eigen.eigenvalue if eigen.exact else sum(eigen.enclosure) / 2
@@ -58,7 +59,7 @@ def per_start_state_masses(system, depth):
                 term = pi[s] * right[t] / (lam_pow * right[s])
                 acc = term if acc is None else acc + term
             if acc is not None:
-                table[u] = acc if eigen.exact else float(acc)
+                table[u] = acc if eigen.exact or not rounded else float(acc)
     return table
 
 
@@ -561,11 +562,14 @@ def naive_words_at(m, length):
 
 
 def naive_pattern_mass(m, template):
+    """The matching masses added in word order; for a Parry measure with
+    float masses, the exact sum of the unrounded masses, rounded once."""
+    exact = _UNROUNDED.get(id(m))
     total = 0
     for w in naive_words_at(m, len(template)):
         if all(t is None or t == a for t, a in zip(template, w)):
-            total = total + m.table[w]
-    return total
+            total = total + (m.table[w] if exact is None else exact[w])
+    return total if exact is None or total == 0 else float(total)
 
 
 def naive_positive_mass_count(m, gamma, n):
@@ -580,13 +584,17 @@ def naive_positive_mass_count(m, gamma, n):
     return len(masses)
 
 
-_INDEX_MEASURES = {
-    "golden": lambda: parry_measure(BetaSystem.golden_mean(), 6),
-    "full2": lambda: parry_measure(BetaSystem.full_shift(2), 5),
-    "p5": lambda: parry_measure(ORACLE_SYSTEMS["p5"](), 6),
-    "2.5@20": lambda: parry_measure(BetaSystem.from_beta("2.5", horizon=20), 5),
-    "empirical": lambda: empirical_mme(ORACLE_SYSTEMS["p5"](), 30, 4),
+# name -> (system, Parry measure depth); "empirical" is an empirical measure
+_INDEX_PARRY = {
+    "golden": (BetaSystem.golden_mean, 6),
+    "full2": (lambda: BetaSystem.full_shift(2), 5),
+    "p5": (ORACLE_SYSTEMS["p5"], 6),
+    "2.5@20": (lambda: BetaSystem.from_beta("2.5", horizon=20), 5),
 }
+_INDEX_MEASURES = sorted(_INDEX_PARRY) + ["empirical"]
+# id of a float Parry measure -> its unrounded masses: its pattern masses
+# are one rounding of their exact sum
+_UNROUNDED: dict = {}
 
 
 @st.composite
@@ -614,11 +622,17 @@ def _json_measures(draw):
 
 @functools.lru_cache(maxsize=None)
 def _index_measure(name):
-    return _INDEX_MEASURES[name]()
+    if name == "empirical":
+        return empirical_mme(ORACLE_SYSTEMS["p5"](), 30, 4)
+    make, depth = _INDEX_PARRY[name]
+    m = parry_measure(make(), depth)
+    if not m.exact:
+        _UNROUNDED[id(m)] = per_start_state_masses(make(), depth, rounded=False)
+    return m
 
 
 _MEASURES = st.one_of(
-    st.sampled_from(sorted(_INDEX_MEASURES)).map(_index_measure),
+    st.sampled_from(_INDEX_MEASURES).map(_index_measure),
     _json_measures(),
 )
 

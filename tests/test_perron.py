@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from obstruct import perron
+from obstruct.automata import Presentation
 from obstruct.beta import BetaSystem
 from obstruct.factors import BlockCode, FactorSystem
 from obstruct.measures import parry_measure
@@ -15,13 +16,20 @@ from obstruct.perron import (
     _fixed_point_data,
     _power_iteration,
     _renewal_eigendata,
-    _sparse,
-    _transpose,
     perron_eigendata,
 )
 from obstruct.quadratic import QuadraticNumber
 
 AGREE = Fraction(1, 10**40)
+
+
+def _sparse(matrix):
+    """[(column, entry)] of the nonzero entries of each row."""
+    return [[(j, a) for j, a in enumerate(row) if a] for row in matrix]
+
+
+def _transpose(matrix):
+    return [list(col) for col in zip(*matrix)]
 
 
 def _renewal_matrix(coeffs):
@@ -94,7 +102,7 @@ BETA_SYSTEMS = pytest.mark.parametrize(
 @BETA_SYSTEMS
 def test_beta_shift_closed_form_matches_power_iteration(system):
     matrix = system.presentation.essential_part().adjacency()
-    data = _renewal_eigendata(matrix)
+    data = _renewal_eigendata(_sparse(matrix))
     assert data is not None and not data.exact
     # r_0 = 1 = l_0 at the root, both in the same unit
     assert abs(Fraction(data.right[0], data.left[0]) - 1) < Fraction(1, 10**70)
@@ -107,7 +115,7 @@ def test_renewal_enclosure_contains_mpmath_root(system):
     mpmath = pytest.importorskip("mpmath")
     matrix = system.presentation.essential_part().adjacency()
     coeffs = [row[0] for row in matrix]
-    lo, hi = _renewal_eigendata(matrix).enclosure
+    lo, hi = _renewal_eigendata(_sparse(matrix)).enclosure
     assert 0 < hi - lo < Fraction(1, 10**70)
     assert _brackets_renewal_root(coeffs, lo, hi)
     with mpmath.workdps(100):
@@ -131,7 +139,7 @@ def test_random_renewal_matrices(head, last):
     # zero c_k, n = 1 and the pure cycle (a single 1) all occur
     coeffs = head + [last]
     matrix = _renewal_matrix(coeffs)
-    data = _renewal_eigendata(matrix)
+    data = _renewal_eigendata(_sparse(matrix))
     assert data is not None
     _assert_agree(data, matrix)
     lo, hi = data.enclosure
@@ -142,14 +150,14 @@ def test_random_renewal_matrices(head, last):
 
 
 def test_full_shift_is_one_state_renewal():
-    data = _renewal_eigendata([[3]])
+    data = _renewal_eigendata(_sparse([[3]]))
     assert data.eigenvalue == 3 and data.enclosure == (3, 3)
     assert len(data.right) == len(data.left) == 1
 
 
 def test_enclosure_is_the_collatz_wielandt_bound(threehalf):
     matrix = threehalf.presentation.essential_part().adjacency()
-    data = _renewal_eigendata(matrix)
+    data = _renewal_eigendata(_sparse(matrix))
     lo, hi = data.enclosure
     assert (lo, hi) == _collatz_wielandt(matrix, data)
     assert 0 < hi - lo < Fraction(1, 10**70)
@@ -159,7 +167,7 @@ def test_reducible_repeated_root_is_enclosed():
     # a Jordan block at the Perron root 2: the iteration converges only
     # like 1/steps, so it runs to the step cap, but its enclosure is exact
     start = time.perf_counter()
-    data = _eigendata(REDUCIBLE, 12)
+    data = _eigendata(_sparse(REDUCIBLE), 12)
     assert time.perf_counter() - start < 5
     lo, hi = data.enclosure
     assert not data.exact and lo <= 2 <= hi and hi - lo < Fraction(1, 10**4)
@@ -192,8 +200,76 @@ def test_wide_spread_vector_keeps_its_bits():
 )
 def test_non_renewal_keeps_power_iteration(presentation):
     matrix = presentation.essential_part().adjacency()
-    assert _renewal_eigendata(matrix) is None
+    assert _renewal_eigendata(_sparse(matrix)) is None
     assert perron_eigendata(presentation) == _by_power_iteration(matrix)
+
+
+def _presentation(matrix):
+    """A presentation with this adjacency matrix: the edges out of each
+    state labelled 0, 1, ... in column order."""
+    edges = []
+    for i, row in enumerate(matrix):
+        targets = [j for j, a in enumerate(row) for _ in range(a)]
+        edges += [(i, label, j) for label, j in enumerate(targets)]
+    alphabet = max(sum(row) for row in matrix)
+    return Presentation(len(matrix), alphabet, edges)
+
+
+def _dense_dispatch(matrix):
+    """The three paths tried in order on the dense matrix."""
+    if len(matrix) <= perron.EXACT_STATE_LIMIT:
+        data = _exact_eigendata(matrix)
+        if data is not None:
+            return data
+    return _renewal_eigendata(_sparse(matrix)) or _by_power_iteration(matrix)
+
+
+def _assert_keyed_on_sparse_rows(presentation):
+    cache = {}
+    data = perron_eigendata(presentation, cache=cache)
+    matrix = presentation.essential_part().adjacency()
+    key = (tuple(map(tuple, _sparse(matrix))), perron.EXACT_STATE_LIMIT)
+    assert list(cache) == [key]
+    assert data == _dense_dispatch(matrix)
+    assert perron_eigendata(presentation, cache=cache) is data
+
+
+@given(
+    st.lists(st.integers(min_value=0, max_value=3), min_size=0, max_size=6),
+    st.integers(min_value=1, max_value=3),
+)
+@settings(max_examples=30, deadline=None)
+def test_random_renewal_matrices_keyed_on_sparse_rows(head, last):
+    _assert_keyed_on_sparse_rows(_presentation(_renewal_matrix(head + [last])))
+
+
+@pytest.mark.parametrize(
+    "presentation",
+    [
+        BetaSystem.from_expansion((2, 1, 1, 0), period=2).presentation,
+        FactorSystem(
+            BetaSystem.from_expansion((1, 1, 0, 1, 0, 0, 1, 0, 0), period=9),
+            BlockCode.xor(),
+        ).presentation,
+        # x^3 - 2x^2 + x - 1: no rational or quadratic factor
+        _presentation([[1, 1, 0], [0, 1, 1], [1, 0, 0]]),
+    ],
+    ids=["preperiodic", "factor", "3x3"],
+)
+def test_non_renewal_matrices_keyed_on_sparse_rows(presentation):
+    _assert_keyed_on_sparse_rows(presentation)
+
+
+def test_dense_matrix_only_for_the_exact_path(monkeypatch):
+    # 301 states: the renewal path reads the sparse rows alone
+    def refuse(rows):
+        raise AssertionError(f"dense copy of {len(rows)} states")
+
+    system = BetaSystem.from_beta(Fraction(3, 2), horizon=300)
+    matrix = system.presentation.essential_part().adjacency()
+    expected = _renewal_eigendata(_sparse(matrix))
+    monkeypatch.setattr(perron, "_dense", refuse)
+    assert perron_eigendata(system.presentation) == expected
 
 
 @pytest.mark.parametrize(
@@ -206,7 +282,7 @@ def test_non_renewal_keeps_power_iteration(presentation):
     ],
 )
 def test_other_shapes_are_not_renewal(matrix):
-    assert _renewal_eigendata(matrix) is None
+    assert _renewal_eigendata(_sparse(matrix)) is None
 
 
 @pytest.mark.parametrize(

@@ -78,3 +78,26 @@ def test_exact_floor_on_rationals():
     assert exact_floor(5) == 5
     with pytest.raises(TypeError):
         exact_floor(1.5)
+
+
+@given(
+    st.integers(min_value=-10**40, max_value=10**40),
+    st.integers(min_value=-10**40, max_value=10**40),
+    st.integers(min_value=1, max_value=10**6),
+    st.sampled_from([2, 3, 4, 5, 8, 12]),
+)
+def test_floor_is_exact_with_huge_coefficients(a, b, q, D):
+    # far past float precision, and D = 4, 8, 12 are not square-free
+    x = QuadraticNumber(Fraction(a, q), Fraction(b, q), D)
+    m = math.floor(x)
+    assert m <= x < m + 1
+
+
+def test_sqrt5_expansion_past_float_precision():
+    # the remainders' coefficients outgrow a float guess near digit 46
+    from obstruct.beta import BetaSystem
+
+    long = BetaSystem.from_beta(QuadraticNumber.sqrt(5), horizon=50)
+    short = BetaSystem.from_beta(QuadraticNumber.sqrt(5), horizon=45)
+    assert len(long.expansion.digits) == 50
+    assert long.expansion.digits[:45] == short.expansion.digits
