@@ -9,7 +9,7 @@ shared temporary directory that holds the benchmark's input files, so `@name`
 arguments and the echoed config agree between the two runs.  Without
 `--cmd` the command list is the operations of `perfbench/workloads.py`
 (read from this checkout), less the library count sweep; `--cmd` may be
-repeated, and `--with-workloads` runs both lists.
+repeated.
 
 Every field outside `meta` that differs is printed as `path: old -> new`,
 with the exit codes and, when a side prints no report, its stderr.  The
@@ -77,14 +77,12 @@ def main(argv=None) -> int:
     parser.add_argument("new", type=Path, help="root of the second source tree")
     parser.add_argument("--cmd", action="append", default=[],
                         help="one CLI command, e.g. 'verify --beta 2'")
-    parser.add_argument("--with-workloads", action="store_true",
-                        help="run the benchmark operations as well as --cmd")
     args = parser.parse_args(argv)
     workloads = load_workloads()
-    ops = list(args.cmd)
-    if not ops or args.with_workloads:
-        ops += [op for name in workloads.WORKLOADS for op in workloads.WORKLOADS[name]
-                if op != workloads.SWEEP]
+    ops = args.cmd or [
+        op for name in workloads.WORKLOADS for op in workloads.WORKLOADS[name]
+        if op != workloads.SWEEP
+    ]
     same = True
     with tempfile.TemporaryDirectory() as tmp:
         inputs = Path(tmp)

@@ -172,7 +172,7 @@ class MassClasses:
         if n not in self._runs:
             self._runs[n] = sorted(
                 ((self.mass(k, n), c) for k, (c, _) in self.layers[n].items()),
-                key=lambda run: float(run[0]),
+                key=lambda run: descending_key(run[0]),
                 reverse=True,
             )
         return self._runs[n]
@@ -210,6 +210,12 @@ class MassClasses:
                 # largest symbol first, so words leave the stack in order
                 stack.extend((u + (a,), c) for a, c in reversed(self.moves(k)))
         return table
+
+
+def descending_key(m):
+    """Sort key of a mass, exact for exact masses: the float first, so
+    the exact value is compared only between masses of equal float."""
+    return float(m), m
 
 
 def _check_table_size(count: int) -> None:
@@ -296,11 +302,12 @@ class CylinderMeasure:
         return list(self._index().get(length, ()))
 
     def masses_descending(self, length: int) -> list:
-        """Masses of the length-cylinders, largest first, ties in word order."""
+        """Masses of the length-cylinders, largest first (exactly, see
+        `descending_key`), equal masses in word order."""
         if length not in self._descending:
             self._descending[length] = sorted(
                 (self.table[w] for w in self.words_at(length)),
-                key=float,
+                key=descending_key,
                 reverse=True,
             )
         return self._descending[length]

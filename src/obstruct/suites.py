@@ -21,7 +21,7 @@ from fractions import Fraction
 from .automata import check_enumeration_cap
 from .decomposition import min_gluing_time
 from .errors import DepthError, InputError
-from .measures import extend
+from .measures import MAX_TABLE_CYLINDERS, extend
 from .orbits import OrbitCollection, count_separated
 from .quadratic import QuadraticNumber
 
@@ -556,11 +556,8 @@ def positive_mass_count(measure, gamma, n: int) -> int:
     # g is the float nearest gamma, so a float sum other than g lies on the
     # same side of gamma as of g; only acc == g needs the exact comparison
     g = float(gamma)
-    classes = getattr(measure, "classes", None)
-    if classes is not None:
-        count = _positive_mass_count_by_classes(measure, gamma, g, n)
-        if count is not None:
-            return count
+    if getattr(measure, "classes", None) is not None:
+        return _positive_mass_count_by_classes(measure, gamma, g, n)
     masses = measure.masses_descending(n)
     acc = None
     for count, m in enumerate(masses, start=1):
@@ -570,22 +567,26 @@ def positive_mass_count(measure, gamma, n: int) -> int:
     return len(masses)
 
 
-def _positive_mass_count_by_classes(measure, gamma, g, n: int) -> int | None:
+def _positive_mass_count_by_classes(measure, gamma, g, n: int) -> int:
     """`positive_mass_count` over the length-n mass classes, largest mass
     first, each taken with its word count.
 
     Float masses are added one word at a time, as the per-word pass adds
     them (a class holds equal masses, so the order inside a run of equal
-    floats does not matter).  An exact class is taken whole, or up to the
-    least t with acc + t m >= gamma.  None when two exact classes have
-    the same float key but different masses: the per-word pass orders
-    such ties by word, which the classes do not record.
+    floats does not matter); a layer of more than MAX_TABLE_CYLINDERS
+    float-mass words is refused before any addition, as its table would
+    be.  An exact class is taken whole, or up to the least t with
+    acc + t m >= gamma.
     """
     if n > measure.depth:
         raise DepthError(f"length {n} exceeds measure depth {measure.depth}")
     runs = measure.classes.runs_descending(n)
-    if any(float(a) == float(b) and a != b for (a, _), (b, _) in zip(runs, runs[1:])):
-        return None
+    float_words = sum(c for m, c in runs if type(m) is float)
+    if float_words > MAX_TABLE_CYLINDERS:
+        raise InputError(
+            f"positive-mass count over {float_words} float masses at length {n} "
+            f"exceeds the cap {MAX_TABLE_CYLINDERS}"
+        )
     acc, count = None, 0
     for m, c in runs:
         if type(m) is float:

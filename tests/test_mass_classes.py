@@ -264,25 +264,19 @@ def test_mme_over_budget_exits_at_once(beta, monkeypatch, capsys):
     assert "cap" in capsys.readouterr().err
 
 
-class _TiedClasses:
-    """Two exact classes whose masses round to the same float."""
-
-    masses = {0: Fraction(1, 7), 1: Fraction(1, 7) + Fraction(1, 2 ** 70)}
-
-    def runs_descending(self, n):
-        return [(self.masses[0], 2), (self.masses[1], 3)]
-
-
-class _TiedMeasure:
-    depth, exact, classes = 1, True, _TiedClasses()
-
-    def masses_descending(self, n):
-        # the per-word order: ties in word order
-        m = _TiedClasses.masses
-        return [m[0], m[1], m[0], m[1], m[1]]
+def test_exact_masses_with_equal_floats_sort_exactly():
+    # m0 < m1 round to the same float; descending order puts every m1 first,
+    # so two words reach m0 + m1 (word order would take 2 m0 < m0 + m1 first)
+    m0, m1 = Fraction(1, 7), Fraction(1, 7) + Fraction(1, 2 ** 70)
+    assert float(m0) == float(m1)
+    masses = {(0,): m0, (1,): m0, (2,): m1, (3,): m1, (4,): m1}
+    m = CylinderMeasure(5, 1, {(): 1, **masses}, "test", exact=True)
+    assert m.masses_descending(1) == [m1, m1, m1, m0, m0]
+    assert positive_mass_count(m, m0 + m1, 1) == 2
 
 
-def test_float_ties_between_exact_classes_take_the_word_order():
-    # in word order two masses reach m0 + m1; class by class, 2 m0 does not
-    m0, m1 = _TiedClasses.masses[0], _TiedClasses.masses[1]
-    assert positive_mass_count(_TiedMeasure(), m0 + m1, 1) == 2
+def test_float_positive_mass_count_over_budget_exits_at_once(capsys):
+    # beta 50.5 is truncated, so its masses are floats; the depth-10 layer
+    # holds about 10^17 words, which are refused before any is added
+    assert main(["verify", "--beta", "50.5"]) == EXIT_INPUT
+    assert "exceeds the cap" in capsys.readouterr().err

@@ -573,9 +573,7 @@ def naive_pattern_mass(m, template):
 
 
 def naive_positive_mass_count(m, gamma, n):
-    masses = sorted(
-        (m.table[w] for w in naive_words_at(m, n)), key=float, reverse=True
-    )
+    masses = sorted((m.table[w] for w in naive_words_at(m, n)), reverse=True)
     acc = None
     for count, mass in enumerate(masses, start=1):
         acc = mass if acc is None else acc + mass
