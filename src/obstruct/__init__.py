@@ -13,9 +13,7 @@ from .decomposition import (
     degenerate_decomposition,
     filtration_coverage,
     min_gluing_time,
-    obstruction_entropy_profile,
     obstruction_entropy_upper,
-    split,
     zero_padding_to_core,
 )
 from .factors import (
@@ -41,7 +39,6 @@ from .orbits import (
     EntropyEstimate,
     OrbitCollection,
     count_separated,
-    lower_entropy,
     upper_entropy,
 )
 from .perron import PerronData, perron_eigendata

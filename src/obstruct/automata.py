@@ -325,9 +325,15 @@ class Presentation:
         return m
 
     def live_part(self) -> "Presentation":
-        """Copy without the marker state and its incoming edges."""
+        """Copy without the marker state and its incoming edges.
+
+        HorizonError when the start state is the marker: nothing of the
+        language is stored.
+        """
         if self.marker is None:
             return self
+        if self.start == self.marker:
+            raise HorizonError("the start state is the truncation marker")
         keep = [s for s in range(self.n_states) if s != self.marker]
         index = {s: i for i, s in enumerate(keep)}
         edges = [

@@ -100,12 +100,21 @@ class DecompositionScheme:
         return sum(1 for v in self.system.enumerate_language(n) if self.in_level(v, M))
 
     def level_automaton(self, M: int):
-        """(start, moves, member) when level membership is read off a walk:
-        `moves(state)` lists (symbol, next state) in increasing symbol order
-        for the symbols a word in that state can read next, and a length-n
-        word is in level M exactly when member(its state, n).  None when
-        only the word itself tells (the generic case)."""
-        return None
+        """(start, moves, member): `moves(state)` lists (symbol, next state)
+        in increasing symbol order for the symbols a word in that state can
+        read next, and a length-n word is in level M exactly when
+        member(its state, n).  Generically the state carries the word
+        itself, (word, presentation state), and member is `in_level`;
+        schemes whose level is read off a walk install a finite one."""
+        pres = self.system.presentation
+
+        def moves(state):
+            v, s = state
+            if s == pres.marker:
+                raise HorizonError("enumeration would continue past the stored horizon")
+            return [(a, (v + (a,), t)) for a, t in sorted(pres.delta[s].items())]
+
+        return ((), pres.start), moves, lambda state, n: self.in_level(state[0], M)
 
 
 class BetaDecomposition(DecompositionScheme):
@@ -267,11 +276,6 @@ def beta_decomposition(system) -> BetaDecomposition:
 
 def degenerate_decomposition(system) -> DegenerateDecomposition:
     return DegenerateDecomposition(system)
-
-
-def split(scheme: DecompositionScheme, v: Word) -> tuple[int, int, int]:
-    """The (prefix, core, suffix) lengths of v under the scheme."""
-    return scheme.split(v)
 
 
 def zero_padding_to_core(system, v: Word, k_max: int = 64) -> int:
@@ -582,16 +586,3 @@ def obstruction_entropy_upper(
             )
     return upper_entropy(scheme.boundary(), j, n_max)
 
-
-def obstruction_entropy_profile(
-    system, scheme: DecompositionScheme, depths, n_max: int, **kwargs
-) -> dict:
-    """Fixed-scale obstruction bounds over a range of depths.
-
-    The scale-free quantity is the limit of these values as the depth
-    grows; the profile makes the (here: flat) dependence inspectable.
-    """
-    return {
-        j: obstruction_entropy_upper(system, scheme, j, n_max, **kwargs)
-        for j in depths
-    }

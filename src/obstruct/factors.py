@@ -37,6 +37,9 @@ from .words import EMPTY, Word, format_word, parse_word
 
 PAIR_STATE_CAP = 20_000
 SUBSET_STATE_CAP = 50_000
+# blocks in each concatenation of the separated core pair that is checked
+# literally, in all 2^M_VERIFY orders
+M_VERIFY = 3
 
 
 @dataclass(frozen=True)
@@ -376,7 +379,6 @@ def factor_entropy_positive(
     code: BlockCode,
     j: int = 0,
     lengths=None,
-    m_verify: int = 3,
     source_scheme=None,
 ) -> FactorEntropyReport:
     """Search for two equal-length good cores with images split at depth j.
@@ -384,7 +386,7 @@ def factor_entropy_positive(
     A found pair (v1, v2) of length n gives, by free concatenation of good
     cores, at least 2^m image words of length n*m that are pairwise
     (n*m, 2^-j)-separated, hence an image growth bound of log(2)/n; the
-    certificate is verified literally for m = m_verify.  When every length
+    certificate is verified literally for m = M_VERIFY.  When every length
     in the searched range is exhausted without a pair, the image cannot be
     separated at this scale by this search; a budget stop instead returns
     an explicitly inconclusive verdict.
@@ -427,7 +429,7 @@ def factor_entropy_positive(
             if len(by_prefix) >= 2:
                 (v1, v2) = [by_prefix[key] for key in sorted(by_prefix)[:2]]
                 count = _verify_free_concatenation(
-                    system, code, (v1, v2), n, j, m_verify
+                    system, code, (v1, v2), n, j, M_VERIFY
                 )
                 return FactorEntropyReport(
                     verdict="positive-entropy",

@@ -22,21 +22,23 @@ A truncated system's provenance states the enclosure's width and, when
 beta is exact, the gap beta - lo to the true beta-shift (lo the lower end
 of the enclosure, so the gap bounds beta - rho from above).
 
-The Parry mass of [u] depends only on u's weight vector, the sum of l_s
-over the states s whose walk of u ends at each state, which is a function
-of u's transition class on the right-resolving presentation (Parry 1960).
-So the Parry measure is held as mass classes (`MassClasses`): one per
-distinct vector, each with its children, its word count and least word at
-every length, and its mass rounded once.  Cylinder and pattern masses, and
-the checks in `obstruct.suites`, read the classes; the per-word table is
-listed only when it is read (reports, `max_depth_gap`), and is refused
-over MAX_TABLE_CYLINDERS words before any word is listed.  On float data
-a pattern mass is its exact sum rounded once; the word-order float sum of
-its N rounded masses differs from that by at most (N + 1) 2^-53 of the
-mass, to first order (N roundings in the sum, one in the class value).
-A table read from a file has no classes; it is indexed by length once
-(sorted words, shared with the table), so per-length queries read a
-slice of the index.
+Every measure is held as mass classes (`MassClasses`), and cylinder and
+pattern masses, and the checks in `obstruct.suites`, read only the
+classes.  The Parry mass of [u] depends only on u's weight vector, the
+sum of l_s over the states s whose walk of u ends at each state, which is
+a function of u's transition class on the right-resolving presentation
+(Parry 1960); so the Parry measure has one class per distinct vector,
+each with its children, its word count and least word at every length,
+and its mass rounded once.  Its per-word table is listed only when it is
+read (reports, `max_depth_gap`), and is refused over MAX_TABLE_CYLINDERS
+words before any word is listed.  A listed table (an empirical measure,
+or one read from a file) must be closed under prefixes; its classes are
+its minimal automaton, the words merged bottom-up when their masses and
+child classes agree.  On float data (a Parry measure with integer
+eigendata, or a table with any float mass) a pattern mass is its exact
+sum rounded once; the word-order float sum of its N rounded masses
+differs from that by at most (N + 1) 2^-53 of the mass, to first order
+(N roundings in the sum, one in the class value).
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import itemgetter, mul
+from operator import mul
 
 from .errors import DepthError, EnumerationCapError, InputError, NonMixingError
 from .perron import FIXED_BITS, perron_eigendata
@@ -65,11 +67,13 @@ def extend(layer: dict, moves) -> dict:
     """The layer one symbol longer: state -> (word count, least word).
 
     `moves(state)` lists the (symbol, next state) pairs in increasing
-    symbol order.  The states are visited in increasing order of their
-    least words, so the first word to reach a state is its least one.
+    symbol order.  The layer must list its states in increasing order of
+    their least words, as every layer `extend` returns does: then the first
+    word to reach a state is its least one, and the states of the result
+    are met in the order of their least words.
     """
     out: dict = {}
-    for state, (count, word) in sorted(layer.items(), key=lambda e: e[1][1]):
+    for state, (count, word) in layer.items():
         for a, nxt in moves(state):
             entry = out.get(nxt)
             if entry is None:
@@ -80,64 +84,142 @@ def extend(layer: dict, moves) -> dict:
 
 
 class MassClasses:
-    """The cylinders of a Parry measure, grouped by their weight vectors.
+    """The cylinders of a measure, grouped into mass classes.
 
-    The vector of a word u is v_u[t] = sum of l_s over the states s whose
-    walk of u ends at t.  The mass of [u] is finish(sum_t v_u[t] r_t, |u|),
-    and the vectors of the words u a follow from v_u alone, so each
-    distinct vector (a class) is numbered once, with its children and its
-    mass at each length.  `layers[n]` maps each class met at length n to
-    its word count and its least word, extended one symbol at a time from
-    the empty word; the words themselves are listed only by `table`.
+    The words of a class have one weight, and their extensions by each
+    symbol fall in one class again, so a class stands for all its words
+    in every mass query.  Both constructors fill the same fields:
+
+    - `root`, the class of the empty word;
+    - `children[k]`, symbol -> class of u a for u in class k, in increasing
+      symbol order; the symbols missing lead off the table (mass 0);
+    - `weights[k]`, the unrounded mass of class k, before `finish`;
+    - `finish(weight, n)`, the mass of a length-n cylinder of that weight;
+    - `layers[n]`, each class met at length n with its word count and its
+      least word, in increasing order of least words;
+    - `cylinders`, the word count of the table.
+
+    The words themselves are listed only by `table`.
     """
 
-    def __init__(self, live, left, right, finish, depth: int):
-        self.depth = depth
-        self._live = live
-        self._right = right
-        self._finish = finish
-        self._vectors: list[dict] = []
-        self._numbers: dict[tuple, int] = {}
-        self._children: dict[int, dict] = {}  # class -> {symbol: class}
-        self._sums: dict[int, object] = {}  # class -> sum_t v[t] r_t
+    def __init__(self, root: int, children: list, weights: list, finish, layers: list):
+        self.root = root
+        self.children = children
+        self.weights = weights
+        self.finish = finish
+        self.layers = layers
+        self.depth = len(layers) - 1
+        self.cylinders = sum(c for layer in layers for c, _ in layer.values())
         self._masses: dict[tuple[int, int], object] = {}
         self._runs: dict[int, list] = {}  # see runs_descending
         self._spreads: dict[int, dict] = {}  # see _spread
-        self.root = self._number(dict(enumerate(left)))
-        self.layers = [{self.root: (1, ())}]
+
+    @classmethod
+    def parry(cls, live, left, right, finish, depth: int) -> "MassClasses":
+        """Classes of a Parry measure, by weight vector.
+
+        The vector of a word u is v_u[t] = sum of l_s over the states s
+        whose walk of u ends at t, its weight is sum_t v_u[t] r_t, and the
+        vectors of the words u a follow from v_u alone; so each distinct
+        vector is numbered once, extended one symbol per length from the
+        empty word.  A class first met at `depth` gets no children.
+        """
+        numbers: dict[tuple, int] = {}
+        vectors: list[dict] = []
+        children: dict[int, dict] = {}
+
+        def number(v) -> int:
+            key = tuple(sorted(v.items()))
+            if key not in numbers:
+                numbers[key] = len(vectors)
+                vectors.append(v)
+            return numbers[key]
+
+        def moves(k):
+            if k not in children:
+                step: dict[int, dict] = {}
+                for s, w in vectors[k].items():
+                    for a, t in live.delta[s].items():
+                        child = step.setdefault(a, {})
+                        child[t] = child[t] + w if t in child else w
+                children[k] = {a: number(step[a]) for a in sorted(step)}
+            return children[k].items()
+
+        root = number(dict(enumerate(left)))
+        layers = [{root: (1, ())}]
         for _ in range(depth):
-            self.layers.append(extend(self.layers[-1], self.moves))
-        # the cylinder count of the table, without listing it
-        self.cylinders = sum(c for layer in self.layers for c, _ in layer.values())
+            layers.append(extend(layers[-1], moves))
+        weights = [sum(w * right[t] for t, w in v.items()) for v in vectors]
+        kids = [children.get(k, {}) for k in range(len(vectors))]
+        return cls(root, kids, weights, finish, layers)
 
-    def _number(self, v) -> int:
-        key = tuple(sorted(v.items()))
-        if key not in self._numbers:
-            self._numbers[key] = len(self._vectors)
-            self._vectors.append(v)
-        return self._numbers[key]
+    @classmethod
+    def of_table(cls, table: Mapping, depth: int, exact: bool) -> "MassClasses":
+        """The minimal automaton of a listed table, up to `depth`.
 
-    def children(self, k: int) -> dict:
-        """symbol -> class of u a, for u in class k, in increasing symbol
-        order; the symbols missing lead off the table (mass 0)."""
-        if k not in self._children:
-            step: dict[int, dict] = {}
-            for s, w in self._vectors[k].items():
-                for a, t in self._live.delta[s].items():
-                    child = step.setdefault(a, {})
-                    child[t] = child[t] + w if t in child else w
-            self._children[k] = {a: self._number(step[a]) for a in sorted(step)}
-        return self._children[k]
-
-    def moves(self, k: int):
-        """(symbol, child class) of class k, in increasing symbol order."""
-        return self.children(k).items()
+        Words are merged bottom-up, deepest length first, when they have
+        the same mass (of the same type) and the same child classes.  The
+        children of a word are contiguous in the sorted longer words, so
+        each length is one scan of its sorted words beside the sorted
+        words one symbol longer.  For an exact table the weights are the
+        masses and `finish` is the identity; otherwise the weights are the
+        exact values of the masses and `finish` rounds once to a float,
+        so a cylinder's mass is its float and a pattern mass is the exact
+        sum rounded once.  A word listed without its prefix is refused.
+        """
+        by_length: list[list] = [[] for _ in range(depth + 1)]
+        for w in table:
+            if len(w) <= depth:
+                by_length[len(w)].append(w)
+        if not by_length[0]:
+            raise InputError("cylinder table lists no empty word")
+        numbers: dict[tuple, int] = {}
+        children: list[dict] = []
+        weights: list = []
+        layers: list[dict] = []
+        longer: list = []  # the sorted words one symbol longer
+        below: list = []  # their classes
+        for n in range(depth, -1, -1):
+            words = sorted(by_length[n])
+            here = []
+            layer: dict = {}
+            i, end = 0, len(longer)
+            for w in words:
+                kids = []
+                while i < end and longer[i][:-1] == w:
+                    kids.append((longer[i][-1], below[i]))
+                    i += 1
+                m = table[w]
+                key = (type(m), m, tuple(kids))
+                k = numbers.get(key)
+                if k is None:
+                    k = numbers[key] = len(weights)
+                    children.append(dict(kids))
+                    weights.append(m if exact else Fraction(m))
+                here.append(k)
+                entry = layer.get(k)
+                layer[k] = (1, w) if entry is None else (entry[0] + 1, entry[1])
+            if i < end:
+                # the scan stops at the first word whose prefix is missing
+                raise InputError(
+                    f"cylinder table lists {longer[i]} without its prefix"
+                )
+            layers.append(layer)
+            longer, below = words, here
+        layers.reverse()
+        if exact:
+            def finish(acc, n):
+                return acc
+        else:
+            def finish(acc, n):
+                return float(acc)
+        return cls(below[0], children, weights, finish, layers)
 
     def _spread(self, k: int) -> dict:
         """child class -> number of symbols that lead to it from class k."""
         if k not in self._spreads:
             spread: dict[int, int] = {}
-            for child in self.children(k).values():
+            for child in self.children[k].values():
                 spread[child] = spread.get(child, 0) + 1
             self._spreads[k] = spread
         return self._spreads[k]
@@ -146,25 +228,18 @@ class MassClasses:
         """The class of u; None when u is off the table."""
         k = self.root
         for a in u:
-            k = self.children(k).get(a)
+            k = self.children[k].get(a)
             if k is None:
                 return None
         return k
 
-    def weight(self, k: int):
-        """sum_t v[t] r_t: the unrounded mass of class k, before scaling."""
-        if k not in self._sums:
-            right = self._right
-            self._sums[k] = sum(w * right[t] for t, w in self._vectors[k].items())
-        return self._sums[k]
-
     def mass(self, k: int | None, n: int):
-        """Mass of the length-n cylinders of class k, rounded once; 0 off
+        """Mass of the length-n cylinders of class k, finished once; 0 off
         the table."""
         if k is None:
             return 0
         if (k, n) not in self._masses:
-            self._masses[k, n] = self._finish(self.weight(k), n)
+            self._masses[k, n] = self.finish(self.weights[k], n)
         return self._masses[k, n]
 
     def runs_descending(self, n: int) -> list:
@@ -188,14 +263,14 @@ class MassClasses:
                 if want is None:
                     for child, symbols in self._spread(k).items():
                         nxt[child] = nxt.get(child, 0) + c * symbols
-                elif want in self.children(k):
-                    child = self._children[k][want]
+                elif want in self.children[k]:
+                    child = self.children[k][want]
                     nxt[child] = nxt.get(child, 0) + c
             paths = nxt
         if not paths:
             return 0
-        total = sum(c * self.weight(k) for k, c in paths.items())
-        return self._finish(total, len(template))
+        total = sum(c * self.weights[k] for k, c in paths.items())
+        return self.finish(total, len(template))
 
     def table(self) -> dict:
         """Every cylinder's mass, listed in lexicographic preorder; refused
@@ -208,7 +283,8 @@ class MassClasses:
             table[u] = self.mass(k, len(u))
             if len(u) < self.depth:
                 # largest symbol first, so words leave the stack in order
-                stack.extend((u + (a,), c) for a, c in reversed(self.moves(k)))
+                kids = reversed(self.children[k].items())
+                stack.extend((u + (a,), c) for a, c in kids)
         return table
 
 
@@ -230,16 +306,16 @@ class _ClassTable(Mapping):
     length, which the class word counts give."""
 
     def __init__(self, classes: MassClasses):
-        self._classes = classes
+        self.classes = classes
         self._table: dict | None = None
 
     def _listed(self) -> dict:
         if self._table is None:
-            self._table = self._classes.table()
+            self._table = self.classes.table()
         return self._table
 
     def __len__(self) -> int:
-        return self._classes.cylinders
+        return self.classes.cylinders
 
     def __getitem__(self, u):
         return self._listed()[u]
@@ -252,9 +328,11 @@ class _ClassTable(Mapping):
 class CylinderMeasure:
     """Masses of every admissible cylinder up to a fixed depth.
 
-    A Parry measure carries its mass classes, which answer `mass` and
-    `pattern_mass` without listing words; its table is listed only when
-    asked for.  A table read or built word by word has no classes.
+    Every measure carries mass classes, which answer `mass`,
+    `pattern_mass` and the checks in `obstruct.suites` without listing
+    words.  A Parry measure's table is its classes, listed only when
+    read; a listed table (read from a file, or built word by word) gets
+    its classes from `MassClasses.of_table` on construction.
     """
 
     alphabet_size: int
@@ -263,12 +341,15 @@ class CylinderMeasure:
     provenance: str
     exact: bool
     meta: dict = field(default_factory=dict)
-    classes: MassClasses | None = field(default=None, repr=False, compare=False)
+    classes: MassClasses = field(init=False, repr=False, compare=False)
     # length -> the table's words of that length, sorted; built on first use
     _by_length: dict | None = field(default=None, init=False, repr=False, compare=False)
-    # length -> that length's masses, largest first; filled on first use
-    _descending: dict = field(default_factory=dict, init=False, repr=False,
-                              compare=False)
+
+    def __post_init__(self):
+        if isinstance(self.table, _ClassTable):
+            self.classes = self.table.classes
+        else:
+            self.classes = MassClasses.of_table(self.table, self.depth, self.exact)
 
     def _index(self) -> dict:
         if self._by_length is None:
@@ -287,9 +368,7 @@ class CylinderMeasure:
             raise DepthError(
                 f"cylinder depth {len(u)} exceeds measure depth {self.depth}"
             )
-        if self.classes is not None:
-            return self.classes.mass(self.classes.class_of(u), len(u))
-        return self.table.get(u, 0)
+        return self.classes.mass(self.classes.class_of(u), len(u))
 
     def mass_float(self, u: Word) -> float:
         return float(self.mass(u))
@@ -301,40 +380,13 @@ class CylinderMeasure:
             )
         return list(self._index().get(length, ()))
 
-    def masses_descending(self, length: int) -> list:
-        """Masses of the length-cylinders, largest first (exactly, see
-        `descending_key`), equal masses in word order."""
-        if length not in self._descending:
-            self._descending[length] = sorted(
-                (self.table[w] for w in self.words_at(length)),
-                key=descending_key,
-                reverse=True,
-            )
-        return self._descending[length]
-
     def pattern_mass(self, template):
-        """Total mass of words matching a fixed/free position template.
-
-        From the mass classes when the measure has them; otherwise only
-        the fixed positions are compared, and the matching masses are
-        added in sorted word order.
-        """
+        """Total mass of words matching a fixed/free position template."""
         if len(template) > self.depth:
             raise DepthError(
                 f"pattern length {len(template)} exceeds measure depth {self.depth}"
             )
-        if self.classes is not None:
-            return self.classes.pattern_mass(template)
-        words = self._index().get(len(template), ())
-        fixed = [i for i, a in enumerate(template) if a is not None]
-        if fixed:
-            key = itemgetter(*fixed)
-            want = key(template)
-            words = [w for w in words if key(w) == want]
-        total = 0
-        for w in words:
-            total = total + self.table[w]
-        return total
+        return self.classes.pattern_mass(template)
 
     def joint_mass(self, u: Word, gap: int, v: Word):
         """Mass of [u] intersected with the gap-shifted cylinder of v."""
@@ -376,6 +428,8 @@ class CylinderMeasure:
                     table[w] = Fraction(int(entry["mass_num"]), int(entry["mass_den"]))
                 else:
                     table[w] = float(entry["mass_float"])
+                    if not math.isfinite(table[w]):
+                        raise ValueError(f"mass of {entry['word']!r} is not finite")
                     exact = False
             if () not in table:
                 raise KeyError("entries")
@@ -406,9 +460,7 @@ def _verify_representative_tails(system) -> None:
                 reached.add(t)
                 stack.append(t)
     for s in sorted(reached):
-        if s == pres.marker:
-            continue
-        if pres.lex_min_tail(s, 1) is None:
+        if s != pres.marker and not pres.delta[s]:
             raise InputError(
                 f"state {s} admits no continuation; representative points undefined"
             )
@@ -456,8 +508,8 @@ def empirical_mme(system, n: int, depth: int) -> CylinderMeasure:
     if n > MAX_EMPIRICAL_N:
         raise InputError(f"empirical n {n} exceeds the cap {MAX_EMPIRICAL_N}")
     pres = system.presentation
-    _check_table_size(sum(pres.count_words(k) for k in range(depth + 1)))
     _verify_representative_tails(system)
+    _check_table_size(sum(pres.count_words(k) for k in range(depth + 1)))
     tails: dict = {}  # (state, length) -> least tail, for `_tail_prefix`
     # rows in increasing order, each counted once; |L_n| is the last one
     state_counts = [pres.state_counts(k) for k in range(n + 1)]
@@ -609,7 +661,7 @@ def parry_measure(system, depth: int) -> CylinderMeasure:
 
         def finish(acc, n):
             return acc * nums[n] / dens[n]
-    classes = MassClasses(live, left, right, finish, depth)
+    classes = MassClasses.parry(live, left, right, finish, depth)
     lo, hi = eigen.enclosure
     if system.horizon is None:
         provenance = "parry-exact" if eigen.exact else "parry-numeric"
@@ -629,7 +681,6 @@ def parry_measure(system, depth: int) -> CylinderMeasure:
             "enclosure": eigen.enclosure,
             "exact_eigendata": eigen.exact,
         },
-        classes=classes,
     )
 
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from .errors import EmptyCollectionError, InputError
 
 METHOD_REGRESSION = "regression"
-METHOD_TAIL = "limsup-tail"
 
 
 @dataclass(frozen=True)
@@ -212,33 +211,3 @@ def upper_entropy(
         warning=warning,
     )
 
-
-def lower_entropy(
-    collection: OrbitCollection, j: int, n_max: int, tail_start: int | None = None
-) -> EntropyEstimate:
-    """Lower growth estimate: the tail-window infimum of log(count)/n.
-
-    Lengths at which the collection is empty or undefined contribute 0, so
-    gapped collections are driven to rate 0 while the upper estimate can
-    stay positive.
-    """
-    if n_max < 8:
-        raise InputError("n_max must be at least 8")
-    samples, gaps = _collect_samples(collection, j, n_max)
-    if not samples:
-        raise EmptyCollectionError(f"empty collection {collection.label!r}")
-    start = tail_start if tail_start is not None else (n_max + 1) // 2
-    values = {n: y for n, y in samples}
-    window_rates = [
-        values[n] / n if n in values else 0.0 for n in range(start, n_max + 1)
-    ]
-    tail_rate = min(window_rates) if window_rates else 0.0
-    warning = f"no members at lengths {gaps[:4]}..." if gaps else None
-    return EntropyEstimate(
-        rate=max(tail_rate, 0.0),
-        method=METHOD_TAIL,
-        samples=tuple(samples),
-        depth=j,
-        tail_rate=max(tail_rate, 0.0),
-        warning=warning,
-    )

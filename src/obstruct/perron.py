@@ -40,6 +40,8 @@ EXACT_STATE_LIMIT = 12
 FIXED_BITS = 256
 # power-iteration steps between two rescalings and enclosure tests
 CHECK_EVERY = 64
+# power-iteration steps before the vector is returned as it stands
+MAX_ITER = 200_000
 
 
 @dataclass(frozen=True)
@@ -150,13 +152,13 @@ def _enclosure(rows, v, av=None):
     return lo, hi
 
 
-def _power_iteration(rows, max_iter=200_000):
+def _power_iteration(rows):
     """Positive integer vector of a non-negative matrix (sparse rows) near
     its Perron vector.
 
     Iterates v <- (A + I) v on integers (the shift makes the dominant
     eigenvalue of each closed class simple).  Every CHECK_EVERY steps, and
-    at max_iter, v is cut by a power of two, rounding up so no entry
+    at MAX_ITER, v is cut by a power of two, rounding up so no entry
     reaches 0, to give its least entry FIXED_BITS bits, unless its entries
     spread over more than `spread` bits: (A + I) w = rho w with w > 0 gives
     w_j <= (rho + 1) w_i for each edge i -> j, so the Perron vector of an
@@ -169,8 +171,8 @@ def _power_iteration(rows, max_iter=200_000):
     top_row = max(sum(a for _, a in row) for row in shifted)
     spread = max(FIXED_BITS, len(rows) * top_row.bit_length())
     v = [1 << FIXED_BITS] * len(rows)
-    for step in range(max_iter + 1):
-        check = step % CHECK_EVERY == 0 or step == max_iter
+    for step in range(MAX_ITER + 1):
+        check = step % CHECK_EVERY == 0 or step == MAX_ITER
         if check:
             cut = max(
                 min(v).bit_length() - FIXED_BITS,
@@ -181,7 +183,7 @@ def _power_iteration(rows, max_iter=200_000):
         w = _product(shifted, v)
         if check:
             lo, hi = _enclosure(shifted, v, w)
-            if step == max_iter or (hi - lo) * (1 << 3 * FIXED_BITS // 4) < 1:
+            if step == MAX_ITER or (hi - lo) * (1 << 3 * FIXED_BITS // 4) < 1:
                 return v
         v = w
 
@@ -201,9 +203,7 @@ def _fixed_point_data(rows, cols, right, left) -> PerronData:
     )
 
 
-def perron_eigendata(
-    presentation, exact_state_limit=EXACT_STATE_LIMIT, cache: dict | None = None
-) -> PerronData:
+def perron_eigendata(presentation, cache: dict | None = None) -> PerronData:
     """Eigendata of the adjacency matrix of the essential part.
 
     Exact when the matrix is small and its Perron root rational or
@@ -214,19 +214,18 @@ def perron_eigendata(
     presentation (its live part, its essential part) compute it once.
     """
     rows = _adjacency_rows(presentation.essential_part())
-    key = (rows, exact_state_limit)
-    if cache is not None and key in cache:
-        return cache[key]
-    data = _eigendata(rows, exact_state_limit)
+    if cache is not None and rows in cache:
+        return cache[rows]
+    data = _eigendata(rows)
     if cache is not None:
-        cache[key] = data
+        cache[rows] = data
     return data
 
 
-def _eigendata(rows, exact_state_limit) -> PerronData:
+def _eigendata(rows) -> PerronData:
     """Eigendata of the matrix with these sparse rows; a dense copy is
     built only for the exact path."""
-    if len(rows) <= exact_state_limit:
+    if len(rows) <= EXACT_STATE_LIMIT:
         data = _exact_eigendata(_dense(rows))
         if data is not None:
             return data

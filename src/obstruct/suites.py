@@ -25,6 +25,12 @@ from .measures import MAX_TABLE_CYLINDERS, extend
 from .orbits import OrbitCollection, count_separated
 from .quadratic import QuadraticNumber
 
+# counting suite: largest sum of core lengths in the gluing product bound,
+# the gammas of the coverage floors, and the highest level they may need
+PRODUCT_TOTAL = 18
+GAMMA2_TABLE = (Fraction(1, 2), Fraction(1, 4), Fraction(1, 10))
+LEVEL_CAP = 16
+
 
 def _exact_beta(system):
     """Exact growth value when available, else a float."""
@@ -86,9 +92,6 @@ def counting_suite(
     j: int = 0,
     k_max: int = 3,
     tau: int | None = None,
-    product_total: int = 18,
-    gamma2_table=(Fraction(1, 2), Fraction(1, 4), Fraction(1, 10)),
-    level_cap: int = 16,
 ) -> CountingSuiteReport:
     """Exact-arithmetic verification of the counting estimates.
 
@@ -166,7 +169,7 @@ def counting_suite(
 
     bad = None
     for k in range(2, k_max + 1):
-        for total in range(k, product_total + 1):
+        for total in range(k, PRODUCT_TOTAL + 1):
             if total + (k - 1) * tau > n_max:
                 continue
             for parts in partitions(total, k):
@@ -241,9 +244,9 @@ def counting_suite(
     # (g) coverage floors for the filtration levels
     coverage_rows = []
     cover_ok = True
-    for gamma2 in gamma2_table:
+    for gamma2 in GAMMA2_TABLE:
         found = None
-        for M in range(0, level_cap + 1):
+        for M in range(0, LEVEL_CAP + 1):
             cov_min = min(
                 Fraction(scheme.coverage_count(M, n), system.count_language(n))
                 for n in range(1, n_max + 1)
@@ -370,27 +373,18 @@ def gibbs_check(
     least one, on ties), per-length minima, and any words of zero mass
     (violations).
 
-    On a measure with mass classes and a scheme with a level automaton no
-    word is listed: the length-n words are grouped by (level state, mass
-    class), each group with its least word, the level test is applied at
-    length n and the groups are extended j more symbols.  The minimum is
-    then taken over the classes, visited in the order of their least
-    words, and only the words of a zero-mass class are listed.  Otherwise
-    the level words come with their end states from `scheme.level_words`,
-    and the depth-j tails are listed once per end state.
+    No word is listed: the length-n words are grouped by (level state,
+    mass class) along the scheme's level automaton, each group with its
+    least word, the level test is applied at length n and the groups are
+    extended j more symbols.  The minimum is then taken over the classes,
+    visited in the order of their least words, and only the words of a
+    zero-mass class are listed.
     """
     beta = _exact_beta(system)
     per_length = {}
     best = None
     violations = []
-    classes = getattr(measure, "classes", None)
-    automaton = scheme.level_automaton(M) if classes is not None else None
-    if automaton is None:
-        minima = _level_minima_by_words(measure, system, scheme, M, n_range, j, beta)
-    else:
-        minima = _level_minima_by_classes(
-            measure, system, scheme, automaton, M, n_range, j, beta
-        )
+    minima = _level_minima(measure, system, scheme, M, n_range, j, beta)
     for n, level_min, zero in minima:
         violations.extend(zero)
         if level_min is not None:
@@ -410,32 +404,11 @@ def gibbs_check(
     )
 
 
-def _level_minima_by_words(measure, system, scheme, M, n_range, j, beta):
+def _level_minima(measure, system, scheme, M, n_range, j, beta):
     """(n, (least scaled mass, its word) or None, zero-mass words) per n,
-    over the listed level words and their tails."""
-    tails = {}
-    for n in n_range:
-        scale = beta ** n
-        level_min = None
-        zero = []
-        for v, state in scheme.level_words(M, n):
-            if state not in tails:
-                tails[state] = system.presentation.tails(state, j)
-            for ext in tails[state]:
-                value = _scale_mass(measure.mass(v + ext), scale)
-                if float(value) <= 0:
-                    zero.append(v + ext)
-                    continue
-                if level_min is None or value < level_min[0]:
-                    level_min = (value, v + ext)
-        yield n, level_min, zero
-
-
-def _level_minima_by_classes(measure, system, scheme, automaton, M, n_range, j, beta):
-    """The same as `_level_minima_by_words`, from (level state, class)
-    groups of words; see `gibbs_check`."""
+    from (level state, class) groups of words; see `gibbs_check`."""
     classes = measure.classes
-    start, level_moves, member = automaton
+    start, level_moves, member = scheme.level_automaton(M)
     group_moves: dict = {}
 
     def moves(group):
@@ -443,7 +416,7 @@ def _level_minima_by_classes(measure, system, scheme, automaton, M, n_range, j, 
         on a symbol its class has no child for."""
         if group not in group_moves:
             state, k = group
-            kids = {} if k is None else classes.children(k)
+            kids = {} if k is None else classes.children[k]
             group_moves[group] = [
                 (a, (after, kids.get(a))) for a, after in level_moves(state)
             ]
@@ -459,8 +432,7 @@ def _level_minima_by_classes(measure, system, scheme, automaton, M, n_range, j, 
             level = extend(level, moves)
         least: dict = {}  # class -> least word of the level extensions in it
         for (_, k), (_, w) in level.items():
-            if k not in least or w < least[k]:
-                least[k] = w
+            least.setdefault(k, w)  # the groups come in least-word order
         if least and n + j > measure.depth:
             raise DepthError(
                 f"cylinder depth {n + j} exceeds measure depth {measure.depth}"
@@ -468,7 +440,7 @@ def _level_minima_by_classes(measure, system, scheme, automaton, M, n_range, j, 
         scale = beta ** n
         level_min = None
         zero = set()
-        for k, w in sorted(least.items(), key=lambda e: e[1]):
+        for k, w in least.items():
             value = _scale_mass(classes.mass(k, n + j), scale)
             if float(value) <= 0:
                 zero.add(k)
@@ -548,38 +520,23 @@ def positive_mass_count(measure, gamma, n: int) -> int:
     """Minimum number of length-n cylinders whose total mass reaches gamma.
 
     Greedy accumulation in descending mass order attains the minimum for
-    this objective exactly.
+    this objective exactly.  It runs over the length-n mass classes,
+    largest mass first, each taken with its word count.  Float masses, and
+    any mass after a float sum, are added one word at a time, as a pass
+    over the words adds them (a class holds equal masses, so the order
+    inside a run of equal floats does not matter); a layer of more than
+    MAX_TABLE_CYLINDERS float-mass words is refused before any addition.
+    An exact class is taken whole, or up to the least t with
+    acc + t m >= gamma; one of mass m <= 0 is taken whole.
     """
     gamma = Fraction(gamma)  # exact, also for a float gamma
     if not 0 < float(gamma) < 1:
         raise InputError("gamma must lie strictly between 0 and 1")
+    if n > measure.depth:
+        raise DepthError(f"length {n} exceeds measure depth {measure.depth}")
     # g is the float nearest gamma, so a float sum other than g lies on the
     # same side of gamma as of g; only acc == g needs the exact comparison
     g = float(gamma)
-    if getattr(measure, "classes", None) is not None:
-        return _positive_mass_count_by_classes(measure, gamma, g, n)
-    masses = measure.masses_descending(n)
-    acc = None
-    for count, m in enumerate(masses, start=1):
-        acc = m if acc is None else acc + m
-        if acc > g if type(acc) is float and acc != g else acc >= gamma:
-            return count
-    return len(masses)
-
-
-def _positive_mass_count_by_classes(measure, gamma, g, n: int) -> int:
-    """`positive_mass_count` over the length-n mass classes, largest mass
-    first, each taken with its word count.
-
-    Float masses are added one word at a time, as the per-word pass adds
-    them (a class holds equal masses, so the order inside a run of equal
-    floats does not matter); a layer of more than MAX_TABLE_CYLINDERS
-    float-mass words is refused before any addition, as its table would
-    be.  An exact class is taken whole, or up to the least t with
-    acc + t m >= gamma.
-    """
-    if n > measure.depth:
-        raise DepthError(f"length {n} exceeds measure depth {measure.depth}")
     runs = measure.classes.runs_descending(n)
     float_words = sum(c for m, c in runs if type(m) is float)
     if float_words > MAX_TABLE_CYLINDERS:
@@ -589,22 +546,18 @@ def _positive_mass_count_by_classes(measure, gamma, g, n: int) -> int:
         )
     acc, count = None, 0
     for m, c in runs:
-        if type(m) is float:
-            start = 0
-            if acc is None:
-                acc, start = m, 1
+        if type(m) is float or type(acc) is float:
+            for _ in range(c):
+                acc = m if acc is None else acc + m
+                count += 1
                 if acc > g or acc == g and acc >= gamma:
-                    return 1
-            for i in range(start, c):
-                acc += m
-                if acc >= g and (acc > g or acc >= gamma):
-                    return count + i + 1
-            count += c
+                    return count
             continue
         base = 0 if acc is None else acc
-        need = -math.floor((base - gamma) / m)  # least t with base + t m >= gamma
-        if need <= c:
-            return count + need
+        if m > 0:
+            need = -math.floor((base - gamma) / m)  # least t with base + t m >= gamma
+            if need <= c:
+                return count + need
         acc, count = base + c * m, count + c
     return count
 

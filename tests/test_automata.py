@@ -241,3 +241,10 @@ def test_count_memory_is_bounded():
     assert system.count_language(150) == fib[150]
     assert system.count_language(20000) == last
     assert store.rows_held() <= MAX_CHECKPOINTS + 2
+
+
+def test_start_at_the_marker_is_not_primitive():
+    pres = Presentation(1, 1, [], start=0, marker=0)
+    with pytest.raises(HorizonError):
+        pres.live_part()
+    assert not pres.is_primitive()

@@ -1,6 +1,7 @@
-"""The measure checks read from mass classes, against the same checks on
-the listed cylinder table (the per-word path), on the benchmark systems
-and on random primitive presentations."""
+"""The measure checks on the Parry measure's mass classes, against the
+same checks on the classes of its listed cylinder table and against
+per-word oracles, on the benchmark systems, on factor images and on
+random primitive presentations."""
 
 import functools
 import json
@@ -13,21 +14,30 @@ from hypothesis import assume, given, settings, strategies as st
 from obstruct.automata import Presentation
 from obstruct.beta import BetaSystem
 from obstruct.cli import EXIT_INCONCLUSIVE, EXIT_INPUT, EXIT_PASS, main
-from obstruct.decomposition import beta_decomposition, degenerate_decomposition
+from obstruct.decomposition import (
+    DecompositionScheme,
+    beta_decomposition,
+    degenerate_decomposition,
+)
 from obstruct.errors import ObstructError
+from obstruct.factors import BlockCode, FactorSystem, InducedDecomposition
 from obstruct.measures import (
     MAX_TABLE_CYLINDERS,
     CylinderMeasure,
     MassClasses,
+    empirical_mme,
     parry_measure,
 )
 from obstruct.perron import perron_eigendata
 from obstruct.suites import (
+    _exact_beta,
+    _scale_mass,
     gibbs_check,
     mixing_check,
     mixing_liminf_probe,
     positive_mass_count,
 )
+from test_measures import _maj3
 
 ULP = 2.0 ** -53
 
@@ -45,7 +55,8 @@ BENCH = {
 
 
 def _listed(m):
-    """The same measure as a plain cylinder table, read word by word."""
+    """The same measure as a plain cylinder table, with the classes of
+    that table."""
     return CylinderMeasure(
         alphabet_size=m.alphabet_size, depth=m.depth, table=dict(m.table),
         provenance=m.provenance, exact=m.exact,
@@ -94,6 +105,48 @@ def _outcome(fn):
         return type(exc), str(exc)
 
 
+def naive_gibbs(measure, system, scheme, M, n_range, j):
+    """The per-word Gibbs loop: each level-M word of each length, listed by
+    `level_words`, with each of its depth-j tails, its mass scaled by
+    beta^n; (least value, its word, per-length minima, zero-mass words)."""
+    beta = _exact_beta(system)
+    tails = {}
+    best, per_length, violations = None, {}, []
+    for n in n_range:
+        scale = beta ** n
+        level_min = None
+        for v, state in scheme.level_words(M, n):
+            if state not in tails:
+                tails[state] = system.presentation.tails(state, j)
+            for ext in tails[state]:
+                value = _scale_mass(measure.mass(v + ext), scale)
+                if float(value) <= 0:
+                    violations.append(v + ext)
+                elif level_min is None or value < level_min[0]:
+                    level_min = (value, v + ext)
+        if level_min is not None:
+            per_length[n] = float(level_min[0])
+            if best is None or level_min[0] < best[0]:
+                best = level_min
+    if best is None:
+        return 0, (), per_length, tuple(violations)
+    return best[0], best[1], per_length, tuple(violations)
+
+
+def _gibbs_fields(report):
+    return (report.constant_exact, report.argmin, report.per_length_min,
+            report.violations)
+
+
+def _assert_gibbs_matches_oracle(measures, system, scheme, M, n_range, j):
+    want = _outcome(lambda: naive_gibbs(measures[0], system, scheme, M, n_range, j))
+    for m in measures:
+        got = _outcome(lambda: _gibbs_fields(
+            gibbs_check(m, system, scheme, M, n_range, j=j)
+        ))
+        assert got == want, (M, j, n_range)
+
+
 def _matching(listed, template):
     return sum(
         1 for w in listed.words_at(len(template))
@@ -120,10 +173,7 @@ def _compare_checks(system, scheme, m, listed, data):
     M = data.draw(st.integers(0, 3), label="M")
     j = data.draw(st.integers(0, 2), label="j")
     top = data.draw(st.integers(0, max(0, m.depth - j)), label="n_top")
-    got = _outcome(lambda: gibbs_check(m, system, scheme, M, range(1, top + 1), j=j))
-    assert got == _outcome(
-        lambda: gibbs_check(listed, system, scheme, M, range(1, top + 1), j=j)
-    )
+    _assert_gibbs_matches_oracle((m, listed), system, scheme, M, range(1, top + 1), j)
 
     n = data.draw(st.integers(0, m.depth), label="n")
     for gamma in data.draw(st.lists(
@@ -197,15 +247,57 @@ def primitive_presentations(draw):
     )
 
 
-@given(primitive_presentations(), st.data())
+class _TrailingOnes(DecompositionScheme):
+    """Suffix piece: the trailing run of 1s.  It installs no level
+    automaton, so `gibbs_check` runs on the generic, word-carrying one."""
+
+    name = "trailing-ones"
+
+    def split(self, v):
+        s = 0
+        while s < len(v) and v[len(v) - 1 - s] == 1:
+            s += 1
+        return 0, len(v) - s, s
+
+
+@given(primitive_presentations(), st.booleans(), st.data())
 @settings(max_examples=150, deadline=None)
-def test_random_presentations_classes_match_listed_table(pres, data):
+def test_random_presentations_classes_match_listed_table(pres, generic, data):
     assert pres.is_primitive()
     system = _GraphSystem(pres)
     depth = data.draw(st.integers(0, 6), label="depth")
     m = _outcome(lambda: parry_measure(system, depth))
     assume(isinstance(m, CylinderMeasure))
-    _compare_checks(system, degenerate_decomposition(system), m, _listed(m), data)
+    scheme = (_TrailingOnes if generic else degenerate_decomposition)(system)
+    _compare_checks(system, scheme, m, _listed(m), data)
+
+
+@pytest.mark.parametrize(
+    "source, code",
+    [(BetaSystem.golden_mean, BlockCode.xor),
+     (lambda: BetaSystem.full_shift(2), _maj3)],
+    ids=["xor(golden)", "maj3(full2)"],
+)
+def test_factor_images_match_per_word_oracle(source, code):
+    # the induced scheme has no level automaton of its own: the generic one
+    # carries each word, and the checks read the empirical table's classes
+    system = source()
+    image = FactorSystem(system, code())
+    scheme = InducedDecomposition(image, beta_decomposition(system))
+    m = empirical_mme(image, 40, 5)
+    for M in (0, 1, 2):
+        for j in (0, 1):
+            _assert_gibbs_matches_oracle((m,), image, scheme, M, range(1, 6 - j), j)
+    for n in range(m.depth + 1):
+        masses = sorted((m.table[w] for w in m.words_at(n)), reverse=True)
+        for gamma in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
+            acc, want = 0, len(masses)
+            for count, mass in enumerate(masses, start=1):
+                acc += mass
+                if acc >= gamma:
+                    want = count
+                    break
+            assert positive_mass_count(m, gamma, n) == want
 
 
 def test_cylinder_count_without_listing(monkeypatch):
@@ -271,7 +363,7 @@ def test_exact_masses_with_equal_floats_sort_exactly():
     assert float(m0) == float(m1)
     masses = {(0,): m0, (1,): m0, (2,): m1, (3,): m1, (4,): m1}
     m = CylinderMeasure(5, 1, {(): 1, **masses}, "test", exact=True)
-    assert m.masses_descending(1) == [m1, m1, m1, m0, m0]
+    assert m.classes.runs_descending(1) == [(m1, 3), (m0, 2)]
     assert positive_mass_count(m, m0 + m1, 1) == 2
 
 

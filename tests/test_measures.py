@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from obstruct.automata import Presentation
 from obstruct.beta import BetaSystem
+from obstruct.cli import EXIT_INPUT, main
 from obstruct.errors import (
     DepthError,
     EnumerationCapError,
@@ -224,6 +226,17 @@ def test_empirical_matches_per_shift_oracle_on_random_presentations(pres, data):
                 stack.append(t)
     dead_end = any(not pres.delta[s] and s != pres.marker for s in reached)
     assert (isinstance(got, tuple) and got[0] is InputError) == dead_end
+
+
+def test_dead_end_is_refused_before_the_table_is_counted():
+    # counting |L_2| would meet the marker (state 1) and raise HorizonError;
+    # the dead end (state 2) is found first, as the per-shift oracle finds it
+    pres = Presentation(3, 2, [(0, 0, 1), (0, 1, 2)], start=0, marker=1)
+    system = _PresentationSystem(pres)
+    want = (InputError,
+            "state 2 admits no continuation; representative points undefined")
+    assert _outcome(lambda: per_shift_empirical(system, 2, 2)) == want
+    assert _outcome(lambda: empirical_mme(system, 2, 2)) == want
 
 
 def test_unreachable_dead_end_leaves_the_measure_defined():
@@ -510,6 +523,11 @@ class TestMeasureTable:
             CylinderMeasure.from_json_dict(
                 {"depth": 1, "provenance": "x", "entries": [{"word": "0"}]}
             )
+        with pytest.raises(InputError, match="not finite"):
+            CylinderMeasure.from_json_dict(
+                {"depth": 0, "provenance": "x",
+                 "entries": [{"word": "", "mass_float": "nan"}]}
+            )
 
 
 def test_empirical_approaches_stationary_on_preperiodic_system():
@@ -562,18 +580,31 @@ def naive_words_at(m, length):
 
 
 def naive_pattern_mass(m, template):
-    """The matching masses added in word order; for a Parry measure with
-    float masses, the exact sum of the unrounded masses, rounded once."""
-    exact = _UNROUNDED.get(id(m))
+    """0 when no word matches; else the matching masses added in word order
+    for an exact measure, and for a float one the exact sum of their exact
+    values (of the unrounded masses, for a Parry measure) rounded once."""
+    words = [
+        w for w in naive_words_at(m, len(template))
+        if all(t is None or t == a for t, a in zip(template, w))
+    ]
+    if not words:
+        return 0
+    if not m.exact:
+        exact = _UNROUNDED.get(id(m), m.table)
+        return float(sum(Fraction(exact[w]) for w in words))
     total = 0
-    for w in naive_words_at(m, len(template)):
-        if all(t is None or t == a for t, a in zip(template, w)):
-            total = total + (m.table[w] if exact is None else exact[w])
-    return total if exact is None or total == 0 else float(total)
+    for w in words:
+        total = total + m.table[w]
+    return total
 
 
 def naive_positive_mass_count(m, gamma, n):
-    masses = sorted((m.table[w] for w in naive_words_at(m, n)), reverse=True)
+    """Greedy count over the masses sorted by exact value; a float
+    measure's masses are its floats, added one by one."""
+    masses = [m.table[w] for w in naive_words_at(m, n)]
+    if not m.exact:
+        masses = [float(x) for x in masses]
+    masses.sort(reverse=True)
     acc = None
     for count, mass in enumerate(masses, start=1):
         acc = mass if acc is None else acc + mass
@@ -597,12 +628,13 @@ _UNROUNDED: dict = {}
 
 @st.composite
 def _json_measures(draw):
-    """A loaded measure that need not be prefix-closed, with Fraction and
-    float masses mixed."""
+    """A loaded measure, closed under prefixes, with Fraction and float
+    masses mixed (so a float table whenever one mass is a float)."""
     depth = draw(st.integers(0, 4))
-    words = draw(st.sets(
+    drawn = draw(st.sets(
         st.lists(st.integers(0, 2), max_size=depth).map(tuple), max_size=30
-    )) | {()}
+    ))
+    words = {w[:k] for w in drawn for k in range(len(w) + 1)} | {()}
     entries = []
     for w in sorted(words):
         entry = {"word": format_word(w, 3)}
@@ -671,3 +703,20 @@ def _outcome_depth(fn):
         return fn()
     except DepthError:
         return DepthError
+
+
+@pytest.mark.parametrize(
+    "words",
+    [["", "01"], ["", "0", "01", "11"], ["0"], ["", "0", "000"]],
+    ids=["no-0", "no-1", "no-empty-word", "no-00"],
+)
+def test_table_without_a_prefix_is_refused(words, tmp_path, capsys):
+    entries = [{"word": w, "mass_num": "1", "mass_den": "2"} for w in words]
+    data = {"depth": 3, "alphabet_size": 2, "provenance": "test", "entries": entries}
+    with pytest.raises(InputError):
+        CylinderMeasure.from_json_dict(data)
+    path = tmp_path / "measure.json"
+    path.write_text(json.dumps(data))
+    argv = ["--beta", "2", "--measure-file", str(path), "--measure-depth", "3"]
+    assert main(["verify", *argv]) == EXIT_INPUT
+    assert "error" in capsys.readouterr().err

@@ -167,7 +167,7 @@ def test_reducible_repeated_root_is_enclosed():
     # a Jordan block at the Perron root 2: the iteration converges only
     # like 1/steps, so it runs to the step cap, but its enclosure is exact
     start = time.perf_counter()
-    data = _eigendata(_sparse(REDUCIBLE), 12)
+    data = _eigendata(_sparse(REDUCIBLE))
     assert time.perf_counter() - start < 5
     lo, hi = data.enclosure
     assert not data.exact and lo <= 2 <= hi and hi - lo < Fraction(1, 10**4)
@@ -228,7 +228,7 @@ def _assert_keyed_on_sparse_rows(presentation):
     cache = {}
     data = perron_eigendata(presentation, cache=cache)
     matrix = presentation.essential_part().adjacency()
-    key = (tuple(map(tuple, _sparse(matrix))), perron.EXACT_STATE_LIMIT)
+    key = tuple(map(tuple, _sparse(matrix)))
     assert list(cache) == [key]
     assert data == _dense_dispatch(matrix)
     assert perron_eigendata(presentation, cache=cache) is data

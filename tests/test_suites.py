@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from obstruct.decomposition import beta_decomposition, degenerate_decomposition
 from obstruct.errors import InputError
-from obstruct.measures import parry_measure
+from obstruct.measures import CylinderMeasure, parry_measure
 from obstruct.suites import (
     counting_suite,
     gibbs_check,
@@ -203,19 +203,16 @@ class TestPositiveMass:
         # acc == float(gamma) case is reached
         gamma += nudge * Fraction(1, 2**60)
         assume(0 < float(gamma) < 1)
+        table = {(): 1.0, **{(a,): m for a, m in enumerate(masses)}}
+        measure = CylinderMeasure(len(masses), 1, table, "test", exact=False)
         masses = sorted(masses, reverse=True)
-
-        class Table:
-            def masses_descending(self, n):
-                return masses
-
         expected, acc = len(masses), None
         for count, m in enumerate(masses, start=1):
             acc = m if acc is None else acc + m
             if acc >= gamma:
                 expected = count
                 break
-        assert positive_mass_count(Table(), gamma, 1) == expected
+        assert positive_mass_count(measure, gamma, 1) == expected
 
     def test_gamma_validation(self, full2):
         m = parry_measure(full2, 4)
