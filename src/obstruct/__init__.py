@@ -24,7 +24,6 @@ from .factors import (
     build_pair_automaton,
     factor_entropy_positive,
     factor_language,
-    factor_suffix_entropy,
     induced_decomposition,
     nonexpansive_growth,
 )

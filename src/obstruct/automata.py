@@ -9,18 +9,26 @@ computations on this graph.
 A presentation may carry a truncation marker: a state with no defined
 outgoing edges, standing for "matched every stored symbol".  Any
 computation that would have to move on from the marker fails loudly with
-HorizonError instead of approximating.
+HorizonError instead of approximating.  This module is the only one that
+raises it for the marker: through `Presentation.moves`, `walk` and the
+count rows.
+
+`PresentedShift` is the protocol a shift given by a presentation answers:
+exact counts, listings, membership and extension counts.  Beta-shifts and
+their sliding-block images both answer it.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from math import gcd
+from math import gcd, log
 
-from .errors import EnumerationCapError, HorizonError
+from .errors import EnumerationCapError, HorizonError, InputError
 from .words import Word
 
 DEFAULT_ENUMERATION_CAP = 24
+# longest word length count_language counts
+MATRIX_POWER_CAP = 10 ** 6
 
 # most checkpoint rows a RowStore keeps; even, so that halving keeps every
 # other stride-th row
@@ -203,6 +211,7 @@ class Presentation:
             self.delta[s][a] = t
         if marker is not None and self.delta[marker]:
             raise ValueError("marker state must have no outgoing edges")
+        self._moves = [tuple(sorted(d.items())) for d in self.delta]
         # the steps hold the graph, not self: no reference cycle
         self._state_counts = RowStore(
             self._unit_vector(start),
@@ -219,13 +228,12 @@ class Presentation:
 
     # -- single-word queries ------------------------------------------------
 
-    def step(self, state: int, symbol: int):
-        """Next state, or None when the symbol is not readable."""
+    def moves(self, state: int) -> tuple:
+        """The (symbol, next state) pairs readable from `state`, in symbol
+        order; HorizonError at the truncation marker."""
         if state == self.marker:
-            raise HorizonError(
-                "undecided at truncation: walk continues past the stored horizon"
-            )
-        return self.delta[state].get(symbol)
+            raise HorizonError("walk would continue past the stored horizon")
+        return self._moves[state]
 
     def walk(self, word: Word, state: int | None = None):
         """Run `word` from `state` (default: start); None when rejected."""
@@ -279,13 +287,9 @@ class Presentation:
     def _dfs(self, prefix, state, n):
         if len(prefix) == n:
             return [prefix]
-        if state == self.marker:
-            raise HorizonError(
-                "enumeration would continue past the stored horizon"
-            )
         out = []
-        for a in sorted(self.delta[state]):
-            out.extend(self._dfs(prefix + (a,), self.delta[state][a], n))
+        for a, t in self.moves(state):
+            out.extend(self._dfs(prefix + (a,), t, n))
         return out
 
     def tails(self, state: int, length: int) -> list[Word]:
@@ -301,12 +305,8 @@ class Presentation:
         """
         if length == 0:
             return ()
-        if state == self.marker:
-            raise HorizonError(
-                "least-tail search would continue past the stored horizon"
-            )
-        for a in sorted(self.delta[state]):
-            tail = self.lex_min_tail(self.delta[state][a], length - 1)
+        for a, t in self.moves(state):
+            tail = self.lex_min_tail(t, length - 1)
             if tail is not None:
                 return (a,) + tail
         return None
@@ -314,9 +314,9 @@ class Presentation:
     # -- graph structure ----------------------------------------------------------
 
     def edges(self):
-        for s in range(self.n_states):
-            for a in sorted(self.delta[s]):
-                yield s, a, self.delta[s][a]
+        for s, moves in enumerate(self._moves):
+            for a, t in moves:
+                yield s, a, t
 
     def adjacency(self) -> list[list[int]]:
         m = [[0] * self.n_states for _ in range(self.n_states)]
@@ -394,3 +394,40 @@ class Presentation:
             f"Presentation({self.n_states} states, {n_edges} edges, "
             f"alphabet {self.alphabet_size}{extra})"
         )
+
+
+class PresentedShift:
+    """A shift space read off its presentation: exact counts, listings,
+    membership and continuation counts.
+
+    A subclass sets `presentation`, `alphabet_size` and `enumeration_cap`
+    and defines `beta_value`, the growth rate of the language.
+    """
+
+    def count_language(self, n: int) -> int:
+        """|L_n| exactly, by path counting on the presentation."""
+        if n > MATRIX_POWER_CAP:
+            raise InputError(f"count cap exceeded ({n} > {MATRIX_POWER_CAP})")
+        return self.presentation.count_words(n)
+
+    def enumerate_language(self, n: int, cap: int | None = None) -> list[Word]:
+        """The n-words in lexicographic order."""
+        return self.presentation.enumerate_words(
+            n, self.enumeration_cap if cap is None else cap
+        )
+
+    def is_word(self, v: Word) -> bool:
+        """Automaton membership test; HorizonError past a truncation."""
+        if any(a >= self.alphabet_size or a < 0 for a in v):
+            return False
+        return self.presentation.accepts(v)
+
+    def extensions(self, v: Word, j: int) -> int:
+        """#length-j continuations of v."""
+        state = self.presentation.walk(v)
+        if state is None:
+            return 0
+        return self.presentation.extensions_from(state, j)
+
+    def log_beta(self) -> float:
+        return log(float(self.beta_value()))

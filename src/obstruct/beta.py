@@ -21,13 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .automata import Presentation, check_enumeration_cap
+from .automata import Presentation, PresentedShift, check_enumeration_cap
 from .errors import HorizonError, InputError
 from .quadratic import QuadraticNumber, exact_floor
 from .words import Word
 
 DEFAULT_HORIZON = 64
-MATRIX_POWER_CAP = 10 ** 6
 # size caps, checked before any digit is computed or state built
 MAX_ALPHABET = 256
 MAX_HORIZON = 10_000
@@ -222,7 +221,7 @@ def _check_caps(beta, horizon: int) -> None:
 # -- the beta-shift ---------------------------------------------------------------
 
 
-class BetaSystem:
+class BetaSystem(PresentedShift):
     """A one-sided beta-shift: expansion of 1 plus its follower automaton."""
 
     def __init__(self, expansion: BetaExpansion, enumeration_cap: int = 24):
@@ -347,10 +346,6 @@ class BetaSystem:
     # -- basic queries -------------------------------------------------------------
 
     @property
-    def is_sofic(self) -> bool:
-        return self.expansion.is_periodic
-
-    @property
     def horizon(self) -> int | None:
         return self.expansion.horizon
 
@@ -369,17 +364,6 @@ class BetaSystem:
         return perron_eigendata(
             self.presentation.live_part(), cache=self.perron_cache
         ).eigenvalue
-
-    def log_beta(self) -> float:
-        import math
-
-        return math.log(float(self.beta_value()))
-
-    def is_word(self, v: Word) -> bool:
-        """Automaton membership test; HorizonError past a truncation."""
-        if any(a >= self.alphabet_size or a < 0 for a in v):
-            return False
-        return self.presentation.accepts(v)
 
     def lex_admissible(self, v: Word) -> bool:
         """Direct oracle: every suffix at most the matching expansion prefix."""
@@ -414,18 +398,6 @@ class BetaSystem:
 
     # -- language counting and enumeration ----------------------------------------
 
-    def count_language(self, n: int) -> int:
-        """|L_n| exactly, by path counting on the follower automaton."""
-        if n > MATRIX_POWER_CAP:
-            raise InputError(f"count cap exceeded ({n} > {MATRIX_POWER_CAP})")
-        return self.presentation.count_words(n)
-
-    def enumerate_language(self, n: int, cap: int | None = None) -> list[Word]:
-        """The admissible n-words in lexicographic order."""
-        return self.presentation.enumerate_words(
-            n, self.enumeration_cap if cap is None else cap
-        )
-
     def enumerate_matches(self, n: int) -> list[tuple[Word, int]]:
         """The admissible n-words in lexicographic order, each with its exact
         suffix-match value.
@@ -444,21 +416,14 @@ class BetaSystem:
 
     def match_moves(self, m: int) -> list[tuple[int, int]]:
         """(symbol, exact match after it) for each symbol readable at exact
-        match m, in increasing symbol order; computed once per m.
-
-        Raises HorizonError at the truncation marker (only a truncated
-        presentation has one, and its states are the matches themselves).
+        match m, in increasing symbol order; computed once per m from the
+        moves of its state, so HorizonError at the truncation marker.
         """
         if m not in self._match_moves:
-            if m == self.presentation.marker:
-                raise HorizonError("enumeration would continue past the stored horizon")
-            moves = []
-            for a in range(self.alphabet_size):
-                after = self._advance(m, a)
-                if after is None:
-                    break
-                moves.append((a, after))
-            self._match_moves[m] = moves
+            self._match_moves[m] = [
+                (a, self._advance(m, a))
+                for a, _ in self.presentation.moves(self.match_state(m))
+            ]
         return self._match_moves[m]
 
     def core_counts(self, n: int) -> list[int]:
@@ -488,13 +453,6 @@ class BetaSystem:
                 sum(c * self.digit(k + 1) for k, c in enumerate(prev) if c)
             )
         return self._core_counts
-
-    def extensions(self, v: Word, j: int) -> int:
-        """#length-j admissible continuations of v."""
-        state = self.presentation.walk(v)
-        if state is None:
-            return 0
-        return self.presentation.extensions_from(state, j)
 
     def describe(self) -> str:
         return (

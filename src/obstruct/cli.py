@@ -35,7 +35,6 @@ from .errors import (
 from .factors import (
     BlockCode,
     factor_entropy_positive,
-    factor_suffix_entropy,
     induced_decomposition,
     nonexpansive_growth,
 )
@@ -370,7 +369,8 @@ def cmd_verify(config: RunConfig):
     entropy = system.log_beta()
     level_tau = level_glue[config.level].tau or 0
 
-    gibbs_n_top = min(config.measure_depth - j, 12)
+    # lengths from the measure in use: a measure file sets its own depth
+    gibbs_n_top = min(measure.depth - j, 12)
     gibbs = gibbs_check(
         measure,
         system,
@@ -410,7 +410,7 @@ def cmd_verify(config: RunConfig):
         proof_constant=fmt_float(mixing.proof_constant),
     )
 
-    pm_n = min(10, config.measure_depth)
+    pm_n = min(10, measure.depth)
     pm_rows = []
     pm_ok = True
     beta_val = math.exp(entropy)
@@ -424,7 +424,7 @@ def cmd_verify(config: RunConfig):
         )
     record("positive-mass-count", pm_ok, f"at n = {pm_n}", rows=pm_rows)
 
-    probe_top = max(1, config.measure_depth - 2)
+    probe_top = max(1, measure.depth - 2)
     probe = mixing_liminf_probe(
         measure, [(0,)], [(0,)], range(1, probe_top + 1)
     )
@@ -492,17 +492,15 @@ def _load_measure(path) -> CylinderMeasure:
 def cmd_factor(config: RunConfig, code_file: str):
     system = build_system(config)
     code = BlockCode.from_file(code_file, system.alphabet_size)
-    if code.window > config.enumeration_cap:
-        raise InputError(
-            f"window {code.window} exceeds enumeration cap {config.enumeration_cap}"
-        )
     scheme = beta_decomposition(system)
-    expans = nonexpansive_growth(system, code, j=config.depth, n_max=config.nmax)
-    suffix = factor_suffix_entropy(system, code, config.nmax, source_scheme=scheme)
-    positive = factor_entropy_positive(system, code, j=config.depth, source_scheme=scheme)
-
+    # the one image system of the run; building it refuses a window past the
+    # enumeration cap
     induced = induced_decomposition(system, code, scheme)
     factor_sys = induced.factor
+    expans = nonexpansive_growth(system, code, j=config.depth, n_max=config.nmax)
+    suffix = upper_entropy(induced.suffixes(), 0, config.nmax)
+    positive = factor_entropy_positive(system, code, j=config.depth, source_scheme=scheme)
+
     glue = min_gluing_time(
         system=factor_sys,
         collection=induced.level_collection(config.level),

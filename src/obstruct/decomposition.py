@@ -25,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import HorizonError, InputError, SpecificationError
+from .errors import InputError, SpecificationError
 from .orbits import EntropyEstimate, OrbitCollection, count_separated, upper_entropy
 from .words import EMPTY, Word
 
@@ -73,12 +73,14 @@ class DecompositionScheme:
         )
 
     def boundary(self) -> OrbitCollection:
-        """Prefix and suffix words together (the obstruction collection)."""
-        return OrbitCollection.from_predicate(
-            self.system,
-            lambda v: self.in_prefixes(v) or self.in_suffixes(v),
-            f"{self.name}:boundary",
-        )
+        """Prefix and suffix words together (the obstruction collection).
+
+        Every scheme here has only the empty word as a prefix, so for
+        n >= 1 this is the suffix class.
+        """
+        out = self.suffixes()
+        out.label = f"{self.name}:boundary"
+        return out
 
     def level_collection(self, M: int) -> OrbitCollection:
         return OrbitCollection.from_predicate(
@@ -110,9 +112,7 @@ class DecompositionScheme:
 
         def moves(state):
             v, s = state
-            if s == pres.marker:
-                raise HorizonError("enumeration would continue past the stored horizon")
-            return [(a, (v + (a,), t)) for a, t in sorted(pres.delta[s].items())]
+            return [(a, (v + (a,), t)) for a, t in pres.moves(s)]
 
         return ((), pres.start), moves, lambda state, n: self.in_level(state[0], M)
 
@@ -168,13 +168,6 @@ class BetaDecomposition(DecompositionScheme):
             system, f"{self.name}:suffixes", at=at, counter=counter
         )
 
-    def boundary(self) -> OrbitCollection:
-        # the prefix class holds only the empty word, so for n >= 1 the
-        # obstruction collection is exactly the suffix class
-        out = self.suffixes()
-        out.label = f"{self.name}:boundary"
-        return out
-
     def level_words(self, M: int, n: int) -> list[tuple[Word, int]]:
         # the level of a word is its exact match, which the walk carries
         system = self.system
@@ -226,23 +219,14 @@ class DegenerateDecomposition(DecompositionScheme):
     def suffixes(self) -> OrbitCollection:
         return OrbitCollection.full_language(self.system, f"{self.name}:suffixes")
 
-    def boundary(self) -> OrbitCollection:
-        return OrbitCollection.full_language(self.system, f"{self.name}:boundary")
-
     def level_collection(self, M: int) -> OrbitCollection:
-        system = self.system
-
-        def at(n):
-            return tuple(system.enumerate_language(n)) if n <= M else ()
-
-        def counter(n, j):
-            if n > M:
-                return 0
-            counts = system.presentation.state_counts(n)
-            ext = system.presentation.extensions_from
-            return sum(c * ext(s, j) for s, c in enumerate(counts) if c)
-
-        return OrbitCollection(system, f"{self.name}:level{M}", at=at, counter=counter)
+        full = OrbitCollection.full_language(self.system)
+        return OrbitCollection(
+            self.system,
+            f"{self.name}:level{M}",
+            at=lambda n: full.at(n) if n <= M else (),
+            counter=lambda n, j: count_separated(full, n, j) if n <= M else 0,
+        )
 
     def coverage_count(self, M: int, n: int) -> int:
         return self.system.count_language(n) if n <= M else 0
@@ -250,13 +234,7 @@ class DegenerateDecomposition(DecompositionScheme):
     def level_automaton(self, M: int):
         # every word of length n <= M, and no longer one, is in level M
         pres = self.system.presentation
-
-        def moves(s):
-            if s == pres.marker:
-                raise HorizonError("enumeration would continue past the stored horizon")
-            return sorted(pres.delta[s].items())
-
-        return pres.start, moves, lambda s, n: n <= M
+        return pres.start, pres.moves, lambda s, n: n <= M
 
 
 def _empty_word_class(system, label) -> OrbitCollection:
@@ -344,15 +322,9 @@ def _fill_template(presentation, template, state=None, pos=0):
         state = presentation.start
     if pos == len(template):
         return ()
-    if state == presentation.marker:
-        raise HorizonError("gluing search would continue past the stored horizon")
     want = template[pos]
-    symbols = (
-        (want,) if want is not None else tuple(sorted(presentation.delta[state]))
-    )
-    for a in symbols:
-        nxt = presentation.delta[state].get(a)
-        if nxt is None:
+    for a, nxt in presentation.moves(state):
+        if want is not None and a != want:
             continue
         rest = _fill_template(presentation, template, nxt, pos + 1)
         if rest is not None:
@@ -415,9 +387,7 @@ def check_specification(
         raise InputError("depth and gap must be non-negative")
     lengths = tuple(sorted(set(lengths)))
     # len(_segment_pool(...)), counted without listing a segment
-    size = sum(
-        count_separated(collection, n, j) for n in lengths if collection.defined_at(n)
-    )
+    size = sum(count_separated(collection, n, j) for n in lengths)
     total = sum(size ** k for k in range(2, k_max + 1))
     if total > budget:
         return SpecificationReport(

@@ -2,37 +2,35 @@
 
 A window-k code maps admissible k-blocks to output symbols.  The image
 shift is presented exactly by a subset construction over (state, window)
-configurations, so image languages, image measures, and gluing searches
-all run on the same machinery as the source.
+configurations.  `FactorSystem` answers the same `PresentedShift` protocol
+as the source, so image languages, image measures, and gluing searches all
+run on the same machinery.  A subset holding a configuration at the
+source's truncation marker becomes the image's marker, so a truncated
+source makes the image raise HorizonError where the source would.
 
 The induced split of an image word takes the minimal suffix length over
 its preimage words, so the good-core class downstairs is as large as the
 upstairs structure allows.
 
-Expansivity obstructions are probed through the agreeing-pair automaton:
-configurations are ordered pairs of source configurations plus a flag
-recording whether the two label paths have differed.  Its length-n path
-counts are exactly the ordered pairs of source n-words with equal images;
-a reachable cycle through a flagged state certifies two distinct points
-with the same image sequence.  At symbolic output scales, agreement within
-any fixed scale at all orders already forces full agreement, so one
-automaton answers every depth.
+Expansivity obstructions are probed through the agreeing-pair automaton,
+a `Presentation` over pair symbols: its states are ordered pairs of source
+configurations plus a flag recording whether the two label paths have
+differed.  Its length-n word counts are exactly the ordered pairs of
+source n-words with equal images; a reachable cycle through a flagged
+state certifies two distinct points with the same image sequence.  At
+symbolic output scales, agreement within any fixed scale at all orders
+already forces full agreement, so one automaton answers every depth.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .automata import Presentation, strongly_connected_components
+from .automata import Presentation, PresentedShift, strongly_connected_components
 from .decomposition import DecompositionScheme
 from .errors import EnumerationCapError, InputError
-from .orbits import (
-    EntropyEstimate,
-    OrbitCollection,
-    _regression_slope,
-    upper_entropy,
-)
+from .orbits import OrbitCollection, _regression_slope
 from .words import EMPTY, Word, format_word, parse_word
 
 PAIR_STATE_CAP = 20_000
@@ -149,7 +147,7 @@ def factor_language(system, code: BlockCode, n: int) -> list[Word]:
 # -- the image system ----------------------------------------------------------------
 
 
-class FactorSystem:
+class FactorSystem(PresentedShift):
     """The image shift of a source system under a block code.
 
     Presented by the subset construction over (source state, window)
@@ -181,57 +179,42 @@ class FactorSystem:
 
     def _build_presentation(self) -> Presentation:
         pres = self.source.presentation
-        initial = frozenset(self._configurations())
-        index = {initial: 0}
+        index: dict = {}  # subset -> state; None -> the marker
         edges = []
-        stack = [initial]
+        stack = []
+
+        def number(subset):
+            # a configuration at the source's marker has unknown continuations
+            if pres.marker is not None and any(s == pres.marker for s, _ in subset):
+                subset = None
+            if subset not in index:
+                if len(index) >= SUBSET_STATE_CAP:
+                    raise InputError("image presentation exceeds state cap")
+                index[subset] = len(index)
+                if subset is not None:
+                    stack.append(subset)
+            return index[subset]
+
+        number(frozenset(self._configurations()))
         while stack:
             cur = stack.pop()
+            here = index[cur]
             moves: dict[int, set] = {}
             for s, window in cur:
-                if s == pres.marker:
-                    continue
-                for a, t in pres.delta[s].items():
+                for a, t in pres.moves(s):
                     block = window + (a,)
                     out = self.code.output(block)
                     moves.setdefault(out, set()).add((t, block[1:]))
             for out in sorted(moves):
-                nxt = frozenset(moves[out])
-                if nxt not in index:
-                    if len(index) >= SUBSET_STATE_CAP:
-                        raise InputError("image presentation exceeds state cap")
-                    index[nxt] = len(index)
-                    stack.append(nxt)
-                edges.append((index[cur], out, index[nxt]))
-        return Presentation(len(index), self.alphabet_size, edges, start=0)
-
-    # same counting interface as the source systems
-    def count_language(self, n: int) -> int:
-        return self.presentation.count_words(n)
-
-    def enumerate_language(self, n: int, cap: int | None = None) -> list[Word]:
-        return self.presentation.enumerate_words(
-            n, self.enumeration_cap if cap is None else cap
+                edges.append((here, out, number(frozenset(moves[out]))))
+        return Presentation(
+            len(index), self.alphabet_size, edges, start=0, marker=index.get(None)
         )
-
-    def is_word(self, v: Word) -> bool:
-        if any(a < 0 or a >= self.alphabet_size for a in v):
-            return False
-        return self.presentation.accepts(v)
-
-    def extensions(self, v: Word, j: int) -> int:
-        state = self.presentation.walk(v)
-        if state is None:
-            return 0
-        return self.presentation.extensions_from(state, j)
 
     def beta_value(self):
         from .perron import perron_eigendata
 
         return perron_eigendata(self.presentation, cache=self.perron_cache).eigenvalue
-
-    def log_beta(self) -> float:
-        return math.log(float(self.beta_value()))
 
     def preimages(self, y: Word) -> list[Word]:
         """Source words of length len(y) + k - 1 mapping onto y, sorted."""
@@ -244,8 +227,7 @@ class FactorSystem:
             if pos == len(y) + k - 1:
                 out.append(word)
                 return
-            for a in sorted(pres.delta[state]):
-                nxt = pres.delta[state][a]
+            for a, nxt in pres.moves(state):
                 block_end = pos + 1
                 if block_end >= k:
                     block = (word + (a,))[block_end - k :]
@@ -323,17 +305,9 @@ class InducedDecomposition(DecompositionScheme):
             return (self.suffix_word(n),)
 
         def counter(n, j):
-            state = factor.presentation.walk(self.suffix_word(n))
-            if state is None:
-                return 0
-            return factor.presentation.extensions_from(state, j)
+            return factor.extensions(self.suffix_word(n), j)
 
         return OrbitCollection(factor, f"{self.name}:suffixes", at=at, counter=counter)
-
-    def boundary(self) -> OrbitCollection:
-        out = self.suffixes()
-        out.label = f"{self.name}:boundary"
-        return out
 
 
 def induced_decomposition(system, code: BlockCode, source_scheme) -> InducedDecomposition:
@@ -341,18 +315,6 @@ def induced_decomposition(system, code: BlockCode, source_scheme) -> InducedDeco
     if source_scheme.system is not system:
         raise InputError("source scheme must belong to the given system")
     return InducedDecomposition(FactorSystem(system, code), source_scheme)
-
-
-def factor_suffix_entropy(
-    system, code: BlockCode, n_max: int, source_scheme=None, j: int = 0
-) -> EntropyEstimate:
-    """Growth of the induced suffix class on the image: one word per length."""
-    from .decomposition import beta_decomposition
-
-    scheme = induced_decomposition(
-        system, code, source_scheme or beta_decomposition(system)
-    )
-    return upper_entropy(scheme.suffixes(), j, n_max)
 
 
 # -- positive entropy of the image ---------------------------------------------------
@@ -466,33 +428,24 @@ def _verify_free_concatenation(system, code, pair, n, j, m) -> int:
 # -- agreeing-pair automaton ----------------------------------------------------------
 
 
-@dataclass
-class PairAutomaton:
-    """Ordered pairs of source configurations with equal emitted outputs."""
+class PairAutomaton(Presentation):
+    """Ordered pairs of source configurations with equal emitted outputs.
 
-    states: list  # (cfg1, cfg2, differed)
-    edges: dict  # state index -> list of (a1, a2, target index)
-    initial: int
-    diagonal: tuple  # per-state flag: True when the pair has never differed
-    meta: dict = field(default_factory=dict)
+    The symbol a1 * A + a2 (A the source alphabet size) reads a1 in the
+    first source word and a2 in the second.  `states[s]` is (cfg1, cfg2,
+    differed), or None for the marker, which stands for every pair with a
+    configuration past the source's horizon; `diagonal[s]` is True when the
+    pair has never differed.
+    """
 
-    def pair_counts(self, n: int) -> list[int]:
-        """Ordered pairs of length-t source words with equal images, t <= n."""
-        vec = {self.initial: 1}
-        out = [1]
-        for _ in range(n):
-            new: dict[int, int] = {}
-            for s, c in vec.items():
-                for _, _, t in self.edges[s]:
-                    new[t] = new.get(t, 0) + c
-            vec = new
-            out.append(sum(vec.values()))
-        return out
+    def __init__(self, states, diagonal, source_alphabet, edges, marker=None):
+        super().__init__(len(states), source_alphabet ** 2, edges, marker=marker)
+        self.states = states
+        self.diagonal = diagonal
+        self.source_alphabet = source_alphabet
 
     def nondiagonal_cycle_exists(self) -> bool:
-        successors = [
-            [t for _, _, t in self.edges.get(s, ())] for s in range(len(self.states))
-        ]
+        successors = [list(d.values()) for d in self.delta]
         for scc in strongly_connected_components(successors):
             has_cycle = len(scc) > 1 or scc[0] in successors[scc[0]]
             if has_cycle and any(not self.diagonal[s] for s in scc):
@@ -500,23 +453,23 @@ class PairAutomaton:
         return False
 
     def dump_edges_csv(self, path) -> None:
+        """Edge list as `state,a1,a2,state,differed` rows."""
         with open(path, "w", encoding="ascii") as fh:
-            for s in sorted(self.edges):
-                for a1, a2, t in sorted(self.edges[s]):
-                    fh.write(f"{s},{a1},{a2},{t},{int(not self.diagonal[s])}\n")
+            for s, pair, t in self.edges():
+                a1, a2 = divmod(pair, self.source_alphabet)
+                fh.write(f"{s},{a1},{a2},{t},{int(not self.diagonal[s])}\n")
 
 
 def build_pair_automaton(system, code: BlockCode) -> PairAutomaton:
     """The synchronized square of the source, filtered by output equality."""
     pres = system.presentation
     k = code.window
+    size = system.alphabet_size
 
     def moves_from(cfg):
         s, window = cfg
-        if s == pres.marker:
-            return []
         out = []
-        for a, t in pres.delta[s].items():
+        for a, t in pres.moves(s):
             block = window + (a,)
             if len(block) == k:
                 out.append((a, code.output(block), (t, block[1:])))
@@ -525,35 +478,37 @@ def build_pair_automaton(system, code: BlockCode) -> PairAutomaton:
         return out
 
     start = ((pres.start, ()), (pres.start, ()), False)
-    index = {start: 0}
-    states = [start]
-    edges: dict[int, list] = {}
-    stack = [start]
+    index = {}  # pair state -> number; None -> the marker
+    states = []
+    edges = []
+    stack = []
+
+    def number(target):
+        if target not in index:
+            if len(index) >= PAIR_STATE_CAP:
+                raise InputError("pair automaton exceeds state cap")
+            index[target] = len(index)
+            states.append(target)
+            if target is not None:
+                stack.append(target)
+        return index[target]
+
+    number(start)
     while stack:
         cur = stack.pop()
+        here = index[cur]
         cfg1, cfg2, differed = cur
-        moves = []
         for a1, out1, nxt1 in moves_from(cfg1):
             for a2, out2, nxt2 in moves_from(cfg2):
                 if out1 != out2:
                     continue
-                target = (nxt1, nxt2, differed or a1 != a2)
-                if target not in index:
-                    if len(index) >= PAIR_STATE_CAP:
-                        raise InputError("pair automaton exceeds state cap")
-                    index[target] = len(index)
-                    states.append(target)
-                    stack.append(target)
-                moves.append((a1, a2, index[target]))
-        edges[index[cur]] = sorted(moves)
-    diagonal = tuple(not st[2] for st in states)
-    return PairAutomaton(
-        states=states,
-        edges=edges,
-        initial=0,
-        diagonal=diagonal,
-        meta={"window": k},
-    )
+                if pres.marker in (nxt1[0], nxt2[0]):
+                    target = None
+                else:
+                    target = (nxt1, nxt2, differed or a1 != a2)
+                edges.append((here, a1 * size + a2, number(target)))
+    diagonal = tuple(st is None or not st[2] for st in states)
+    return PairAutomaton(states, diagonal, size, edges, marker=index.get(None))
 
 
 @dataclass(frozen=True)
@@ -585,7 +540,7 @@ def nonexpansive_growth(
     source entropy when every pair of points agrees.
     """
     pair = build_pair_automaton(system, code)
-    counts = pair.pair_counts(n_max)
+    counts = [pair.count_words(n) for n in range(n_max + 1)]
     if not pair.nondiagonal_cycle_exists():
         return NonexpansiveReport(
             verdict="positively-expansive",

@@ -15,7 +15,6 @@ log(count)/n over the same window.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 from .errors import EmptyCollectionError, InputError
@@ -42,26 +41,18 @@ class EntropyEstimate:
 class OrbitCollection:
     """Per-length word sets, with optional exact fast counting."""
 
-    def __init__(self, system, label, at, lengths=None, counter=None):
-        """at(n) -> sorted tuple of base words, or None when D_n is undefined.
-
-        `lengths`: None means every n >= 1 carries a (possibly empty) set;
-        otherwise only the given lengths are defined.  `counter(n, j)` may
-        supply the separated count without enumeration.
+    def __init__(self, system, label, at, counter=None):
+        """at(n) -> sorted tuple of the base words of length n (possibly
+        empty).  `counter(n, j)` may supply the separated count without
+        enumeration.
         """
         self.system = system
         self.label = label
         self._at = at
-        self.lengths = None if lengths is None else frozenset(lengths)
         self._counter = counter
 
-    def defined_at(self, n: int) -> bool:
-        return n >= 0 and (self.lengths is None or n in self.lengths)
-
     def at(self, n: int):
-        """Base words of length n; None when the length is undefined."""
-        if not self.defined_at(n):
-            return None
+        """Base words of length n."""
         return self._at(n)
 
     def __repr__(self):
@@ -76,9 +67,7 @@ class OrbitCollection:
                 listed[n] = self._at(n)
             return listed[n]
 
-        return OrbitCollection(
-            self.system, self.label, at=at, lengths=self.lengths, counter=self._counter
-        )
+        return OrbitCollection(self.system, self.label, at=at, counter=self._counter)
 
     # -- constructors ----------------------------------------------------------
 
@@ -97,16 +86,11 @@ class OrbitCollection:
         )
 
     @classmethod
-    def from_sets(cls, system, sets: dict, label):
-        table = {n: tuple(sorted(ws)) for n, ws in sets.items()}
-        return cls(system, label, at=lambda n: table.get(n, ()), lengths=table)
-
-    @classmethod
-    def from_predicate(cls, system, predicate, label, lengths=None):
+    def from_predicate(cls, system, predicate, label):
         def at(n):
             return tuple(v for v in system.enumerate_language(n) if predicate(v))
 
-        return cls(system, label, at=at, lengths=lengths)
+        return cls(system, label, at=at)
 
     @classmethod
     def from_match_predicate(cls, system, match_predicate, label):
@@ -135,18 +119,12 @@ def count_separated(collection: OrbitCollection, n: int, j: int = 0) -> int:
     """Maximal (n, 2^-j)-separated cardinality within the collection at length n.
 
     Counts the distinct depth-(n + j) prefixes over the collection's base
-    words; lengths the collection does not define count as 0 with a warning.
+    words.
     """
     if n < 1:
         raise InputError("n must be >= 1")
     if j < 0:
         raise InputError("depth must be >= 0")
-    if not collection.defined_at(n):
-        warnings.warn(
-            f"collection {collection.label!r} is undefined at length {n}; counting 0",
-            stacklevel=2,
-        )
-        return 0
     if collection._counter is not None:
         return collection._counter(n, j)
     words = collection.at(n)
@@ -170,12 +148,7 @@ def _collect_samples(collection, j, n_max):
     samples = []
     gaps = []
     for n in range(1, n_max + 1):
-        if not collection.defined_at(n):
-            gaps.append(n)
-            continue
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            c = count_separated(collection, n, j)
+        c = count_separated(collection, n, j)
         if c > 0:
             samples.append((n, math.log(c)))
         else:

@@ -14,7 +14,6 @@ mass floors, and the minimum cylinder count of positive-mass sets.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -113,11 +112,7 @@ def counting_suite(
 
     lang = {n: count_separated(full, n, j) for n in range(1, n_max + 1)}
     core_counts = {n: count_separated(cores, n, j) for n in range(1, n_max + 1)}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        boundary_counts = {
-            n: count_separated(boundary, n, j) for n in range(1, n_max + 1)
-        }
+    boundary_counts = {n: count_separated(boundary, n, j) for n in range(1, n_max + 1)}
 
     # (a) submultiplicativity of language counts
     bad = next(

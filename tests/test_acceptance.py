@@ -263,7 +263,8 @@ def test_criterion_9_factors(golden, full2, golden_file, tmp_path):
         (golden, BlockCode.merge_all(2)),
         (full2, BlockCode.xor()),
     ]:
-        counts = build_pair_automaton(system, code).pair_counts(8)
+        pair = build_pair_automaton(system, code)
+        counts = [pair.count_words(n) for n in range(9)]
         for n in range(code.window, 9):
             grouped = {}
             for u in system.enumerate_language(n):

@@ -69,9 +69,9 @@ def test_is_primitive_matches_wielandt(graph):
 @settings(max_examples=300, deadline=None)
 def test_nondiagonal_cycle_matches_reachability(graph, flags):
     n, arcs = graph
-    edges = {s: [(0, 0, t) for (x, t) in sorted(arcs) if x == s] for s in range(n)}
+    # label each edge by its target, so the presentation is deterministic
     pair = PairAutomaton(
-        states=list(range(n)), edges=edges, initial=0, diagonal=tuple(flags[:n])
+        list(range(n)), tuple(flags[:n]), n, [(s, t, t) for s, t in arcs]
     )
     expected = any(not flags[s] and s in _reach(n, arcs, s) for s in range(n))
     assert pair.nondiagonal_cycle_exists() == expected

@@ -404,6 +404,22 @@ def test_measure_file_accepted_when_valid(golden_file, tmp_path):
     assert code == EXIT_PASS
 
 
+def test_measure_file_sets_the_check_lengths(tmp_path, capsys):
+    # the Gibbs, positive-mass and probe lengths come from the file's depth
+    # (8), not from the default --measure-depth (12)
+    p5 = tmp_path / "p5.txt"
+    p5.write_text("period=5\n21001\n")
+    system = build_system(RunConfig(expansion_file=str(p5)))
+    path = tmp_path / "measure.json"
+    path.write_text(json.dumps(parry_measure(system, 8).to_json_dict()))
+    code = main(["verify", "--expansion-file", str(p5), "--measure-file", str(path)])
+    assert code == EXIT_PASS
+    checks = json.loads(capsys.readouterr().out)["payload"]["checks"]
+    rows = {c["name"]: c for c in checks}
+    assert rows["positive-mass-count"]["summary"] == "at n = 8"
+    assert rows["correlation-floor"]["summary"].endswith("over gaps 1..6")
+
+
 # -- fuzzing the command line in-process ----------------------------------------------
 
 

@@ -2,9 +2,10 @@ import math
 
 import pytest
 
+from obstruct.automata import MATRIX_POWER_CAP
 from obstruct.beta import BetaSystem
-from obstruct.decomposition import min_gluing_time
-from obstruct.errors import EnumerationCapError, InputError
+from obstruct.decomposition import beta_decomposition, min_gluing_time
+from obstruct.errors import EnumerationCapError, HorizonError, InputError
 from obstruct.factors import (
     BlockCode,
     FactorSystem,
@@ -12,10 +13,10 @@ from obstruct.factors import (
     build_pair_automaton,
     factor_entropy_positive,
     factor_language,
-    factor_suffix_entropy,
     induced_decomposition,
     nonexpansive_growth,
 )
+from obstruct.orbits import upper_entropy
 from obstruct.words import word
 
 LOG_PHI = math.log((1 + math.sqrt(5)) / 2)
@@ -148,7 +149,8 @@ class TestSuffixEntropy:
             (golden, BlockCode.merge_all(2)),
         ]
         for system, code in cases:
-            est = factor_suffix_entropy(system, code, 20)
+            ind = induced_decomposition(system, code, beta_decomposition(system))
+            est = upper_entropy(ind.suffixes(), 0, 20)
             assert est.rate == 0.0
 
     def test_one_suffix_word_per_length(self, golden, golden_scheme):
@@ -219,7 +221,7 @@ class TestNonexpansive:
         ]
         for system, code, top in cases:
             pair = build_pair_automaton(system, code)
-            counts = pair.pair_counts(top)
+            counts = [pair.count_words(n) for n in range(top + 1)]
             for n in range(code.window, top + 1):
                 images = [apply_code(code, u) for u in system.enumerate_language(n)]
                 grouped: dict = {}
@@ -274,3 +276,41 @@ def test_code_file_errors(tmp_path):
     empty.write_text("# nothing\n")
     with pytest.raises(InputError):
         BlockCode.from_file(empty)
+
+
+class TestTruncatedSource:
+    """The image and the pair automaton of a truncated source raise where
+    the source does, instead of dropping the configurations at its marker."""
+
+    @pytest.fixture(scope="class")
+    def short(self):
+        # 3/2 with five stored digits: the marker is reached at length 5
+        return BetaSystem.from_beta("3/2", horizon=5)
+
+    def test_image_counts_stop_with_the_source(self, short):
+        image = FactorSystem(short, BlockCode.identity(2))
+        assert image.count_language(5) == short.count_language(5) == 12
+        with pytest.raises(HorizonError):
+            short.count_language(6)
+        with pytest.raises(HorizonError):
+            image.count_language(6)
+
+    def test_pair_counts_stop_at_the_horizon(self, short):
+        pair = build_pair_automaton(short, BlockCode.identity(2))
+        assert pair.count_words(5) == 12
+        with pytest.raises(HorizonError):
+            pair.count_words(8)
+
+    def test_preimages_past_the_marker_raise(self, short):
+        image = FactorSystem(short, BlockCode.identity(2))
+        assert image.preimages(short.expansion_prefix(5)) == [
+            short.expansion_prefix(5)
+        ]
+        with pytest.raises(HorizonError):
+            image.preimages(short.expansion_prefix(5) + (0, 0))
+
+
+def test_image_count_cap(golden):
+    image = FactorSystem(golden, BlockCode.identity(2))
+    with pytest.raises(InputError, match="count cap"):
+        image.count_language(MATRIX_POWER_CAP + 1)

@@ -67,10 +67,11 @@ class TestCountSeparated:
                 c = count_separated(full, n, j)
                 assert a <= b <= c
 
-    def test_undefined_length_warns_and_counts_zero(self, golden):
-        coll = OrbitCollection.from_sets(golden, {2: {(0, 0)}}, "spotty")
-        with pytest.warns(UserWarning):
-            assert count_separated(coll, 3, 0) == 0
+    def test_empty_length_counts_zero(self, golden):
+        coll = OrbitCollection(
+            golden, "spotty", at=lambda n: ((0, 0),) if n == 2 else ()
+        )
+        assert count_separated(coll, 3, 0) == 0
         assert count_separated(coll, 2, 0) == 1
 
     def test_bad_arguments(self, golden):
@@ -108,17 +109,18 @@ class TestUpperEntropy:
             upper_entropy(OrbitCollection.full_language(golden), 0, 7)
 
     def test_empty_collection(self, golden):
-        empty = OrbitCollection.from_sets(golden, {}, "void")
+        empty = OrbitCollection(golden, "void", at=lambda n: ())
         with pytest.raises(EmptyCollectionError):
             upper_entropy(empty, 0, 10)
 
 
 class TestLowerEntropy:
     def test_alternating_gaps(self, golden):
-        sets = {
-            n: set(golden.enumerate_language(n)) for n in range(2, 21, 2)
-        }
-        coll = OrbitCollection.from_sets(golden, sets, "even-only")
+        coll = OrbitCollection(
+            golden,
+            "even-only",
+            at=lambda n: tuple(golden.enumerate_language(n)) if n % 2 == 0 else (),
+        )
         upper = upper_entropy(coll, 0, 20)
         assert upper.rate > 0.3
 
