@@ -27,6 +27,8 @@ from .errors import EnumerationCapError, HorizonError, InputError
 from .words import Word
 
 DEFAULT_ENUMERATION_CAP = 24
+# most words one listing may hold, counted before any is listed
+MAX_ENUMERATED_WORDS = 10 ** 6
 # longest word length count_language counts
 MATRIX_POWER_CAP = 10 ** 6
 
@@ -280,8 +282,19 @@ class Presentation:
     # -- enumeration ------------------------------------------------------------
 
     def enumerate_words(self, n: int, cap: int | None = DEFAULT_ENUMERATION_CAP):
-        """All length-n label sequences from the start state, sorted."""
+        """All length-n label sequences from the start state, sorted.
+
+        The words are counted first: more than MAX_ENUMERATED_WORDS of them
+        are refused before any is listed, and the count raises HorizonError
+        where the listing would (a path of length below n meets the marker).
+        """
         check_enumeration_cap(n, cap)
+        count = self.count_words(n)
+        if count > MAX_ENUMERATED_WORDS:
+            raise EnumerationCapError(
+                f"enumeration of length {n} would list {count} words, over the "
+                f"budget {MAX_ENUMERATED_WORDS}; count_language counts them"
+            )
         return self._dfs((), self.start, n)
 
     def _dfs(self, prefix, state, n):

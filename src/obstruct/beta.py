@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .automata import Presentation, PresentedShift, check_enumeration_cap
+from .automata import Presentation, PresentedShift
 from .errors import HorizonError, InputError
 from .quadratic import QuadraticNumber, exact_floor
 from .words import Word
@@ -397,22 +397,6 @@ class BetaSystem(PresentedShift):
         return self._canonical(m)
 
     # -- language counting and enumeration ----------------------------------------
-
-    def enumerate_matches(self, n: int) -> list[tuple[Word, int]]:
-        """The admissible n-words in lexicographic order, each with its exact
-        suffix-match value.
-
-        Extends the words one symbol at a time from the empty word at match
-        0, carrying the match through `match_moves`; the cap and the errors
-        are those of `enumerate_language`.
-        """
-        check_enumeration_cap(n, self.enumeration_cap)
-        words = [((), 0)]
-        for _ in range(n):
-            words = [
-                (v + (a,), after) for v, m in words for a, after in self.match_moves(m)
-            ]
-        return words
 
     def match_moves(self, m: int) -> list[tuple[int, int]]:
         """(symbol, exact match after it) for each symbol readable at exact

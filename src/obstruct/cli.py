@@ -338,17 +338,8 @@ def cmd_verify(config: RunConfig):
                 tau=result.tau,
             )
 
-    if config.degenerate:
-        core_glue = min_gluing_time(
-            system,
-            scheme.cores(),
-            j=j,
-            tau_max=config.tau_max,
-            lengths=range(1, config.spec_length + 1),
-        )
-    else:
-        # on the beta scheme the cores (match 0) are level 0 (match <= 0)
-        core_glue = level_glue[0]
+    # the cores are level 0 in every scheme
+    core_glue = level_glue[0]
     tau = core_glue.tau
     if tau is None:
         inconclusive = True
@@ -389,7 +380,7 @@ def cmd_verify(config: RunConfig):
     )
 
     pair_len = 1
-    level_words = [v for v, _ in scheme.level_words(config.level, pair_len)]
+    level_words = scheme.level_words(config.level, pair_len)
     pairs = [(u, v) for u in level_words for v in level_words]
     q = max(2 * level_tau, 2)
     mixing = mixing_check(

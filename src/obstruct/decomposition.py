@@ -1,10 +1,12 @@
 """Prefix/core/suffix splitters and specification checking.
 
-Every admissible word is split into three pieces: here the split is the
-one induced by the expansion of 1, with an empty prefix piece, a suffix
-piece equal to the longest trailing prefix of the expansion (the exact
-follower value, so the split is unique and O(|v|)), and a core that by
-construction ends in no prefix of the expansion.
+Every admissible word is split into three pieces by a scheme, from whose
+split every class and filtration level is derived (`DecompositionScheme`).
+The beta scheme's split is the one induced by the expansion of 1, with an
+empty prefix piece, a suffix piece equal to the longest trailing prefix of
+the expansion (the exact follower value, so the split is unique and
+O(|v|)), and a core that by construction ends in no prefix of the
+expansion.
 
 Specification of a collection at depth j with gap tau is checked
 literally: for every tuple of depth-extended words, some single word must
@@ -27,13 +29,28 @@ from fractions import Fraction
 
 from .errors import InputError, SpecificationError
 from .orbits import EntropyEstimate, OrbitCollection, count_separated, upper_entropy
-from .words import EMPTY, Word
+from .words import Word
 
 DEFAULT_TUPLE_BUDGET = 100_000
+# passing and failing tuples a specification report keeps, each
+WITNESS_LIMIT = 16
+# segment lengths of the level certificates of `obstruction_entropy_upper`
+CERTIFY_LENGTHS = range(1, 5)
 
 
 class DecompositionScheme:
-    """Assigns to every admissible word a (prefix, core, suffix) length split."""
+    """Assigns to every admissible word a (prefix, core, suffix) length split.
+
+    A scheme defines four things: `split`; its suffix class, `suffixes()`;
+    `level_automaton(M)`, which the Gibbs class DP walks (the base class
+    gives a word-carrying one); and, optionally, `level_counter(M)`, a
+    closed-form separated count of level M.  The rest is derived here from
+    the split: a word is in the prefix, core or suffix class when its split
+    gives it wholly to that piece (no word outside the language is), the
+    level G(M) holds the words whose prefix and suffix pieces are at most M
+    long, and the cores are level 0.  The collections list their words from
+    the language with these tests; the levels count with the level counter.
+    """
 
     name = "scheme"
 
@@ -43,34 +60,41 @@ class DecompositionScheme:
     def split(self, v: Word) -> tuple[int, int, int]:
         raise NotImplementedError
 
-    def in_prefixes(self, v: Word) -> bool:
+    def suffixes(self) -> OrbitCollection:
         raise NotImplementedError
+
+    def level_counter(self, M: int):
+        """Closed-form `counter(n, j)` of level M, or None: count listed words."""
+        return None
+
+    def _whole_piece(self, v: Word, piece: int) -> bool:
+        try:
+            return self.split(v)[piece] == len(v)
+        except InputError:
+            return False
+
+    def in_prefixes(self, v: Word) -> bool:
+        return self._whole_piece(v, 0)
 
     def in_cores(self, v: Word) -> bool:
-        raise NotImplementedError
+        return self._whole_piece(v, 1)
 
     def in_suffixes(self, v: Word) -> bool:
-        raise NotImplementedError
+        return self._whole_piece(v, 2)
 
     def in_level(self, v: Word, M: int) -> bool:
         p, _, s = self.split(v)
         return p <= M and s <= M
 
-    # collections; subclasses may install fast counters
     def prefixes(self) -> OrbitCollection:
         return OrbitCollection.from_predicate(
             self.system, self.in_prefixes, f"{self.name}:prefixes"
         )
 
     def cores(self) -> OrbitCollection:
-        return OrbitCollection.from_predicate(
-            self.system, self.in_cores, f"{self.name}:cores"
-        )
-
-    def suffixes(self) -> OrbitCollection:
-        return OrbitCollection.from_predicate(
-            self.system, self.in_suffixes, f"{self.name}:suffixes"
-        )
+        out = self.level_collection(0)
+        out.label = f"{self.name}:cores"
+        return out
 
     def boundary(self) -> OrbitCollection:
         """Prefix and suffix words together (the obstruction collection).
@@ -83,23 +107,16 @@ class DecompositionScheme:
         return out
 
     def level_collection(self, M: int) -> OrbitCollection:
-        return OrbitCollection.from_predicate(
-            self.system, lambda v: self.in_level(v, M), f"{self.name}:level{M}"
+        return OrbitCollection(
+            self.system,
+            f"{self.name}:level{M}",
+            at=lambda n: tuple(self.level_words(M, n)),
+            counter=self.level_counter(M),
         )
 
-    def level_words(self, M: int, n: int) -> list[tuple[Word, int]]:
-        """(word, end state) for the level-M words of length n, in
-        lexicographic order; generic enumeration fallback."""
-        walk = self.system.presentation.walk
-        return [
-            (v, walk(v))
-            for v in self.system.enumerate_language(n)
-            if self.in_level(v, M)
-        ]
-
-    def coverage_count(self, M: int, n: int) -> int:
-        """|level-M words of length n|; generic enumeration fallback."""
-        return sum(1 for v in self.system.enumerate_language(n) if self.in_level(v, M))
+    def level_words(self, M: int, n: int) -> list[Word]:
+        """The level-M words of length n, in lexicographic order."""
+        return [v for v in self.system.enumerate_language(n) if self.in_level(v, M)]
 
     def level_automaton(self, M: int):
         """(start, moves, member): `moves(state)` lists (symbol, next state)
@@ -131,30 +148,6 @@ class BetaDecomposition(DecompositionScheme):
         s = self.system.suffix_match_length(v)
         return 0, len(v) - s, s
 
-    def in_prefixes(self, v: Word) -> bool:
-        return v == EMPTY
-
-    def in_cores(self, v: Word) -> bool:
-        if v == EMPTY:
-            return True
-        try:
-            return self.system.suffix_match_length(v) == 0
-        except InputError:
-            return False
-
-    def in_suffixes(self, v: Word) -> bool:
-        return v == self.system.expansion_prefix(len(v))
-
-    def cores(self) -> OrbitCollection:
-        return OrbitCollection.from_match_predicate(
-            self.system, lambda m, n: m == 0, f"{self.name}:cores"
-        )
-
-    def level_collection(self, M: int) -> OrbitCollection:
-        return OrbitCollection.from_match_predicate(
-            self.system, lambda m, n: m <= M, f"{self.name}:level{M}"
-        )
-
     def suffixes(self) -> OrbitCollection:
         system = self.system
 
@@ -168,18 +161,20 @@ class BetaDecomposition(DecompositionScheme):
             system, f"{self.name}:suffixes", at=at, counter=counter
         )
 
-    def level_words(self, M: int, n: int) -> list[tuple[Word, int]]:
-        # the level of a word is its exact match, which the walk carries
+    def level_counter(self, M: int):
+        # the n-words with exact match m are u d_1..d_m, u counted by Z_{n-m}
         system = self.system
-        return [
-            (v, system.match_state(m))
-            for v, m in system.enumerate_matches(n)
-            if m <= M
-        ]
+        ext = system.presentation.extensions_from
 
-    def coverage_count(self, M: int, n: int) -> int:
-        z = self.system.core_counts(n)
-        return sum(z[n - m] for m in range(min(M, n) + 1))
+        def counter(n, j):
+            z = system.core_counts(n)
+            return sum(
+                z[n - m] * ext(system.match_state(m), j)
+                for m in range(min(M, n) + 1)
+                if z[n - m]
+            )
+
+        return counter
 
     def level_automaton(self, M: int):
         # the state is the exact suffix match, the level test m <= M
@@ -201,50 +196,17 @@ class DegenerateDecomposition(DecompositionScheme):
             raise InputError("word is not in the language")
         return 0, 0, len(v)
 
-    def in_prefixes(self, v: Word) -> bool:
-        return v == EMPTY
-
-    def in_cores(self, v: Word) -> bool:
-        return v == EMPTY
-
-    def in_suffixes(self, v: Word) -> bool:
-        return self.system.is_word(v)
-
-    def prefixes(self) -> OrbitCollection:
-        return _empty_word_class(self.system, f"{self.name}:prefixes")
-
-    def cores(self) -> OrbitCollection:
-        return _empty_word_class(self.system, f"{self.name}:cores")
-
     def suffixes(self) -> OrbitCollection:
         return OrbitCollection.full_language(self.system, f"{self.name}:suffixes")
 
-    def level_collection(self, M: int) -> OrbitCollection:
+    def level_counter(self, M: int):
+        # every word of length n <= M, and no longer one, is in level M
         full = OrbitCollection.full_language(self.system)
-        return OrbitCollection(
-            self.system,
-            f"{self.name}:level{M}",
-            at=lambda n: full.at(n) if n <= M else (),
-            counter=lambda n, j: count_separated(full, n, j) if n <= M else 0,
-        )
-
-    def coverage_count(self, M: int, n: int) -> int:
-        return self.system.count_language(n) if n <= M else 0
+        return lambda n, j: count_separated(full, n, j) if n <= M else 0
 
     def level_automaton(self, M: int):
-        # every word of length n <= M, and no longer one, is in level M
         pres = self.system.presentation
         return pres.start, pres.moves, lambda s, n: n <= M
-
-
-def _empty_word_class(system, label) -> OrbitCollection:
-    """The class holding only the empty word: no words of any length n >= 1."""
-    return OrbitCollection(
-        system,
-        label,
-        at=lambda n: (EMPTY,) if n == 0 else (),
-        counter=lambda n, j: 0,
-    )
 
 
 def beta_decomposition(system) -> BetaDecomposition:
@@ -273,7 +235,8 @@ def filtration_coverage(system, scheme, M: int, n: int) -> Fraction:
     """Exact fraction of length-n words in the level-M set of the scheme."""
     if M < 0 or n < 1:
         raise InputError("need M >= 0 and n >= 1")
-    return Fraction(scheme.coverage_count(M, n), system.count_language(n))
+    level = count_separated(scheme.level_collection(M), n, 0)
+    return Fraction(level, system.count_language(n))
 
 
 # -- specification -----------------------------------------------------------------
@@ -356,7 +319,6 @@ def check_specification(
     k_max: int = 2,
     lengths=range(1, 6),
     budget: int = DEFAULT_TUPLE_BUDGET,
-    witness_limit: int = 16,
 ) -> SpecificationReport:
     """Check that every segment tuple glues with gap `tau` at depth `j`.
 
@@ -386,9 +348,9 @@ def check_specification(
     if j < 0 or tau < 0:
         raise InputError("depth and gap must be non-negative")
     lengths = tuple(sorted(set(lengths)))
-    # len(_segment_pool(...)), counted without listing a segment
-    size = sum(count_separated(collection, n, j) for n in lengths)
-    total = sum(size ** k for k in range(2, k_max + 1))
+    # len(_segment_pool(...)) per length, counted without listing a segment
+    sizes = {n: count_separated(collection, n, j) for n in lengths}
+    total = sum(sum(sizes.values()) ** k for k in range(2, k_max + 1))
     if total > budget:
         return SpecificationReport(
             collection=collection.label,
@@ -403,7 +365,9 @@ def check_specification(
             witnesses=(),
             failures=(),
         )
-    pool = _segment_pool(system, collection, lengths, j)
+    # a length with no segments is not listed: a closed-form count of 0 can
+    # stand for a whole language of words outside the collection
+    pool = _segment_pool(system, collection, [n for n in lengths if sizes[n]], j)
     # head class of each segment: its base block's state and its depth tail
     heads: dict = {}
     head_of = [heads.setdefault((s, w[len(w) - j :]), len(heads)) for w, s in pool]
@@ -442,9 +406,9 @@ def check_specification(
                 )
             row, failing, passing = rows[head]
             checked += len(rests)
-            for i in failing[: witness_limit - len(failures)]:
+            for i in failing[: WITNESS_LIMIT - len(failures)]:
                 record(first, rests[i], None)
-            for i in passing[: witness_limit - len(witnesses)]:
+            for i in passing[: WITNESS_LIMIT - len(witnesses)]:
                 record(first, rests[i], row[i])
     return SpecificationReport(
         collection=collection.label,
@@ -531,8 +495,6 @@ def obstruction_entropy_upper(
     n_max: int,
     certify_levels=(0, 1, 2),
     tau_max: int = 4,
-    certify_lengths=range(1, 5),
-    k_max: int = 2,
 ) -> EntropyEstimate:
     """Growth of the scheme's obstruction collection at depth j.
 
@@ -546,8 +508,7 @@ def obstruction_entropy_upper(
             scheme.level_collection(M),
             j=j,
             tau_max=tau_max,
-            k_max=k_max,
-            lengths=certify_lengths,
+            lengths=CERTIFY_LENGTHS,
         )
         if not result.found:
             raise SpecificationError(

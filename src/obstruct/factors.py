@@ -276,18 +276,6 @@ class InducedDecomposition(DecompositionScheme):
             raise InputError("image word has no preimage")
         return 0, len(y) - min(best, len(y)), min(best, len(y))
 
-    def in_prefixes(self, y: Word) -> bool:
-        return y == EMPTY
-
-    def in_cores(self, y: Word) -> bool:
-        if y == EMPTY:
-            return True
-        if not self.factor.is_word(y):
-            return False
-        return any(
-            self.source_scheme.split(u)[2] == 0 for u in self.factor.preimages(y)
-        )
-
     def in_suffixes(self, y: Word) -> bool:
         if y == EMPTY:
             return True
@@ -370,11 +358,7 @@ def factor_entropy_positive(
         )
     for n in lengths:
         try:
-            cores = [
-                v
-                for v in system.enumerate_language(n)
-                if scheme.in_cores(v)
-            ]
+            cores = filter(scheme.in_cores, system.enumerate_language(n))
         except EnumerationCapError:
             return FactorEntropyReport(
                 verdict="inconclusive",

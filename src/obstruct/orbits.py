@@ -92,28 +92,6 @@ class OrbitCollection:
 
         return cls(system, label, at=at)
 
-    @classmethod
-    def from_match_predicate(cls, system, match_predicate, label):
-        """Words selected by their exact suffix-match value; counted by DP."""
-
-        def at(n):
-            return tuple(
-                v
-                for v in system.enumerate_language(n)
-                if match_predicate(system.suffix_match_length(v), n)
-            )
-
-        def counter(n, j):
-            z = system.core_counts(n)
-            ext = system.presentation.extensions_from
-            return sum(
-                z[n - m] * ext(system.match_state(m), j)
-                for m in range(n + 1)
-                if z[n - m] and match_predicate(m, n)
-            )
-
-        return cls(system, label, at=at, counter=counter)
-
 
 def count_separated(collection: OrbitCollection, n: int, j: int = 0) -> int:
     """Maximal (n, 2^-j)-separated cardinality within the collection at length n.

@@ -24,8 +24,10 @@ from .measures import MAX_TABLE_CYLINDERS, extend
 from .orbits import OrbitCollection, count_separated
 from .quadratic import QuadraticNumber
 
-# counting suite: largest sum of core lengths in the gluing product bound,
-# the gammas of the coverage floors, and the highest level they may need
+# counting suite: most cores and largest sum of core lengths in the gluing
+# product bound, the gammas of the coverage floors, and the highest level
+# they may need
+PRODUCT_K_MAX = 3
 PRODUCT_TOTAL = 18
 GAMMA2_TABLE = (Fraction(1, 2), Fraction(1, 4), Fraction(1, 10))
 LEVEL_CAP = 16
@@ -89,7 +91,6 @@ def counting_suite(
     scheme,
     n_max: int,
     j: int = 0,
-    k_max: int = 3,
     tau: int | None = None,
 ) -> CountingSuiteReport:
     """Exact-arithmetic verification of the counting estimates.
@@ -163,7 +164,7 @@ def counting_suite(
                 yield (first,) + rest
 
     bad = None
-    for k in range(2, k_max + 1):
+    for k in range(2, PRODUCT_K_MAX + 1):
         for total in range(k, PRODUCT_TOTAL + 1):
             if total + (k - 1) * tau > n_max:
                 continue
@@ -239,13 +240,17 @@ def counting_suite(
     # (g) coverage floors for the filtration levels
     coverage_rows = []
     cover_ok = True
+    coverage_minima: dict = {}  # level -> least coverage fraction, for every gamma
     for gamma2 in GAMMA2_TABLE:
         found = None
         for M in range(0, LEVEL_CAP + 1):
-            cov_min = min(
-                Fraction(scheme.coverage_count(M, n), system.count_language(n))
-                for n in range(1, n_max + 1)
-            )
+            if M not in coverage_minima:
+                level = scheme.level_collection(M)
+                coverage_minima[M] = min(
+                    Fraction(count_separated(level, n, 0), system.count_language(n))
+                    for n in range(1, n_max + 1)
+                )
+            cov_min = coverage_minima[M]
             if cov_min >= 1 - Fraction(gamma2):
                 found = (M, cov_min)
                 break
@@ -443,10 +448,11 @@ def _level_minima(measure, system, scheme, M, n_range, j, beta):
                 level_min = (value, w)
         words = []
         if zero:
+            pres = system.presentation
             words = [
                 v + ext
-                for v, state in scheme.level_words(M, n)
-                for ext in system.presentation.tails(state, j)
+                for v in scheme.level_words(M, n)
+                for ext in pres.tails(pres.walk(v), j)
                 if classes.class_of(v + ext) in zero
             ]
         yield n, level_min, words

@@ -75,8 +75,8 @@ def test_criterion_1_entropy_recovery(golden_file):
 
 def test_criterion_2_counting_suite(golden, full2, golden_scheme, full2_scheme):
     started = time.monotonic()
-    golden_report = counting_suite(golden, golden_scheme, n_max=24, k_max=3)
-    full_report = counting_suite(full2, full2_scheme, n_max=24, k_max=3)
+    golden_report = counting_suite(golden, golden_scheme, n_max=24)
+    full_report = counting_suite(full2, full2_scheme, n_max=24)
     c1_error = abs(golden_report.c1 - PHI ** 2 / math.sqrt(5))
     tails_exact = all(
         full_report.b_tails[m] == Fraction(2) ** (1 - m)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from obstruct import automata
 from obstruct.automata import MAX_CHECKPOINTS, Presentation
 from obstruct.beta import BetaSystem
-from obstruct.errors import HorizonError
+from obstruct.errors import EnumerationCapError, HorizonError
 from obstruct.factors import PairAutomaton
 
 
@@ -211,6 +211,31 @@ def test_row_store_matches_forward_lists(pres, cap, queries):
                 assert info.value.certified == len(counts) - 1
         for store in (pres._state_counts, pres._ext):
             assert store.rows_held() <= cap + 2
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except HorizonError:
+        return HorizonError
+
+
+@given(presentations(), st.integers(0, 6))
+@settings(max_examples=200, deadline=None)
+def test_counted_enumeration_raises_where_the_listing_would(pres, n):
+    # the count that precedes a listing meets the marker exactly when the
+    # depth-first listing does
+    listed = _outcome(lambda: pres._dfs((), pres.start, n))
+    assert _outcome(lambda: pres.enumerate_words(n, None)) == listed
+
+
+def test_enumeration_over_the_budget_is_refused_before_listing(monkeypatch):
+    pres = BetaSystem.full_shift(2).presentation
+    monkeypatch.setattr(automata, "MAX_ENUMERATED_WORDS", 8)
+    assert len(pres.enumerate_words(3)) == 8
+    monkeypatch.setattr(pres, "_dfs", None)  # nothing may be listed
+    with pytest.raises(EnumerationCapError, match="would list 16 words"):
+        pres.enumerate_words(4)
 
 
 def test_horizon_error_length_and_certified_unchanged():

@@ -287,6 +287,16 @@ def test_factor_window_beyond_cap(golden_file, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_factor_image_entropy_refuses_a_listing_over_the_budget(xor_file, capsys):
+    # at depth 22 the searched length 24 holds 2^24 source words, over the
+    # listing budget: the search is refused from the count, not listed
+    code = main(["factor", "--beta", "2", "--code-file", xor_file, "--depth", "22"])
+    assert code == EXIT_INCONCLUSIVE
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert payload["image_entropy"]["verdict"] == "inconclusive"
+    assert payload["image_entropy"]["witness"] is None
+
+
 def test_non_integer_word_is_input_error(capsys):
     code = main(["decomp", "--op", "split", "--beta", "2", "--word", "0a1"])
     assert code == EXIT_INPUT

@@ -8,7 +8,7 @@ from hypothesis import assume, event, example, given, settings, strategies as st
 from obstruct.beta import BetaSystem
 from obstruct.decomposition import (
     DEFAULT_TUPLE_BUDGET,
-    DecompositionScheme,
+    DegenerateDecomposition,
     SpecificationReport,
     _fill_template,
     _merge_template,
@@ -426,7 +426,7 @@ def test_coverage_fast_path_matches_enumeration_on_random_systems():
         brute = sum(
             1 for v in system.enumerate_language(n) if scheme.in_level(v, M)
         )
-        assert scheme.coverage_count(M, n) == brute
+        assert count_separated(scheme.level_collection(M), n, 0) == brute
 
     run()
 
@@ -528,25 +528,77 @@ def _level_systems(draw):
     return BetaSystem.from_beta(beta, horizon=horizon, enumeration_cap=cap)
 
 
-def _enumeration_outcome(fn):
+@st.composite
+def _level_schemes(draw):
+    make = draw(st.sampled_from([beta_decomposition, degenerate_decomposition]))
+    return make(draw(_level_systems()))
+
+
+def _error_type(fn):
     try:
         return fn()
     except (HorizonError, EnumerationCapError) as exc:
-        return type(exc), str(exc)
+        return type(exc)
 
 
-@given(_level_systems(), st.integers(0, 12), st.integers(0, 10))
-@example(_LEVEL_SYSTEMS["p5"](24), 5, 10)  # match 5 wraps to state 0
+@given(_level_schemes(), st.integers(0, 12), st.integers(1, 10), st.integers(0, 3))
+# match 5 wraps to state 0
+@example(beta_decomposition(_LEVEL_SYSTEMS["p5"](24)), 5, 10, 1)
 @settings(max_examples=200, deadline=None)
-def test_level_words_match_enumeration(system, M, n):
-    scheme = beta_decomposition(system)
-    # the generic fallback: enumerate the language, test each word, walk it
-    want = _enumeration_outcome(
-        lambda: DecompositionScheme.level_words(scheme, M, n)
+def test_level_counter_matches_level_words(scheme, M, n, j):
+    # the closed-form count of a level against its listed words
+    system = scheme.system
+    counted = _error_type(lambda: count_separated(scheme.level_collection(M), n, j))
+    listed = _error_type(
+        lambda: sum(system.extensions(v, j) for v in scheme.level_words(M, n))
     )
-    got = _enumeration_outcome(lambda: scheme.level_words(M, n))
-    assert got == want
-    event(want[0].__name__ if isinstance(want, tuple) else "words")
+    if listed is EnumerationCapError:
+        # past the length cap only the count is made
+        event("listing refused")
+        return
+    if isinstance(scheme, DegenerateDecomposition) and n > M:
+        # the degenerate level holds no word longer than M, which the count
+        # knows without the language (whose listing may meet the marker)
+        assert counted == 0 and listed in (0, HorizonError)
+        return
+    assert counted == listed
+    event(listed.__name__ if isinstance(listed, type) else "counted")
+
+
+_CORE_SCHEMES = {
+    "beta": lambda: beta_decomposition(BetaSystem.golden_mean()),
+    "beta-truncated": lambda: beta_decomposition(
+        BetaSystem.from_beta("1.8", horizon=12)
+    ),
+    "degenerate": lambda: degenerate_decomposition(BetaSystem.golden_mean()),
+    "induced-xor": lambda: _induced(BetaSystem.golden_mean(), BlockCode.xor()),
+}
+
+
+def _induced(system, code):
+    return induced_decomposition(system, code, beta_decomposition(system))
+
+
+@pytest.mark.parametrize("name", sorted(_CORE_SCHEMES))
+def test_cores_are_level_zero(name):
+    scheme = _CORE_SCHEMES[name]()
+    system = scheme.system
+    cores, level0 = scheme.cores(), scheme.level_collection(0)
+    assert cores.label == f"{scheme.name}:cores"
+    for n in range(0, 9):
+        listed = tuple(v for v in system.enumerate_language(n) if scheme.in_cores(v))
+        assert cores.at(n) == level0.at(n) == listed
+        if n:
+            for j in range(3):
+                assert count_separated(cores, n, j) == count_separated(level0, n, j)
+    if name == "induced-xor":
+        # an image core has a preimage that is a core upstairs
+        source = scheme.source_scheme
+        for n in range(1, 9):
+            assert cores.at(n) == tuple(
+                y for y in system.enumerate_language(n)
+                if any(source.split(u)[2] == 0 for u in system.preimages(y))
+            )
 
 
 def test_degenerate_empty_word_classes_match_predicates(golden):

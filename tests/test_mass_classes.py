@@ -115,7 +115,8 @@ def naive_gibbs(measure, system, scheme, M, n_range, j):
     for n in n_range:
         scale = beta ** n
         level_min = None
-        for v, state in scheme.level_words(M, n):
+        for v in scheme.level_words(M, n):
+            state = system.presentation.walk(v)
             if state not in tails:
                 tails[state] = system.presentation.tails(state, j)
             for ext in tails[state]:
@@ -187,7 +188,7 @@ def _compare_checks(system, scheme, m, listed, data):
         template = data.draw(st.lists(symbols, max_size=m.depth), label="template")
         _assert_pattern_masses_agree(m, listed, template)
 
-    level = _outcome(lambda: [v for v, _ in scheme.level_words(M, 1)])
+    level = _outcome(lambda: scheme.level_words(M, 1))
     if m.depth >= 2 and isinstance(level, list):
         pairs = [(u, v) for u in level for v in level]
         q = data.draw(st.integers(0, m.depth - 2), label="q")
