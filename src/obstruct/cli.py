@@ -25,6 +25,7 @@ from .decomposition import (
     min_gluing_time,
 )
 from .errors import (
+    DepthError,
     EnumerationCapError,
     HorizonError,
     InputError,
@@ -383,23 +384,30 @@ def cmd_verify(config: RunConfig):
     level_words = scheme.level_words(config.level, pair_len)
     pairs = [(u, v) for u in level_words for v in level_words]
     q = max(2 * level_tau, 2)
-    mixing = mixing_check(
-        measure,
-        system,
-        scheme,
-        M=config.level,
-        pairs=pairs,
-        q=q,
-        tau=level_tau,
-        proof_constant=mixing_proof_constant(suite.c1_sup, level_tau, entropy),
-    )
-    record(
-        "two-window-mass-floor",
-        mixing.passed,
-        f"min joint mass * growth^(m+n) = {mixing.constant:.6g} at gap {q}",
-        constant=fmt_float(mixing.constant),
-        proof_constant=fmt_float(mixing.proof_constant),
-    )
+    try:
+        mixing = mixing_check(
+            measure,
+            system,
+            scheme,
+            M=config.level,
+            pairs=pairs,
+            q=q,
+            tau=level_tau,
+            proof_constant=mixing_proof_constant(suite.c1_sup, level_tau, entropy),
+        )
+    except DepthError as exc:
+        # the gap q does not fit in the measure's depth: no verdict either way
+        mixing = None
+        inconclusive = True
+        record("two-window-mass-floor", False, f"not run: {exc}")
+    else:
+        record(
+            "two-window-mass-floor",
+            mixing.passed,
+            f"min joint mass * growth^(m+n) = {mixing.constant:.6g} at gap {q}",
+            constant=fmt_float(mixing.constant),
+            proof_constant=fmt_float(mixing.proof_constant),
+        )
 
     pm_n = min(10, measure.depth)
     pm_rows = []
@@ -420,15 +428,16 @@ def cmd_verify(config: RunConfig):
         measure, [(0,)], [(0,)], range(1, probe_top + 1)
     )
     inf_val = float(probe[probe_top][1])
-    alpha = correlation_floor_constant(
+    # alpha needs the two-window floor
+    alpha = None if mixing is None else fmt_float(correlation_floor_constant(
         positive_mass_constant(suite.c1, suite.c2, 0.5), mixing.constant
-    )
+    ))
     record(
         "correlation-floor",
         inf_val > 0,
         f"running infimum {inf_val:.6g} over gaps 1..{probe_top}",
         running_infimum=fmt_float(inf_val),
-        alpha_constant=fmt_float(alpha),
+        alpha_constant=alpha,
     )
 
     obstruction = upper_entropy(scheme.boundary(), j, config.nmax)

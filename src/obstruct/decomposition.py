@@ -12,13 +12,18 @@ Specification of a collection at depth j with gap tau is checked
 literally: for every tuple of depth-extended words, some single word must
 carry all of them at offsets spaced by the gap.  The check is exhaustive or
 refused: the tuples are counted before any segment is listed, and a tuple
-space over the budget is reported inconclusive without a search.  The
-search fills the free positions left-to-right, smallest symbol first, so the
-all-zero gap word is tried before anything else.  It is memoised on the
-head class of the first segment (the state its base block reaches and its
-depth tail) and the remaining segments, which fix everything the search
-does past that base block, so each (head class, rest) is searched once;
-see `check_specification`.
+space over the budget is reported inconclusive without a search.  Whether a
+tuple glues is decided set-at-a-time: the head class of the first segment
+(the state its base block reaches and its depth tail) gives the set of
+states the presentation can be in where the next segment starts, and the
+merged template of the remaining segments is walked forward from that set;
+the tuple glues when the last set is non-empty.  Head classes with one
+entry set share their row of outcomes.  The glued word itself, the
+lexicographically least one (free positions filled left to right, smallest
+symbol first, so the all-zero gap word comes first), is searched for only
+for the witnesses a report keeps and for the tuples whose sets meet the
+truncation marker, where only that search can tell a glued word from a
+HorizonError; see `check_specification`.
 """
 
 from __future__ import annotations
@@ -107,11 +112,17 @@ class DecompositionScheme:
         return out
 
     def level_collection(self, M: int) -> OrbitCollection:
+        counter = self.level_counter(M)
+
+        def at(n):
+            # a length the level counter rules out lists nothing (the
+            # counter, like `count_separated`, counts lengths n >= 1)
+            if n >= 1 and counter is not None and counter(n, 0) == 0:
+                return ()
+            return tuple(self.level_words(M, n))
+
         return OrbitCollection(
-            self.system,
-            f"{self.name}:level{M}",
-            at=lambda n: tuple(self.level_words(M, n)),
-            counter=self.level_counter(M),
+            self.system, f"{self.name}:level{M}", at=at, counter=counter
         )
 
     def level_words(self, M: int, n: int) -> list[Word]:
@@ -297,18 +308,70 @@ def _fill_template(presentation, template, state=None, pos=0):
 
 def _segment_pool(system, collection, lengths, depth):
     """Depth-extended segments, each with the state its base block reaches."""
+    pres = system.presentation
+    tails: dict = {}  # state -> its depth continuations
     pool = []
     for n in sorted(set(lengths)):
         base = collection.at(n)
         if not base:
             continue
         for v in base:
-            state = system.presentation.walk(v)
+            state = pres.walk(v)
             if state is None:
                 raise InputError(f"collection word {v} not in the language")
-            for tail in system.presentation.tails(state, depth):
+            if state not in tails:
+                tails[state] = pres.tails(state, depth)
+            for tail in tails[state]:
                 pool.append((v + tail, state))
     return pool
+
+
+class _StateSets:
+    """Sets of presentation states, numbered as they are met, with the set
+    each one steps to on a template symbol (None: any symbol).
+
+    Set 0 stands for a walk that met the truncation marker before the end of
+    its template: a set holding the marker steps to it, and it to itself.
+    Only sets without the marker are stepped, through `Presentation.moves`,
+    so a walk never moves on from the marker.
+    """
+
+    MET_MARKER = 0
+
+    def __init__(self, presentation):
+        self.presentation = presentation
+        self.numbers: dict[frozenset, int] = {}
+        self.sets: list = [None]
+        self.steps: list[dict] = [{}]
+
+    def number(self, states) -> int:
+        states = frozenset(states)
+        n = self.numbers.get(states)
+        if n is None:
+            n = self.numbers[states] = len(self.sets)
+            self.sets.append(states)
+            self.steps.append({})
+        return n
+
+    def _step(self, n: int, want) -> int:
+        states = self.sets[n]
+        if states is None or self.presentation.marker in states:
+            nxt = self.MET_MARKER
+        else:
+            moves = self.presentation.moves
+            nxt = self.number(
+                t for s in states for a, t in moves(s) if want is None or a == want
+            )
+        self.steps[n][want] = nxt
+        return nxt
+
+    def walk(self, n: int, template) -> int:
+        """The set after walking the template from set n."""
+        steps = self.steps
+        for want in template:
+            nxt = steps[n].get(want)
+            n = self._step(n, want) if nxt is None else nxt
+        return n
 
 
 def check_specification(
@@ -330,18 +393,25 @@ def check_specification(
     listed and the report is inconclusive, with nothing checked.  The count
     does not depend on `tau`, so such a collection is refused at every gap.
 
-    The search is memoised, with the same results as one search per tuple.
-    In the template of a tuple (a, *rest) the first h = |a| - j positions
-    hold the base block of `a` alone (the next segment starts at h + tau),
-    so the search walks them to the state s that the base block reaches,
-    and from there it is the search on the template of (a[h:], *rest).  The
-    glued word is a[:h] followed by the result for the key (s, a[h:], rest),
-    the head class of `a` with `rest`.  One row of results over all rests
-    is built per head class, the first time the class appears in product
-    order, so the cost is one sub-search per (head class, rest), and the
-    first tuple whose search meets the truncation marker raises as it would
-    in product order; tuples and glued words are built only for the
-    reported witnesses and failures.
+    Pass or fail is read off state sets, with the results of one search per
+    tuple.  In the template of a tuple (a, *rest) the first h = |a| - j
+    positions hold the base block of `a` alone, which reaches one state s;
+    from there the head class of `a` (s and its depth tail) reads the tail
+    and tau - j free symbols, or, when tau < j, only tail[:tau], and the
+    first j - tau symbols of the rest's template must equal tail[tau:].
+    The states it can be in after that form its entry set.  The rest's
+    merged template is walked forward from the entry set, one set per
+    position, and the tuple passes exactly when the last set is non-empty.
+    Head classes with the same entry set (and tail symbols to match) share
+    one row of results over all rests.
+
+    The lexicographically least glued word is searched for (left to right,
+    smallest symbol first) only for the witnesses the report keeps, and
+    for the tuples whose sets hold the truncation marker before the end of
+    the template: only those can meet the marker, so their search passes or
+    raises HorizonError.  These searches run head class by head class, in
+    the order the classes first appear in product order, so the first tuple
+    whose search meets the marker raises as it would in product order.
     """
     if k_max < 2:
         raise InputError("k_max must be at least 2")
@@ -372,8 +442,15 @@ def check_specification(
     heads: dict = {}
     head_of = [heads.setdefault((s, w[len(w) - j :]), len(heads)) for w, s in pool]
     head_list = list(heads)
-    witnesses, failures = [], []
-    checked = 0
+    sets = _StateSets(system.presentation)
+
+    def row_key(head):
+        """(entry set, tail symbols the rest must start with) of a head class."""
+        state, tail = head_list[head]
+        start = sets.number((state,))
+        if tau < j:
+            return sets.walk(start, tail[:tau]), tail[tau:]
+        return sets.walk(start, tail + (None,) * (tau - j)), ()
 
     def glue_tail(head, rest):
         """Glued word from the end of the first base block, or None."""
@@ -385,31 +462,57 @@ def check_specification(
             return None
         return _fill_template(system.presentation, template, state)
 
-    def record(first, rest, tail):
-        a = pool[first][0]
-        elements = (a,) + tuple(pool[i][0] for i in rest)
-        if tail is None:
-            failures.append(elements)
-        else:
-            witnesses.append((elements, a[: len(a) - j] + tail))
-
+    witnesses, failures = [], []
+    checked = 0
     for k in range(2, k_max + 1):
         rests = list(itertools.product(range(len(pool)), repeat=k - 1))
-        rows = {}  # head class -> (glued tails, failing rests, passing rests)
+        if k == 2:
+            templates = [w for w, _ in pool]  # a lone segment is its template
+        else:
+            templates = []
+            for rest in rests:
+                template = _merge_template([pool[i][0] for i in rest], tau, j)
+                templates.append(None if template is None else tuple(template))
+        rows = {}  # row key -> (failing, passing, undecided rests)
+        by_head = {}  # head class -> (failing rests, passing rests, glued tails)
         for first, head in enumerate(head_of):
-            if head not in rows:
-                row = [glue_tail(head, rest) for rest in rests]
-                rows[head] = (
-                    row,
-                    [i for i, g in enumerate(row) if g is None],
-                    [i for i, g in enumerate(row) if g is not None],
-                )
-            row, failing, passing = rows[head]
+            if head not in by_head:
+                key = row_key(head)
+                if key not in rows:
+                    failing, passing, undecided = rows[key] = [], [], []
+                    entry, match = key
+                    for i, template in enumerate(templates):
+                        if template is None or template[: len(match)] != match:
+                            failing.append(i)
+                            continue
+                        end = sets.walk(entry, template)
+                        if end == sets.MET_MARKER:
+                            undecided.append(i)
+                        elif sets.sets[end]:
+                            passing.append(i)
+                        else:
+                            failing.append(i)
+                failing, passing, undecided = rows[key]
+                # only these searches can meet the marker: each passes or raises
+                glued = {i: glue_tail(head, rests[i]) for i in undecided}
+                if undecided:
+                    failing = sorted(
+                        failing + [i for i in undecided if glued[i] is None]
+                    )
+                    passing = sorted(
+                        passing + [i for i in undecided if glued[i] is not None]
+                    )
+                by_head[head] = (failing, passing, glued)
+            failing, passing, glued = by_head[head]
             checked += len(rests)
+            a = pool[first][0]
             for i in failing[: WITNESS_LIMIT - len(failures)]:
-                record(first, rests[i], None)
+                failures.append((a,) + tuple(pool[r][0] for r in rests[i]))
             for i in passing[: WITNESS_LIMIT - len(witnesses)]:
-                record(first, rests[i], row[i])
+                if i not in glued:
+                    glued[i] = glue_tail(head, rests[i])
+                elements = (a,) + tuple(pool[r][0] for r in rests[i])
+                witnesses.append((elements, a[: len(a) - j] + glued[i]))
     return SpecificationReport(
         collection=collection.label,
         depth=j,

@@ -13,6 +13,7 @@ mass floors, and the minimum cylinder count of positive-mass sets.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -48,6 +49,20 @@ def _geq(count: int, power) -> bool:
     if isinstance(power, (Fraction, QuadraticNumber)):
         return power <= count
     return math.log(count) >= math.log(float(power)) - 1e-9
+
+
+def _power_table(x):
+    """i -> x ** i, each power computed once.  Exact powers are built by
+    products; a float's by `**`, so each float is the one `x ** i` gives."""
+    table = [x ** 0]
+
+    def power(i: int):
+        while len(table) <= i:
+            n = len(table)
+            table.append(x ** n if isinstance(x, float) else table[-1] * x)
+        return table[i]
+
+    return power
 
 
 def _scale_mass(mass, scale):
@@ -106,6 +121,7 @@ def counting_suite(
     if n_max < 8:
         raise InputError("n_max must be at least 8")
     beta = _exact_beta(system)
+    power = _power_table(beta)
     full = OrbitCollection.full_language(system)
     cores = scheme.cores()
     boundary = scheme.boundary()
@@ -137,7 +153,7 @@ def counting_suite(
     )
 
     # (b) growth floor
-    bad = next((n for n in range(1, n_max + 1) if not _geq(lang[n], beta ** n)), None)
+    bad = next((n for n in range(1, n_max + 1) if not _geq(lang[n], power(n))), None)
     checks.append(
         CheckResult(
             "growth-floor",
@@ -196,7 +212,7 @@ def counting_suite(
         (
             n
             for n in range(1, n_max + 1)
-            if not _geq_reversed(core_counts[n], beta ** (n + tau))
+            if not _geq_reversed(core_counts[n], power(n + tau))
         ),
         None,
     )
@@ -214,7 +230,7 @@ def counting_suite(
     checks.append(CheckResult("tail-summability", tail_ok, tail_note, {}))
 
     # (f) count/growth ratio over the tail window
-    ratios = {n: lang[n] / (beta ** n) for n in range(1, n_max + 1)}
+    ratios = {n: lang[n] / power(n) for n in range(1, n_max + 1)}
     window = range((n_max + 1) // 2, n_max + 1)
     c1_exact = max((ratios[n] for n in window), key=float)
     c1 = float(c1_exact)
@@ -294,6 +310,7 @@ def _tail_sums(counts: dict, beta, n_max: int):
         inv = 1.0 / beta
     else:
         inv = 1 / beta
+    power = _power_table(inv)
     period = None
     probe = range(max(1, n_max - 12), n_max + 1)
     for q in range(1, 7):
@@ -306,7 +323,7 @@ def _tail_sums(counts: dict, beta, n_max: int):
     tails = {}
     if period is None:
         # no periodic tail: report partial sums; summable only if terms vanish
-        terms = {i: counts[i] * inv ** i for i in range(1, n_max + 1)}
+        terms = {i: counts[i] * power(i) for i in range(1, n_max + 1)}
         vanishing = float(terms[n_max]) < 0.5 * float(terms[max(1, n_max // 2)]) and (
             float(terms[n_max]) < 1e-3
         )
@@ -319,11 +336,11 @@ def _tail_sums(counts: dict, beta, n_max: int):
         )
         return tails, vanishing, note
     anchor = max(1, n_max - 12)
-    geom = 1 / (1 - inv ** period)
+    geom = 1 / (1 - power(period))
     for m in range(1, m_top + 1):
         start = max(m, anchor)
-        head = sum((counts[i] * inv ** i for i in range(m, start)), inv * 0)
-        tail = sum(counts[start + r] * inv ** (start + r) for r in range(period))
+        head = sum((counts[i] * power(i) for i in range(m, start)), inv * 0)
+        tail = sum(counts[start + r] * power(start + r) for r in range(period))
         tails[m] = head + tail * geom
     decreasing = all(
         float(tails[m + 1]) < float(tails[m]) + 1e-15 for m in range(1, m_top)
@@ -489,15 +506,30 @@ def mixing_check(
     The joint mass is the total mass of u . t . v over all length-q middles.
     The estimate is only claimed for q >= 2 * tau; reports for smaller q are
     marked as failing the precondition and are informational.
+
+    Words u of one length and one mass class have equal extension masses,
+    so the scaled joint mass is computed once per (length, class of u, v).
     """
     beta = _exact_beta(system)
+    in_level = functools.cache(lambda w: scheme.in_level(w, M))
+    scaled: dict = {}  # (len(u), class of u, v) -> scaled joint mass
     best = None
     violations = []
+
+    def scaled_joint(u, v):
+        return _scale_mass(measure.joint_mass(u, q, v), beta ** (len(u) + len(v)))
+
     for u, v in pairs:
-        if not (scheme.in_level(u, M) and scheme.in_level(v, M)):
+        if not (in_level(u) and in_level(v)):
             raise InputError("pair words must lie in the requested level")
-        joint = measure.joint_mass(u, q, v)
-        value = _scale_mass(joint, beta ** (len(u) + len(v)))
+        k = measure.classes.class_of(u)
+        if k is None:
+            value = scaled_joint(u, v)
+        else:
+            key = (len(u), k, v)
+            if key not in scaled:
+                scaled[key] = scaled_joint(u, v)
+            value = scaled[key]
         if float(value) <= 0:
             violations.append((u, v))
             continue

@@ -430,6 +430,24 @@ def test_measure_file_sets_the_check_lengths(tmp_path, capsys):
     assert rows["correlation-floor"]["summary"].endswith("over gaps 1..6")
 
 
+def test_two_window_gap_past_measure_depth_is_not_run(tmp_path, capsys):
+    # level 2 of p5 glues at gap 3, so the two-window pattern is 1 + 6 + 1
+    # symbols long, past a depth-4 measure: inconclusive, not an input error
+    p5 = tmp_path / "p5.txt"
+    p5.write_text("period=5\n21001\n")
+    code = main(["verify", "--expansion-file", str(p5), "--measure-depth", "4"])
+    assert code == EXIT_INCONCLUSIVE
+    checks = json.loads(capsys.readouterr().out)["payload"]["checks"]
+    rows = {c["name"]: c for c in checks}
+    mixing = rows["two-window-mass-floor"]
+    assert not mixing["passed"]
+    assert mixing["summary"] == (
+        "not run: pattern length 8 exceeds measure depth 4"
+    )
+    assert rows["correlation-floor"]["alpha_constant"] is None
+    assert all(c["passed"] for c in checks if c is not mixing)
+
+
 # -- fuzzing the command line in-process ----------------------------------------------
 
 

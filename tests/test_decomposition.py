@@ -6,8 +6,10 @@ import pytest
 from hypothesis import assume, event, example, given, settings, strategies as st
 
 from obstruct.beta import BetaSystem
+import obstruct.decomposition as decomposition
 from obstruct.decomposition import (
     DEFAULT_TUPLE_BUDGET,
+    WITNESS_LIMIT,
     DegenerateDecomposition,
     SpecificationReport,
     _fill_template,
@@ -371,6 +373,60 @@ def test_memoised_gluing_matches_literal_search(
         event("HorizonError")
 
 
+def _count_searches(monkeypatch):
+    """Record the template of every top-level `_fill_template` call."""
+    fill = decomposition._fill_template
+    searched = []
+
+    def counted(presentation, template, state=None, pos=0):
+        if pos == 0:  # the recursion goes through the module attribute too
+            searched.append(template)
+        return fill(presentation, template, state, pos)
+
+    monkeypatch.setattr("obstruct.decomposition._fill_template", counted)
+    return searched
+
+
+def test_word_search_runs_only_for_reported_witnesses(monkeypatch):
+    # p5 has no truncation marker, so the only searches are for witnesses
+    system = BetaSystem.from_expansion((2, 1, 0, 0, 1), period=5)
+    scheme = beta_decomposition(system)
+    searched = _count_searches(monkeypatch)
+    for M in range(3):
+        del searched[:]
+        report = check_specification(
+            system, scheme.level_collection(M), j=1, tau=2, lengths=range(1, 5)
+        )
+        assert report.tuples_checked > 10 * WITNESS_LIMIT
+        assert len(searched) <= len(report.witnesses) <= WITNESS_LIMIT
+    assert report.witnesses and report.failures
+
+
+def test_marker_met_but_search_passes_first(monkeypatch):
+    # expansion 101: a tail ending in state 2 reads 1 into the marker in its
+    # free symbol, but the search tries 0 first and glues past it
+    system = BetaSystem.from_beta("1.5", horizon=3)
+    cores = beta_decomposition(system).cores()
+    searched = _count_searches(monkeypatch)
+    report = check_specification(system, cores, j=2, tau=3, lengths=(1, 2))
+    assert report.verdict == "pass"
+    assert len(searched) > len(report.witnesses)  # tuples that met the marker
+    assert report == _literal_specification(
+        system, cores, 2, 3, 2, (1, 2), DEFAULT_TUPLE_BUDGET
+    )
+
+
+def test_marker_met_before_any_glue_raises():
+    # expansion 10: after the segment 1 the gap symbol must be 0, which
+    # leads into the marker before the next segment
+    system = BetaSystem.from_beta("1.5", horizon=2)
+    full = OrbitCollection.full_language(system)
+    with pytest.raises(HorizonError):
+        _literal_specification(system, full, 0, 1, 2, (1,), DEFAULT_TUPLE_BUDGET)
+    with pytest.raises(HorizonError):
+        check_specification(system, full, j=0, tau=1, lengths=(1,))
+
+
 class TestObstruction:
     def test_golden_rate_zero(self, golden, golden_scheme):
         est = obstruction_entropy_upper(golden, golden_scheme, j=0, n_max=30)
@@ -649,3 +705,19 @@ def test_induced_level_listed_once_per_gluing_search(make):
             induced.factor, collection, 0, tau, lengths=lengths
         )
     assert result.tau == 2
+
+
+def test_empty_level_lists_nothing(monkeypatch):
+    # the degenerate level 1 has no words of length 5, so nothing is listed,
+    # though listing the truncated language at that length would raise
+    system = BetaSystem.from_beta("1.5", horizon=3)
+    level = degenerate_decomposition(system).level_collection(1)
+    with pytest.raises(HorizonError):
+        system.enumerate_language(5)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an empty level listed the language")
+
+    monkeypatch.setattr(system, "enumerate_language", refuse)
+    assert count_separated(level, 5, 0) == 0
+    assert level.at(5) == ()

@@ -4,10 +4,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from obstruct.beta import BetaSystem
 from obstruct.decomposition import beta_decomposition, degenerate_decomposition
 from obstruct.errors import InputError
 from obstruct.measures import CylinderMeasure, parry_measure
+from obstruct.quadratic import golden_ratio
 from obstruct.suites import (
+    _power_table,
     counting_suite,
     gibbs_check,
     gibbs_proof_constant,
@@ -153,6 +156,56 @@ class TestMixing:
         assert not report.precondition_met
         assert (word("1"), word("1")) in report.violations
 
+    @pytest.mark.parametrize("make", [
+        BetaSystem.golden_mean,  # exact masses
+        lambda: BetaSystem.from_expansion((2, 1, 0, 0, 1), period=5),  # floats
+    ])
+    def test_class_shared_joint_masses_match_each_pair(self, make):
+        # words of lengths 1-3 in one list, so one class recurs at two lengths
+        system = make()
+        scheme = beta_decomposition(system)
+        m = parry_measure(system, 8)
+        words = [v for n in (1, 2, 3) for v in scheme.level_words(1, n)]
+        pairs = [(u, v) for u in words for v in words]
+        beta = system.beta_value()
+        best, violations = None, []
+        for u, v in pairs:
+            value = m.joint_mass(u, 2, v) * beta ** (len(u) + len(v))
+            if float(value) <= 0:
+                violations.append((u, v))
+            elif best is None or value < best[0]:
+                best = (value, (u, v))
+        report = mixing_check(m, system, scheme, M=1, pairs=pairs, q=2, tau=1)
+        assert report.violations == tuple(violations)
+        assert report.argmin == best[1]
+        assert report.constant == float(best[0])
+
+    def test_joint_masses_are_shared_within_one_length(self):
+        # p5's float masses of one class at two lengths, scaled, differ in
+        # their last bits: a word must not take the value of a shorter or
+        # longer word of its class
+        system = BetaSystem.from_expansion((2, 1, 0, 0, 1), period=5)
+        scheme = beta_decomposition(system)
+        m = parry_measure(system, 8)
+        beta = float(system.beta_value())
+        words = [v for n in (1, 2, 3) for v in scheme.level_words(1, n)]
+
+        def scaled(u, v):
+            return m.joint_mass(u, 2, v) * beta ** (len(u) + len(v))
+
+        u1, u2, v = next(
+            (u1, u2, v)
+            for u1 in words for u2 in words for v in words
+            if len(u1) != len(u2)
+            and m.classes.class_of(u1) == m.classes.class_of(u2)
+            and scaled(u1, v) > scaled(u2, v)
+        )
+        report = mixing_check(
+            m, system, scheme, M=1, pairs=[(u1, v), (u2, v)], q=2, tau=1
+        )
+        assert report.argmin == (u2, v)
+        assert report.constant == scaled(u2, v)
+
     def test_wrong_level_rejected(self, golden, golden_scheme):
         m = parry_measure(golden, 6)
         with pytest.raises(InputError):
@@ -255,3 +308,12 @@ class TestProbe:
         )
         for gap, (value, _) in probe.items():
             assert 0 < float(value) <= 1
+
+
+@pytest.mark.parametrize("x", [2.4608967, 1 / 1.7802, Fraction(3, 2), golden_ratio()])
+def test_power_table_matches_pow(x):
+    # floats bit for bit, exact values as field elements
+    power = _power_table(x)
+    for i in (5, 0, 17, 3, 30):
+        assert power(i) == x ** i
+        assert type(power(i)) is type(x ** i)
