@@ -4,7 +4,9 @@ A presentation is a right-resolving automaton: states 0..n-1, at most one
 edge per (state, symbol), and a distinguished start state whose label
 sequences are exactly the points of the shift.  Path counts, word
 enumeration, and per-state extension counts are all exact big-integer
-computations on this graph.
+computations on this graph.  Count rows are stepped by straight-line code
+compiled from the edge list; a far path-count row of a small presentation
+is reached by doubling instead.
 
 A presentation may carry a truncation marker: a state with no defined
 outgoing edges, standing for "matched every stored symbol".  Any
@@ -20,8 +22,10 @@ their sliding-block images both answer it.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import partial
 from math import gcd, log
+from operator import itemgetter, mul
 
 from .errors import EnumerationCapError, HorizonError, InputError
 from .words import Word
@@ -29,8 +33,15 @@ from .words import Word
 DEFAULT_ENUMERATION_CAP = 24
 # most words one listing may hold, counted before any is listed
 MAX_ENUMERATED_WORDS = 10 ** 6
-# longest word length count_language counts
+# longest word length count_language counts: a far row of a small
+# presentation is reached by doubling, so the cap bounds the size of the
+# integers (about 0.7 n bits on the golden mean), not a number of steps
 MATRIX_POWER_CAP = 10 ** 6
+
+# longest sum a compiled step writes as a chain of `+`; CPython's compiler
+# recurses once per `+` and fails near 3 000 of them, so a wider fan-in is
+# written as the sum of one C-level item fetch
+MAX_CHAINED_TERMS = 64
 
 # most checkpoint rows a RowStore keeps; even, so that halving keeps every
 # other stride-th row
@@ -116,35 +127,60 @@ def check_enumeration_cap(n: int, cap: int | None) -> None:
 class RowStore:
     """Rows 0, 1, 2, ... of a forward recurrence, held in memory linear in n.
 
-    `step(row, k)` computes row k + 1 from row k and may raise.  The store
-    keeps every `stride`-th row as a checkpoint, at most MAX_CHECKPOINTS of
-    them (when full, every other one is dropped and the stride doubles),
-    plus the frontier row (the longest computed) and the last row read
-    below it.  A row below the frontier is recomputed from the nearer of its
-    checkpoint and that last row, so rows read in increasing order cost one
-    step each.
+    `compile_step()` is called once, before the first step, and returns
+    `step(row, k)`, which computes row k + 1 from row k and may raise.  The
+    store keeps every `stride`-th row as a checkpoint, at most
+    MAX_CHECKPOINTS of them (when full, every other one is dropped and the
+    stride doubles), plus the frontier row (the longest computed) and the
+    last row read below it.  A row below the frontier is recomputed from the
+    nearer of its checkpoint and that last row, so rows read in increasing
+    order cost one step each.
     """
 
-    def __init__(self, first, step):
-        self._step = step
+    def __init__(self, first, compile_step):
+        self._compile_step = compile_step
+        self._step = None
         self._stride = 1
         self._checkpoints = [first]  # rows 0, stride, 2 * stride, ...
         self._frontier, self._frontier_row = 0, first
         self._last = (0, first)
 
+    @property
+    def step(self):
+        """The compiled step, compiled on first use."""
+        if self._step is None:
+            self._step = self._compile_step()
+        return self._step
+
+    def _below_frontier_start(self, n: int):
+        """(k, row k) from which a row n below the frontier is recomputed."""
+        base = n - n % self._stride
+        k, row = self._last
+        if not base <= k <= n:
+            k, row = base, self._checkpoints[base // self._stride]
+        return k, row
+
+    def base(self, n: int) -> int:
+        """The row that reading row n would step from."""
+        if n >= self._frontier:
+            return self._frontier
+        return self._below_frontier_start(n)[0]
+
     def __getitem__(self, n: int):
         k = self._frontier
         if n < k:
-            base = n - n % self._stride
-            k, row = self._last
-            if not base <= k <= n:
-                k, row = base, self._checkpoints[base // self._stride]
-            while k < n:
-                row = self._step(row, k)
-                k += 1
+            k, row = self._below_frontier_start(n)
+            if k < n:
+                step = self.step
+                while k < n:
+                    row = step(row, k)
+                    k += 1
             self._last = (n, row)
             return row
-        row, step = self._frontier_row, self._step
+        row = self._frontier_row
+        if k == n:
+            return row
+        step = self.step
         try:
             while k < n:
                 row = step(row, k)
@@ -165,36 +201,123 @@ class RowStore:
         return len({id(row) for row in rows})
 
 
-def _next_state_counts(delta, marker, cur, k):
-    """Path counts of length k + 1 from those of length k."""
-    if marker is not None and cur[marker]:
-        raise HorizonError(
-            "path counting would continue past the stored horizon",
-            certified=k,
-        )
-    new = [0] * len(delta)
-    for s, c in enumerate(cur):
-        if c:
-            for t in delta[s].values():
-                new[t] += c
-    return new
+def _past_horizon(k):
+    raise HorizonError(
+        "path counting would continue past the stored horizon", certified=k
+    )
 
 
-def _next_extension_counts(delta, marker, prev, j):
-    """Per-state continuation counts of length j + 1 from those of length j."""
-    new = []
+def compile_step(sums, marker=None):
+    """`step(c, k)` returning the row [sum of c over sums[0], sum over
+    sums[1], ...], compiled from one straight-line list display.
+
+    `sums[t]` lists row indices, an index once per edge it stands for.
+    Entries that copy c[s], c[s + 1], ... are written as one slice, and a
+    sum of more than MAX_CHAINED_TERMS entries as the sum of one C-level
+    item fetch.  With a marker, the step first raises
+    HorizonError(certified=k) when c[marker] is nonzero.
+    """
+    namespace = {"past_horizon": _past_horizon}
+    entries: list = []  # source text, or [first, last] of a run of copies
+    for terms in sums:
+        if len(terms) == 1:
+            s = terms[0]
+            if entries and isinstance(entries[-1], list) and entries[-1][1] == s - 1:
+                entries[-1][1] = s
+            else:
+                entries.append([s, s])
+        elif len(terms) <= MAX_CHAINED_TERMS:
+            entries.append(" + ".join(f"c[{s}]" for s in sorted(terms)) or "0")
+        else:
+            name = f"pick{len(namespace)}"
+            namespace[name] = itemgetter(*sorted(terms))
+            entries.append(f"sum({name}(c))")
+    row = ", ".join(
+        e if isinstance(e, str)
+        else f"c[{e[0]}]" if e[0] == e[1] else f"*c[{e[0]}:{e[1] + 1}]"
+        for e in entries
+    )
+    lines = ["def step(c, k):"]
+    if marker is not None:
+        lines += [f"    if c[{marker}]:", "        past_horizon(k)"]
+    lines.append(f"    return [{row}]")
+    exec(compile("\n".join(lines), "<transfer step>", "exec"), namespace)
+    return namespace["step"]
+
+
+def _compile_state_step(delta, marker):
+    """Path counts of length k + 1 from those of length k: row[t] sums the
+    counts of the sources of the edges into t."""
+    sums = [[] for _ in delta]
     for s, targets in enumerate(delta):
-        if s == marker:
-            new.append(None)
-            continue
-        total = 0
         for t in targets.values():
-            if prev[t] is None:
-                total = None
-                break
-            total += prev[t]
-        new.append(total)
-    return new
+            sums[t].append(s)
+    return compile_step(sums, marker)
+
+
+def _compile_extension_step(delta, order, dist):
+    """Continuation counts of length j + 1 from those of length j.
+
+    A row is the pair (sums, shown): sums[s] adds up the counts of the
+    targets of the edges out of s, and `shown` is sums with None at the
+    states that are poisoned at that length (see `_poisoned`).  A state not
+    poisoned at j + 1 has no poisoned target at j, so its sum is exact.
+    """
+    kernel = compile_step([list(targets.values()) for targets in delta])
+
+    def step(rows, j):
+        sums = kernel(rows[0], j)
+        return sums, _poisoned(order, dist, sums, j + 1)
+
+    return step
+
+
+def _poisoned(order, dist, row, j):
+    """`row` with None at the states fewer than j edges from the marker,
+    whose length-j continuations meet it before their end; `order` lists
+    the states that reach the marker by distance, `dist` their distances."""
+    stop = bisect_right(dist, j - 1)
+    if not stop:
+        return row
+    row = list(row)
+    for s in order[:stop]:
+        row[s] = None
+    return row
+
+
+def _marker_distances(delta, marker) -> list:
+    """Edge distance from each state to the marker (None: unreachable)."""
+    sources = [[] for _ in delta]
+    for s, targets in enumerate(delta):
+        for t in targets.values():
+            sources[t].append(s)
+    dist = [None] * len(delta)
+    dist[marker] = 0
+    frontier = [marker]
+    while frontier:
+        nxt = []
+        for t in frontier:
+            for s in sources[t]:
+                if dist[s] is None:
+                    dist[s] = dist[t] + 1
+                    nxt.append(s)
+        frontier = nxt
+    return dist
+
+
+def doubling_pays(states: int, edges: int, n: int, base: int) -> bool:
+    """Whether row n costs less by binary powering than by stepping from
+    row `base`: states^3 * bit_length(n) < (n - base) * edges, a squaring
+    against a step per row, with no tuned constant."""
+    return states ** 3 * n.bit_length() < (n - base) * edges
+
+
+def _vector_times(row, matrix):
+    return [sum(map(mul, row, col)) for col in zip(*matrix)]
+
+
+def _matrix_square(matrix):
+    return [_vector_times(row, matrix) for row in matrix]
 
 
 class Presentation:
@@ -214,13 +337,28 @@ class Presentation:
         if marker is not None and self.delta[marker]:
             raise ValueError("marker state must have no outgoing edges")
         self._moves = [tuple(sorted(d.items())) for d in self.delta]
-        # the steps hold the graph, not self: no reference cycle
+        self._n_edges = sum(len(d) for d in self.delta)
+        # the compilers hold the graph, not self: no reference cycle
         self._state_counts = RowStore(
             self._unit_vector(start),
-            partial(_next_state_counts, self.delta, marker),
+            partial(_compile_state_step, self.delta, marker),
         )
+        self._squares: list = []  # adjacency matrix to the powers 2^i
+        self._to_marker: int | None = None  # distance from start to marker
+        # the states that reach the marker, by distance (see _poisoned)
+        order, order_dist = [], []
+        if marker is not None:
+            dist = _marker_distances(self.delta, marker)
+            self._to_marker = dist[start]
+            order = sorted(
+                (s for s in range(n_states) if dist[s] is not None),
+                key=dist.__getitem__,
+            )
+            order_dist = [dist[s] for s in order]
+        ones = [1] * n_states
         self._ext = RowStore(
-            [1] * n_states, partial(_next_extension_counts, self.delta, marker)
+            (ones, ones),
+            partial(_compile_extension_step, self.delta, order, order_dist),
         )
 
     def _unit_vector(self, s):
@@ -257,19 +395,48 @@ class Presentation:
     # -- exact counting -------------------------------------------------------
 
     def state_counts(self, n: int) -> list[int]:
-        """Vector of path counts of length n from the start state."""
+        """Vector of path counts of length n from the start state.
+
+        Row n is e_start A^n by binary powering, from the cached squares of
+        the adjacency matrix A, when `doubling_pays`; otherwise the compiled
+        step runs forward to it (see RowStore).  A jump is never stored and
+        never crosses the marker.
+        """
         if n < 0:
             raise ValueError(f"negative path length {n}")
-        return self._state_counts[n]
+        store = self._state_counts
+        if doubling_pays(self.n_states, self._n_edges, n, store.base(n)):
+            return self._power_row(n)
+        return store[n]
+
+    def _power_row(self, n: int) -> list[int]:
+        """e_start A^n, multiplying in A^(2^i) for each set bit i of n."""
+        if self._to_marker is not None and n > self._to_marker:
+            _past_horizon(self._to_marker)
+        squares = self._squares
+        if not squares:
+            squares.append(self.adjacency())
+        row = self._unit_vector(self.start)
+        i = 0
+        while True:
+            if n & 1:
+                row = _vector_times(row, squares[i])
+            n >>= 1
+            if not n:
+                return row
+            i += 1
+            if i == len(squares):
+                squares.append(_matrix_square(squares[-1]))
 
     def count_words(self, n: int) -> int:
         return sum(self.state_counts(n))
 
     def extension_counts(self, j: int) -> list:
-        """Per-state counts of length-j continuations; None marks poisoned states."""
+        """Per-state counts of length-j continuations; None marks poisoned
+        states, those fewer than j edges from the marker."""
         if j < 0:
             raise ValueError(f"negative continuation length {j}")
-        return self._ext[j]
+        return self._ext[j][1]
 
     def extensions_from(self, state: int, j: int) -> int:
         c = self.extension_counts(j)[state]
@@ -278,6 +445,26 @@ class Presentation:
                 "extension counting would continue past the stored horizon"
             )
         return c
+
+    def count_rows(self, last: int, first: int = 0, extensions: bool = False):
+        """Rows first..last of `state_counts` (of `extension_counts` when
+        `extensions`), in increasing order.
+
+        Row `first` is read as `state_counts` (or the extension store) reads
+        it; every later row costs one compiled step and is not stored.  Rows are made as they are asked
+        for, so a path-count row past the marker raises HorizonError only
+        when it is reached.
+        """
+        if extensions:
+            store, row = self._ext, self._ext[first]
+        else:
+            store, row = self._state_counts, self.state_counts(first)
+        yield row[1] if extensions else row
+        if first < last:
+            step = store.step
+            for k in range(first, last):
+                row = step(row, k)
+                yield row[1] if extensions else row
 
     # -- enumeration ------------------------------------------------------------
 

@@ -242,6 +242,7 @@ class BetaSystem(PresentedShift):
         self.enumeration_cap = enumeration_cap
         self._core_counts = [1]  # Z_t for t = 0, 1, ...
         self.perron_cache: dict = {}  # see perron.perron_eigendata
+        self._perron_value = None  # see beta_value
         self._match_moves: dict[int, list] = {}  # see match_moves
         self._check_self_admissible()
         self.presentation = self._build_presentation()
@@ -356,14 +357,17 @@ class BetaSystem(PresentedShift):
         return self.expansion.digit_prefix(n)
 
     def beta_value(self):
-        """Exact beta when known, else the Perron value of the presentation."""
+        """Exact beta when known, else the Perron value of the presentation,
+        computed (and its live and essential parts built) once per system."""
         if self.expansion.beta is not None:
             return self.expansion.beta
-        from .perron import perron_eigendata
+        if self._perron_value is None:
+            from .perron import perron_eigendata
 
-        return perron_eigendata(
-            self.presentation.live_part(), cache=self.perron_cache
-        ).eigenvalue
+            self._perron_value = perron_eigendata(
+                self.presentation.live_part(), cache=self.perron_cache
+            ).eigenvalue
+        return self._perron_value
 
     def lex_admissible(self, v: Word) -> bool:
         """Direct oracle: every suffix at most the matching expansion prefix."""
@@ -428,14 +432,15 @@ class BetaSystem(PresentedShift):
     def _fill_core_counts(self, n: int) -> list[int]:
         """The cached Z_0, Z_1, ..., extended through Z_n.
 
-        Reads the count rows in increasing order, so each costs one step.
+        Reads the count rows in increasing order, one compiled step each.
         """
-        pres = self.presentation
-        while len(self._core_counts) <= n:
-            prev = pres.state_counts(len(self._core_counts) - 1)
-            self._core_counts.append(
-                sum(c * self.digit(k + 1) for k, c in enumerate(prev) if c)
-            )
+        have = len(self._core_counts)
+        if have <= n:
+            rows = self.presentation.count_rows(n - 1, first=have - 1)
+            for prev in rows:
+                self._core_counts.append(
+                    sum(c * self.digit(k + 1) for k, c in enumerate(prev) if c)
+                )
         return self._core_counts
 
     def describe(self) -> str:

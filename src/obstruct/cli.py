@@ -10,6 +10,7 @@ limits, or refused because it exceeds its budget.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -203,9 +204,10 @@ def cmd_entropy(config: RunConfig):
         "samples": [[n, fmt_float(y)] for n, y in estimate.samples],
     }
     if config.emit_csv and config.out:
+        rows = system.presentation.count_rows(config.nmax, first=1)
         _write_csv(
             _csv_path(config, "counts.csv"),
-            [(n, system.count_language(n)) for n in range(1, config.nmax + 1)],
+            [(n, sum(row)) for n, row in enumerate(rows, start=1)],
         )
         _write_csv(
             _csv_path(config, "separated.csv"),
@@ -599,7 +601,10 @@ def _config_from_args(args) -> RunConfig:
     return cfg
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing leaves it as it
+    was)."""
     parser = argparse.ArgumentParser(
         prog="obstruct",
         description="beta-shift decompositions, maximal-entropy measures, "

@@ -524,7 +524,7 @@ def nonexpansive_growth(
     source entropy when every pair of points agrees.
     """
     pair = build_pair_automaton(system, code)
-    counts = [pair.count_words(n) for n in range(n_max + 1)]
+    counts = [sum(row) for row in pair.count_rows(n_max)]
     if not pair.nondiagonal_cycle_exists():
         return NonexpansiveReport(
             verdict="positively-expansive",

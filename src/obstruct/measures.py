@@ -511,8 +511,8 @@ def empirical_mme(system, n: int, depth: int) -> CylinderMeasure:
     _verify_representative_tails(system)
     _check_table_size(sum(pres.count_words(k) for k in range(depth + 1)))
     tails: dict = {}  # (state, length) -> least tail, for `_tail_prefix`
-    # rows in increasing order, each counted once; |L_n| is the last one
-    state_counts = [pres.state_counts(k) for k in range(n + 1)]
+    # rows in increasing order, one compiled step each; |L_n| is the last one
+    state_counts = list(pres.count_rows(n))
     denom = n * sum(state_counts[n])
     # first shift at which each state is reached (n + 1: never)
     first = [
@@ -524,7 +524,7 @@ def empirical_mme(system, n: int, depth: int) -> CylinderMeasure:
     # poison tests read rows up to n
     deep = n - depth
     deep_last = min(deep, n - 1)
-    ext_rows = [pres.extension_counts(j) for j in range(n + 1)]
+    ext_rows = list(pres.count_rows(n, extensions=True))
     # columns of the states some deepest pair uses, built on first use
     count_columns: dict[int, list[int]] = {}
     ext_columns: dict[int, list] = {}

@@ -213,6 +213,79 @@ def test_row_store_matches_forward_lists(pres, cap, queries):
             assert store.rows_held() <= cap + 2
 
 
+@pytest.mark.parametrize("doubling", [False, True])
+@given(presentations(), st.lists(st.integers(0, 300), min_size=1, max_size=25))
+@settings(max_examples=200, deadline=None)
+def test_stepping_and_doubling_match_forward_lists(doubling, pres, queries):
+    # each path forced in turn; past the marker both raise as stepping does
+    counts = _forward_state_counts(pres, 300)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(automata, "doubling_pays", lambda *args: doubling)
+        for n in queries:
+            if n < len(counts):
+                assert pres.state_counts(n) == counts[n], n
+            else:
+                with pytest.raises(HorizonError) as info:
+                    pres.state_counts(n)
+                assert info.value.certified == len(counts) - 1
+    if doubling:  # a jump leaves the row store as it was
+        assert pres._state_counts.base(10 ** 9) == 0
+
+
+@given(presentations(), st.integers(0, 40), st.integers(0, 40))
+@settings(max_examples=200, deadline=None)
+def test_count_rows_match_forward_lists(pres, first, last):
+    counts = _forward_state_counts(pres, 80)
+    ext = _forward_extension_counts(pres, 80)
+    last = first + last
+    assert list(pres.count_rows(last, first, extensions=True)) == ext[first:last + 1]
+    rows = pres.count_rows(last, first)
+    for n in range(first, last + 1):
+        if n < len(counts):
+            assert next(rows) == counts[n], n
+        else:
+            # the rows before the marker are yielded, then the step raises
+            with pytest.raises(HorizonError) as info:
+                next(rows)
+            assert info.value.certified == len(counts) - 1
+            break
+
+
+def _fibonacci(n):
+    """(F(n), F(n + 1)) by fast doubling."""
+    if n == 0:
+        return 0, 1
+    a, b = _fibonacci(n // 2)
+    c = a * (2 * b - a)
+    d = a * a + b * b
+    return (d, c + d) if n % 2 else (c, d)
+
+
+def test_golden_far_count_is_a_fibonacci_number():
+    # |L_n| of the golden mean shift is F(n + 2)
+    assert BetaSystem.golden_mean().count_language(10 ** 5) == _fibonacci(10 ** 5 + 2)[0]
+
+
+def test_wide_fan_in_compiles_and_counts():
+    # 6 621 edges enter state 0: a chain of `+` that long fails to compile
+    system = BetaSystem.from_beta("2.5", horizon=10_000)
+    pres = system.presentation
+    assert sum(t == 0 for _, _, t in pres.edges()) > automata.MAX_CHAINED_TERMS
+    counts = _forward_state_counts(pres, 30)
+    assert [pres.state_counts(n) for n in range(31)] == counts
+    assert system.count_language(30) == sum(counts[30])
+
+
+def test_steps_compile_on_first_use():
+    pres = BetaSystem.from_beta("1.5", horizon=60).presentation
+    live = pres.essential_part()
+    assert live._state_counts._step is None and live._ext._step is None
+    live.state_counts(0)
+    assert live._state_counts._step is None
+    pres.state_counts(5)
+    assert pres._state_counts._step is not None and pres._ext._step is None
+
+
 def _outcome(fn):
     try:
         return fn()
