@@ -27,13 +27,7 @@ from .factors import (
     induced_decomposition,
     nonexpansive_growth,
 )
-from .measures import (
-    CylinderMeasure,
-    empirical_mme,
-    max_depth_gap,
-    measure_entropy_rate,
-    parry_measure,
-)
+from .measures import CylinderMeasure, empirical_mme, max_depth_gap, parry_measure
 from .orbits import (
     EntropyEstimate,
     OrbitCollection,
@@ -54,15 +48,6 @@ from .suites import (
     positive_mass_constant,
     positive_mass_count,
 )
-from .words import (
-    SCALE_MULTIPLIER_DEPTH_SHIFT,
-    Word,
-    bowen_cylinder,
-    depth_for_scale,
-    format_word,
-    parse_word,
-    scaled_depth,
-    word,
-)
+from .words import Word, format_word, parse_word, word
 
 __version__ = "0.1.0"

@@ -6,7 +6,8 @@ sequences are exactly the points of the shift.  Path counts, word
 enumeration, and per-state extension counts are all exact big-integer
 computations on this graph.  Count rows are stepped by straight-line code
 compiled from the edge list; a far path-count row of a small presentation
-is reached by doubling instead.
+is reached by doubling instead, as are the window sums of count rows
+against extension rows (`Presentation.window_sums`).
 
 A presentation may carry a truncation marker: a state with no defined
 outgoing edges, standing for "matched every stored symbol".  Any
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from functools import partial
+from itertools import repeat
 from math import gcd, log
 from operator import itemgetter, mul
 
@@ -92,6 +94,22 @@ def strongly_connected_components(successors) -> list[list[int]]:
     return out
 
 
+def bfs_distances(successors, root: int) -> list:
+    """Edge distance from root to each node (None: unreachable)."""
+    dist = [None] * len(successors)
+    dist[root] = 0
+    frontier = [root]
+    while frontier:
+        nxt = []
+        for s in frontier:
+            for t in successors[s]:
+                if dist[t] is None:
+                    dist[t] = dist[s] + 1
+                    nxt.append(t)
+        frontier = nxt
+    return dist
+
+
 def cycle_length_gcd(successors) -> int:
     """gcd of the cycle lengths reachable from node 0 (0 when there are none).
 
@@ -99,19 +117,12 @@ def cycle_length_gcd(successors) -> int:
     contributes level[s] + 1 - level[t]; for a strongly connected graph the
     gcd of these is its period.
     """
-    level = {0: 0}
-    frontier = [0]
+    level = bfs_distances(successors, 0)
     g = 0
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for t in successors[s]:
-                if t not in level:
-                    level[t] = level[s] + 1
-                    nxt.append(t)
-                else:
-                    g = gcd(g, level[s] + 1 - level[t])
-        frontier = nxt
+    for s, targets in enumerate(successors):
+        if level[s] is not None:
+            for t in targets:
+                g = gcd(g, level[s] + 1 - level[t])
     return g
 
 
@@ -209,28 +220,47 @@ def _past_horizon(k):
 
 def compile_step(sums, marker=None):
     """`step(c, k)` returning the row [sum of c over sums[0], sum over
-    sums[1], ...], compiled from one straight-line list display.
+    sums[1], ...], compiled from straight-line code.
 
     `sums[t]` lists row indices, an index once per edge it stands for.
-    Entries that copy c[s], c[s + 1], ... are written as one slice, and a
-    sum of more than MAX_CHAINED_TERMS entries as the sum of one C-level
-    item fetch.  With a marker, the step first raises
-    HorizonError(certified=k) when c[marker] is nonzero.
+    Entries that copy c[s], c[s + 1], ... are written as one slice, also
+    when they add d c[z] to the copy: such multiples are then added in
+    place, by one loop over (entry, d) pairs per z.  A sum of more than
+    MAX_CHAINED_TERMS other terms is the sum of one C-level item fetch.
+    With a marker, the step first raises HorizonError(certified=k) when
+    c[marker] is nonzero.
     """
-    namespace = {"past_horizon": _past_horizon}
+    namespace = {"past_horizon": _past_horizon, "mul": mul, "repeat": repeat}
+    sums = [sorted(terms) for terms in sums]
+    # (s, z, d) for an entry d c[z] + c[s], d = 0 for a plain copy
+    shapes = [
+        (terms[-1], terms[0], len(terms) - 1)
+        if terms and terms.count(terms[0]) == len(terms) - (terms[0] != terms[-1])
+        else None
+        for terms in sums
+    ]
+
+    def in_run(t, u):
+        """Whether entries t and u copy indices u - t apart (one slice)."""
+        return (0 <= u < len(sums) and shapes[u] is not None
+                and shapes[u][0] - shapes[t][0] == u - t)
+
     entries: list = []  # source text, or [first, last] of a run of copies
-    for terms in sums:
-        if len(terms) == 1:
-            s = terms[0]
+    fixes: dict = {}  # z -> (entry, d) pairs
+    for t, terms in enumerate(sums):
+        if shapes[t] and (len(terms) == 1 or in_run(t, t - 1) or in_run(t, t + 1)):
+            s, z, d = shapes[t]
+            if d:
+                fixes.setdefault(z, []).append((t, d))
             if entries and isinstance(entries[-1], list) and entries[-1][1] == s - 1:
                 entries[-1][1] = s
             else:
                 entries.append([s, s])
         elif len(terms) <= MAX_CHAINED_TERMS:
-            entries.append(" + ".join(f"c[{s}]" for s in sorted(terms)) or "0")
+            entries.append(" + ".join(f"c[{s}]" for s in terms) or "0")
         else:
             name = f"pick{len(namespace)}"
-            namespace[name] = itemgetter(*sorted(terms))
+            namespace[name] = itemgetter(*terms)
             entries.append(f"sum({name}(c))")
     row = ", ".join(
         e if isinstance(e, str)
@@ -240,7 +270,16 @@ def compile_step(sums, marker=None):
     lines = ["def step(c, k):"]
     if marker is not None:
         lines += [f"    if c[{marker}]:", "        past_horizon(k)"]
-    lines.append(f"    return [{row}]")
+    lines.append(f"    row = [{row}]" if fixes else f"    return [{row}]")
+    for z, pairs in fixes.items():
+        scales = sorted({d for _, d in pairs})
+        name = f"fix{len(namespace)}"
+        namespace[name] = tuple((t, scales.index(d)) for t, d in pairs)
+        namespace[f"{name}_scales"] = tuple(scales)
+        lines += [f"    m = tuple(map(mul, {name}_scales, repeat(c[{z}])))",
+                  f"    for t, i in {name}:", "        row[t] += m[i]"]
+    if fixes:
+        lines.append("    return row")
     exec(compile("\n".join(lines), "<transfer step>", "exec"), namespace)
     return namespace["step"]
 
@@ -291,18 +330,7 @@ def _marker_distances(delta, marker) -> list:
     for s, targets in enumerate(delta):
         for t in targets.values():
             sources[t].append(s)
-    dist = [None] * len(delta)
-    dist[marker] = 0
-    frontier = [marker]
-    while frontier:
-        nxt = []
-        for t in frontier:
-            for s in sources[t]:
-                if dist[s] is None:
-                    dist[s] = dist[t] + 1
-                    nxt.append(s)
-        frontier = nxt
-    return dist
+    return bfs_distances(sources, marker)
 
 
 def doubling_pays(states: int, edges: int, n: int, base: int) -> bool:
@@ -316,8 +344,21 @@ def _vector_times(row, matrix):
     return [sum(map(mul, row, col)) for col in zip(*matrix)]
 
 
-def _matrix_square(matrix):
-    return [_vector_times(row, matrix) for row in matrix]
+def _matrix_product(x, y):
+    cols = list(zip(*y))
+    return [[sum(map(mul, row, col)) for col in cols] for row in x]
+
+
+def _window_join(sums_a, power_a, sums_b, power_b):
+    """S_(a+b) = S_a (A^b)^T + (A^a)^T S_b from S_a, A^a, S_b and A^b (see
+    `Presentation.window_sums`): the first a shifts read b more extension
+    symbols, and the last b shifts start from the counts moved on by a."""
+    cols_b = list(zip(*sums_b))
+    return [
+        [sum(map(mul, left, row_b)) + sum(map(mul, col_a, col_b))
+         for row_b, col_b in zip(power_b, cols_b)]
+        for left, col_a in zip(sums_a, zip(*power_a))
+    ]
 
 
 class Presentation:
@@ -409,24 +450,57 @@ class Presentation:
             return self._power_row(n)
         return store[n]
 
+    def _square(self, i: int) -> list[list[int]]:
+        """A^(2^i) for the adjacency matrix A, squared once and cached."""
+        squares = self._squares
+        if not squares:
+            squares.append(self.adjacency())
+        while len(squares) <= i:
+            squares.append(_matrix_product(squares[-1], squares[-1]))
+        return squares[i]
+
     def _power_row(self, n: int) -> list[int]:
         """e_start A^n, multiplying in A^(2^i) for each set bit i of n."""
         if self._to_marker is not None and n > self._to_marker:
             _past_horizon(self._to_marker)
-        squares = self._squares
-        if not squares:
-            squares.append(self.adjacency())
         row = self._unit_vector(self.start)
         i = 0
-        while True:
+        while n:
             if n & 1:
-                row = _vector_times(row, squares[i])
+                row = _vector_times(row, self._square(i))
+            n >>= 1
+            i += 1
+        return row
+
+    def window_sums(self, n: int) -> list[list[int]]:
+        """The k-by-k matrix S_n[s][t] = sum over k < n of state_counts(k)[s]
+        * (A^(n - 1 - k) 1)[t], for n >= 1: the last factor is the extension
+        count where that is not poisoned (see `extension_counts`).
+
+        By binary powering from S_1 = e_start 1^T with S_(a+b) = S_a (A^b)^T
+        + (A^a)^T S_b, on the cached squares A^(2^i): at most five k-by-k
+        products per bit of n.  Like `_power_row`, it never crosses the
+        marker: HorizonError as state_counts(n - 1) raises it.
+        """
+        if self._to_marker is not None and n - 1 > self._to_marker:
+            _past_horizon(self._to_marker)
+        k = self.n_states
+        sums = [[int(s == self.start)] * k for s in range(k)]  # S_(2^i)
+        low = None  # (S_a, A^a) for a the bits of n below bit i
+        i = 0
+        while True:
+            square = self._square(i)
+            if n & 1:
+                if low is None:
+                    low = (sums, square)
+                else:
+                    power = _matrix_product(low[1], square) if n > 1 else None
+                    low = (_window_join(*low, sums, square), power)
             n >>= 1
             if not n:
-                return row
+                return low[0]
+            sums = _window_join(sums, square, sums, square)
             i += 1
-            if i == len(squares):
-                squares.append(_matrix_square(squares[-1]))
 
     def count_words(self, n: int) -> int:
         return sum(self.state_counts(n))

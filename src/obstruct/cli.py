@@ -89,14 +89,6 @@ class RunConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
-        if unknown:
-            raise InputError(f"unknown config fields: {sorted(unknown)}")
-        return cls(**data)
-
     def validate(self) -> None:
         for name in ("precision", "horizon", "nmax", "measure_depth",
                      "enumeration_cap", "spec_length"):

@@ -307,8 +307,15 @@ def _fill_template(presentation, template, state=None, pos=0):
 
 
 def _segment_pool(system, collection, lengths, depth):
-    """Depth-extended segments, each with the state its base block reaches."""
+    """Depth-extended segments, each with the state its base block reaches.
+
+    A memoized collection keeps the pool in its `derived` dict, so a gluing
+    time scan builds it once for all gaps.
+    """
     pres = system.presentation
+    key = ("segment pool", pres, tuple(lengths), depth)
+    if collection.derived is not None and key in collection.derived:
+        return collection.derived[key]
     tails: dict = {}  # state -> its depth continuations
     pool = []
     for n in sorted(set(lengths)):
@@ -323,6 +330,8 @@ def _segment_pool(system, collection, lengths, depth):
                 tails[state] = pres.tails(state, depth)
             for tail in tails[state]:
                 pool.append((v + tail, state))
+    if collection.derived is not None:
+        collection.derived[key] = pool
     return pool
 
 
@@ -530,7 +539,7 @@ def check_specification(
 
 @dataclass(frozen=True)
 class GluingResult:
-    """Smallest passing gap, or the best failing evidence."""
+    """Smallest passing gap, with the report of each gap tried."""
 
     tau: int | None
     reports: tuple
@@ -552,13 +561,6 @@ class GluingResult:
             f"the budget {self.budget}"
         )
 
-    @property
-    def best_failure(self):
-        if self.found or not self.reports:
-            return None
-        last = self.reports[-1]
-        return last.failures[0] if last.failures else None
-
 
 def min_gluing_time(
     system,
@@ -573,7 +575,8 @@ def min_gluing_time(
 
     A refused check ends the scan with that one report: the tuple space
     does not depend on the gap, so every later gap would be refused too.
-    The collection's words of each length are listed once for all gaps.
+    The collection's words of each length, and its segment pool, are
+    listed once for all gaps.
     """
     if tau_max < 0:
         raise InputError("tau_max must be >= 0")

@@ -4,11 +4,11 @@ The empirical measure at time n puts uniform mass on one representative
 point per admissible n-word (the word followed by zeros, which every
 state of a digit-expansion presentation admits) and averages the first n
 shift images.  Its cylinder masses are computed exactly from automaton
-occurrence counts as rationals with denominator n * |L_n|: one n-term
-product sum per (state, state) pair at the deepest length, additions for
-every shorter length (extension counts satisfy e_j[t] = sum of e_{j-1}
-over the edges out of t), and a closed-form test for pairs the
-truncation marker poisons.
+occurrence counts as rationals with denominator n * |L_n|: the sums of
+every (state, state) pair at the deepest length at once, by binary
+powering on a small presentation, else one n-term product sum per pair;
+and additions for every shorter length (extension counts satisfy e_j[t] =
+sum of e_{j-1} over the edges out of t).
 
 The stationary oracle is the Parry (Markov) measure built from Perron
 eigendata of the presentation (see `obstruct.perron` for its three paths:
@@ -49,14 +49,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 
+from .automata import bfs_distances
 from .errors import DepthError, EnumerationCapError, InputError, NonMixingError
 from .perron import FIXED_BITS, perron_eigendata
 from .quadratic import QuadraticNumber
 from .words import Word, format_word, parse_word
 
-# largest n for empirical_mme: it lists every count and extension row up
-# to n and takes one n-term product sum per deepest-length pair (shorter
-# lengths add; poisoned pairs are found by a closed-form test before any sum)
+# largest n for empirical_mme: by doubling it reads count rows n - depth..n
+# and bounds only the size of the integers; otherwise it lists every count
+# and extension row up to n and takes one n-term product sum per pair
 MAX_EMPIRICAL_N = 10_000
 # most cylinders a listed table may hold: sum over lengths n <= depth of
 # |L_n|, counted exactly before any word is listed
@@ -444,26 +445,22 @@ class CylinderMeasure:
         )
 
 
-def _verify_representative_tails(system) -> None:
-    """Check that every live state the start reaches extends.
+def _verify_representative_tails(system) -> list:
+    """Check that every live state the start reaches extends, and return
+    the edge distance from the start to each state (None: unreached).
 
     Only those states carry representative points.  On digit-expansion
     presentations the least continuation from any state is the zero tail,
     so representatives are word + 0^infinity there.
     """
     pres = system.presentation
-    reached = {pres.start}
-    stack = [pres.start]
-    while stack:
-        for t in pres.delta[stack.pop()].values():
-            if t not in reached:
-                reached.add(t)
-                stack.append(t)
-    for s in sorted(reached):
-        if s != pres.marker and not pres.delta[s]:
+    dist = bfs_distances([list(d.values()) for d in pres.delta], pres.start)
+    for s, d in enumerate(dist):
+        if d is not None and s != pres.marker and not pres.delta[s]:
             raise InputError(
                 f"state {s} admits no continuation; representative points undefined"
             )
+    return dist
 
 
 def _tail_prefix(pres, cache, state, length):
@@ -471,6 +468,14 @@ def _tail_prefix(pres, cache, state, length):
     if key not in cache:
         cache[key] = pres.lex_min_tail(state, length)
     return cache[key]
+
+
+def window_doubling_pays(states: int, pairs: int, n: int) -> bool:
+    """Whether the deepest window sums cost fewer multiplications by binary
+    powering (`Presentation.window_sums`, counted as one join of 2 states^3
+    products per bit of n) than as one n-term product sum per (state,
+    state) pair: 2 states^3 bit_length(n) < pairs n, no tuned constant."""
+    return 2 * states ** 3 * n.bit_length() < pairs * n
 
 
 def empirical_mme(system, n: int, depth: int) -> CylinderMeasure:
@@ -489,14 +494,17 @@ def empirical_mme(system, n: int, depth: int) -> CylinderMeasure:
     l)[t] are shared by every word of length l.  extensions(j)[t] sums
     extensions(j - 1) over the edges t -> t', so W(l, s, t) is the sum of
     W(l + 1, s, t') over those edges, plus state_counts(n - l)[s] when
-    l >= 1.  Only a pair at the deepest length therefore takes a product
-    sum (one C-level sum over s's count column and t's reversed extension
-    column); a shorter length costs additions.  extensions(j)[t] is None
-    (poisoned by the truncation marker) exactly for j >= p_t = 1 + the
-    distance from t to the marker, so a pair is poisoned iff its longest
-    continuation, n - l - first[s], is: that one lookup, made when the pair
-    is first needed and before any sum, raises the HorizonError the
-    per-shift sum raised.  A word costs one walk from each state plus its
+    l >= 1: a shorter length costs additions.  At the deepest length every
+    pair's sum comes from `Presentation.window_sums(n - depth + 1)` when
+    `window_doubling_pays`, and only count rows n - depth..n are read;
+    otherwise all rows up to n are listed and a pair takes one C-level sum
+    over s's count column and t's reversed extension column.  The first
+    shift at which s is reached, first[s], is its distance from the start.
+    No sum reads a poisoned extension count (None: it meets the truncation
+    marker), which would need j = n - l - k >= 1 + the distance from t to
+    the marker: that gives a walk from the start to the marker of length
+    first[s] + l + dist(t) < n, and reading count row n has then raised
+    HorizonError already.  A word costs one walk from each state plus its
     at most depth - 1 tail windows.  n above MAX_EMPIRICAL_N is refused
     before any counting, and a table of more than MAX_TABLE_CYLINDERS
     words (counted) before any word is listed.
@@ -508,42 +516,51 @@ def empirical_mme(system, n: int, depth: int) -> CylinderMeasure:
     if n > MAX_EMPIRICAL_N:
         raise InputError(f"empirical n {n} exceeds the cap {MAX_EMPIRICAL_N}")
     pres = system.presentation
-    _verify_representative_tails(system)
+    reach = _verify_representative_tails(system)
     _check_table_size(sum(pres.count_words(k) for k in range(depth + 1)))
     tails: dict = {}  # (state, length) -> least tail, for `_tail_prefix`
-    # rows in increasing order, one compiled step each; |L_n| is the last one
-    state_counts = list(pres.count_rows(n))
-    denom = n * sum(state_counts[n])
     # first shift at which each state is reached (n + 1: never)
-    first = [
-        next((k for k in range(n + 1) if state_counts[k][s]), n + 1)
-        for s in range(pres.n_states)
-    ]
+    first = [n + 1 if d is None else min(d, n + 1) for d in reach]
     successors = [list(pres.delta[t].values()) for t in range(pres.n_states)]
-    # pairs at the deepest length read j = deep - k for k <= deep_last; the
-    # poison tests read rows up to n
+    # pairs at the deepest length read shifts k <= deep_last and extension
+    # rows j = deep - k
     deep = n - depth
     deep_last = min(deep, n - 1)
-    ext_rows = list(pres.count_rows(n, extensions=True))
-    # columns of the states some deepest pair uses, built on first use
-    count_columns: dict[int, list[int]] = {}
-    ext_columns: dict[int, list] = {}
-    window_sums: dict[tuple[int, int, int], int] = {}
+    pairs = pres.n_states * sum(f <= deep_last for f in first)
+    if window_doubling_pays(pres.n_states, pairs, deep + 1):
+        # count rows deep..n; |L_n| is the last one
+        counts = list(pres.count_rows(n, first=deep))
+        deepest = pres.window_sums(deep + 1)
+        if deep_last < deep:  # depth 0: the shift k = n is no window
+            deepest = [[w - c for w in row] for row, c in zip(deepest, counts[0])]
 
-    def deepest_sum(s, t):
-        lo = first[s]
-        if lo > deep_last:
-            return 0
-        if s not in count_columns:
-            count_columns[s] = [row[s] for row in state_counts]
-        if t not in ext_columns:
-            ext_columns[t] = [row[t] for row in ext_rows]
-        # the pair passed the poison test, so no entry read is None
-        return sum(map(
-            mul,
-            count_columns[s][lo:deep_last + 1],
-            reversed(ext_columns[t][deep - deep_last:deep - lo + 1]),
-        ))
+        def deepest_sum(s, t):
+            return deepest[s][t]
+    else:
+        # rows in increasing order, one compiled step each
+        state_counts = list(pres.count_rows(n))
+        counts = state_counts[deep:]
+        ext_rows = list(pres.count_rows(deep, extensions=True))
+        # columns of the states some deepest pair uses, built on first use
+        count_columns: dict[int, list[int]] = {}
+        ext_columns: dict[int, list] = {}
+
+        def deepest_sum(s, t):
+            lo = first[s]
+            if lo > deep_last:
+                return 0
+            if s not in count_columns:
+                count_columns[s] = [row[s] for row in state_counts]
+            if t not in ext_columns:
+                ext_columns[t] = [row[t] for row in ext_rows]
+            # no entry read is None: see the docstring
+            return sum(map(
+                mul,
+                count_columns[s][lo:deep_last + 1],
+                reversed(ext_columns[t][deep - deep_last:deep - lo + 1]),
+            ))
+    denom = n * sum(counts[-1])
+    window_sums: dict[tuple[int, int, int], int] = {}
 
     def window(length, s, t):
         """W(length, s, t), filling the deeper sums it needs first."""
@@ -563,7 +580,7 @@ def empirical_mme(system, n: int, depth: int) -> CylinderMeasure:
                     continue
                 stack.pop()
                 w = sum(window_sums[ell + 1, s, y] for y in successors[x])
-                window_sums[ell, s, x] = w + state_counts[n - ell][s] if ell else w
+                window_sums[ell, s, x] = w + counts[depth - ell][s] if ell else w
         return window_sums[length, s, t]
 
     table: dict[Word, Fraction] = {}
@@ -577,16 +594,11 @@ def empirical_mme(system, n: int, depth: int) -> CylinderMeasure:
                 if t is None:
                     continue
                 if (length, s, t) not in window_sums:
-                    # poison test: raises iff the pair's longest
-                    # continuation is None
-                    longest = n - length - first[s]
-                    if ext_rows[longest][t] is None:
-                        pres.extensions_from(t, longest)
                     window(length, s, t)
                 acc += window_sums[length, s, t]
             for k in range(n - length + 1, n):
                 head = n - k
-                for s, c in enumerate(state_counts[k]):
+                for s, c in enumerate(counts[k - deep]):
                     if not c:
                         continue
                     t = pres.walk(u[:head], state=s)
@@ -702,16 +714,6 @@ def _to_float(x) -> float:
     bits = 2 * FIXED_BITS
     root = math.isqrt(x.b.numerator ** 2 * x.D << 2 * bits)
     return float(x.a + Fraction(root if x.b >= 0 else -root, x.b.denominator << bits))
-
-
-def measure_entropy_rate(measure: CylinderMeasure, length: int) -> float:
-    """(1/length) * sum of -m log m over length-cylinders."""
-    total = 0.0
-    for w in measure.words_at(length):
-        m = float(measure.table[w])
-        if m > 0:
-            total -= m * math.log(m)
-    return total / length
 
 
 def max_depth_gap(a: CylinderMeasure, b: CylinderMeasure, length: int) -> float:

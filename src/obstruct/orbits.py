@@ -50,6 +50,9 @@ class OrbitCollection:
         self.label = label
         self._at = at
         self._counter = counter
+        # values callers derive from the listed words, kept with them; only
+        # a memoized collection keeps any (see `memoized`)
+        self.derived: dict | None = None
 
     def at(self, n: int):
         """Base words of length n."""
@@ -59,7 +62,8 @@ class OrbitCollection:
         return f"OrbitCollection({self.label!r})"
 
     def memoized(self) -> "OrbitCollection":
-        """The same collection, with the words of each length listed once."""
+        """The same collection, with the words of each length listed once,
+        and a `derived` dict for what callers compute from them."""
         listed: dict = {}
 
         def at(n):
@@ -67,7 +71,9 @@ class OrbitCollection:
                 listed[n] = self._at(n)
             return listed[n]
 
-        return OrbitCollection(self.system, self.label, at=at, counter=self._counter)
+        memo = OrbitCollection(self.system, self.label, at=at, counter=self._counter)
+        memo.derived = {}
+        return memo
 
     # -- constructors ----------------------------------------------------------
 

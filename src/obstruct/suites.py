@@ -475,22 +475,6 @@ def _level_minima(measure, system, scheme, M, n_range, j, beta):
         yield n, level_min, words
 
 
-def mass_floor_over_words(measure, system, words_by_length: dict, j: int = 0):
-    """min mass * beta^n over an explicit word family; (value, argmin, per_n)."""
-    beta = _exact_beta(system)
-    best = None
-    per_length = {}
-    for n, words in sorted(words_by_length.items()):
-        scale = beta ** n
-        for v in words:
-            value = _scale_mass(measure.mass(v), scale)
-            if best is None or value < best[0]:
-                best = (value, v)
-            if n not in per_length or value < per_length[n]:
-                per_length[n] = value
-    return best, per_length
-
-
 def mixing_check(
     measure,
     system,

@@ -1,4 +1,5 @@
 from itertools import product
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -267,13 +268,73 @@ def test_golden_far_count_is_a_fibonacci_number():
 
 
 def test_wide_fan_in_compiles_and_counts():
-    # 6 621 edges enter state 0: a chain of `+` that long fails to compile
+    # 6 621 edges enter state 0: a chain of `+` that long fails to compile;
+    # the extension step is one run of copies plus multiples of c[0]
     system = BetaSystem.from_beta("2.5", horizon=10_000)
     pres = system.presentation
     assert sum(t == 0 for _, _, t in pres.edges()) > automata.MAX_CHAINED_TERMS
     counts = _forward_state_counts(pres, 30)
     assert [pres.state_counts(n) for n in range(31)] == counts
     assert system.count_language(30) == sum(counts[30])
+    ext = _forward_extension_counts(pres, 30)
+    assert list(pres.count_rows(30, extensions=True)) == ext
+
+
+def _step_sums():
+    """Index lists for compile_step: runs d c[z] + c[s], d' c[z] + c[s + 1],
+    ... (z possibly a copied index), and sums of any shape."""
+    run = st.builds(
+        lambda z, first, ds: [[z] * d + [first + i] for i, d in enumerate(ds)],
+        st.integers(0, 11), st.integers(0, 6),
+        st.lists(st.integers(0, 3), min_size=1, max_size=5),
+    )
+    other = st.lists(st.integers(0, 11), max_size=4).map(lambda terms: [terms])
+    return st.lists(st.one_of(run, other), min_size=1, max_size=6).map(
+        lambda parts: [terms for part in parts for terms in part]
+    )
+
+
+@given(_step_sums(), st.lists(st.integers(0, 2 ** 80), min_size=12, max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_compiled_step_matches_the_sums(sums, row):
+    step = automata.compile_step(sums)
+    assert step(row, 0) == [sum(row[i] for i in terms) for terms in sums]
+
+
+def test_copy_runs_compile_to_code_of_one_size():
+    # entries d c[0] + c[s + 1], as in a beta presentation's extension step,
+    # are one slice and one loop however many states there are
+    def code_size(n):
+        sums = [[0] * (s % 3) + [s + 1] for s in range(n)]
+        return len(automata.compile_step(sums).__code__.co_code)
+
+    assert code_size(10) == code_size(10_000)
+
+
+@given(presentations(), st.integers(1, 40))
+@settings(max_examples=200, deadline=None)
+def test_window_sums_match_forward_lists(pres, n):
+    # S_n[s][t] = sum over k < n of counts(k)[s] * (A^(n-1-k) 1)[t]; the
+    # second factor is the extension count wherever that is not poisoned
+    counts = _forward_state_counts(pres, n - 1)
+    if len(counts) < n:
+        with pytest.raises(HorizonError) as info:
+            pres.window_sums(n)
+        assert info.value.certified == len(counts) - 1
+        return
+    adjacency = pres.adjacency()
+    ones = [[1] * pres.n_states]
+    for _ in range(n - 1):
+        ones.append([sum(map(mul, row, ones[-1])) for row in adjacency])
+    ext = _forward_extension_counts(pres, n - 1)
+    sums = pres.window_sums(n)
+    for s in range(pres.n_states):
+        for t in range(pres.n_states):
+            assert sums[s][t] == sum(
+                counts[k][s] * ones[n - 1 - k][t] for k in range(n)
+            )
+    for j, row in enumerate(ext):
+        assert all(e is None or e == o for e, o in zip(row, ones[j]))
 
 
 def test_steps_compile_on_first_use():

@@ -164,7 +164,7 @@ class TestSpecification:
         full = OrbitCollection.full_language(golden)
         result = min_gluing_time(golden, full, tau_max=0, lengths=range(1, 4))
         assert result.tau is None
-        assert result.best_failure is not None
+        assert result.reports[-1].failures
 
     def test_depth_one_needs_bigger_gap(self, golden, golden_scheme):
         result = min_gluing_time(
@@ -232,13 +232,30 @@ class TestSpecification:
         )
         assert report.verdict == "inconclusive" and report.tuples_checked == 0
 
+    def test_segment_pool_is_listed_once_per_scan(self, golden, monkeypatch):
+        full = OrbitCollection.full_language(golden)
+        result = min_gluing_time(golden, full, j=1, tau_max=4, lengths=range(1, 5))
+        assert len(result.reports) > 1
+        listed = []
+        tails = golden.presentation.tails
+        monkeypatch.setattr(
+            golden.presentation, "tails",
+            lambda state, depth: listed.append(state) or tails(state, depth),
+        )
+        again = min_gluing_time(golden, full, j=1, tau_max=4, lengths=range(1, 5))
+        # one listing of each state's depth tails for the whole scan
+        assert again == result and listed and sorted(listed) == sorted(set(listed))
+        for tau, report in enumerate(result.reports):
+            assert report == check_specification(golden, full, 1, tau, lengths=range(1, 5))
+
     def test_refused_gluing_search_stops_at_first_gap(self, golden, golden_scheme):
         result = min_gluing_time(
             golden, golden_scheme.cores(), tau_max=4, lengths=range(1, 6), budget=10
         )
-        assert result.tau is None and result.best_failure is None
+        assert result.tau is None
         (report,) = result.reports
         assert report.gap == 0 and report.verdict == "inconclusive"
+        assert report.failures == ()
 
 
 def _literal_specification(system, collection, j, tau, k_max, lengths, budget):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from obstruct import measures
 from obstruct.automata import Presentation
 from obstruct.beta import BetaSystem
 from obstruct.cli import EXIT_INPUT, main
@@ -23,7 +24,6 @@ from obstruct.measures import (
     _verify_representative_tails,
     empirical_mme,
     max_depth_gap,
-    measure_entropy_rate,
     parry_measure,
 )
 from obstruct.perron import perron_eigendata
@@ -228,6 +228,65 @@ def test_empirical_matches_per_shift_oracle_on_random_presentations(pres, data):
     assert (isinstance(got, tuple) and got[0] is InputError) == dead_end
 
 
+def _both_branches(make, n, depth):
+    """empirical_mme's outcome with the deepest window sums taken by
+    convolution, then by doubling."""
+    outcomes = []
+    for doubling in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(measures, "window_doubling_pays", lambda *args: doubling)
+            outcomes.append(_outcome(lambda: empirical_mme(make(), n, depth).table))
+    return outcomes
+
+
+@pytest.mark.parametrize(
+    "name", ["golden", "full2", "maj3(full2)", "xor(golden)", "threehalf@20"]
+)
+def test_window_doubling_matches_convolution(name):
+    # depth 0 and depth n; on 1.5 at horizon 20, n = 20 leaves states first
+    # reached after shift n - depth, and n = 25 passes the horizon
+    make = ORACLE_SYSTEMS[name]
+    outcomes = {}
+    for n, depths in ((1, (0, 1)), (4, (0, 2, 4)), (20, (0, 1, 4)), (25, (3,)),
+                      (300, (0, 3))):
+        for depth in depths:
+            convolution, outcomes[n, depth] = _both_branches(make, n, depth)
+            assert convolution == outcomes[n, depth], (name, n, depth)
+    if name == "threehalf@20":
+        reach = _verify_representative_tails(make())
+        assert max(d for d in reach if d is not None) > 20 - 4
+        assert outcomes[25, 3][0] is HorizonError
+
+
+@given(presentations(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_window_doubling_matches_convolution_on_random_presentations(pres, data):
+    start = data.draw(st.integers(0, pres.n_states - 1))
+    n = data.draw(st.integers(1, 40))
+    depth = data.draw(st.integers(0, min(n, 4)))
+
+    def make():
+        return _PresentationSystem(Presentation(
+            pres.n_states, pres.alphabet_size, list(pres.edges()),
+            start=start, marker=pres.marker,
+        ))
+
+    convolution, doubling = _both_branches(make, n, depth)
+    assert convolution == doubling
+
+
+def test_window_rule_picks_doubling_for_small_presentations(monkeypatch):
+    picked = []
+    rule = measures.window_doubling_pays
+    monkeypatch.setattr(
+        measures, "window_doubling_pays",
+        lambda *args: picked.append(rule(*args)) or picked[-1],
+    )
+    empirical_mme(BetaSystem.golden_mean(), 4000, 4)
+    empirical_mme(BetaSystem.from_beta("1.5", horizon=600), 500, 4)
+    assert picked == [True, False]
+
+
 def test_dead_end_is_refused_before_the_table_is_counted():
     # counting |L_2| would meet the marker (state 1) and raise HorizonError;
     # the dead end (state 2) is found first, as the per-shift oracle finds it
@@ -367,7 +426,9 @@ class TestParry:
 
     def test_entropy_rate_near_log_beta(self, golden):
         m = parry_measure(golden, 14)
-        assert abs(measure_entropy_rate(m, 14) - LOG_PHI) < 0.02
+        masses = [float(m.table[w]) for w in m.words_at(14)]
+        rate = -sum(x * math.log(x) for x in masses if x > 0) / 14
+        assert abs(rate - LOG_PHI) < 0.02
 
     def test_truncated_provenance(self, threehalf):
         m = parry_measure(threehalf, 4)

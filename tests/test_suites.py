@@ -14,7 +14,6 @@ from obstruct.suites import (
     counting_suite,
     gibbs_check,
     gibbs_proof_constant,
-    mass_floor_over_words,
     mixing_check,
     mixing_liminf_probe,
     mixing_proof_constant,
@@ -104,11 +103,12 @@ class TestGibbs:
         # the one-window estimate is only claimed on the level sets, but the
         # suffix ray happens to satisfy a floor here as well
         m = parry_measure(golden, 13)
-        words_by_length = {
-            n: [golden.expansion_prefix(n)] for n in range(1, 13)
-        }
-        best, per_length = mass_floor_over_words(m, golden, words_by_length)
-        assert float(best[0]) > 0.4
+        beta = float(golden.beta_value())
+        floor = min(
+            float(m.mass(golden.expansion_prefix(n))) * beta ** n
+            for n in range(1, 13)
+        )
+        assert floor > 0.4
 
     def test_depth_offset(self, golden, golden_scheme):
         m = parry_measure(golden, 14)
