@@ -385,6 +385,7 @@ class Presentation:
             partial(_compile_state_step, self.delta, marker),
         )
         self._squares: list = []  # adjacency matrix to the powers 2^i
+        self._ladder: list = []  # window sums S_(2^i), see window_sums
         self._to_marker: int | None = None  # distance from start to marker
         # the states that reach the marker, by distance (see _poisoned)
         order, order_dist = [], []
@@ -459,6 +460,18 @@ class Presentation:
             squares.append(_matrix_product(squares[-1], squares[-1]))
         return squares[i]
 
+    def _rung(self, i: int) -> list[list[int]]:
+        """The window sums S_(2^i), each doubled once from the last and
+        cached: S_1 = e_start 1^T and S_(2a) = S_a (A^a)^T + (A^a)^T S_a."""
+        ladder = self._ladder
+        if not ladder:
+            ladder.append([[int(s == self.start)] * self.n_states
+                           for s in range(self.n_states)])
+        while len(ladder) <= i:
+            sums, square = ladder[-1], self._square(len(ladder) - 1)
+            ladder.append(_window_join(sums, square, sums, square))
+        return ladder[i]
+
     def _power_row(self, n: int) -> list[int]:
         """e_start A^n, multiplying in A^(2^i) for each set bit i of n."""
         if self._to_marker is not None and n > self._to_marker:
@@ -477,30 +490,28 @@ class Presentation:
         * (A^(n - 1 - k) 1)[t], for n >= 1: the last factor is the extension
         count where that is not poisoned (see `extension_counts`).
 
-        By binary powering from S_1 = e_start 1^T with S_(a+b) = S_a (A^b)^T
-        + (A^a)^T S_b, on the cached squares A^(2^i): at most five k-by-k
-        products per bit of n.  Like `_power_row`, it never crosses the
-        marker: HorizonError as state_counts(n - 1) raises it.
+        By binary powering with S_(a+b) = S_a (A^b)^T + (A^a)^T S_b: the
+        set bits of n join the cached S_(2^i) (`_rung`) on the cached squares
+        A^(2^i), at most five k-by-k products per bit of n, and a rung is
+        doubled only the first time any call needs it.  Like `_power_row`,
+        it never crosses the marker: HorizonError as state_counts(n - 1)
+        raises it.
         """
         if self._to_marker is not None and n - 1 > self._to_marker:
             _past_horizon(self._to_marker)
-        k = self.n_states
-        sums = [[int(s == self.start)] * k for s in range(k)]  # S_(2^i)
         low = None  # (S_a, A^a) for a the bits of n below bit i
         i = 0
-        while True:
-            square = self._square(i)
+        while n:
             if n & 1:
+                sums, square = self._rung(i), self._square(i)
                 if low is None:
                     low = (sums, square)
                 else:
                     power = _matrix_product(low[1], square) if n > 1 else None
                     low = (_window_join(*low, sums, square), power)
             n >>= 1
-            if not n:
-                return low[0]
-            sums = _window_join(sums, square, sums, square)
             i += 1
+        return [list(row) for row in low[0]]  # a rung stays unchanged
 
     def count_words(self, n: int) -> int:
         return sum(self.state_counts(n))

@@ -369,20 +369,6 @@ class BetaSystem(PresentedShift):
             ).eigenvalue
         return self._perron_value
 
-    def lex_admissible(self, v: Word) -> bool:
-        """Direct oracle: every suffix at most the matching expansion prefix."""
-        if any(a >= self.alphabet_size or a < 0 for a in v):
-            return False
-        n = len(v)
-        for t in range(n):
-            for i in range(n - t):
-                c = self.digit(i + 1)
-                if v[t + i] > c:
-                    return False
-                if v[t + i] < c:
-                    break
-        return True
-
     def suffix_match_length(self, v: Word) -> int:
         """Length of the longest suffix of v equal to a prefix of the expansion.
 
@@ -424,10 +410,6 @@ class BetaSystem(PresentedShift):
         n: past a truncation at h, Z_{h+1} reads d_{h+1} and raises.
         """
         return self._fill_core_counts(n)[: n + 1]
-
-    def core_count(self, n: int) -> int:
-        """#{v in L_n ending in no prefix of the expansion}."""
-        return self._fill_core_counts(n)[n]
 
     def _fill_core_counts(self, n: int) -> list[int]:
         """The cached Z_0, Z_1, ..., extended through Z_n.

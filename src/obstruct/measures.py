@@ -17,7 +17,9 @@ over the walks s -> t of u, divided by x^|u| sum_s l_s r_s.  With exact
 eigendata (rational or quadratic) the masses are exact field elements;
 otherwise the eigenvectors are positive integers, the eigenvalue is the
 midpoint of its Collatz-Wielandt enclosure, every mass is an exact
-rational of these, and each is rounded to a float once.
+rational acc S_n of these (acc an integer class weight, S_n fixed per
+length), and each is rounded to a float once: from a 128-bit fixed-point
+scale of S_n where that decides the float, else by the exact division.
 A truncated system's provenance states the enclosure's width and, when
 beta is exact, the gap beta - lo to the true beta-shift (lo the lower end
 of the enclosure, so the gap bounds beta - rho from above).
@@ -44,6 +46,7 @@ differs from that by at most (N + 1) 2^-53 of the mass, to first order
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -62,6 +65,9 @@ MAX_EMPIRICAL_N = 10_000
 # most cylinders a listed table may hold: sum over lengths n <= depth of
 # |L_n|, counted exactly before any word is listed
 MAX_TABLE_CYLINDERS = 1_000_000
+# significant bits of the fixed-point scale F_n that float Parry masses are
+# rounded from (see `_round_scaled`); 75 bits past a float's 53
+SCALE_BITS = 128
 
 
 def extend(layer: dict, moves) -> dict:
@@ -632,8 +638,13 @@ def parry_measure(system, depth: int) -> CylinderMeasure:
     in its own unit, which cancels: the mass is homogeneous of degree 0 in
     l and in r) and x = p / q is the midpoint of the enclosure, so V and
     the sum over t are exact integers and the float mass is the rational
-    (sum_t V_u[t] R_t) q^n / (p^n sum_s L_s R_s), rounded once by one
-    correctly rounded integer division.
+    acc S_n, acc = sum_t V_u[t] R_t and S_n = q^n / (p^n sum_s L_s R_s),
+    rounded once: from F_n = floor(S_n 2^K_n) of SCALE_BITS bits, taken
+    once per length, when both ends of the bracket [acc F_n, acc F_n + acc]
+    of acc S_n 2^K_n round to one float (`_round_scaled`), else by the
+    correctly rounded integer division acc q^n / (p^n sum_s L_s R_s).  So
+    each float is the correctly rounded mass either way, and the wide
+    division runs only at a rounding boundary or for a subnormal mass.
     Refuses non-primitive presentations, and raises where enumerating the
     language up to `depth` would.
     """
@@ -670,9 +681,11 @@ def parry_measure(system, depth: int) -> CylinderMeasure:
         for _ in range(depth):
             nums.append(nums[-1] * mid.denominator)
             dens.append(dens[-1] * mid.numerator)
+        scales = [_fixed_scale(a, b) for a, b in zip(nums, dens)]
 
         def finish(acc, n):
-            return acc * nums[n] / dens[n]
+            mass = _round_scaled(acc, *scales[n])
+            return acc * nums[n] / dens[n] if mass is None else mass
     classes = MassClasses.parry(live, left, right, finish, depth)
     lo, hi = eigen.enclosure
     if system.horizon is None:
@@ -694,6 +707,37 @@ def parry_measure(system, depth: int) -> CylinderMeasure:
             "exact_eigendata": eigen.exact,
         },
     )
+
+
+def _fixed_scale(num: int, den: int) -> tuple[int, int]:
+    """(F, K) with F = floor(num / den * 2^K) of SCALE_BITS bits, for
+    positive integers num and den."""
+    k = SCALE_BITS - (num.bit_length() - den.bit_length())
+    f = (num << k) // den if k >= 0 else num // (den << -k)
+    if f.bit_length() > SCALE_BITS:  # num / den 2^K lay in [2^128, 2^129)
+        f, k = f >> 1, k - 1
+    return f, k
+
+
+def _round_scaled(acc: int, f: int, k: int) -> float | None:
+    """The float nearest acc S for an integer acc >= 0, given F = f =
+    floor(S 2^k); None when the fixed-point scale cannot decide it.
+
+    acc S 2^k lies in [acc F, acc F + acc].  Both ends, cut to SCALE_BITS
+    bits (rounding down and up), are rounded to floats by the correctly
+    rounded, monotone int-to-float conversion; when they agree, so does
+    every point between, and the power of two is applied exactly by
+    `ldexp`.  None when the ends differ (the bracket holds a rounding
+    boundary) or the result is not a normal float, where `ldexp` would
+    round a second time.
+    """
+    lo = acc * f
+    shift = max(0, lo.bit_length() - SCALE_BITS)
+    low = float(lo >> shift)
+    if low != float(-(-(lo + acc) >> shift)):
+        return None
+    mass = math.ldexp(low, shift - k)
+    return mass if mass > sys.float_info.min else None
 
 
 def _beta_gap(system, lo) -> str:

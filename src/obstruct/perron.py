@@ -140,16 +140,21 @@ def _enclosure(rows, v, av=None):
     x, the vector v with its entries below 2^(FIXED_BITS/4) set to 0: the
     lower bound holds for any non-negative x != 0, and so the decayed
     entries of a reducible matrix, which carry no precision, cannot hold
-    it down.
+    it down.  The extremes are picked by integer cross-multiplication
+    (every v_i > 0), and only the two winning ratios become Fractions.
     """
     if av is None:
         av = _product(rows, v)
     small = 1 << (FIXED_BITS // 4)
     x = [e if e >= small else 0 for e in v]
     ax = av if all(x) else _product(rows, x)
-    lo = min(Fraction(p, q) for p, q, e in zip(ax, v, x) if e)
-    hi = max(Fraction(p, q) for p, q in zip(av, v))
-    return lo, hi
+    lo = hi = None  # (numerator, denominator) of the extreme ratio so far
+    for p, a, q, e in zip(ax, av, v, x):
+        if e and (lo is None or p * lo[1] < lo[0] * q):
+            lo = (p, q)
+        if hi is None or a * hi[1] > hi[0] * q:
+            hi = (a, q)
+    return Fraction(*lo), Fraction(*hi)
 
 
 def _power_iteration(rows):

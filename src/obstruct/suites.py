@@ -455,6 +455,10 @@ def _level_minima(measure, system, scheme, M, n_range, j, beta):
                 f"cylinder depth {n + j} exceeds measure depth {measure.depth}"
             )
         scale = beta ** n
+        if not measure.exact:
+            # every mass is a float or 0, so `_scale_mass` would take the
+            # float of the scale for each class
+            scale = float(scale)
         level_min = None
         zero = set()
         for k, w in least.items():

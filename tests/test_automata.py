@@ -337,6 +337,31 @@ def test_window_sums_match_forward_lists(pres, n):
         assert all(e is None or e == o for e, o in zip(row, ones[j]))
 
 
+def test_window_sums_join_each_ladder_rung_once(monkeypatch):
+    # a second call doubles only the rungs S_(2^i) the first did not reach,
+    # and joins its own set bits; it matches a fresh presentation
+    joins = []
+    join = automata._window_join
+    monkeypatch.setattr(
+        automata, "_window_join", lambda *args: joins.append(1) or join(*args)
+    )
+    pres = BetaSystem.golden_mean().presentation
+    first = pres.window_sums(498)
+    assert len(joins) == 8 + (bin(498).count("1") - 1)  # S_2..S_256
+    del joins[:]
+    second = pres.window_sums(998)
+    assert len(joins) == 1 + (bin(998).count("1") - 1)  # S_512 only
+    del joins[:]
+    assert pres.window_sums(498) == first
+    assert len(joins) == bin(498).count("1") - 1
+    fresh = BetaSystem.golden_mean().presentation
+    assert second == fresh.window_sums(998)
+    # a power of two is a rung itself: the caller gets a copy
+    rung = pres.window_sums(256)
+    rung[0][0] += 1
+    assert pres.window_sums(256) != rung
+
+
 def test_steps_compile_on_first_use():
     pres = BetaSystem.from_beta("1.5", horizon=60).presentation
     live = pres.essential_part()

@@ -10,11 +10,14 @@ from obstruct.beta import BetaSystem
 from obstruct.factors import BlockCode, FactorSystem
 from obstruct.measures import parry_measure
 from obstruct.perron import (
+    FIXED_BITS,
     _eigendata,
+    _enclosure,
     _eigendata_from_factor,
     _exact_eigendata,
     _fixed_point_data,
     _power_iteration,
+    _product,
     _renewal_eigendata,
     perron_eigendata,
 )
@@ -161,6 +164,36 @@ def test_enclosure_is_the_collatz_wielandt_bound(threehalf):
     lo, hi = data.enclosure
     assert (lo, hi) == _collatz_wielandt(matrix, data)
     assert 0 < hi - lo < Fraction(1, 10**70)
+
+
+def _fraction_enclosure(rows, v):
+    """The Collatz-Wielandt bounds with one Fraction per entry."""
+    small = 1 << (FIXED_BITS // 4)
+    x = [e if e >= small else 0 for e in v]
+    av, ax = _product(rows, v), _product(rows, x)
+    lo = min(Fraction(p, q) for p, q, e in zip(ax, v, x) if e)
+    hi = max(Fraction(p, q) for p, q in zip(av, v))
+    return lo, hi
+
+
+@given(st.data(), st.integers(1, 8))
+@settings(max_examples=300, deadline=None)
+def test_cross_multiplied_enclosure_matches_fractions(data, n):
+    # entries below 2^(FIXED_BITS / 4) are zeroed for the lower bound; at
+    # least one entry stays above, as the eigenvector paths guarantee
+    rows = [
+        [(j, a) for j in range(n)
+         if (a := data.draw(st.integers(0, 3), label="entry"))]
+        for _ in range(n)
+    ]
+    small = 1 << (FIXED_BITS // 4)
+    v = data.draw(st.lists(
+        st.one_of(st.integers(1, 4), st.integers(1, small - 1),
+                  st.integers(small, 1 << FIXED_BITS + 8)),
+        min_size=n, max_size=n,
+    ), label="v")
+    v[data.draw(st.integers(0, n - 1), label="big")] |= small
+    assert _enclosure(rows, v) == _fraction_enclosure(rows, v)
 
 
 def test_reducible_repeated_root_is_enclosed():
