@@ -2,6 +2,7 @@
 
     python scripts/compare_reports.py OLD_TREE NEW_TREE
     python scripts/compare_reports.py OLD_TREE NEW_TREE --cmd "verify --beta 3"
+    python scripts/compare_reports.py OLD_TREE NEW_TREE --extended
 
 Each tree is the root of an obstruct checkout; its commands run as
 `python -m obstruct.cli ...` with that tree's `src/` on PYTHONPATH, in one
@@ -9,7 +10,9 @@ shared temporary directory that holds the benchmark's input files, so `@name`
 arguments and the echoed config agree between the two runs.  Without
 `--cmd` the command list is the operations of `perfbench/workloads.py`
 (read from this checkout), less the library count sweep; `--cmd` may be
-repeated.
+repeated.  `--extended` runs `EXTENDED` after them: deeper horizons and
+measure depths, large and refused inputs, and exit-2 commands that the
+benchmark leaves out.
 
 Every field outside `meta` that differs is printed as `path: old -> new`,
 with the exit codes and, when a side prints no report, its stderr.  The
@@ -28,6 +31,21 @@ import tempfile
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
+
+# commands outside the benchmark, run after it with --extended
+EXTENDED = [
+    "verify --beta 1.5 --horizon 600 --measure-depth 8",
+    "verify --expansion-file @p9 --measure-depth 14",
+    "verify --beta 2.5 --horizon 300 --measure-depth 8",
+    "verify --beta 1.5 --horizon 60 --measure-depth 14",
+    "verify --beta 200",
+    "verify --beta 3 --depth 2",
+    "mme --beta 1.5 --horizon 600 --n 500",
+    "mme --beta 1.5",
+    "factor --beta 1.5 --horizon 1200 --code-file @xor",
+    "factor --beta 1.5 --code-file @xor",
+    "entropy --beta 2.5 --horizon 300 --nmax 300",
+]
 
 
 def load_workloads():
@@ -77,12 +95,16 @@ def main(argv=None) -> int:
     parser.add_argument("new", type=Path, help="root of the second source tree")
     parser.add_argument("--cmd", action="append", default=[],
                         help="one CLI command, e.g. 'verify --beta 2'")
+    parser.add_argument("--extended", action="store_true",
+                        help="also run the commands of EXTENDED")
     args = parser.parse_args(argv)
     workloads = load_workloads()
     ops = args.cmd or [
         op for name in workloads.WORKLOADS for op in workloads.WORKLOADS[name]
         if op != workloads.SWEEP
     ]
+    if args.extended:
+        ops = ops + EXTENDED
     same = True
     with tempfile.TemporaryDirectory() as tmp:
         inputs = Path(tmp)

@@ -387,6 +387,8 @@ class Presentation:
         self._squares: list = []  # adjacency matrix to the powers 2^i
         self._ladder: list = []  # window sums S_(2^i), see window_sums
         self._to_marker: int | None = None  # distance from start to marker
+        self._live: Presentation | None = None  # see live_part
+        self._essential: Presentation | None = None  # see essential_part
         # the states that reach the marker, by distance (see _poisoned)
         order, order_dist = [], []
         if marker is not None:
@@ -609,8 +611,17 @@ class Presentation:
             m[s][t] += 1
         return m
 
+    def _restricted(self, keep) -> "Presentation":
+        """Copy on the states of `keep`, in increasing order, and the edges
+        between them."""
+        index = {s: i for i, s in enumerate(keep)}
+        edges = [(index[s], a, index[t]) for s, a, t in self.edges()
+                 if s in index and t in index]
+        return Presentation(len(index), self.alphabet_size, edges,
+                            start=index[self.start])
+
     def live_part(self) -> "Presentation":
-        """Copy without the marker state and its incoming edges.
+        """Copy without the marker state and its incoming edges, built once.
 
         HorizonError when the start state is the marker: nothing of the
         language is stored.
@@ -619,40 +630,32 @@ class Presentation:
             return self
         if self.start == self.marker:
             raise HorizonError("the start state is the truncation marker")
-        keep = [s for s in range(self.n_states) if s != self.marker]
-        index = {s: i for i, s in enumerate(keep)}
-        edges = [
-            (index[s], a, index[t])
-            for s, a, t in self.edges()
-            if s != self.marker and t != self.marker
-        ]
-        return Presentation(len(keep), self.alphabet_size, edges,
-                            start=index[self.start])
+        if self._live is None:
+            self._live = self._restricted(
+                [s for s in range(self.n_states) if s != self.marker])
+        return self._live
 
     def essential_part(self) -> "Presentation":
-        """Iteratively drop states with no outgoing edge (marker first)."""
-        live = self.live_part()
-        dead: set[int] = set()
-        changed = True
-        while changed:
-            changed = False
-            for s in range(live.n_states):
-                if s in dead:
-                    continue
-                if not any(t not in dead for t in live.delta[s].values()):
-                    dead.add(s)
-                    changed = True
-        if live.start in dead:
-            raise HorizonError("no infinite continuation from the start state")
-        keep = [s for s in range(live.n_states) if s not in dead]
-        index = {s: i for i, s in enumerate(keep)}
-        edges = [
-            (index[s], a, index[t])
-            for s, a, t in live.edges()
-            if s not in dead and t not in dead
-        ]
-        return Presentation(len(keep), self.alphabet_size, edges,
-                            start=index[live.start])
+        """Iteratively drop states with no outgoing edge (marker first).
+
+        Built once: a truncated presentation answers with its live part's,
+        and one with no state to drop is its own (not kept, so that no
+        presentation refers to itself).
+        """
+        if self.marker is not None:
+            return self.live_part().essential_part()
+        if self._essential is None:
+            keep, last = set(range(self.n_states)), None
+            while keep != last:
+                last = keep
+                keep = {s for s in last
+                        if any(t in last for t in self.delta[s].values())}
+            if self.start not in keep:
+                raise HorizonError("no infinite continuation from the start state")
+            if len(keep) == self.n_states:
+                return self
+            self._essential = self._restricted(sorted(keep))
+        return self._essential
 
     def is_primitive(self) -> bool:
         """Essential part strongly connected and aperiodic."""

@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 
 from .automata import check_enumeration_cap
 from .decomposition import min_gluing_time
@@ -170,29 +172,23 @@ def counting_suite(
             raise InputError("cores admit no gluing time up to 4; pass tau explicitly")
         tau = glue.tau
 
-    # (c) product bound under gluing
-    def partitions(total, k):
-        if k == 1:
-            yield (total,)
-            return
-        for first in range(1, total - k + 2):
-            for rest in partitions(total - first, k - 1):
-                yield (first,) + rest
-
+    # (c) product bound under gluing: the compositions of a total are
+    # listed only when its largest product fails, to report the first that
+    # fails
+    top = min(PRODUCT_TOTAL, n_max)
     bad = None
     for k in range(2, PRODUCT_K_MAX + 1):
-        for total in range(k, PRODUCT_TOTAL + 1):
+        best = _largest_products(core_counts, k, top)
+        for total in range(k, top + 1):
             if total + (k - 1) * tau > n_max:
                 continue
-            for parts in partitions(total, k):
-                lhs = lang[total + (k - 1) * tau]
-                rhs = 1
-                for p in parts:
-                    rhs *= core_counts[p]
-                if lhs < rhs:
-                    bad = (parts, lhs, rhs)
-                    break
-            if bad:
+            lhs = lang[total + (k - 1) * tau]
+            if lhs < best[total]:
+                bad = next(
+                    (parts, lhs, rhs)
+                    for parts in _compositions(total, k)
+                    if lhs < (rhs := math.prod(core_counts[p] for p in parts))
+                )
                 break
         if bad:
             break
@@ -297,6 +293,26 @@ def counting_suite(
     )
 
 
+def _compositions(total: int, k: int):
+    """The compositions of total into k positive parts, in increasing
+    lexicographic order (that of their k - 1 cut points)."""
+    for cuts in combinations(range(1, total), k - 1):
+        yield tuple(b - a for a, b in zip((0,) + cuts, cuts + (total,)))
+
+
+def _largest_products(counts: dict, k: int, top: int) -> dict:
+    """t -> the largest product counts[n_1] ... counts[n_k] over the
+    compositions of t into k parts, for k <= t <= top, by
+    best_k(t) = max_f counts[f] best_(k-1)(t - f)."""
+    best = counts
+    for i in range(2, k + 1):
+        best = {
+            t: max(counts[f] * best[t - f] for f in range(1, t - i + 2))
+            for t in range(i, top + 1)
+        }
+    return best
+
+
 def _geq_reversed(count: int, power) -> bool:
     """count <= power, exact when power is exact."""
     if isinstance(power, (Fraction, QuadraticNumber)):
@@ -394,8 +410,10 @@ def gibbs_check(
     mass class) along the scheme's level automaton, each group with its
     least word, the level test is applied at length n and the groups are
     extended j more symbols.  The minimum is then taken over the classes,
-    visited in the order of their least words, and only the words of a
-    zero-mass class are listed.
+    visited in the order of their least words, from their exact weights:
+    only the class of least weight and those that can tie its value are
+    finished (see `_above_least`), and only the words of a zero-mass class
+    are listed.
     """
     beta = _exact_beta(system)
     per_length = {}
@@ -459,14 +477,7 @@ def _level_minima(measure, system, scheme, M, n_range, j, beta):
             # every mass is a float or 0, so `_scale_mass` would take the
             # float of the scale for each class
             scale = float(scale)
-        level_min = None
-        zero = set()
-        for k, w in least.items():
-            value = _scale_mass(classes.mass(k, n + j), scale)
-            if float(value) <= 0:
-                zero.add(k)
-            elif level_min is None or value < level_min[0]:
-                level_min = (value, w)
+        level_min, zero = _least_value(classes, least, n + j, scale)
         words = []
         if zero:
             pres = system.presentation
@@ -477,6 +488,58 @@ def _level_minima(measure, system, scheme, M, n_range, j, beta):
                 if classes.class_of(v + ext) in zero
             ]
         yield n, level_min, words
+
+
+def _least_value(classes, least, n, scale):
+    """(least scaled length-n mass, its least word) or None, and the zero-
+    mass classes, over the classes `least` maps to their least words; a
+    class `_above_least` names is not finished."""
+    skip = set(_above_least(classes, least, n, scale))
+    level_min, zero = None, set()
+    for k, w in least.items():  # in the order of their least words
+        if k not in skip:
+            value = _scale_mass(classes.mass(k, n), scale)
+            if float(value) <= 0:
+                zero.add(k)
+            elif level_min is None or value < level_min[0]:
+                level_min = (value, w)
+    return level_min, zero
+
+
+def _above_least(classes, least, n, scale) -> list:
+    """Classes of `least` whose scaled length-n mass is positive and above
+    the least one, told from their weights alone.
+
+    A scaled mass is nondecreasing in the class weight.  An exact value
+    ties only an equal weight.  A float value is rounded at most twice
+    (the mass, then its product with the scale), each time by at most
+    2^-53 of itself, so a weight (1 + 2^-49) times the least has a value
+    at least (1 + 2^-49) (1 - 2^-53)^2 / (1 + 2^-53)^2 > 1 times the least.
+    None is named when the least mass or value does not convert,
+    correctly rounded, to a positive normal float (zero, subnormal,
+    overflow, a quadratic number); quadratic weights are not compared.
+    """
+    weights = classes.weights
+    known = [k for k in least if k is not None]
+    if not known or isinstance(weights[known[0]], QuadraticNumber):
+        return []
+    positive = [k for k in known if weights[k] > 0]
+    if not positive:
+        return []
+    first = min(positive, key=weights.__getitem__)
+    mass = classes.mass(first, n)
+    value = _scale_mass(mass, scale)
+    if not (_normal_float(mass) and _normal_float(value)):
+        return []
+    # up to (1 + 2^-49) times the least weight can tie a float value
+    cut = weights[first] * (2 ** 49 + isinstance(value, float))
+    return [k for k in positive if weights[k] * 2 ** 49 > cut]
+
+
+def _normal_float(x) -> bool:
+    """Whether x converts, correctly rounded, to a positive normal float."""
+    return (isinstance(x, (float, int, Fraction))
+            and sys.float_info.min <= float(x) < math.inf)
 
 
 def mixing_check(

@@ -432,3 +432,19 @@ def test_start_at_the_marker_is_not_primitive():
     with pytest.raises(HorizonError):
         pres.live_part()
     assert not pres.is_primitive()
+
+
+def test_live_and_essential_parts_are_built_once():
+    pres = BetaSystem.from_beta("1.5", horizon=60).presentation
+    live, core = pres.live_part(), pres.essential_part()
+    assert pres.live_part() is live and pres.essential_part() is core
+    assert live.essential_part() is core and core.essential_part() is core
+    fresh = BetaSystem.from_beta("1.5", horizon=60).presentation.essential_part()
+    assert [core.count_words(n) for n in range(40)] == [
+        fresh.count_words(n) for n in range(40)
+    ]
+    # without a marker: states 1 and 2 have no infinite continuation
+    pres = Presentation(3, 2, [(0, 0, 0), (0, 1, 1), (1, 0, 2)])
+    core = pres.essential_part()
+    assert pres.live_part() is pres and pres.essential_part() is core
+    assert core.n_states == 1 and core.count_words(5) == 1

@@ -28,3 +28,21 @@ def test_a_tree_against_itself_is_identical(capsys):
     op = "verify --expansion-file @golden"
     assert _script().main([str(ROOT), str(ROOT), "--cmd", op]) == 0
     assert capsys.readouterr().out == f"{op}: identical (exit 0)\n"
+
+
+def test_extended_runs_the_bench_commands_then_the_extra_list(monkeypatch, capsys):
+    script = _script()
+    seen = []
+
+    def run(tree, op, inputs, workloads):
+        seen.append(op)
+        return 2 if op == "mme --beta 1.5" else 0, None, "same"
+
+    monkeypatch.setattr(script, "run", run)
+    assert script.main([str(ROOT), str(ROOT), "--extended"]) == 0
+    workloads = script.load_workloads()
+    bench = [op for ops in workloads.WORKLOADS.values() for op in ops
+             if op != workloads.SWEEP]
+    # each command runs once per tree, bench commands first
+    assert seen[::2] == seen[1::2] == bench + script.EXTENDED
+    assert "mme --beta 1.5: identical (exit 2)" in capsys.readouterr().out

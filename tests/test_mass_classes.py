@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from obstruct import suites
 from obstruct.automata import Presentation
 from obstruct.beta import BetaSystem
 from obstruct.cli import EXIT_INCONCLUSIVE, EXIT_INPUT, EXIT_PASS, main
@@ -373,3 +374,111 @@ def test_float_positive_mass_count_over_budget_exits_at_once(capsys):
     # holds about 10^17 words, which are refused before any is added
     assert main(["verify", "--beta", "50.5"]) == EXIT_INPUT
     assert "exceeds the cap" in capsys.readouterr().err
+
+
+# -- each length's least mass, from the least class weight -----------------------
+
+
+def _gibbs_both_ways(monkeypatch, measure, system, scheme, M, n_range, j):
+    """gibbs_check as it runs, and with every class finished (the fallback
+    forced); the two reports must agree."""
+    fast = gibbs_check(measure, system, scheme, M, n_range, j=j)
+    with monkeypatch.context() as patch:
+        patch.setattr(suites, "_normal_float", lambda x: False)
+        slow = gibbs_check(measure, system, scheme, M, n_range, j=j)
+    assert fast == slow, (M, j)
+    return fast
+
+
+@pytest.mark.parametrize(
+    "make, depth",
+    [
+        (lambda: BetaSystem.from_beta("1.5", horizon=60), 12),
+        (lambda: BetaSystem.from_beta("2.5", horizon=60), 10),
+        (BetaSystem.golden_mean, 12),
+    ],
+    ids=["1.5@60", "2.5@60", "golden"],
+)
+def test_least_mass_path_matches_finishing_every_class(make, depth, monkeypatch):
+    # integer-path Parry masses (floats) and exact quadratic ones
+    system = make()
+    m = parry_measure(system, depth)
+    scheme = beta_decomposition(system)
+    for M in (0, 1, 2):
+        for j in (0, 1):
+            _gibbs_both_ways(monkeypatch, m, system, scheme, M, range(1, depth + 1 - j), j)
+
+
+def test_least_mass_path_on_float_and_exact_tables(monkeypatch):
+    # a float table read from a file, on its truncated system; and an exact
+    # table on the float-beta p5 system, whose scaled masses are floats
+    system = BetaSystem.from_beta("1.8", horizon=60)
+    floats = CylinderMeasure.from_json_dict(parry_measure(system, 8).to_json_dict())
+    assert not floats.exact
+    p5 = BetaSystem.from_expansion((2, 1, 0, 0, 1), period=5)
+    exact = empirical_mme(p5, 60, 6)
+    assert exact.exact and isinstance(p5.beta_value(), float)
+    for sys_, m in ((system, floats), (p5, exact)):
+        scheme = beta_decomposition(sys_)
+        for M in (0, 1, 2):
+            for j in (0, 1):
+                _gibbs_both_ways(monkeypatch, m, sys_, scheme, M, range(1, 7 - j), j)
+
+
+def _p5_table(masses, exact):
+    """A depth-1 table on the p5 system's three symbols."""
+    table = {(): 1, **{(a,): m for a, m in enumerate(masses)}}
+    return CylinderMeasure(3, 1, table, "test", exact=exact)
+
+
+def _p5_and_scheme():
+    system = BetaSystem.from_expansion((2, 1, 0, 0, 1), period=5)
+    return system, beta_decomposition(system)
+
+
+def _least_at_length_1(monkeypatch, m):
+    return _gibbs_both_ways(monkeypatch, m, *_p5_and_scheme(), 2, range(1, 2), 0)
+
+
+def _finished_at_length_1(m):
+    return {k for k, n in m.classes._masses if n == 1}
+
+
+def test_weights_apart_whose_floats_tie_report_the_least_word(monkeypatch):
+    beta = _p5_and_scheme()[0].beta_value()
+    # floats one ulp apart whose products with beta round to one float
+    low = 0.45
+    while low * beta != math.nextafter(low, 1) * beta:
+        low = math.nextafter(low, 1)
+    high = math.nextafter(low, 1)
+    report = _least_at_length_1(monkeypatch, _p5_table([high, low, 0.5], exact=False))
+    assert report.argmin == (0,) and report.constant == low * beta
+    # exact masses whose floats tie, scaled by the float beta
+    low = Fraction(1, 3)
+    high = low + Fraction(1, 2 ** 70)
+    assert float(high) == float(low)
+    report = _least_at_length_1(monkeypatch, _p5_table([high, low, 2 * low], exact=True))
+    assert report.argmin == (0,) and report.constant == float(low) * beta
+
+
+def test_least_mass_path_finishes_only_the_classes_that_can_tie():
+    m = _p5_table([0.25, 0.2, 0.5], exact=False)
+    assert gibbs_check(m, *_p5_and_scheme(), 2, range(1, 2)).argmin == (1,)
+    assert _finished_at_length_1(m) == {m.classes.class_of((1,))}
+
+
+@pytest.mark.parametrize(
+    "masses, exact",
+    [([1e-310, 2e-310, 0.5], False), ([Fraction(1, 10 ** 400), Fraction(1, 3), 0], True)],
+    ids=["subnormal", "exact-underflow"],
+)
+def test_least_mass_that_underflows_finishes_every_class(masses, exact, monkeypatch):
+    m = _p5_table(masses, exact)
+    gibbs_check(m, *_p5_and_scheme(), 2, range(1, 2))
+    assert len(_finished_at_length_1(m)) == 3
+    report = _least_at_length_1(monkeypatch, m)
+    if exact:
+        # the mass of (0,) converts to 0.0: a violation, as is (2,)
+        assert report.violations == ((0,), (2,)) and report.argmin == (1,)
+    else:
+        assert report.argmin == (0,) and not report.violations

@@ -1,15 +1,19 @@
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from obstruct import suites
 from obstruct.beta import BetaSystem
 from obstruct.decomposition import beta_decomposition, degenerate_decomposition
 from obstruct.errors import InputError
 from obstruct.measures import CylinderMeasure, parry_measure
 from obstruct.quadratic import golden_ratio
 from obstruct.suites import (
+    _compositions,
+    _largest_products,
     _power_table,
     counting_suite,
     gibbs_check,
@@ -317,3 +321,43 @@ def test_power_table_matches_pow(x):
     for i in (5, 0, 17, 3, 30):
         assert power(i) == x ** i
         assert type(power(i)) is type(x ** i)
+
+
+@given(
+    st.lists(st.integers(0, 10 ** 6), min_size=12, max_size=12),
+    st.integers(2, 3),
+)
+@settings(max_examples=60, deadline=None)
+def test_largest_products_match_every_composition(values, k):
+    counts = dict(enumerate(values, start=1))
+    best = _largest_products(counts, k, 12)
+    for t in range(k, 13):
+        parts = [p for p in product(range(1, t + 1), repeat=k) if sum(p) == t]
+        assert list(_compositions(t, k)) == sorted(parts)
+        assert best[t] == max(math.prod(counts[f] for f in p) for p in parts)
+
+
+def test_failing_product_bound_reports_the_first_failing_composition(
+    golden, golden_scheme, monkeypatch
+):
+    # inflate the core counts at lengths 4 and 6, so some products exceed
+    # the language count; the witness is the first failure of the listing
+    real = suites.count_separated
+
+    def counts(collection, n, j=0):
+        c = real(collection, n, j)
+        return c * 50 if collection.label.endswith(":cores") and n in (4, 6) else c
+
+    monkeypatch.setattr(suites, "count_separated", counts)
+    report = suites.counting_suite(golden, golden_scheme, n_max=24, tau=1)
+    check = report.check("gluing-product-bound")
+    lang = {n: golden.count_language(n) for n in range(1, 25)}
+    core = {n: counts(golden_scheme.cores(), n) for n in range(1, 25)}
+    want = next(
+        (parts, lang[t + k - 1], math.prod(core[p] for p in parts))
+        for k in (2, 3) for t in range(k, 19) if t + k - 1 <= 24
+        for parts in sorted(p for p in product(range(1, t + 1), repeat=k) if sum(p) == t)
+        if lang[t + k - 1] < math.prod(core[p] for p in parts)
+    )
+    assert not check.passed and check.details["witness"] == want
+    assert check.summary == f"violated at parts={want[0]}: {want[1]} < {want[2]}"
