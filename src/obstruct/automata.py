@@ -636,12 +636,8 @@ class Presentation:
         return self._live
 
     def essential_part(self) -> "Presentation":
-        """Iteratively drop states with no outgoing edge (marker first).
-
-        Built once: a truncated presentation answers with its live part's,
-        and one with no state to drop is its own (not kept, so that no
-        presentation refers to itself).
-        """
+        """Iteratively drop states with no outgoing edge (marker first);
+        built once."""
         if self.marker is not None:
             return self.live_part().essential_part()
         if self._essential is None:
@@ -653,7 +649,7 @@ class Presentation:
             if self.start not in keep:
                 raise HorizonError("no infinite continuation from the start state")
             if len(keep) == self.n_states:
-                return self
+                return self  # not kept: no presentation refers to itself
             self._essential = self._restricted(sorted(keep))
         return self._essential
 

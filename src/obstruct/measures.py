@@ -29,22 +29,19 @@ pattern masses, and the checks in `obstruct.suites`, read only the
 classes.  The Parry mass of [u] depends only on u's weight vector, the
 sum of l_s over the states s whose walk of u ends at each state, which is
 a function of u's transition class on the right-resolving presentation
-(Parry 1960); so the Parry measure has one class per distinct vector,
-keyed by its sorted (state, sum of l_s) pairs, each with its children,
-its word count and least word at every length, and its exact integer or
-field weight.  A class's mass is finished (rounded once, on float data)
-only where a check reads it: the mass floor compares weights and
-finishes only the least and those that can tie it.  Its per-word table
-is listed only when it is read (reports, `max_depth_gap`), and is
-refused over MAX_TABLE_CYLINDERS words before any word is listed.  A
-listed table (an empirical measure, or one read from a file) must be
-closed under prefixes; its classes are its minimal automaton, the words
-merged bottom-up when their masses and child classes agree.  On float
-data (a Parry measure with integer eigendata, or a table with any float
-mass) a pattern mass is its exact sum rounded once; the word-order float
-sum of its N rounded masses differs from that by at most (N + 1) 2^-53
-of the mass, to first order (N roundings in the sum, one in the class
-value).
+(Parry 1960); so the Parry measure has one class per distinct vector
+(keyed by its sorted (state, weight) pairs), each with its children, its
+word count and least word at every length, and its exact weight, rounded
+only where a check reads it.  Its per-word table is listed only when it is
+read (reports, `max_depth_gap`), and is refused over MAX_TABLE_CYLINDERS
+words before any word is listed.  A listed table (an empirical measure,
+or one read from a file) must be closed under prefixes; its classes are
+its minimal automaton, the words merged bottom-up when their masses and
+child classes agree.  On float data (a Parry measure with integer
+eigendata, or a table with any float mass) a pattern mass is its exact
+sum rounded once; the word-order float sum of its N rounded masses
+differs from that by at most (N + 1) 2^-53 of the mass, to first order
+(N roundings in the sum, one in the class value).
 """
 
 from __future__ import annotations
@@ -106,7 +103,7 @@ class MassClasses:
       symbol order; the symbols missing lead off the table (mass 0);
     - `weights[k]`, the unrounded mass of class k, before `finish`;
     - `finish(weight, n)`, the mass of a length-n cylinder of that weight,
-      nondecreasing in the weight (`mass` caches it per class and length);
+      nondecreasing in the weight;
     - `layers[n]`, each class met at length n with its word count and its
       least word, in increasing order of least words;
     - `cylinders`, the word count of the table.
@@ -134,11 +131,8 @@ class MassClasses:
         whose walk of u ends at t, its weight is sum_t v_u[t] r_t, and the
         vectors of the words u a follow from v_u alone; so each distinct
         vector is numbered once, extended one symbol per length from the
-        empty word.  A vector is held as its sorted (state, sum of l_s)
-        pairs, which are also its key, and steps along its states' moves: a
-        one-state vector ((s, w),) steps to ((t, w),) for each move s -a-> t,
-        with nothing to merge or sort.  A class first met at `depth` gets no
-        children.
+        empty word, as its sorted (state, sum of l_s) pairs, which are also
+        its key.  A class first met at `depth` gets no children.
         """
         numbers: dict[tuple, int] = {}
         vectors: list[tuple] = []
@@ -155,7 +149,7 @@ class MassClasses:
         def moves(k):
             if k not in children:
                 v = vectors[k]
-                if len(v) == 1:
+                if len(v) == 1:  # no merge and no sort
                     (s, w), = v
                     children[k] = {a: number(((t, w),)) for a, t in steps[s]}
                 else:
@@ -164,17 +158,15 @@ class MassClasses:
                         for a, t in steps[s]:
                             child = step.setdefault(a, {})
                             child[t] = child[t] + w if t in child else w
-                    children[k] = {
-                        a: number(tuple(sorted(step[a].items()))) for a in sorted(step)
-                    }
+                    children[k] = {a: number(tuple(sorted(step[a].items())))
+                                   for a in sorted(step)}
             return children[k].items()
 
         root = number(tuple(enumerate(left)))
         layers = [{root: (1, ())}]
         for _ in range(depth):
             layers.append(extend(layers[-1], moves))
-        weights = [v[0][1] * right[v[0][0]] if len(v) == 1
-                   else sum([w * right[t] for t, w in v]) for v in vectors]
+        weights = [sum(w * right[t] for t, w in v) for v in vectors]
         kids = [children.get(k, {}) for k in range(len(vectors))]
         return cls(root, kids, weights, finish, layers)
 
@@ -650,8 +642,7 @@ def parry_measure(system, depth: int) -> CylinderMeasure:
     children of [u] follow from v_u alone, so the words are grouped into
     mass classes (`MassClasses`), one per distinct vector, with each
     class's children, word count and least word at each length computed
-    once; a mass is finished only when a check or the listed table reads
-    it, and the cylinder table is listed only when it is read.
+    once; a mass is rounded, and the cylinder table listed, only when read.
     Exact field arithmetic when the eigenvalue is rational or quadratic.
     Otherwise l and r are the integer vectors L, R of the eigendata (each
     in its own unit, which cancels: the mass is homogeneous of degree 0 in

@@ -172,9 +172,8 @@ def counting_suite(
             raise InputError("cores admit no gluing time up to 4; pass tau explicitly")
         tau = glue.tau
 
-    # (c) product bound under gluing: the compositions of a total are
-    # listed only when its largest product fails, to report the first that
-    # fails
+    # (c) product bound under gluing: a total's compositions are listed
+    # only when its largest product fails, to report the first failure
     top = min(PRODUCT_TOTAL, n_max)
     bad = None
     for k in range(2, PRODUCT_K_MAX + 1):
@@ -410,10 +409,9 @@ def gibbs_check(
     mass class) along the scheme's level automaton, each group with its
     least word, the level test is applied at length n and the groups are
     extended j more symbols.  The minimum is then taken over the classes,
-    visited in the order of their least words, from their exact weights:
-    only the class of least weight and those that can tie its value are
-    finished (see `_above_least`), and only the words of a zero-mass class
-    are listed.
+    visited in the order of their least words; only the classes that can
+    tie the least weight's value are rounded (`_above_least`), and only
+    the words of a zero-mass class are listed.
     """
     beta = _exact_beta(system)
     per_length = {}
@@ -477,7 +475,16 @@ def _level_minima(measure, system, scheme, M, n_range, j, beta):
             # every mass is a float or 0, so `_scale_mass` would take the
             # float of the scale for each class
             scale = float(scale)
-        level_min, zero = _least_value(classes, least, n + j, scale)
+        skip = _above_least(classes, least, n + j, scale)
+        level_min = None
+        zero = set()
+        for k, w in least.items():
+            if k not in skip:
+                value = _scale_mass(classes.mass(k, n + j), scale)
+                if float(value) <= 0:
+                    zero.add(k)
+                elif level_min is None or value < level_min[0]:
+                    level_min = (value, w)
         words = []
         if zero:
             pres = system.presentation
@@ -490,23 +497,7 @@ def _level_minima(measure, system, scheme, M, n_range, j, beta):
         yield n, level_min, words
 
 
-def _least_value(classes, least, n, scale):
-    """(least scaled length-n mass, its least word) or None, and the zero-
-    mass classes, over the classes `least` maps to their least words; a
-    class `_above_least` names is not finished."""
-    skip = set(_above_least(classes, least, n, scale))
-    level_min, zero = None, set()
-    for k, w in least.items():  # in the order of their least words
-        if k not in skip:
-            value = _scale_mass(classes.mass(k, n), scale)
-            if float(value) <= 0:
-                zero.add(k)
-            elif level_min is None or value < level_min[0]:
-                level_min = (value, w)
-    return level_min, zero
-
-
-def _above_least(classes, least, n, scale) -> list:
+def _above_least(classes, least, n, scale) -> set:
     """Classes of `least` whose scaled length-n mass is positive and above
     the least one, told from their weights alone.
 
@@ -515,25 +506,25 @@ def _above_least(classes, least, n, scale) -> list:
     (the mass, then its product with the scale), each time by at most
     2^-53 of itself, so a weight (1 + 2^-49) times the least has a value
     at least (1 + 2^-49) (1 - 2^-53)^2 / (1 + 2^-53)^2 > 1 times the least.
-    None is named when the least mass or value does not convert,
-    correctly rounded, to a positive normal float (zero, subnormal,
-    overflow, a quadratic number); quadratic weights are not compared.
+    None is named unless the least mass and value convert, correctly
+    rounded, to positive normal floats (so not for zero, subnormal,
+    overflow or quadratic numbers).
     """
     weights = classes.weights
     known = [k for k in least if k is not None]
     if not known or isinstance(weights[known[0]], QuadraticNumber):
-        return []
+        return set()
     positive = [k for k in known if weights[k] > 0]
     if not positive:
-        return []
+        return set()
     first = min(positive, key=weights.__getitem__)
     mass = classes.mass(first, n)
     value = _scale_mass(mass, scale)
     if not (_normal_float(mass) and _normal_float(value)):
-        return []
+        return set()
     # up to (1 + 2^-49) times the least weight can tie a float value
     cut = weights[first] * (2 ** 49 + isinstance(value, float))
-    return [k for k in positive if weights[k] * 2 ** 49 > cut]
+    return {k for k in positive if weights[k] * 2 ** 49 > cut}
 
 
 def _normal_float(x) -> bool:
