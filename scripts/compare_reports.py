@@ -40,6 +40,10 @@ EXTENDED = [
     "verify --beta 1.5 --horizon 60 --measure-depth 14",
     "verify --beta 200",
     "verify --beta 3 --depth 2",
+    # every gluing check fails: the proof constants need the level's gluing time
+    "verify --beta 2.5 --horizon 60 --depth 2",
+    "verify --beta 1.5 --horizon 60 --depth 3",
+    "verify --expansion-file @p5 --depth 2",
     "mme --beta 1.5 --horizon 600 --n 500",
     "mme --beta 1.5",
     "factor --beta 1.5 --horizon 1200 --code-file @xor",

@@ -18,7 +18,6 @@ state otherwise).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .automata import Presentation, PresentedShift
@@ -32,15 +31,16 @@ MAX_ALPHABET = 256
 MAX_HORIZON = 10_000
 
 
-@dataclass(frozen=True)
 class Tail:
     """How the stored digits continue: exactly, periodically, or not known."""
 
-    kind: str  # "finite" | "periodic" | "truncated"
-    preperiod: int = 0
-    period: int = 0
-    horizon: int = 0
-    certificate: str = ""
+    def __init__(self, kind: str, preperiod: int = 0, period: int = 0,
+                 horizon: int = 0, certificate: str = ""):
+        self.kind = kind  # "finite" | "periodic" | "truncated"
+        self.preperiod = preperiod
+        self.period = period
+        self.horizon = horizon
+        self.certificate = certificate
 
     def describe(self) -> str:
         if self.kind == "finite":
@@ -50,7 +50,6 @@ class Tail:
         return f"truncated(horizon={self.horizon}, via {self.certificate})"
 
 
-@dataclass(frozen=True)
 class BetaExpansion:
     """Digit string of 1 in base beta, with its continuation law.
 
@@ -59,17 +58,16 @@ class BetaExpansion:
     of them.
     """
 
-    digits: Word
-    tail: Tail
-    beta: object = None  # exact value when known; float estimate otherwise
-
-    def __post_init__(self):
-        if not self.digits:
+    def __init__(self, digits: Word, tail: Tail, beta: object = None):
+        if not digits:
             raise InputError("empty digit string")
-        if self.digits[0] < 1:
+        if digits[0] < 1:
             raise InputError("leading digit must be >= 1")
-        if any(d < 0 for d in self.digits):
+        if any(d < 0 for d in digits):
             raise InputError("negative digit")
+        self.digits = digits
+        self.tail = tail
+        self.beta = beta  # exact value when known; float estimate otherwise
 
     @property
     def is_finite(self) -> bool:

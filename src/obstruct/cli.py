@@ -14,7 +14,6 @@ import functools
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import beta as beta_mod
@@ -65,29 +64,50 @@ EXIT_INCONCLUSIVE = 3
 MAX_NMAX = 10_000
 
 
-@dataclass
 class RunConfig:
     """Everything a batch run needs; round-trips through a plain dict."""
 
-    beta: str | None = None
-    expansion_file: str | None = None
-    precision: int = 128
-    horizon: int = 80
-    depth: int = 0
-    nmax: int = 24
-    tau_max: int = 4
-    level: int = 2
-    measure_depth: int = 12
-    spec_length: int = 4
-    enumeration_cap: int = DEFAULT_ENUMERATION_CAP
-    degenerate: bool = False
-    measure_file: str | None = None
-    emit_csv: bool = False
-    out: str | None = None
-    report_format: str = "json"
+    def __init__(
+        self,
+        beta: str | None = None,
+        expansion_file: str | None = None,
+        precision: int = 128,
+        horizon: int = 80,
+        depth: int = 0,
+        nmax: int = 24,
+        tau_max: int = 4,
+        level: int = 2,
+        measure_depth: int = 12,
+        spec_length: int = 4,
+        enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
+        degenerate: bool = False,
+        measure_file: str | None = None,
+        emit_csv: bool = False,
+        out: str | None = None,
+        report_format: str = "json",
+    ):
+        self.beta = beta
+        self.expansion_file = expansion_file
+        self.precision = precision
+        self.horizon = horizon
+        self.depth = depth
+        self.nmax = nmax
+        self.tau_max = tau_max
+        self.level = level
+        self.measure_depth = measure_depth
+        self.spec_length = spec_length
+        self.enumeration_cap = enumeration_cap
+        self.degenerate = degenerate
+        self.measure_file = measure_file
+        self.emit_csv = emit_csv
+        self.out = out
+        self.report_format = report_format
+
+    def __eq__(self, other):
+        return type(other) is type(self) and vars(other) == vars(self)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
     def validate(self) -> None:
         for name in ("precision", "horizon", "nmax", "measure_depth",
@@ -299,6 +319,15 @@ def cmd_mme(config: RunConfig, n: int | None = None):
     return code, make_report("mme", payload, config.to_dict())
 
 
+def _proof_fields(constant) -> dict:
+    """A check's proof constant; null, with the reason, when the gluing time
+    it needs was not established."""
+    if constant is None:
+        return {"proof_constant": None,
+                "proof_constant_reason": "gluing time not established"}
+    return {"proof_constant": fmt_float(constant)}
+
+
 def cmd_verify(config: RunConfig):
     system = build_system(config)
     scheme = _scheme(system, config)
@@ -353,7 +382,8 @@ def cmd_verify(config: RunConfig):
     else:
         measure = parry_measure(system, config.measure_depth)
     entropy = system.log_beta()
-    level_tau = level_glue[config.level].tau or 0
+    # None when the level's gluing check was refused or found no gap
+    level_tau = level_glue[config.level].tau
 
     # lengths from the measure in use: a measure file sets its own depth
     gibbs_n_top = min(measure.depth - j, 12)
@@ -364,20 +394,21 @@ def cmd_verify(config: RunConfig):
         M=config.level,
         n_range=range(1, gibbs_n_top + 1),
         j=j,
-        proof_constant=gibbs_proof_constant(suite.c1_sup, level_tau, entropy),
+        proof_constant=None if level_tau is None
+        else gibbs_proof_constant(suite.c1_sup, level_tau, entropy),
     )
     record(
         "mass-floor",
         gibbs.passed,
         f"min mass * growth^n = {gibbs.constant:.6g} on {gibbs.word_class}",
         constant=fmt_float(gibbs.constant),
-        proof_constant=fmt_float(gibbs.proof_constant),
+        **_proof_fields(gibbs.proof_constant),
     )
 
     pair_len = 1
     level_words = scheme.level_words(config.level, pair_len)
     pairs = [(u, v) for u in level_words for v in level_words]
-    q = max(2 * level_tau, 2)
+    q = max(2 * (level_tau or 0), 2)
     try:
         mixing = mixing_check(
             measure,
@@ -386,8 +417,9 @@ def cmd_verify(config: RunConfig):
             M=config.level,
             pairs=pairs,
             q=q,
-            tau=level_tau,
-            proof_constant=mixing_proof_constant(suite.c1_sup, level_tau, entropy),
+            tau=level_tau or 0,
+            proof_constant=None if level_tau is None
+            else mixing_proof_constant(suite.c1_sup, level_tau, entropy),
         )
     except DepthError as exc:
         # the gap q does not fit in the measure's depth: no verdict either way
@@ -400,7 +432,7 @@ def cmd_verify(config: RunConfig):
             mixing.passed,
             f"min joint mass * growth^(m+n) = {mixing.constant:.6g} at gap {q}",
             constant=fmt_float(mixing.constant),
-            proof_constant=fmt_float(mixing.proof_constant),
+            **_proof_fields(mixing.proof_constant),
         )
 
     pm_n = min(10, measure.depth)

@@ -29,7 +29,6 @@ HorizonError; see `check_specification`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, SpecificationError
@@ -253,22 +252,29 @@ def filtration_coverage(system, scheme, M: int, n: int) -> Fraction:
 # -- specification -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class SpecificationReport:
     """Outcome of a gluing search over every tuple of orbit segments, or of
     its refusal when the tuple space exceeds the budget."""
 
-    collection: str
-    depth: int
-    gap: int
-    k_max: int
-    lengths: tuple
-    verdict: str  # "pass" | "fail" | "inconclusive" (refused, not searched)
-    exhaustive: bool  # every tuple was searched
-    tuple_space: int  # segment tuples of 2..k_max segments
-    tuples_checked: int
-    witnesses: tuple  # (segment words, glued word) for the first passing tuples
-    failures: tuple  # segment tuples with no glued word
+    def __init__(self, collection: str, depth: int, gap: int, k_max: int,
+                 lengths: tuple, verdict: str, exhaustive: bool, tuple_space: int,
+                 tuples_checked: int, witnesses: tuple, failures: tuple):
+        self.collection = collection
+        self.depth = depth
+        self.gap = gap
+        self.k_max = k_max
+        self.lengths = lengths
+        # "pass" | "fail" | "inconclusive" (refused, not searched)
+        self.verdict = verdict
+        self.exhaustive = exhaustive  # every tuple was searched
+        self.tuple_space = tuple_space  # segment tuples of 2..k_max segments
+        self.tuples_checked = tuples_checked
+        # (segment words, glued word) for the first passing tuples
+        self.witnesses = witnesses
+        self.failures = failures  # segment tuples with no glued word
+
+    def __eq__(self, other):
+        return type(other) is type(self) and vars(other) == vars(self)
 
     @property
     def passed(self) -> bool:
@@ -537,13 +543,16 @@ def check_specification(
     )
 
 
-@dataclass(frozen=True)
 class GluingResult:
     """Smallest passing gap, with the report of each gap tried."""
 
-    tau: int | None
-    reports: tuple
-    budget: int  # the tuple budget each check had
+    def __init__(self, tau: int | None, reports: tuple, budget: int):
+        self.tau = tau
+        self.reports = reports
+        self.budget = budget  # the tuple budget each check had
+
+    def __eq__(self, other):
+        return type(other) is type(self) and vars(other) == vars(self)
 
     @property
     def found(self) -> bool:

@@ -25,7 +25,6 @@ already forces full agreement, so one automaton answers every depth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .automata import Presentation, PresentedShift, strongly_connected_components
 from .decomposition import DecompositionScheme
@@ -40,22 +39,20 @@ SUBSET_STATE_CAP = 50_000
 M_VERIFY = 3
 
 
-@dataclass(frozen=True)
 class BlockCode:
     """A total map from admissible k-blocks to output symbols."""
 
-    window: int
-    rule: dict
-    output_alphabet: int
-
-    def __post_init__(self):
-        if self.window < 1:
+    def __init__(self, window: int, rule: dict, output_alphabet: int):
+        if window < 1:
             raise InputError("window must be >= 1")
-        for block, out in self.rule.items():
-            if len(block) != self.window:
+        for block, out in rule.items():
+            if len(block) != window:
                 raise InputError(f"rule block {block} has wrong length")
-            if not 0 <= out < self.output_alphabet:
+            if not 0 <= out < output_alphabet:
                 raise InputError(f"output symbol {out} out of range")
+        self.window = window
+        self.rule = rule
+        self.output_alphabet = output_alphabet
 
     def validate(self, system) -> None:
         """The rule must cover every admissible window of the system."""
@@ -308,16 +305,19 @@ def induced_decomposition(system, code: BlockCode, source_scheme) -> InducedDeco
 # -- positive entropy of the image ---------------------------------------------------
 
 
-@dataclass(frozen=True)
 class FactorEntropyReport:
     """Outcome of the separated-core-pair search on the image."""
 
-    verdict: str  # "positive-entropy" | "single-point-at-scale" | "inconclusive"
-    depth: int
-    rate_bound: float | None
-    witness: tuple | None  # (core word 1, core word 2, length)
-    checked_lengths: tuple
-    separated_count_verified: int | None = None
+    def __init__(self, verdict: str, depth: int, rate_bound: float | None,
+                 witness: tuple | None, checked_lengths: tuple,
+                 separated_count_verified: int | None = None):
+        # "positive-entropy" | "single-point-at-scale" | "inconclusive"
+        self.verdict = verdict
+        self.depth = depth
+        self.rate_bound = rate_bound
+        self.witness = witness  # (core word 1, core word 2, length)
+        self.checked_lengths = checked_lengths
+        self.separated_count_verified = separated_count_verified
 
     @property
     def positive(self) -> bool:
@@ -495,17 +495,19 @@ def build_pair_automaton(system, code: BlockCode) -> PairAutomaton:
     return PairAutomaton(states, diagonal, size, edges, marker=index.get(None))
 
 
-@dataclass(frozen=True)
 class NonexpansiveReport:
     """Expansivity verdict plus growth data for the agreeing-pair system."""
 
-    verdict: str  # "positively-expansive" | "nonexpansive-pairs"
-    depth: int
-    pair_rate: float | None
-    source_rate: float
-    growth_bound: float | None
-    pair_counts: tuple
-    automaton: PairAutomaton
+    def __init__(self, verdict: str, depth: int, pair_rate: float | None,
+                 source_rate: float, growth_bound: float | None,
+                 pair_counts: tuple, automaton: PairAutomaton):
+        self.verdict = verdict  # "positively-expansive" | "nonexpansive-pairs"
+        self.depth = depth
+        self.pair_rate = pair_rate
+        self.source_rate = source_rate
+        self.growth_bound = growth_bound
+        self.pair_counts = pair_counts
+        self.automaton = automaton
 
     @property
     def expansive(self) -> bool:

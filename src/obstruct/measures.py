@@ -49,7 +49,6 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 
@@ -341,7 +340,6 @@ class _ClassTable(Mapping):
         return iter(self._listed())
 
 
-@dataclass
 class CylinderMeasure:
     """Masses of every admissible cylinder up to a fixed depth.
 
@@ -352,21 +350,20 @@ class CylinderMeasure:
     its classes from `MassClasses.of_table` on construction.
     """
 
-    alphabet_size: int
-    depth: int
-    table: Mapping
-    provenance: str
-    exact: bool
-    meta: dict = field(default_factory=dict)
-    classes: MassClasses = field(init=False, repr=False, compare=False)
-    # length -> the table's words of that length, sorted; built on first use
-    _by_length: dict | None = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if isinstance(self.table, _ClassTable):
-            self.classes = self.table.classes
+    def __init__(self, alphabet_size: int, depth: int, table: Mapping,
+                 provenance: str, exact: bool, meta: dict | None = None):
+        self.alphabet_size = alphabet_size
+        self.depth = depth
+        self.table = table
+        self.provenance = provenance
+        self.exact = exact
+        self.meta = {} if meta is None else meta
+        if isinstance(table, _ClassTable):
+            self.classes = table.classes
         else:
-            self.classes = MassClasses.of_table(self.table, self.depth, self.exact)
+            self.classes = MassClasses.of_table(table, depth, exact)
+        # length -> the table's words of that length, sorted; built on first use
+        self._by_length: dict | None = None
 
     def _index(self) -> dict:
         if self._by_length is None:

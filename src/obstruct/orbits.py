@@ -15,27 +15,25 @@ log(count)/n over the same window.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import EmptyCollectionError, InputError
 
 METHOD_REGRESSION = "regression"
 
 
-@dataclass(frozen=True)
 class EntropyEstimate:
     """A growth-rate estimate in nats per symbol."""
 
-    rate: float
-    method: str
-    samples: tuple  # (n, log count) pairs, strictly increasing in n
-    depth: int
-    tail_rate: float
-    warning: str | None = None
-
-    def __post_init__(self):
-        if not math.isfinite(self.rate) or self.rate < 0:
+    def __init__(self, rate: float, method: str, samples: tuple, depth: int,
+                 tail_rate: float, warning: str | None = None):
+        if not math.isfinite(rate) or rate < 0:
             raise ValueError("rate must be finite and non-negative")
+        self.rate = rate
+        self.method = method
+        self.samples = samples  # (n, log count) pairs, strictly increasing in n
+        self.depth = depth
+        self.tail_rate = tail_rate
+        self.warning = warning
 
 
 class OrbitCollection:

@@ -29,7 +29,6 @@ vector against A and the left vector against A^T and intersected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .quadratic import QuadraticNumber, _squarefree_split
@@ -44,7 +43,6 @@ CHECK_EVERY = 64
 MAX_ITER = 200_000
 
 
-@dataclass(frozen=True)
 class PerronData:
     """Spectral radius with positive right/left eigenvectors.
 
@@ -54,11 +52,16 @@ class PerronData:
     the float nearest their midpoint.
     """
 
-    eigenvalue: object  # Fraction | QuadraticNumber | float
-    right: tuple
-    left: tuple
-    exact: bool
-    enclosure: tuple
+    def __init__(self, eigenvalue: object, right: tuple, left: tuple,
+                 exact: bool, enclosure: tuple):
+        self.eigenvalue = eigenvalue  # Fraction | QuadraticNumber | float
+        self.right = right
+        self.left = left
+        self.exact = exact
+        self.enclosure = enclosure
+
+    def __eq__(self, other):
+        return type(other) is type(self) and vars(other) == vars(self)
 
 
 def _kernel_vector(rows, one):

@@ -7,8 +7,8 @@ timestamp lives in a separate meta block excluded from comparisons.
 
 from __future__ import annotations
 
-import datetime
 import json
+import time
 from fractions import Fraction
 
 from .quadratic import QuadraticNumber
@@ -36,11 +36,14 @@ def fmt_number(x):
 
 
 def make_report(kind: str, payload: dict, config: dict | None = None) -> dict:
+    # ISO 8601 in UTC with microseconds: YYYY-MM-DDTHH:MM:SS.ffffff+00:00
+    seconds, ns = divmod(time.time_ns(), 1_000_000_000)
+    stamp = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime(seconds))
     return {
         "schema": SCHEMA_VERSION,
         "kind": kind,
         "meta": {
-            "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+            "timestamp": f"{stamp}.{ns // 1000:06d}+00:00",
             "tool": "obstruct 0.1.0",
         },
         "config": config or {},

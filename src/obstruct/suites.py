@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
@@ -74,23 +73,25 @@ def _scale_mass(mass, scale):
     return mass * scale
 
 
-@dataclass(frozen=True)
 class CheckResult:
-    name: str
-    passed: bool
-    summary: str
-    details: dict = field(default_factory=dict)
+    def __init__(self, name: str, passed: bool, summary: str,
+                 details: dict | None = None):
+        self.name = name
+        self.passed = passed
+        self.summary = summary
+        self.details = {} if details is None else details
 
 
-@dataclass(frozen=True)
 class CountingSuiteReport:
-    checks: tuple
-    tau: int
-    c1: float
-    c1_sup: float
-    c2: float
-    b_tails: dict
-    coverage_table: tuple
+    def __init__(self, checks: tuple, tau: int, c1: float, c1_sup: float, c2: float,
+                 b_tails: dict, coverage_table: tuple):
+        self.checks = checks
+        self.tau = tau
+        self.c1 = c1
+        self.c1_sup = c1_sup
+        self.c2 = c2
+        self.b_tails = b_tails
+        self.coverage_table = coverage_table
 
     @property
     def passed(self) -> bool:
@@ -370,19 +371,25 @@ def _tail_sums(counts: dict, beta, n_max: int):
 # -- cylinder-mass floors -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class GibbsReport:
     """Minimum of mass * growth^n over a word class, with violations."""
 
-    word_class: str
-    depth_offset: int
-    constant: float
-    constant_exact: object
-    argmin: tuple
-    per_length_min: dict
-    violations: tuple
-    proof_constant: float | None = None
-    precondition_met: bool = True
+    def __init__(self, word_class: str, depth_offset: int, constant: float,
+                 constant_exact: object, argmin: tuple, per_length_min: dict,
+                 violations: tuple, proof_constant: float | None = None,
+                 precondition_met: bool = True):
+        self.word_class = word_class
+        self.depth_offset = depth_offset
+        self.constant = constant
+        self.constant_exact = constant_exact
+        self.argmin = argmin
+        self.per_length_min = per_length_min
+        self.violations = violations
+        self.proof_constant = proof_constant
+        self.precondition_met = precondition_met
+
+    def __eq__(self, other):
+        return type(other) is type(self) and vars(other) == vars(self)
 
     @property
     def passed(self) -> bool:

@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import itertools
 import json
@@ -328,16 +329,12 @@ def _cli_imports(module: str) -> bool:
     return out.stdout.strip() == "True"
 
 
-def test_cli_import_leaves_networkx_out():
-    assert not _cli_imports("networkx")
-
-
-def test_cli_import_leaves_sympy_out():
-    assert not _cli_imports("sympy")
-
-
-def test_cli_import_leaves_mpmath_out():
-    assert not _cli_imports("mpmath")
+# heavy packages, and stdlib modules that cost start-up time for no run-time work
+@pytest.mark.parametrize(
+    "module", ["networkx", "sympy", "mpmath", "dataclasses", "inspect", "datetime"]
+)
+def test_cli_import_leaves_out(module):
+    assert not _cli_imports(module)
 
 
 _WITHOUT_MPMATH = """
@@ -442,6 +439,43 @@ def test_two_window_gap_past_measure_depth_is_not_run(tmp_path, capsys):
     )
     assert rows["correlation-floor"]["alpha_constant"] is None
     assert all(c["passed"] for c in checks if c is not mixing)
+
+
+def _bench_workloads():
+    """perfbench/workloads.py of this checkout, loaded by path."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_BENCH = _bench_workloads()
+
+
+@pytest.mark.parametrize("op", [
+    op for ops in _BENCH.WORKLOADS.values() for op in ops if op.startswith("verify ")
+] + [
+    # every gluing check fails on these three (exit 3)
+    "verify --beta 2.5 --horizon 60 --depth 2",
+    "verify --beta 1.5 --horizon 60 --depth 3",
+    "verify --expansion-file @p5 --depth 2",
+])
+def test_proof_constants_only_from_an_established_gluing_time(op, tmp_path, capsys):
+    _BENCH.write_inputs(tmp_path)
+    main(_BENCH.argv_for(op, tmp_path))
+    report = json.loads(capsys.readouterr().out)
+    rows = {c["name"]: c for c in report["payload"]["checks"]}
+    glued = rows[f"gluing-level-{report['config']['level']}"]["passed"]
+    floors = [rows[name] for name in ("mass-floor", "two-window-mass-floor")
+              if "constant" in rows[name]]
+    assert floors
+    for row in floors:
+        if glued:
+            assert float(row["proof_constant"]) <= float(row["constant"])
+        else:
+            assert row["proof_constant"] is None
+            assert row["proof_constant_reason"] == "gluing time not established"
 
 
 # -- fuzzing the command line in-process ----------------------------------------------
