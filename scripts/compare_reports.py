@@ -49,6 +49,12 @@ EXTENDED = [
     "factor --beta 1.5 --horizon 1200 --code-file @xor",
     "factor --beta 1.5 --code-file @xor",
     "entropy --beta 2.5 --horizon 300 --nmax 300",
+    # the gluing searches meet the truncation marker and still find tau = 3
+    "decomp --op spec --beta 1.5 --horizon 8 --depth 1",
+    # exit 2: a gluing search meets the marker before any glued word
+    "verify --beta 1.5 --horizon 10 --depth 1",
+    # a depth-1 measure holds no two-symbol pattern
+    "verify --beta 2 --measure-depth 1",
 ]
 
 

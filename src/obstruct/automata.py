@@ -569,34 +569,44 @@ class Presentation:
                 f"enumeration of length {n} would list {count} words, over the "
                 f"budget {MAX_ENUMERATED_WORDS}; count_language counts them"
             )
-        return self._dfs((), self.start, n)
+        return list(self.completions(self.start, (None,) * n))
 
-    def _dfs(self, prefix, state, n):
-        if len(prefix) == n:
-            return [prefix]
-        out = []
-        for a, t in self.moves(state):
-            out.extend(self._dfs(prefix + (a,), t, n))
-        return out
+    def completions(self, state: int, template):
+        """The label sequences from `state` that fit `template` (per position
+        a symbol, or None for any), lazily and in lexicographic order.
+
+        HorizonError where the walk would move on from the truncation
+        marker: a sequence through it would come next, and it is unknown.
+        """
+        n = len(template)
+        if n == 0:
+            yield ()
+            return
+        word = [None] * n
+        stack = [iter(self.moves(state))]
+        while stack:
+            pos = len(stack) - 1
+            want = template[pos]
+            for a, t in stack[-1]:
+                if want is not None and a != want:
+                    continue
+                word[pos] = a
+                if pos + 1 == n:
+                    yield tuple(word)
+                else:
+                    stack.append(iter(self.moves(t)))
+                    break
+            else:
+                stack.pop()
 
     def tails(self, state: int, length: int) -> list[Word]:
         """All length-`length` continuations from `state`, sorted."""
-        return self._dfs((), state, length)
+        return list(self.completions(state, (None,) * length))
 
     def lex_min_tail(self, state: int, length: int) -> Word | None:
-        """Lexicographically least length-`length` continuation from `state`.
-
-        None when there is no continuation.  HorizonError when the search
-        meets the truncation marker before it finds one: a continuation
-        through the marker would come first, and it is unknown.
-        """
-        if length == 0:
-            return ()
-        for a, t in self.moves(state):
-            tail = self.lex_min_tail(t, length - 1)
-            if tail is not None:
-                return (a,) + tail
-        return None
+        """Lexicographically least length-`length` continuation from `state`,
+        or None; HorizonError when the search meets the marker first."""
+        return next(self.completions(state, (None,) * length), None)
 
     # -- graph structure ----------------------------------------------------------
 

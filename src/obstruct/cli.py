@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import math
 import os
 import sys
 from fractions import Fraction
 
 from . import beta as beta_mod
-from .automata import DEFAULT_ENUMERATION_CAP
 from .decomposition import (
     beta_decomposition,
     degenerate_decomposition,
@@ -41,7 +41,7 @@ from .factors import (
 )
 from .measures import CylinderMeasure, empirical_mme, max_depth_gap, parry_measure
 from .orbits import OrbitCollection, count_separated, upper_entropy
-from .reports import fmt_float, fmt_number, make_report, write_report
+from .reports import dumps_report, fmt_float, fmt_number, make_report, write_report
 from .suites import (
     correlation_floor_constant,
     counting_suite,
@@ -62,6 +62,8 @@ EXIT_INCONCLUSIVE = 3
 
 # largest --nmax: every length up to it is counted in big integers
 MAX_NMAX = 10_000
+# segment lengths of the gluing searches
+SPEC_LENGTHS = range(1, 5)
 
 
 class RunConfig:
@@ -71,37 +73,29 @@ class RunConfig:
         self,
         beta: str | None = None,
         expansion_file: str | None = None,
-        precision: int = 128,
         horizon: int = 80,
         depth: int = 0,
         nmax: int = 24,
         tau_max: int = 4,
         level: int = 2,
         measure_depth: int = 12,
-        spec_length: int = 4,
-        enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
         degenerate: bool = False,
         measure_file: str | None = None,
         emit_csv: bool = False,
         out: str | None = None,
-        report_format: str = "json",
     ):
         self.beta = beta
         self.expansion_file = expansion_file
-        self.precision = precision
         self.horizon = horizon
         self.depth = depth
         self.nmax = nmax
         self.tau_max = tau_max
         self.level = level
         self.measure_depth = measure_depth
-        self.spec_length = spec_length
-        self.enumeration_cap = enumeration_cap
         self.degenerate = degenerate
         self.measure_file = measure_file
         self.emit_csv = emit_csv
         self.out = out
-        self.report_format = report_format
 
     def __eq__(self, other):
         return type(other) is type(self) and vars(other) == vars(self)
@@ -110,16 +104,13 @@ class RunConfig:
         return dict(vars(self))
 
     def validate(self) -> None:
-        for name in ("precision", "horizon", "nmax", "measure_depth",
-                     "enumeration_cap", "spec_length"):
+        for name in ("horizon", "nmax", "measure_depth"):
             if getattr(self, name) < 1:
                 raise InputError(f"{name} must be positive")
         if self.nmax > MAX_NMAX:
             raise InputError(f"nmax {self.nmax} exceeds the cap {MAX_NMAX}")
         if self.depth < 0 or self.tau_max < 0 or self.level < 0:
             raise InputError("depth, tau_max and level must be non-negative")
-        if self.report_format not in ("json", "csv"):
-            raise InputError(f"unknown report format {self.report_format!r}")
 
 
 def read_expansion_file(path):
@@ -153,14 +144,10 @@ def build_system(config: RunConfig):
         raise InputError("exactly one of --beta and --expansion-file is required")
     if config.beta is not None:
         return beta_mod.BetaSystem.from_beta(
-            beta_mod.parse_beta(config.beta),
-            horizon=config.horizon,
-            enumeration_cap=config.enumeration_cap,
+            beta_mod.parse_beta(config.beta), horizon=config.horizon
         )
     digits, period = read_expansion_file(config.expansion_file)
-    return beta_mod.BetaSystem.from_expansion(
-        digits, period=period, enumeration_cap=config.enumeration_cap
-    )
+    return beta_mod.BetaSystem.from_expansion(digits, period=period)
 
 
 def _scheme(system, config: RunConfig):
@@ -264,7 +251,7 @@ def cmd_decomp(config: RunConfig, op: str, word_text: str | None = None, n: int 
             collection,
             j=config.depth,
             tau_max=config.tau_max,
-            lengths=range(1, config.spec_length + 1),
+            lengths=SPEC_LENGTHS,
         )
         rep = result.reports[-1]
         payload = {
@@ -348,7 +335,7 @@ def cmd_verify(config: RunConfig):
             scheme.level_collection(M),
             j=j,
             tau_max=config.tau_max,
-            lengths=range(1, config.spec_length + 1),
+            lengths=SPEC_LENGTHS,
         )
         level_glue[M] = result
         if result.tau is None:
@@ -368,13 +355,18 @@ def cmd_verify(config: RunConfig):
     if tau is None:
         inconclusive = True
         record("gluing-cores", False, core_glue.no_gluing_summary)
-        tau = config.tau_max
     else:
         record("gluing-cores", True, f"gluing time {tau}", tau=tau)
 
-    suite = counting_suite(system, scheme, n_max=config.nmax, j=j, tau=tau)
+    # without a core gluing time the two checks that need one are not run;
+    # the other checks and constants do not depend on tau
+    suite = counting_suite(system, scheme, n_max=config.nmax, j=j,
+                           tau=config.tau_max if tau is None else tau)
     for c in suite.checks:
-        record(f"counting:{c.name}", c.passed, c.summary)
+        if tau is None and "tau" in c.details:
+            record(f"counting:{c.name}", False, "not run: gluing time not established")
+        else:
+            record(f"counting:{c.name}", c.passed, c.summary)
 
     # measure-backed checks
     if config.measure_file:
@@ -450,21 +442,25 @@ def cmd_verify(config: RunConfig):
     record("positive-mass-count", pm_ok, f"at n = {pm_n}", rows=pm_rows)
 
     probe_top = max(1, measure.depth - 2)
-    probe = mixing_liminf_probe(
-        measure, [(0,)], [(0,)], range(1, probe_top + 1)
-    )
-    inf_val = float(probe[probe_top][1])
-    # alpha needs the two-window floor
-    alpha = None if mixing is None else fmt_float(correlation_floor_constant(
-        positive_mass_constant(suite.c1, suite.c2, 0.5), mixing.constant
-    ))
-    record(
-        "correlation-floor",
-        inf_val > 0,
-        f"running infimum {inf_val:.6g} over gaps 1..{probe_top}",
-        running_infimum=fmt_float(inf_val),
-        alpha_constant=alpha,
-    )
+    try:
+        probe = mixing_liminf_probe(measure, [(0,)], [(0,)], range(1, probe_top + 1))
+    except DepthError as exc:
+        # a depth-1 measure holds no two-symbol pattern
+        inconclusive = True
+        record("correlation-floor", False, f"not run: {exc}", alpha_constant=None)
+    else:
+        inf_val = float(probe[probe_top][1])
+        # alpha needs the two-window floor
+        alpha = None if mixing is None else fmt_float(correlation_floor_constant(
+            positive_mass_constant(suite.c1, suite.c2, 0.5), mixing.constant
+        ))
+        record(
+            "correlation-floor",
+            inf_val > 0,
+            f"running infimum {inf_val:.6g} over gaps 1..{probe_top}",
+            running_infimum=fmt_float(inf_val),
+            alpha_constant=alpha,
+        )
 
     obstruction = upper_entropy(scheme.boundary(), j, config.nmax)
     margin = 0.05
@@ -505,11 +501,9 @@ def cmd_verify(config: RunConfig):
 
 
 def _load_measure(path) -> CylinderMeasure:
-    import json as _json
-
     try:
         with open(path, "r", encoding="ascii") as fh:
-            data = _json.load(fh)
+            data = json.load(fh)
     except (OSError, ValueError) as exc:
         raise InputError(f"cannot read measure file: {exc}") from exc
     return CylinderMeasure.from_json_dict(data)
@@ -532,7 +526,7 @@ def cmd_factor(config: RunConfig, code_file: str):
         collection=induced.level_collection(config.level),
         j=config.depth,
         tau_max=config.tau_max + code.window,
-        lengths=range(1, config.spec_length + 1),
+        lengths=SPEC_LENGTHS,
     )
 
     mme_gap = None
@@ -589,8 +583,6 @@ def cmd_factor(config: RunConfig, code_file: str):
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--beta", help="beta as a decimal literal, e.g. 1.5")
     parser.add_argument("--expansion-file", help="digits file with optional period= header")
-    parser.add_argument("--precision", type=int, default=128,
-                        help="kept in the report config; no effect (exact arithmetic)")
     parser.add_argument("--horizon", type=int, default=80, help="digits computed for beta")
     parser.add_argument("--nmax", type=int, default=24, help="largest word length used")
     parser.add_argument("--depth", type=int, default=0, help="scale depth index j")
@@ -599,15 +591,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--measure-depth", type=int, default=12)
     parser.add_argument("--out", help="output directory for reports and CSV")
     parser.add_argument("--emit-csv", action="store_true")
-    parser.add_argument("--format", dest="report_format", default="json",
-                        choices=("json", "csv"))
 
 
 def _config_from_args(args) -> RunConfig:
     cfg = RunConfig(
         beta=args.beta,
         expansion_file=args.expansion_file,
-        precision=args.precision,
         horizon=args.horizon,
         depth=args.depth,
         nmax=args.nmax,
@@ -616,10 +605,8 @@ def _config_from_args(args) -> RunConfig:
         measure_depth=args.measure_depth,
         degenerate=getattr(args, "degenerate", False),
         measure_file=getattr(args, "measure_file", None),
-        # csv report format means: also write the CSV side outputs
-        emit_csv=args.emit_csv or args.report_format == "csv",
+        emit_csv=args.emit_csv,
         out=args.out,
-        report_format=args.report_format,
     )
     cfg.validate()
     return cfg
@@ -696,14 +683,8 @@ def main(argv=None) -> int:
         os.makedirs(config.out, exist_ok=True)
         write_report(report, os.path.join(config.out, f"{args.command}.json"))
     else:
-        sys.stdout.write(_dump(report))
+        sys.stdout.write(dumps_report(report))
     return code
-
-
-def _dump(report) -> str:
-    from .reports import dumps_report
-
-    return dumps_report(report)
 
 
 if __name__ == "__main__":

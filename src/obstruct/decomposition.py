@@ -33,7 +33,7 @@ from fractions import Fraction
 
 from .errors import InputError, SpecificationError
 from .orbits import EntropyEstimate, OrbitCollection, count_separated, upper_entropy
-from .words import Word
+from .words import Word, overlay
 
 DEFAULT_TUPLE_BUDGET = 100_000
 # passing and failing tuples a specification report keeps, each
@@ -283,33 +283,10 @@ class SpecificationReport:
 
 def _merge_template(elements, gap: int, depth: int):
     """Overlay depth-extended segments at gap-spaced offsets; None on clash."""
-    total = sum(len(w) - depth for w in elements) + (len(elements) - 1) * gap + depth
-    template: list[int | None] = [None] * total
-    offset = 0
-    for w in elements:
-        for i, a in enumerate(w):
-            cur = template[offset + i]
-            if cur is not None and cur != a:
-                return None
-            template[offset + i] = a
-        offset += (len(w) - depth) + gap
-    return template
-
-
-def _fill_template(presentation, template, state=None, pos=0):
-    """Lexicographically least admissible completion of the template, or None."""
-    if state is None:
-        state = presentation.start
-    if pos == len(template):
-        return ()
-    want = template[pos]
-    for a, nxt in presentation.moves(state):
-        if want is not None and a != want:
-            continue
-        rest = _fill_template(presentation, template, nxt, pos + 1)
-        if rest is not None:
-            return (a,) + rest
-    return None
+    *offsets, end = itertools.accumulate(
+        (len(w) - depth + gap for w in elements), initial=0
+    )
+    return overlay(zip(offsets, elements), end - gap + depth)
 
 
 def _segment_pool(system, collection, lengths, depth):
@@ -470,12 +447,10 @@ def check_specification(
     def glue_tail(head, rest):
         """Glued word from the end of the first base block, or None."""
         state, tail = head_list[head]
-        template = _merge_template(
-            (tail,) + tuple(pool[i][0] for i in rest), tau, j
-        )
+        template = _merge_template((tail, *(pool[i][0] for i in rest)), tau, j)
         if template is None:
             return None
-        return _fill_template(system.presentation, template, state)
+        return next(system.presentation.completions(state, template), None)
 
     witnesses, failures = [], []
     checked = 0
@@ -484,10 +459,8 @@ def check_specification(
         if k == 2:
             templates = [w for w, _ in pool]  # a lone segment is its template
         else:
-            templates = []
-            for rest in rests:
-                template = _merge_template([pool[i][0] for i in rest], tau, j)
-                templates.append(None if template is None else tuple(template))
+            templates = [_merge_template([pool[i][0] for i in rest], tau, j)
+                         for rest in rests]
         rows = {}  # row key -> (failing, passing, undecided rests)
         by_head = {}  # head class -> (failing rests, passing rests, glued tails)
         for first, head in enumerate(head_of):

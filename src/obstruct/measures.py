@@ -147,18 +147,13 @@ class MassClasses:
 
         def moves(k):
             if k not in children:
-                v = vectors[k]
-                if len(v) == 1:  # no merge and no sort
-                    (s, w), = v
-                    children[k] = {a: number(((t, w),)) for a, t in steps[s]}
-                else:
-                    step: dict[int, dict] = {}
-                    for s, w in v:
-                        for a, t in steps[s]:
-                            child = step.setdefault(a, {})
-                            child[t] = child[t] + w if t in child else w
-                    children[k] = {a: number(tuple(sorted(step[a].items())))
-                                   for a in sorted(step)}
+                step: dict[int, dict] = {}
+                for s, w in vectors[k]:
+                    for a, t in steps[s]:
+                        child = step.setdefault(a, {})
+                        child[t] = child[t] + w if t in child else w
+                children[k] = {a: number(tuple(sorted(step[a].items())))
+                               for a in sorted(step)}
             return children[k].items()
 
         root = number(tuple(enumerate(left)))

@@ -25,6 +25,7 @@ from .errors import DepthError, InputError
 from .measures import MAX_TABLE_CYLINDERS, extend
 from .orbits import OrbitCollection, count_separated
 from .quadratic import QuadraticNumber
+from .words import overlay
 
 # counting suite: most cores and largest sum of core lengths in the gluing
 # product bound, the gammas of the coverage floors, and the highest level
@@ -656,25 +657,12 @@ def mixing_liminf_probe(measure, u_words, v_words, m_range) -> dict:
         total = 0
         for u in u_words:
             for v in v_words:
-                template = _two_window_template(u, m, v)
+                template = overlay(((0, u), (m, v)), max(len(u), m + len(v)))
                 if template is not None:
                     total = total + measure.pattern_mass(template)
         running = total if running is None else min(running, total, key=float)
         results[m] = (total, running)
     return results
-
-
-def _two_window_template(u, m, v):
-    length = max(len(u), m + len(v))
-    template = [None] * length
-    for i, a in enumerate(u):
-        template[i] = a
-    for i, a in enumerate(v):
-        cur = template[m + i]
-        if cur is not None and cur != a:
-            return None
-        template[m + i] = a
-    return template
 
 
 def gibbs_proof_constant(c1_sup: float, tau: int, entropy: float) -> float:

@@ -27,6 +27,19 @@ def format_word(w: Word, alphabet_size: int = 10) -> str:
     return " ".join(str(s) for s in w)
 
 
+def overlay(pieces, length: int) -> tuple | None:
+    """Template of `length` positions, None where free, with each (offset,
+    word) piece written at its offset; None when two pieces clash."""
+    template: list[int | None] = [None] * length
+    for offset, w in pieces:
+        for i, a in enumerate(w, offset):
+            cur = template[i]
+            if cur is not None and cur != a:
+                return None
+            template[i] = a
+    return tuple(template)
+
+
 def parse_word(line: str, alphabet_size: int = 10) -> Word:
     line = line.strip()
     if not line:

@@ -384,15 +384,62 @@ def _outcome(fn):
 def test_counted_enumeration_raises_where_the_listing_would(pres, n):
     # the count that precedes a listing meets the marker exactly when the
     # depth-first listing does
-    listed = _outcome(lambda: pres._dfs((), pres.start, n))
+    listed = _outcome(lambda: list(pres.completions(pres.start, (None,) * n)))
     assert _outcome(lambda: pres.enumerate_words(n, None)) == listed
+
+
+def _brute_completions(pres, state, template):
+    """(fitting sequences in lexicographic order, whether the search stops
+    at the marker): every sequence over the alphabet, walked one by one.
+    Sequences are listed up to the first one whose walk would move on from
+    the marker before it is decided; the search raises there."""
+    found = []
+    for labels in product(range(pres.alphabet_size), repeat=len(template)):
+        if any(w is not None and a != w for a, w in zip(labels, template)):
+            continue
+        t = state
+        for a in labels:
+            if t == pres.marker:
+                return found, True
+            t = pres.delta[t].get(a)
+            if t is None:
+                break
+        else:
+            found.append(labels)
+    return found, False
+
+
+@given(presentations(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_completions_match_brute_force(pres, data):
+    state = data.draw(st.integers(0, pres.n_states - 1), label="state")
+    template = data.draw(st.lists(
+        st.one_of(st.none(), st.integers(0, pres.alphabet_size - 1)), max_size=5
+    ), label="template")
+    found, stops = _brute_completions(pres, state, template)
+    got = []
+    search = pres.completions(state, template)
+    if stops:
+        # every sequence before the marker is yielded, then the search raises
+        with pytest.raises(HorizonError):
+            for w in search:
+                got.append(w)
+    else:
+        got = list(search)
+    assert got == found
+    # tails lists the free template's sequences, lex_min_tail takes the first
+    free, free_stops = _brute_completions(pres, state, [None] * len(template))
+    least = free[0] if free else HorizonError if free_stops else None
+    assert _outcome(lambda: pres.lex_min_tail(state, len(template))) == least
+    listed = HorizonError if free_stops else free
+    assert _outcome(lambda: pres.tails(state, len(template))) == listed
 
 
 def test_enumeration_over_the_budget_is_refused_before_listing(monkeypatch):
     pres = BetaSystem.full_shift(2).presentation
     monkeypatch.setattr(automata, "MAX_ENUMERATED_WORDS", 8)
     assert len(pres.enumerate_words(3)) == 8
-    monkeypatch.setattr(pres, "_dfs", None)  # nothing may be listed
+    monkeypatch.setattr(pres, "completions", None)  # nothing may be listed
     with pytest.raises(EnumerationCapError, match="would list 16 words"):
         pres.enumerate_words(4)
 

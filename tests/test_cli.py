@@ -65,8 +65,6 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(InputError):
             RunConfig(beta="2", nmax=0).validate()
-        with pytest.raises(InputError):
-            RunConfig(beta="2", report_format="xml").validate()
 
     def test_exactly_one_system_source(self, golden_file):
         with pytest.raises(InputError):
@@ -441,6 +439,60 @@ def test_two_window_gap_past_measure_depth_is_not_run(tmp_path, capsys):
     assert all(c["passed"] for c in checks if c is not mixing)
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--beta", "2", "--measure-depth", "1"],
+    ["verify", "--beta", "1.5", "--horizon", "60", "--measure-depth", "1"],
+    ["verify", "--beta", "2", "--measure-file", "depth-1 table"],
+])
+def test_correlation_probe_past_a_depth_1_measure_is_not_run(argv, tmp_path, capsys):
+    # the probe's first gap needs a two-symbol pattern: inconclusive, not an
+    # input error
+    if argv[-1] == "depth-1 table":
+        path = tmp_path / "measure.json"
+        path.write_text(json.dumps(
+            parry_measure(build_system(RunConfig(beta="2")), 1).to_json_dict()
+        ))
+        argv = argv[:-1] + [str(path)]
+    assert main(argv) == EXIT_INCONCLUSIVE
+    rows = {c["name"]: c for c in json.loads(capsys.readouterr().out)["payload"]["checks"]}
+    probe = rows["correlation-floor"]
+    assert probe == {
+        "name": "correlation-floor",
+        "passed": False,
+        "summary": "not run: pattern length 2 exceeds measure depth 1",
+        "alpha_constant": None,
+    }
+    assert rows["two-window-mass-floor"]["summary"].startswith("not run: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--beta", "200"],  # every gluing check refused
+    ["verify", "--beta", "2.5", "--horizon", "60", "--depth", "2"],  # no gap
+])
+def test_gluing_count_checks_need_a_core_gluing_time(argv, capsys):
+    assert main(argv) == EXIT_INCONCLUSIVE
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    rows = {c["name"]: c for c in payload["checks"]}
+    assert not rows["gluing-cores"]["passed"]
+    for name in ("counting:gluing-product-bound", "counting:core-count-ceiling"):
+        assert rows[name] == {
+            "name": name,
+            "passed": False,
+            "summary": "not run: gluing time not established",
+        }
+    assert payload["constants"]["tau"] is None
+    # the checks that need no gluing time still run
+    assert rows["counting:growth-floor"]["passed"]
+
+
+def test_report_config_holds_every_field_a_run_reads(capsys):
+    assert main(["expand", "--beta", "2"]) == EXIT_PASS
+    assert sorted(json.loads(capsys.readouterr().out)["config"]) == [
+        "beta", "degenerate", "depth", "emit_csv", "expansion_file", "horizon",
+        "level", "measure_depth", "measure_file", "nmax", "out", "tau_max",
+    ]
+
+
 def _bench_workloads():
     """perfbench/workloads.py of this checkout, loaded by path."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
@@ -590,8 +642,7 @@ def _fuzz_argv(draw, files):
         )
     for flag, value in flags.items():
         argv += [flag, str(value)]
-    argv += draw(st.sampled_from([[]] * 4 + [["--precision", "1"], ["--precision", "8"]]))
-    argv += draw(st.sampled_from([[], ["--emit-csv"], ["--format", "csv"]]))
+    argv += draw(st.sampled_from([[], ["--emit-csv"]]))
     if draw(st.booleans()):
         argv += ["--out", str(files["out"])]
     if command == "decomp":

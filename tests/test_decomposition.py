@@ -6,13 +6,11 @@ import pytest
 from hypothesis import assume, event, example, given, settings, strategies as st
 
 from obstruct.beta import BetaSystem
-import obstruct.decomposition as decomposition
 from obstruct.decomposition import (
     DEFAULT_TUPLE_BUDGET,
     WITNESS_LIMIT,
     DegenerateDecomposition,
     SpecificationReport,
-    _fill_template,
     _merge_template,
     _segment_pool,
     beta_decomposition,
@@ -226,7 +224,7 @@ class TestSpecification:
             raise AssertionError("an over-budget check listed or searched")
 
         monkeypatch.setattr("obstruct.decomposition._segment_pool", refuse)
-        monkeypatch.setattr("obstruct.decomposition._fill_template", refuse)
+        monkeypatch.setattr(golden.presentation, "completions", refuse)
         report = check_specification(
             golden, golden_scheme.cores(), j=2, tau=0, lengths=range(1, 6), budget=10
         )
@@ -274,7 +272,8 @@ def _literal_specification(system, collection, j, tau, k_max, lengths, budget):
         template = _merge_template(elements, tau, j)
         glued = (
             None if template is None
-            else _fill_template(system.presentation, template)
+            else next(system.presentation.completions(system.presentation.start,
+                                                      template), None)
         )
         if glued is None:
             if len(failures) < witness_limit:
@@ -390,17 +389,19 @@ def test_memoised_gluing_matches_literal_search(
         event("HorizonError")
 
 
-def _count_searches(monkeypatch):
-    """Record the template of every top-level `_fill_template` call."""
-    fill = decomposition._fill_template
+def _count_searches(monkeypatch, presentation):
+    """Record the template of every glued-word search on `presentation`:
+    each `completions` call that fixes a symbol (a listing of depth tails
+    fixes none)."""
+    search = presentation.completions
     searched = []
 
-    def counted(presentation, template, state=None, pos=0):
-        if pos == 0:  # the recursion goes through the module attribute too
+    def counted(state, template):
+        if any(a is not None for a in template):
             searched.append(template)
-        return fill(presentation, template, state, pos)
+        return search(state, template)
 
-    monkeypatch.setattr("obstruct.decomposition._fill_template", counted)
+    monkeypatch.setattr(presentation, "completions", counted)
     return searched
 
 
@@ -408,7 +409,7 @@ def test_word_search_runs_only_for_reported_witnesses(monkeypatch):
     # p5 has no truncation marker, so the only searches are for witnesses
     system = BetaSystem.from_expansion((2, 1, 0, 0, 1), period=5)
     scheme = beta_decomposition(system)
-    searched = _count_searches(monkeypatch)
+    searched = _count_searches(monkeypatch, system.presentation)
     for M in range(3):
         del searched[:]
         report = check_specification(
@@ -424,7 +425,7 @@ def test_marker_met_but_search_passes_first(monkeypatch):
     # free symbol, but the search tries 0 first and glues past it
     system = BetaSystem.from_beta("1.5", horizon=3)
     cores = beta_decomposition(system).cores()
-    searched = _count_searches(monkeypatch)
+    searched = _count_searches(monkeypatch, system.presentation)
     report = check_specification(system, cores, j=2, tau=3, lengths=(1, 2))
     assert report.verdict == "pass"
     assert len(searched) > len(report.witnesses)  # tuples that met the marker
