@@ -11,8 +11,9 @@ arguments and the echoed config agree between the two runs.  Without
 `--cmd` the command list is the operations of `perfbench/workloads.py`
 (read from this checkout), less the library count sweep; `--cmd` may be
 repeated.  `--extended` runs `EXTENDED` after them: deeper horizons and
-measure depths, large and refused inputs, and exit-2 commands that the
-benchmark leaves out.
+measure depths, large and refused inputs, exit-2 commands that the
+benchmark leaves out, and commands on the script's own `INPUTS`, written
+beside the benchmark's input files.
 
 Every field outside `meta` that differs is printed as `path: old -> new`,
 with the exit codes and, when a side prints no report, its stderr.  The
@@ -31,6 +32,13 @@ import tempfile
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
+
+# input files beyond the benchmark's, by name
+INPUTS = {
+    # a preperiodic wrap: its 4-state Perron root 2.568... is neither
+    # rational nor quadratic, so its Perron data come by power iteration
+    "wrap": "period=2\n2110\n",
+}
 
 # commands outside the benchmark, run after it with --extended
 EXTENDED = [
@@ -55,6 +63,7 @@ EXTENDED = [
     "verify --beta 1.5 --horizon 10 --depth 1",
     # a depth-1 measure holds no two-symbol pattern
     "verify --beta 2 --measure-depth 1",
+    "verify --expansion-file @wrap",
 ]
 
 
@@ -119,6 +128,8 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         inputs = Path(tmp)
         workloads.write_inputs(inputs)
+        for name, text in INPUTS.items():
+            (inputs / name).write_text(text, encoding="ascii")
         for op in ops:
             (code_a, rep_a, err_a), (code_b, rep_b, err_b) = (
                 run(tree.resolve(), op, inputs, workloads)

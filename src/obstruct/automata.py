@@ -54,42 +54,40 @@ def strongly_connected_components(successors) -> list[list[int]]:
     """SCCs of the digraph on 0..n-1 with successors[s] the targets of s.
 
     Iterative Tarjan; components come out in reverse topological order.
+    The low link of a state whose component is out is n, so it lowers no
+    other state's.
     """
+    n = len(successors)
     index: dict[int, int] = {}
     low: dict[int, int] = {}
     stack: list[int] = []
-    on_stack: set[int] = set()
     work: list = []  # DFS path: (node, iterator over its unexplored targets)
     out = []
 
     def enter(s):
         index[s] = low[s] = len(index)
         stack.append(s)
-        on_stack.add(s)
         work.append((s, iter(successors[s])))
 
-    for root in range(len(successors)):
-        if root in index:
-            continue
-        enter(root)
+    for root in range(n):
+        if root not in index:
+            enter(root)
         while work:
             s, targets = work[-1]
             for t in targets:
                 if t not in index:
                     enter(t)
                     break
-                if t in on_stack:
-                    low[s] = min(low[s], index[t])
+                low[s] = min(low[s], low[t])
             else:
                 work.pop()
                 if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[s])
+                    low[work[-1][0]] = min(low[work[-1][0]], low[s])
                 if low[s] == index[s]:
                     comp = []
                     while not comp or comp[-1] != s:
                         comp.append(stack.pop())
-                        on_stack.discard(comp[-1])
+                        low[comp[-1]] = n
                     out.append(comp)
     return out
 
@@ -108,22 +106,6 @@ def bfs_distances(successors, root: int) -> list:
                     nxt.append(t)
         frontier = nxt
     return dist
-
-
-def cycle_length_gcd(successors) -> int:
-    """gcd of the cycle lengths reachable from node 0 (0 when there are none).
-
-    With BFS levels from node 0, every edge s -> t in the reachable part
-    contributes level[s] + 1 - level[t]; for a strongly connected graph the
-    gcd of these is its period.
-    """
-    level = bfs_distances(successors, 0)
-    g = 0
-    for s, targets in enumerate(successors):
-        if level[s] is not None:
-            for t in targets:
-                g = gcd(g, level[s] + 1 - level[t])
-    return g
 
 
 def check_enumeration_cap(n: int, cap: int | None) -> None:
@@ -389,6 +371,7 @@ class Presentation:
         self._to_marker: int | None = None  # distance from start to marker
         self._live: Presentation | None = None  # see live_part
         self._essential: Presentation | None = None  # see essential_part
+        self._components: list | None = None  # see components
         # the states that reach the marker, by distance (see _poisoned)
         order, order_dist = [], []
         if marker is not None:
@@ -663,17 +646,29 @@ class Presentation:
             self._essential = self._restricted(sorted(keep))
         return self._essential
 
+    def components(self) -> list[list[int]]:
+        """The strongly connected components that hold a cycle, each as its
+        sorted states, in reverse topological order; computed once."""
+        if self._components is None:
+            successors = [list(d.values()) for d in self.delta]
+            self._components = [
+                sorted(c) for c in strongly_connected_components(successors)
+                if len(c) > 1 or c[0] in successors[c[0]]
+            ]
+        return self._components
+
     def is_primitive(self) -> bool:
-        """Essential part strongly connected and aperiodic."""
+        """Essential part one component, and aperiodic: with BFS levels
+        from state 0, the edges s -> t give level[s] + 1 - level[t] of gcd
+        the period of a strongly connected graph."""
         try:
             core = self.essential_part()
         except HorizonError:
             return False
-        successors = [list(d.values()) for d in core.delta]
-        return (
-            len(strongly_connected_components(successors)) == 1
-            and cycle_length_gcd(successors) == 1
-        )
+        if core.components() != [list(range(core.n_states))]:
+            return False
+        level = bfs_distances([list(d.values()) for d in core.delta], 0)
+        return gcd(*(level[s] + 1 - level[t] for s, _, t in core.edges())) == 1
 
     def dump_edges_csv(self, path) -> None:
         """Edge list as `state,symbol,state` rows."""

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 
-from .automata import Presentation, PresentedShift, strongly_connected_components
+from .automata import Presentation, PresentedShift
 from .decomposition import DecompositionScheme
 from .errors import EnumerationCapError, InputError
 from .orbits import OrbitCollection, _regression_slope
@@ -429,12 +429,7 @@ class PairAutomaton(Presentation):
         self.source_alphabet = source_alphabet
 
     def nondiagonal_cycle_exists(self) -> bool:
-        successors = [list(d.values()) for d in self.delta]
-        for scc in strongly_connected_components(successors):
-            has_cycle = len(scc) > 1 or scc[0] in successors[scc[0]]
-            if has_cycle and any(not self.diagonal[s] for s in scc):
-                return True
-        return False
+        return any(not self.diagonal[s] for c in self.components() for s in c)
 
     def dump_edges_csv(self, path) -> None:
         """Edge list as `state,a1,a2,state,differed` rows."""

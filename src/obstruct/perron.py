@@ -1,6 +1,7 @@
 """Perron eigendata of presentation adjacency matrices.
 
-Three paths, tried in order on the essential part of a presentation:
+Three paths, tried in order on each strongly connected component with a
+cycle (`Presentation.components`) of the essential part of a presentation:
 
 1. Exact (at most EXACT_STATE_LIMIT states): the integer characteristic
    polynomial p comes from Faddeev-LeVerrier, and Newton from the maximum
@@ -24,6 +25,9 @@ Collatz-Wielandt enclosure (Collatz 1942; Wielandt 1950): for a
 non-negative A and a positive vector r, min_i (A r)_i / r_i <= rho <=
 max_i (A r)_i / r_i, an exact rational interval here, taken for the right
 vector against A and the left vector against A^T and intersected.
+
+A reducible matrix reports the largest root of its components (Lind-Marcus
+1995), enclosed by (max lo, max hi), and no vectors.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ class PerronData:
     Exact data hold field elements, and the enclosure is the eigenvalue
     twice.  Otherwise the vectors are positive integers, the enclosure
     (lo, hi) holds rationals with lo <= rho <= hi, and the eigenvalue is
-    the float nearest their midpoint.
+    the float nearest their midpoint.  A reducible matrix has None vectors.
     """
 
     def __init__(self, eigenvalue: object, right: tuple, left: tuple,
@@ -136,56 +140,38 @@ def _product(rows, v):
 
 
 def _enclosure(rows, v, av=None):
-    """Collatz-Wielandt bounds (lo, hi) on rho of a non-negative matrix
-    (sparse rows) from a positive integer vector v; av = A v if known.
-
-    hi = max_i (A v)_i / v_i.  lo = min (A x)_i / x_i over the support of
-    x, the vector v with its entries below 2^(FIXED_BITS/4) set to 0: the
-    lower bound holds for any non-negative x != 0, and so the decayed
-    entries of a reducible matrix, which carry no precision, cannot hold
-    it down.  The extremes are picked by integer cross-multiplication
-    (every v_i > 0), and only the two winning ratios become Fractions.
+    """Collatz-Wielandt bounds (lo, hi) = min/max_i (A v)_i / v_i on rho of
+    a non-negative matrix (sparse rows) from a positive integer vector v
+    (av = A v if known), picked by integer cross-multiplication: only the
+    two winning ratios become Fractions.
     """
     if av is None:
         av = _product(rows, v)
-    small = 1 << (FIXED_BITS // 4)
-    x = [e if e >= small else 0 for e in v]
-    ax = av if all(x) else _product(rows, x)
     lo = hi = None  # (numerator, denominator) of the extreme ratio so far
-    for p, a, q, e in zip(ax, av, v, x):
-        if e and (lo is None or p * lo[1] < lo[0] * q):
-            lo = (p, q)
+    for a, q in zip(av, v):
+        if lo is None or a * lo[1] < lo[0] * q:
+            lo = (a, q)
         if hi is None or a * hi[1] > hi[0] * q:
             hi = (a, q)
     return Fraction(*lo), Fraction(*hi)
 
 
 def _power_iteration(rows):
-    """Positive integer vector of a non-negative matrix (sparse rows) near
-    its Perron vector.
+    """Positive integer vector of an irreducible non-negative matrix
+    (sparse rows) near its Perron vector.
 
-    Iterates v <- (A + I) v on integers (the shift makes the dominant
-    eigenvalue of each closed class simple).  Every CHECK_EVERY steps, and
-    at MAX_ITER, v is cut by a power of two, rounding up so no entry
-    reaches 0, to give its least entry FIXED_BITS bits, unless its entries
-    spread over more than `spread` bits: (A + I) w = rho w with w > 0 gives
-    w_j <= (rho + 1) w_i for each edge i -> j, so the Perron vector of an
-    irreducible matrix spreads over at most n log2 of the largest row sum
-    of A + I, while decaying entries of a reducible one would spread
-    without end.  The iteration stops once the enclosure of v is narrower
-    than 2^-(3/4 FIXED_BITS).
+    Iterates v <- (A + I) v on integers (the shift makes the matrix
+    primitive).  Every CHECK_EVERY steps, and at MAX_ITER, v is cut by a
+    power of two, rounding up so no entry reaches 0, to give its least
+    entry FIXED_BITS bits.  The iteration stops once the enclosure of v is
+    narrower than 2^-(3/4 FIXED_BITS).
     """
     shifted = [[*row, (i, 1)] for i, row in enumerate(rows)]
-    top_row = max(sum(a for _, a in row) for row in shifted)
-    spread = max(FIXED_BITS, len(rows) * top_row.bit_length())
     v = [1 << FIXED_BITS] * len(rows)
     for step in range(MAX_ITER + 1):
         check = step % CHECK_EVERY == 0 or step == MAX_ITER
         if check:
-            cut = max(
-                min(v).bit_length() - FIXED_BITS,
-                max(v).bit_length() - FIXED_BITS - spread,
-            )
+            cut = min(v).bit_length() - FIXED_BITS
             if cut > 0:
                 v = [-(-x >> cut) for x in v]
         w = _product(shifted, v)
@@ -214,20 +200,44 @@ def _fixed_point_data(rows, cols, right, left) -> PerronData:
 def perron_eigendata(presentation, cache: dict | None = None) -> PerronData:
     """Eigendata of the adjacency matrix of the essential part.
 
-    Exact when the matrix is small and its Perron root rational or
-    quadratic, else the renewal closed form when the matrix has that shape,
-    else power iteration (see the module docstring).  `cache`, a dict the
+    Per component: exact when it is small and its Perron root rational or
+    quadratic, else the renewal closed form when it has that shape, else
+    power iteration (see the module docstring).  `cache`, a dict the
     caller owns (one per system), keeps each result under the essential
     part's sparse adjacency rows, so callers holding different views of one
     presentation (its live part, its essential part) compute it once.
     """
-    rows = _adjacency_rows(presentation.essential_part())
+    core = presentation.essential_part()
+    rows = _adjacency_rows(core)
     if cache is not None and rows in cache:
         return cache[rows]
-    data = _eigendata(rows)
+    comps = core.components()
+    parts = [_eigendata(_component_rows(rows, c)) for c in comps]
+    data = parts[0] if len(comps[0]) == len(rows) else _reducible_eigendata(parts)
     if cache is not None:
         cache[rows] = data
     return data
+
+
+def _component_rows(rows, states) -> tuple:
+    """The sparse rows of the submatrix on `states` (increasing), renumbered."""
+    index = {s: i for i, s in enumerate(states)}
+    return tuple(tuple((index[j], a) for j, a in rows[s] if j in index)
+                 for s in states)
+
+
+def _reducible_eigendata(parts) -> PerronData:
+    """The largest root over the components' data, enclosed by (max lo,
+    max hi); exact when that enclosure is a point.  Exact roots from two
+    quadratic fields are compared through rational brackets."""
+    bounds, unit = [p.enclosure for p in parts], 1 << FIXED_BITS
+    try:
+        lo, hi = (max(b[i] for b in bounds) for i in (0, 1))
+    except ValueError:  # exact roots from two quadratic fields: round out
+        lo = Fraction(max(math.floor(b[0] * unit) for b in bounds), unit)
+        hi = Fraction(-min(math.floor(-b[1] * unit) for b in bounds), unit)
+    return PerronData(eigenvalue=lo if lo == hi else float((lo + hi) / 2),
+                      right=None, left=None, exact=lo == hi, enclosure=(lo, hi))
 
 
 def _eigendata(rows) -> PerronData:

@@ -78,6 +78,24 @@ def test_nondiagonal_cycle_matches_reachability(graph, flags):
     assert pair.nondiagonal_cycle_exists() == expected
 
 
+@given(digraphs)
+@settings(max_examples=300, deadline=None)
+def test_components_match_reachability(graph):
+    n, arcs = graph
+    pres = Presentation(n, n, [(s, t, t) for s, t in arcs])
+    reach = [_reach(n, arcs, s) for s in range(n)]
+    expected = {
+        tuple(sorted(t for t in reach[s] if s in reach[t]))
+        for s in range(n) if s in reach[s]
+    }
+    comps = pres.components()
+    assert sorted(map(tuple, comps)) == sorted(expected)
+    # reverse topological: no component reaches one listed after it
+    for i, early in enumerate(comps):
+        assert not any(late[0] in reach[early[0]] for late in comps[i + 1:])
+    assert pres.components() is comps
+
+
 @st.composite
 def presentations(draw):
     """Random deterministic presentations, half of them with a marker."""

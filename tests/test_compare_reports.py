@@ -35,6 +35,7 @@ def test_extended_runs_the_bench_commands_then_the_extra_list(monkeypatch, capsy
     seen = []
 
     def run(tree, op, inputs, workloads):
+        assert all((inputs / name).is_file() for name in script.INPUTS)
         seen.append(op)
         return 2 if op == "mme --beta 1.5" else 0, None, "same"
 

@@ -2,20 +2,23 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from obstruct import perron
 from obstruct.automata import Presentation
 from obstruct.beta import BetaSystem
+from obstruct.errors import HorizonError
 from obstruct.factors import BlockCode, FactorSystem
 from obstruct.measures import parry_measure
 from obstruct.perron import (
     FIXED_BITS,
-    _eigendata,
+    PerronData,
+    _charpoly,
     _enclosure,
     _eigendata_from_factor,
     _exact_eigendata,
     _fixed_point_data,
+    _largest_root,
     _power_iteration,
     _product,
     _renewal_eigendata,
@@ -168,42 +171,101 @@ def test_enclosure_is_the_collatz_wielandt_bound(threehalf):
 
 def _fraction_enclosure(rows, v):
     """The Collatz-Wielandt bounds with one Fraction per entry."""
-    small = 1 << (FIXED_BITS // 4)
-    x = [e if e >= small else 0 for e in v]
-    av, ax = _product(rows, v), _product(rows, x)
-    lo = min(Fraction(p, q) for p, q, e in zip(ax, v, x) if e)
-    hi = max(Fraction(p, q) for p, q in zip(av, v))
-    return lo, hi
+    ratios = [Fraction(p, q) for p, q in zip(_product(rows, v), v)]
+    return min(ratios), max(ratios)
 
 
 @given(st.data(), st.integers(1, 8))
 @settings(max_examples=300, deadline=None)
 def test_cross_multiplied_enclosure_matches_fractions(data, n):
-    # entries below 2^(FIXED_BITS / 4) are zeroed for the lower bound; at
-    # least one entry stays above, as the eigenvector paths guarantee
     rows = [
         [(j, a) for j in range(n)
          if (a := data.draw(st.integers(0, 3), label="entry"))]
         for _ in range(n)
     ]
-    small = 1 << (FIXED_BITS // 4)
     v = data.draw(st.lists(
-        st.one_of(st.integers(1, 4), st.integers(1, small - 1),
-                  st.integers(small, 1 << FIXED_BITS + 8)),
+        st.one_of(st.integers(1, 4), st.integers(1, 1 << FIXED_BITS + 8)),
         min_size=n, max_size=n,
     ), label="v")
-    v[data.draw(st.integers(0, n - 1), label="big")] |= small
     assert _enclosure(rows, v) == _fraction_enclosure(rows, v)
 
 
-def test_reducible_repeated_root_is_enclosed():
-    # a Jordan block at the Perron root 2: the iteration converges only
-    # like 1/steps, so it runs to the step cap, but its enclosure is exact
-    start = time.perf_counter()
-    data = _eigendata(_sparse(REDUCIBLE))
-    assert time.perf_counter() - start < 5
+def _refuse_power_iteration(*args):
+    raise AssertionError("power iteration reached")
+
+
+def test_reducible_repeated_root_is_enclosed(monkeypatch):
+    # a Jordan block at the Perron root 2: each of the two components has
+    # root exactly 2, so the enclosure is the point 2 and no vector exists
+    monkeypatch.setattr(perron, "_power_iteration", _refuse_power_iteration)
+    data = perron_eigendata(_presentation(REDUCIBLE))
+    assert data.exact and data.enclosure == (2, 2) and data.eigenvalue == 2
+    assert data.right is None and data.left is None
+
+
+def test_quadratic_roots_from_two_fields_are_bracketed():
+    # block triangular: golden mean (root (1 + sqrt 5) / 2) feeding the
+    # silver mean (root 1 + sqrt 2); the exact roots do not compare
+    matrix = [[1, 1, 0, 0], [1, 0, 1, 0], [0, 0, 2, 1], [0, 0, 1, 0]]
+    data = perron_eigendata(_presentation(matrix))
     lo, hi = data.enclosure
-    assert not data.exact and lo <= 2 <= hi and hi - lo < Fraction(1, 10**4)
+    assert not data.exact and data.right is None
+    assert 0 < hi - lo <= Fraction(1, 2**FIXED_BITS)
+    assert lo * lo < 2 * lo + 1 and hi * hi > 2 * hi + 1  # 1 + sqrt 2 inside
+    assert data.eigenvalue == float((lo + hi) / 2)
+
+
+def _strongly_connected(rows):
+    """Every state reaches state 0 and is reached from it."""
+    def reached(edges):
+        seen, todo = {0}, [0]
+        while todo:
+            for j in edges[todo.pop()]:
+                if j not in seen:
+                    seen.add(j)
+                    todo.append(j)
+        return len(seen) == len(rows)
+
+    backward = [[] for _ in rows]
+    for i, row in enumerate(rows):
+        for j, _ in row:
+            backward[j].append(i)
+    return reached([[j for j, _ in row] for row in rows]) and reached(backward)
+
+
+@given(
+    st.integers(min_value=1, max_value=7).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(min_value=0, max_value=3), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        )
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_random_matrices_enclose_the_largest_root(matrix):
+    # rho of the whole matrix, from its own characteristic polynomial: the
+    # states outside the essential part add only zero roots.  Fixed-point
+    # Newton stops within about 2^-(FIXED_BITS / m) of a root of
+    # multiplicity m <= 7, hence the slack
+    presentation = _presentation(matrix)
+    try:
+        presentation.essential_part()
+    except HorizonError:
+        assume(False)
+    x = _largest_root(_charpoly(matrix), max(map(sum, matrix)) << FIXED_BITS)
+    rho, slack = Fraction(x, 1 << FIXED_BITS), Fraction(1, 2**32)
+
+    def checked(rows):
+        assert _strongly_connected(rows)
+        return _power_iteration(rows)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(perron, "_power_iteration", checked)
+        data = perron_eigendata(presentation)
+    lo, hi = data.enclosure
+    assert lo - slack <= rho <= hi + slack
+    assert (data.right is None) == (data.left is None)
 
 
 def test_wide_spread_vector_keeps_its_bits():
@@ -232,9 +294,15 @@ def test_wide_spread_vector_keeps_its_bits():
     ids=["preperiodic", "factor"],
 )
 def test_non_renewal_keeps_power_iteration(presentation):
-    matrix = presentation.essential_part().adjacency()
-    assert _renewal_eigendata(_sparse(matrix)) is None
-    assert perron_eigendata(presentation) == _by_power_iteration(matrix)
+    matrices = _component_matrices(presentation)
+    top = max(matrices, key=len)
+    assert _renewal_eigendata(_sparse(top)) is None
+    expected = _by_power_iteration(top)
+    if len(matrices) > 1:
+        # the factor image: its other two components, a loop and a 2-cycle,
+        # have root 1, and a reducible matrix has no positive vectors
+        expected = PerronData(expected.eigenvalue, None, None, False, expected.enclosure)
+    assert perron_eigendata(presentation) == expected
 
 
 def _presentation(matrix):
@@ -248,13 +316,29 @@ def _presentation(matrix):
     return Presentation(len(matrix), alphabet, edges)
 
 
-def _dense_dispatch(matrix):
-    """The three paths tried in order on the dense matrix."""
-    if len(matrix) <= perron.EXACT_STATE_LIMIT:
-        data = _exact_eigendata(matrix)
-        if data is not None:
-            return data
-    return _renewal_eigendata(_sparse(matrix)) or _by_power_iteration(matrix)
+def _component_matrices(presentation):
+    """The dense submatrix of each component of the essential part."""
+    core = presentation.essential_part()
+    matrix = core.adjacency()
+    return [[[matrix[i][j] for j in c] for i in c] for c in core.components()]
+
+
+def _dense_dispatch(presentation):
+    """The three paths tried in order on each component's dense matrix;
+    for more than one component, their enclosures joined, no vectors."""
+    matrices, parts = _component_matrices(presentation), []
+    for matrix in matrices:
+        data = None
+        if len(matrix) <= perron.EXACT_STATE_LIMIT:
+            data = _exact_eigendata(matrix)
+        parts.append(data or _renewal_eigendata(_sparse(matrix))
+                     or _by_power_iteration(matrix))
+    if [len(m) for m in matrices] == [presentation.essential_part().n_states]:
+        return parts[0]
+    lo = max(p.enclosure[0] for p in parts)
+    hi = max(p.enclosure[1] for p in parts)
+    mid = lo if lo == hi else float((lo + hi) / 2)
+    return PerronData(mid, None, None, lo == hi, (lo, hi))
 
 
 def _assert_keyed_on_sparse_rows(presentation):
@@ -263,7 +347,7 @@ def _assert_keyed_on_sparse_rows(presentation):
     matrix = presentation.essential_part().adjacency()
     key = tuple(map(tuple, _sparse(matrix)))
     assert list(cache) == [key]
-    assert data == _dense_dispatch(matrix)
+    assert data == _dense_dispatch(presentation)
     assert perron_eigendata(presentation, cache=cache) is data
 
 
@@ -420,10 +504,7 @@ def test_random_matrices_match_sympy_factoring(matrix):
     ids=["golden", "full-2", "p5", "reducible"],
 )
 def test_exact_path_needs_no_power_iteration(matrix, eigenvalue, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("power iteration reached")
-
-    monkeypatch.setattr(perron, "_power_iteration", refuse)
+    monkeypatch.setattr(perron, "_power_iteration", _refuse_power_iteration)
     data = _exact_eigendata(matrix)
     assert (None if data is None else data.eigenvalue) == eigenvalue
     assert data is None or data.exact
