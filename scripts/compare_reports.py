@@ -64,6 +64,14 @@ EXTENDED = [
     # a depth-1 measure holds no two-symbol pattern
     "verify --beta 2 --measure-depth 1",
     "verify --expansion-file @wrap",
+    # the subcommands and factor depth paths the benchmark leaves out
+    "expand --beta 1.5 --horizon 20",
+    "decomp --op coverage --beta 2.5 --horizon 60 --M 3",
+    "decomp --op split --expansion-file @p5 --word 2100121",
+    "entropy --expansion-file @p9 --nmax 40 --depth 2",
+    "factor --beta 2 --code-file @xor --depth 2",
+    # k + j past the enumeration cap: no length is searched
+    "factor --beta 2 --code-file @xor --depth 23",
 ]
 
 

@@ -30,6 +30,7 @@ from math import gcd, log
 from operator import itemgetter, mul
 
 from .errors import EnumerationCapError, HorizonError, InputError
+from .perron import perron_eigendata
 from .words import Word
 
 DEFAULT_ENUMERATION_CAP = 24
@@ -372,6 +373,7 @@ class Presentation:
         self._live: Presentation | None = None  # see live_part
         self._essential: Presentation | None = None  # see essential_part
         self._components: list | None = None  # see components
+        self._perron = None  # see perron.perron_eigendata
         # the states that reach the marker, by distance (see _poisoned)
         order, order_dist = [], []
         if marker is not None:
@@ -689,9 +691,15 @@ class PresentedShift:
     """A shift space read off its presentation: exact counts, listings,
     membership and continuation counts.
 
-    A subclass sets `presentation`, `alphabet_size` and `enumeration_cap`
-    and defines `beta_value`, the growth rate of the language.
+    A subclass sets `presentation`, `alphabet_size` and `enumeration_cap`.
+    `beta_value`, the growth rate of the language, defaults to the Perron
+    value of the presentation.
     """
+
+    def beta_value(self):
+        """The Perron value of the presentation (computed once, see
+        `perron_eigendata`)."""
+        return perron_eigendata(self.presentation).eigenvalue
 
     def count_language(self, n: int) -> int:
         """|L_n| exactly, by path counting on the presentation."""
@@ -699,11 +707,10 @@ class PresentedShift:
             raise InputError(f"count cap exceeded ({n} > {MATRIX_POWER_CAP})")
         return self.presentation.count_words(n)
 
-    def enumerate_language(self, n: int, cap: int | None = None) -> list[Word]:
-        """The n-words in lexicographic order."""
-        return self.presentation.enumerate_words(
-            n, self.enumeration_cap if cap is None else cap
-        )
+    def enumerate_language(self, n: int) -> list[Word]:
+        """The n-words in lexicographic order, refused past the enumeration
+        cap."""
+        return self.presentation.enumerate_words(n, self.enumeration_cap)
 
     def is_word(self, v: Word) -> bool:
         """Automaton membership test; HorizonError past a truncation."""

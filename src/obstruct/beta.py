@@ -239,8 +239,6 @@ class BetaSystem(PresentedShift):
         self.alphabet_size = expansion.digits[0] + 1
         self.enumeration_cap = enumeration_cap
         self._core_counts = [1]  # Z_t for t = 0, 1, ...
-        self.perron_cache: dict = {}  # see perron.perron_eigendata
-        self._perron_value = None  # see beta_value
         self._match_moves: dict[int, list] = {}  # see match_moves
         self._check_self_admissible()
         self.presentation = self._build_presentation()
@@ -311,8 +309,7 @@ class BetaSystem(PresentedShift):
         if isinstance(beta, str):
             beta = parse_beta(beta)
         _check_caps(beta, horizon)
-        e = greedy_expansion(beta, horizon)
-        return cls(quasi_greedy(e), enumeration_cap=enumeration_cap)
+        return cls(greedy_expansion(beta, horizon), enumeration_cap=enumeration_cap)
 
     @classmethod
     def from_expansion(
@@ -355,17 +352,10 @@ class BetaSystem(PresentedShift):
         return self.expansion.digit_prefix(n)
 
     def beta_value(self):
-        """Exact beta when known, else the Perron value of the presentation,
-        computed (and its live and essential parts built) once per system."""
+        """Exact beta when known, else the Perron value of the presentation."""
         if self.expansion.beta is not None:
             return self.expansion.beta
-        if self._perron_value is None:
-            from .perron import perron_eigendata
-
-            self._perron_value = perron_eigendata(
-                self.presentation.live_part(), cache=self.perron_cache
-            ).eigenvalue
-        return self._perron_value
+        return super().beta_value()
 
     def suffix_match_length(self, v: Word) -> int:
         """Length of the longest suffix of v equal to a prefix of the expansion.

@@ -306,13 +306,13 @@ def cmd_mme(config: RunConfig, n: int | None = None):
     return code, make_report("mme", payload, config.to_dict())
 
 
-def _proof_fields(constant) -> dict:
-    """A check's proof constant; null, with the reason, when the gluing time
-    it needs was not established."""
-    if constant is None:
+def _proof_fields(proof_constant, c1_sup, tau, entropy) -> dict:
+    """A check's proof constant, `proof_constant(c1_sup, tau, entropy)`;
+    null, with the reason, when the gluing time tau was not established."""
+    if tau is None:
         return {"proof_constant": None,
                 "proof_constant_reason": "gluing time not established"}
-    return {"proof_constant": fmt_float(constant)}
+    return {"proof_constant": fmt_float(proof_constant(c1_sup, tau, entropy))}
 
 
 def cmd_verify(config: RunConfig):
@@ -379,22 +379,14 @@ def cmd_verify(config: RunConfig):
 
     # lengths from the measure in use: a measure file sets its own depth
     gibbs_n_top = min(measure.depth - j, 12)
-    gibbs = gibbs_check(
-        measure,
-        system,
-        scheme,
-        M=config.level,
-        n_range=range(1, gibbs_n_top + 1),
-        j=j,
-        proof_constant=None if level_tau is None
-        else gibbs_proof_constant(suite.c1_sup, level_tau, entropy),
-    )
+    gibbs = gibbs_check(measure, system, scheme, M=config.level,
+                        n_range=range(1, gibbs_n_top + 1), j=j)
     record(
         "mass-floor",
         gibbs.passed,
         f"min mass * growth^n = {gibbs.constant:.6g} on {gibbs.word_class}",
         constant=fmt_float(gibbs.constant),
-        **_proof_fields(gibbs.proof_constant),
+        **_proof_fields(gibbs_proof_constant, suite.c1_sup, level_tau, entropy),
     )
 
     pair_len = 1
@@ -402,17 +394,8 @@ def cmd_verify(config: RunConfig):
     pairs = [(u, v) for u in level_words for v in level_words]
     q = max(2 * (level_tau or 0), 2)
     try:
-        mixing = mixing_check(
-            measure,
-            system,
-            scheme,
-            M=config.level,
-            pairs=pairs,
-            q=q,
-            tau=level_tau or 0,
-            proof_constant=None if level_tau is None
-            else mixing_proof_constant(suite.c1_sup, level_tau, entropy),
-        )
+        mixing = mixing_check(measure, system, scheme, M=config.level,
+                              pairs=pairs, q=q, tau=level_tau or 0)
     except DepthError as exc:
         # the gap q does not fit in the measure's depth: no verdict either way
         mixing = None
@@ -424,7 +407,7 @@ def cmd_verify(config: RunConfig):
             mixing.passed,
             f"min joint mass * growth^(m+n) = {mixing.constant:.6g} at gap {q}",
             constant=fmt_float(mixing.constant),
-            **_proof_fields(mixing.proof_constant),
+            **_proof_fields(mixing_proof_constant, suite.c1_sup, level_tau, entropy),
         )
 
     pm_n = min(10, measure.depth)
@@ -517,7 +500,7 @@ def cmd_factor(config: RunConfig, code_file: str):
     # enumeration cap
     induced = induced_decomposition(system, code, scheme)
     factor_sys = induced.factor
-    expans = nonexpansive_growth(system, code, j=config.depth, n_max=config.nmax)
+    expans = nonexpansive_growth(system, code, n_max=config.nmax)
     suffix = upper_entropy(induced.suffixes(), 0, config.nmax)
     positive = factor_entropy_positive(system, code, j=config.depth, source_scheme=scheme)
 

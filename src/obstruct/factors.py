@@ -161,7 +161,6 @@ class FactorSystem(PresentedShift):
         )
         self.presentation = self._build_presentation()
         self.horizon = getattr(source, "horizon", None)
-        self.perron_cache: dict = {}  # see perron.perron_eigendata
 
     def _configurations(self):
         """All (state, window) pairs after reading k - 1 source symbols."""
@@ -207,11 +206,6 @@ class FactorSystem(PresentedShift):
         return Presentation(
             len(index), self.alphabet_size, edges, start=0, marker=index.get(None)
         )
-
-    def beta_value(self):
-        from .perron import perron_eigendata
-
-        return perron_eigendata(self.presentation, cache=self.perron_cache).eigenvalue
 
     def preimages(self, y: Word) -> list[Word]:
         """Source words of length len(y) + k - 1 mapping onto y, sorted."""
@@ -308,15 +302,13 @@ def induced_decomposition(system, code: BlockCode, source_scheme) -> InducedDeco
 class FactorEntropyReport:
     """Outcome of the separated-core-pair search on the image."""
 
-    def __init__(self, verdict: str, depth: int, rate_bound: float | None,
-                 witness: tuple | None, checked_lengths: tuple,
+    def __init__(self, verdict: str, rate_bound: float | None = None,
+                 witness: tuple | None = None,
                  separated_count_verified: int | None = None):
         # "positive-entropy" | "single-point-at-scale" | "inconclusive"
         self.verdict = verdict
-        self.depth = depth
         self.rate_bound = rate_bound
         self.witness = witness  # (core word 1, core word 2, length)
-        self.checked_lengths = checked_lengths
         self.separated_count_verified = separated_count_verified
 
     @property
@@ -338,8 +330,10 @@ def factor_entropy_positive(
     (n*m, 2^-j)-separated, hence an image growth bound of log(2)/n; the
     certificate is verified literally for m = M_VERIFY.  When every length
     in the searched range is exhausted without a pair, the image cannot be
-    separated at this scale by this search; a budget stop instead returns
-    an explicitly inconclusive verdict.
+    separated at this scale by this search.  An empty range (by default,
+    k + j past the enumeration cap) or a budget stop instead returns an
+    explicitly inconclusive verdict; a constant code maps onto one point
+    whatever the range.
     """
     from .decomposition import beta_decomposition
 
@@ -347,27 +341,15 @@ def factor_entropy_positive(
     k = code.window
     if lengths is None:
         lengths = range(k + j, min(k + j + 8, system.enumeration_cap) + 1)
-    checked = []
     if code.is_constant:
-        return FactorEntropyReport(
-            verdict="single-point-at-scale",
-            depth=j,
-            rate_bound=None,
-            witness=None,
-            checked_lengths=tuple(lengths),
-        )
+        return FactorEntropyReport("single-point-at-scale")
+    if not lengths:
+        return FactorEntropyReport("inconclusive")
     for n in lengths:
         try:
             cores = filter(scheme.in_cores, system.enumerate_language(n))
         except EnumerationCapError:
-            return FactorEntropyReport(
-                verdict="inconclusive",
-                depth=j,
-                rate_bound=None,
-                witness=None,
-                checked_lengths=tuple(checked),
-            )
-        checked.append(n)
+            return FactorEntropyReport("inconclusive")
         by_prefix: dict[Word, Word] = {}
         for v in cores:
             key = apply_code(code, v)[: j + 1]
@@ -378,20 +360,12 @@ def factor_entropy_positive(
                     system, code, (v1, v2), n, j, M_VERIFY
                 )
                 return FactorEntropyReport(
-                    verdict="positive-entropy",
-                    depth=j,
+                    "positive-entropy",
                     rate_bound=math.log(2) / n,
                     witness=(v1, v2, n),
-                    checked_lengths=tuple(checked),
                     separated_count_verified=count,
                 )
-    return FactorEntropyReport(
-        verdict="single-point-at-scale",
-        depth=j,
-        rate_bound=None,
-        witness=None,
-        checked_lengths=tuple(checked),
-    )
+    return FactorEntropyReport("single-point-at-scale")
 
 
 def _verify_free_concatenation(system, code, pair, n, j, m) -> int:
@@ -493,13 +467,9 @@ def build_pair_automaton(system, code: BlockCode) -> PairAutomaton:
 class NonexpansiveReport:
     """Expansivity verdict plus growth data for the agreeing-pair system."""
 
-    def __init__(self, verdict: str, depth: int, pair_rate: float | None,
-                 source_rate: float, growth_bound: float | None,
+    def __init__(self, verdict: str, growth_bound: float | None,
                  pair_counts: tuple, automaton: PairAutomaton):
         self.verdict = verdict  # "positively-expansive" | "nonexpansive-pairs"
-        self.depth = depth
-        self.pair_rate = pair_rate
-        self.source_rate = source_rate
         self.growth_bound = growth_bound
         self.pair_counts = pair_counts
         self.automaton = automaton
@@ -509,9 +479,7 @@ class NonexpansiveReport:
         return self.verdict == "positively-expansive"
 
 
-def nonexpansive_growth(
-    system, code: BlockCode, j: int = 0, n_max: int = 40
-) -> NonexpansiveReport:
+def nonexpansive_growth(system, code: BlockCode, n_max: int = 40) -> NonexpansiveReport:
     """Fiber-growth bound for points sharing an image, from pair-path counts.
 
     The verdict is positively expansive when no reachable cycle passes
@@ -522,27 +490,11 @@ def nonexpansive_growth(
     """
     pair = build_pair_automaton(system, code)
     counts = [sum(row) for row in pair.count_rows(n_max)]
+    pair_counts = tuple(counts[: min(len(counts), 12)])
     if not pair.nondiagonal_cycle_exists():
-        return NonexpansiveReport(
-            verdict="positively-expansive",
-            depth=j,
-            pair_rate=None,
-            source_rate=system.log_beta(),
-            growth_bound=None,
-            pair_counts=tuple(counts[: min(len(counts), 12)]),
-            automaton=pair,
-        )
+        return NonexpansiveReport("positively-expansive", None, pair_counts, pair)
     window = range((n_max + 1) // 2, n_max + 1)
     pair_pts = [(n, math.log(counts[n])) for n in window if counts[n] > 0]
     src_pts = [(n, math.log(system.count_language(n))) for n in window]
-    pair_rate = _regression_slope(pair_pts)
-    source_rate = _regression_slope(src_pts)
-    return NonexpansiveReport(
-        verdict="nonexpansive-pairs",
-        depth=j,
-        pair_rate=pair_rate,
-        source_rate=source_rate,
-        growth_bound=max(pair_rate - source_rate, 0.0),
-        pair_counts=tuple(counts[: min(len(counts), 12)]),
-        automaton=pair,
-    )
+    bound = _regression_slope(pair_pts) - _regression_slope(src_pts)
+    return NonexpansiveReport("nonexpansive-pairs", max(bound, 0.0), pair_counts, pair)

@@ -254,11 +254,13 @@ class MassClasses:
         return self._masses[k, n]
 
     def runs_descending(self, n: int) -> list:
-        """(mass, word count) of the length-n classes, largest mass first."""
+        """(class, word count) of the length-n classes, largest weight (so
+        largest mass) first; no mass is rounded."""
         if n not in self._runs:
+            weights = self.weights
             self._runs[n] = sorted(
-                ((self.mass(k, n), c) for k, (c, _) in self.layers[n].items()),
-                key=lambda run: descending_key(run[0]),
+                ((k, c) for k, (c, _) in self.layers[n].items()),
+                key=lambda run: weights[run[0]],
                 reverse=True,
             )
         return self._runs[n]
@@ -297,12 +299,6 @@ class MassClasses:
                 kids = reversed(self.children[k].items())
                 stack.extend((u + (a,), c) for a, c in kids)
         return table
-
-
-def descending_key(m):
-    """Sort key of a mass, exact for exact masses: the float first, so
-    the exact value is compared only between masses of equal float."""
-    return float(m), m
 
 
 def _check_table_size(count: int) -> None:
@@ -595,7 +591,7 @@ def empirical_mme(system, n: int, depth: int) -> CylinderMeasure:
     for length in range(depth + 1):
         last_full = min(n - length, n - 1)
         starts = [s for s in range(pres.n_states) if first[s] <= last_full]
-        for u in system.enumerate_language(length, cap=None):
+        for u in system.enumerate_language(length):
             acc = 0
             for s in starts:
                 t = pres.walk(u, state=s)
@@ -664,7 +660,7 @@ def parry_measure(system, depth: int) -> CylinderMeasure:
             f"measure depth {depth} exceeds enumeration cap {cap}"
         )
     live = pres.essential_part()
-    eigen = perron_eigendata(live, cache=system.perron_cache)
+    eigen = perron_eigendata(live)
     left, right = eigen.left, eigen.right
     total = sum(map(mul, left, right))
     if eigen.exact:

@@ -25,7 +25,7 @@ class EntropyEstimate:
     """A growth-rate estimate in nats per symbol."""
 
     def __init__(self, rate: float, method: str, samples: tuple, depth: int,
-                 tail_rate: float, warning: str | None = None):
+                 tail_rate: float):
         if not math.isfinite(rate) or rate < 0:
             raise ValueError("rate must be finite and non-negative")
         self.rate = rate
@@ -33,7 +33,6 @@ class EntropyEstimate:
         self.samples = samples  # (n, log count) pairs, strictly increasing in n
         self.depth = depth
         self.tail_rate = tail_rate
-        self.warning = warning
 
 
 class OrbitCollection:
@@ -128,14 +127,11 @@ def _regression_slope(points) -> float:
 
 def _collect_samples(collection, j, n_max):
     samples = []
-    gaps = []
     for n in range(1, n_max + 1):
         c = count_separated(collection, n, j)
         if c > 0:
             samples.append((n, math.log(c)))
-        else:
-            gaps.append(n)
-    return samples, gaps
+    return samples
 
 
 def upper_entropy(
@@ -149,20 +145,18 @@ def upper_entropy(
     """
     if n_max < 8:
         raise InputError("n_max must be at least 8")
-    samples, gaps = _collect_samples(collection, j, n_max)
+    samples = _collect_samples(collection, j, n_max)
     if not samples:
         raise EmptyCollectionError(f"empty collection {collection.label!r}")
     start = tail_start if tail_start is not None else (n_max + 1) // 2
     window = [p for p in samples if p[0] >= start] or samples[-1:]
     tail_rate = max(y / n for n, y in window)
     slope = _regression_slope(window)
-    warning = f"no members at lengths {gaps[:4]}..." if gaps else None
     return EntropyEstimate(
         rate=max(slope, 0.0),
         method=METHOD_REGRESSION,
         samples=tuple(samples),
         depth=j,
         tail_rate=max(tail_rate, 0.0),
-        warning=warning,
     )
 

@@ -100,7 +100,7 @@ def _kernel_vector(rows, one):
 
 def _adjacency_rows(presentation) -> tuple:
     """The adjacency matrix as sparse rows: (column, edge count) pairs in
-    increasing column order, one tuple per state; hashable, O(edges)."""
+    increasing column order, one tuple per state; O(edges)."""
     rows = []
     for targets in presentation.delta:
         counts: dict[int, int] = {}
@@ -197,26 +197,23 @@ def _fixed_point_data(rows, cols, right, left) -> PerronData:
     )
 
 
-def perron_eigendata(presentation, cache: dict | None = None) -> PerronData:
+def perron_eigendata(presentation) -> PerronData:
     """Eigendata of the adjacency matrix of the essential part.
 
     Per component: exact when it is small and its Perron root rational or
     quadratic, else the renewal closed form when it has that shape, else
-    power iteration (see the module docstring).  `cache`, a dict the
-    caller owns (one per system), keeps each result under the essential
-    part's sparse adjacency rows, so callers holding different views of one
-    presentation (its live part, its essential part) compute it once.
+    power iteration (see the module docstring).  Kept on the essential
+    part, which every view of a presentation (itself, its live part, its
+    essential part) shares, so they compute it once.
     """
     core = presentation.essential_part()
-    rows = _adjacency_rows(core)
-    if cache is not None and rows in cache:
-        return cache[rows]
-    comps = core.components()
-    parts = [_eigendata(_component_rows(rows, c)) for c in comps]
-    data = parts[0] if len(comps[0]) == len(rows) else _reducible_eigendata(parts)
-    if cache is not None:
-        cache[rows] = data
-    return data
+    if core._perron is None:
+        rows = _adjacency_rows(core)
+        comps = core.components()
+        parts = [_eigendata(_component_rows(rows, c)) for c in comps]
+        core._perron = (parts[0] if len(comps[0]) == len(rows)
+                        else _reducible_eigendata(parts))
+    return core._perron
 
 
 def _component_rows(rows, states) -> tuple:

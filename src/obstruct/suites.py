@@ -85,14 +85,13 @@ class CheckResult:
 
 class CountingSuiteReport:
     def __init__(self, checks: tuple, tau: int, c1: float, c1_sup: float, c2: float,
-                 b_tails: dict, coverage_table: tuple):
+                 b_tails: dict):
         self.checks = checks
         self.tau = tau
         self.c1 = c1
         self.c1_sup = c1_sup
         self.c2 = c2
         self.b_tails = b_tails
-        self.coverage_table = coverage_table
 
     @property
     def passed(self) -> bool:
@@ -232,13 +231,6 @@ def counting_suite(
     c1_exact = max((ratios[n] for n in window), key=float)
     c1 = float(c1_exact)
     c1_sup = max(float(ratios[n]) for n in range(1, n_max + 1))
-    half = (len(list(window)) + 1) // 2
-    first_half = list(window)[:half]
-    second_half = list(window)[half:] or first_half
-    stability = abs(
-        max(float(ratios[n]) for n in first_half)
-        - max(float(ratios[n]) for n in second_half)
-    )
     c2 = math.log(c1) + math.log(2)
     checks.append(
         CheckResult(
@@ -246,7 +238,7 @@ def counting_suite(
             c1_sup <= 2 * c1,
             f"count(n) <= {c1_sup:.6f} * beta^n for n <= {n_max}, "
             f"tail value {c1:.6f}",
-            {"c1": c1, "c1_sup": c1_sup, "stability": stability},
+            {"c1": c1, "c1_sup": c1_sup},
         )
     )
 
@@ -290,7 +282,6 @@ def counting_suite(
         c1_sup=c1_sup,
         c2=c2,
         b_tails=b_tails,
-        coverage_table=tuple(coverage_rows),
     )
 
 
@@ -377,8 +368,7 @@ class GibbsReport:
 
     def __init__(self, word_class: str, depth_offset: int, constant: float,
                  constant_exact: object, argmin: tuple, per_length_min: dict,
-                 violations: tuple, proof_constant: float | None = None,
-                 precondition_met: bool = True):
+                 violations: tuple, precondition_met: bool = True):
         self.word_class = word_class
         self.depth_offset = depth_offset
         self.constant = constant
@@ -386,7 +376,6 @@ class GibbsReport:
         self.argmin = argmin
         self.per_length_min = per_length_min
         self.violations = violations
-        self.proof_constant = proof_constant
         self.precondition_met = precondition_met
 
     def __eq__(self, other):
@@ -404,7 +393,6 @@ def gibbs_check(
     M: int,
     n_range,
     j: int = 0,
-    proof_constant: float | None = None,
 ) -> GibbsReport:
     """Floor for cylinder masses over level-M words: min mass([v]) * beta^n.
 
@@ -441,7 +429,6 @@ def gibbs_check(
         argmin=best[1] if best else (),
         per_length_min=per_length,
         violations=tuple(violations),
-        proof_constant=proof_constant,
     )
 
 
@@ -549,7 +536,6 @@ def mixing_check(
     pairs,
     q: int,
     tau: int = 0,
-    proof_constant: float | None = None,
 ) -> GibbsReport:
     """Floor for two-window masses: min mass([u] & shift^-(|u|+q) [v]) * beta^(|u|+|v|).
 
@@ -594,7 +580,6 @@ def mixing_check(
         argmin=best[1] if best else (),
         per_length_min={},
         violations=tuple(violations),
-        proof_constant=proof_constant,
         precondition_met=q >= 2 * tau,
     )
 
@@ -604,13 +589,15 @@ def positive_mass_count(measure, gamma, n: int) -> int:
 
     Greedy accumulation in descending mass order attains the minimum for
     this objective exactly.  It runs over the length-n mass classes,
-    largest mass first, each taken with its word count.  Float masses, and
-    any mass after a float sum, are added one word at a time, as a pass
-    over the words adds them (a class holds equal masses, so the order
-    inside a run of equal floats does not matter); a layer of more than
-    MAX_TABLE_CYLINDERS float-mass words is refused before any addition.
-    An exact class is taken whole, or up to the least t with
-    acc + t m >= gamma; one of mass m <= 0 is taken whole.
+    largest weight first (the mass is nondecreasing in the weight), each
+    taken with its word count, and rounds only the classes it reaches.
+    Float masses, and any mass after a float sum, are added one word at a
+    time, as a pass over the words adds them (equal floats commute in that
+    sum, so the order among classes of one float mass does not matter); a
+    layer of more than MAX_TABLE_CYLINDERS words of a measure with float
+    masses is refused before any addition.  An exact class is taken whole,
+    or up to the least t with acc + t m >= gamma; one of mass m <= 0 is
+    taken whole.
     """
     gamma = Fraction(gamma)  # exact, also for a float gamma
     if not 0 < float(gamma) < 1:
@@ -620,15 +607,16 @@ def positive_mass_count(measure, gamma, n: int) -> int:
     # g is the float nearest gamma, so a float sum other than g lies on the
     # same side of gamma as of g; only acc == g needs the exact comparison
     g = float(gamma)
-    runs = measure.classes.runs_descending(n)
-    float_words = sum(c for m, c in runs if type(m) is float)
+    classes = measure.classes
+    float_words = 0 if measure.exact else sum(c for c, _ in classes.layers[n].values())
     if float_words > MAX_TABLE_CYLINDERS:
         raise InputError(
             f"positive-mass count over {float_words} float masses at length {n} "
             f"exceeds the cap {MAX_TABLE_CYLINDERS}"
         )
     acc, count = None, 0
-    for m, c in runs:
+    for k, c in classes.runs_descending(n):
+        m = classes.mass(k, n)
         if type(m) is float or type(acc) is float:
             for _ in range(c):
                 acc = m if acc is None else acc + m

@@ -292,6 +292,16 @@ def test_factor_image_entropy_refuses_a_listing_over_the_budget(xor_file, capsys
     assert payload["image_entropy"]["witness"] is None
 
 
+def test_factor_image_entropy_past_the_cap_is_inconclusive(xor_file, capsys):
+    # at depth 23 the first searched length, k + j = 25, is past the cap of
+    # 24: nothing is searched, so nothing is concluded
+    code = main(["factor", "--beta", "2", "--code-file", xor_file, "--depth", "23"])
+    assert code == EXIT_INCONCLUSIVE
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert payload["image_entropy"]["verdict"] == "inconclusive"
+    assert payload["image_entropy"]["witness"] is None
+
+
 def test_non_integer_word_is_input_error(capsys):
     code = main(["decomp", "--op", "split", "--beta", "2", "--word", "0a1"])
     assert code == EXIT_INPUT

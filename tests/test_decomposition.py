@@ -305,8 +305,8 @@ class _GraphSystem:
     def __init__(self, presentation):
         self.presentation = presentation
 
-    def enumerate_language(self, n, cap=None):
-        return self.presentation.enumerate_words(n, cap)
+    def enumerate_language(self, n):
+        return self.presentation.enumerate_words(n, None)
 
     def extensions(self, v, j):
         state = self.presentation.walk(v)

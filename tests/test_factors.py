@@ -184,6 +184,14 @@ class TestEntropyPositive:
         )
         assert report.verdict == "inconclusive"
 
+    def test_empty_length_range_is_inconclusive(self, golden):
+        # no length searched is no evidence of a single image point
+        report = factor_entropy_positive(
+            golden, BlockCode.identity(2), j=0, lengths=range(5, 5)
+        )
+        assert report.verdict == "inconclusive"
+        assert report.witness is None
+
     def test_depth_one(self, golden):
         report = factor_entropy_positive(golden, BlockCode.identity(2), j=1)
         assert report.positive

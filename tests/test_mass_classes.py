@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from obstruct import suites
-from obstruct.automata import Presentation
+from obstruct.automata import Presentation, PresentedShift
 from obstruct.beta import BetaSystem
 from obstruct.cli import EXIT_INCONCLUSIVE, EXIT_INPUT, EXIT_PASS, main
 from obstruct.decomposition import (
@@ -29,7 +29,6 @@ from obstruct.measures import (
     empirical_mme,
     parry_measure,
 )
-from obstruct.perron import perron_eigendata
 from obstruct.suites import (
     _exact_beta,
     _scale_mass,
@@ -72,9 +71,9 @@ def _bench(name):
     return system, m, _listed(m)
 
 
-class _GraphSystem:
-    """A shift given by a bare presentation, with the interface the
-    measure, the degenerate scheme and the checks read."""
+class _GraphSystem(PresentedShift):
+    """A shift given by a bare presentation, read through the protocol
+    (its growth rate is the default Perron value)."""
 
     horizon = None
     enumeration_cap = 24
@@ -82,21 +81,6 @@ class _GraphSystem:
     def __init__(self, pres):
         self.presentation = pres
         self.alphabet_size = pres.alphabet_size
-        self.perron_cache = {}
-
-    def beta_value(self):
-        return perron_eigendata(self.presentation, cache=self.perron_cache).eigenvalue
-
-    def enumerate_language(self, n, cap=None):
-        cap = self.enumeration_cap if cap is None else cap
-        return self.presentation.enumerate_words(n, cap)
-
-    def is_word(self, v):
-        in_alphabet = all(0 <= a < self.alphabet_size for a in v)
-        return in_alphabet and self.presentation.accepts(v)
-
-    def count_language(self, n):
-        return self.presentation.count_words(n)
 
 
 def _outcome(fn):
@@ -365,8 +349,33 @@ def test_exact_masses_with_equal_floats_sort_exactly():
     assert float(m0) == float(m1)
     masses = {(0,): m0, (1,): m0, (2,): m1, (3,): m1, (4,): m1}
     m = CylinderMeasure(5, 1, {(): 1, **masses}, "test", exact=True)
-    assert m.classes.runs_descending(1) == [(m1, 3), (m0, 2)]
+    runs = m.classes.runs_descending(1)
+    assert [(m.classes.weights[k], c) for k, c in runs] == [(m1, 3), (m0, 2)]
     assert positive_mass_count(m, m0 + m1, 1) == 2
+
+
+@pytest.mark.parametrize("gamma", [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)])
+@pytest.mark.parametrize("make", [
+    BetaSystem.golden_mean,  # exact quadratic masses
+    lambda: BetaSystem.from_beta("1.5", horizon=60),  # float masses
+], ids=["golden", "1.5@60"])
+def test_positive_mass_count_finishes_only_the_classes_it_reaches(make, gamma):
+    m = parry_measure(make(), 10)
+    classes = m.classes
+    finished = []
+    finish = classes.finish
+    classes.finish = lambda acc, n: finished.append(acc) or finish(acc, n)
+    count = positive_mass_count(m, gamma, 10)
+    runs = classes.runs_descending(10)
+    # the classes up to the one holding the count-th word, largest first
+    covered, reached = 0, []
+    for k, c in runs:
+        reached.append(k)
+        covered += c
+        if covered >= count:
+            break
+    assert len(reached) < len(runs)
+    assert finished and set(finished) <= {classes.weights[k] for k in reached}
 
 
 def test_float_positive_mass_count_over_budget_exits_at_once(capsys):

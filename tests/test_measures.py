@@ -55,7 +55,7 @@ def per_start_state_masses(system, depth, rounded=True):
     table = {}
     for length in range(depth + 1):
         lam_pow = lam ** length
-        for u in system.enumerate_language(length, cap=None):
+        for u in system.enumerate_language(length):
             acc = None
             for s in range(live.n_states):
                 t = live.walk(u, state=s)
@@ -74,7 +74,7 @@ def parry_reference(system, depth):
     one float per cylinder (exact field elements for exact eigendata)."""
     mpmath = pytest.importorskip("mpmath")
     live = system.presentation.essential_part()
-    eigen = perron_eigendata(live, cache=system.perron_cache)
+    eigen = perron_eigendata(live)
     table = {}
     with mpmath.workdps(60):
         if eigen.exact:
@@ -118,7 +118,7 @@ def per_shift_empirical(system, n, depth):
     denom = n * total_words
     table = {}
     for length in range(depth + 1):
-        for u in system.enumerate_language(length, cap=None):
+        for u in system.enumerate_language(length):
             acc = 0
             for k in range(n):
                 if k + length <= n:
@@ -199,8 +199,8 @@ class _PresentationSystem:
     def count_language(self, n):
         return self.presentation.count_words(n)
 
-    def enumerate_language(self, n, cap=None):
-        return self.presentation.enumerate_words(n, cap)
+    def enumerate_language(self, n):
+        return self.presentation.enumerate_words(n, None)
 
 
 @given(presentations(), st.data())

@@ -25,6 +25,7 @@ from obstruct.perron import (
     perron_eigendata,
 )
 from obstruct.quadratic import QuadraticNumber
+from test_mass_classes import _GraphSystem
 
 AGREE = Fraction(1, 10**40)
 
@@ -341,14 +342,24 @@ def _dense_dispatch(presentation):
     return PerronData(mid, None, None, lo == hi, (lo, hi))
 
 
-def _assert_keyed_on_sparse_rows(presentation):
-    cache = {}
-    data = perron_eigendata(presentation, cache=cache)
-    matrix = presentation.essential_part().adjacency()
-    key = tuple(map(tuple, _sparse(matrix)))
-    assert list(cache) == [key]
-    assert data == _dense_dispatch(presentation)
-    assert perron_eigendata(presentation, cache=cache) is data
+def _assert_computed_once(system, monkeypatch):
+    # every view of the presentation reaches one essential part, which keeps
+    # the data: one computation per component, equal to the dense dispatch
+    calls = []
+    compute = perron._eigendata
+    monkeypatch.setattr(
+        perron, "_eigendata", lambda *args: calls.append(args) or compute(*args)
+    )
+    presentation = system.presentation
+    beta = system.beta_value()
+    views = [presentation, presentation.live_part(), presentation.essential_part()]
+    data = [perron_eigendata(view) for view in views]
+    if presentation.is_primitive():
+        assert parry_measure(system, 3).meta["eigenvalue"] == float(data[0].eigenvalue)
+    assert system.beta_value() == beta == data[0].eigenvalue
+    assert len(calls) == len(presentation.essential_part().components())
+    assert all(d is data[0] for d in data)
+    assert data[0] == _dense_dispatch(presentation)
 
 
 @given(
@@ -356,25 +367,10 @@ def _assert_keyed_on_sparse_rows(presentation):
     st.integers(min_value=1, max_value=3),
 )
 @settings(max_examples=30, deadline=None)
-def test_random_renewal_matrices_keyed_on_sparse_rows(head, last):
-    _assert_keyed_on_sparse_rows(_presentation(_renewal_matrix(head + [last])))
-
-
-@pytest.mark.parametrize(
-    "presentation",
-    [
-        BetaSystem.from_expansion((2, 1, 1, 0), period=2).presentation,
-        FactorSystem(
-            BetaSystem.from_expansion((1, 1, 0, 1, 0, 0, 1, 0, 0), period=9),
-            BlockCode.xor(),
-        ).presentation,
-        # x^3 - 2x^2 + x - 1: no rational or quadratic factor
-        _presentation([[1, 1, 0], [0, 1, 1], [1, 0, 0]]),
-    ],
-    ids=["preperiodic", "factor", "3x3"],
-)
-def test_non_renewal_matrices_keyed_on_sparse_rows(presentation):
-    _assert_keyed_on_sparse_rows(presentation)
+def test_random_renewal_matrices_computed_once(head, last):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        system = _GraphSystem(_presentation(_renewal_matrix(head + [last])))
+        _assert_computed_once(system, monkeypatch)
 
 
 def test_dense_matrix_only_for_the_exact_path(monkeypatch):
@@ -411,24 +407,18 @@ def test_other_shapes_are_not_renewal(matrix):
             BetaSystem.from_expansion((2, 1, 0, 0, 1), period=5),
             BlockCode.identity(3),
         ),
+        lambda: BetaSystem.from_expansion((2, 1, 1, 0), period=2),
+        lambda: FactorSystem(
+            BetaSystem.from_expansion((1, 1, 0, 1, 0, 0, 1, 0, 0), period=9),
+            BlockCode.xor(),
+        ),
+        # x^3 - 2x^2 + x - 1: no rational or quadratic factor
+        lambda: _GraphSystem(_presentation([[1, 1, 0], [0, 1, 1], [1, 0, 0]])),
     ],
-    ids=["p9", "user-truncated", "identity(p5)"],
+    ids=["p9", "user-truncated", "identity(p5)", "preperiodic", "factor", "3x3"],
 )
 def test_eigendata_computed_once_per_system(make, monkeypatch):
-    # beta_value reads the live part, parry_measure the essential part: one
-    # essential matrix, so one computation, equal to an uncached one
-    system = make()
-    calls = []
-    compute = perron._eigendata
-    monkeypatch.setattr(
-        perron, "_eigendata", lambda *args: calls.append(args) or compute(*args)
-    )
-    beta = system.beta_value()
-    measure = parry_measure(system, 3)
-    assert system.beta_value() == beta
-    assert len(calls) == 1 and len(system.perron_cache) == 1
-    assert measure.meta["eigenvalue"] == float(beta)
-    assert list(system.perron_cache.values()) == [perron_eigendata(make().presentation)]
+    _assert_computed_once(make(), monkeypatch)
 
 
 def _essential_matrix(expansion, period):
