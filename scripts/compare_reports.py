@@ -48,9 +48,14 @@ EXTENDED = [
     "verify --beta 1.5 --horizon 60 --measure-depth 14",
     "verify --beta 200",
     "verify --beta 3 --depth 2",
-    # every gluing check fails: the proof constants need the level's gluing time
+    # the full 3-shift: the tuple search of levels 1 and 2 is over its budget
+    "verify --beta 3 --depth 1",
     "verify --beta 2.5 --horizon 60 --depth 2",
+    # the certificate's gap, 9, exceeds --tau-max: no gluing time, and so no
+    # proof constants
     "verify --beta 1.5 --horizon 60 --depth 3",
+    # the degenerate scheme's finite levels keep the literal search
+    "verify --degenerate --beta 1.5 --horizon 60",
     "verify --expansion-file @p5 --depth 2",
     "mme --beta 1.5 --horizon 600 --n 500",
     "mme --beta 1.5",
@@ -59,7 +64,7 @@ EXTENDED = [
     "entropy --beta 2.5 --horizon 300 --nmax 300",
     # the gluing searches meet the truncation marker and still find tau = 3
     "decomp --op spec --beta 1.5 --horizon 8 --depth 1",
-    # exit 2: a gluing search meets the marker before any glued word
+    # exit 2: counting meets the truncation marker
     "verify --beta 1.5 --horizon 10 --depth 1",
     # a depth-1 measure holds no two-symbol pattern
     "verify --beta 2 --measure-depth 1",

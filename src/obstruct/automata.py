@@ -307,13 +307,13 @@ def _poisoned(order, dist, row, j):
     return row
 
 
-def _marker_distances(delta, marker) -> list:
-    """Edge distance from each state to the marker (None: unreachable)."""
+def distances_to(delta, target) -> list:
+    """Edge distance from each state to `target` (None: no path)."""
     sources = [[] for _ in delta]
     for s, targets in enumerate(delta):
         for t in targets.values():
             sources[t].append(s)
-    return bfs_distances(sources, marker)
+    return bfs_distances(sources, target)
 
 
 def doubling_pays(states: int, edges: int, n: int, base: int) -> bool:
@@ -372,12 +372,13 @@ class Presentation:
         self._to_marker: int | None = None  # distance from start to marker
         self._live: Presentation | None = None  # see live_part
         self._essential: Presentation | None = None  # see essential_part
+        self._all_essential = False  # no state dropped: self is the essential part
         self._components: list | None = None  # see components
         self._perron = None  # see perron.perron_eigendata
         # the states that reach the marker, by distance (see _poisoned)
         order, order_dist = [], []
         if marker is not None:
-            dist = _marker_distances(self.delta, marker)
+            dist = distances_to(self.delta, marker)
             self._to_marker = dist[start]
             order = sorted(
                 (s for s in range(n_states) if dist[s] is not None),
@@ -635,7 +636,7 @@ class Presentation:
         built once."""
         if self.marker is not None:
             return self.live_part().essential_part()
-        if self._essential is None:
+        if self._essential is None and not self._all_essential:
             keep, last = set(range(self.n_states)), None
             while keep != last:
                 last = keep
@@ -643,10 +644,11 @@ class Presentation:
                         if any(t in last for t in self.delta[s].values())}
             if self.start not in keep:
                 raise HorizonError("no infinite continuation from the start state")
-            if len(keep) == self.n_states:
-                return self  # not kept: no presentation refers to itself
-            self._essential = self._restricted(sorted(keep))
-        return self._essential
+            # a flag, not a reference: no presentation refers to itself
+            self._all_essential = len(keep) == self.n_states
+            if not self._all_essential:
+                self._essential = self._restricted(sorted(keep))
+        return self if self._all_essential else self._essential
 
     def components(self) -> list[list[int]]:
         """The strongly connected components that hold a cycle, each as its

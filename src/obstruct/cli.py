@@ -19,6 +19,7 @@ from fractions import Fraction
 
 from . import beta as beta_mod
 from .decomposition import (
+    SEARCH_LENGTHS,
     beta_decomposition,
     degenerate_decomposition,
     filtration_coverage,
@@ -62,8 +63,6 @@ EXIT_INCONCLUSIVE = 3
 
 # largest --nmax: every length up to it is counted in big integers
 MAX_NMAX = 10_000
-# segment lengths of the gluing searches
-SPEC_LENGTHS = range(1, 5)
 
 
 class RunConfig:
@@ -251,7 +250,7 @@ def cmd_decomp(config: RunConfig, op: str, word_text: str | None = None, n: int 
             collection,
             j=config.depth,
             tau_max=config.tau_max,
-            lengths=SPEC_LENGTHS,
+            lengths=SEARCH_LENGTHS,
         )
         rep = result.reports[-1]
         payload = {
@@ -327,36 +326,30 @@ def cmd_verify(config: RunConfig):
         entry.update(extra)
         checks.append(entry)
 
-    # gluing certificates for the filtration levels
+    # gluing times of the filtration levels, established as the scheme does:
+    # (tau, how) or (None, why not)
     level_glue = {}
     for M in range(config.level + 1):
-        result = min_gluing_time(
-            system,
-            scheme.level_collection(M),
-            j=j,
-            tau_max=config.tau_max,
-            lengths=SPEC_LENGTHS,
-        )
-        level_glue[M] = result
-        if result.tau is None:
+        gap, note = level_glue[M] = scheme.gluing_time(M, j, config.tau_max)
+        if gap is None:
             inconclusive = True
-            record(f"gluing-level-{M}", False, result.no_gluing_summary)
+            record(f"gluing-level-{M}", False, note)
         else:
             record(
                 f"gluing-level-{M}",
                 True,
-                f"gluing time {result.tau} at depth {j}",
-                tau=result.tau,
+                f"gluing time {gap} at depth {j}",
+                tau=gap,
+                evidence=note,
             )
 
     # the cores are level 0 in every scheme
-    core_glue = level_glue[0]
-    tau = core_glue.tau
+    tau, note = level_glue[0]
     if tau is None:
         inconclusive = True
-        record("gluing-cores", False, core_glue.no_gluing_summary)
+        record("gluing-cores", False, note)
     else:
-        record("gluing-cores", True, f"gluing time {tau}", tau=tau)
+        record("gluing-cores", True, f"gluing time {tau}", tau=tau, evidence=note)
 
     # without a core gluing time the two checks that need one are not run;
     # the other checks and constants do not depend on tau
@@ -374,8 +367,8 @@ def cmd_verify(config: RunConfig):
     else:
         measure = parry_measure(system, config.measure_depth)
     entropy = system.log_beta()
-    # None when the level's gluing check was refused or found no gap
-    level_tau = level_glue[config.level].tau
+    # None when the level's gluing time was not established
+    level_tau = level_glue[config.level][0]
 
     # lengths from the measure in use: a measure file sets its own depth
     gibbs_n_top = min(measure.depth - j, 12)
@@ -449,7 +442,7 @@ def cmd_verify(config: RunConfig):
     margin = 0.05
     hypotheses_met = (
         obstruction.rate + margin < entropy
-        and all(r.found for r in level_glue.values())
+        and all(t is not None for t, _ in level_glue.values())
     )
     record(
         "obstruction-below-entropy",
@@ -509,7 +502,7 @@ def cmd_factor(config: RunConfig, code_file: str):
         collection=induced.level_collection(config.level),
         j=config.depth,
         tau_max=config.tau_max + code.window,
-        lengths=SPEC_LENGTHS,
+        lengths=SEARCH_LENGTHS,
     )
 
     mme_gap = None
@@ -569,7 +562,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--horizon", type=int, default=80, help="digits computed for beta")
     parser.add_argument("--nmax", type=int, default=24, help="largest word length used")
     parser.add_argument("--depth", type=int, default=0, help="scale depth index j")
-    parser.add_argument("--tau-max", type=int, default=4, help="largest gap searched")
+    parser.add_argument("--tau-max", type=int, default=4,
+                        help="largest gluing gap: gaps are searched up to it, "
+                        "and a larger certificate gap is not established")
     parser.add_argument("--M", dest="level", type=int, default=2, help="filtration level")
     parser.add_argument("--measure-depth", type=int, default=12)
     parser.add_argument("--out", help="output directory for reports and CSV")

@@ -8,6 +8,11 @@ the expansion (the exact follower value, so the split is unique and
 O(|v|)), and a core that by construction ends in no prefix of the
 expansion.
 
+A scheme also says how its levels' gluing times are established
+(`DecompositionScheme.gluing_time`): by default with the literal search
+below; on a beta-shift by a structural certificate read off the
+synchronizing state 0, for every segment length and number of segments.
+
 Specification of a collection at depth j with gap tau is checked
 literally: for every tuple of depth-extended words, some single word must
 carry all of them at offsets spaced by the gap.  The check is exhaustive or
@@ -31,6 +36,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from .automata import distances_to
 from .errors import InputError, SpecificationError
 from .orbits import EntropyEstimate, OrbitCollection, count_separated, upper_entropy
 from .words import Word, overlay
@@ -38,8 +44,9 @@ from .words import Word, overlay
 DEFAULT_TUPLE_BUDGET = 100_000
 # passing and failing tuples a specification report keeps, each
 WITNESS_LIMIT = 16
-# segment lengths of the level certificates of `obstruction_entropy_upper`
-CERTIFY_LENGTHS = range(1, 5)
+# segment lengths of the literal gluing searches of the CLI and of
+# `obstruction_entropy_upper`
+SEARCH_LENGTHS = range(1, 5)
 
 
 class DecompositionScheme:
@@ -128,6 +135,18 @@ class DecompositionScheme:
         """The level-M words of length n, in lexicographic order."""
         return [v for v in self.system.enumerate_language(n) if self.in_level(v, M)]
 
+    def gluing_time(self, M: int, j: int, tau_max: int) -> tuple:
+        """(tau, note): the gluing time of level M at depth j, at most
+        tau_max, and how it was established; or (None, why not).  By
+        default the literal search over segments of SEARCH_LENGTHS."""
+        result = min_gluing_time(self.system, self.level_collection(M), j=j,
+                                 tau_max=tau_max, lengths=SEARCH_LENGTHS)
+        if not result.found:
+            return None, result.no_gluing_summary
+        last = result.reports[-1]
+        return result.tau, (
+            f"literal search: {last.k_max} segments, lengths {list(last.lengths)}")
+
     def level_automaton(self, M: int):
         """(start, moves, member): `moves(state)` lists (symbol, next state)
         in increasing symbol order for the symbols a word in that state can
@@ -185,6 +204,39 @@ class BetaDecomposition(DecompositionScheme):
             )
 
         return counter
+
+    def gluing_time(self, M: int, j: int, tau_max: int) -> tuple:
+        """Gap with which level-M segments glue at depth j, from state 0.
+
+        State 0 reads the whole language and loops on the symbol 0.  A
+        level-M segment's base block ends in a match state <= M and its
+        depth tail j steps later; from there d steps reach state 0, and
+        zeros stay there, so the next segment can follow after every gap of
+        at least j + d.  The certificate is j + the largest such d: it holds
+        for every segment length and any number of segments (the
+        synchronizing-state form of specification).  Not established when
+        a state reached is the truncation marker or has no path to state 0,
+        or when j + d exceeds tau_max.
+        """
+        system = self.system
+        pres = system.presentation
+        # a larger match wraps onto the period, or lies past the marker
+        top = min(M, pres.n_states - 1)
+        reached = {system.match_state(m) for m in range(top + 1)}
+        for _ in range(j):
+            if pres.marker in reached:
+                break
+            reached = {t for s in reached for _, t in pres.moves(s)}
+        if pres.marker in reached:
+            return None, f"level {M} at depth {j} reaches the truncation marker"
+        to_zero = distances_to(pres.delta, 0)
+        if any(to_zero[s] is None for s in reached):
+            return None, (f"level {M} at depth {j} reaches a state with no "
+                          "path to state 0 inside the stored horizon")
+        tau = j + max(to_zero[s] for s in reached)
+        if tau > tau_max:
+            return None, f"certificate gluing time {tau} exceeds --tau-max {tau_max}"
+        return tau, "state-0 certificate: all lengths, any number of segments"
 
     def level_automaton(self, M: int):
         # the state is the exact suffix match, the level test m <= M
@@ -596,7 +648,7 @@ def obstruction_entropy_upper(
             scheme.level_collection(M),
             j=j,
             tau_max=tau_max,
-            lengths=CERTIFY_LENGTHS,
+            lengths=SEARCH_LENGTHS,
         )
         if not result.found:
             raise SpecificationError(

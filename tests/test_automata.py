@@ -513,3 +513,12 @@ def test_live_and_essential_parts_are_built_once():
     core = pres.essential_part()
     assert pres.live_part() is pres and pres.essential_part() is core
     assert core.n_states == 1 and core.count_words(5) == 1
+
+
+def test_essential_part_without_dead_ends_is_swept_once(monkeypatch):
+    # no state is dropped, so the presentation is its own essential part:
+    # that outcome is kept too, and a second call reads no edge
+    live = BetaSystem.from_beta("2.5", horizon=300).presentation.live_part()
+    assert live.essential_part() is live
+    monkeypatch.setattr(live, "delta", None)
+    assert live.essential_part() is live

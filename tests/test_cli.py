@@ -384,14 +384,14 @@ def test_cli_runs_without_mpmath(tmp_path):
 
 
 def test_verify_reuses_level_zero_gluing_for_cores(monkeypatch, capsys):
-    # on the beta scheme the cores are level 0: one search per level
-    from obstruct import cli
+    # on the beta scheme the cores are level 0: one certificate per level
+    from obstruct.decomposition import BetaDecomposition
 
     calls = []
-    search = cli.min_gluing_time
+    certificate = BetaDecomposition.gluing_time
     monkeypatch.setattr(
-        cli, "min_gluing_time",
-        lambda *args, **kwargs: calls.append(args) or search(*args, **kwargs),
+        BetaDecomposition, "gluing_time",
+        lambda *args, **kwargs: calls.append(args) or certificate(*args, **kwargs),
     )
     with tempfile.TemporaryDirectory() as tmp:
         p5 = Path(tmp) / "p5.txt"
@@ -476,8 +476,10 @@ def test_correlation_probe_past_a_depth_1_measure_is_not_run(argv, tmp_path, cap
 
 
 @pytest.mark.parametrize("argv", [
-    ["verify", "--beta", "200"],  # every gluing check refused
-    ["verify", "--beta", "2.5", "--horizon", "60", "--depth", "2"],  # no gap
+    # the certificate's gap, 9, exceeds --tau-max 4
+    ["verify", "--beta", "1.5", "--horizon", "60", "--depth", "3"],
+    # the certificate's gap, 3, exceeds --tau-max 2
+    ["verify", "--beta", "1.5", "--horizon", "60", "--depth", "1", "--tau-max", "2"],
 ])
 def test_gluing_count_checks_need_a_core_gluing_time(argv, capsys):
     assert main(argv) == EXIT_INCONCLUSIVE

@@ -744,3 +744,52 @@ def test_empty_level_lists_nothing(monkeypatch):
     monkeypatch.setattr(system, "enumerate_language", refuse)
     assert count_separated(level, 5, 0) == 0
     assert level.at(5) == ()
+
+
+# periodic expansions of 1 (digits, period): golden, p5 and p9
+_PERIODIC = [((1, 0), 2), ((2, 1, 0, 0, 1), 5), ((1, 1, 0, 1, 0, 0, 1, 0, 0), 9)]
+
+
+@st.composite
+def _gluing_cells(draw):
+    """(system, M, j): beta = p/q or a periodic expansion, exact or cut to a
+    horizon of at most 40 digits, with M <= 2 and j <= 2."""
+    kind = draw(st.sampled_from(["ratio", "periodic", "cut"]))
+    if kind == "ratio":
+        q = draw(st.integers(1, 50))
+        beta = Fraction(draw(st.integers(q + 1, 6 * q)), q)
+        system = BetaSystem.from_beta(beta, horizon=draw(st.integers(1, 40)))
+    else:
+        digits, period = draw(st.sampled_from(_PERIODIC))
+        if kind == "periodic":
+            system = BetaSystem.from_expansion(digits, period=period)
+        else:
+            system = BetaSystem.from_expansion((digits * 40)[: draw(st.integers(1, 40))])
+    return system, draw(st.integers(0, 2)), draw(st.integers(0, 2))
+
+
+@given(_gluing_cells())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_certificate_bounds_the_literal_gluing_time(cell):
+    # the literal search over short segments may glue earlier than the
+    # certificate, never later; and the certificate's gap passes the check
+    system, M, j = cell
+    scheme = beta_decomposition(system)
+    tau, _ = scheme.gluing_time(M, j, tau_max=10 ** 6)
+    event("not established" if tau is None else "established")
+    if tau is None:
+        return
+    level = scheme.level_collection(M)
+    lengths, budget = range(1, 4), 20_000
+    try:
+        literal = min_gluing_time(system, level, j=j, tau_max=tau,
+                                  lengths=lengths, budget=budget)
+        report = check_specification(system, level, j, tau,
+                                     lengths=lengths, budget=budget)
+    except HorizonError:
+        event("search meets the marker")
+        return
+    if literal.reports[-1].exhaustive:
+        assert literal.found and literal.tau <= tau
+    if report.exhaustive:
+        assert report.passed
