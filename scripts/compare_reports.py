@@ -38,6 +38,8 @@ INPUTS = {
     # a preperiodic wrap: its 4-state Perron root 2.568... is neither
     # rational nor quadratic, so its Perron data come by power iteration
     "wrap": "period=2\n2110\n",
+    # the silver mean 1 + sqrt(2): exact arithmetic in a second field, D = 2
+    "silver": "period=2\n20\n",
 }
 
 # commands outside the benchmark, run after it with --extended
@@ -77,6 +79,11 @@ EXTENDED = [
     "factor --beta 2 --code-file @xor --depth 2",
     # k + j past the enumeration cap: no length is searched
     "factor --beta 2 --code-file @xor --depth 23",
+    # exact quadratic masses, powers and tail sums in Q(sqrt 2) and, deeper,
+    # in Q(sqrt 5)
+    "verify --expansion-file @silver --depth 1",
+    "mme --expansion-file @silver --n 500",
+    "verify --expansion-file @golden --measure-depth 16 --depth 1",
 ]
 
 

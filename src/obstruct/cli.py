@@ -385,23 +385,29 @@ def cmd_verify(config: RunConfig):
     pair_len = 1
     level_words = scheme.level_words(config.level, pair_len)
     pairs = [(u, v) for u in level_words for v in level_words]
-    q = max(2 * (level_tau or 0), 2)
-    try:
-        mixing = mixing_check(measure, system, scheme, M=config.level,
-                              pairs=pairs, q=q, tau=level_tau or 0)
-    except DepthError as exc:
-        # the gap q does not fit in the measure's depth: no verdict either way
-        mixing = None
-        inconclusive = True
-        record("two-window-mass-floor", False, f"not run: {exc}")
+    mixing = None
+    if level_tau is None:
+        # the level's gluing rows already fail: no gap to check the floor at
+        record("two-window-mass-floor", False, "not run: gluing time not established")
     else:
-        record(
-            "two-window-mass-floor",
-            mixing.passed,
-            f"min joint mass * growth^(m+n) = {mixing.constant:.6g} at gap {q}",
-            constant=fmt_float(mixing.constant),
-            **_proof_fields(mixing_proof_constant, suite.c1_sup, level_tau, entropy),
-        )
+        q = max(2 * level_tau, 2)
+        try:
+            mixing = mixing_check(measure, system, scheme, M=config.level,
+                                  pairs=pairs, q=q, tau=level_tau)
+        except DepthError as exc:
+            # the gap q does not fit in the measure's depth: no verdict either way
+            inconclusive = True
+            record("two-window-mass-floor", False, f"not run: {exc}")
+        else:
+            record(
+                "two-window-mass-floor",
+                mixing.passed,
+                f"min joint mass * growth^(m+n) = {mixing.constant:.6g} at gap {q}",
+                constant=fmt_float(mixing.constant),
+                **_proof_fields(
+                    mixing_proof_constant, suite.c1_sup, level_tau, entropy
+                ),
+            )
 
     pm_n = min(10, measure.depth)
     pm_rows = []

@@ -1,15 +1,16 @@
 """Exact arithmetic in real quadratic fields.
 
-Numbers are stored as a + b*sqrt(D) with rational a, b and a fixed
-square-free D > 1.  This is enough to hold Perron eigendata of the small
-flagship presentations (golden mean, silver mean, ...) exactly, so that
-cylinder masses and Gibbs constants come out as exact field elements
-rather than floats.
+A number (A + B*sqrt(D)) / q is held as integers in lowest terms, q > 0 and
+gcd(A, B, q) = 1, with D > 1 fixed per number: each operation is a few
+integer products and one gcd.  This holds the Perron eigendata of the small
+flagship presentations (golden mean, silver mean, ...) exactly, so cylinder
+masses and Gibbs constants come out as exact field elements, not floats.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 
@@ -30,93 +31,121 @@ def _squarefree_split(n: int) -> tuple[int, int]:
     return s, d * n
 
 
-def _pair(x, y):
-    """Normalize two operands into a common field; None if y is foreign."""
+def _new(A: int, B: int, q: int, D: int) -> "QuadraticNumber":
+    """(A + B sqrt(D)) / q in lowest terms, for integers with q != 0."""
+    g = math.gcd(A, B, q)
+    if q < 0:
+        g = -g
+    x = object.__new__(QuadraticNumber)
+    x.A, x.B, x.q, x.D = A // g, B // g, q // g, D
+    return x
+
+
+def _coords(x: "QuadraticNumber", y):
+    """(D, A, B, q, A', B', q') of x and y over one field, None when y is
+    neither rational nor quadratic.  A rational embeds in any field."""
+    if isinstance(y, QuadraticNumber):
+        D = x.D
+        if y.D != D:
+            if x.B == 0:
+                D = y.D
+            elif y.B != 0:
+                raise ValueError(f"mixed fields sqrt({x.D}) and sqrt({y.D})")
+        return D, x.A, x.B, x.q, y.A, y.B, y.q
     if isinstance(y, (int, Fraction)):
-        y = QuadraticNumber(y, 0, x.D)
-    elif not isinstance(y, QuadraticNumber):
-        return None
-    if x.D == y.D:
-        return x, y
-    if x.b == 0:
-        return QuadraticNumber(x.a, 0, y.D), y
-    if y.b == 0:
-        return x, QuadraticNumber(y.a, 0, x.D)
-    raise ValueError(f"mixed fields sqrt({x.D}) and sqrt({y.D})")
+        return x.D, x.A, x.B, x.q, y.numerator, 0, y.denominator
+    return None
+
+
+def _order(test):
+    """The comparison method that applies `test` to (sign of self - other, 0)."""
+    def compare(self, other):
+        c = self._cmp(other)
+        return NotImplemented if c is NotImplemented else test(c, 0)
+    return compare
 
 
 class QuadraticNumber:
-    """An element a + b*sqrt(D) of the real quadratic field Q(sqrt(D))."""
+    """An element a + b*sqrt(D) of the real quadratic field Q(sqrt(D)),
+    for rational (int or Fraction) a and b."""
 
-    __slots__ = ("a", "b", "D")
+    __slots__ = ("A", "B", "q", "D")
 
     def __init__(self, a, b=0, D=5):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-        self.D = int(D)
-        if self.D <= 1:
+        if not (isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction))):
+            raise TypeError("coefficients must be int or Fraction")
+        D = int(D)
+        if D <= 1:
             raise ValueError("D must be an integer > 1")
+        A, B = a.numerator * b.denominator, b.numerator * a.denominator
+        q = a.denominator * b.denominator
+        g = math.gcd(A, B, q)
+        self.A, self.B, self.q, self.D = A // g, B // g, q // g, D
+
+    a = property(lambda self: Fraction(self.A, self.q), doc="rational part a")
+    b = property(lambda self: Fraction(self.B, self.q), doc="coefficient b of sqrt(D)")
 
     @staticmethod
     def sqrt(n) -> "QuadraticNumber":
         s, d = _squarefree_split(int(n))
-        if d == 1:
-            return QuadraticNumber(s, 0, 2)
-        return QuadraticNumber(0, s, d)
+        return _new(s, 0, 1, 2) if d == 1 else _new(0, s, 1, d)
 
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):
-        p = _pair(self, other)
-        if p is None:
+        c = _coords(self, other)
+        if c is None:
             return NotImplemented
-        x, y = p
-        return QuadraticNumber(x.a + y.a, x.b + y.b, x.D)
+        D, A, B, q, a, b, r = c
+        if q == r:
+            return _new(A + a, B + b, q, D)
+        return _new(A * r + a * q, B * r + b * q, q * r, D)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadraticNumber(-self.a, -self.b, self.D)
+        return _new(-self.A, -self.B, self.q, self.D)
 
     def __sub__(self, other):
-        p = _pair(self, other)
-        if p is None:
+        c = _coords(self, other)
+        if c is None:
             return NotImplemented
-        x, y = p
-        return QuadraticNumber(x.a - y.a, x.b - y.b, x.D)
+        D, A, B, q, a, b, r = c
+        return _new(A * r - a * q, B * r - b * q, q * r, D)
 
     def __rsub__(self, other):
-        return -(self - other)
+        diff = self.__sub__(other)
+        return diff if diff is NotImplemented else -diff
 
     def __mul__(self, other):
-        p = _pair(self, other)
-        if p is None:
+        c = _coords(self, other)
+        if c is None:
             return NotImplemented
-        x, y = p
-        return QuadraticNumber(
-            x.a * y.a + x.b * y.b * x.D, x.a * y.b + x.b * y.a, x.D
-        )
+        D, A, B, q, a, b, r = c
+        return _new(A * a + B * b * D, A * b + B * a, q * r, D)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        p = _pair(self, other)
-        if p is None:
+        c = _coords(self, other)
+        if c is None:
             return NotImplemented
-        x, y = p
-        norm = y.a * y.a - y.b * y.b * y.D  # rational
+        D, _, _, _, a, b, r = c
+        # 1 / y = (a - b sqrt(D)) r / (a^2 - b^2 D), times self
+        norm = a * a - b * b * D
         if norm == 0:
             raise ZeroDivisionError("division by zero in quadratic field")
-        num = x * QuadraticNumber(y.a, -y.b, y.D)
-        return QuadraticNumber(num.a / norm, num.b / norm, num.D)
+        return self * _new(a * r, -b * r, norm, D)
 
     def __rtruediv__(self, other):
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
         return QuadraticNumber(other, 0, self.D) / self
 
     def __pow__(self, n: int):
         if n < 0:
             return 1 / (self ** (-n))
-        out = QuadraticNumber(1, 0, self.D)
+        out = _new(1, 0, 1, self.D)
         base = self
         while n:
             if n & 1:
@@ -127,101 +156,71 @@ class QuadraticNumber:
 
     # -- exact ordering -------------------------------------------------------
 
-    def _sign(self) -> int:
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # opposite signs: the sign is decided by comparing a^2 with b^2 D
-        lhs, rhs = a * a, b * b * self.D
-        if lhs == rhs:
-            return 0  # unreachable for square-free D; kept for safety
-        return (1 if lhs > rhs else -1) * (1 if a > 0 else -1)
-
     def _cmp(self, other):
-        p = _pair(self, other)
-        if p is None:
+        """The sign of self - other, from integer squares."""
+        c = _coords(self, other)
+        if c is None:
             return NotImplemented
-        x, y = p
-        return (x - y)._sign()
+        D, A, B, q, a, b, r = c
+        # self - other = (u + v sqrt(D)) / (q r) with q r > 0
+        u, v = A * r - a * q, B * r - b * q
+        if u == 0 or v == 0 or (u > 0) == (v > 0):
+            s = u or v
+        else:  # opposite signs: u^2 - v^2 D decides (never 0 for square-free D)
+            d = u * u - v * v * D
+            s = u if d > 0 else v if d < 0 else 0
+        return (s > 0) - (s < 0)
 
-    def __eq__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c == 0
-
-    def __lt__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c < 0
-
-    def __le__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c <= 0
-
-    def __gt__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c > 0
-
-    def __ge__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c >= 0
+    __eq__, __lt__, __le__, __gt__, __ge__ = map(
+        _order, (operator.eq, operator.lt, operator.le, operator.gt, operator.ge)
+    )
 
     def __hash__(self):
-        if self.b == 0:
-            return hash(self.a)
-        return hash((self.a, self.b, self.D))
+        return hash(self.a) if self.B == 0 else hash((self.a, self.b, self.D))
 
     # -- conversions ----------------------------------------------------------
 
     def __floor__(self) -> int:
-        """Exact floor: with a = A/q and b = B/q, floor((A + B sqrt(D)) / q)
-        is floor((A + f) / q) for f = floor(B sqrt(D)), an integer square
-        root (when B sqrt(D) is not an integer, A + B sqrt(D) lies strictly
-        between A + f and A + f + 1, and no multiple of q does)."""
-        if self.b == 0:
-            return math.floor(self.a)
-        q = math.lcm(self.a.denominator, self.b.denominator)
-        A, B = int(self.a * q), int(self.b * q)
-        root = math.isqrt(B * B * self.D)
+        """Exact floor: floor((A + B sqrt(D)) / q) = floor((A + f) / q) for the
+        integer f = floor(B sqrt(D)) (when B sqrt(D) is not an integer, A + B
+        sqrt(D) lies strictly between A + f and A + f + 1, as no multiple of q does)."""
+        B = self.B
+        square = B * B * self.D
+        root = math.isqrt(square)
         if B >= 0:
             f = root
         else:
-            f = -root if root * root == B * B * self.D else -root - 1
-        return (A + f) // q
+            f = -root if root * root == square else -root - 1
+        return (self.A + f) // self.q
 
     def __float__(self) -> float:
-        return float(self.a) + float(self.b) * math.sqrt(self.D)
+        # int / int rounds correctly, as float(Fraction) does
+        return self.A / self.q + (self.B / self.q) * math.sqrt(self.D)
 
     def __abs__(self):
-        return -self if self._sign() < 0 else self
+        return -self if self._cmp(0) < 0 else self
 
     def __bool__(self):
-        return self.a != 0 or self.b != 0
+        return self.A != 0 or self.B != 0
 
     def __repr__(self):
-        if self.b == 0:
+        if self.B == 0:
             return f"QuadraticNumber({self.a!s})"
         return f"QuadraticNumber({self.a!s}, {self.b!s}, D={self.D})"
 
     def __str__(self):
-        if self.b == 0:
+        if self.B == 0:
             return str(self.a)
-        sign = "+" if self.b >= 0 else "-"
+        sign = "+" if self.B >= 0 else "-"
         return f"{self.a} {sign} {abs(self.b)}*sqrt({self.D})"
 
 
 def golden_ratio() -> QuadraticNumber:
-    return QuadraticNumber(Fraction(1, 2), Fraction(1, 2), 5)
+    return _new(1, 1, 2, 5)
 
 
 def exact_floor(x) -> int:
     """Floor for the number types used by the greedy digit engine."""
-    if isinstance(x, QuadraticNumber):
-        return math.floor(x)
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, (QuadraticNumber, int, Fraction)):
         return math.floor(x)
     raise TypeError(f"no exact floor for {type(x).__name__}")

@@ -542,6 +542,28 @@ def test_proof_constants_only_from_an_established_gluing_time(op, tmp_path, caps
             assert row["proof_constant_reason"] == "gluing time not established"
 
 
+@pytest.mark.parametrize("op", [
+    # level 2's certificate gap, 5, exceeds --tau-max 4
+    "verify --expansion-file @p5 --depth 2",
+    # level 2's certificate gap, 9, exceeds --tau-max 4
+    "verify --beta 1.5 --horizon 60 --depth 3",
+])
+def test_two_window_floor_needs_the_level_gluing_time(op, tmp_path, capsys):
+    # no gap was established for the level, so the floor is not checked at
+    # any stand-in gap, and the correlation constant built on it is null
+    _BENCH.write_inputs(tmp_path)
+    assert main(_BENCH.argv_for(op, tmp_path)) == EXIT_INCONCLUSIVE
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    rows = {c["name"]: c for c in payload["checks"]}
+    assert not rows["gluing-level-2"]["passed"]
+    assert rows["two-window-mass-floor"] == {
+        "name": "two-window-mass-floor",
+        "passed": False,
+        "summary": "not run: gluing time not established",
+    }
+    assert rows["correlation-floor"]["alpha_constant"] is None
+
+
 # -- fuzzing the command line in-process ----------------------------------------------
 
 
