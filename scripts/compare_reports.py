@@ -77,6 +77,11 @@ EXTENDED = [
     "decomp --op split --expansion-file @p5 --word 2100121",
     "entropy --expansion-file @p9 --nmax 40 --depth 2",
     "factor --beta 2 --code-file @xor --depth 2",
+    # the push-forward gluing time, 7, fits --tau-max + window = 7
+    "factor --beta 1.5 --horizon 1200 --code-file @xor --tau-max 5",
+    # the witness walk stops at the pair, well inside 2^19 source words
+    "factor --beta 2 --code-file @xor --depth 17",
+    "factor --expansion-file @golden --code-file @maj3 --depth 1",
     # k + j past the enumeration cap: no length is searched
     "factor --beta 2 --code-file @xor --depth 23",
     # exact quadratic masses, powers and tail sums in Q(sqrt 2) and, deeper,

@@ -502,14 +502,8 @@ def cmd_factor(config: RunConfig, code_file: str):
     expans = nonexpansive_growth(system, code, n_max=config.nmax)
     suffix = upper_entropy(induced.suffixes(), 0, config.nmax)
     positive = factor_entropy_positive(system, code, j=config.depth, source_scheme=scheme)
-
-    glue = min_gluing_time(
-        system=factor_sys,
-        collection=induced.level_collection(config.level),
-        j=config.depth,
-        tau_max=config.tau_max + code.window,
-        lengths=SEARCH_LENGTHS,
-    )
+    glue_tau, glue_note = induced.gluing_time(
+        config.level, config.depth, config.tau_max + code.window)
 
     mme_gap = None
     if positive.positive:
@@ -523,7 +517,7 @@ def cmd_factor(config: RunConfig, code_file: str):
         expans.expansive
         and suffix.rate < 1e-9
         and positive.positive
-        and glue.found
+        and glue_tau is not None
         and (mme_gap is None or mme_gap < 0.05)
     )
     payload = {
@@ -545,14 +539,15 @@ def cmd_factor(config: RunConfig, code_file: str):
             if positive.witness is None
             else [format_word(w, system.alphabet_size) for w in positive.witness[:2]],
         },
-        "induced_gluing_time": glue.tau,
+        "induced_gluing_time": glue_tau,
+        "induced_gluing_evidence": glue_note,
         "mme_agreement_gap": None if mme_gap is None else fmt_float(mme_gap),
         "uniqueness_hypotheses_met": hypotheses_met,
     }
     if config.out:
         expans.automaton.dump_edges_csv(_csv_path(config, "pair_automaton.csv"))
         payload["pair_automaton_csv"] = "pair_automaton.csv"
-    if positive.verdict == "inconclusive" or not glue.found:
+    if positive.verdict == "inconclusive" or glue_tau is None:
         code_out = EXIT_INCONCLUSIVE
     else:
         code_out = EXIT_PASS

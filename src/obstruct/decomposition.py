@@ -138,7 +138,9 @@ class DecompositionScheme:
     def gluing_time(self, M: int, j: int, tau_max: int) -> tuple:
         """(tau, note): the gluing time of level M at depth j, at most
         tau_max, and how it was established; or (None, why not).  By
-        default the literal search over segments of SEARCH_LENGTHS."""
+        default the literal search over segments of SEARCH_LENGTHS, kept by
+        the degenerate scheme, `decomp --op spec`, `counting_suite` without
+        a tau and acceptance criterion 3; beta and factor schemes certify."""
         result = min_gluing_time(self.system, self.level_collection(M), j=j,
                                  tau_max=tau_max, lengths=SEARCH_LENGTHS)
         if not result.found:
@@ -216,7 +218,7 @@ class BetaDecomposition(DecompositionScheme):
         for every segment length and any number of segments (the
         synchronizing-state form of specification).  Not established when
         a state reached is the truncation marker or has no path to state 0,
-        or when j + d exceeds tau_max.
+        or when j + d exceeds tau_max (None: no cap).
         """
         system = self.system
         pres = system.presentation
@@ -234,7 +236,7 @@ class BetaDecomposition(DecompositionScheme):
             return None, (f"level {M} at depth {j} reaches a state with no "
                           "path to state 0 inside the stored horizon")
         tau = j + max(to_zero[s] for s in reached)
-        if tau > tau_max:
+        if tau_max is not None and tau > tau_max:
             return None, f"certificate gluing time {tau} exceeds --tau-max {tau_max}"
         return tau, "state-0 certificate: all lengths, any number of segments"
 

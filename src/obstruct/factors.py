@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import math
 
-from .automata import Presentation, PresentedShift
+from .automata import (MAX_ENUMERATED_WORDS, Presentation, PresentedShift,
+                       check_enumeration_cap)
 from .decomposition import DecompositionScheme
 from .errors import EnumerationCapError, InputError
 from .orbits import OrbitCollection, _regression_slope
@@ -267,6 +268,20 @@ class InducedDecomposition(DecompositionScheme):
             raise InputError("image word has no preimage")
         return 0, len(y) - min(best, len(y)), min(best, len(y))
 
+    def gluing_time(self, M: int, j: int, tau_max: int) -> tuple:
+        """A window-w code maps source segments glued at gap T onto image
+        segments glued at gap T + w - 1.  The split caps a word's suffix at
+        its length, so level M lies in the image of source level M + w - 1,
+        certified uncapped; tau_max caps the image gap."""
+        w1 = self.factor.code.window - 1
+        tau, why = self.source_scheme.gluing_time(M + w1, j, None)
+        if tau is None:
+            return None, f"source {why}"
+        if tau + w1 > tau_max:
+            return None, f"push-forward gap {tau + w1} exceeds --tau-max + window {tau_max}"
+        return tau + w1, (f"push-forward of source level {M + w1} at depth {j}: gap "
+                          f"{tau} + {w1}; all lengths, any number of segments")
+
     def in_suffixes(self, y: Word) -> bool:
         if y == EMPTY:
             return True
@@ -328,12 +343,13 @@ def factor_entropy_positive(
     A found pair (v1, v2) of length n gives, by free concatenation of good
     cores, at least 2^m image words of length n*m that are pairwise
     (n*m, 2^-j)-separated, hence an image growth bound of log(2)/n; the
-    certificate is verified literally for m = M_VERIFY.  When every length
-    in the searched range is exhausted without a pair, the image cannot be
+    certificate is verified literally for m = M_VERIFY.  Each length's
+    source words are walked lazily, in lexicographic order.  When every
+    length in the range is exhausted without a pair, the image cannot be
     separated at this scale by this search.  An empty range (by default,
-    k + j past the enumeration cap) or a budget stop instead returns an
-    explicitly inconclusive verdict; a constant code maps onto one point
-    whatever the range.
+    k + j past the enumeration cap) or a length walked past
+    MAX_ENUMERATED_WORDS words instead returns an explicitly inconclusive
+    verdict; a constant code maps onto one point whatever the range.
     """
     from .decomposition import beta_decomposition
 
@@ -345,13 +361,18 @@ def factor_entropy_positive(
         return FactorEntropyReport("single-point-at-scale")
     if not lengths:
         return FactorEntropyReport("inconclusive")
+    pres = system.presentation
     for n in lengths:
         try:
-            cores = filter(scheme.in_cores, system.enumerate_language(n))
+            check_enumeration_cap(n, system.enumeration_cap)
         except EnumerationCapError:
             return FactorEntropyReport("inconclusive")
         by_prefix: dict[Word, Word] = {}
-        for v in cores:
+        for visited, v in enumerate(pres.completions(pres.start, (None,) * n)):
+            if visited == MAX_ENUMERATED_WORDS:
+                return FactorEntropyReport("inconclusive")
+            if not scheme.in_cores(v):
+                continue
             key = apply_code(code, v)[: j + 1]
             by_prefix.setdefault(key, v)
             if len(by_prefix) >= 2:

@@ -1,7 +1,7 @@
 """Exact arithmetic in real quadratic fields.
 
 A number (A + B*sqrt(D)) / q is held as integers in lowest terms, q > 0 and
-gcd(A, B, q) = 1, with D > 1 fixed per number: each operation is a few
+gcd(A, B, q) = 1, with D > 1 square-free per number: each operation is a few
 integer products and one gcd.  This holds the Perron eigendata of the small
 flagship presentations (golden mean, silver mean, ...) exactly, so cylinder
 masses and Gibbs constants come out as exact field elements, not floats.
@@ -74,11 +74,13 @@ class QuadraticNumber:
     def __init__(self, a, b=0, D=5):
         if not (isinstance(a, (int, Fraction)) and isinstance(b, (int, Fraction))):
             raise TypeError("coefficients must be int or Fraction")
-        D = int(D)
-        if D <= 1:
+        if not isinstance(D, int) or D <= 1:
             raise ValueError("D must be an integer > 1")
-        A, B = a.numerator * b.denominator, b.numerator * a.denominator
+        s, D = _squarefree_split(D)  # b sqrt(s^2 d) = b s sqrt(d)
+        A, B = a.numerator * b.denominator, s * b.numerator * a.denominator
         q = a.denominator * b.denominator
+        if D == 1:
+            A, B, D = A + B, 0, 2
         g = math.gcd(A, B, q)
         self.A, self.B, self.q, self.D = A // g, B // g, q // g, D
 

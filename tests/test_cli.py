@@ -282,14 +282,41 @@ def test_factor_window_beyond_cap(golden_file, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_factor_image_entropy_refuses_a_listing_over_the_budget(xor_file, capsys):
-    # at depth 22 the searched length 24 holds 2^24 source words, over the
-    # listing budget: the search is refused from the count, not listed
+def test_factor_image_entropy_walks_only_to_the_witness(xor_file, capsys):
+    # at depth 22 the searched length 24 holds 2^24 source words; the lazy
+    # walk stops at the third, so the depth is decided
+    main(["factor", "--beta", "2", "--code-file", xor_file, "--depth", "22"])
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert payload["image_entropy"]["verdict"] == "positive-entropy"
+    assert payload["image_entropy"]["witness"] == ["0" * 24, "0" * 22 + "10"]
+
+
+def test_factor_image_entropy_stops_at_the_word_budget(xor_file, monkeypatch, capsys):
+    # a walk that visits more source words than the budget concludes nothing
+    monkeypatch.setattr("obstruct.factors.MAX_ENUMERATED_WORDS", 2)
     code = main(["factor", "--beta", "2", "--code-file", xor_file, "--depth", "22"])
     assert code == EXIT_INCONCLUSIVE
     payload = json.loads(capsys.readouterr().out)["payload"]
     assert payload["image_entropy"]["verdict"] == "inconclusive"
     assert payload["image_entropy"]["witness"] is None
+
+
+def test_factor_gluing_time_is_pushed_forward_not_searched(xor_file, monkeypatch, capsys):
+    # image level 2 of a window-2 code lies in the image of source level 3,
+    # whose state-0 gap at depth 2 is 2; the literal search would find 2
+    def refuse(*args, **kwargs):
+        raise AssertionError("factor ran the literal gluing search")
+
+    monkeypatch.setattr("obstruct.cli.min_gluing_time", refuse)
+    monkeypatch.setattr("obstruct.decomposition.min_gluing_time", refuse)
+    code = main(["factor", "--beta", "2", "--code-file", xor_file, "--depth", "2"])
+    assert code == EXIT_PASS
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert payload["induced_gluing_time"] == 3
+    assert payload["induced_gluing_evidence"] == (
+        "push-forward of source level 3 at depth 2: gap 2 + 1; "
+        "all lengths, any number of segments"
+    )
 
 
 def test_factor_image_entropy_past_the_cap_is_inconclusive(xor_file, capsys):

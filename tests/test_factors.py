@@ -1,10 +1,18 @@
+import functools
+import itertools
 import math
 
 import pytest
+from hypothesis import event, example, given, settings, strategies as st
 
 from obstruct.automata import MATRIX_POWER_CAP
 from obstruct.beta import BetaSystem
-from obstruct.decomposition import beta_decomposition, min_gluing_time
+from obstruct.decomposition import (
+    SEARCH_LENGTHS,
+    beta_decomposition,
+    check_specification,
+    min_gluing_time,
+)
 from obstruct.errors import EnumerationCapError, HorizonError, InputError
 from obstruct.factors import (
     BlockCode,
@@ -265,6 +273,77 @@ class TestInducedGluing:
                 ).tau
                 assert tau_img is not None
                 assert tau_img <= (code.window - 1) + j + tau_src
+
+
+_SOURCES = {
+    "2": lambda: BetaSystem.full_shift(2),
+    "golden": BetaSystem.golden_mean,
+    "1.5@60": lambda: BetaSystem.from_beta("1.5", horizon=60),
+    "1.8@40": lambda: BetaSystem.from_beta("1.8", horizon=40),
+}
+_CODES = {
+    "xor": BlockCode.xor(),
+    "maj3": BlockCode(
+        3, {b: int(sum(b) >= 2) for b in itertools.product((0, 1), repeat=3)}, 2
+    ),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _induced(source, code):
+    system = _SOURCES[source]()
+    return induced_decomposition(system, _CODES[code], beta_decomposition(system))
+
+
+@given(
+    st.sampled_from(sorted(_SOURCES)),
+    st.sampled_from(sorted(_CODES)),
+    st.integers(0, 2),
+    st.integers(0, 2),
+)
+# image level M lies in the image of source level M + 2, not M: pushed
+# forward from level M these cells would read 4 and 5, the literal 8 and 9
+@example("1.5@60", "maj3", 2, 0)
+@example("1.5@60", "maj3", 1, 1)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_push_forward_bounds_the_literal_gluing_time(source, code, M, j):
+    # the literal search over short segments may glue earlier than the
+    # push-forward certificate, never later; and the certificate's gap
+    # passes the check
+    induced = _induced(source, code)
+    w1 = induced.factor.code.window - 1
+    tau, note = induced.gluing_time(M, j, 12)
+    event("not established" if tau is None else "established")
+    if tau is None:
+        return
+    assert note.startswith(f"push-forward of source level {M + w1} at depth {j}:")
+    level = induced.level_collection(M)
+    try:
+        literal = min_gluing_time(induced.factor, level, j=j, tau_max=tau,
+                                  lengths=SEARCH_LENGTHS)
+        report = literal.reports[-1] if literal.tau == tau else check_specification(
+            induced.factor, level, j, tau, lengths=SEARCH_LENGTHS)
+    except HorizonError:
+        event("search meets the marker")
+        return
+    if literal.reports[-1].exhaustive:
+        assert literal.found and literal.tau <= tau
+    if report.exhaustive:
+        assert report.passed
+
+
+def test_push_forward_notes_name_image_gaps_and_source_reasons():
+    induced = _induced("1.5@60", "maj3")
+    assert induced.gluing_time(2, 0, 8)[0] == 8
+    # the source gap 6 passes any source cap; the image gap 8 is too large
+    assert induced.gluing_time(2, 0, 7) == (
+        None, "push-forward gap 8 exceeds --tau-max + window 7"
+    )
+    short = BetaSystem.from_beta("3/2", horizon=5)
+    induced = induced_decomposition(short, BlockCode.xor(), beta_decomposition(short))
+    assert induced.gluing_time(2, 2, 12) == (
+        None, "source level 3 at depth 2 reaches the truncation marker"
+    )
 
 
 def test_code_file_roundtrip(tmp_path):

@@ -29,6 +29,24 @@ def test_sqrt_normalizes_square_factors():
     assert QuadraticNumber.sqrt(45) == 3 * QuadraticNumber.sqrt(5)
 
 
+def test_constructor_splits_square_factors():
+    # 2 - sqrt(4) is 0: falsy, and one set element with 0
+    zero = QuadraticNumber(2, -1, 4)
+    assert zero == 0 and not zero
+    assert hash(zero) == hash(0) and len({zero, 0}) == 1
+    assert QuadraticNumber(Fraction(1, 3), 1, 9) == Fraction(10, 3)
+    # b sqrt(s^2 d) = b s sqrt(d): one field with sqrt(d)
+    assert QuadraticNumber(1, 1, 8) == QuadraticNumber(1, 2, 2)
+    assert QuadraticNumber(1, 1, 8).D == 2
+    assert QuadraticNumber(0, 1, 12) + QuadraticNumber.sqrt(3) == 3 * QuadraticNumber.sqrt(3)
+
+
+@pytest.mark.parametrize("D", [5.9, 5.0, Fraction(5), "5", 1, 0, -3])
+def test_constructor_refuses_a_non_integer_or_small_D(D):
+    with pytest.raises(ValueError, match="D must be an integer > 1"):
+        QuadraticNumber(1, 1, D)
+
+
 def test_mixed_field_rejected():
     with pytest.raises(ValueError):
         QuadraticNumber.sqrt(2) + QuadraticNumber.sqrt(3)
