@@ -40,6 +40,9 @@ INPUTS = {
     "wrap": "period=2\n2110\n",
     # the silver mean 1 + sqrt(2): exact arithmetic in a second field, D = 2
     "silver": "period=2\n20\n",
+    # 2(1)^oo, beta = (3 + sqrt 5) / 2: exact quadratic Perron data on a
+    # 2-state wrap that is not renewal-shaped
+    "pq": "period=1\n21\n",
 }
 
 # commands outside the benchmark, run after it with --extended
@@ -89,6 +92,8 @@ EXTENDED = [
     "verify --expansion-file @silver --depth 1",
     "mme --expansion-file @silver --n 500",
     "verify --expansion-file @golden --measure-depth 16 --depth 1",
+    "verify --expansion-file @pq",
+    "mme --expansion-file @pq --n 300",
 ]
 
 

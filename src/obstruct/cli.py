@@ -330,7 +330,11 @@ def cmd_verify(config: RunConfig):
     # (tau, how) or (None, why not)
     level_glue = {}
     for M in range(config.level + 1):
-        gap, note = level_glue[M] = scheme.gluing_time(M, j, config.tau_max)
+        gap, note = scheme.gluing_time(M, j, config.tau_max)
+        if gap is not None and gap > config.tau_max:
+            gap, note = None, (f"certificate gluing time {gap} exceeds "
+                               f"--tau-max {config.tau_max}")
+        level_glue[M] = gap, note
         if gap is None:
             inconclusive = True
             record(f"gluing-level-{M}", False, note)
@@ -446,14 +450,15 @@ def cmd_verify(config: RunConfig):
 
     obstruction = upper_entropy(scheme.boundary(), j, config.nmax)
     margin = 0.05
-    hypotheses_met = (
-        obstruction.rate + margin < entropy
-        and all(t is not None for t, _ in level_glue.values())
-    )
+    unglued = [str(M) for M, (t, _) in level_glue.items() if t is None]
+    hypotheses_met = obstruction.rate + margin < entropy and not unglued
+    summary = f"obstruction rate {obstruction.rate:.6g} vs growth {entropy:.6g}"
+    if unglued:
+        summary += f"; gluing time not established at levels {', '.join(unglued)}"
     record(
         "obstruction-below-entropy",
         hypotheses_met,
-        f"obstruction rate {obstruction.rate:.6g} vs growth {entropy:.6g}",
+        summary,
         obstruction_rate=fmt_float(obstruction.rate),
         log_beta=fmt_float(entropy),
     )

@@ -136,11 +136,13 @@ class DecompositionScheme:
         return [v for v in self.system.enumerate_language(n) if self.in_level(v, M)]
 
     def gluing_time(self, M: int, j: int, tau_max: int) -> tuple:
-        """(tau, note): the gluing time of level M at depth j, at most
-        tau_max, and how it was established; or (None, why not).  By
-        default the literal search over segments of SEARCH_LENGTHS, kept by
-        the degenerate scheme, `decomp --op spec`, `counting_suite` without
-        a tau and acceptance criterion 3; beta and factor schemes certify."""
+        """(tau, note): the gluing time of level M at depth j and how it
+        was established; or (None, why not).  tau_max bounds a search only:
+        a certificate may return a larger gap, which the caller refuses.
+        By default the literal search over segments of SEARCH_LENGTHS, kept
+        by the degenerate scheme, `decomp --op spec`, `counting_suite`
+        without a tau and acceptance criterion 3; beta and factor schemes
+        certify."""
         result = min_gluing_time(self.system, self.level_collection(M), j=j,
                                  tau_max=tau_max, lengths=SEARCH_LENGTHS)
         if not result.found:
@@ -216,9 +218,9 @@ class BetaDecomposition(DecompositionScheme):
         zeros stay there, so the next segment can follow after every gap of
         at least j + d.  The certificate is j + the largest such d: it holds
         for every segment length and any number of segments (the
-        synchronizing-state form of specification).  Not established when
-        a state reached is the truncation marker or has no path to state 0,
-        or when j + d exceeds tau_max (None: no cap).
+        synchronizing-state form of specification), whatever tau_max.  Not
+        established when a state reached is the truncation marker or has no
+        path to state 0.
         """
         system = self.system
         pres = system.presentation
@@ -236,8 +238,6 @@ class BetaDecomposition(DecompositionScheme):
             return None, (f"level {M} at depth {j} reaches a state with no "
                           "path to state 0 inside the stored horizon")
         tau = j + max(to_zero[s] for s in reached)
-        if tau_max is not None and tau > tau_max:
-            return None, f"certificate gluing time {tau} exceeds --tau-max {tau_max}"
         return tau, "state-0 certificate: all lengths, any number of segments"
 
     def level_automaton(self, M: int):

@@ -272,9 +272,10 @@ class InducedDecomposition(DecompositionScheme):
         """A window-w code maps source segments glued at gap T onto image
         segments glued at gap T + w - 1.  The split caps a word's suffix at
         its length, so level M lies in the image of source level M + w - 1,
-        certified uncapped; tau_max caps the image gap."""
+        asked with the cap tau_max - (w - 1); an image gap past tau_max is
+        refused."""
         w1 = self.factor.code.window - 1
-        tau, why = self.source_scheme.gluing_time(M + w1, j, None)
+        tau, why = self.source_scheme.gluing_time(M + w1, j, tau_max - w1)
         if tau is None:
             return None, f"source {why}"
         if tau + w1 > tau_max:

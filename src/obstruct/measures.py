@@ -11,9 +11,10 @@ and additions for every shorter length (extension counts satisfy e_j[t] =
 sum of e_{j-1} over the edges out of t).
 
 The stationary oracle is the Parry (Markov) measure built from Perron
-eigendata of the presentation (see `obstruct.perron` for its three paths:
-exact, renewal closed form, power iteration): the mass of [u] sums l_s r_t
-over the walks s -> t of u, divided by x^|u| sum_s l_s r_s.  With exact
+eigendata of the presentation (see `obstruct.perron` for its two paths,
+renewal closed form and power iteration, and its exactness test on small
+components): the mass of [u] sums l_s r_t over the walks s -> t of u,
+divided by x^|u| sum_s l_s r_s.  With exact
 eigendata (rational or quadratic) the masses are exact field elements;
 otherwise the eigenvectors are positive integers, the eigenvalue is the
 midpoint of its Collatz-Wielandt enclosure, every mass is an exact

@@ -1,30 +1,32 @@
 """Perron eigendata of presentation adjacency matrices.
 
-Three paths, tried in order on each strongly connected component with a
-cycle (`Presentation.components`) of the essential part of a presentation:
+Each strongly connected component with a cycle (`Presentation.components`)
+of the essential part of a presentation takes one of two paths:
 
-1. Exact (at most EXACT_STATE_LIMIT states): the integer characteristic
-   polynomial p comes from Faddeev-LeVerrier, and Newton from the maximum
-   row sum descends to its largest real root, the spectral radius.  That
-   root is rational only as an integer k with p(k) = 0, and quadratic only
-   when some x^2 - a x - b with |a| <= 2 rho divides p exactly; then the
-   eigenvalue and both eigenvectors are exact rationals or elements of a
-   real quadratic field.
-2. Renewal closed form: when row k of the adjacency matrix is
+1. Renewal closed form: when row k of the adjacency matrix is
    c_k e_0 + e_{k+1} and the last row is c_{n-1} e_0 (truncated and purely
    periodic beta-shift presentations), the eigenvalue x is the root > 0 of
-   sum_k c_k x^(-k-1) = 1, the largest root of the same kind of polynomial,
-   r_k = sum_{j>=k} c_j x^(k-1-j) and l_k = x^(-k) (Parry 1960; Hofbauer
-   1978), in O(n).
-3. Otherwise (factor presentations, preperiodic wraps) a power iteration.
+   sum_k c_k x^(-k-1) = 1, the largest root of the characteristic
+   polynomial x^n - sum_k c_k x^(n-1-k), r_k = sum_{j>=k} c_j x^(k-1-j) and
+   l_k = x^(-k) (Parry 1960; Hofbauer 1978), in O(n).
+2. Otherwise (factor presentations, preperiodic wraps) a power iteration.
 
-The last two work in Python integers only: roots to FIXED_BITS fractional
-bits by fixed-point Newton, and vectors of positive integers in a common
-unit (only their ratios matter).  Their eigenvalue is bounded by the
-Collatz-Wielandt enclosure (Collatz 1942; Wielandt 1950): for a
-non-negative A and a positive vector r, min_i (A r)_i / r_i <= rho <=
-max_i (A r)_i / r_i, an exact rational interval here, taken for the right
-vector against A and the left vector against A^T and intersected.
+Both work in Python integers only: roots to FIXED_BITS fractional bits by
+fixed-point Newton, and vectors of positive integers in a common unit (only
+their ratios matter).  Their eigenvalue is bounded by the Collatz-Wielandt
+enclosure (Collatz 1942; Wielandt 1950): for a non-negative A and a
+positive vector r, min_i (A r)_i / r_i <= rho <= max_i (A r)_i / r_i, an
+exact rational interval here, taken for the right vector against A and the
+left vector against A^T and intersected.
+
+A component of at most EXACT_STATE_LIMIT states is then tested for an
+exact root.  Its Perron root is an algebraic integer whose conjugates are
+eigenvalues of modulus <= rho: it is rational only as an integer, and
+quadratic only as (a + sqrt(a^2 + 4b)) / 2 with conjugate a - rho >= -rho,
+so 0 <= a <= 2 rho.  Each such candidate in the enclosure is tried; one at
+which A - lam I has positive kernel vectors on both sides is the Perron
+root (Perron-Frobenius), and the eigenvalue and both eigenvectors are then
+exact rationals or elements of a real quadratic field.
 
 A reducible matrix reports the largest root of its components (Lind-Marcus
 1995), enclosed by (max lo, max hi), and no vectors.
@@ -35,7 +37,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .quadratic import QuadraticNumber, _squarefree_split
+from .quadratic import QuadraticNumber
 
 EXACT_STATE_LIMIT = 12
 # fractional bits of every fixed-point root, and significant bits of the
@@ -69,7 +71,8 @@ class PerronData:
 
 
 def _kernel_vector(rows, one):
-    """A nonzero kernel vector of a singular square matrix over a field."""
+    """A nonzero kernel vector of a square matrix over a field; None when
+    the matrix is nonsingular."""
     n = len(rows)
     m = [list(r) for r in rows]
     zero = one - one
@@ -90,7 +93,7 @@ def _kernel_vector(rows, one):
         row += 1
     free = next((c for c in range(n) if c not in pivots), None)
     if free is None:
-        raise ArithmeticError("matrix is nonsingular; no kernel vector")
+        return None
     v = [zero] * n
     v[free] = one
     for col, r in pivots.items():
@@ -200,9 +203,9 @@ def _fixed_point_data(rows, cols, right, left) -> PerronData:
 def perron_eigendata(presentation) -> PerronData:
     """Eigendata of the adjacency matrix of the essential part.
 
-    Per component: exact when it is small and its Perron root rational or
-    quadratic, else the renewal closed form when it has that shape, else
-    power iteration (see the module docstring).  Kept on the essential
+    Per component: the renewal closed form when it has that shape, else
+    power iteration, then exact data when it is small and its Perron root
+    rational or quadratic (see the module docstring).  Kept on the essential
     part, which every view of a presentation (itself, its live part, its
     essential part) shares, so they compute it once.
     """
@@ -239,16 +242,15 @@ def _reducible_eigendata(parts) -> PerronData:
 
 def _eigendata(rows) -> PerronData:
     """Eigendata of the matrix with these sparse rows; a dense copy is
-    built only for the exact path."""
-    if len(rows) <= EXACT_STATE_LIMIT:
-        data = _exact_eigendata(_dense(rows))
-        if data is not None:
-            return data
+    built only for the exactness test."""
     data = _renewal_eigendata(rows)
-    if data is not None:
-        return data
-    cols = _columns(rows)
-    return _fixed_point_data(rows, cols, _power_iteration(rows), _power_iteration(cols))
+    if data is None:
+        cols = _columns(rows)
+        data = _fixed_point_data(rows, cols, _power_iteration(rows),
+                                 _power_iteration(cols))
+    if len(rows) <= EXACT_STATE_LIMIT:
+        return _exact_eigendata(rows, *data.enclosure) or data
+    return data
 
 
 def _renewal_eigendata(rows) -> PerronData | None:
@@ -312,25 +314,6 @@ def _renewal_start(coeffs) -> int:
     return math.ceil(math.ldexp(2 * hi - lo, FIXED_BITS))
 
 
-def _charpoly(matrix) -> list[int]:
-    """det(xI - A) of an integer matrix, leading coefficient first.
-
-    Faddeev-LeVerrier: M_1 = I, c_k = -tr(A M_k) / k and
-    M_{k+1} = A M_k + c_k I, where each division by k is exact.
-    """
-    n = len(matrix)
-    coeffs = [1]
-    m = [[int(i == j) for j in range(n)] for i in range(n)]
-    for k in range(1, n + 1):
-        cols = list(zip(*m))
-        m = [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in matrix]
-        c = -sum(m[i][i] for i in range(n)) // k
-        coeffs.append(c)
-        for i in range(n):
-            m[i][i] += c
-    return coeffs
-
-
 def _value_and_slope(coeffs, x):
     """p and p' at x 2^-FIXED_BITS, both times 2^FIXED_BITS and rounded
     down at each Horner step (exact when x is a multiple of 2^FIXED_BITS);
@@ -362,90 +345,44 @@ def _largest_root(coeffs, start: int) -> int:
         x -= step
 
 
-def _rational_or_quadratic_factor(coeffs, x):
-    """The monic linear or quadratic integer factor of p vanishing at
-    lam = x 2^-FIXED_BITS.
+def _candidates(lo, hi):
+    """Every integer, and every quadratic integer (a + sqrt(a^2 + 4b)) / 2
+    with 0 <= a <= 2 hi, in [lo, hi]."""
+    yield from map(Fraction, range(math.ceil(lo), math.floor(hi) + 1))
+    for a in range(math.floor(2 * hi) + 1):
+        # b = lam (lam - a) increases with lam >= a / 2
+        low = max(lo, Fraction(a, 2))
+        for b in range(math.ceil(low * (low - a)), math.floor(hi * (hi - a)) + 1):
+            disc = a * a + 4 * b
+            if math.isqrt(disc) ** 2 != disc:  # else lam is an integer
+                lam = QuadraticNumber(Fraction(a, 2), Fraction(1, 2), disc)
+                if lo <= lam <= hi:
+                    yield lam
 
-    lam is an algebraic integer: rational only as an integer k with
-    p(k) = 0, and quadratic only as a root of x^2 - a x - b whose other root
-    mu has |mu| <= lam, so |a| <= 2 lam and b = lam^2 - a lam.
-    """
-    unit = 1 << FIXED_BITS
-    k = (x + unit // 2) >> FIXED_BITS
-    if _value_and_slope(coeffs, k << FIXED_BITS)[0] == 0:
-        return [1, -k]
-    top = 2 * -(-x >> FIXED_BITS)
-    for a in range(-top, top + 1):
-        prod = x * (x - a * unit)  # lam (lam - a), times unit^2
-        b = (prod + unit * unit // 2) >> (2 * FIXED_BITS)
-        if 10**6 * abs(prod - b * unit * unit) >= (2 + abs(a) + abs(b)) * unit * unit:
-            continue
-        rem = list(coeffs)  # divide by x^2 - a x - b
-        for i in range(len(rem) - 2):
-            rem[i + 1] += a * rem[i]
-            rem[i + 2] += b * rem[i]
-        if rem[-2] == rem[-1] == 0:
-            return [1, -a, -b]
+
+def _exact_eigendata(rows, lo, hi) -> PerronData | None:
+    """Exact eigendata of the matrix with these sparse rows, at the first
+    candidate root in [lo, hi] with positive kernel vectors on both sides;
+    None when there is none."""
+    matrix = _dense(rows)
+    for lam in _candidates(lo, hi):
+        right = _positive_kernel_vector(matrix, lam)
+        left = right and _positive_kernel_vector(list(zip(*matrix)), lam)
+        if left:
+            return PerronData(eigenvalue=lam, right=tuple(right), left=tuple(left),
+                              exact=True, enclosure=(lam, lam))
     return None
 
 
-def _exact_eigendata(matrix) -> PerronData | None:
-    poly = _charpoly(matrix)
-    x = _largest_root(poly, max(map(sum, matrix)) << FIXED_BITS)
-    coeffs = _rational_or_quadratic_factor(poly, x)
-    if coeffs is None:
-        return None
-    return _eigendata_from_factor(matrix, coeffs, x / (1 << FIXED_BITS))
-
-
-def _eigendata_from_factor(matrix, coeffs, lam_f) -> PerronData | None:
-    """Exact eigendata from the integer factor (leading coefficient first)
-    whose root near lam_f is the Perron root; None unless both kernel
-    vectors are positive."""
-    n = len(matrix)
-    if len(coeffs) == 2:  # a x + b, root -b/a
-        a, b = coeffs
-        lam = Fraction(-b, a)
-    else:  # a x^2 + b x + c, larger root
-        a, b, c = coeffs
-        disc = b * b - 4 * a * c
-        if disc <= 0:
-            return None
-        s, d = _squarefree_split(disc)
-        if d == 1:
-            lam = Fraction(-b + s, 2 * a)
-        else:
-            lam = QuadraticNumber(Fraction(-b, 2 * a), Fraction(s, 2 * a), d)
-    if abs(float(lam) - lam_f) > 1e-6:
-        return None
+def _positive_kernel_vector(matrix, lam):
+    """A positive kernel vector of matrix - lam I, or None."""
     one = lam / lam if isinstance(lam, QuadraticNumber) else Fraction(1)
     zero = one - one
-
-    def shifted(transpose: bool):
-        return [
-            [
-                (matrix[j][i] if transpose else matrix[i][j]) * one
-                - (lam if i == j else zero)
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-
-    right = _make_positive(_kernel_vector(shifted(False), one))
-    left = _make_positive(_kernel_vector(shifted(True), one))
-    if right is None or left is None:
+    shifted = [[a * one - (lam if i == j else zero) for j, a in enumerate(row)]
+               for i, row in enumerate(matrix)]
+    vec = _kernel_vector(shifted, one)
+    if vec is None:
         return None
-    return PerronData(
-        eigenvalue=lam,
-        right=tuple(right),
-        left=tuple(left),
-        exact=True,
-        enclosure=(lam, lam),
-    )
-
-
-def _make_positive(vec):
-    zero = vec[0] - vec[0]
     if all(x <= zero for x in vec):
         vec = [-x for x in vec]
     if any(x <= zero for x in vec):

@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .automata import check_enumeration_cap
-from .decomposition import min_gluing_time
+from .decomposition import filtration_coverage, min_gluing_time
 from .errors import DepthError, InputError
 from .measures import MAX_TABLE_CYLINDERS, extend
 from .orbits import OrbitCollection, count_separated
@@ -250,9 +250,8 @@ def counting_suite(
         found = None
         for M in range(0, LEVEL_CAP + 1):
             if M not in coverage_minima:
-                level = scheme.level_collection(M)
                 coverage_minima[M] = min(
-                    Fraction(count_separated(level, n, 0), system.count_language(n))
+                    filtration_coverage(system, scheme, M, n)
                     for n in range(1, n_max + 1)
                 )
             cov_min = coverage_minima[M]

@@ -547,8 +547,9 @@ _BENCH = _bench_workloads()
 @pytest.mark.parametrize("op", [
     op for ops in _BENCH.WORKLOADS.values() for op in ops if op.startswith("verify ")
 ] + [
-    # every gluing check fails on these three (exit 3)
+    # every level glues at gap 4 (exit 0)
     "verify --beta 2.5 --horizon 60 --depth 2",
+    # every gluing check fails on these two (exit 3)
     "verify --beta 1.5 --horizon 60 --depth 3",
     "verify --expansion-file @p5 --depth 2",
 ])
@@ -589,6 +590,24 @@ def test_two_window_floor_needs_the_level_gluing_time(op, tmp_path, capsys):
         "summary": "not run: gluing time not established",
     }
     assert rows["correlation-floor"]["alpha_constant"] is None
+
+
+@pytest.mark.parametrize("op, summary", [
+    # the rate comparison holds; the three levels' gaps, 5, exceed --tau-max
+    ("verify --expansion-file @p5 --depth 2",
+     "obstruction rate 0.025726 vs growth 0.900523; "
+     "gluing time not established at levels 0, 1, 2"),
+    # every level glues: the summary is the comparison alone
+    ("verify --expansion-file @p5 --depth 1 --tau-max 6",
+     "obstruction rate 0.00919767 vs growth 0.900523"),
+])
+def test_obstruction_summary_names_the_unglued_levels(op, summary, tmp_path, capsys):
+    _BENCH.write_inputs(tmp_path)
+    main(_BENCH.argv_for(op, tmp_path))
+    rows = {c["name"]: c for c in json.loads(capsys.readouterr().out)["payload"]["checks"]}
+    row = rows["obstruction-below-entropy"]
+    assert row["summary"] == summary
+    assert row["passed"] == all(rows[f"gluing-level-{M}"]["passed"] for M in range(3))
 
 
 # -- fuzzing the command line in-process ----------------------------------------------

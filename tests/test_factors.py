@@ -11,6 +11,7 @@ from obstruct.decomposition import (
     SEARCH_LENGTHS,
     beta_decomposition,
     check_specification,
+    degenerate_decomposition,
     min_gluing_time,
 )
 from obstruct.errors import EnumerationCapError, HorizonError, InputError
@@ -344,6 +345,19 @@ def test_push_forward_notes_name_image_gaps_and_source_reasons():
     assert induced.gluing_time(2, 2, 12) == (
         None, "source level 3 at depth 2 reaches the truncation marker"
     )
+
+
+def test_push_forward_of_a_searched_source_gap(golden):
+    # the degenerate source searches its level with the cap 6 - (2 - 1)
+    # and the image gap is its gap plus one, no less than the image's
+    # literal search
+    induced = induced_decomposition(golden, BlockCode.xor(),
+                                    degenerate_decomposition(golden))
+    tau, note = induced.gluing_time(0, 0, 6)
+    assert note.startswith("push-forward of source level 1 at depth 0:")
+    literal = min_gluing_time(induced.factor, induced.level_collection(0), j=0,
+                              tau_max=6, lengths=SEARCH_LENGTHS)
+    assert literal.reports[-1].exhaustive and literal.tau <= tau
 
 
 def test_code_file_roundtrip(tmp_path):

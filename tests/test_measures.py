@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 
 from obstruct import measures
 from obstruct.automata import Presentation
@@ -878,3 +878,38 @@ def test_table_without_a_prefix_is_refused(words, tmp_path, capsys):
     argv = ["--beta", "2", "--measure-file", str(path), "--measure-depth", "3"]
     assert main(["verify", *argv]) == EXIT_INPUT
     assert "error" in capsys.readouterr().err
+
+
+# 2(1)^oo, beta = (3 + sqrt 5) / 2: its 2-state wrap is not renewal-shaped,
+# so its exact Perron data follow a power iteration
+PQ = ((2, 1), 1)
+
+
+@given(
+    st.lists(st.integers(0, 3), min_size=1, max_size=6).map(tuple),
+    st.integers(1, 6),
+)
+@example(*PQ)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_parry_masses_are_consistent(digits, period):
+    # sum_a mu[ua] = mu[u] = sum_a mu[au] on every admissible u to depth 5:
+    # exactly on an exact measure, to rounding on a float one
+    assume(period <= len(digits) and digits[0] > 0)
+    try:
+        system = BetaSystem.from_expansion(digits, period=period)
+        measure = parry_measure(system, 5)
+    except (InputError, NonMixingError):
+        assume(False)
+    assert measure.exact or (digits, period) != PQ
+    event("exact" if measure.exact else "float")
+    event("periodic" if period == len(digits) else "preperiodic")
+    symbols = range(system.alphabet_size)
+    for n in range(5):
+        for u in system.enumerate_language(n):
+            mass = measure.mass(u)
+            for total in (sum(measure.mass(u + (a,)) for a in symbols),
+                          sum(measure.mass((a,) + u) for a in symbols)):
+                if measure.exact:
+                    assert total == mass
+                else:
+                    assert total == pytest.approx(mass, rel=1e-12)

@@ -13,9 +13,8 @@ from obstruct.measures import parry_measure
 from obstruct.perron import (
     FIXED_BITS,
     PerronData,
-    _charpoly,
+    _eigendata,
     _enclosure,
-    _eigendata_from_factor,
     _exact_eigendata,
     _fixed_point_data,
     _largest_root,
@@ -245,16 +244,18 @@ def _strongly_connected(rows):
 )
 @settings(max_examples=100, deadline=None)
 def test_random_matrices_enclose_the_largest_root(matrix):
-    # rho of the whole matrix, from its own characteristic polynomial: the
-    # states outside the essential part add only zero roots.  Fixed-point
-    # Newton stops within about 2^-(FIXED_BITS / m) of a root of
+    # rho of the whole matrix, from its own characteristic polynomial (by
+    # sympy): the states outside the essential part add only zero roots.
+    # Fixed-point Newton stops within about 2^-(FIXED_BITS / m) of a root of
     # multiplicity m <= 7, hence the slack
+    sympy = pytest.importorskip("sympy")
     presentation = _presentation(matrix)
     try:
         presentation.essential_part()
     except HorizonError:
         assume(False)
-    x = _largest_root(_charpoly(matrix), max(map(sum, matrix)) << FIXED_BITS)
+    poly = [int(c) for c in sympy.Matrix(matrix).charpoly().all_coeffs()]
+    x = _largest_root(poly, max(map(sum, matrix)) << FIXED_BITS)
     rho, slack = Fraction(x, 1 << FIXED_BITS), Fraction(1, 2**32)
 
     def checked(rows):
@@ -325,15 +326,15 @@ def _component_matrices(presentation):
 
 
 def _dense_dispatch(presentation):
-    """The three paths tried in order on each component's dense matrix;
-    for more than one component, their enclosures joined, no vectors."""
+    """The renewal or power-iteration path on each component's dense
+    matrix, then the exactness test in its enclosure on a small one; for
+    more than one component, their enclosures joined, no vectors."""
     matrices, parts = _component_matrices(presentation), []
     for matrix in matrices:
-        data = None
+        data = _renewal_eigendata(_sparse(matrix)) or _by_power_iteration(matrix)
         if len(matrix) <= perron.EXACT_STATE_LIMIT:
-            data = _exact_eigendata(matrix)
-        parts.append(data or _renewal_eigendata(_sparse(matrix))
-                     or _by_power_iteration(matrix))
+            data = _exact_eigendata(_sparse(matrix), *data.enclosure) or data
+        parts.append(data)
     if [len(m) for m in matrices] == [presentation.essential_part().n_states]:
         return parts[0]
     lo = max(p.enclosure[0] for p in parts)
@@ -432,12 +433,19 @@ REDUCIBLE = [[2, 0, 0], [1, 2, 0], [2, 0, 0]]  # Perron root 2, twice
 
 
 def _sympy_eigendata(matrix):
-    """Reference: factor p over Q with sympy and keep the factor that
-    vanishes at lam, taken exactly from `real_roots`."""
+    """Reference: (bracket, data).  The bracket holds the largest real root
+    of the characteristic polynomial, from sympy's `real_roots`, to within
+    2^-200.  The data are None unless a linear or quadratic factor from
+    sympy's factoring over Q vanishes there; then they are the kernel data
+    at that factor's root, None unless both kernel vectors are positive."""
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
     poly = sympy.Poly(sympy.Matrix(matrix).charpoly(x).as_expr(), x)
-    lam_f = float(sympy.real_roots(poly)[-1])
+    root = sympy.real_roots(poly)[-1]
+    mid = sympy.Rational(root.evalf(80))
+    mid, slack = Fraction(int(mid.p), int(mid.q)), Fraction(1, 2**200)
+    bracket = (mid - slack, mid + slack)
+    lam_f = float(root)
     best = None
     for fac, _ in sympy.factor_list(poly.as_expr())[1]:
         coeffs = [int(c) for c in sympy.Poly(fac, x).all_coeffs()]
@@ -446,9 +454,36 @@ def _sympy_eigendata(matrix):
         if val / scale < 1e-6 and (best is None or val < best[0]):
             best = (val, coeffs)
     if best is None or len(best[1]) > 3:
-        return None
-    coeffs = best[1] if best[1][0] > 0 else [-c for c in best[1]]
-    return _eigendata_from_factor(matrix, coeffs, lam_f)
+        return bracket, None
+    if len(best[1]) == 2:  # a x + b
+        a, b = best[1]
+        lam = Fraction(-b, a)
+    else:  # a x^2 + b x + c, larger root
+        a, b, c = best[1] if best[1][0] > 0 else [-c for c in best[1]]
+        lam = QuadraticNumber(Fraction(-b, 2 * a), Fraction(1, 2 * a), b * b - 4 * a * c)
+    assert bracket[0] <= lam <= bracket[1]
+    return bracket, _kernel_data(matrix, lam)
+
+
+def _kernel_data(matrix, lam):
+    """Exact data at lam from kernel vectors of A - lam I and A^T - lam I,
+    signed to a positive entry; None unless both are positive."""
+    one = lam / lam if isinstance(lam, QuadraticNumber) else Fraction(1)
+    vectors = []
+    for m in (matrix, _transpose(matrix)):
+        shifted = [[a * one - (lam if i == j else 0) for j, a in enumerate(row)]
+                   for i, row in enumerate(m)]
+        v = perron._kernel_vector(shifted, one)
+        if max(v) <= 0:
+            v = [-e for e in v]
+        if min(v) <= 0:
+            return None
+        vectors.append(tuple(v))
+    return PerronData(lam, *vectors, True, (lam, lam))
+
+
+def _exact_or_none(data):
+    return data if data.exact else None
 
 
 @pytest.mark.parametrize(
@@ -466,7 +501,12 @@ def _sympy_eigendata(matrix):
     ids=["full-2", "full-3", "golden", "rational", "periodic", "p5", "p9", "reducible"],
 )
 def test_exact_path_matches_sympy_factoring(matrix):
-    assert _exact_eigendata(matrix) == _sympy_eigendata(matrix)
+    # the exactness test in sympy's bracket, and on an irreducible matrix
+    # the whole route: the two agree with sympy's factoring
+    bracket, expected = _sympy_eigendata(matrix)
+    assert _exact_eigendata(_sparse(matrix), *bracket) == expected
+    if matrix is not REDUCIBLE:  # the power iteration needs irreducibility
+        assert _exact_or_none(_eigendata(_sparse(matrix))) == expected
 
 
 @given(
@@ -478,9 +518,26 @@ def test_exact_path_matches_sympy_factoring(matrix):
         )
     )
 )
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 def test_random_matrices_match_sympy_factoring(matrix):
-    assert _exact_eigendata(matrix) == _sympy_eigendata(matrix)
+    # each component of the essential part (an irreducible matrix) gets
+    # exact data exactly when sympy finds a linear or quadratic factor at
+    # its Perron root, and then the kernel data there
+    try:
+        components = _component_matrices(_presentation(matrix))
+    except HorizonError:
+        assume(False)
+    for component in components:
+        data = _eigendata(_sparse(component))
+        assert _exact_or_none(data) == _sympy_eigendata(component)[1]
+
+
+def test_exactness_needs_positive_kernel_vectors():
+    # [[2, 1], [1, 2]] has eigenvalues 1 and 3: in the enclosure [1, 3] the
+    # candidate 1 has a kernel vector of mixed sign, 2 none at all
+    data = _exact_eigendata(_sparse([[2, 1], [1, 2]]), Fraction(1), Fraction(3))
+    assert data.exact and data.eigenvalue == 3
+    assert data.right == data.left == (1, 1)
 
 
 @pytest.mark.parametrize(
@@ -488,13 +545,16 @@ def test_random_matrices_match_sympy_factoring(matrix):
     [
         ([[1, 1], [1, 0]], QuadraticNumber(Fraction(1, 2), Fraction(1, 2), 5)),
         ([[2]], Fraction(2)),
+        ([[2, 1], [1, 0]], QuadraticNumber(1, 1, 2)),
         (P5, None),
-        (REDUCIBLE, None),
+        (REDUCIBLE, Fraction(2)),
     ],
-    ids=["golden", "full-2", "p5", "reducible"],
+    ids=["golden", "full-2", "silver", "p5", "reducible"],
 )
 def test_exact_path_needs_no_power_iteration(matrix, eigenvalue, monkeypatch):
+    # renewal-shaped components reach exact data, or learn they have none,
+    # with no power-iteration step; REDUCIBLE's components are two [[2]]
     monkeypatch.setattr(perron, "_power_iteration", _refuse_power_iteration)
-    data = _exact_eigendata(matrix)
-    assert (None if data is None else data.eigenvalue) == eigenvalue
-    assert data is None or data.exact
+    data = perron_eigendata(_presentation(matrix))
+    assert data.exact == (eigenvalue is not None)
+    assert eigenvalue is None or data.eigenvalue == eigenvalue
