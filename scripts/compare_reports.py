@@ -94,6 +94,10 @@ EXTENDED = [
     "verify --expansion-file @golden --measure-depth 16 --depth 1",
     "verify --expansion-file @pq",
     "mme --expansion-file @pq --n 300",
+    # the window-sum chain: a 9-state deep chain, and at n = depth the
+    # shortest one, S_1, with count rows read from its power A^1
+    "mme --expansion-file @p9 --n 4000",
+    "mme --expansion-file @p5 --n 4",
 ]
 
 

@@ -6,8 +6,9 @@ sequences are exactly the points of the shift.  Path counts, word
 enumeration, and per-state extension counts are all exact big-integer
 computations on this graph.  Count rows are stepped by straight-line code
 compiled from the edge list; a far path-count row of a small presentation
-is reached by doubling instead, as are the window sums of count rows
-against extension rows (`Presentation.window_sums`).
+is reached by doubling instead.  The window sums of count rows against
+extension rows follow one left-to-right doubling chain, whose latest pairs
+are kept (`Presentation.window_sums`).
 
 A presentation may carry a truncation marker: a state with no defined
 outgoing edges, standing for "matched every stored symbol".  Any
@@ -368,7 +369,8 @@ class Presentation:
             partial(_compile_state_step, self.delta, marker),
         )
         self._squares: list = []  # adjacency matrix to the powers 2^i
-        self._ladder: list = []  # window sums S_(2^i), see window_sums
+        self._chain: list = []  # (a, S_a, A^a) of the latest window_sums chain
+        self._out_sums = None  # compiled with the chain's first pair
         self._to_marker: int | None = None  # distance from start to marker
         self._live: Presentation | None = None  # see live_part
         self._essential: Presentation | None = None  # see essential_part
@@ -427,13 +429,17 @@ class Presentation:
     def state_counts(self, n: int) -> list[int]:
         """Vector of path counts of length n from the start state.
 
-        Row n is e_start A^n by binary powering, from the cached squares of
-        the adjacency matrix A, when `doubling_pays`; otherwise the compiled
-        step runs forward to it (see RowStore).  A jump is never stored and
-        never crosses the marker.
+        Row n is the start row of A^n when the latest `window_sums` chain
+        holds it; else e_start A^n by binary powering, from the cached
+        squares of the adjacency matrix A, when `doubling_pays`; otherwise
+        the compiled step runs forward to it (see RowStore).  A jump is
+        never stored and never crosses the marker.
         """
         if n < 0:
             raise ValueError(f"negative path length {n}")
+        for a, _, power in self._chain:
+            if a == n and (self._to_marker is None or n <= self._to_marker):
+                return list(power[self.start])
         store = self._state_counts
         if doubling_pays(self.n_states, self._n_edges, n, store.base(n)):
             return self._power_row(n)
@@ -447,18 +453,6 @@ class Presentation:
         while len(squares) <= i:
             squares.append(_matrix_product(squares[-1], squares[-1]))
         return squares[i]
-
-    def _rung(self, i: int) -> list[list[int]]:
-        """The window sums S_(2^i), each doubled once from the last and
-        cached: S_1 = e_start 1^T and S_(2a) = S_a (A^a)^T + (A^a)^T S_a."""
-        ladder = self._ladder
-        if not ladder:
-            ladder.append([[int(s == self.start)] * self.n_states
-                           for s in range(self.n_states)])
-        while len(ladder) <= i:
-            sums, square = ladder[-1], self._square(len(ladder) - 1)
-            ladder.append(_window_join(sums, square, sums, square))
-        return ladder[i]
 
     def _power_row(self, n: int) -> list[int]:
         """e_start A^n, multiplying in A^(2^i) for each set bit i of n."""
@@ -478,28 +472,39 @@ class Presentation:
         * (A^(n - 1 - k) 1)[t], for n >= 1: the last factor is the extension
         count where that is not poisoned (see `extension_counts`).
 
-        By binary powering with S_(a+b) = S_a (A^b)^T + (A^a)^T S_b: the
-        set bits of n join the cached S_(2^i) (`_rung`) on the cached squares
-        A^(2^i), at most five k-by-k products per bit of n, and a rung is
-        doubled only the first time any call needs it.  Like `_power_row`,
-        it never crosses the marker: HorizonError as state_counts(n - 1)
-        raises it.
+        Along a left-to-right chain from (S_0, A^0) = (0, I): a -> 2a is one
+        join, S_(a+b) = S_a (A^b)^T + (A^a)^T S_b, and one square; a -> a + 1
+        is S_a A^T + c_a 1^T (c_a the start row of A^a) and A A^a, k |E|
+        additions.  The latest chain's pairs are kept, O(log n) of them, and
+        a call resumes from the last one on its own chain: n' = 2n + 2 after
+        n is one step and one join.  Like `_power_row`, it never crosses the
+        marker: HorizonError as state_counts(n - 1) raises it.
         """
         if self._to_marker is not None and n - 1 > self._to_marker:
             _past_horizon(self._to_marker)
-        low = None  # (S_a, A^a) for a the bits of n below bit i
-        i = 0
-        while n:
-            if n & 1:
-                sums, square = self._rung(i), self._square(i)
-                if low is None:
-                    low = (sums, square)
-                else:
-                    power = _matrix_product(low[1], square) if n > 1 else None
-                    low = (_window_join(*low, sums, square), power)
-            n >>= 1
-            i += 1
-        return [list(row) for row in low[0]]  # a rung stays unchanged
+        chain, k = self._chain, self.n_states
+        if not chain:
+            # row -> row A^T, a sum over the edges out of each state
+            self._out_sums = compile_step([list(d.values()) for d in self.delta])
+            chain.append((0, [[0] * k] * k, [self._unit_vector(s) for s in range(k)]))
+        values = [a for a, _, _ in chain]
+        todo = []
+        while n not in values:
+            todo.append(n)
+            n = n - 1 if n & 1 else n >> 1
+        del chain[values.index(n) + 1:]
+        _, sums, power = chain[-1]
+        step = self._out_sums
+        for a in reversed(todo):
+            if a & 1:  # the step from a - 1: rows of S, columns of A A^(a-1)
+                sums = [[w + c for w in step(row, 0)]
+                        for row, c in zip(sums, power[self.start])]
+                power = list(zip(*[step(col, 0) for col in zip(*power)]))
+            else:
+                sums = _window_join(sums, power, sums, power)
+                power = _matrix_product(power, power)
+            chain.append((a, sums, power))
+        return [list(row) for row in sums]  # the chain stays unchanged
 
     def count_words(self, n: int) -> int:
         return sum(self.state_counts(n))

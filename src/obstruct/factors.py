@@ -280,8 +280,10 @@ class InducedDecomposition(DecompositionScheme):
             return None, f"source {why}"
         if tau + w1 > tau_max:
             return None, f"push-forward gap {tau + w1} exceeds --tau-max + window {tau_max}"
+        # a certificate's note ends in what it covers; a search's names it
+        cover = why.partition("certificate: ")[2] or why
         return tau + w1, (f"push-forward of source level {M + w1} at depth {j}: gap "
-                          f"{tau} + {w1}; all lengths, any number of segments")
+                          f"{tau} + {w1}; {cover}")
 
     def in_suffixes(self, y: Word) -> bool:
         if y == EMPTY:

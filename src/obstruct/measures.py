@@ -5,8 +5,9 @@ point per admissible n-word (the word followed by zeros, which every
 state of a digit-expansion presentation admits) and averages the first n
 shift images.  Its cylinder masses are computed exactly from automaton
 occurrence counts as rationals with denominator n * |L_n|: the sums of
-every (state, state) pair at the deepest length at once, by binary
-powering on a small presentation, else one n-term product sum per pair;
+every (state, state) pair at the deepest length at once, on a small
+presentation along its memoised doubling chain (a second n on the same
+presentation resumes it), else one n-term product sum per pair;
 and additions for every shorter length (extension counts satisfy e_j[t] =
 sum of e_{j-1} over the edges out of t).
 
@@ -59,9 +60,10 @@ from .perron import FIXED_BITS, perron_eigendata
 from .quadratic import QuadraticNumber
 from .words import Word, format_word, parse_word
 
-# largest n for empirical_mme: by doubling it reads count rows n - depth..n
-# and bounds only the size of the integers; otherwise it lists every count
-# and extension row up to n and takes one n-term product sum per pair
+# largest n for empirical_mme: along the doubling chain, which keeps
+# O(log n) matrix pairs, it reads count rows n - depth + 1..n and bounds
+# only the size of the integers; otherwise it lists every count and
+# extension row up to n and takes one n-term product sum per pair
 MAX_EMPIRICAL_N = 10_000
 # most cylinders a listed table may hold: sum over lengths n <= depth of
 # |L_n|, counted exactly before any word is listed
@@ -476,11 +478,12 @@ def _tail_prefix(pres, cache, state, length):
 
 
 def window_doubling_pays(states: int, pairs: int, n: int) -> bool:
-    """Whether the deepest window sums cost fewer multiplications by binary
-    powering (`Presentation.window_sums`, counted as one join of 2 states^3
-    products per bit of n) than as one n-term product sum per (state,
-    state) pair: 2 states^3 bit_length(n) < pairs n, no tuned constant."""
-    return 2 * states ** 3 * n.bit_length() < pairs * n
+    """Whether the deepest window sums cost fewer multiplications along the
+    doubling chain (`Presentation.window_sums`, counted as one join of 2
+    states^3 products and one square of states^3 per bit of n; its steps
+    only add) than as one n-term product sum per (state, state) pair:
+    3 states^3 bit_length(n) < pairs n, no tuned constant."""
+    return 3 * states ** 3 * n.bit_length() < pairs * n
 
 
 def empirical_mme(system, n: int, depth: int) -> CylinderMeasure:
@@ -501,7 +504,8 @@ def empirical_mme(system, n: int, depth: int) -> CylinderMeasure:
     W(l + 1, s, t') over those edges, plus state_counts(n - l)[s] when
     l >= 1: a shorter length costs additions.  At the deepest length every
     pair's sum comes from `Presentation.window_sums(n - depth + 1)` when
-    `window_doubling_pays`, and only count rows n - depth..n are read;
+    `window_doubling_pays`, and only count rows n - depth + 1..n are read,
+    the first the start row of the chain's last power (row n at depth 0);
     otherwise all rows up to n are listed and a pair takes one C-level sum
     over s's count column and t's reversed extension column.  The first
     shift at which s is reached, first[s], is its distance from the start.
@@ -533,9 +537,11 @@ def empirical_mme(system, n: int, depth: int) -> CylinderMeasure:
     deep_last = min(deep, n - 1)
     pairs = pres.n_states * sum(f <= deep_last for f in first)
     if window_doubling_pays(pres.n_states, pairs, deep + 1):
-        # count rows deep..n; |L_n| is the last one
-        counts = list(pres.count_rows(n, first=deep))
         deepest = pres.window_sums(deep + 1)
+        # count rows deep..n, |L_n| the last; row deep is read at depth 0
+        # only, and row deep + 1 is the start row of the chain's A^(deep + 1)
+        first_row = deep + (depth > 0)
+        counts = [None] * (depth > 0) + list(pres.count_rows(n, first=first_row))
         if deep_last < deep:  # depth 0: the shift k = n is no window
             deepest = [[w - c for w in row] for row, c in zip(deepest, counts[0])]
 

@@ -335,7 +335,10 @@ def test_push_forward_bounds_the_literal_gluing_time(source, code, M, j):
 
 def test_push_forward_notes_name_image_gaps_and_source_reasons():
     induced = _induced("1.5@60", "maj3")
-    assert induced.gluing_time(2, 0, 8)[0] == 8
+    assert induced.gluing_time(2, 0, 8) == (
+        8, "push-forward of source level 4 at depth 0: gap 6 + 2; "
+        "all lengths, any number of segments"
+    )
     # the source gap 6 passes any source cap; the image gap 8 is too large
     assert induced.gluing_time(2, 0, 7) == (
         None, "push-forward gap 8 exceeds --tau-max + window 7"
@@ -355,6 +358,10 @@ def test_push_forward_of_a_searched_source_gap(golden):
                                     degenerate_decomposition(golden))
     tau, note = induced.gluing_time(0, 0, 6)
     assert note.startswith("push-forward of source level 1 at depth 0:")
+    # the note claims the source's coverage: a literal search over short
+    # lengths, not every length
+    assert note.endswith("; literal search: 2 segments, lengths [1, 2, 3, 4]")
+    assert "all lengths" not in note
     literal = min_gluing_time(induced.factor, induced.level_collection(0), j=0,
                               tau_max=6, lengths=SEARCH_LENGTHS)
     assert literal.reports[-1].exhaustive and literal.tau <= tau

@@ -34,3 +34,21 @@ def test_mme_convergence(tmp_path):
     assert "monotone decrease: True" in proc.stdout
     rows = (tmp_path / "gaps.csv").read_text().split()
     assert rows[0] == "n,max_gap" and [r.split(",")[0] for r in rows[1:]] == ["125", "250"]
+
+
+def test_factor_sweep(tmp_path):
+    proc = _run("factor_sweep.py", "--sources", "golden", "--windows", "2",
+                "--csv", "verdicts.csv", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    header, row = proc.stdout.splitlines()
+    assert header.split()[:5] == ["source", "codes", "met", "not", "met"]
+    source, codes, met, not_met, exit_2, seconds = row.split()
+    assert (source, codes) == ("golden", "16")
+    assert int(met) + int(not_met) + int(exit_2) == 16
+    assert seconds.endswith("s")
+    rows = (tmp_path / "verdicts.csv").read_text().splitlines()
+    assert rows[0] == "source,window,outputs,verdict"
+    # every binary table of the four 2-blocks, in order, one verdict each
+    assert [r.split(",")[2] for r in rows[1:]] == [f"{i:04b}" for i in range(16)]
+    assert {r.split(",")[3] for r in rows[1:]} <= {"met", "not met", "exit 2"}
+    assert sum(r.endswith(",met") for r in rows[1:]) == int(met)
