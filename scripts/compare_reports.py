@@ -98,6 +98,16 @@ EXTENDED = [
     # shortest one, S_1, with count rows read from its power A^1
     "mme --expansion-file @p9 --n 4000",
     "mme --expansion-file @p5 --n 4",
+    # the counting suite: level rows, coverage floors and tail sums past the
+    # default n_max, at the least n_max, on a wrap at depth 2 and on the
+    # degenerate level counter (exit 1); exit 2 where counting meets the
+    # marker; and 601 states to n_max 400
+    "verify --expansion-file @golden --nmax 60",
+    "verify --beta 1.5 --horizon 20 --nmax 30",
+    "verify --expansion-file @wrap --depth 2",
+    "verify --degenerate --expansion-file @golden --depth 1",
+    "verify --beta 2 --nmax 8",
+    "verify --beta 1.5 --horizon 600 --nmax 400",
 ]
 
 

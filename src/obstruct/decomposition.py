@@ -75,7 +75,8 @@ class DecompositionScheme:
         raise NotImplementedError
 
     def level_counter(self, M: int):
-        """Closed-form `counter(n, j)` of level M, or None: count listed words."""
+        """Closed-form `counter(n, j)` of level M, or None: count listed words.
+        A counter may keep partial sums on the scheme, for all its levels."""
         return None
 
     def _whole_piece(self, v: Word, piece: int) -> bool:
@@ -194,18 +195,30 @@ class BetaDecomposition(DecompositionScheme):
             system, f"{self.name}:suffixes", at=at, counter=counter
         )
 
+    def __init__(self, system):
+        super().__init__(system)
+        self._level_rows: dict = {}  # (n, j) -> prefix sums, see level_counter
+
     def level_counter(self, M: int):
-        # the n-words with exact match m are u d_1..d_m, u counted by Z_{n-m}
+        """The sum over m <= min(M, n) of Z_(n-m) ext(match state m, j) (the
+        n-words with exact match m are u d_1..d_m, u counted by Z_(n-m)),
+        read off its prefix sums over m, kept per (n, j) for all levels and
+        extended only to the min(M, n) asked, zero Z terms skipped: a query
+        reads only what the sum reads, and raises where it raises."""
         system = self.system
-        ext = system.presentation.extensions_from
+        rows = self._level_rows
 
         def counter(n, j):
-            z = system.core_counts(n)
-            return sum(
-                z[n - m] * ext(system.match_state(m), j)
-                for m in range(min(M, n) + 1)
-                if z[n - m]
-            )
+            top = min(M, n)
+            row = rows.setdefault((n, j), [])
+            if len(row) <= top:
+                z, ext = system.core_counts(n), system.presentation.extensions_from
+                total = row[-1] if row else 0
+                for m in range(len(row), top + 1):
+                    if z[n - m]:
+                        total += z[n - m] * ext(system.match_state(m), j)
+                    row.append(total)
+            return row[top]
 
         return counter
 

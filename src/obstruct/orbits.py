@@ -77,9 +77,12 @@ class OrbitCollection:
     @classmethod
     def full_language(cls, system, label="all"):
         def counter(n, j):
-            counts = system.presentation.state_counts(n)
-            ext = system.presentation.extensions_from
-            return sum(c * ext(s, j) for s, c in enumerate(counts) if c)
+            # the count row dotted with the extension counts; a reached
+            # poisoned state raises in `extensions_from`
+            pres = system.presentation
+            ext = pres.extension_counts(j)
+            return sum(c * (pres.extensions_from(s, j) if ext[s] is None else ext[s])
+                       for s, c in enumerate(pres.state_counts(n)) if c)
 
         return cls(
             system,

@@ -17,7 +17,7 @@ import functools
 import math
 import sys
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from .automata import check_enumeration_cap
 from .decomposition import filtration_coverage, min_gluing_time
@@ -117,9 +117,10 @@ def counting_suite(
     counts; (b) the growth floor count >= beta^n; (c) the gluing product
     bound for cores; (d) the core count ceiling beta^(n+tau); (e) the
     obstruction tail sums b_M, in closed form when the boundary counts are
-    eventually periodic; (f) the count/growth ratio C1 over the tail
-    window, with its all-n supremum; (g) coverage floors for the
-    filtration levels at each requested gamma.
+    eventually periodic, from one running sum; (f) the count/growth ratio
+    C1 over the tail window, with its all-n supremum; (g) coverage floors
+    for the filtration levels at each requested gamma, each level's least
+    over n <= n_max found by integer cross-multiplication with |L_n|.
     """
     if n_max < 8:
         raise InputError("n_max must be at least 8")
@@ -246,14 +247,17 @@ def counting_suite(
     coverage_rows = []
     cover_ok = True
     coverage_minima: dict = {}  # level -> least coverage fraction, for every gamma
+    sizes = {n: system.count_language(n) for n in range(1, n_max + 1)}
     for gamma2 in GAMMA2_TABLE:
         found = None
         for M in range(0, LEVEL_CAP + 1):
             if M not in coverage_minima:
-                coverage_minima[M] = min(
-                    filtration_coverage(system, scheme, M, n)
-                    for n in range(1, n_max + 1)
-                )
+                # the least n by integer cross-multiplication, then its fraction
+                level = scheme.level_collection(M)
+                counts = {n: count_separated(level, n, 0) for n in sizes}
+                least = min(sizes, key=functools.cmp_to_key(
+                    lambda a, b: counts[a] * sizes[b] - counts[b] * sizes[a]))
+                coverage_minima[M] = filtration_coverage(system, scheme, M, least)
             cov_min = coverage_minima[M]
             if cov_min >= 1 - Fraction(gamma2):
                 found = (M, cov_min)
@@ -312,12 +316,12 @@ def _geq_reversed(count: int, power) -> bool:
 
 
 def _tail_sums(counts: dict, beta, n_max: int):
-    """b_M = sum_{i >= M} counts[i] * beta^-i, closed form when possible."""
-    if isinstance(beta, float):
-        inv = 1.0 / beta
-    else:
-        inv = 1 / beta
-    power = _power_table(inv)
+    """b_M = sum_{i >= M} counts[i] * beta^-i for 1 <= M <= min(12, n_max - 8),
+    in closed form when the counts are eventually periodic, else as partial
+    sums to n_max.  The heads sum_{M <= i < end} are read off one running sum
+    of the exact terms, from the top down; float terms (a float beta) are
+    summed left to right from each M, so each float keeps its bits."""
+    power = _power_table(1 / beta)
     period = None
     probe = range(max(1, n_max - 12), n_max + 1)
     for q in range(1, 7):
@@ -327,28 +331,32 @@ def _tail_sums(counts: dict, beta, n_max: int):
             period = q
             break
     m_top = min(12, n_max - 8)
-    tails = {}
+    # the heads end at n_max, or where the closed form's periodic tail starts
+    end = n_max + 1 if period is None else max(1, n_max - 12)
+    terms = {i: counts[i] * power(i) for i in range(1, end)}
+    if isinstance(beta, float):
+        heads = {m: sum(terms[i] for i in range(m, end)) for m in range(1, m_top + 1)}
+    else:
+        heads = dict(zip(reversed(terms), accumulate(reversed(terms.values()))))
     if period is None:
         # no periodic tail: report partial sums; summable only if terms vanish
-        terms = {i: counts[i] * power(i) for i in range(1, n_max + 1)}
         vanishing = float(terms[n_max]) < 0.5 * float(terms[max(1, n_max // 2)]) and (
             float(terms[n_max]) < 1e-3
         )
-        for m in range(1, m_top + 1):
-            tails[m] = float(sum(terms[i] for i in range(m, n_max + 1)))
+        tails = {m: float(heads[m]) for m in range(1, m_top + 1)}
         note = (
             "no periodic boundary tail detected; partial sums only"
             if vanishing
             else "boundary terms do not vanish; tail is not summable"
         )
         return tails, vanishing, note
-    anchor = max(1, n_max - 12)
     geom = 1 / (1 - power(period))
-    for m in range(1, m_top + 1):
-        start = max(m, anchor)
-        head = sum((counts[i] * power(i) for i in range(m, start)), inv * 0)
-        tail = sum(counts[start + r] * power(start + r) for r in range(period))
-        tails[m] = head + tail * geom
+
+    def tail_from(start):  # the terms from start on: a geometric series
+        return sum(counts[start + r] * power(start + r) for r in range(period)) * geom
+
+    tail = tail_from(end)
+    tails = {m: heads[m] + tail if m < end else tail_from(m) for m in range(1, m_top + 1)}
     decreasing = all(
         float(tails[m + 1]) < float(tails[m]) + 1e-15 for m in range(1, m_top)
     )

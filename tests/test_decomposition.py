@@ -644,6 +644,49 @@ def test_level_counter_matches_level_words(scheme, M, n, j):
     event(listed.__name__ if isinstance(listed, type) else "counted")
 
 
+def _level_count_from_scratch(system, M, n, j):
+    """The beta level count summed afresh from m = 0, as before the rows
+    were kept: Z_(n-m) ext(match state m, j) over m <= min(M, n)."""
+    z = system.core_counts(n)
+    ext = system.presentation.extensions_from
+    return sum(
+        z[n - m] * ext(system.match_state(m), j)
+        for m in range(min(M, n) + 1)
+        if z[n - m]
+    )
+
+
+@st.composite
+def _row_systems(draw):
+    """Periodic, preperiodic and truncated expansions, with short horizons."""
+    if draw(st.booleans()):
+        return _LEVEL_SYSTEMS[draw(st.sampled_from(sorted(_LEVEL_SYSTEMS)))](24)
+    beta = draw(st.sampled_from(["1.5", "1.8", "2.5"]))
+    return BetaSystem.from_beta(beta, horizon=draw(st.integers(2, 8)))
+
+
+@given(
+    _row_systems(),
+    st.lists(st.tuples(st.integers(0, 16), st.integers(1, 30), st.integers(0, 2)),
+             min_size=1, max_size=40),
+)
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_kept_level_rows_match_the_sums_from_scratch(system, queries):
+    # one scheme answers every query from its kept rows, in random order
+    scheme = beta_decomposition(system)
+    oracle_system = BetaSystem(system.expansion)
+    for M, n, j in queries:
+        want = _error_type(
+            lambda: _level_count_from_scratch(oracle_system, M, n, j))
+        got = _error_type(lambda: scheme.level_counter(M)(n, j))
+        assert got == want, (M, n, j)
+        if n <= 10:
+            listed = _error_type(lambda: sum(
+                system.extensions(v, j) for v in scheme.level_words(M, n)))
+            assert listed == want, (M, n, j)
+        event(want.__name__ if isinstance(want, type) else "counted")
+
+
 _CORE_SCHEMES = {
     "beta": lambda: beta_decomposition(BetaSystem.golden_mean()),
     "beta-truncated": lambda: beta_decomposition(

@@ -358,3 +358,88 @@ def test_failing_product_bound_reports_the_first_failing_composition(
     )
     assert not check.passed and check.details["witness"] == want
     assert check.summary == f"violated at parts={want[0]}: {want[1]} < {want[2]}"
+
+
+def _tail_sums_per_head(counts, beta, n_max):
+    """The tail sums as computed before one running sum served every head:
+    each head summed afresh from m upward, by the same branches."""
+    if isinstance(beta, float):
+        inv = 1.0 / beta
+    else:
+        inv = 1 / beta
+    power = _power_table(inv)
+    period = None
+    probe = range(max(1, n_max - 12), n_max + 1)
+    for q in range(1, 7):
+        if all(
+            counts[i] == counts[i + q] for i in probe if i + q <= n_max
+        ):
+            period = q
+            break
+    m_top = min(12, n_max - 8)
+    tails = {}
+    if period is None:
+        terms = {i: counts[i] * power(i) for i in range(1, n_max + 1)}
+        vanishing = float(terms[n_max]) < 0.5 * float(terms[max(1, n_max // 2)]) and (
+            float(terms[n_max]) < 1e-3
+        )
+        for m in range(1, m_top + 1):
+            tails[m] = float(sum(terms[i] for i in range(m, n_max + 1)))
+        note = (
+            "no periodic boundary tail detected; partial sums only"
+            if vanishing
+            else "boundary terms do not vanish; tail is not summable"
+        )
+        return tails, vanishing, note
+    anchor = max(1, n_max - 12)
+    geom = 1 / (1 - power(period))
+    for m in range(1, m_top + 1):
+        start = max(m, anchor)
+        head = sum((counts[i] * power(i) for i in range(m, start)), inv * 0)
+        tail = sum(counts[start + r] * power(start + r) for r in range(period))
+        tails[m] = head + tail * geom
+    decreasing = all(
+        float(tails[m + 1]) < float(tails[m]) + 1e-15 for m in range(1, m_top)
+    )
+    return (
+        tails,
+        decreasing,
+        f"closed-form tails with eventual period {period}, decreasing to 0",
+    )
+
+
+_TAIL_SYSTEMS = {
+    # exact Fraction beta, partial sums
+    "1.5@60": lambda: BetaSystem.from_beta(Fraction(3, 2), horizon=60),
+    "2.5@60": lambda: BetaSystem.from_beta(Fraction(5, 2), horizon=60),
+    # quadratic beta, closed form
+    "golden": BetaSystem.golden_mean,
+    "silver": lambda: BetaSystem.from_expansion((2, 0), period=2),
+    # float beta: each float must keep its bits; p9's period, 9, is longer
+    # than the probe's, so its depth-2 tails are partial sums
+    "p5": lambda: BetaSystem.from_expansion((2, 1, 0, 0, 1), period=5),
+    "p9": lambda: BetaSystem.from_expansion((1, 1, 0, 1, 0, 0, 1, 0, 0), period=9),
+}
+
+
+# (n_max, depth): at n_max = 8 no head is summed; at depth 0 every boundary
+# count is 1 (closed form), at depth 2 the truncated ones take partial sums,
+# at depth 3 and n_max = 9 their terms do not vanish
+@pytest.mark.parametrize(
+    "n_max, j", [(8, 0), (9, 0), (24, 0), (60, 0), (8, 2), (9, 2), (24, 2), (9, 3)]
+)
+@pytest.mark.parametrize("name", sorted(_TAIL_SYSTEMS))
+def test_tail_sums_match_the_sums_per_head(name, n_max, j):
+    system = _TAIL_SYSTEMS[name]()
+    boundary = beta_decomposition(system).boundary()
+    counts = {n: suites.count_separated(boundary, n, j) for n in range(1, n_max + 1)}
+    beta = suites._exact_beta(system)
+    assert isinstance(beta, float) == (name in ("p5", "p9"))
+    got = suites._tail_sums(counts, beta, n_max)
+    want = _tail_sums_per_head(counts, beta, n_max)
+    assert got[1:] == want[1:]
+    assert list(got[0]) == list(want[0]) == list(range(1, min(12, n_max - 8) + 1))
+    for m, value in want[0].items():
+        assert type(got[0][m]) is type(value) and got[0][m] == value
+        if isinstance(value, float):
+            assert got[0][m].hex() == value.hex()
