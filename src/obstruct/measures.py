@@ -56,7 +56,7 @@ from operator import mul
 
 from .automata import bfs_distances
 from .errors import DepthError, EnumerationCapError, InputError, NonMixingError
-from .perron import FIXED_BITS, perron_eigendata
+from .perron import perron_eigendata
 from .quadratic import QuadraticNumber
 from .words import Word, format_word, parse_word
 
@@ -698,7 +698,7 @@ def parry_measure(system, depth: int) -> CylinderMeasure:
     else:
         provenance = (
             f"parry-truncated(horizon={system.horizon}, "
-            f"cw_width={_to_float(hi - lo):.3g}{_beta_gap(system, lo)})"
+            f"cw_width={float(hi - lo):.3g}{_beta_gap(system, lo)})"
         )
     return CylinderMeasure(
         alphabet_size=system.alphabet_size,
@@ -751,18 +751,7 @@ def _beta_gap(system, lo) -> str:
     beta = getattr(getattr(system, "expansion", None), "beta", None)
     if not isinstance(beta, (int, Fraction, QuadraticNumber)):
         return ""
-    return f", beta_gap={_to_float(beta - lo):.3g}"
-
-
-def _to_float(x) -> float:
-    """Nearest float to a rational, or to a + b sqrt(D) with b sqrt(D)
-    first taken to 2^-2 FIXED_BITS by an integer square root, so a
-    difference that cancels keeps its leading digits."""
-    if not isinstance(x, QuadraticNumber):
-        return float(x)
-    bits = 2 * FIXED_BITS
-    root = math.isqrt(x.b.numerator ** 2 * x.D << 2 * bits)
-    return float(x.a + Fraction(root if x.b >= 0 else -root, x.b.denominator << bits))
+    return f", beta_gap={float(beta - lo):.3g}"
 
 
 def max_depth_gap(a: CylinderMeasure, b: CylinderMeasure, length: int) -> float:

@@ -196,8 +196,28 @@ class QuadraticNumber:
         return (self.A + f) // self.q
 
     def __float__(self) -> float:
-        # int / int rounds correctly, as float(Fraction) does
-        return self.A / self.q + (self.B / self.q) * math.sqrt(self.D)
+        """The nearest float, also where A and B sqrt(D) nearly cancel: for
+        B != 0 the value lies strictly between (A 2^k +- r) / (q 2^k) and the
+        same with r + 1, r = isqrt(B^2 D 4^k), and is the float both round
+        to (int / int rounds correctly) once they agree.  The first k makes
+        that bracket under 2^-64 of the value, which is at least |B|, or
+        |A^2 - B^2 D| / |A - B sqrt(D)| when the terms cancel."""
+        A, B, q, D = self.A, self.B, self.q, self.D
+        if not B:
+            return A / q
+        square = B * B * D
+        if (A >= 0) if B > 0 else (A <= 0):
+            k = 65 - B.bit_length()
+        else:
+            k = (65 + (abs(A) + abs(B) * (math.isqrt(D) + 1)).bit_length()
+                 - (A * A - square).bit_length())
+        k, sign = max(k, 0), 1 if B > 0 else -1
+        while True:
+            lo, den = (A << k) + sign * math.isqrt(square << 2 * k), q << k
+            x = lo / den
+            if x == (lo + sign) / den:
+                return x
+            k += 32
 
     def __abs__(self):
         return -self if self._cmp(0) < 0 else self

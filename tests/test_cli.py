@@ -432,6 +432,18 @@ def test_verify_reuses_level_zero_gluing_for_cores(monkeypatch, capsys):
     assert checks["gluing-cores"]["passed"] == checks["gluing-level-0"]["passed"]
 
 
+def test_golden_count_ratio_survives_cancellation(golden_file, capsys):
+    # count(n) / phi^n is a difference in Q(sqrt 5) that cancels to a number
+    # near C1 = 1.1708...; its float must keep those digits, and at n = 800
+    # convert without overflowing
+    assert main(["verify", "--expansion-file", golden_file, "--nmax", "40"]) == EXIT_PASS
+    constants = json.loads(capsys.readouterr().out)["payload"]["constants"]
+    assert float(constants["c1"]) == pytest.approx(1.17082, abs=1e-5)
+    assert float(constants["c1_sup"]) == pytest.approx(1.23607, abs=1e-5)
+    assert main(["verify", "--expansion-file", golden_file, "--nmax", "800"]) == EXIT_PASS
+    capsys.readouterr()
+
+
 def test_measure_file_accepted_when_valid(golden_file, tmp_path):
     system = build_system(RunConfig(expansion_file=golden_file))
     measure = parry_measure(system, 12)

@@ -281,9 +281,6 @@ class OracleQuadratic:
             f = -root if root * root == B * B * self.D else -root - 1
         return (A + f) // q
 
-    def __float__(self) -> float:
-        return float(self.a) + float(self.b) * math.sqrt(self.D)
-
     def __abs__(self):
         return -self if self._sign() < 0 else self
 
@@ -326,6 +323,15 @@ def _assert_canonical(x):
     assert isinstance(x.A, int) and isinstance(x.B, int) and isinstance(x.q, int)
 
 
+def _assert_nearest_float(f, x):
+    """f is a float nearest x: x lies between the midpoints from f to its
+    float neighbours, compared in exact arithmetic."""
+    exact = Fraction(f)
+    below = (exact + Fraction(math.nextafter(f, -math.inf))) / 2
+    above = (exact + Fraction(math.nextafter(f, math.inf))) / 2
+    assert x >= below and x <= above, (f, x)
+
+
 def _same(got, want):
     if isinstance(want, OracleQuadratic):
         assert isinstance(got, QuadraticNumber)
@@ -333,7 +339,7 @@ def _same(got, want):
         assert (got.a, got.b, got.D) == (want.a, want.b, want.D)
         assert str(got) == str(want) and hash(got) == hash(want)
         assert repr(got) == repr(want).replace("OracleQuadratic", "QuadraticNumber")
-        assert float(got).hex() == float(want).hex()
+        _assert_nearest_float(float(got), want)
         assert math.floor(got) == math.floor(want)
     else:
         assert type(got) is type(want) and got == want
@@ -375,6 +381,20 @@ def test_matches_the_fraction_pair_oracle(data, D, n):
     _agree(lambda u, _: u ** n, x, y)
     _agree(lambda u, _: -u, x, y)
     _agree(lambda u, _: abs(u), x, y)
+
+
+def test_float_keeps_the_digits_of_a_cancelling_difference():
+    # phi^-n = (L_n - F_n sqrt 5) / 2 up to sign: the terms cancel to 1 part
+    # in phi^(2n), past the float range from n = 738
+    phi, oracle_phi = golden_ratio(), OracleQuadratic(Fraction(1, 2), Fraction(1, 2), 5)
+    for n in (1, 10, 40, 100, 400, 800, 1500):
+        x = phi ** -n
+        _assert_nearest_float(float(x), oracle_phi ** -n)
+        assert float(x) > 0
+        ratio = (phi ** n * 5 + 1) / phi ** n  # cancels to 5 + phi^-n
+        _assert_nearest_float(float(ratio), oracle_phi ** -n + 5)
+    # the Parry mass of golden's state 0, 1 / sqrt 5
+    assert float(1 / QuadraticNumber.sqrt(5)) == 0.44721359549995793
 
 
 def test_float_operands_are_refused():
