@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
+import itertools
 import json
 import os
 import subprocess
@@ -32,6 +33,18 @@ import tempfile
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
+
+
+def _bernoulli_table(depth: int = 6) -> str:
+    """A measure file of float masses: the (1/3, 2/3) Bernoulli measure on
+    two symbols, to `depth`, each mass a rounded float."""
+    entries = [
+        {"word": "".join(map(str, w)),
+         "mass_float": repr((1 / 3) ** w.count(0) * (2 / 3) ** w.count(1))}
+        for n in range(depth + 1) for w in itertools.product((0, 1), repeat=n)
+    ]
+    return json.dumps({"depth": depth, "alphabet_size": 2,
+                       "provenance": "bernoulli(1/3)", "entries": entries})
 
 # input files beyond the benchmark's, by name
 INPUTS = {
@@ -43,6 +56,8 @@ INPUTS = {
     # 2(1)^oo, beta = (3 + sqrt 5) / 2: exact quadratic Perron data on a
     # 2-state wrap that is not renewal-shaped
     "pq": "period=1\n21\n",
+    # a small table of float masses, summed exactly by the mass checks
+    "bernoulli": _bernoulli_table(),
 }
 
 # commands outside the benchmark, run after it with --extended
@@ -108,6 +123,12 @@ EXTENDED = [
     "verify --degenerate --expansion-file @golden --depth 1",
     "verify --beta 2 --nmax 8",
     "verify --beta 1.5 --horizon 600 --nmax 400",
+    # the mass checks on exact weights: a truncated 51-symbol system whose
+    # depth-10 layer holds about 10^17 words, a float measure file, and the
+    # growth rows decided on a wrap's Perron enclosure at depth 1
+    "verify --beta 50.5",
+    "verify --beta 2 --measure-file @bernoulli",
+    "verify --expansion-file @wrap --depth 1 --tau-max 6",
 ]
 
 

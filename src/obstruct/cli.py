@@ -363,6 +363,7 @@ def cmd_verify(config: RunConfig):
         if tau is None and "tau" in c.details:
             record(f"counting:{c.name}", False, "not run: gluing time not established")
         else:
+            inconclusive = inconclusive or c.passed is None  # undecided on beta's bounds
             record(f"counting:{c.name}", c.passed, c.summary)
 
     # measure-backed checks

@@ -18,7 +18,7 @@ components): the mass of [u] sums l_s r_t over the walks s -> t of u,
 divided by x^|u| sum_s l_s r_s.  With exact
 eigendata (rational or quadratic) the masses are exact field elements;
 otherwise the eigenvectors are positive integers, the eigenvalue is the
-midpoint of its Collatz-Wielandt enclosure, every mass is an exact
+simplest rational in its Collatz-Wielandt enclosure, every mass is an exact
 rational acc S_n of these (acc an integer class weight, S_n fixed per
 length), and each is rounded to a float once: from a 128-bit fixed-point
 scale of S_n where that decides the float, else by the exact division.
@@ -33,17 +33,14 @@ sum of l_s over the states s whose walk of u ends at each state, which is
 a function of u's transition class on the right-resolving presentation
 (Parry 1960); so the Parry measure has one class per distinct vector
 (keyed by its sorted (state, weight) pairs), each with its children, its
-word count and least word at every length, and its exact weight, rounded
-only where a check reads it.  Its per-word table is listed only when it is
-read (reports, `max_depth_gap`), and is refused over MAX_TABLE_CYLINDERS
-words before any word is listed.  A listed table (an empirical measure,
-or one read from a file) must be closed under prefixes; its classes are
-its minimal automaton, the words merged bottom-up when their masses and
-child classes agree.  On float data (a Parry measure with integer
-eigendata, or a table with any float mass) a pattern mass is its exact
-sum rounded once; the word-order float sum of its N rounded masses
-differs from that by at most (N + 1) 2^-53 of the mass, to first order
-(N roundings in the sum, one in the class value).
+word count and least word at every length, and its exact weight.  The
+checks read the weights and the per-length scales S_n unrounded; a report
+or `mass` rounds a mass, or a pattern's exact sum, once.  The per-word
+table is listed only when it is read (reports, `max_depth_gap`), and is
+refused over MAX_TABLE_CYLINDERS words before any word is listed.  A
+listed table (an empirical measure, or one read from a file) must be
+closed under prefixes; its classes are its minimal automaton, the words
+merged bottom-up when their masses and child classes agree.
 """
 
 from __future__ import annotations
@@ -56,7 +53,7 @@ from operator import mul
 
 from .automata import bfs_distances
 from .errors import DepthError, EnumerationCapError, InputError, NonMixingError
-from .perron import perron_eigendata
+from .perron import perron_eigendata, simplest_between
 from .quadratic import QuadraticNumber
 from .words import Word, format_word, parse_word
 
@@ -103,9 +100,10 @@ class MassClasses:
     - `root`, the class of the empty word;
     - `children[k]`, symbol -> class of u a for u in class k, in increasing
       symbol order; the symbols missing lead off the table (mass 0);
-    - `weights[k]`, the unrounded mass of class k, before `finish`;
-    - `finish(weight, n)`, the mass of a length-n cylinder of that weight,
-      nondecreasing in the weight;
+    - `weights[k]`, the weight of class k: a length-n cylinder of weight w
+      has the exact mass w S_n, `scales[n]` = S_n as a quotient (num, den);
+    - `finish(weight, n)`, that mass rounded once where the data are float
+      (so nondecreasing in the weight), for reports and `mass`;
     - `layers[n]`, each class met at length n with its word count and its
       least word, in increasing order of least words;
     - `cylinders`, the word count of the table.
@@ -113,10 +111,11 @@ class MassClasses:
     The words themselves are listed only by `table`.
     """
 
-    def __init__(self, root: int, children: list, weights: list, finish, layers: list):
+    def __init__(self, root: int, children: list, weights: list, scales: list, finish, layers):
         self.root = root
         self.children = children
         self.weights = weights
+        self.scales = scales
         self.finish = finish
         self.layers = layers
         self.depth = len(layers) - 1
@@ -126,7 +125,7 @@ class MassClasses:
         self._spreads: dict[int, dict] = {}  # see _spread
 
     @classmethod
-    def parry(cls, live, left, right, finish, depth: int) -> "MassClasses":
+    def parry(cls, live, left, right, scales, finish, depth: int) -> "MassClasses":
         """Classes of a Parry measure, by weight vector.
 
         The vector of a word u is v_u[t] = sum of l_s over the states s
@@ -165,7 +164,7 @@ class MassClasses:
             layers.append(extend(layers[-1], moves))
         weights = [sum(w * right[t] for t, w in v) for v in vectors]
         kids = [children.get(k, {}) for k in range(len(vectors))]
-        return cls(root, kids, weights, finish, layers)
+        return cls(root, kids, weights, scales, finish, layers)
 
     @classmethod
     def of_table(cls, table: Mapping, depth: int, exact: bool) -> "MassClasses":
@@ -175,11 +174,10 @@ class MassClasses:
         the same mass (of the same type) and the same child classes.  The
         children of a word are contiguous in the sorted longer words, so
         each length is one scan of its sorted words beside the sorted
-        words one symbol longer.  For an exact table the weights are the
-        masses and `finish` is the identity; otherwise the weights are the
-        exact values of the masses and `finish` rounds once to a float,
-        so a cylinder's mass is its float and a pattern mass is the exact
-        sum rounded once.  A word listed without its prefix is refused.
+        words one symbol longer.  The weights are the exact values of the
+        masses, every scale is 1, and `finish` rounds once to a float where
+        the table has a float mass.  A word listed without its prefix is
+        refused.
         """
         by_length: list[list] = [[] for _ in range(depth + 1)]
         for w in table:
@@ -227,7 +225,7 @@ class MassClasses:
         else:
             def finish(acc, n):
                 return float(acc)
-        return cls(below[0], children, weights, finish, layers)
+        return cls(below[0], children, weights, [(1, 1)] * (depth + 1), finish, layers)
 
     def _spread(self, k: int) -> dict:
         """child class -> number of symbols that lead to it from class k."""
@@ -268,10 +266,12 @@ class MassClasses:
             )
         return self._runs[n]
 
-    def pattern_mass(self, template):
-        """Total mass of the words matching a fixed/free position template:
-        the class path counts times the class weights, as one exact sum
-        finished (so rounded, for float data) once; 0 when no word matches."""
+    def pattern_weight(self, template):
+        """Total weight of the words matching a fixed/free position template
+        (their exact mass is this weight times S_len): the class path counts
+        times the class weights; None when no word matches."""
+        if len(template) > self.depth:
+            raise DepthError(f"pattern length {len(template)} exceeds measure depth {self.depth}")
         paths = {self.root: 1}
         for want in template:
             nxt: dict[int, int] = {}
@@ -284,9 +284,8 @@ class MassClasses:
                     nxt[child] = nxt.get(child, 0) + c
             paths = nxt
         if not paths:
-            return 0
-        total = sum(c * self.weights[k] for k, c in paths.items())
-        return self.finish(total, len(template))
+            return None
+        return sum(c * self.weights[k] for k, c in paths.items())
 
     def table(self) -> dict:
         """Every cylinder's mass, listed in lexicographic preorder; refused
@@ -389,12 +388,10 @@ class CylinderMeasure:
         return list(self._index().get(length, ()))
 
     def pattern_mass(self, template):
-        """Total mass of words matching a fixed/free position template."""
-        if len(template) > self.depth:
-            raise DepthError(
-                f"pattern length {len(template)} exceeds measure depth {self.depth}"
-            )
-        return self.classes.pattern_mass(template)
+        """Total mass of words matching a fixed/free position template: their
+        weight finished (so rounded, for float data) once; 0 when none does."""
+        total = self.classes.pattern_weight(template)
+        return 0 if total is None else self.classes.finish(total, len(template))
 
     def joint_mass(self, u: Word, gap: int, v: Word):
         """Mass of [u] intersected with the gap-shifted cylinder of v."""
@@ -403,17 +400,21 @@ class CylinderMeasure:
     # -- serialization ---------------------------------------------------------
 
     def to_json_dict(self) -> dict:
+        # the cylinders of a mass class share one mass object: each is
+        # rendered once, keyed by identity (hashing a value costs more)
+        rendered: dict = {}
         entries = []
         for w in sorted(self.table, key=lambda w: (len(w), w)):
             m = self.table[w]
-            entry = {"word": format_word(w, self.alphabet_size)}
-            if isinstance(m, (int, Fraction)):
-                f = Fraction(m)
-                entry["mass_num"] = str(f.numerator)
-                entry["mass_den"] = str(f.denominator)
-            else:
-                entry["mass_float"] = f"{float(m):.17g}"
-            entries.append(entry)
+            key = id(m)
+            if key not in rendered:
+                if isinstance(m, (int, Fraction)):
+                    f = Fraction(m)
+                    rendered[key] = {"mass_num": str(f.numerator),
+                                     "mass_den": str(f.denominator)}
+                else:
+                    rendered[key] = {"mass_float": f"{float(m):.17g}"}
+            entries.append({"word": format_word(w, self.alphabet_size), **rendered[key]})
         return {
             "depth": self.depth,
             "alphabet_size": self.alphabet_size,
@@ -641,7 +642,9 @@ def parry_measure(system, depth: int) -> CylinderMeasure:
     Exact field arithmetic when the eigenvalue is rational or quadratic.
     Otherwise l and r are the integer vectors L, R of the eigendata (each
     in its own unit, which cancels: the mass is homogeneous of degree 0 in
-    l and in r) and x = p / q is the midpoint of the enclosure, so V and
+    l and in r) and x = p / q is the simplest rational in the enclosure
+    (`simplest_between`: least denominator, so the scales S_n below carry
+    about half the bits the enclosure's ends or midpoint would), so V and
     the sum over t are exact integers and the float mass is the rational
     acc S_n, acc = sum_t V_u[t] R_t and S_n = q^n / (p^n sum_s L_s R_s),
     rounded once: from F_n = floor(S_n 2^K_n) of SCALE_BITS bits, taken
@@ -671,27 +674,27 @@ def parry_measure(system, depth: int) -> CylinderMeasure:
     left, right = eigen.left, eigen.right
     total = sum(map(mul, left, right))
     if eigen.exact:
-        lam = eigen.eigenvalue
-        scale = [1 / total]
+        scales = [(1 / total, 1)]
         for _ in range(depth):
-            scale.append(scale[-1] / lam)
+            scales.append((scales[-1][0] / eigen.eigenvalue, 1))
 
         def finish(acc, n):
-            return acc * scale[n]
+            return acc * scales[n][0]
     else:
-        # the midpoint p / q of the enclosure; each mass is the rational
-        # acc q^n / (p^n sum_s L_s R_s) of the integer data, rounded once
-        mid = sum(eigen.enclosure) / 2
-        nums, dens = [1], [total]
+        # the simplest rational p / q in the enclosure; each mass is the
+        # rational acc q^n / (p^n sum_s L_s R_s) of the integer data,
+        # rounded once
+        mid = simplest_between(*eigen.enclosure)
+        scales = [(1, total)]
         for _ in range(depth):
-            nums.append(nums[-1] * mid.denominator)
-            dens.append(dens[-1] * mid.numerator)
-        scales = [_fixed_scale(a, b) for a, b in zip(nums, dens)]
+            num, den = scales[-1]
+            scales.append((num * mid.denominator, den * mid.numerator))
+        fixed = [_fixed_scale(*scale) for scale in scales]
 
         def finish(acc, n):
-            mass = _round_scaled(acc, *scales[n])
-            return acc * nums[n] / dens[n] if mass is None else mass
-    classes = MassClasses.parry(live, left, right, finish, depth)
+            mass = _round_scaled(acc, *fixed[n])
+            return acc * scales[n][0] / scales[n][1] if mass is None else mass
+    classes = MassClasses.parry(live, left, right, scales, finish, depth)
     lo, hi = eigen.enclosure
     if system.horizon is None:
         provenance = "parry-exact" if eigen.exact else "parry-numeric"

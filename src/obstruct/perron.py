@@ -34,6 +34,7 @@ A reducible matrix reports the largest root of its components (Lind-Marcus
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -217,6 +218,21 @@ def perron_eigendata(presentation) -> PerronData:
         core._perron = (parts[0] if len(comps[0]) == len(rows)
                         else _reducible_eigendata(parts))
     return core._perron
+
+
+@functools.lru_cache(maxsize=64)
+def simplest_between(a: Fraction, b: Fraction) -> Fraction:
+    """The rational of least denominator in [a, b], 0 < a <= b: the ends'
+    continued fractions up to where an integer fits (about 128-bit terms
+    between the ends of a 256-bit enclosure)."""
+    (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
+    h, k, h0, k0 = 1, 0, 0, 1  # x = (h y + h0) / (k y + k0), y the remainder
+    while True:
+        t = an // ad + (an % ad > 0 and (an // ad + 1) * bd <= bn)
+        if t * ad >= an:
+            return Fraction(h * t + h0, k * t + k0)
+        h, k, h0, k0 = h * t + h0, k * t + k0, h, k
+        an, ad, bn, bd = bd, bn - t * bd, ad, an - t * ad
 
 
 def _component_rows(rows, states) -> tuple:

@@ -1,8 +1,15 @@
 """Machine checks for the counting, Gibbs, mixing, and mass-spread estimates.
 
-Every inequality here is evaluated with exact integers (counts), exact
-field elements (stationary masses, growth rates of small presentations),
-or both; a failure names the check, the length, and the witness numbers.
+Every row is decided in one exact arithmetic of integers, `Fraction`s and
+`QuadraticNumber`s; a failure names the check, the length, and the
+witness numbers.  Beta enters as bounds lo <= beta <= hi (`_growth`), and
+a growth comparison that they leave open reads "not run: undecided".
+Masses enter unrounded, as class weights times the exact per-length scale
+S_n (`MassClasses.scales`).  So c1, c1_sup and the tails b_M, computed
+with lo, are upper bounds, and the Gibbs and two-window constants,
+computed with lo^n, lower bounds.  Exact values are held as quotients
+(num, den) with den > 0, and floats exist only in the reported fields,
+each the exact value rounded once.
 The checks are the load-bearing estimates behind uniqueness of the measure
 of maximal entropy: submultiplicativity and growth floors for the whole
 language, product bounds and ceilings for the good cores under a certified
@@ -15,15 +22,16 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from fractions import Fraction
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, repeat
+from operator import mul
 
 from .automata import check_enumeration_cap
 from .decomposition import filtration_coverage, min_gluing_time
 from .errors import DepthError, InputError
-from .measures import MAX_TABLE_CYLINDERS, extend
+from .measures import extend
 from .orbits import OrbitCollection, count_separated
+from .perron import perron_eigendata, simplest_between
 from .quadratic import QuadraticNumber
 from .words import overlay
 
@@ -36,42 +44,45 @@ GAMMA2_TABLE = (Fraction(1, 2), Fraction(1, 4), Fraction(1, 10))
 LEVEL_CAP = 16
 
 
-def _exact_beta(system):
-    """Exact growth value when available, else a float."""
+def _growth(system) -> tuple:
+    """Bounds (lo, hi), lo <= beta <= hi, as quotients (num, den): beta twice
+    when it is exact, else the Perron value's enclosure [a, b] widened to
+    the simplest rationals within b - a of its ends, of half their bits."""
     beta = system.beta_value()
-    if isinstance(beta, int):
-        return Fraction(beta)
-    if isinstance(beta, (Fraction, QuadraticNumber)):
-        return beta
-    return float(beta)
+    if isinstance(beta, QuadraticNumber):
+        return ((beta, 1),) * 2
+    if isinstance(beta, (int, Fraction)):
+        lo = hi = Fraction(beta)
+    else:
+        a, b = perron_eigendata(system.presentation).enclosure
+        lo, hi = simplest_between(2 * a - b, a), simplest_between(b, 2 * b - a)
+    return (lo.numerator, lo.denominator), (hi.numerator, hi.denominator)
 
 
-def _geq(count: int, power) -> bool:
-    """count >= power, exact when power is exact."""
-    if isinstance(power, (Fraction, QuadraticNumber)):
-        return power <= count
-    return math.log(count) >= math.log(float(power)) - 1e-9
+def _powers(x, top: int) -> list:
+    """[x^0, ..., x^top] for a quotient x = (num, den), each (num^i, den^i),
+    each power one product of the last."""
+    return list(zip(*(accumulate(repeat(v, top), mul, initial=v ** 0) for v in x)))
 
 
-def _power_table(x):
-    """i -> x ** i, each power computed once.  Exact powers are built by
-    products; a float's by `**`, so each float is the one `x ** i` gives."""
-    table = [x ** 0]
-
-    def power(i: int):
-        while len(table) <= i:
-            n = len(table)
-            table.append(x ** n if isinstance(x, float) else table[-1] * x)
-        return table[i]
-
-    return power
+def _compare(a, b) -> int:
+    """The sign of a - b for quotients (num, den) with den > 0."""
+    x, y = a[0] * b[1], b[0] * a[1]
+    return (x > y) - (x < y)
 
 
-def _scale_mass(mass, scale):
-    """mass * scale, exact unless either side is already a float."""
-    if isinstance(mass, float) or isinstance(scale, float):
-        return float(mass) * float(scale)
-    return mass * scale
+_by_value = functools.cmp_to_key(_compare)
+
+
+def _rounded(q) -> float:
+    """The float nearest q: int / int, and `float` of a field element, round
+    correctly."""
+    return float(q[0] / q[1])
+
+
+def _exact(q):
+    """The quotient q as one number: a `Fraction`, or a field element."""
+    return Fraction(1) * q[0] / q[1]
 
 
 class CheckResult:
@@ -121,15 +132,24 @@ def counting_suite(
     C1 over the tail window, with its all-n supremum; (g) coverage floors
     for the filtration levels at each requested gamma, each level's least
     over n <= n_max found by integer cross-multiplication with |L_n|.
+    (b) and (d) are decided on lo <= beta <= hi, (e) and (f) use lo.
     """
     if n_max < 8:
         raise InputError("n_max must be at least 8")
-    beta = _exact_beta(system)
-    power = _power_table(beta)
     full = OrbitCollection.full_language(system)
     cores = scheme.cores()
     boundary = scheme.boundary()
     checks = []
+
+    # gluing time for the cores
+    if tau is None:
+        glue = min_gluing_time(system, cores, j=j, tau_max=4, lengths=range(1, 5))
+        if not glue.found:
+            raise InputError("cores admit no gluing time up to 4; pass tau explicitly")
+        tau = glue.tau
+    lo, hi = _growth(system)
+    lo_pow = _powers(lo, n_max + tau)
+    hi_pow = lo_pow if hi == lo else _powers(hi, n_max + tau)
 
     lang = {n: count_separated(full, n, j) for n in range(1, n_max + 1)}
     core_counts = {n: count_separated(cores, n, j) for n in range(1, n_max + 1)}
@@ -156,23 +176,12 @@ def counting_suite(
         )
     )
 
-    # (b) growth floor
-    bad = next((n for n in range(1, n_max + 1) if not _geq(lang[n], power(n))), None)
-    checks.append(
-        CheckResult(
-            "growth-floor",
-            bad is None,
-            "count(n) >= beta^n" if bad is None else f"violated at n={bad}",
-            {"witness": bad},
-        )
-    )
-
-    # gluing time for the cores
-    if tau is None:
-        glue = min_gluing_time(system, cores, j=j, tau_max=4, lengths=range(1, 5))
-        if not glue.found:
-            raise InputError("cores admit no gluing time up to 4; pass tau explicitly")
-        tau = glue.tau
+    # (b) growth floor: holds where hi^n <= count, fails where count < lo^n
+    checks.append(_decide(
+        "growth-floor", "count(n) >= beta^n", range(1, n_max + 1), (lo, hi),
+        lambda n: _compare(hi_pow[n], (lang[n], 1)) <= 0,
+        lambda n: _compare((lang[n], 1), lo_pow[n]) < 0,
+    ))
 
     # (c) product bound under gluing: a total's compositions are listed
     # only when its largest product fails, to report the first failure
@@ -204,39 +213,36 @@ def counting_suite(
         )
     )
 
-    # (d) core count ceiling
-    bad = next(
-        (
-            n
-            for n in range(1, n_max + 1)
-            if not _geq_reversed(core_counts[n], power(n + tau))
-        ),
-        None,
-    )
-    checks.append(
-        CheckResult(
-            "core-count-ceiling",
-            bad is None,
-            f"core-count(n) <= beta^(n+{tau})" if bad is None else f"violated at n={bad}",
-            {"witness": bad, "tau": tau},
-        )
-    )
+    # (d) core count ceiling: holds where count <= lo^(n+tau), fails where
+    # count > hi^(n+tau)
+    checks.append(_decide(
+        "core-count-ceiling", f"core-count(n) <= beta^(n+{tau})", range(1, n_max + 1),
+        (lo, hi),
+        lambda n: _compare((core_counts[n], 1), lo_pow[n + tau]) <= 0,
+        lambda n: _compare((core_counts[n], 1), hi_pow[n + tau]) > 0,
+        tau=tau,
+    ))
+
+    # lo^-n = q^n / p^n for lo = p / q is unit[n] / p^n_max: one common
+    # denominator for the tail terms and the ratios
+    unit = {n: lo_pow[n][1] * lo_pow[n_max - n][0] for n in range(1, n_max + 1)}
+    den = lo_pow[n_max][0]
 
     # (e) obstruction tail sums
-    b_tails, tail_ok, tail_note = _tail_sums(boundary_counts, beta, n_max)
+    b_tails, tail_ok, tail_note = _tail_sums(boundary_counts, unit, lo_pow, n_max,
+                                             lo == hi)
     checks.append(CheckResult("tail-summability", tail_ok, tail_note, {}))
 
-    # (f) count/growth ratio over the tail window
-    ratios = {n: lang[n] / power(n) for n in range(1, n_max + 1)}
-    window = range((n_max + 1) // 2, n_max + 1)
-    c1_exact = max((ratios[n] for n in window), key=float)
-    c1 = float(c1_exact)
-    c1_sup = max(float(ratios[n]) for n in range(1, n_max + 1))
+    # (f) count/growth ratio count(n) / lo^n over the tail window
+    ratios = {n: lang[n] * unit[n] for n in range(1, n_max + 1)}
+    c1_num = max(ratios[n] for n in range((n_max + 1) // 2, n_max + 1))
+    c1_sup_num = max(ratios.values())
+    c1, c1_sup = _rounded((c1_num, den)), _rounded((c1_sup_num, den))
     c2 = math.log(c1) + math.log(2)
     checks.append(
         CheckResult(
             "count-ratio-ceiling",
-            c1_sup <= 2 * c1,
+            c1_sup_num <= 2 * c1_num,
             f"count(n) <= {c1_sup:.6f} * beta^n for n <= {n_max}, "
             f"tail value {c1:.6f}",
             {"c1": c1, "c1_sup": c1_sup},
@@ -308,61 +314,69 @@ def _largest_products(counts: dict, k: int, top: int) -> dict:
     return best
 
 
-def _geq_reversed(count: int, power) -> bool:
-    """count <= power, exact when power is exact."""
-    if isinstance(power, (Fraction, QuadraticNumber)):
-        return power >= count
-    return math.log(max(count, 1)) <= math.log(float(power)) + 1e-9
+def _decide(name, claim, lengths, bounds, holds, fails, **details) -> CheckResult:
+    """The row of `claim` over `lengths`: failed at the first n where
+    fails(n), else passed where holds(n) at every n, else not run (passed
+    None) at the first n that the bounds (lo, hi) leave undecided."""
+    undecided = None
+    for n in lengths:
+        if holds(n):
+            continue
+        if fails(n):
+            return CheckResult(name, False, f"violated at n={n}", {"witness": n, **details})
+        undecided = undecided or n
+    if undecided is None:
+        return CheckResult(name, True, claim, {"witness": None, **details})
+    lo, hi = map(_rounded, bounds)
+    summary = f"not run: undecided on the enclosure [{lo:.17g}, {hi:.17g}] at n = {undecided}"
+    return CheckResult(name, None, summary, {"witness": undecided, **details})
 
 
-def _tail_sums(counts: dict, beta, n_max: int):
-    """b_M = sum_{i >= M} counts[i] * beta^-i for 1 <= M <= min(12, n_max - 8),
-    in closed form when the counts are eventually periodic, else as partial
-    sums to n_max.  The heads sum_{M <= i < end} are read off one running sum
-    of the exact terms, from the top down; float terms (a float beta) are
-    summed left to right from each M, so each float keeps its bits."""
-    power = _power_table(1 / beta)
-    period = None
+def _tail_sums(counts: dict, unit: dict, power, n_max: int, exact: bool):
+    """b_M = sum_{i >= M} counts[i] x^-i for 1 <= M <= min(12, n_max - 8)
+    at the lower bound x = p / q (so above the sum at beta): in closed form
+    when the counts are eventually periodic, else as partial sums to n_max.
+    With x^-i = unit[i] / p^n_max and power[i] = (p^i, q^i), each tail is
+    a numerator over one common denominator, and the heads are one running
+    sum from the top down.  Closed-form tails stay exact when `exact` (x is
+    beta), every other tail is rounded once."""
     probe = range(max(1, n_max - 12), n_max + 1)
-    for q in range(1, 7):
-        if all(
-            counts[i] == counts[i + q] for i in probe if i + q <= n_max
-        ):
-            period = q
-            break
+    period = next((q for q in range(1, 7)
+                   if all(counts[i] == counts[i + q] for i in probe if i + q <= n_max)), None)
     m_top = min(12, n_max - 8)
     # the heads end at n_max, or where the closed form's periodic tail starts
     end = n_max + 1 if period is None else max(1, n_max - 12)
-    terms = {i: counts[i] * power(i) for i in range(1, end)}
-    if isinstance(beta, float):
-        heads = {m: sum(terms[i] for i in range(m, end)) for m in range(1, m_top + 1)}
-    else:
-        heads = dict(zip(reversed(terms), accumulate(reversed(terms.values()))))
+    heads, acc = {}, 0
+    for i in range(end - 1, 0, -1):
+        acc += counts[i] * unit[i]
+        heads[i] = acc
+    den = power[n_max][0]
     if period is None:
         # no periodic tail: report partial sums; summable only if terms vanish
-        vanishing = float(terms[n_max]) < 0.5 * float(terms[max(1, n_max // 2)]) and (
-            float(terms[n_max]) < 1e-3
-        )
-        tails = {m: float(heads[m]) for m in range(1, m_top + 1)}
+        last, mid = (counts[i] * unit[i] for i in (n_max, max(1, n_max // 2)))
+        vanishing = 2 * last < mid and 1000 * last < den
+        tails = {m: _rounded((heads[m], den)) for m in range(1, m_top + 1)}
         note = (
             "no periodic boundary tail detected; partial sums only"
             if vanishing
             else "boundary terms do not vanish; tail is not summable"
         )
         return tails, vanishing, note
-    geom = 1 / (1 - power(period))
+    # from start on, a geometric series of ratio x^-period = Q / P, (P, Q) =
+    # power[period]: its first period terms times P / (P - Q)
+    big, small = power[period]
 
-    def tail_from(start):  # the terms from start on: a geometric series
-        return sum(counts[start + r] * power(start + r) for r in range(period)) * geom
+    def tail_from(start):
+        return big * sum(counts[start + r] * unit[start + r] for r in range(period))
 
     tail = tail_from(end)
-    tails = {m: heads[m] + tail if m < end else tail_from(m) for m in range(1, m_top + 1)}
-    decreasing = all(
-        float(tails[m + 1]) < float(tails[m]) + 1e-15 for m in range(1, m_top)
-    )
+    sums = {m: (big - small) * heads[m] + tail if m < end else tail_from(m)
+            for m in range(1, m_top + 1)}
+    den *= big - small
+    tails = {m: (_exact if exact else _rounded)((v, den)) for m, v in sums.items()}
     return (
         tails,
-        decreasing,
+        all(sums[m + 1] <= sums[m] for m in range(1, m_top)),
         f"closed-form tails with eventual period {period}, decreasing to 0",
     )
 
@@ -371,15 +385,16 @@ def _tail_sums(counts: dict, beta, n_max: int):
 
 
 class GibbsReport:
-    """Minimum of mass * growth^n over a word class, with violations."""
+    """Minimum of mass * growth^n over a word class, with violations: the
+    exact minimum `value` as a quotient (num, den), and its float."""
 
-    def __init__(self, word_class: str, depth_offset: int, constant: float,
-                 constant_exact: object, argmin: tuple, per_length_min: dict,
-                 violations: tuple, precondition_met: bool = True):
+    def __init__(self, word_class: str, depth_offset: int, value: tuple,
+                 argmin: tuple, per_length_min: dict, violations: tuple,
+                 precondition_met: bool = True):
         self.word_class = word_class
         self.depth_offset = depth_offset
-        self.constant = constant
-        self.constant_exact = constant_exact
+        self.value = value
+        self.constant = _rounded(value)
         self.argmin = argmin
         self.per_length_min = per_length_min
         self.violations = violations
@@ -389,8 +404,18 @@ class GibbsReport:
         return type(other) is type(self) and vars(other) == vars(self)
 
     @property
+    def constant_exact(self):
+        return _exact(self.value)
+
+    @property
     def passed(self) -> bool:
-        return not self.violations and self.constant > 0
+        return not self.violations and self.value[0] > 0
+
+
+def _least(values) -> tuple:
+    """The (quotient, word) pair of least value, the first one on ties;
+    ((0, 1), ()) when there are none."""
+    return min(values, key=lambda v: _by_value(v[0]), default=((0, 1), ()))
 
 
 def gibbs_check(
@@ -401,48 +426,23 @@ def gibbs_check(
     n_range,
     j: int = 0,
 ) -> GibbsReport:
-    """Floor for cylinder masses over level-M words: min mass([v]) * beta^n.
+    """Floor for cylinder masses over level-M words: min mass([v]) * lo^n.
 
-    Masses of all depth-(n + j) extensions of level-M words are scaled by
-    beta^n; the report carries the minimum, the word attaining it (the
-    least one, on ties), per-length minima, and any words of zero mass
+    The exact masses of all depth-(n + j) extensions of level-M words are
+    scaled by lo^n; the report carries the minimum, the word attaining it
+    (the least one, on ties), per-length minima, and any words of zero mass
     (violations).
 
     No word is listed: the length-n words are grouped by (level state,
     mass class) along the scheme's level automaton, each group with its
     least word, the level test is applied at length n and the groups are
-    extended j more symbols.  The minimum is then taken over the classes,
-    visited in the order of their least words; only the classes that can
-    tie the least weight's value are rounded (`_above_least`), and only
-    the words of a zero-mass class are listed.
+    extended j more symbols.  The scale S_(n+j) lo^n is common to a length,
+    so its minimum is the class of least positive weight; only the words of
+    a class of weight <= 0 are listed.
     """
-    beta = _exact_beta(system)
-    per_length = {}
-    best = None
-    violations = []
-    minima = _level_minima(measure, system, scheme, M, n_range, j, beta)
-    for n, level_min, zero in minima:
-        violations.extend(zero)
-        if level_min is not None:
-            per_length[n] = float(level_min[0])
-            if best is None or level_min[0] < best[0]:
-                best = level_min
-    constant_exact = best[0] if best else 0
-    return GibbsReport(
-        word_class=f"{scheme.name}:level{M}",
-        depth_offset=j,
-        constant=float(constant_exact),
-        constant_exact=constant_exact,
-        argmin=best[1] if best else (),
-        per_length_min=per_length,
-        violations=tuple(violations),
-    )
-
-
-def _level_minima(measure, system, scheme, M, n_range, j, beta):
-    """(n, (least scaled mass, its word) or None, zero-mass words) per n,
-    from (level state, class) groups of words; see `gibbs_check`."""
+    power = _powers(_growth(system)[0], max(n_range, default=0))
     classes = measure.classes
+    weights = classes.weights
     start, level_moves, member = scheme.level_automaton(M)
     group_moves: dict = {}
 
@@ -458,6 +458,7 @@ def _level_minima(measure, system, scheme, M, n_range, j, beta):
         return group_moves[group]
 
     layers = [{(start, classes.root): (1, ())}]
+    per_length, minima, violations = {}, [], []
     for n in n_range:
         check_enumeration_cap(n, system.enumeration_cap)
         while len(layers) <= n:
@@ -472,67 +473,31 @@ def _level_minima(measure, system, scheme, M, n_range, j, beta):
             raise DepthError(
                 f"cylinder depth {n + j} exceeds measure depth {measure.depth}"
             )
-        scale = beta ** n
-        if not measure.exact:
-            # every mass is a float or 0, so `_scale_mass` would take the
-            # float of the scale for each class
-            scale = float(scale)
-        skip = _above_least(classes, least, n + j, scale)
-        level_min = None
-        zero = set()
-        for k, w in least.items():
-            if k not in skip:
-                value = _scale_mass(classes.mass(k, n + j), scale)
-                if float(value) <= 0:
-                    zero.add(k)
-                elif level_min is None or value < level_min[0]:
-                    level_min = (value, w)
-        words = []
+        zero = {k for k in least if k is None or weights[k] <= 0}
+        lightest = min((k for k in least if k not in zero), key=weights.__getitem__,
+                       default=None)
+        if lightest is not None:
+            num, den = classes.scales[n + j]
+            p, q = power[n]
+            minima.append(((weights[lightest] * num * p, den * q), least[lightest]))
+            per_length[n] = _rounded(minima[-1][0])
         if zero:
             pres = system.presentation
-            words = [
+            violations.extend(
                 v + ext
                 for v in scheme.level_words(M, n)
                 for ext in pres.tails(pres.walk(v), j)
                 if classes.class_of(v + ext) in zero
-            ]
-        yield n, level_min, words
-
-
-def _above_least(classes, least, n, scale) -> set:
-    """Classes of `least` whose scaled length-n mass is positive and above
-    the least one, told from their weights alone.
-
-    A scaled mass is nondecreasing in the class weight.  An exact value
-    ties only an equal weight.  A float value is rounded at most twice
-    (the mass, then its product with the scale), each time by at most
-    2^-53 of itself, so a weight (1 + 2^-49) times the least has a value
-    at least (1 + 2^-49) (1 - 2^-53)^2 / (1 + 2^-53)^2 > 1 times the least.
-    None is named unless the least mass and value convert, correctly
-    rounded, to positive normal floats (so not for zero, subnormal,
-    overflow or quadratic numbers).
-    """
-    weights = classes.weights
-    known = [k for k in least if k is not None]
-    if not known or isinstance(weights[known[0]], QuadraticNumber):
-        return set()
-    positive = [k for k in known if weights[k] > 0]
-    if not positive:
-        return set()
-    first = min(positive, key=weights.__getitem__)
-    mass = classes.mass(first, n)
-    value = _scale_mass(mass, scale)
-    if not (_normal_float(mass) and _normal_float(value)):
-        return set()
-    # up to (1 + 2^-49) times the least weight can tie a float value
-    cut = weights[first] * (2 ** 49 + isinstance(value, float))
-    return {k for k in positive if weights[k] * 2 ** 49 > cut}
-
-
-def _normal_float(x) -> bool:
-    """Whether x converts, correctly rounded, to a positive normal float."""
-    return (isinstance(x, (float, int, Fraction))
-            and sys.float_info.min <= float(x) < math.inf)
+            )
+    value, argmin = _least(minima)
+    return GibbsReport(
+        word_class=f"{scheme.name}:level{M}",
+        depth_offset=j,
+        value=value,
+        argmin=argmin,
+        per_length_min=per_length,
+        violations=tuple(violations),
+    )
 
 
 def mixing_check(
@@ -544,47 +509,46 @@ def mixing_check(
     q: int,
     tau: int = 0,
 ) -> GibbsReport:
-    """Floor for two-window masses: min mass([u] & shift^-(|u|+q) [v]) * beta^(|u|+|v|).
+    """Floor for two-window masses: min mass([u] & shift^-(|u|+q) [v]) * lo^(|u|+|v|).
 
-    The joint mass is the total mass of u . t . v over all length-q middles.
-    The estimate is only claimed for q >= 2 * tau; reports for smaller q are
-    marked as failing the precondition and are informational.
+    The joint mass is the total mass of u . t . v over all length-q middles:
+    its pattern weight times S_(|u|+q+|v|).  The estimate is only claimed
+    for q >= 2 * tau; reports for smaller q are marked as failing the
+    precondition and are informational.
 
     Words u of one length and one mass class have equal extension masses,
-    so the scaled joint mass is computed once per (length, class of u, v).
+    so the scaled joint mass is computed once per (length, class of u, v),
+    from the first such u.
     """
-    beta = _exact_beta(system)
+    power = _powers(_growth(system)[0], max((len(u) + len(v) for u, v in pairs), default=0))
+    scales = measure.classes.scales
     in_level = functools.cache(lambda w: scheme.in_level(w, M))
-    scaled: dict = {}  # (len(u), class of u, v) -> scaled joint mass
-    best = None
-    violations = []
+    first: dict = {}  # (len(u), class of u) -> the first such u
+    values, violations = [], []
 
+    @functools.cache
     def scaled_joint(u, v):
-        return _scale_mass(measure.joint_mass(u, q, v), beta ** (len(u) + len(v)))
+        template = tuple(u) + (None,) * q + tuple(v)
+        weight = measure.classes.pattern_weight(template) or 0
+        num, den = scales[len(template)]
+        p, d = power[len(u) + len(v)]
+        return weight * num * p, den * d
 
     for u, v in pairs:
         if not (in_level(u) and in_level(v)):
             raise InputError("pair words must lie in the requested level")
         k = measure.classes.class_of(u)
-        if k is None:
-            value = scaled_joint(u, v)
-        else:
-            key = (len(u), k, v)
-            if key not in scaled:
-                scaled[key] = scaled_joint(u, v)
-            value = scaled[key]
-        if float(value) <= 0:
+        value = scaled_joint(u if k is None else first.setdefault((len(u), k), u), v)
+        if value[0] <= 0:
             violations.append((u, v))
-            continue
-        if best is None or value < best[0]:
-            best = (value, (u, v))
-    constant_exact = best[0] if best else 0
+        else:
+            values.append((value, (u, v)))
+    value, argmin = _least(values)
     return GibbsReport(
         word_class=f"{scheme.name}:level{M}-pairs(q={q})",
         depth_offset=0,
-        constant=float(constant_exact),
-        constant_exact=constant_exact,
-        argmin=best[1] if best else (),
+        value=value,
+        argmin=argmin,
         per_length_min={},
         violations=tuple(violations),
         precondition_met=q >= 2 * tau,
@@ -596,47 +560,27 @@ def positive_mass_count(measure, gamma, n: int) -> int:
 
     Greedy accumulation in descending mass order attains the minimum for
     this objective exactly.  It runs over the length-n mass classes,
-    largest weight first (the mass is nondecreasing in the weight), each
-    taken with its word count, and rounds only the classes it reaches.
-    Float masses, and any mass after a float sum, are added one word at a
-    time, as a pass over the words adds them (equal floats commute in that
-    sum, so the order among classes of one float mass does not matter); a
-    layer of more than MAX_TABLE_CYLINDERS words of a measure with float
-    masses is refused before any addition.  An exact class is taken whole,
-    or up to the least t with acc + t m >= gamma; one of mass m <= 0 is
-    taken whole.
+    largest weight first, each taken whole or up to the least t words with
+    acc + t w >= theta, theta = gamma / S_n the weight sum that reaches
+    gamma; an integer sum (a Parry measure with integer eigendata) reaches
+    it when it reaches ceil(theta).  No mass is rounded.
     """
     gamma = Fraction(gamma)  # exact, also for a float gamma
-    if not 0 < float(gamma) < 1:
+    if not 0 < gamma < 1:
         raise InputError("gamma must lie strictly between 0 and 1")
     if n > measure.depth:
         raise DepthError(f"length {n} exceeds measure depth {measure.depth}")
-    # g is the float nearest gamma, so a float sum other than g lies on the
-    # same side of gamma as of g; only acc == g needs the exact comparison
-    g = float(gamma)
     classes = measure.classes
-    float_words = 0 if measure.exact else sum(c for c, _ in classes.layers[n].values())
-    if float_words > MAX_TABLE_CYLINDERS:
-        raise InputError(
-            f"positive-mass count over {float_words} float masses at length {n} "
-            f"exceeds the cap {MAX_TABLE_CYLINDERS}"
-        )
-    acc, count = None, 0
-    for k, c in classes.runs_descending(n):
-        m = classes.mass(k, n)
-        if type(m) is float or type(acc) is float:
-            for _ in range(c):
-                acc = m if acc is None else acc + m
-                count += 1
-                if acc > g or acc == g and acc >= gamma:
-                    return count
-            continue
-        base = 0 if acc is None else acc
-        if m > 0:
-            need = -math.floor((base - gamma) / m)  # least t with base + t m >= gamma
-            if need <= c:
-                return count + need
-        acc, count = base + c * m, count + c
+    runs = classes.runs_descending(n)
+    num, den = classes.scales[n]
+    integer = all(type(classes.weights[k]) is int for k, _ in runs)
+    theta = -(-gamma * den // num) if integer else gamma * den / num
+    acc, count = 0, 0
+    for k, c in runs:
+        w = classes.weights[k]
+        if w > 0 and acc + c * w >= theta:  # the least t with acc + t w >= theta
+            return count - ((acc - theta) // w if integer else math.floor((acc - theta) / w))
+        acc, count = acc + c * w, count + c
     return count
 
 
@@ -644,19 +588,24 @@ def mixing_liminf_probe(measure, u_words, v_words, m_range) -> dict:
     """mu(U & shift^-m V) for each m, with the running infimum attached.
 
     U and V are unions of cylinders given by word lists; overlapping windows
-    are merged symbol-by-symbol and clashes contribute zero.
+    are merged symbol-by-symbol and clashes contribute zero.  The totals
+    and their infimum are exact, and reported rounded once.
     """
+    scales = measure.classes.scales
     results = {}
     running = None
     for m in sorted(m_range):
-        total = 0
+        total = (0, 1)
         for u in u_words:
             for v in v_words:
                 template = overlay(((0, u), (m, v)), max(len(u), m + len(v)))
                 if template is not None:
-                    total = total + measure.pattern_mass(template)
-        running = total if running is None else min(running, total, key=float)
-        results[m] = (total, running)
+                    weight = measure.classes.pattern_weight(template) or 0
+                    num, den = scales[len(template)]
+                    total = (total[0] * den + weight * num * total[1], total[1] * den)
+        if running is None or _compare(total, running) < 0:
+            running = total
+        results[m] = (_rounded(total), _rounded(running))
     return results
 
 

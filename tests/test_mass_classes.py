@@ -11,7 +11,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from obstruct import suites
 from obstruct.automata import Presentation, PresentedShift
 from obstruct.beta import BetaSystem
 from obstruct.cli import EXIT_INPUT, EXIT_PASS, main
@@ -20,7 +19,7 @@ from obstruct.decomposition import (
     beta_decomposition,
     degenerate_decomposition,
 )
-from obstruct.errors import ObstructError
+from obstruct.errors import DepthError, ObstructError
 from obstruct.factors import BlockCode, FactorSystem, InducedDecomposition
 from obstruct.measures import (
     MAX_TABLE_CYLINDERS,
@@ -30,14 +29,13 @@ from obstruct.measures import (
     parry_measure,
 )
 from obstruct.suites import (
-    _exact_beta,
-    _scale_mass,
     gibbs_check,
     mixing_check,
     mixing_liminf_probe,
     positive_mass_count,
 )
 from test_measures import _maj3
+from test_suites import _lower_bound
 
 ULP = 2.0 ** -53
 
@@ -90,26 +88,51 @@ def _outcome(fn):
         return type(exc), str(exc)
 
 
-def naive_gibbs(measure, system, scheme, M, n_range, j):
+def _exact_mass(measure, u):
+    """The unrounded mass of [u]: its class weight times the exact scale
+    of its length (0 off the table)."""
+    k = measure.classes.class_of(u)
+    return 0 if k is None else _class_mass(measure.classes, k, len(u))
+
+
+@functools.lru_cache(maxsize=None)
+def _class_mass(classes, k, n):
+    num, den = classes.scales[n]
+    return classes.weights[k] * num / Fraction(den)
+
+
+def naive_gibbs(measure, system, scheme, M, n_range, j, growth=None):
     """The per-word Gibbs loop: each level-M word of each length, listed by
-    `level_words`, with each of its depth-j tails, its mass scaled by
-    beta^n; (least value, its word, per-length minima, zero-mass words)."""
-    beta = _exact_beta(system)
+    `level_words`, with each of its depth-j tails, its exact mass scaled by
+    growth^n (by default lo^n); (least value, its word, per-length minima,
+    zero-mass words)."""
+    lo = _lower_bound(system) if growth is None else growth
     tails = {}
+    # (class, n) -> whether the class has mass <= 0; a word of a class met
+    # before at its length ties an earlier word, so only the first is
+    # scaled and compared
+    zero = {}
     best, per_length, violations = None, {}, []
     for n in n_range:
-        scale = beta ** n
+        scale = lo ** n
         level_min = None
         for v in scheme.level_words(M, n):
             state = system.presentation.walk(v)
             if state not in tails:
                 tails[state] = system.presentation.tails(state, j)
             for ext in tails[state]:
-                value = _scale_mass(measure.mass(v + ext), scale)
-                if float(value) <= 0:
+                if n + j > measure.depth:
+                    raise DepthError(
+                        f"cylinder depth {n + j} exceeds measure depth {measure.depth}"
+                    )
+                key = (measure.classes.class_of(v + ext), n)
+                if key not in zero:
+                    value = _exact_mass(measure, v + ext) * scale
+                    zero[key] = value <= 0
+                    if not zero[key] and (level_min is None or value < level_min[0]):
+                        level_min = (value, v + ext)
+                if zero[key]:
                     violations.append(v + ext)
-                elif level_min is None or value < level_min[0]:
-                    level_min = (value, v + ext)
         if level_min is not None:
             per_length[n] = float(level_min[0])
             if best is None or level_min[0] < best[0]:
@@ -125,12 +148,31 @@ def _gibbs_fields(report):
 
 
 def _assert_gibbs_matches_oracle(measures, system, scheme, M, n_range, j):
-    want = _outcome(lambda: naive_gibbs(measures[0], system, scheme, M, n_range, j))
+    """Each measure's report against the oracle on its own exact masses
+    (the classes' unrounded ones, or a listed table's rounded ones)."""
     for m in measures:
+        want = _outcome(lambda: naive_gibbs(m, system, scheme, M, n_range, j))
         got = _outcome(lambda: _gibbs_fields(
             gibbs_check(m, system, scheme, M, n_range, j=j)
         ))
         assert got == want, (M, j, n_range)
+
+
+def naive_positive_mass_count(m, gamma, n):
+    """The greedy count over the exact masses of the length-n words, sorted
+    by value and summed exactly, each divided by the scale S_n they share:
+    their class weights, summed against gamma / S_n."""
+    classes = m.classes
+    num, den = classes.scales[n]
+    gamma = Fraction(gamma) * den / num
+    weights = sorted((classes.weights[classes.class_of(w)] for w in m.words_at(n)),
+                     reverse=True)
+    acc = 0
+    for count, weight in enumerate(weights, start=1):
+        acc += weight
+        if acc >= gamma:
+            return count
+    return len(weights)
 
 
 def _matching(listed, template):
@@ -166,7 +208,10 @@ def _compare_checks(system, scheme, m, listed, data):
         st.fractions(0, 1, max_denominator=60).filter(lambda g: 0 < g < 1)
         | st.floats(0.01, 0.99), min_size=1, max_size=3,
     ), label="gammas"):
-        assert positive_mass_count(m, gamma, n) == positive_mass_count(listed, gamma, n)
+        for measure in (m, listed):
+            assert positive_mass_count(measure, gamma, n) == naive_positive_mass_count(
+                measure, gamma, n
+            )
 
     symbols = st.one_of(st.none(), st.integers(0, m.alphabet_size - 1))
     for _ in range(3):
@@ -182,7 +227,8 @@ def _compare_checks(system, scheme, m, listed, data):
         if m.exact:
             assert a == b
         else:
-            # one more rounding each, by the same float scale
+            # the listed table sums its rounded masses exactly, the classes
+            # their unrounded ones: at most one rounding per word apart
             n_words = max((_matching(listed, u + (None,) * q + v) for u, v in pairs),
                           default=0)
             assert a.violations == b.violations
@@ -357,46 +403,39 @@ def test_exact_masses_with_equal_floats_sort_exactly():
 @pytest.mark.parametrize("gamma", [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)])
 @pytest.mark.parametrize("make", [
     BetaSystem.golden_mean,  # exact quadratic masses
-    lambda: BetaSystem.from_beta("1.5", horizon=60),  # float masses
+    lambda: BetaSystem.from_beta("1.5", horizon=60),  # integer Parry data
 ], ids=["golden", "1.5@60"])
 def test_positive_mass_count_finishes_only_the_classes_it_reaches(make, gamma):
+    # the count reads exact weights and scales, so it rounds no mass at all
     m = parry_measure(make(), 10)
     classes = m.classes
     finished = []
     finish = classes.finish
     classes.finish = lambda acc, n: finished.append(acc) or finish(acc, n)
     count = positive_mass_count(m, gamma, 10)
-    runs = classes.runs_descending(10)
-    # the classes up to the one holding the count-th word, largest first
-    covered, reached = 0, []
-    for k, c in runs:
-        reached.append(k)
-        covered += c
-        if covered >= count:
-            break
-    assert len(reached) < len(runs)
-    assert finished and set(finished) <= {classes.weights[k] for k in reached}
+    assert finished == []
+    assert count == naive_positive_mass_count(m, gamma, 10)
 
 
-def test_float_positive_mass_count_over_budget_exits_at_once(capsys):
-    # beta 50.5 is truncated, so its masses are floats; the depth-10 layer
-    # holds about 10^17 words, which are refused before any is added
-    assert main(["verify", "--beta", "50.5"]) == EXIT_INPUT
-    assert "exceeds the cap" in capsys.readouterr().err
+def test_float_positive_mass_count_over_budget_exits_at_once(monkeypatch, capsys):
+    # beta 50.5 is truncated, with integer Parry data; its depth-10 layer
+    # holds about 10^17 words, counted class by class, none listed
+    def refuse(self):
+        raise AssertionError("the cylinder table was listed")
+
+    monkeypatch.setattr(MassClasses, "table", refuse)
+    assert main(["verify", "--beta", "50.5"]) == EXIT_PASS
+    checks = json.loads(capsys.readouterr().out)["payload"]["checks"]
+    assert {c["name"]: c["passed"] for c in checks}["positive-mass-count"]
 
 
 # -- each length's least mass, from the least class weight -----------------------
 
 
-def _gibbs_both_ways(monkeypatch, measure, system, scheme, M, n_range, j):
-    """gibbs_check as it runs, and with every class finished (the fallback
-    forced); the two reports must agree."""
-    fast = gibbs_check(measure, system, scheme, M, n_range, j=j)
-    with monkeypatch.context() as patch:
-        patch.setattr(suites, "_normal_float", lambda x: False)
-        slow = gibbs_check(measure, system, scheme, M, n_range, j=j)
-    assert fast == slow, (M, j)
-    return fast
+def _gibbs_against_oracle(measure, system, scheme, M, n_range, j):
+    """gibbs_check, checked against the per-word oracle."""
+    _assert_gibbs_matches_oracle((measure,), system, scheme, M, n_range, j)
+    return gibbs_check(measure, system, scheme, M, n_range, j=j)
 
 
 @pytest.mark.parametrize(
@@ -408,19 +447,20 @@ def _gibbs_both_ways(monkeypatch, measure, system, scheme, M, n_range, j):
     ],
     ids=["1.5@60", "2.5@60", "golden"],
 )
-def test_least_mass_path_matches_finishing_every_class(make, depth, monkeypatch):
-    # integer-path Parry masses (floats) and exact quadratic ones
+def test_least_mass_path_matches_finishing_every_class(make, depth):
+    # integer Parry data and exact quadratic ones: the least class weight
+    # against every word's mass, scaled
     system = make()
     m = parry_measure(system, depth)
     scheme = beta_decomposition(system)
     for M in (0, 1, 2):
         for j in (0, 1):
-            _gibbs_both_ways(monkeypatch, m, system, scheme, M, range(1, depth + 1 - j), j)
+            _gibbs_against_oracle(m, system, scheme, M, range(1, depth + 1 - j), j)
 
 
-def test_least_mass_path_on_float_and_exact_tables(monkeypatch):
+def test_least_mass_path_on_float_and_exact_tables():
     # a float table read from a file, on its truncated system; and an exact
-    # table on the float-beta p5 system, whose scaled masses are floats
+    # table on the p5 system, whose beta is enclosed
     system = BetaSystem.from_beta("1.8", horizon=60)
     floats = CylinderMeasure.from_json_dict(parry_measure(system, 8).to_json_dict())
     assert not floats.exact
@@ -431,13 +471,14 @@ def test_least_mass_path_on_float_and_exact_tables(monkeypatch):
         scheme = beta_decomposition(sys_)
         for M in (0, 1, 2):
             for j in (0, 1):
-                _gibbs_both_ways(monkeypatch, m, sys_, scheme, M, range(1, 7 - j), j)
+                _gibbs_against_oracle(m, sys_, scheme, M, range(1, 7 - j), j)
 
 
-def _p5_table(masses, exact):
-    """A depth-1 table on the p5 system's three symbols."""
-    table = {(): 1, **{(a,): m for a, m in enumerate(masses)}}
-    return CylinderMeasure(3, 1, table, "test", exact=exact)
+def _p5_table(masses, exact, longer=None):
+    """A depth-1 table on the p5 system's three symbols (depth 2 with
+    `longer`, a map of two-symbol words to their masses)."""
+    table = {(): 1, **{(a,): m for a, m in enumerate(masses)}, **(longer or {})}
+    return CylinderMeasure(3, 2 if longer else 1, table, "test", exact=exact)
 
 
 def _p5_and_scheme():
@@ -445,35 +486,41 @@ def _p5_and_scheme():
     return system, beta_decomposition(system)
 
 
-def _least_at_length_1(monkeypatch, m):
-    return _gibbs_both_ways(monkeypatch, m, *_p5_and_scheme(), 2, range(1, 2), 0)
+def _least_at_length_1(m):
+    return _gibbs_against_oracle(m, *_p5_and_scheme(), 2, range(1, 2), 0)
 
 
 def _finished_at_length_1(m):
     return {k for k, n in m.classes._masses if n == 1}
 
 
-def test_weights_apart_whose_floats_tie_report_the_least_word(monkeypatch):
-    beta = _p5_and_scheme()[0].beta_value()
-    # floats one ulp apart whose products with beta round to one float
+def test_weights_apart_whose_floats_tie_report_the_least_weight():
+    lo = _lower_bound(_p5_and_scheme()[0])
+    # floats one ulp apart whose products with lo round to one float
     low = 0.45
-    while low * beta != math.nextafter(low, 1) * beta:
+    while float(Fraction(low) * lo) != float(Fraction(math.nextafter(low, 1)) * lo):
         low = math.nextafter(low, 1)
     high = math.nextafter(low, 1)
-    report = _least_at_length_1(monkeypatch, _p5_table([high, low, 0.5], exact=False))
-    assert report.argmin == (0,) and report.constant == low * beta
-    # exact masses whose floats tie, scaled by the float beta
+    report = _least_at_length_1(_p5_table([high, low, 0.5], exact=False))
+    assert report.argmin == (1,) and report.constant_exact == Fraction(low) * lo
+    assert report.constant == float(Fraction(high) * lo)
+    # exact masses whose floats tie
     low = Fraction(1, 3)
     high = low + Fraction(1, 2 ** 70)
     assert float(high) == float(low)
-    report = _least_at_length_1(monkeypatch, _p5_table([high, low, 2 * low], exact=True))
-    assert report.argmin == (0,) and report.constant == float(low) * beta
+    report = _least_at_length_1(_p5_table([high, low, 2 * low], exact=True))
+    assert report.argmin == (1,) and report.constant_exact == low * lo
+    # equal weights of two classes (their children differ) tie: the least word
+    m = _p5_table([low, low, 2 * low], exact=True,
+                  longer={(0, 0): Fraction(1, 7), (1, 0): Fraction(1, 11)})
+    assert m.classes.class_of((0,)) != m.classes.class_of((1,))
+    assert _least_at_length_1(m).argmin == (0,)
 
 
-def test_least_mass_path_finishes_only_the_classes_that_can_tie():
+def test_least_mass_path_finishes_no_class():
     m = _p5_table([0.25, 0.2, 0.5], exact=False)
     assert gibbs_check(m, *_p5_and_scheme(), 2, range(1, 2)).argmin == (1,)
-    assert _finished_at_length_1(m) == {m.classes.class_of((1,))}
+    assert _finished_at_length_1(m) == set()
 
 
 @pytest.mark.parametrize(
@@ -481,13 +528,14 @@ def test_least_mass_path_finishes_only_the_classes_that_can_tie():
     [([1e-310, 2e-310, 0.5], False), ([Fraction(1, 10 ** 400), Fraction(1, 3), 0], True)],
     ids=["subnormal", "exact-underflow"],
 )
-def test_least_mass_that_underflows_finishes_every_class(masses, exact, monkeypatch):
-    m = _p5_table(masses, exact)
-    gibbs_check(m, *_p5_and_scheme(), 2, range(1, 2))
-    assert len(_finished_at_length_1(m)) == 3
-    report = _least_at_length_1(monkeypatch, m)
+def test_least_mass_that_underflows_passes(masses, exact):
+    system = _p5_and_scheme()[0]
+    report = _least_at_length_1(_p5_table(masses, exact))
+    assert report.argmin == (0,)
+    assert report.constant_exact == Fraction(masses[0]) * _lower_bound(system)
     if exact:
-        # the mass of (0,) converts to 0.0: a violation, as is (2,)
-        assert report.violations == ((0,), (2,)) and report.argmin == (1,)
+        # (0,)'s scaled mass rounds to 0.0 but is positive: only (2,), of
+        # mass 0, is a violation
+        assert report.constant == 0.0 and report.violations == ((2,),)
     else:
-        assert report.argmin == (0,) and not report.violations
+        assert report.constant > 0 and report.passed

@@ -29,7 +29,7 @@ from obstruct.measures import (
     max_depth_gap,
     parry_measure,
 )
-from obstruct.perron import perron_eigendata
+from obstruct.perron import perron_eigendata, simplest_between
 from obstruct.quadratic import QuadraticNumber, golden_ratio
 from obstruct.suites import positive_mass_count
 from obstruct.words import format_word, word
@@ -41,11 +41,11 @@ LOG_PHI = math.log((1 + math.sqrt(5)) / 2)
 def per_start_state_masses(system, depth, rounded=True):
     """Reference masses: for each word, a sum over start states s of
     pi_s r_t / (lam^|u| r_s), in exact arithmetic; integer eigendata take
-    lam as the midpoint of the enclosure and give one float per word, or
-    the exact rational when `rounded` is false."""
+    lam as the simplest rational in the enclosure and give one float per
+    word, or the exact rational when `rounded` is false."""
     live = system.presentation.essential_part()
     eigen = perron_eigendata(live)
-    lam = eigen.eigenvalue if eigen.exact else sum(eigen.enclosure) / 2
+    lam = eigen.eigenvalue if eigen.exact else simplest_between(*eigen.enclosure)
     right = eigen.right
     if not eigen.exact:
         right = [Fraction(r) for r in right]
@@ -80,7 +80,7 @@ def parry_reference(system, depth):
         if eigen.exact:
             lam, left, right = eigen.eigenvalue, eigen.left, eigen.right
         else:
-            mid = sum(eigen.enclosure) / 2
+            mid = simplest_between(*eigen.enclosure)
             lam = mpmath.mpf(mid.numerator) / mid.denominator
             left = [mpmath.mpf(x) for x in eigen.left]
             right = [mpmath.mpf(x) for x in eigen.right]
@@ -757,15 +757,16 @@ def naive_pattern_mass(m, template):
 
 
 def naive_positive_mass_count(m, gamma, n):
-    """Greedy count over the masses sorted by exact value; a float
-    measure's masses are its floats, added one by one."""
-    masses = [m.table[w] for w in naive_words_at(m, n)]
-    if not m.exact:
-        masses = [float(x) for x in masses]
+    """Greedy count over the masses sorted by exact value and summed
+    exactly: a float Parry measure's unrounded masses, a float table's
+    floats as exact values."""
+    exact = _UNROUNDED.get(id(m), m.table)
+    masses = [exact[w] for w in naive_words_at(m, n)]
+    masses = [Fraction(x) if isinstance(x, float) else x for x in masses]
     masses.sort(reverse=True)
-    acc = None
+    acc = 0
     for count, mass in enumerate(masses, start=1):
-        acc = mass if acc is None else acc + mass
+        acc += mass
         if acc >= gamma:
             return count
     return len(masses)

@@ -10,11 +10,11 @@ from obstruct.beta import BetaSystem
 from obstruct.decomposition import beta_decomposition, degenerate_decomposition
 from obstruct.errors import InputError
 from obstruct.measures import CylinderMeasure, parry_measure
+from obstruct.perron import perron_eigendata, simplest_between
 from obstruct.quadratic import golden_ratio
 from obstruct.suites import (
     _compositions,
     _largest_products,
-    _power_table,
     counting_suite,
     gibbs_check,
     gibbs_proof_constant,
@@ -27,6 +27,29 @@ from obstruct.suites import (
 from obstruct.words import word
 
 PHI = (1 + math.sqrt(5)) / 2
+
+
+def _lower_bound(system):
+    """beta when it is exact, else the lower growth bound of the checks: the
+    simplest rational within the Perron enclosure's width below its lower
+    end."""
+    beta = system.beta_value()
+    if isinstance(beta, float):
+        a, b = perron_eigendata(system.presentation).enclosure
+        return simplest_between(2 * a - b, a)
+    return beta
+
+
+def _exact_joint(m, u, q, v):
+    """The unrounded joint mass: each matching word's class weight times
+    the exact scale of its length, summed."""
+    template = tuple(u) + (None,) * q + tuple(v)
+    num, den = m.classes.scales[len(template)]
+    total = 0
+    for w in m.words_at(len(template)):
+        if all(t is None or t == a for t, a in zip(template, w)):
+            total = total + m.classes.weights[m.classes.class_of(w)]
+    return total * num / Fraction(den)
 
 
 class TestCountingSuite:
@@ -159,7 +182,7 @@ class TestMixing:
 
     @pytest.mark.parametrize("make", [
         BetaSystem.golden_mean,  # exact masses
-        lambda: BetaSystem.from_expansion((2, 1, 0, 0, 1), period=5),  # floats
+        lambda: BetaSystem.from_expansion((2, 1, 0, 0, 1), period=5),  # enclosure
     ])
     def test_class_shared_joint_masses_match_each_pair(self, make):
         # words of lengths 1-3 in one list, so one class recurs at two lengths
@@ -168,31 +191,32 @@ class TestMixing:
         m = parry_measure(system, 8)
         words = [v for n in (1, 2, 3) for v in scheme.level_words(1, n)]
         pairs = [(u, v) for u in words for v in words]
-        beta = system.beta_value()
+        lo = _lower_bound(system)
         best, violations = None, []
         for u, v in pairs:
-            value = m.joint_mass(u, 2, v) * beta ** (len(u) + len(v))
-            if float(value) <= 0:
+            value = _exact_joint(m, u, 2, v) * lo ** (len(u) + len(v))
+            if value <= 0:
                 violations.append((u, v))
             elif best is None or value < best[0]:
                 best = (value, (u, v))
         report = mixing_check(m, system, scheme, M=1, pairs=pairs, q=2, tau=1)
         assert report.violations == tuple(violations)
         assert report.argmin == best[1]
+        assert report.constant_exact == best[0]
         assert report.constant == float(best[0])
 
     def test_joint_masses_are_shared_within_one_length(self):
-        # p5's float masses of one class at two lengths, scaled, differ in
-        # their last bits: a word must not take the value of a shorter or
-        # longer word of its class
+        # p5's exact masses of one class at two lengths, scaled, differ: a
+        # word must not take the value of a shorter or longer word of its
+        # class
         system = BetaSystem.from_expansion((2, 1, 0, 0, 1), period=5)
         scheme = beta_decomposition(system)
         m = parry_measure(system, 8)
-        beta = float(system.beta_value())
+        lo = _lower_bound(system)
         words = [v for n in (1, 2, 3) for v in scheme.level_words(1, n)]
 
         def scaled(u, v):
-            return m.joint_mass(u, 2, v) * beta ** (len(u) + len(v))
+            return _exact_joint(m, u, 2, v) * lo ** (len(u) + len(v))
 
         u1, u2, v = next(
             (u1, u2, v)
@@ -205,7 +229,7 @@ class TestMixing:
             m, system, scheme, M=1, pairs=[(u1, v), (u2, v)], q=2, tau=1
         )
         assert report.argmin == (u2, v)
-        assert report.constant == scaled(u2, v)
+        assert report.constant_exact == scaled(u2, v)
 
     def test_wrong_level_rejected(self, golden, golden_scheme):
         m = parry_measure(golden, 6)
@@ -253,16 +277,16 @@ class TestPositiveMass:
     )
     @settings(max_examples=300)
     def test_float_sums_match_exact_comparison(self, masses, gamma, nudge):
-        # gamma is often exactly a float or one unit away from it, so the
-        # acc == float(gamma) case is reached
+        # the float masses are summed exactly; gamma is often exactly a float
+        # or one unit away from it, so a sum equal to gamma is reached
         gamma += nudge * Fraction(1, 2**60)
-        assume(0 < float(gamma) < 1)
+        assume(0 < gamma < 1)
         table = {(): 1.0, **{(a,): m for a, m in enumerate(masses)}}
         measure = CylinderMeasure(len(masses), 1, table, "test", exact=False)
         masses = sorted(masses, reverse=True)
-        expected, acc = len(masses), None
+        expected, acc = len(masses), 0
         for count, m in enumerate(masses, start=1):
-            acc = m if acc is None else acc + m
+            acc += Fraction(m)
             if acc >= gamma:
                 expected = count
                 break
@@ -311,13 +335,14 @@ class TestProbe:
             assert 0 < float(value) <= 1
 
 
-@pytest.mark.parametrize("x", [2.4608967, 1 / 1.7802, Fraction(3, 2), golden_ratio()])
-def test_power_table_matches_pow(x):
-    # floats bit for bit, exact values as field elements
-    power = _power_table(x)
+@pytest.mark.parametrize("x", [(3, 2), (golden_ratio(), 1)], ids=["3/2", "golden"])
+def test_powers_match_pow(x):
+    # integers and field elements, each power of the same type as pow's
+    power = suites._powers(x, 30)
+    assert len(power) == 31
     for i in (5, 0, 17, 3, 30):
-        assert power(i) == x ** i
-        assert type(power(i)) is type(x ** i)
+        for got, base in zip(power[i], x):
+            assert got == base ** i and type(got) is type(base ** i)
 
 
 @given(
@@ -360,14 +385,10 @@ def test_failing_product_bound_reports_the_first_failing_composition(
     assert check.summary == f"violated at parts={want[0]}: {want[1]} < {want[2]}"
 
 
-def _tail_sums_per_head(counts, beta, n_max):
-    """The tail sums as computed before one running sum served every head:
-    each head summed afresh from m upward, by the same branches."""
-    if isinstance(beta, float):
-        inv = 1.0 / beta
-    else:
-        inv = 1 / beta
-    power = _power_table(inv)
+def _tail_sums_per_head(counts, x, n_max):
+    """The tail sums at x, each head summed afresh from m upward in exact
+    arithmetic: (tails, whether in closed form, verdict, note)."""
+    inv = 1 / x
     period = None
     probe = range(max(1, n_max - 12), n_max + 1)
     for q in range(1, 7):
@@ -379,33 +400,37 @@ def _tail_sums_per_head(counts, beta, n_max):
     m_top = min(12, n_max - 8)
     tails = {}
     if period is None:
-        terms = {i: counts[i] * power(i) for i in range(1, n_max + 1)}
-        vanishing = float(terms[n_max]) < 0.5 * float(terms[max(1, n_max // 2)]) and (
-            float(terms[n_max]) < 1e-3
-        )
+        terms = {i: counts[i] * inv ** i for i in range(1, n_max + 1)}
+        vanishing = (terms[n_max] < terms[max(1, n_max // 2)] / 2
+                     and terms[n_max] < Fraction(1, 1000))
         for m in range(1, m_top + 1):
-            tails[m] = float(sum(terms[i] for i in range(m, n_max + 1)))
+            tails[m] = sum(terms[i] for i in range(m, n_max + 1))
         note = (
             "no periodic boundary tail detected; partial sums only"
             if vanishing
             else "boundary terms do not vanish; tail is not summable"
         )
-        return tails, vanishing, note
+        return tails, False, vanishing, note
     anchor = max(1, n_max - 12)
-    geom = 1 / (1 - power(period))
+    geom = 1 / (1 - inv ** period)
     for m in range(1, m_top + 1):
         start = max(m, anchor)
-        head = sum((counts[i] * power(i) for i in range(m, start)), inv * 0)
-        tail = sum(counts[start + r] * power(start + r) for r in range(period))
+        head = sum(counts[i] * inv ** i for i in range(m, start))
+        tail = sum(counts[start + r] * inv ** (start + r) for r in range(period))
         tails[m] = head + tail * geom
-    decreasing = all(
-        float(tails[m + 1]) < float(tails[m]) + 1e-15 for m in range(1, m_top)
-    )
+    decreasing = all(tails[m + 1] <= tails[m] for m in range(1, m_top))
     return (
         tails,
+        True,
         decreasing,
         f"closed-form tails with eventual period {period}, decreasing to 0",
     )
+
+
+def reported_tails(tails, closed_form, exact):
+    """The tails as `counting_suite` reports them: closed-form ones exact
+    when beta is, every other one correctly rounded."""
+    return {m: v if closed_form and exact else float(v) for m, v in tails.items()}
 
 
 _TAIL_SYSTEMS = {
@@ -415,8 +440,9 @@ _TAIL_SYSTEMS = {
     # quadratic beta, closed form
     "golden": BetaSystem.golden_mean,
     "silver": lambda: BetaSystem.from_expansion((2, 0), period=2),
-    # float beta: each float must keep its bits; p9's period, 9, is longer
-    # than the probe's, so its depth-2 tails are partial sums
+    # beta of degree 5 and 9, so the lower end of the enclosure; p9's
+    # period, 9, is longer than the probe's, so its depth-2 tails are
+    # partial sums
     "p5": lambda: BetaSystem.from_expansion((2, 1, 0, 0, 1), period=5),
     "p9": lambda: BetaSystem.from_expansion((1, 1, 0, 1, 0, 0, 1, 0, 0), period=9),
 }
@@ -433,13 +459,14 @@ def test_tail_sums_match_the_sums_per_head(name, n_max, j):
     system = _TAIL_SYSTEMS[name]()
     boundary = beta_decomposition(system).boundary()
     counts = {n: suites.count_separated(boundary, n, j) for n in range(1, n_max + 1)}
-    beta = suites._exact_beta(system)
-    assert isinstance(beta, float) == (name in ("p5", "p9"))
-    got = suites._tail_sums(counts, beta, n_max)
-    want = _tail_sums_per_head(counts, beta, n_max)
-    assert got[1:] == want[1:]
-    assert list(got[0]) == list(want[0]) == list(range(1, min(12, n_max - 8) + 1))
-    for m, value in want[0].items():
+    lo, hi = suites._growth(system)
+    assert (lo != hi) == (name in ("p5", "p9"))
+    power = suites._powers(lo, n_max)
+    unit = {n: power[n][1] * power[n_max - n][0] for n in range(1, n_max + 1)}
+    got = suites._tail_sums(counts, unit, power, n_max, lo == hi)
+    tails, closed_form, ok, note = _tail_sums_per_head(counts, _lower_bound(system), n_max)
+    want = reported_tails(tails, closed_form, lo == hi)
+    assert got[1:] == (ok, note)
+    assert list(got[0]) == list(want) == list(range(1, min(12, n_max - 8) + 1))
+    for m, value in want.items():
         assert type(got[0][m]) is type(value) and got[0][m] == value
-        if isinstance(value, float):
-            assert got[0][m].hex() == value.hex()
