@@ -66,6 +66,8 @@ EXTENDED = [
     "verify --expansion-file @p9 --measure-depth 14",
     "verify --beta 2.5 --horizon 300 --measure-depth 8",
     "verify --beta 1.5 --horizon 60 --measure-depth 14",
+    # the largest Parry class layers
+    "verify --beta 1.8 --horizon 60 --measure-depth 16",
     "verify --beta 200",
     "verify --beta 3 --depth 2",
     # the full 3-shift: the tuple search of levels 1 and 2 is over its budget
@@ -76,6 +78,9 @@ EXTENDED = [
     "verify --beta 1.5 --horizon 60 --depth 3",
     # the degenerate scheme's finite levels keep the literal search
     "verify --degenerate --beta 1.5 --horizon 60",
+    # the Gibbs walk on the degenerate scheme's level automaton, the
+    # presentation itself, with j = 1 (exit 1)
+    "verify --degenerate --expansion-file @p5 --depth 1 --tau-max 6",
     "verify --expansion-file @p5 --depth 2",
     "mme --beta 1.5 --horizon 600 --n 500",
     "mme --beta 1.5",

@@ -33,9 +33,9 @@ sum of l_s over the states s whose walk of u ends at each state, which is
 a function of u's transition class on the right-resolving presentation
 (Parry 1960); so the Parry measure has one class per distinct vector
 (keyed by its sorted (state, weight) pairs), each with its children, its
-word count and least word at every length, and its exact weight.  The
-checks read the weights and the per-length scales S_n unrounded; a report
-or `mass` rounds a mass, or a pattern's exact sum, once.  The per-word
+word count at every length, and its exact weight.  The checks read the
+weights and the per-length scales S_n unrounded; a report or `mass`
+rounds a mass, or a pattern's exact sum, once.  The per-word
 table is listed only when it is read (reports, `max_depth_gap`), and is
 refused over MAX_TABLE_CYLINDERS words before any word is listed.  A
 listed table (an empirical measure, or one read from a file) must be
@@ -70,26 +70,6 @@ MAX_TABLE_CYLINDERS = 1_000_000
 SCALE_BITS = 128
 
 
-def extend(layer: dict, moves) -> dict:
-    """The layer one symbol longer: state -> (word count, least word).
-
-    `moves(state)` lists the (symbol, next state) pairs in increasing
-    symbol order.  The layer must list its states in increasing order of
-    their least words, as every layer `extend` returns does: then the first
-    word to reach a state is its least one, and the states of the result
-    are met in the order of their least words.
-    """
-    out: dict = {}
-    for state, (count, word) in layer.items():
-        for a, nxt in moves(state):
-            entry = out.get(nxt)
-            if entry is None:
-                out[nxt] = (count, word + (a,))
-            else:
-                out[nxt] = (entry[0] + count, entry[1])
-    return out
-
-
 class MassClasses:
     """The cylinders of a measure, grouped into mass classes.
 
@@ -104,8 +84,7 @@ class MassClasses:
       has the exact mass w S_n, `scales[n]` = S_n as a quotient (num, den);
     - `finish(weight, n)`, that mass rounded once where the data are float
       (so nondecreasing in the weight), for reports and `mass`;
-    - `layers[n]`, each class met at length n with its word count and its
-      least word, in increasing order of least words;
+    - `layers[n]`, each class met at length n with its word count;
     - `cylinders`, the word count of the table.
 
     The words themselves are listed only by `table`.
@@ -119,7 +98,7 @@ class MassClasses:
         self.finish = finish
         self.layers = layers
         self.depth = len(layers) - 1
-        self.cylinders = sum(c for layer in layers for c, _ in layer.values())
+        self.cylinders = sum(sum(layer.values()) for layer in layers)
         self._masses: dict[tuple[int, int], object] = {}
         self._runs: dict[int, list] = {}  # see runs_descending
         self._spreads: dict[int, dict] = {}  # see _spread
@@ -149,19 +128,29 @@ class MassClasses:
 
         def moves(k):
             if k not in children:
-                step: dict[int, dict] = {}
-                for s, w in vectors[k]:
-                    for a, t in steps[s]:
-                        child = step.setdefault(a, {})
-                        child[t] = child[t] + w if t in child else w
-                children[k] = {a: number(tuple(sorted(step[a].items())))
-                               for a in sorted(step)}
-            return children[k].items()
+                v = vectors[k]
+                if len(v) == 1:
+                    # one state: each symbol leads to one state, same weight
+                    (s, w), = v
+                    children[k] = {a: number(((t, w),)) for a, t in steps[s]}
+                else:
+                    step: dict[int, dict] = {}
+                    for s, w in v:
+                        for a, t in steps[s]:
+                            child = step.setdefault(a, {})
+                            child[t] = child[t] + w if t in child else w
+                    children[k] = {a: number(tuple(sorted(step[a].items())))
+                                   for a in sorted(step)}
+            return children[k].values()
 
         root = number(tuple(enumerate(left)))
-        layers = [{root: (1, ())}]
+        layers = [{root: 1}]
         for _ in range(depth):
-            layers.append(extend(layers[-1], moves))
+            layer: dict[int, int] = {}
+            for k, count in layers[-1].items():
+                for child in moves(k):
+                    layer[child] = layer.get(child, 0) + count
+            layers.append(layer)
         weights = [sum(w * right[t] for t, w in v) for v in vectors]
         kids = [children.get(k, {}) for k in range(len(vectors))]
         return cls(root, kids, weights, scales, finish, layers)
@@ -209,8 +198,7 @@ class MassClasses:
                     children.append(dict(kids))
                     weights.append(m if exact else Fraction(m))
                 here.append(k)
-                entry = layer.get(k)
-                layer[k] = (1, w) if entry is None else (entry[0] + 1, entry[1])
+                layer[k] = layer.get(k, 0) + 1
             if i < end:
                 # the scan stops at the first word whose prefix is missing
                 raise InputError(
@@ -260,7 +248,7 @@ class MassClasses:
         if n not in self._runs:
             weights = self.weights
             self._runs[n] = sorted(
-                ((k, c) for k, (c, _) in self.layers[n].items()),
+                self.layers[n].items(),
                 key=lambda run: weights[run[0]],
                 reverse=True,
             )
@@ -637,8 +625,8 @@ def parry_measure(system, depth: int) -> CylinderMeasure:
     of [u] is sum_t v_u[t] r_t / (x^|u| sum_s l_s r_s).  The vectors of the
     children of [u] follow from v_u alone, so the words are grouped into
     mass classes (`MassClasses`), one per distinct vector, with each
-    class's children, word count and least word at each length computed
-    once; a mass is rounded, and the cylinder table listed, only when read.
+    class's children and word count at each length computed once; a mass
+    is rounded, and the cylinder table listed, only when read.
     Exact field arithmetic when the eigenvalue is rational or quadratic.
     Otherwise l and r are the integer vectors L, R of the eigendata (each
     in its own unit, which cancels: the mass is homogeneous of degree 0 in

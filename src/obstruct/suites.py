@@ -29,7 +29,6 @@ from operator import mul
 from .automata import check_enumeration_cap
 from .decomposition import filtration_coverage, min_gluing_time
 from .errors import DepthError, InputError
-from .measures import extend
 from .orbits import OrbitCollection, count_separated
 from .perron import perron_eigendata, simplest_between
 from .quadratic import QuadraticNumber
@@ -434,11 +433,13 @@ def gibbs_check(
     (violations).
 
     No word is listed: the length-n words are grouped by (level state,
-    mass class) along the scheme's level automaton, each group with its
-    least word, the level test is applied at length n and the groups are
+    mass class) along the scheme's level automaton, each group with the
+    (group, symbol) it is first reached from, the last step of its least
+    word; the level test is applied at length n and the groups are
     extended j more symbols.  The scale S_(n+j) lo^n is common to a length,
-    so its minimum is the class of least positive weight; only the words of
-    a class of weight <= 0 are listed.
+    so its minimum is the class of least positive weight, and only the
+    least word of its first group is read back; only the words of a class
+    of weight <= 0 are listed.
     """
     power = _powers(_growth(system)[0], max(n_range, default=0))
     classes = measure.classes
@@ -447,28 +448,42 @@ def gibbs_check(
     group_moves: dict = {}
 
     def moves(group):
-        """(symbol, group after it): a word leaves the table (class None)
-        on a symbol its class has no child for."""
+        """(group after each symbol, (group, symbol)): a word leaves the
+        table (class None) on a symbol its class has no child for."""
         if group not in group_moves:
             state, k = group
             kids = {} if k is None else classes.children[k]
             group_moves[group] = [
-                (a, (after, kids.get(a))) for a, after in level_moves(state)
+                ((after, kids.get(a)), (group, a)) for a, after in level_moves(state)
             ]
         return group_moves[group]
 
-    layers = [{(start, classes.root): (1, ())}]
+    def extend(layer):
+        """The groups one symbol longer, each with the (group, symbol) of
+        its first reach: the layer lists its groups in increasing order of
+        their least words, so the first reach is the least word, and the
+        result lists its groups in that order too."""
+        out: dict = {}
+        for group in layer:
+            for after, back in moves(group):
+                if after not in out:
+                    out[after] = back
+        return out
+
+    layers = [{(start, classes.root): None}]
     per_length, minima, violations = {}, [], []
     for n in n_range:
         check_enumeration_cap(n, system.enumeration_cap)
         while len(layers) <= n:
-            layers.append(extend(layers[-1], moves))
-        level = {g: e for g, e in layers[n].items() if member(g[0], n)}
+            layers.append(extend(layers[-1]))
+        chain = layers[1:n + 1]  # the back-pointers of lengths 1..n + j
+        level = [g for g in layers[n] if member(g[0], n)]
         for _ in range(j):
-            level = extend(level, moves)
-        least: dict = {}  # class -> least word of the level extensions in it
-        for (_, k), (_, w) in level.items():
-            least.setdefault(k, w)  # the groups come in least-word order
+            level = extend(level)
+            chain.append(level)
+        least: dict = {}  # class -> its group of least word
+        for g in level:
+            least.setdefault(g[1], g)
         if least and n + j > measure.depth:
             raise DepthError(
                 f"cylinder depth {n + j} exceeds measure depth {measure.depth}"
@@ -479,7 +494,11 @@ def gibbs_check(
         if lightest is not None:
             num, den = classes.scales[n + j]
             p, q = power[n]
-            minima.append(((weights[lightest] * num * p, den * q), least[lightest]))
+            word, g = [], least[lightest]
+            for layer in reversed(chain):
+                g, a = layer[g]
+                word.append(a)
+            minima.append(((weights[lightest] * num * p, den * q), tuple(word[::-1])))
             per_length[n] = _rounded(minima[-1][0])
         if zero:
             pres = system.presentation

@@ -19,7 +19,7 @@ from obstruct.decomposition import (
     beta_decomposition,
     degenerate_decomposition,
 )
-from obstruct.errors import DepthError, ObstructError
+from obstruct.errors import DepthError, InputError, ObstructError
 from obstruct.factors import BlockCode, FactorSystem, InducedDecomposition
 from obstruct.measures import (
     MAX_TABLE_CYLINDERS,
@@ -28,6 +28,7 @@ from obstruct.measures import (
     empirical_mme,
     parry_measure,
 )
+from obstruct.perron import perron_eigendata
 from obstruct.suites import (
     gibbs_check,
     mixing_check,
@@ -417,7 +418,7 @@ def test_positive_mass_count_finishes_only_the_classes_it_reaches(make, gamma):
     assert count == naive_positive_mass_count(m, gamma, 10)
 
 
-def test_float_positive_mass_count_over_budget_exits_at_once(monkeypatch, capsys):
+def test_verify_beta_50_5_passes_without_listing_the_table(monkeypatch, capsys):
     # beta 50.5 is truncated, with integer Parry data; its depth-10 layer
     # holds about 10^17 words, counted class by class, none listed
     def refuse(self):
@@ -539,3 +540,145 @@ def test_least_mass_that_underflows_passes(masses, exact):
         assert report.constant == 0.0 and report.violations == ((2,),)
     else:
         assert report.constant > 0 and report.passed
+
+
+# -- the class walks against the word-carrying walk ------------------------------
+
+
+def _carrying_extend(layer, moves):
+    """The layer one symbol longer, each state with its word count and least
+    word: the first word to reach a state is its least one, as the layer
+    lists its states in increasing order of their least words."""
+    out = {}
+    for state, (count, word) in layer.items():
+        for a, nxt in moves(state):
+            entry = out.get(nxt)
+            if entry is None:
+                out[nxt] = (count, word + (a,))
+            else:
+                out[nxt] = (entry[0] + count, entry[1])
+    return out
+
+
+def _carrying_parry(system, depth):
+    """The Parry classes by weight vector, each layer carrying every class's
+    word count and least word: (layers, weights, children)."""
+    live = system.presentation.essential_part()
+    eigen = perron_eigendata(live)
+    numbers, vectors, children = {}, [], {}
+
+    def number(v):
+        if v not in numbers:
+            numbers[v] = len(vectors)
+            vectors.append(v)
+        return numbers[v]
+
+    def moves(k):
+        if k not in children:
+            step = {}
+            for s, w in vectors[k]:
+                for a, t in live.moves(s):
+                    child = step.setdefault(a, {})
+                    child[t] = child[t] + w if t in child else w
+            children[k] = {a: number(tuple(sorted(step[a].items())))
+                           for a in sorted(step)}
+        return children[k].items()
+
+    layers = [{number(tuple(enumerate(eigen.left))): (1, ())}]
+    for _ in range(depth):
+        layers.append(_carrying_extend(layers[-1], moves))
+    weights = [sum(w * eigen.right[t] for t, w in v) for v in vectors]
+    return layers, weights, [children.get(k, {}) for k in range(len(vectors))]
+
+
+def _carrying_gibbs(measure, system, scheme, M, n_range, j):
+    """The mass floor along (level state, class) groups that carry their
+    least words: (least value, its word, per-length minima, zero-mass
+    words), as `naive_gibbs` returns them."""
+    lo = _lower_bound(system)
+    classes = measure.classes
+    start, level_moves, member = scheme.level_automaton(M)
+
+    def moves(group):
+        state, k = group
+        kids = {} if k is None else classes.children[k]
+        return [(a, (after, kids.get(a))) for a, after in level_moves(state)]
+
+    layers = [{(start, classes.root): (1, ())}]
+    best, per_length, violations = None, {}, []
+    for n in n_range:
+        while len(layers) <= n:
+            layers.append(_carrying_extend(layers[-1], moves))
+        level = {g: e for g, e in layers[n].items() if member(g[0], n)}
+        for _ in range(j):
+            level = _carrying_extend(level, moves)
+        level_min, zero = None, set()
+        for (_, k), (_, w) in level.items():
+            if k is None or classes.weights[k] <= 0:
+                zero.add(k)
+                continue
+            value = _class_mass(classes, k, n + j) * lo ** n
+            if level_min is None or value < level_min[0]:
+                level_min = (value, w)
+        if level_min is not None:
+            per_length[n] = float(level_min[0])
+            if best is None or level_min[0] < best[0]:
+                best = level_min
+        if zero:
+            pres = system.presentation
+            violations.extend(
+                v + ext
+                for v in scheme.level_words(M, n)
+                for ext in pres.tails(pres.walk(v), j)
+                if classes.class_of(v + ext) in zero
+            )
+    if best is None:
+        return 0, (), per_length, tuple(violations)
+    return best[0], best[1], per_length, tuple(violations)
+
+
+@st.composite
+def _expansion_systems(draw):
+    """A periodic or preperiodic expansion of 1, or a truncated rational
+    beta, with its kind."""
+    kind = draw(st.sampled_from(["periodic", "preperiodic", "truncated"]))
+    if kind == "truncated":
+        q = draw(st.integers(2, 7))
+        beta = Fraction(draw(st.integers(q + 1, 3 * q)), q)
+        assume(beta.denominator > 1)
+        return kind, BetaSystem.from_beta(beta, horizon=draw(st.integers(10, 40)))
+    # an expansion of 1 starts with a nonzero digit
+    digits = [draw(st.integers(1, 3))] + draw(st.lists(st.integers(0, 3), min_size=1,
+                                                       max_size=5))
+    period = len(digits) if kind == "periodic" else draw(st.integers(1, len(digits) - 1))
+    try:
+        return kind, BetaSystem.from_expansion(digits, period=period)
+    except InputError:
+        assume(False)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_expansion_systems(), st.booleans(), st.integers(1, 6), st.integers(0, 2),
+       st.integers(0, 3))
+def test_class_walks_match_the_word_carrying_walk(case, degenerate, n_top, j, M):
+    # the Parry layers keep word counts and gibbs_check keeps back-pointers;
+    # the walk that carries each class's least word gives the same counts,
+    # weights and report
+    kind, system = case
+    depth = n_top + j
+    m = _outcome(lambda: parry_measure(system, depth))
+    assume(isinstance(m, CylinderMeasure))
+    classes = m.classes
+    layers, weights, children = _carrying_parry(system, depth)
+    assert [list(layer.items()) for layer in classes.layers] == [
+        [(k, c) for k, (c, _) in layer.items()] for layer in layers
+    ], kind
+    assert classes.cylinders == sum(c for layer in layers for c, _ in layer.values())
+    assert classes.weights == weights
+    assert classes.children == children
+
+    scheme = (degenerate_decomposition if degenerate else beta_decomposition)(system)
+    n_range = range(1, n_top + 1)
+    want = _outcome(lambda: _carrying_gibbs(m, system, scheme, M, n_range, j))
+    got = _outcome(lambda: _gibbs_fields(gibbs_check(m, system, scheme, M, n_range, j=j)))
+    assert got == want, (kind, M, j)
