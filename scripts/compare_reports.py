@@ -118,6 +118,8 @@ EXTENDED = [
     # shortest one, S_1, with count rows read from its power A^1
     "mme --expansion-file @p9 --n 4000",
     "mme --expansion-file @p5 --n 4",
+    # float Parry masses of integer data from the power iteration
+    "mme --expansion-file @wrap --n 500",
     # the counting suite: level rows, coverage floors and tail sums past the
     # default n_max, at the least n_max, on a wrap at depth 2 and on the
     # degenerate level counter (exit 1); exit 2 where counting meets the

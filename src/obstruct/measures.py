@@ -19,9 +19,9 @@ divided by x^|u| sum_s l_s r_s.  With exact
 eigendata (rational or quadratic) the masses are exact field elements;
 otherwise the eigenvectors are positive integers, the eigenvalue is the
 simplest rational in its Collatz-Wielandt enclosure, every mass is an exact
-rational acc S_n of these (acc an integer class weight, S_n fixed per
-length), and each is rounded to a float once: from a 128-bit fixed-point
-scale of S_n where that decides the float, else by the exact division.
+rational acc S_n of these (acc an integer class weight, S_n = num / den
+fixed per length), and each is rounded to a float once, by the correctly
+rounded integer division acc num / den.
 A truncated system's provenance states the enclosure's width and, when
 beta is exact, the gap beta - lo to the true beta-shift (lo the lower end
 of the enclosure, so the gap bounds beta - rho from above).
@@ -35,18 +35,18 @@ a function of u's transition class on the right-resolving presentation
 (keyed by its sorted (state, weight) pairs), each with its children, its
 word count at every length, and its exact weight.  The checks read the
 weights and the per-length scales S_n unrounded; a report or `mass`
-rounds a mass, or a pattern's exact sum, once.  The per-word
-table is listed only when it is read (reports, `max_depth_gap`), and is
-refused over MAX_TABLE_CYLINDERS words before any word is listed.  A
-listed table (an empirical measure, or one read from a file) must be
-closed under prefixes; its classes are its minimal automaton, the words
+rounds a mass, or a pattern's exact sum, once, by the one rule of
+`MassClasses.scaled`.  The per-word table is listed only when it is read
+(reports, `max_depth_gap`), and is refused over MAX_TABLE_CYLINDERS words
+before any word is listed.  A listed table (an empirical measure, or one
+read from a file) must be closed under prefixes, and list a word at every
+length to its depth; its classes are its minimal automaton, the words
 merged bottom-up when their masses and child classes agree.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from collections.abc import Mapping
 from fractions import Fraction
 from operator import mul
@@ -65,9 +65,6 @@ MAX_EMPIRICAL_N = 10_000
 # most cylinders a listed table may hold: sum over lengths n <= depth of
 # |L_n|, counted exactly before any word is listed
 MAX_TABLE_CYLINDERS = 1_000_000
-# significant bits of the fixed-point scale F_n that float Parry masses are
-# rounded from (see `_round_scaled`); 75 bits past a float's 53
-SCALE_BITS = 128
 
 
 class MassClasses:
@@ -82,20 +79,21 @@ class MassClasses:
       symbol order; the symbols missing lead off the table (mass 0);
     - `weights[k]`, the weight of class k: a length-n cylinder of weight w
       has the exact mass w S_n, `scales[n]` = S_n as a quotient (num, den);
-    - `finish(weight, n)`, that mass rounded once where the data are float
-      (so nondecreasing in the weight), for reports and `mass`;
+    - `exact`: `scaled(weight, n)`, that mass, is exact when this is true,
+      else the float nearest it (so nondecreasing in the weight), for
+      reports and `mass`;
     - `layers[n]`, each class met at length n with its word count;
     - `cylinders`, the word count of the table.
 
     The words themselves are listed only by `table`.
     """
 
-    def __init__(self, root: int, children: list, weights: list, scales: list, finish, layers):
+    def __init__(self, root: int, children: list, weights: list, scales: list, exact, layers):
         self.root = root
         self.children = children
         self.weights = weights
         self.scales = scales
-        self.finish = finish
+        self.exact = exact
         self.layers = layers
         self.depth = len(layers) - 1
         self.cylinders = sum(sum(layer.values()) for layer in layers)
@@ -104,7 +102,7 @@ class MassClasses:
         self._spreads: dict[int, dict] = {}  # see _spread
 
     @classmethod
-    def parry(cls, live, left, right, scales, finish, depth: int) -> "MassClasses":
+    def parry(cls, live, left, right, scales, exact: bool, depth: int) -> "MassClasses":
         """Classes of a Parry measure, by weight vector.
 
         The vector of a word u is v_u[t] = sum of l_s over the states s
@@ -153,7 +151,7 @@ class MassClasses:
             layers.append(layer)
         weights = [sum(w * right[t] for t, w in v) for v in vectors]
         kids = [children.get(k, {}) for k in range(len(vectors))]
-        return cls(root, kids, weights, scales, finish, layers)
+        return cls(root, kids, weights, scales, exact, layers)
 
     @classmethod
     def of_table(cls, table: Mapping, depth: int, exact: bool) -> "MassClasses":
@@ -164,9 +162,9 @@ class MassClasses:
         children of a word are contiguous in the sorted longer words, so
         each length is one scan of its sorted words beside the sorted
         words one symbol longer.  The weights are the exact values of the
-        masses, every scale is 1, and `finish` rounds once to a float where
-        the table has a float mass.  A word listed without its prefix is
-        refused.
+        masses and every scale is 1, so a mass is its weight, rounded once
+        to a float where the table has a float mass.  A word listed without
+        its prefix is refused.
         """
         by_length: list[list] = [[] for _ in range(depth + 1)]
         for w in table:
@@ -207,13 +205,7 @@ class MassClasses:
             layers.append(layer)
             longer, below = words, here
         layers.reverse()
-        if exact:
-            def finish(acc, n):
-                return acc
-        else:
-            def finish(acc, n):
-                return float(acc)
-        return cls(below[0], children, weights, [(1, 1)] * (depth + 1), finish, layers)
+        return cls(below[0], children, weights, [(1, 1)] * (depth + 1), exact, layers)
 
     def _spread(self, k: int) -> dict:
         """child class -> number of symbols that lead to it from class k."""
@@ -233,13 +225,20 @@ class MassClasses:
                 return None
         return k
 
+    def scaled(self, weight, n: int):
+        """The mass w S_n of weight w at length n, (num, den) = `scales[n]`:
+        w num on exact data, whose scales are (S_n, 1), else the float
+        nearest w num / den (int / int and `float` round correctly)."""
+        num, den = self.scales[n]
+        return weight * num if self.exact else float(weight * num / den)
+
     def mass(self, k: int | None, n: int):
-        """Mass of the length-n cylinders of class k, finished once; 0 off
+        """Mass of the length-n cylinders of class k, scaled once; 0 off
         the table."""
         if k is None:
             return 0
         if (k, n) not in self._masses:
-            self._masses[k, n] = self.finish(self.weights[k], n)
+            self._masses[k, n] = self.scaled(self.weights[k], n)
         return self._masses[k, n]
 
     def runs_descending(self, n: int) -> list:
@@ -377,9 +376,9 @@ class CylinderMeasure:
 
     def pattern_mass(self, template):
         """Total mass of words matching a fixed/free position template: their
-        weight finished (so rounded, for float data) once; 0 when none does."""
+        weight scaled (so rounded, for float data) once; 0 when none does."""
         total = self.classes.pattern_weight(template)
-        return 0 if total is None else self.classes.finish(total, len(template))
+        return 0 if total is None else self.classes.scaled(total, len(template))
 
     def joint_mass(self, u: Word, gap: int, v: Word):
         """Mass of [u] intersected with the gap-shifted cylinder of v."""
@@ -430,6 +429,10 @@ class CylinderMeasure:
                     exact = False
             if () not in table:
                 raise KeyError("entries")
+            # a prefix-closed table lists a word at every length to its depth
+            longest = max(map(len, table))
+            if not 0 <= depth <= longest:
+                raise ValueError(f"depth {depth} is not in 0..{longest}, the longest word's length")
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise InputError(f"malformed measure file: {exc}") from exc
         return cls(
@@ -635,12 +638,9 @@ def parry_measure(system, depth: int) -> CylinderMeasure:
     about half the bits the enclosure's ends or midpoint would), so V and
     the sum over t are exact integers and the float mass is the rational
     acc S_n, acc = sum_t V_u[t] R_t and S_n = q^n / (p^n sum_s L_s R_s),
-    rounded once: from F_n = floor(S_n 2^K_n) of SCALE_BITS bits, taken
-    once per length, when both ends of the bracket [acc F_n, acc F_n + acc]
-    of acc S_n 2^K_n round to one float (`_round_scaled`), else by the
-    correctly rounded integer division acc q^n / (p^n sum_s L_s R_s).  So
-    each float is the correctly rounded mass either way, and the wide
-    division runs only at a rounding boundary or for a subnormal mass.
+    rounded once by the correctly rounded integer division
+    acc q^n / (p^n sum_s L_s R_s).  An exact scale is the field element
+    S_n over 1, so an exact mass costs one multiplication.
     Refuses non-primitive presentations, and raises where enumerating the
     language up to `depth` would.
     """
@@ -665,24 +665,14 @@ def parry_measure(system, depth: int) -> CylinderMeasure:
         scales = [(1 / total, 1)]
         for _ in range(depth):
             scales.append((scales[-1][0] / eigen.eigenvalue, 1))
-
-        def finish(acc, n):
-            return acc * scales[n][0]
     else:
-        # the simplest rational p / q in the enclosure; each mass is the
-        # rational acc q^n / (p^n sum_s L_s R_s) of the integer data,
-        # rounded once
+        # S_n = q^n / (p^n sum_s L_s R_s), p / q the simplest rational in the enclosure
         mid = simplest_between(*eigen.enclosure)
         scales = [(1, total)]
         for _ in range(depth):
             num, den = scales[-1]
             scales.append((num * mid.denominator, den * mid.numerator))
-        fixed = [_fixed_scale(*scale) for scale in scales]
-
-        def finish(acc, n):
-            mass = _round_scaled(acc, *fixed[n])
-            return acc * scales[n][0] / scales[n][1] if mass is None else mass
-    classes = MassClasses.parry(live, left, right, scales, finish, depth)
+    classes = MassClasses.parry(live, left, right, scales, eigen.exact, depth)
     lo, hi = eigen.enclosure
     if system.horizon is None:
         provenance = "parry-exact" if eigen.exact else "parry-numeric"
@@ -703,37 +693,6 @@ def parry_measure(system, depth: int) -> CylinderMeasure:
             "exact_eigendata": eigen.exact,
         },
     )
-
-
-def _fixed_scale(num: int, den: int) -> tuple[int, int]:
-    """(F, K) with F = floor(num / den * 2^K) of SCALE_BITS bits, for
-    positive integers num and den."""
-    k = SCALE_BITS - (num.bit_length() - den.bit_length())
-    f = (num << k) // den if k >= 0 else num // (den << -k)
-    if f.bit_length() > SCALE_BITS:  # num / den 2^K lay in [2^128, 2^129)
-        f, k = f >> 1, k - 1
-    return f, k
-
-
-def _round_scaled(acc: int, f: int, k: int) -> float | None:
-    """The float nearest acc S for an integer acc >= 0, given F = f =
-    floor(S 2^k); None when the fixed-point scale cannot decide it.
-
-    acc S 2^k lies in [acc F, acc F + acc].  Both ends, cut to SCALE_BITS
-    bits (rounding down and up), are rounded to floats by the correctly
-    rounded, monotone int-to-float conversion; when they agree, so does
-    every point between, and the power of two is applied exactly by
-    `ldexp`.  None when the ends differ (the bracket holds a rounding
-    boundary) or the result is not a normal float, where `ldexp` would
-    round a second time.
-    """
-    lo = acc * f
-    shift = max(0, lo.bit_length() - SCALE_BITS)
-    low = float(lo >> shift)
-    if low != float(-(-(lo + acc) >> shift)):
-        return None
-    mass = math.ldexp(low, shift - k)
-    return mass if mass > sys.float_info.min else None
 
 
 def _beta_gap(system, lo) -> str:

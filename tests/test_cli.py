@@ -43,6 +43,13 @@ _ZERO_DENOMINATOR_MEASURE = (
 )
 
 
+def _measure_text(depth, *words):
+    """A measure file on two symbols: each word's mass is 2^-length."""
+    entries = [{"word": w, "mass_num": "1", "mass_den": str(2 ** len(w))} for w in words]
+    return json.dumps({"depth": depth, "alphabet_size": 2, "provenance": "p",
+                       "entries": entries})
+
+
 @pytest.fixture()
 def golden_file(tmp_path):
     path = tmp_path / "golden.txt"
@@ -220,13 +227,17 @@ class TestMainEntry:
         capsys.readouterr()
 
     def test_measure_file_zero_denominator(self, tmp_path, capsys):
-        bad = tmp_path / "zero.json"
-        bad.write_text(_ZERO_DENOMINATOR_MEASURE)
-        code = main(["verify", "--beta", "2", "--measure-file", str(bad)])
-        assert code == EXIT_INPUT
-        err = capsys.readouterr().err
-        assert err.startswith("error: malformed measure file")
-        assert "Traceback" not in err
+        # also a negative depth, and a depth past the longest word, which
+        # would send the correlation probe through gaps up to depth - 2
+        bad = tmp_path / "bad.json"
+        for text in (_ZERO_DENOMINATOR_MEASURE, _measure_text(-1, ""),
+                     _measure_text(20_000, "", "0", "1")):
+            bad.write_text(text)
+            code = main(["verify", "--beta", "2", "--measure-file", str(bad)])
+            assert code == EXIT_INPUT, text
+            err = capsys.readouterr().err
+            assert err.startswith("error: malformed measure file"), text
+            assert "Traceback" not in err
 
     def test_out_directory_files(self, golden_file, tmp_path, capsys):
         out = tmp_path / "reports"

@@ -406,15 +406,15 @@ def test_exact_masses_with_equal_floats_sort_exactly():
     BetaSystem.golden_mean,  # exact quadratic masses
     lambda: BetaSystem.from_beta("1.5", horizon=60),  # integer Parry data
 ], ids=["golden", "1.5@60"])
-def test_positive_mass_count_finishes_only_the_classes_it_reaches(make, gamma):
-    # the count reads exact weights and scales, so it rounds no mass at all
+def test_positive_mass_count_rounds_no_mass(make, gamma):
+    # the count reads exact weights and scales, so it scales no weight
     m = parry_measure(make(), 10)
     classes = m.classes
-    finished = []
-    finish = classes.finish
-    classes.finish = lambda acc, n: finished.append(acc) or finish(acc, n)
+    scaled = []
+    scale = classes.scaled
+    classes.scaled = lambda weight, n: scaled.append(weight) or scale(weight, n)
     count = positive_mass_count(m, gamma, 10)
-    assert finished == []
+    assert scaled == []
     assert count == naive_positive_mass_count(m, gamma, 10)
 
 
@@ -491,7 +491,7 @@ def _least_at_length_1(m):
     return _gibbs_against_oracle(m, *_p5_and_scheme(), 2, range(1, 2), 0)
 
 
-def _finished_at_length_1(m):
+def _scaled_at_length_1(m):
     return {k for k, n in m.classes._masses if n == 1}
 
 
@@ -521,7 +521,7 @@ def test_weights_apart_whose_floats_tie_report_the_least_weight():
 def test_least_mass_path_finishes_no_class():
     m = _p5_table([0.25, 0.2, 0.5], exact=False)
     assert gibbs_check(m, *_p5_and_scheme(), 2, range(1, 2)).argmin == (1,)
-    assert _finished_at_length_1(m) == set()
+    assert _scaled_at_length_1(m) == set()
 
 
 @pytest.mark.parametrize(

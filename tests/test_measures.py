@@ -19,10 +19,7 @@ from obstruct.errors import (
 )
 from obstruct.factors import BlockCode, FactorSystem
 from obstruct.measures import (
-    SCALE_BITS,
     CylinderMeasure,
-    _fixed_scale,
-    _round_scaled,
     _tail_prefix,
     _verify_representative_tails,
     empirical_mme,
@@ -518,7 +515,7 @@ class TestParry:
              "21(0^170)1"],
     )
     def test_masses_match_high_precision_pass(self, make, depth):
-        # the fixed-point pass rounds once per cylinder; every float must
+        # parry_measure rounds once per cylinder; every float must
         # equal the 60-digit pass bit for bit
         system = make()
         got = parry_measure(system, depth).table
@@ -551,61 +548,20 @@ class TestParry:
             parry_measure(collapsed, 3)
 
 
-# -- float Parry masses from the fixed-point scale ---------------------------
+# -- float Parry masses, each the correctly rounded exact division ------------
 
 
-def _exact_or_overflow(fn):
-    try:
-        return fn()
-    except OverflowError:
-        return OverflowError
+def _exact_division(m, weight, n):
+    """The float mass of a weight at length n on integer Parry data:
+    float(Fraction(weight * num, den)), (num, den) the scale S_n."""
+    num, den = m.classes.scales[n]
+    return float(Fraction(weight * num, den))
 
 
-@given(
-    st.integers(1, 2**2000),
-    st.integers(2, 2**600),
-    st.integers(2, 2**600),
-    st.integers(1, 2**1200),
-    st.integers(0, 14),
-)
-@settings(max_examples=400, deadline=None)
-def test_fixed_scale_rounds_as_the_exact_division(acc, p, q, total, n):
-    # the data of a Parry mass: S_n = q^n / (p^n total), rounded from
-    # acc S_n; where the scale decides, it gives the correctly rounded float
-    num, den = q ** n, p ** n * total
-    f, k = _fixed_scale(num, den)
-    assert f.bit_length() == SCALE_BITS
-    assert f <= Fraction(num, den) * Fraction(2) ** k < f + 1
-    mass = _exact_or_overflow(lambda: _round_scaled(acc, f, k))
-    if mass is not None:
-        assert mass == _exact_or_overflow(lambda: acc * num / den)
-
-
-def test_fixed_scale_leaves_a_tie_to_the_exact_division():
-    # acc = 2^53 + 1 lies half-way between two floats, and S = 2^-60 is
-    # dyadic: the bracket [acc F, acc F + acc] starts on the tie
-    acc, num, den = 2**53 + 1, 1, 2**60
-    assert _round_scaled(acc, *_fixed_scale(num, den)) is None
-    assert acc * num / den == 2.0**-7  # the tie goes to the even float
-    # just above the tie, past the scale's 128 bits: its lower end rounds
-    # down (to even), but the value rounds up
-    num, den = 2**200 + 1, 2**260
-    f, k = _fixed_scale(num, den)
-    assert f == 2**127
-    assert float(acc * f >> 53) == 2.0**127
-    assert _round_scaled(acc, f, k) is None
-    assert acc * num / den == (2**53 + 2) * 2.0**-60
-
-
-def test_fixed_scale_leaves_subnormal_masses_to_the_exact_division():
-    # (1.5 - 2^-61) units of the least subnormal: 53 bits round it to 1.5,
-    # and ldexp would round that half-way value up to 2 units
-    num, den = 3 * 2**60 - 1, 2**(61 + 1074)
-    f, k = _fixed_scale(num, den)
-    low = float(f >> f.bit_length() - SCALE_BITS)
-    assert math.ldexp(low, -k) == 2 * 5e-324
-    assert _round_scaled(1, f, k) is None
-    assert num / den == 5e-324
+def _exact_division_table(m):
+    classes = m.classes
+    return {u: _exact_division(m, classes.weights[classes.class_of(u)], len(u))
+            for u in m.table}
 
 
 @pytest.mark.parametrize(
@@ -617,32 +573,23 @@ def test_fixed_scale_leaves_subnormal_masses_to_the_exact_division():
     ],
     ids=["1.5@60", "2.5@60", "maj3(golden)"],
 )
-def test_parry_masses_equal_the_exact_division(make, depth, monkeypatch):
-    # every cylinder and pattern mass, once through the fixed-point scale
-    # and once with the scale never deciding (only the exact division)
-    def masses():
-        m = parry_measure(make(), depth)
-        patterns = [(0,) + (None,) * (depth - 2) + (1,), (None,) * depth]
-        return dict(m.table), [m.pattern_mass(t) for t in patterns]
-
-    fast = masses()
-    monkeypatch.setattr(measures, "_round_scaled", lambda *args: None)
-    exact = masses()
-    assert fast == exact
-    assert all(type(mass) is float for mass in fast[0].values())
+def test_parry_masses_equal_the_exact_division(make, depth):
+    # every cylinder and pattern mass against the test-local oracle
+    m = parry_measure(make(), depth)
+    assert dict(m.table) == _exact_division_table(m)
+    assert all(type(mass) is float for mass in m.table.values())
+    for t in [(0,) + (None,) * (depth - 2) + (1,), (None,) * depth]:
+        mass = m.pattern_mass(t)
+        assert type(mass) is float
+        assert mass == _exact_division(m, m.classes.pattern_weight(t), len(t))
 
 
-def test_deep_horizon_verify_rounds_without_overflow(capsys, monkeypatch):
-    # 601-state eigenvectors make acc F wider than a float's range: the
-    # scale must be cut to SCALE_BITS before the conversion
-    argv = ["verify", "--beta", "1.5", "--horizon", "600", "--measure-depth", "8"]
-    assert main(argv) == 0
-    fast = json.loads(capsys.readouterr().out)
-    monkeypatch.setattr(measures, "_round_scaled", lambda *args: None)
-    assert main(argv) == 0
-    exact = json.loads(capsys.readouterr().out)
-    fast.pop("meta"), exact.pop("meta")
-    assert fast == exact
+def test_deep_horizon_verify_rounds_without_overflow():
+    # 601-state eigenvectors make the weights and scales integers far wider
+    # than a float's range; each mass still rounds from them, no OverflowError
+    m = parry_measure(BetaSystem.from_beta("1.5", horizon=600), 8)
+    assert max(w.bit_length() for w in m.classes.weights) > 1024
+    assert dict(m.table) == _exact_division_table(m)
 
 
 class TestMeasureTable:
@@ -787,12 +734,14 @@ _UNROUNDED: dict = {}
 
 @st.composite
 def _json_measures(draw):
-    """A loaded measure, closed under prefixes, with Fraction and float
-    masses mixed (so a float table whenever one mass is a float)."""
+    """A loaded measure, closed under prefixes and listing a word of its
+    depth, with Fraction and float masses mixed (so a float table whenever one mass is a float)."""
     depth = draw(st.integers(0, 4))
     drawn = draw(st.sets(
         st.lists(st.integers(0, 2), max_size=depth).map(tuple), max_size=30
     ))
+    # a measure file lists a word at every length to its depth
+    drawn.add(tuple(draw(st.lists(st.integers(0, 2), min_size=depth, max_size=depth))))
     words = {w[:k] for w in drawn for k in range(len(w) + 1)} | {()}
     entries = []
     for w in sorted(words):
