@@ -98,6 +98,10 @@ EXTENDED = [
     "expand --beta 1.5 --horizon 20",
     "decomp --op coverage --beta 2.5 --horizon 60 --M 3",
     "decomp --op split --expansion-file @p5 --word 2100121",
+    # the split read off the suffix length: a truncated system's suffix 4,
+    # and a word outside the language (exit 2)
+    "decomp --op split --beta 1.5 --horizon 20 --word 1001010",
+    "decomp --op split --expansion-file @golden --word 0110",
     "entropy --expansion-file @p9 --nmax 40 --depth 2",
     "factor --beta 2 --code-file @xor --depth 2",
     # the push-forward gluing time, 7, fits --tau-max + window = 7

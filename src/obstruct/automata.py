@@ -421,9 +421,6 @@ class Presentation:
                 return None
         return s
 
-    def accepts(self, word: Word, state: int | None = None) -> bool:
-        return self.walk(word, state) is not None
-
     # -- exact counting -------------------------------------------------------
 
     def state_counts(self, n: int) -> list[int]:
@@ -698,10 +695,12 @@ class PresentedShift:
     """A shift space read off its presentation: exact counts, listings,
     membership and continuation counts.
 
-    A subclass sets `presentation`, `alphabet_size` and `enumeration_cap`.
-    `beta_value`, the growth rate of the language, defaults to the Perron
-    value of the presentation.
+    A subclass sets `presentation` and `alphabet_size`.  Every shift lists
+    words up to the one `enumeration_cap`.  `beta_value`, the growth rate
+    of the language, defaults to the Perron value of the presentation.
     """
+
+    enumeration_cap = DEFAULT_ENUMERATION_CAP
 
     def beta_value(self):
         """The Perron value of the presentation (computed once, see
@@ -723,7 +722,7 @@ class PresentedShift:
         """Automaton membership test; HorizonError past a truncation."""
         if any(a >= self.alphabet_size or a < 0 for a in v):
             return False
-        return self.presentation.accepts(v)
+        return self.presentation.walk(v) is not None
 
     def extensions(self, v: Word, j: int) -> int:
         """#length-j continuations of v."""

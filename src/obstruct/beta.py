@@ -222,7 +222,7 @@ def _check_caps(beta, horizon: int) -> None:
 class BetaSystem(PresentedShift):
     """A one-sided beta-shift: expansion of 1 plus its follower automaton."""
 
-    def __init__(self, expansion: BetaExpansion, enumeration_cap: int = 24):
+    def __init__(self, expansion: BetaExpansion):
         if expansion.is_finite:
             expansion = quasi_greedy(expansion)
         if expansion.is_periodic:
@@ -237,7 +237,6 @@ class BetaSystem(PresentedShift):
         _check_caps(expansion.digits[0] + 1, len(expansion.digits))
         self.expansion = expansion
         self.alphabet_size = expansion.digits[0] + 1
-        self.enumeration_cap = enumeration_cap
         self._core_counts = [1]  # Z_t for t = 0, 1, ...
         self._match_moves: dict[int, list] = {}  # see match_moves
         self._check_self_admissible()
@@ -300,20 +299,15 @@ class BetaSystem(PresentedShift):
         )
 
     @classmethod
-    def from_beta(
-        cls,
-        beta,
-        horizon: int = DEFAULT_HORIZON,
-        enumeration_cap: int = 24,
-    ) -> "BetaSystem":
+    def from_beta(cls, beta, horizon: int = DEFAULT_HORIZON) -> "BetaSystem":
         if isinstance(beta, str):
             beta = parse_beta(beta)
         _check_caps(beta, horizon)
-        return cls(greedy_expansion(beta, horizon), enumeration_cap=enumeration_cap)
+        return cls(greedy_expansion(beta, horizon))
 
     @classmethod
     def from_expansion(
-        cls, digits, period: int | None = None, beta=None, enumeration_cap: int = 24
+        cls, digits, period: int | None = None, beta=None
     ) -> "BetaSystem":
         digits = tuple(int(d) for d in digits)
         if period is not None:
@@ -322,22 +316,19 @@ class BetaSystem(PresentedShift):
             tail = Tail("periodic", preperiod=len(digits) - period, period=period)
         else:
             tail = Tail("truncated", horizon=len(digits), certificate="user-supplied")
-        return cls(
-            BetaExpansion(digits=digits, tail=tail, beta=beta),
-            enumeration_cap=enumeration_cap,
-        )
+        return cls(BetaExpansion(digits=digits, tail=tail, beta=beta))
 
     @classmethod
-    def golden_mean(cls, enumeration_cap: int = 24) -> "BetaSystem":
+    def golden_mean(cls) -> "BetaSystem":
         from .quadratic import golden_ratio
 
-        return cls.from_beta(golden_ratio(), enumeration_cap=enumeration_cap)
+        return cls.from_beta(golden_ratio())
 
     @classmethod
-    def full_shift(cls, symbols: int = 2, enumeration_cap: int = 24) -> "BetaSystem":
+    def full_shift(cls, symbols: int = 2) -> "BetaSystem":
         if symbols < 2:
             raise InputError("need at least two symbols")
-        return cls.from_beta(symbols, enumeration_cap=enumeration_cap)
+        return cls.from_beta(symbols)
 
     # -- basic queries -------------------------------------------------------------
 
@@ -360,8 +351,9 @@ class BetaSystem(PresentedShift):
     def suffix_match_length(self, v: Word) -> int:
         """Length of the longest suffix of v equal to a prefix of the expansion.
 
-        This is the exact (unwrapped) follower value; it drives splits and
-        per-match counting.  Raises on inadmissible words.
+        This is the exact (unwrapped) follower value: the beta scheme's
+        suffix length, and the match that per-match counting reads.  Raises
+        on inadmissible words.
         """
         m = 0
         for a in v:

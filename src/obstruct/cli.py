@@ -63,6 +63,10 @@ EXIT_INCONCLUSIVE = 3
 
 # largest --nmax: every length up to it is counted in big integers
 MAX_NMAX = 10_000
+# largest --depth: the suites round the ratios count(n, j) / beta^n, about
+# beta^j, to floats, and on the full 256-shift 256^j passes the float range
+# at j = 128
+MAX_DEPTH = 64
 
 
 class RunConfig:
@@ -108,6 +112,8 @@ class RunConfig:
                 raise InputError(f"{name} must be positive")
         if self.nmax > MAX_NMAX:
             raise InputError(f"nmax {self.nmax} exceeds the cap {MAX_NMAX}")
+        if self.depth > MAX_DEPTH:
+            raise InputError(f"depth {self.depth} exceeds the cap {MAX_DEPTH}")
         if self.depth < 0 or self.tau_max < 0 or self.level < 0:
             raise InputError("depth, tau_max and level must be non-negative")
 
@@ -128,7 +134,7 @@ def read_expansion_file(path):
                     digits_line = line
                 else:
                     raise InputError("expansion file has more than one digit line")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read expansion file: {exc}") from exc
     except ValueError as exc:
         raise InputError(f"bad period header: {exc}") from exc
@@ -225,11 +231,11 @@ def cmd_decomp(config: RunConfig, op: str, word_text: str | None = None, n: int 
         if word_text is None:
             raise InputError("--op split needs --word")
         v = parse_word(word_text, system.alphabet_size)
-        p, g, s = scheme.split(v)
+        s = scheme.suffix_length(v)
         payload = {
             "word": format_word(v, system.alphabet_size),
-            "prefix_len": p,
-            "core_len": g,
+            "prefix_len": 0,
+            "core_len": len(v) - s,
             "suffix_len": s,
         }
         return EXIT_PASS, make_report("decomp-split", payload, config.to_dict())

@@ -1,11 +1,12 @@
-"""Prefix/core/suffix splitters and specification checking.
+"""Core/suffix schemes and specification checking.
 
-Every admissible word is split into three pieces by a scheme, from whose
-split every class and filtration level is derived (`DecompositionScheme`).
-The beta scheme's split is the one induced by the expansion of 1, with an
-empty prefix piece, a suffix piece equal to the longest trailing prefix of
-the expansion (the exact follower value, so the split is unique and
-O(|v|)), and a core that by construction ends in no prefix of the
+A scheme reads one number off every admissible word: the length of its
+suffix piece.  The rest of the word is its core, and every class and
+filtration level is derived from that length (`DecompositionScheme`).  No
+scheme here has a prefix piece: for beta-shifts and their factors it is
+always empty.  The beta scheme's suffix piece is the longest trailing
+prefix of the expansion of 1 (the exact follower value, so the split is
+unique and O(|v|)), and its core by construction ends in no prefix of the
 expansion.
 
 A scheme also says how its levels' gluing times are established
@@ -50,17 +51,18 @@ SEARCH_LENGTHS = range(1, 5)
 
 
 class DecompositionScheme:
-    """Assigns to every admissible word a (prefix, core, suffix) length split.
+    """Splits every admissible word into a core and a suffix, read off one
+    number: the suffix length.
 
-    A scheme defines four things: `split`; its suffix class, `suffixes()`;
-    `level_automaton(M)`, which the Gibbs class DP walks (the base class
-    gives a word-carrying one); and, optionally, `level_counter(M)`, a
-    closed-form separated count of level M.  The rest is derived here from
-    the split: a word is in the prefix, core or suffix class when its split
-    gives it wholly to that piece (no word outside the language is), the
-    level G(M) holds the words whose prefix and suffix pieces are at most M
-    long, and the cores are level 0.  The collections list their words from
-    the language with these tests; the levels count with the level counter.
+    A scheme defines four things: `suffix_length`; its suffix class,
+    `suffixes()`; `level_automaton(M)`, which the Gibbs class DP walks (the
+    base class gives a word-carrying one); and, optionally,
+    `level_counter(M)`, a closed-form separated count of level M.  The rest
+    is derived here from the suffix length: the level G(M) holds the words
+    whose suffix is at most M long, and the cores, level 0, the words with
+    an empty suffix (no word outside the language is a core).  The
+    collections list their words from the language with these tests; the
+    levels count with the level counter.
     """
 
     name = "scheme"
@@ -68,7 +70,7 @@ class DecompositionScheme:
     def __init__(self, system):
         self.system = system
 
-    def split(self, v: Word) -> tuple[int, int, int]:
+    def suffix_length(self, v: Word) -> int:
         raise NotImplementedError
 
     def suffixes(self) -> OrbitCollection:
@@ -79,29 +81,14 @@ class DecompositionScheme:
         A counter may keep partial sums on the scheme, for all its levels."""
         return None
 
-    def _whole_piece(self, v: Word, piece: int) -> bool:
+    def in_cores(self, v: Word) -> bool:
         try:
-            return self.split(v)[piece] == len(v)
+            return self.suffix_length(v) == 0
         except InputError:
             return False
 
-    def in_prefixes(self, v: Word) -> bool:
-        return self._whole_piece(v, 0)
-
-    def in_cores(self, v: Word) -> bool:
-        return self._whole_piece(v, 1)
-
-    def in_suffixes(self, v: Word) -> bool:
-        return self._whole_piece(v, 2)
-
     def in_level(self, v: Word, M: int) -> bool:
-        p, _, s = self.split(v)
-        return p <= M and s <= M
-
-    def prefixes(self) -> OrbitCollection:
-        return OrbitCollection.from_predicate(
-            self.system, self.in_prefixes, f"{self.name}:prefixes"
-        )
+        return self.suffix_length(v) <= M
 
     def cores(self) -> OrbitCollection:
         out = self.level_collection(0)
@@ -109,11 +96,8 @@ class DecompositionScheme:
         return out
 
     def boundary(self) -> OrbitCollection:
-        """Prefix and suffix words together (the obstruction collection).
-
-        Every scheme here has only the empty word as a prefix, so for
-        n >= 1 this is the suffix class.
-        """
+        """The obstruction collection: with no prefix piece, the suffix
+        class."""
         out = self.suffixes()
         out.label = f"{self.name}:boundary"
         return out
@@ -171,16 +155,15 @@ class DecompositionScheme:
 class BetaDecomposition(DecompositionScheme):
     """The split driven by the expansion of 1.
 
-    Prefix piece: always empty.  Suffix piece: the longest suffix equal to
-    a prefix of the expansion.  Core: whatever precedes it, which then ends
-    in no prefix of the expansion.
+    Suffix piece: the longest suffix equal to a prefix of the expansion.
+    Core: whatever precedes it, which then ends in no prefix of the
+    expansion.
     """
 
     name = "beta"
 
-    def split(self, v: Word) -> tuple[int, int, int]:
-        s = self.system.suffix_match_length(v)
-        return 0, len(v) - s, s
+    def suffix_length(self, v: Word) -> int:
+        return self.system.suffix_match_length(v)
 
     def suffixes(self) -> OrbitCollection:
         system = self.system
@@ -259,7 +242,7 @@ class BetaDecomposition(DecompositionScheme):
 
 
 class DegenerateDecomposition(DecompositionScheme):
-    """Everything is suffix: core and prefix classes hold only the empty word.
+    """Everything is suffix: the core class holds only the empty word.
 
     Splits are total and the level sets have specification for trivial
     reasons, but the obstruction collection is the whole language, so the
@@ -268,10 +251,10 @@ class DegenerateDecomposition(DecompositionScheme):
 
     name = "degenerate"
 
-    def split(self, v: Word) -> tuple[int, int, int]:
+    def suffix_length(self, v: Word) -> int:
         if not self.system.is_word(v):
             raise InputError("word is not in the language")
-        return 0, 0, len(v)
+        return len(v)
 
     def suffixes(self) -> OrbitCollection:
         return OrbitCollection.full_language(self.system, f"{self.name}:suffixes")

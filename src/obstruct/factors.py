@@ -8,9 +8,9 @@ run on the same machinery.  A subset holding a configuration at the
 source's truncation marker becomes the image's marker, so a truncated
 source makes the image raise HorizonError where the source would.
 
-The induced split of an image word takes the minimal suffix length over
-its preimage words, so the good-core class downstairs is as large as the
-upstairs structure allows.
+The induced suffix length of an image word is the minimal suffix length
+over its preimage words, so the good-core class downstairs is as large as
+the upstairs structure allows.
 
 Expansivity obstructions are probed through the agreeing-pair automaton,
 a `Presentation` over pair symbols: its states are ordered pairs of source
@@ -152,14 +152,11 @@ class FactorSystem(PresentedShift):
     configurations, so all exact counting applies downstairs too.
     """
 
-    def __init__(self, source, code: BlockCode, enumeration_cap: int | None = None):
+    def __init__(self, source, code: BlockCode):
         code.validate(source)
         self.source = source
         self.code = code
         self.alphabet_size = code.output_alphabet
-        self.enumeration_cap = (
-            source.enumeration_cap if enumeration_cap is None else enumeration_cap
-        )
         self.presentation = self._build_presentation()
         self.horizon = getattr(source, "horizon", None)
 
@@ -238,13 +235,11 @@ class FactorSystem(PresentedShift):
 
 
 class InducedDecomposition(DecompositionScheme):
-    """Split of image words via minimal suffix length over their preimages.
+    """Suffix length of image words: the minimal one over their preimages.
 
     An image word is a good core when some preimage word is a good core
-    upstairs; it is a suffix word when some preimage is a prefix of the
-    expansion of 1.  The split assigns the smallest suffix length any
-    preimage allows, capped at the word length, so the core class is as
-    large as possible.
+    upstairs.  Its suffix length is the smallest one any preimage allows,
+    capped at the word length, so the core class is as large as possible.
     """
 
     name = "induced"
@@ -254,23 +249,19 @@ class InducedDecomposition(DecompositionScheme):
         self.factor = factor
         self.source_scheme = source_scheme
 
-    def split(self, y: Word) -> tuple[int, int, int]:
+    def suffix_length(self, y: Word) -> int:
         if not self.factor.is_word(y):
             raise InputError("word is not in the image language")
         if y == EMPTY:
-            return 0, 0, 0
-        best = None
-        for u in self.factor.preimages(y):
-            s = self.source_scheme.split(u)[2]
-            if best is None or s < best:
-                best = s
-        if best is None:
+            return 0
+        lengths = [self.source_scheme.suffix_length(u) for u in self.factor.preimages(y)]
+        if not lengths:
             raise InputError("image word has no preimage")
-        return 0, len(y) - min(best, len(y)), min(best, len(y))
+        return min(min(lengths), len(y))
 
     def gluing_time(self, M: int, j: int, tau_max: int) -> tuple:
         """A window-w code maps source segments glued at gap T onto image
-        segments glued at gap T + w - 1.  The split caps a word's suffix at
+        segments glued at gap T + w - 1.  A word's suffix length is capped at
         its length, so level M lies in the image of source level M + w - 1,
         asked with the cap tau_max - (w - 1); an image gap past tau_max is
         refused."""
@@ -284,11 +275,6 @@ class InducedDecomposition(DecompositionScheme):
         cover = why.partition("certificate: ")[2] or why
         return tau + w1, (f"push-forward of source level {M + w1} at depth {j}: gap "
                           f"{tau} + {w1}; {cover}")
-
-    def in_suffixes(self, y: Word) -> bool:
-        if y == EMPTY:
-            return True
-        return y == self.suffix_word(len(y))
 
     def suffix_word(self, n: int) -> Word:
         src = self.source_scheme.system
@@ -308,7 +294,7 @@ class InducedDecomposition(DecompositionScheme):
 
 
 def induced_decomposition(system, code: BlockCode, source_scheme) -> InducedDecomposition:
-    """Push the source split down to the image shift of the code."""
+    """Push the source scheme down to the image shift of the code."""
     if source_scheme.system is not system:
         raise InputError("source scheme must belong to the given system")
     return InducedDecomposition(FactorSystem(system, code), source_scheme)

@@ -331,13 +331,12 @@ class CylinderMeasure:
     """
 
     def __init__(self, alphabet_size: int, depth: int, table: Mapping,
-                 provenance: str, exact: bool, meta: dict | None = None):
+                 provenance: str, exact: bool):
         self.alphabet_size = alphabet_size
         self.depth = depth
         self.table = table
         self.provenance = provenance
         self.exact = exact
-        self.meta = {} if meta is None else meta
         if isinstance(table, _ClassTable):
             self.classes = table.classes
         else:
@@ -616,7 +615,6 @@ def empirical_mme(system, n: int, depth: int) -> CylinderMeasure:
         table=table,
         provenance=f"empirical({n})",
         exact=True,
-        meta={"n": n},
     )
 
 
@@ -687,11 +685,6 @@ def parry_measure(system, depth: int) -> CylinderMeasure:
         table=_ClassTable(classes),
         provenance=provenance,
         exact=eigen.exact,
-        meta={
-            "eigenvalue": float(eigen.eigenvalue),
-            "enclosure": eigen.enclosure,
-            "exact_eigendata": eigen.exact,
-        },
     )
 
 

@@ -91,13 +91,6 @@ class OrbitCollection:
             counter=counter,
         )
 
-    @classmethod
-    def from_predicate(cls, system, predicate, label):
-        def at(n):
-            return tuple(v for v in system.enumerate_language(n) if predicate(v))
-
-        return cls(system, label, at=at)
-
 
 def count_separated(collection: OrbitCollection, n: int, j: int = 0) -> int:
     """Maximal (n, 2^-j)-separated cardinality within the collection at length n.

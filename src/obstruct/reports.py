@@ -11,8 +11,6 @@ import json
 import time
 from fractions import Fraction
 
-from .quadratic import QuadraticNumber
-
 SCHEMA_VERSION = 1
 
 
@@ -20,19 +18,9 @@ def fmt_float(x) -> str:
     return f"{float(x):.17g}"
 
 
-def fmt_number(x):
-    """JSON-safe rendering: ints stay ints, rationals and floats become strings."""
-    if isinstance(x, bool) or x is None:
-        return x
-    if isinstance(x, int):
-        return x
-    if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator}"
-    if isinstance(x, QuadraticNumber):
-        return {"exact": str(x), "float": fmt_float(x)}
-    if isinstance(x, float):
-        return fmt_float(x)
-    return str(x)
+def fmt_number(x: Fraction) -> str:
+    """A rational as its numerator/denominator string."""
+    return f"{x.numerator}/{x.denominator}"
 
 
 def make_report(kind: str, payload: dict, config: dict | None = None) -> dict:

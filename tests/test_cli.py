@@ -19,6 +19,7 @@ from obstruct.cli import (
     EXIT_INPUT,
     EXIT_PASS,
     EXIT_VIOLATION,
+    MAX_DEPTH,
     MAX_NMAX,
     RunConfig,
     build_system,
@@ -98,6 +99,14 @@ class TestExpansionFile:
         path.write_text("# comment only\n")
         with pytest.raises(InputError):
             read_expansion_file(str(path))
+
+    def test_non_ascii_file_is_unreadable(self, tmp_path, capsys):
+        path = tmp_path / "latin.txt"
+        path.write_bytes("period=2\n1\xe90\n".encode("latin-1"))
+        with pytest.raises(InputError, match="cannot read expansion file"):
+            read_expansion_file(str(path))
+        assert main(["verify", "--expansion-file", str(path)]) == EXIT_INPUT
+        assert "cannot read expansion file" in capsys.readouterr().err
 
 
 class TestCommands:
@@ -354,8 +363,10 @@ def test_non_integer_word_is_input_error(capsys):
         ["expand", "--beta", "1.5", "--horizon", "10000000"],
         ["mme", "--beta", "2", "--n", "10001"],
         ["entropy", "--beta", "2", "--nmax", str(MAX_NMAX + 1)],
+        # c1 ~ beta^j would pass the float range, or j its digit limit
+        ["verify", "--beta", "2", "--depth", str(MAX_DEPTH + 1)],
     ],
-    ids=["alphabet", "horizon", "empirical-n", "nmax"],
+    ids=["alphabet", "horizon", "empirical-n", "nmax", "depth"],
 )
 def test_size_caps_refuse_before_work(argv, capsys):
     assert main(argv) == EXIT_INPUT

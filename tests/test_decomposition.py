@@ -38,37 +38,35 @@ LOG_PHI = math.log((1 + math.sqrt(5)) / 2)
 
 class TestSplit:
     def test_examples(self, golden_scheme, full2_scheme):
-        assert golden_scheme.split(word("00101")) == (0, 2, 3)
-        assert full2_scheme.split(word("0111")) == (0, 1, 3)
-        assert golden_scheme.split(word("10")) == (0, 0, 2)
-        assert golden_scheme.split(word("00")) == (0, 2, 0)
-        assert golden_scheme.split(()) == (0, 0, 0)
+        assert golden_scheme.suffix_length(word("00101")) == 3
+        assert full2_scheme.suffix_length(word("0111")) == 3
+        assert golden_scheme.suffix_length(word("10")) == 2
+        assert golden_scheme.suffix_length(word("00")) == 0
+        assert golden_scheme.suffix_length(()) == 0
 
     def test_inadmissible_rejected(self, golden_scheme):
         with pytest.raises(InputError):
-            golden_scheme.split(word("110"))
+            golden_scheme.suffix_length(word("110"))
 
     def test_totality_and_classes_exhaustive(self, golden, golden_scheme):
         for n in range(0, 15):
             for v in golden.enumerate_language(n):
-                p, g, s = golden_scheme.split(v)
-                assert p + g + s == len(v)
-                assert golden_scheme.in_prefixes(v[:p])
-                assert golden_scheme.in_cores(v[p : p + g])
-                assert golden_scheme.in_suffixes(v[p + g :])
+                s = golden_scheme.suffix_length(v)
+                assert 0 <= s <= len(v)
+                assert golden_scheme.in_cores(v[: len(v) - s])
+                assert golden_scheme.suffix_length(v[len(v) - s :]) == s
 
     def test_core_resplit_idempotent(self, golden, golden_scheme):
         for n in range(1, 12):
             for v in golden.enumerate_language(n):
-                _, g, _ = golden_scheme.split(v)
-                core = v[:g] if g else ()
+                core = v[: len(v) - golden_scheme.suffix_length(v)]
                 if core:
-                    assert golden_scheme.split(core) == (0, len(core), 0)
+                    assert golden_scheme.suffix_length(core) == 0
 
     def test_suffix_resplit_idempotent(self, golden, golden_scheme):
         for n in range(1, 12):
             suffix = golden.expansion_prefix(n)
-            assert golden_scheme.split(suffix) == (0, 0, n)
+            assert golden_scheme.suffix_length(suffix) == n
 
     def test_levels_nested(self, golden, golden_scheme):
         for n in range(1, 11):
@@ -80,7 +78,7 @@ class TestSplit:
     def test_no_match_means_core(self, golden, golden_scheme):
         for v in golden.enumerate_language(8):
             if golden.presentation.walk(v) == 0 and golden.suffix_match_length(v) == 0:
-                assert golden_scheme.split(v) == (0, len(v), 0)
+                assert golden_scheme.suffix_length(v) == 0
 
 
 class TestAppendZeros:
@@ -330,9 +328,9 @@ def _gluing_cases(draw):
         pres = system.presentation
         collection = draw(st.sampled_from([
             OrbitCollection.full_language(system),
-            OrbitCollection.from_predicate(
-                system, lambda v: pres.walk(v) == pres.start, "returns"
-            ),
+            OrbitCollection(system, "returns", at=lambda n: tuple(
+                v for v in system.enumerate_language(n) if pres.walk(v) == pres.start
+            )),
         ]))
         return system, collection
     if kind == "beta":
@@ -581,19 +579,11 @@ class TestCountingBounds:
 
 
 _LEVEL_SYSTEMS = {
-    "golden": lambda cap: BetaSystem.from_expansion((1, 0), period=2,
-                                                    enumeration_cap=cap),
-    "p5": lambda cap: BetaSystem.from_expansion((2, 1, 0, 0, 1), period=5,
-                                                enumeration_cap=cap),
-    "p9": lambda cap: BetaSystem.from_expansion(
-        (1, 1, 0, 1, 0, 0, 1, 0, 0), period=9, enumeration_cap=cap
-    ),
-    "2110-period2": lambda cap: BetaSystem.from_expansion(
-        (2, 1, 1, 0), period=2, enumeration_cap=cap
-    ),
-    "user-truncated": lambda cap: BetaSystem.from_expansion(
-        (2, 1, 0, 1), enumeration_cap=cap
-    ),
+    "golden": lambda: BetaSystem.from_expansion((1, 0), period=2),
+    "p5": lambda: BetaSystem.from_expansion((2, 1, 0, 0, 1), period=5),
+    "p9": lambda: BetaSystem.from_expansion((1, 1, 0, 1, 0, 0, 1, 0, 0), period=9),
+    "2110-period2": lambda: BetaSystem.from_expansion((2, 1, 1, 0), period=2),
+    "user-truncated": lambda: BetaSystem.from_expansion((2, 1, 0, 1)),
 }
 
 
@@ -601,10 +591,12 @@ _LEVEL_SYSTEMS = {
 def _level_systems(draw):
     cap = draw(st.sampled_from([24] * 3 + [0, 3, 6]))
     if draw(st.booleans()):
-        return _LEVEL_SYSTEMS[draw(st.sampled_from(sorted(_LEVEL_SYSTEMS)))](cap)
-    beta = draw(st.sampled_from(["1.5", "1.8", "2.5"]))
-    horizon = draw(st.integers(2, 8))
-    return BetaSystem.from_beta(beta, horizon=horizon, enumeration_cap=cap)
+        system = _LEVEL_SYSTEMS[draw(st.sampled_from(sorted(_LEVEL_SYSTEMS)))]()
+    else:
+        beta = draw(st.sampled_from(["1.5", "1.8", "2.5"]))
+        system = BetaSystem.from_beta(beta, horizon=draw(st.integers(2, 8)))
+    system.enumeration_cap = cap
+    return system
 
 
 @st.composite
@@ -622,7 +614,7 @@ def _error_type(fn):
 
 @given(_level_schemes(), st.integers(0, 12), st.integers(1, 10), st.integers(0, 3))
 # match 5 wraps to state 0
-@example(beta_decomposition(_LEVEL_SYSTEMS["p5"](24)), 5, 10, 1)
+@example(beta_decomposition(_LEVEL_SYSTEMS["p5"]()), 5, 10, 1)
 @settings(max_examples=200, deadline=None)
 def test_level_counter_matches_level_words(scheme, M, n, j):
     # the closed-form count of a level against its listed words
@@ -660,7 +652,7 @@ def _level_count_from_scratch(system, M, n, j):
 def _row_systems(draw):
     """Periodic, preperiodic and truncated expansions, with short horizons."""
     if draw(st.booleans()):
-        return _LEVEL_SYSTEMS[draw(st.sampled_from(sorted(_LEVEL_SYSTEMS)))](24)
+        return _LEVEL_SYSTEMS[draw(st.sampled_from(sorted(_LEVEL_SYSTEMS)))]()
     beta = draw(st.sampled_from(["1.5", "1.8", "2.5"]))
     return BetaSystem.from_beta(beta, horizon=draw(st.integers(2, 8)))
 
@@ -719,7 +711,7 @@ def test_cores_are_level_zero(name):
         for n in range(1, 9):
             assert cores.at(n) == tuple(
                 y for y in system.enumerate_language(n)
-                if any(source.split(u)[2] == 0 for u in system.preimages(y))
+                if any(source.suffix_length(u) == 0 for u in system.preimages(y))
             )
 
 
@@ -727,17 +719,15 @@ def test_degenerate_empty_word_classes_match_predicates(golden):
     system = BetaSystem.from_beta("1.8", horizon=12)
     for source in (golden, system):
         scheme = degenerate_decomposition(source)
-        pairs = [
-            (scheme.prefixes(), scheme.in_prefixes),
-            (scheme.cores(), scheme.in_cores),
-        ]
-        for closed, predicate in pairs:
-            literal = OrbitCollection.from_predicate(source, predicate, "literal")
-            assert closed.at(0) == literal.at(0) == ((),)
-            for n in range(1, 9):
-                assert closed.at(n) == literal.at(n) == ()
-                for j in range(3):
-                    assert count_separated(closed, n, j) == 0
+        closed = scheme.cores()
+        literal = OrbitCollection(source, "literal", at=lambda n: tuple(
+            v for v in source.enumerate_language(n) if scheme.in_cores(v)
+        ))
+        assert closed.at(0) == literal.at(0) == ((),)
+        for n in range(1, 9):
+            assert closed.at(n) == literal.at(n) == ()
+            for j in range(3):
+                assert count_separated(closed, n, j) == 0
 
 
 @pytest.mark.parametrize(

@@ -106,13 +106,13 @@ class TestInduced:
         ind = induced_decomposition(golden, BlockCode.identity(2), golden_scheme)
         for n in range(0, 11):
             for v in golden.enumerate_language(n):
-                assert ind.split(v) == golden_scheme.split(v)
+                assert ind.suffix_length(v) == golden_scheme.suffix_length(v)
 
     def test_xor_suffix_ray(self, full2, full2_scheme):
         ind = induced_decomposition(full2, BlockCode.xor(), full2_scheme)
         for n in range(1, 9):
             assert ind.suffix_word(n) == (0,) * n
-            assert ind.in_suffixes((0,) * n)
+            assert ind.suffixes().at(n) == ((0,) * n,)
 
     def test_totality_on_images(self, golden, full2, golden_scheme, full2_scheme):
         cases = [
@@ -124,11 +124,10 @@ class TestInduced:
             ind = induced_decomposition(system, code, scheme)
             for n in range(0, 11 - code.window):
                 for y in ind.factor.enumerate_language(n):
-                    p, g, s = ind.split(y)
-                    assert p + g + s == n
-                    assert ind.in_prefixes(y[:p])
-                    assert ind.in_cores(y[p : p + g])
-                    assert ind.in_suffixes(y[p + g :])
+                    s = ind.suffix_length(y)
+                    assert 0 <= s <= n
+                    assert ind.in_cores(y[: n - s])
+                    assert ind.suffix_length(y[n - s :]) == s
 
     def test_one_block_core_images_stay_cores(self, golden, golden_scheme):
         for code in (BlockCode.identity(2), BlockCode.merge_all(2)):

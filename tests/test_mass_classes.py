@@ -75,7 +75,6 @@ class _GraphSystem(PresentedShift):
     (its growth rate is the default Perron value)."""
 
     horizon = None
-    enumeration_cap = 24
 
     def __init__(self, pres):
         self.presentation = pres
@@ -286,11 +285,11 @@ class _TrailingOnes(DecompositionScheme):
 
     name = "trailing-ones"
 
-    def split(self, v):
+    def suffix_length(self, v):
         s = 0
         while s < len(v) and v[len(v) - 1 - s] == 1:
             s += 1
-        return 0, len(v) - s, s
+        return s
 
 
 @given(primitive_presentations(), st.booleans(), st.data())
@@ -448,7 +447,7 @@ def _gibbs_against_oracle(measure, system, scheme, M, n_range, j):
     ],
     ids=["1.5@60", "2.5@60", "golden"],
 )
-def test_least_mass_path_matches_finishing_every_class(make, depth):
+def test_least_mass_path_matches_every_scaled_word_mass(make, depth):
     # integer Parry data and exact quadratic ones: the least class weight
     # against every word's mass, scaled
     system = make()
@@ -518,7 +517,7 @@ def test_weights_apart_whose_floats_tie_report_the_least_weight():
     assert _least_at_length_1(m).argmin == (0,)
 
 
-def test_least_mass_path_finishes_no_class():
+def test_least_mass_path_scales_no_class():
     m = _p5_table([0.25, 0.2, 0.5], exact=False)
     assert gibbs_check(m, *_p5_and_scheme(), 2, range(1, 2)).argmin == (1,)
     assert _scaled_at_length_1(m) == set()

@@ -6,7 +6,6 @@ import pytest
 
 from obstruct.errors import InputError
 from obstruct.factors import BlockCode
-from obstruct.measures import CylinderMeasure
 from obstruct.orbits import EntropyEstimate
 from obstruct.suites import CheckResult
 
@@ -15,14 +14,6 @@ def test_check_results_without_details_get_their_own_dict():
     a, b = CheckResult("a", True, "ok"), CheckResult("b", True, "ok")
     a.details["note"] = 1
     assert b.details == {}
-
-
-def test_measures_without_meta_get_their_own_dict():
-    table = {(): 1, (0,): 1}
-    a = CylinderMeasure(1, 1, table, "test", exact=True)
-    b = CylinderMeasure(1, 1, table, "test", exact=True)
-    a.meta["note"] = 1
-    assert b.meta == {}
 
 
 def test_block_code_window_below_one_is_refused():
