@@ -140,6 +140,14 @@ EXTENDED = [
     "verify --beta 50.5",
     "verify --beta 2 --measure-file @bernoulli",
     "verify --expansion-file @wrap --depth 1 --tau-max 6",
+    # the greedy digits on integer remainders: 1.25 = 5/4, a composite
+    # denominator (verify exit 3), 1.01 with an essential part of one state
+    # (exit 3), 7/3 (exit 0), and an mme that counting refuses (exit 2)
+    "expand --beta 1.25 --horizon 60",
+    "verify --beta 1.25 --horizon 60",
+    "verify --beta 1.01 --horizon 120",
+    "verify --beta 7/3 --horizon 40",
+    "mme --beta 1.01 --horizon 120 --n 300",
 ]
 
 

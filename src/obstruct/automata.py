@@ -372,7 +372,6 @@ class Presentation:
         self._chain: list = []  # (a, S_a, A^a) of the latest window_sums chain
         self._out_sums = None  # compiled with the chain's first pair
         self._to_marker: int | None = None  # distance from start to marker
-        self._live: Presentation | None = None  # see live_part
         self._essential: Presentation | None = None  # see essential_part
         self._all_essential = False  # no state dropped: self is the essential part
         self._components: list | None = None  # see components
@@ -609,47 +608,42 @@ class Presentation:
             m[s][t] += 1
         return m
 
-    def _restricted(self, keep) -> "Presentation":
-        """Copy on the states of `keep`, in increasing order, and the edges
-        between them."""
-        index = {s: i for i, s in enumerate(keep)}
-        edges = [(index[s], a, index[t]) for s, a, t in self.edges()
-                 if s in index and t in index]
-        return Presentation(len(index), self.alphabet_size, edges,
-                            start=index[self.start])
-
-    def live_part(self) -> "Presentation":
-        """Copy without the marker state and its incoming edges, built once.
-
-        HorizonError when the start state is the marker: nothing of the
-        language is stored.
-        """
-        if self.marker is None:
-            return self
-        if self.start == self.marker:
-            raise HorizonError("the start state is the truncation marker")
-        if self._live is None:
-            self._live = self._restricted(
-                [s for s in range(self.n_states) if s != self.marker])
-        return self._live
-
     def essential_part(self) -> "Presentation":
-        """Iteratively drop states with no outgoing edge (marker first);
-        built once."""
-        if self.marker is not None:
-            return self.live_part().essential_part()
+        """Copy on the states with an infinite continuation, built once.
+
+        One backward pass over predecessor lists: a state whose count of
+        live out-edges reaches 0 is dropped, and each edge into it lowers
+        its source's count (the marker has no out-edge, so it is dropped
+        first).  HorizonError when the start state is the marker or is
+        dropped; a presentation with no state to drop is its own essential
+        part, and so is the copy.
+        """
         if self._essential is None and not self._all_essential:
-            keep, last = set(range(self.n_states)), None
-            while keep != last:
-                last = keep
-                keep = {s for s in last
-                        if any(t in last for t in self.delta[s].values())}
-            if self.start not in keep:
+            if self.start == self.marker:
+                raise HorizonError("the start state is the truncation marker")
+            sources: list[list[int]] = [[] for _ in self.delta]
+            for s, moves in enumerate(self._moves):
+                for _, t in moves:
+                    sources[t].append(s)
+            live = [len(moves) for moves in self._moves]
+            dropped = [s for s, n in enumerate(live) if not n]
+            for t in dropped:  # grows as states are dropped
+                for s in sources[t]:
+                    live[s] -= 1
+                    if not live[s]:
+                        dropped.append(s)
+            if not live[self.start]:
                 raise HorizonError("no infinite continuation from the start state")
             # a flag, not a reference: no presentation refers to itself
-            self._all_essential = len(keep) == self.n_states
-            if not self._all_essential:
-                self._essential = self._restricted(sorted(keep))
+            self._all_essential = not dropped
+            if dropped:  # the kept states, renumbered in increasing order
+                kept = [s for s in range(self.n_states) if live[s]]
+                index = {s: i for i, s in enumerate(kept)}
+                edges = [(index[s], a, index[t]) for s, a, t in self.edges()
+                         if s in index and t in index]
+                self._essential = Presentation(len(index), self.alphabet_size, edges,
+                                               start=index[self.start])
+                self._essential._all_essential = True
         return self if self._all_essential else self._essential
 
     def components(self) -> list[list[int]]:

@@ -1,10 +1,11 @@
 """Digit expansions of 1, beta-shift languages, and follower automata.
 
 The expansion of 1 is produced by the greedy iteration x -> beta*x - floor(beta*x)
-started at x = 1, in exact arithmetic (integers, rationals, real quadratic
-numbers): every digit is certified, exact termination is detected, and so
-is eventual periodicity, by remainder repetition.  Inexact inputs are
-refused.
+started at x = 1, in exact arithmetic: on integer remainders for a rational
+beta, whose tail is decided up front (finite for an integer, truncated
+otherwise), and on real quadratic numbers, whose termination and eventual
+periodicity are detected by remainder repetition.  Every digit is
+certified; inexact inputs are refused.
 
 A finite greedy expansion d_1..d_k is replaced, before any language
 machinery runs, by the infinite word (d_1 .. d_{k-1} (d_k - 1)) repeated.
@@ -116,9 +117,15 @@ def greedy_expansion(beta, n: int) -> BetaExpansion:
     """First n greedy digits of 1 in base beta.
 
     Inputs must be exact (int, Fraction, decimal-literal str,
-    QuadraticNumber); they are iterated exactly, with termination and
-    eventual periodicity detected by remainder repetition.  Any other
-    number (a float) is refused.
+    QuadraticNumber); any other number (a float) is refused.  A rational
+    beta = p/q in lowest terms is iterated on integers: T^k(1) = r_k / q^k,
+    with d_(k+1), r_(k+1) = divmod(p r_k, q^(k+1)) from r_0 = 1.  As q is
+    prime to p, q divides r_(k+1) only when it divides r_k; so for q > 1 no
+    r_k is divisible by q, no T^k(1) is 0 and none repeats (T^k(1) q^j =
+    r_k / q^(k-j) is an integer for no j < k), and the tail is truncated.
+    An integer beta gives one digit and a finite tail.  A quadratic beta is
+    iterated exactly, with termination and eventual periodicity detected by
+    remainder repetition.
     """
     if n < 1:
         raise InputError("need at least one digit")
@@ -131,13 +138,20 @@ def greedy_expansion(beta, n: int) -> BetaExpansion:
         )
     if not beta > 1:
         raise InputError("beta must exceed 1")
-    if isinstance(beta, QuadraticNumber):
-        x = QuadraticNumber(1, 0, beta.D)
-    else:
-        x = Fraction(1)
+    tail = Tail("truncated", horizon=n, certificate="exact-arithmetic")
+    if not isinstance(beta, QuadraticNumber):
+        p, q = beta.numerator, beta.denominator
+        if q == 1:
+            return BetaExpansion(digits=(p,), tail=Tail("finite"), beta=beta)
+        digits, r, scale = [], 1, 1
+        for _ in range(n):
+            scale *= q
+            d, r = divmod(p * r, scale)
+            digits.append(d)
+        return BetaExpansion(digits=tuple(digits), tail=tail, beta=beta)
+    x = QuadraticNumber(1, 0, beta.D)
     digits = []
     seen = {x: 0}
-    tail = Tail("truncated", horizon=n, certificate="exact-arithmetic")
     for i in range(1, n + 1):
         y = beta * x
         d = exact_floor(y)

@@ -306,12 +306,10 @@ class SpecificationReport:
     """Outcome of a gluing search over every tuple of orbit segments, or of
     its refusal when the tuple space exceeds the budget."""
 
-    def __init__(self, collection: str, depth: int, gap: int, k_max: int,
-                 lengths: tuple, verdict: str, exhaustive: bool, tuple_space: int,
-                 tuples_checked: int, witnesses: tuple, failures: tuple):
-        self.collection = collection
+    def __init__(self, depth: int, k_max: int, lengths: tuple, verdict: str,
+                 exhaustive: bool, tuple_space: int, tuples_checked: int,
+                 witnesses: tuple, failures: tuple):
         self.depth = depth
-        self.gap = gap
         self.k_max = k_max
         self.lengths = lengths
         # "pass" | "fail" | "inconclusive" (refused, not searched)
@@ -465,9 +463,7 @@ def check_specification(
     total = sum(sum(sizes.values()) ** k for k in range(2, k_max + 1))
     if total > budget:
         return SpecificationReport(
-            collection=collection.label,
             depth=j,
-            gap=tau,
             k_max=k_max,
             lengths=lengths,
             verdict="inconclusive",
@@ -552,9 +548,7 @@ def check_specification(
                 elements = (a,) + tuple(pool[r][0] for r in rests[i])
                 witnesses.append((elements, a[: len(a) - j] + glued[i]))
     return SpecificationReport(
-        collection=collection.label,
         depth=j,
-        gap=tau,
         k_max=k_max,
         lengths=lengths,
         verdict="fail" if failures else "pass",

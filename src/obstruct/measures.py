@@ -253,13 +253,11 @@ class MassClasses:
             )
         return self._runs[n]
 
-    def pattern_weight(self, template):
-        """Total weight of the words matching a fixed/free position template
-        (their exact mass is this weight times S_len): the class path counts
-        times the class weights; None when no word matches."""
-        if len(template) > self.depth:
-            raise DepthError(f"pattern length {len(template)} exceeds measure depth {self.depth}")
-        paths = {self.root: 1}
+    def paths(self, template, start=None) -> dict:
+        """class -> number of words fitting a fixed/free position template
+        (per position a symbol, or None for any) that lead there from the
+        classes of `start` (class -> word count; default the empty word)."""
+        paths = {self.root: 1} if start is None else start
         for want in template:
             nxt: dict[int, int] = {}
             for k, c in paths.items():
@@ -270,9 +268,23 @@ class MassClasses:
                     child = self.children[k][want]
                     nxt[child] = nxt.get(child, 0) + c
             paths = nxt
+        return paths
+
+    def weight(self, paths: dict, length: int):
+        """The class path counts times the class weights, for patterns of
+        `length` symbols; None when no path is left, DepthError past the
+        depth."""
+        if length > self.depth:
+            raise DepthError(f"pattern length {length} exceeds measure depth {self.depth}")
         if not paths:
             return None
         return sum(c * self.weights[k] for k, c in paths.items())
+
+    def pattern_weight(self, template):
+        """Total weight of the words matching a fixed/free position template
+        (their exact mass is this weight times S_len); None when no word
+        matches."""
+        return self.weight(self.paths(template), len(template))
 
     def table(self) -> dict:
         """Every cylinder's mass, listed in lexicographic preorder; refused

@@ -387,11 +387,9 @@ class GibbsReport:
     """Minimum of mass * growth^n over a word class, with violations: the
     exact minimum `value` as a quotient (num, den), and its float."""
 
-    def __init__(self, word_class: str, depth_offset: int, value: tuple,
-                 argmin: tuple, per_length_min: dict, violations: tuple,
-                 precondition_met: bool = True):
+    def __init__(self, word_class: str, value: tuple, argmin: tuple,
+                 per_length_min: dict, violations: tuple, precondition_met: bool = True):
         self.word_class = word_class
-        self.depth_offset = depth_offset
         self.value = value
         self.constant = _rounded(value)
         self.argmin = argmin
@@ -511,7 +509,6 @@ def gibbs_check(
     value, argmin = _least(minima)
     return GibbsReport(
         word_class=f"{scheme.name}:level{M}",
-        depth_offset=j,
         value=value,
         argmin=argmin,
         per_length_min=per_length,
@@ -537,26 +534,29 @@ def mixing_check(
 
     Words u of one length and one mass class have equal extension masses,
     so the scaled joint mass is computed once per (length, class of u, v),
-    from the first such u.
+    from the first such u: v is read off that u's class paths through the
+    gap, walked once.
     """
     power = _powers(_growth(system)[0], max((len(u) + len(v) for u, v in pairs), default=0))
-    scales = measure.classes.scales
+    classes = measure.classes
     in_level = functools.cache(lambda w: scheme.in_level(w, M))
     first: dict = {}  # (len(u), class of u) -> the first such u
     values, violations = [], []
+    # the class paths of u . t over all length-q middles t, per representative u
+    after_gap = functools.cache(lambda u: classes.paths((None,) * q, classes.paths(u)))
 
     @functools.cache
     def scaled_joint(u, v):
-        template = tuple(u) + (None,) * q + tuple(v)
-        weight = measure.classes.pattern_weight(template) or 0
-        num, den = scales[len(template)]
+        n = len(u) + q + len(v)
+        weight = classes.weight(classes.paths(v, after_gap(u)), n) or 0
+        num, den = classes.scales[n]
         p, d = power[len(u) + len(v)]
         return weight * num * p, den * d
 
     for u, v in pairs:
         if not (in_level(u) and in_level(v)):
             raise InputError("pair words must lie in the requested level")
-        k = measure.classes.class_of(u)
+        k = classes.class_of(u)
         value = scaled_joint(u if k is None else first.setdefault((len(u), k), u), v)
         if value[0] <= 0:
             violations.append((u, v))
@@ -565,7 +565,6 @@ def mixing_check(
     value, argmin = _least(values)
     return GibbsReport(
         word_class=f"{scheme.name}:level{M}-pairs(q={q})",
-        depth_offset=0,
         value=value,
         argmin=argmin,
         per_length_min={},
@@ -606,22 +605,33 @@ def positive_mass_count(measure, gamma, n: int) -> int:
 def mixing_liminf_probe(measure, u_words, v_words, m_range) -> dict:
     """mu(U & shift^-m V) for each m, with the running infimum attached.
 
-    U and V are unions of cylinders given by word lists; overlapping windows
-    are merged symbol-by-symbol and clashes contribute zero.  The totals
-    and their infimum are exact, and reported rounded once.
+    U and V are unions of cylinders given by word lists.  Each u's class
+    paths are carried along the increasing gaps and every v is read off
+    them; overlapping windows are merged symbol-by-symbol and clashes
+    contribute zero.  The totals and their infimum are exact, and reported
+    rounded once.
     """
-    scales = measure.classes.scales
+    classes = measure.classes
     results = {}
+    after: dict = {}  # i -> (gap g, the class paths of u_words[i] and g free symbols)
     running = None
     for m in sorted(m_range):
         total = (0, 1)
-        for u in u_words:
+        for i, u in enumerate(u_words):
+            if m >= len(u):  # the gaps increase: each u's paths move on from the last
+                gap, paths = after.get(i) or (0, classes.paths(u))
+                after[i] = m - len(u), classes.paths((None,) * (m - len(u) - gap), paths)
             for v in v_words:
-                template = overlay(((0, u), (m, v)), max(len(u), m + len(v)))
-                if template is not None:
-                    weight = measure.classes.pattern_weight(template) or 0
-                    num, den = scales[len(template)]
-                    total = (total[0] * den + weight * num * total[1], total[1] * den)
+                n = max(len(u), m + len(v))
+                if m >= len(u):
+                    weight = classes.weight(classes.paths(v, after[i][1]), n)
+                else:
+                    template = overlay(((0, u), (m, v)), n)
+                    if template is None:
+                        continue
+                    weight = classes.pattern_weight(template)
+                num, den = classes.scales[n]
+                total = (total[0] * den + (weight or 0) * num * total[1], total[1] * den)
         if running is None or _compare(total, running) < 0:
             running = total
         results[m] = (_rounded(total), _rounded(running))

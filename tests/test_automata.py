@@ -2,7 +2,7 @@ from itertools import product
 from operator import mul
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from obstruct import automata
 from obstruct.automata import MAX_CHECKPOINTS, Presentation
@@ -505,16 +505,17 @@ def test_count_memory_is_bounded():
 
 def test_start_at_the_marker_is_not_primitive():
     pres = Presentation(1, 1, [], start=0, marker=0)
-    with pytest.raises(HorizonError):
-        pres.live_part()
+    with pytest.raises(HorizonError, match="the start state is the truncation marker"):
+        pres.essential_part()
     assert not pres.is_primitive()
 
 
 def test_live_and_essential_parts_are_built_once():
     pres = BetaSystem.from_beta("1.5", horizon=60).presentation
-    live, core = pres.live_part(), pres.essential_part()
-    assert pres.live_part() is live and pres.essential_part() is core
-    assert live.essential_part() is core and core.essential_part() is core
+    core = pres.essential_part()
+    assert pres.essential_part() is core and core.essential_part() is core
+    # d_55..d_60 are 0: states 54..59 lead only to the marker, state 60
+    assert core.marker is None and core.n_states == 54
     fresh = BetaSystem.from_beta("1.5", horizon=60).presentation.essential_part()
     assert [core.count_words(n) for n in range(40)] == [
         fresh.count_words(n) for n in range(40)
@@ -522,14 +523,71 @@ def test_live_and_essential_parts_are_built_once():
     # without a marker: states 1 and 2 have no infinite continuation
     pres = Presentation(3, 2, [(0, 0, 0), (0, 1, 1), (1, 0, 2)])
     core = pres.essential_part()
-    assert pres.live_part() is pres and pres.essential_part() is core
+    assert pres.essential_part() is core and core.essential_part() is core
     assert core.n_states == 1 and core.count_words(5) == 1
 
 
 def test_essential_part_without_dead_ends_is_swept_once(monkeypatch):
     # no state is dropped, so the presentation is its own essential part:
     # that outcome is kept too, and a second call reads no edge
-    live = BetaSystem.from_beta("2.5", horizon=300).presentation.live_part()
+    truncated = BetaSystem.from_beta("2.5", horizon=300).presentation
+    edges = [e for e in truncated.edges() if truncated.marker not in (e[0], e[2])]
+    live = Presentation(truncated.n_states - 1, truncated.alphabet_size, edges)
     assert live.essential_part() is live
     monkeypatch.setattr(live, "delta", None)
+    monkeypatch.setattr(live, "_moves", None)
     assert live.essential_part() is live
+
+
+def _essential_by_fixpoint(pres):
+    """The states kept by the set fixpoint: start from every state but the
+    marker and drop those with no edge into the set until none is dropped."""
+    keep, last = {s for s in range(pres.n_states) if s != pres.marker}, None
+    while keep != last:
+        last = keep
+        keep = {s for s in last if any(t in last for t in pres.delta[s].values())}
+    return sorted(keep)
+
+
+@st.composite
+def _presentations(draw):
+    """A random graph on n states over symbols 0..k-1, a dead chain of c
+    states entered on symbol k, and maybe a marker entered on symbol k + 1;
+    the start state anywhere, the marker too."""
+    n, k, c = draw(st.integers(1, 6)), draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    targets = st.one_of(st.none(), st.integers(0, n - 1))
+    edges = [(s, a, t) for s in range(n) for a in range(k)
+             if (t := draw(targets)) is not None]
+    edges += [(s, 0, s + 1) for s in range(n, n + c - 1)]
+    if c:
+        edges.append((draw(st.integers(0, n - 1)), k, n))
+    marker = n + c if draw(st.booleans()) else None
+    if marker is not None:
+        edges += [(s, k + 1, marker) for s in draw(st.sets(st.integers(0, n + c - 1)))]
+    size = n + c + (marker is not None)
+    return Presentation(size, k + 2, edges, start=draw(st.integers(0, size - 1)),
+                        marker=marker)
+
+
+@given(_presentations())
+@example(Presentation(3, 1, [(0, 0, 1), (1, 0, 2)], start=0))  # a dead chain
+@example(Presentation(3, 2, [(0, 0, 0), (0, 1, 1), (1, 0, 2)], start=1, marker=2))
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_essential_part_matches_the_set_fixpoint(pres):
+    keep = _essential_by_fixpoint(pres)
+    if pres.start == pres.marker:
+        message = "the start state is the truncation marker"
+    elif pres.start not in keep:
+        message = "no infinite continuation from the start state"
+    else:
+        core = pres.essential_part()
+        index = {s: i for i, s in enumerate(keep)}
+        assert (core.n_states, core.start, core.marker) == (len(keep), index[pres.start], None)
+        assert sorted(core.edges()) == sorted(
+            (index[s], a, index[t]) for s, a, t in pres.edges() if s in index and t in index
+        )
+        assert (core is pres) == (len(keep) == pres.n_states)
+        assert pres.essential_part() is core and core.essential_part() is core
+        return
+    with pytest.raises(HorizonError, match=message):
+        pres.essential_part()

@@ -3,7 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from obstruct.beta import BetaSystem, greedy_expansion, parse_beta, quasi_greedy
 from obstruct.errors import HorizonError, InputError
@@ -46,9 +46,11 @@ class TestGreedy:
         assert e.tail.kind == "finite"
 
     def test_integer_convention(self):
-        e = greedy_expansion(2, 10)
-        assert e.digits == (2,)
-        assert e.tail.kind == "finite"
+        for beta in (2, 3, 200):
+            e = greedy_expansion(beta, 10)
+            assert e.digits == (beta,)
+            assert e.tail.kind == "finite"
+            assert type(e.beta) is int
 
     def test_three_half_matches_oracle(self):
         e = greedy_expansion(Fraction(3, 2), 40)
@@ -92,6 +94,41 @@ class TestGreedy:
             greedy_expansion(1, 5)
         with pytest.raises(InputError):
             greedy_expansion(Fraction(1, 2), 5)
+
+
+def _greedy_by_fractions(beta, n):
+    """The first n greedy digits of 1 and the tail kind, by iterating
+    Fractions with termination and repetition detected on the remainders."""
+    x, digits, seen = Fraction(1), [], {Fraction(1): 0}
+    for i in range(1, n + 1):
+        y = beta * x
+        digits.append(math.floor(y))
+        x = y - digits[-1]
+        if x == 0:
+            return tuple(digits), "finite"
+        if x in seen:
+            return tuple(digits), "periodic"
+        seen[x] = i
+    return tuple(digits), "truncated"
+
+
+@given(
+    st.integers(2, 60).flatmap(lambda q: st.tuples(st.integers(q + 1, 7 * q), st.just(q))),
+    st.integers(1, 80),
+)
+@example((5, 4), 60)
+@example((9, 4), 60)
+@example((8, 7), 80)  # 1 + 1/q
+@example((61, 60), 80)
+@example((14, 2), 5)  # the integer 7
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_rational_digits_match_the_fraction_iteration(pq, n):
+    beta = Fraction(*pq)
+    e = greedy_expansion(beta, n)
+    assert (e.digits, e.tail.kind) == _greedy_by_fractions(beta, n)
+    assert e.beta == beta
+    if beta.denominator > 1:
+        assert (e.tail.horizon, e.tail.certificate) == (n, "exact-arithmetic")
 
 
 class TestQuasiGreedy:

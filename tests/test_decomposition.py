@@ -250,7 +250,10 @@ class TestSpecification:
         )
         assert result.tau is None
         (report,) = result.reports
-        assert report.gap == 0 and report.verdict == "inconclusive"
+        assert report.verdict == "inconclusive"
+        assert report == check_specification(
+            golden, golden_scheme.cores(), 0, 0, lengths=range(1, 6), budget=10
+        )
         assert report.failures == ()
 
 
@@ -283,9 +286,7 @@ def _literal_specification(system, collection, j, tau, k_max, lengths, budget):
     else:
         verdict = "fail" if failures else "pass"
     return SpecificationReport(
-        collection=collection.label,
         depth=j,
-        gap=tau,
         k_max=k_max,
         lengths=lengths,
         verdict=verdict,

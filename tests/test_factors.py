@@ -16,6 +16,7 @@ from obstruct.decomposition import (
 )
 from obstruct.errors import EnumerationCapError, HorizonError, InputError
 from obstruct.factors import (
+    M_VERIFY,
     BlockCode,
     FactorSystem,
     apply_code,
@@ -167,19 +168,31 @@ class TestSuffixEntropy:
             assert len(ind.suffixes().at(n)) == 1
 
 
+def _separated_concatenations(system, code, report, j=0):
+    """The distinct depth-j image prefixes of the 2^M_VERIFY concatenations
+    of the report's core pair, each checked to be a word."""
+    v1, v2, n = report.witness
+    prefixes = set()
+    for blocks in itertools.product((v1, v2), repeat=M_VERIFY):
+        w = sum(blocks, ())
+        assert system.is_word(w)
+        prefixes.add(apply_code(code, w)[: (M_VERIFY - 1) * n + j + 1])
+    return len(prefixes)
+
+
 class TestEntropyPositive:
     def test_identity_on_golden(self, golden):
         report = factor_entropy_positive(golden, BlockCode.identity(2), j=0)
         assert report.positive
         v1, v2, n = report.witness
         assert report.rate_bound == pytest.approx(math.log(2) / n)
-        assert report.separated_count_verified == 8
+        assert _separated_concatenations(golden, BlockCode.identity(2), report) == 8
 
     def test_xor_rate_bound(self, full2):
         report = factor_entropy_positive(full2, BlockCode.xor(), j=0)
         assert report.positive
         assert report.rate_bound >= math.log(2) / 2 - 1e-12
-        assert report.separated_count_verified == 8
+        assert _separated_concatenations(full2, BlockCode.xor(), report) == 8
 
     def test_merge_single_point(self, golden):
         report = factor_entropy_positive(golden, BlockCode.merge_all(2), j=0)

@@ -353,7 +353,7 @@ def _assert_computed_once(system, monkeypatch):
     )
     presentation = system.presentation
     beta = system.beta_value()
-    views = [presentation, presentation.live_part(), presentation.essential_part()]
+    views = [presentation, presentation.essential_part()]
     data = [perron_eigendata(view) for view in views]
     if presentation.is_primitive():
         parry_measure(system, 3)

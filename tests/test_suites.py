@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 from itertools import product
@@ -8,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from obstruct import suites
 from obstruct.beta import BetaSystem
 from obstruct.decomposition import beta_decomposition, degenerate_decomposition
-from obstruct.errors import InputError
+from obstruct.errors import InputError, ObstructError
 from obstruct.measures import CylinderMeasure, parry_measure
 from obstruct.perron import perron_eigendata, simplest_between
 from obstruct.quadratic import golden_ratio
@@ -24,7 +25,7 @@ from obstruct.suites import (
     positive_mass_constant,
     positive_mass_count,
 )
-from obstruct.words import word
+from obstruct.words import overlay, word
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -141,7 +142,9 @@ class TestGibbs:
         m = parry_measure(golden, 14)
         report = gibbs_check(m, golden, golden_scheme, M=0, n_range=range(1, 11), j=2)
         assert report.passed
-        assert report.depth_offset == 2
+        # the argmin is a length-n word read two symbols deeper
+        n = len(report.argmin) - 2
+        assert n in range(1, 11) and report.per_length_min[n] == report.constant
 
     def test_proof_constant_below_empirical(self, golden, golden_scheme):
         suite = counting_suite(golden, golden_scheme, n_max=24)
@@ -333,6 +336,100 @@ class TestProbe:
         )
         for gap, (value, _) in probe.items():
             assert 0 < float(value) <= 1
+
+
+# systems whose measures carry exact quadratic, exact integer and
+# enclosure-scaled integer class weights, and a listed table of rounded masses
+_SWEEP_SYSTEMS = {
+    "golden": BetaSystem.golden_mean,
+    "2": lambda: BetaSystem.full_shift(2),
+    "p5": lambda: BetaSystem.from_expansion((2, 1, 0, 0, 1), period=5),
+    "1.5@20": lambda: BetaSystem.from_beta("1.5", horizon=20),
+    "1.5@20-listed": lambda: BetaSystem.from_beta("1.5", horizon=20),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _sweep_case(name):
+    system = _SWEEP_SYSTEMS[name]()
+    m = parry_measure(system, 8)
+    if name.endswith("-listed"):
+        m = CylinderMeasure(m.alphabet_size, m.depth, dict(m.table), m.provenance, m.exact)
+    return system, beta_decomposition(system), m
+
+
+def _outcome(call):
+    """A call's result, or the type and text of the error it raised."""
+    try:
+        return call()
+    except ObstructError as exc:
+        return type(exc), str(exc)
+
+
+def _probe_by_templates(m, u_words, v_words, gaps):
+    """mixing_liminf_probe from one pattern_weight per overlaid template,
+    the exact masses summed as numbers."""
+    results, running = {}, None
+    for gap in sorted(gaps):
+        total = 0
+        for u in u_words:
+            for v in v_words:
+                t = overlay(((0, u), (gap, v)), max(len(u), gap + len(v)))
+                if t is not None:
+                    weight = m.classes.pattern_weight(t) or 0
+                    num, den = m.classes.scales[len(t)]
+                    total += Fraction(1) * weight * num / den
+        running = total if running is None else min(running, total)
+        results[gap] = (float(total), float(running))
+    return results
+
+
+def _mixing_by_templates(m, system, pairs, q):
+    """(constant, argmin, violations) of mixing_check from one pattern_weight
+    per pair, each pair's own, the first least value on ties."""
+    best, violations = None, []
+    for u, v in pairs:
+        t = u + (None,) * q + v
+        weight = m.classes.pattern_weight(t) or 0
+        num, den = m.classes.scales[len(t)]
+        value = Fraction(1) * weight * num / den * _lower_bound(system) ** (len(u) + len(v))
+        if value <= 0:
+            violations.append((u, v))
+        elif best is None or value < best[0]:
+            best = (value, (u, v))
+    value, argmin = best or (0, ())
+    return float(value), argmin, tuple(violations)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_probe_matches_the_template_sums(data):
+    # multi-symbol words, gaps below |u| (overlaid windows) and past the
+    # depth (a DepthError, for the same first template)
+    system, _, m = _sweep_case(data.draw(st.sampled_from(sorted(_SWEEP_SYSTEMS))))
+    words = st.lists(st.integers(0, m.alphabet_size - 1), min_size=1, max_size=3).map(tuple)
+    u_words = data.draw(st.lists(words, min_size=1, max_size=3), label="u_words")
+    v_words = data.draw(st.lists(words, min_size=1, max_size=3), label="v_words")
+    gaps = data.draw(st.lists(st.integers(0, m.depth), min_size=1, max_size=6), label="gaps")
+    assert _outcome(lambda: mixing_liminf_probe(m, u_words, v_words, gaps)) == _outcome(
+        lambda: _probe_by_templates(m, u_words, v_words, gaps)
+    )
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_mixing_check_matches_the_template_sums(data):
+    system, scheme, m = _sweep_case(data.draw(st.sampled_from(sorted(_SWEEP_SYSTEMS))))
+    M = data.draw(st.integers(0, 2), label="M")
+    words = [v for n in (1, 2, 3) for v in scheme.level_words(M, n)]
+    assume(words)
+    pair = st.tuples(st.sampled_from(words), st.sampled_from(words))
+    pairs = data.draw(st.lists(pair, min_size=1, max_size=6), label="pairs")
+    q = data.draw(st.integers(0, m.depth - 2), label="q")
+    report = _outcome(lambda: mixing_check(m, system, scheme, M, pairs, q))
+    if not isinstance(report, tuple):
+        report = report.constant, report.argmin, report.violations
+    assert report == _outcome(lambda: _mixing_by_templates(m, system, pairs, q))
 
 
 @pytest.mark.parametrize("x", [(3, 2), (golden_ratio(), 1)], ids=["3/2", "golden"])
