@@ -30,6 +30,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
@@ -46,6 +47,22 @@ def _bernoulli_table(depth: int = 6) -> str:
     return json.dumps({"depth": depth, "alphabet_size": 2,
                        "provenance": "bernoulli(1/3)", "entries": entries})
 
+def _tiny_table(depth: int = 5) -> str:
+    """A measure file of exact masses on two symbols: 0 and 1 have mass 1/2,
+    00 and 11 have mass 10^-400, 01 and 10 the rest of their parent's, and
+    each longer word half its parent's.  The correlation probe's running
+    infimum is positive but below the least float."""
+    tiny = Fraction(1, 10 ** 400)
+    mass = {"": Fraction(1), "0": Fraction(1, 2), "1": Fraction(1, 2),
+            "00": tiny, "11": tiny, "01": Fraction(1, 2) - tiny, "10": Fraction(1, 2) - tiny}
+    for n in range(3, depth + 1):
+        for w in itertools.product("01", repeat=n):
+            mass["".join(w)] = mass["".join(w[:-1])] / 2
+    entries = [{"word": w, "mass_num": str(m.numerator), "mass_den": str(m.denominator)}
+               for w, m in mass.items()]
+    return json.dumps({"depth": depth, "alphabet_size": 2,
+                       "provenance": "tiny two-symbol correlations", "entries": entries})
+
 # input files beyond the benchmark's, by name
 INPUTS = {
     # a preperiodic wrap: its 4-state Perron root 2.568... is neither
@@ -58,6 +75,7 @@ INPUTS = {
     "pq": "period=1\n21\n",
     # a small table of float masses, summed exactly by the mass checks
     "bernoulli": _bernoulli_table(),
+    "tiny": _tiny_table(),
 }
 
 # commands outside the benchmark, run after it with --extended
@@ -148,6 +166,11 @@ EXTENDED = [
     "verify --beta 1.01 --horizon 120",
     "verify --beta 7/3 --horizon 40",
     "mme --beta 1.01 --horizon 120 --n 300",
+    # a correlation-floor infimum that is positive but below the least float
+    "verify --beta 2 --measure-file @tiny",
+    # every gluing row a certificate, but the two-window gap does not fit the
+    # measure's depth (exit 3)
+    "verify --beta 1.5 --horizon 60 --depth 3 --tau-max 9",
 ]
 
 

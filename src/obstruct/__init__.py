@@ -41,12 +41,11 @@ from .suites import (
     GibbsReport,
     counting_suite,
     gibbs_check,
-    gibbs_proof_constant,
     mixing_check,
     mixing_liminf_probe,
-    mixing_proof_constant,
     positive_mass_constant,
     positive_mass_count,
+    verify_battery,
 )
 from .words import Word, format_word, parse_word, word
 

@@ -4,7 +4,8 @@ Subcommands: expand, entropy, decomp, mme, verify, factor.  Every command
 builds one JSON report (written to --out or stdout) and exits with 0 when
 all checks pass, 1 on a violated estimate, 2 on input or configuration
 errors, and 3 when a search was inconclusive: nothing found within its
-limits, or refused because it exceeds its budget.
+limits, or refused because it exceeds its budget; `verify` exits 3 when
+any row of its battery was not run or is undecided.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .decomposition import (
     min_gluing_time,
 )
 from .errors import (
-    DepthError,
     EnumerationCapError,
     HorizonError,
     InputError,
@@ -43,17 +43,7 @@ from .factors import (
 from .measures import CylinderMeasure, empirical_mme, max_depth_gap, parry_measure
 from .orbits import OrbitCollection, count_separated, upper_entropy
 from .reports import dumps_report, fmt_float, fmt_number, make_report, write_report
-from .suites import (
-    correlation_floor_constant,
-    counting_suite,
-    gibbs_check,
-    gibbs_proof_constant,
-    mixing_check,
-    mixing_liminf_probe,
-    mixing_proof_constant,
-    positive_mass_constant,
-    positive_mass_count,
-)
+from .suites import verify_battery
 from .words import format_word, parse_word
 
 EXIT_PASS = 0
@@ -311,173 +301,23 @@ def cmd_mme(config: RunConfig, n: int | None = None):
     return code, make_report("mme", payload, config.to_dict())
 
 
-def _proof_fields(proof_constant, c1_sup, tau, entropy) -> dict:
-    """A check's proof constant, `proof_constant(c1_sup, tau, entropy)`;
-    null, with the reason, when the gluing time tau was not established."""
-    if tau is None:
-        return {"proof_constant": None,
-                "proof_constant_reason": "gluing time not established"}
-    return {"proof_constant": fmt_float(proof_constant(c1_sup, tau, entropy))}
-
-
 def cmd_verify(config: RunConfig):
     system = build_system(config)
     scheme = _scheme(system, config)
-    j = config.depth
-    checks: list[dict] = []
-    inconclusive = False
-
-    def record(name, passed, summary, **extra):
-        entry = {"name": name, "passed": bool(passed), "summary": summary}
-        entry.update(extra)
-        checks.append(entry)
-
-    # gluing times of the filtration levels, established as the scheme does:
-    # (tau, how) or (None, why not)
-    level_glue = {}
-    for M in range(config.level + 1):
-        gap, note = scheme.gluing_time(M, j, config.tau_max)
-        if gap is not None and gap > config.tau_max:
-            gap, note = None, (f"certificate gluing time {gap} exceeds "
-                               f"--tau-max {config.tau_max}")
-        level_glue[M] = gap, note
-        if gap is None:
-            inconclusive = True
-            record(f"gluing-level-{M}", False, note)
-        else:
-            record(
-                f"gluing-level-{M}",
-                True,
-                f"gluing time {gap} at depth {j}",
-                tau=gap,
-                evidence=note,
-            )
-
-    # the cores are level 0 in every scheme
-    tau, note = level_glue[0]
-    if tau is None:
-        inconclusive = True
-        record("gluing-cores", False, note)
-    else:
-        record("gluing-cores", True, f"gluing time {tau}", tau=tau, evidence=note)
-
-    # without a core gluing time the two checks that need one are not run;
-    # the other checks and constants do not depend on tau
-    suite = counting_suite(system, scheme, n_max=config.nmax, j=j,
-                           tau=config.tau_max if tau is None else tau)
-    for c in suite.checks:
-        if tau is None and "tau" in c.details:
-            record(f"counting:{c.name}", False, "not run: gluing time not established")
-        else:
-            inconclusive = inconclusive or c.passed is None  # undecided on beta's bounds
-            record(f"counting:{c.name}", c.passed, c.summary)
-
-    # measure-backed checks
-    if config.measure_file:
-        measure = _load_measure(config.measure_file)
-    else:
-        measure = parry_measure(system, config.measure_depth)
-    entropy = system.log_beta()
-    # None when the level's gluing time was not established
-    level_tau = level_glue[config.level][0]
-
-    # lengths from the measure in use: a measure file sets its own depth
-    gibbs_n_top = min(measure.depth - j, 12)
-    gibbs = gibbs_check(measure, system, scheme, M=config.level,
-                        n_range=range(1, gibbs_n_top + 1), j=j)
-    record(
-        "mass-floor",
-        gibbs.passed,
-        f"min mass * growth^n = {gibbs.constant:.6g} on {gibbs.word_class}",
-        constant=fmt_float(gibbs.constant),
-        **_proof_fields(gibbs_proof_constant, suite.c1_sup, level_tau, entropy),
-    )
-
-    pair_len = 1
-    level_words = scheme.level_words(config.level, pair_len)
-    pairs = [(u, v) for u in level_words for v in level_words]
-    mixing = None
-    if level_tau is None:
-        # the level's gluing rows already fail: no gap to check the floor at
-        record("two-window-mass-floor", False, "not run: gluing time not established")
-    else:
-        q = max(2 * level_tau, 2)
-        try:
-            mixing = mixing_check(measure, system, scheme, M=config.level,
-                                  pairs=pairs, q=q, tau=level_tau)
-        except DepthError as exc:
-            # the gap q does not fit in the measure's depth: no verdict either way
-            inconclusive = True
-            record("two-window-mass-floor", False, f"not run: {exc}")
-        else:
-            record(
-                "two-window-mass-floor",
-                mixing.passed,
-                f"min joint mass * growth^(m+n) = {mixing.constant:.6g} at gap {q}",
-                constant=fmt_float(mixing.constant),
-                **_proof_fields(
-                    mixing_proof_constant, suite.c1_sup, level_tau, entropy
-                ),
-            )
-
-    pm_n = min(10, measure.depth)
-    pm_rows = []
-    pm_ok = True
-    beta_val = math.exp(entropy)
-    for gamma in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
-        count = positive_mass_count(measure, gamma, pm_n)
-        bound = positive_mass_constant(suite.c1, suite.c2, gamma) * beta_val ** pm_n
-        ok = count >= bound
-        pm_ok = pm_ok and ok
-        pm_rows.append(
-            {"gamma": fmt_number(gamma), "count": count, "bound": fmt_float(bound)}
-        )
-    record("positive-mass-count", pm_ok, f"at n = {pm_n}", rows=pm_rows)
-
-    probe_top = max(1, measure.depth - 2)
-    try:
-        probe = mixing_liminf_probe(measure, [(0,)], [(0,)], range(1, probe_top + 1))
-    except DepthError as exc:
-        # a depth-1 measure holds no two-symbol pattern
-        inconclusive = True
-        record("correlation-floor", False, f"not run: {exc}", alpha_constant=None)
-    else:
-        inf_val = float(probe[probe_top][1])
-        # alpha needs the two-window floor
-        alpha = None if mixing is None else fmt_float(correlation_floor_constant(
-            positive_mass_constant(suite.c1, suite.c2, 0.5), mixing.constant
-        ))
-        record(
-            "correlation-floor",
-            inf_val > 0,
-            f"running infimum {inf_val:.6g} over gaps 1..{probe_top}",
-            running_infimum=fmt_float(inf_val),
-            alpha_constant=alpha,
-        )
-
-    obstruction = upper_entropy(scheme.boundary(), j, config.nmax)
-    margin = 0.05
-    unglued = [str(M) for M, (t, _) in level_glue.items() if t is None]
-    hypotheses_met = obstruction.rate + margin < entropy and not unglued
-    summary = f"obstruction rate {obstruction.rate:.6g} vs growth {entropy:.6g}"
-    if unglued:
-        summary += f"; gluing time not established at levels {', '.join(unglued)}"
-    record(
-        "obstruction-below-entropy",
-        hypotheses_met,
-        summary,
-        obstruction_rate=fmt_float(obstruction.rate),
-        log_beta=fmt_float(entropy),
-    )
-
-    all_passed = all(c["passed"] for c in checks)
+    measure = (_load_measure(config.measure_file) if config.measure_file
+               else parry_measure(system, config.measure_depth))
+    rows, suite = verify_battery(system, scheme, measure, level=config.level,
+                                 j=config.depth, tau_max=config.tau_max, n_max=config.nmax)
+    checks = [{"name": r.name, "passed": bool(r.passed), "summary": r.summary, **r.details}
+              for r in rows]
+    by_name = {c["name"]: c for c in checks}
     payload = {
         "system": system.describe(),
         "scheme": scheme.name,
         "checks": checks,
-        "uniqueness_hypotheses_met": hypotheses_met,
+        "uniqueness_hypotheses_met": by_name["obstruction-below-entropy"]["passed"],
         "constants": {
-            "tau": tau,
+            "tau": by_name["gluing-cores"].get("tau"),
             "c1": fmt_float(suite.c1),
             "c1_sup": fmt_float(suite.c1_sup),
             "c2": fmt_float(suite.c2),
@@ -485,12 +325,10 @@ def cmd_verify(config: RunConfig):
                       for m, v in suite.b_tails.items()},
         },
     }
-    if inconclusive:
-        code = EXIT_INCONCLUSIVE
-    elif all_passed:
-        code = EXIT_PASS
-    else:
-        code = EXIT_VIOLATION
+    # a row not run or undecided makes the run inconclusive
+    passed = [r.passed for r in rows]
+    code = (EXIT_INCONCLUSIVE if None in passed
+            else EXIT_PASS if all(passed) else EXIT_VIOLATION)
     return code, make_report("verify", payload, config.to_dict())
 
 

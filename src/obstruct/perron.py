@@ -207,8 +207,8 @@ def perron_eigendata(presentation) -> PerronData:
     Per component: the renewal closed form when it has that shape, else
     power iteration, then exact data when it is small and its Perron root
     rational or quadratic (see the module docstring).  Kept on the essential
-    part, which every view of a presentation (itself, its live part, its
-    essential part) shares, so they compute it once.
+    part, which the presentation and its essential part share, so they
+    compute it once.
     """
     core = presentation.essential_part()
     if core._perron is None:

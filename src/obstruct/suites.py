@@ -1,9 +1,11 @@
-"""Machine checks for the counting, Gibbs, mixing, and mass-spread estimates.
+"""Machine checks for the counting, Gibbs, mixing, and mass-spread estimates,
+and `verify_battery`, the rows of `verify` and how each is decided.
 
-Every row is decided in one exact arithmetic of integers, `Fraction`s and
-`QuadraticNumber`s; a failure names the check, the length, and the
-witness numbers.  Beta enters as bounds lo <= beta <= hi (`_growth`), and
-a growth comparison that they leave open reads "not run: undecided".
+Every row but the obstruction rate is decided in one exact arithmetic of
+integers, `Fraction`s and `QuadraticNumber`s; a failure names the check,
+the length, and the witness numbers.  Beta enters as bounds lo <= beta
+<= hi (`_growth`), and a growth comparison that they leave open reads
+"not run: undecided".
 Masses enter unrounded, as class weights times the exact per-length scale
 S_n (`MassClasses.scales`).  So c1, c1_sup and the tails b_M, computed
 with lo, are upper bounds, and the Gibbs and two-window constants,
@@ -29,9 +31,10 @@ from operator import mul
 from .automata import check_enumeration_cap
 from .decomposition import filtration_coverage, min_gluing_time
 from .errors import DepthError, InputError
-from .orbits import OrbitCollection, count_separated
+from .orbits import OrbitCollection, count_separated, upper_entropy
 from .perron import perron_eigendata, simplest_between
 from .quadratic import QuadraticNumber
+from .reports import fmt_float, fmt_number
 from .words import overlay
 
 # counting suite: most cores and largest sum of core lengths in the gluing
@@ -80,8 +83,12 @@ def _rounded(q) -> float:
 
 
 def _exact(q):
-    """The quotient q as one number: a `Fraction`, or a field element."""
-    return Fraction(1) * q[0] / q[1]
+    """The quotient q as one number: a `Fraction` (one gcd), or a field
+    element."""
+    num, den = q
+    if isinstance(num, QuadraticNumber) or isinstance(den, QuadraticNumber):
+        return num / den
+    return Fraction(num, den)
 
 
 class CheckResult:
@@ -94,14 +101,19 @@ class CheckResult:
 
 
 class CountingSuiteReport:
-    def __init__(self, checks: tuple, tau: int, c1: float, c1_sup: float, c2: float,
-                 b_tails: dict):
+    """The counting rows and constants: c1 and c1_sup as exact quotients
+    (num, den) at lo, `c1_value` and `c1_sup_value`, and rounded once, `c1`
+    and `c1_sup`; `bounds` is the (lo, hi) of `_growth`."""
+
+    def __init__(self, checks: tuple, tau: int, c1_value: tuple, c1_sup_value: tuple,
+                 b_tails: dict, bounds: tuple):
         self.checks = checks
         self.tau = tau
-        self.c1 = c1
-        self.c1_sup = c1_sup
-        self.c2 = c2
+        self.c1_value, self.c1_sup_value = c1_value, c1_sup_value
+        self.c1, self.c1_sup = _rounded(c1_value), _rounded(c1_sup_value)
+        self.c2 = math.log(self.c1) + math.log(2)
         self.b_tails = b_tails
+        self.bounds = bounds
 
     @property
     def passed(self) -> bool:
@@ -225,23 +237,24 @@ def counting_suite(
     # lo^-n = q^n / p^n for lo = p / q is unit[n] / p^n_max: one common
     # denominator for the tail terms and the ratios
     unit = {n: lo_pow[n][1] * lo_pow[n_max - n][0] for n in range(1, n_max + 1)}
-    den = lo_pow[n_max][0]
 
     # (e) obstruction tail sums
     b_tails, tail_ok, tail_note = _tail_sums(boundary_counts, unit, lo_pow, n_max,
                                              lo == hi)
     checks.append(CheckResult("tail-summability", tail_ok, tail_note, {}))
 
-    # (f) count/growth ratio count(n) / lo^n over the tail window
+    # (f) count/growth ratio count(n) / lo^n over the tail window; c1 and
+    # c1_sup are kept as count(n) q^n / p^n at the n of their maxima, which
+    # drops the factor p^(n_max - n) of the common denominator
     ratios = {n: lang[n] * unit[n] for n in range(1, n_max + 1)}
-    c1_num = max(ratios[n] for n in range((n_max + 1) // 2, n_max + 1))
-    c1_sup_num = max(ratios.values())
-    c1, c1_sup = _rounded((c1_num, den)), _rounded((c1_sup_num, den))
-    c2 = math.log(c1) + math.log(2)
+    top, top_sup = (max(ns, key=ratios.__getitem__)
+                    for ns in (range((n_max + 1) // 2, n_max + 1), ratios))
+    c1_value, c1_sup_value = ((lang[n] * lo_pow[n][1], lo_pow[n][0]) for n in (top, top_sup))
+    c1, c1_sup = _rounded(c1_value), _rounded(c1_sup_value)
     checks.append(
         CheckResult(
             "count-ratio-ceiling",
-            c1_sup_num <= 2 * c1_num,
+            ratios[top_sup] <= 2 * ratios[top],
             f"count(n) <= {c1_sup:.6f} * beta^n for n <= {n_max}, "
             f"tail value {c1:.6f}",
             {"c1": c1, "c1_sup": c1_sup},
@@ -286,10 +299,10 @@ def counting_suite(
     return CountingSuiteReport(
         checks=tuple(checks),
         tau=tau,
-        c1=c1,
-        c1_sup=c1_sup,
-        c2=c2,
+        c1_value=c1_value,
+        c1_sup_value=c1_sup_value,
         b_tails=b_tails,
+        bounds=(lo, hi),
     )
 
 
@@ -326,9 +339,14 @@ def _decide(name, claim, lengths, bounds, holds, fails, **details) -> CheckResul
         undecided = undecided or n
     if undecided is None:
         return CheckResult(name, True, claim, {"witness": None, **details})
+    return CheckResult(name, None, _undecided(bounds, f"n = {undecided}"),
+                       {"witness": undecided, **details})
+
+
+def _undecided(bounds, where: str) -> str:
+    """The summary of a row that the bounds (lo, hi) leave open at `where`."""
     lo, hi = map(_rounded, bounds)
-    summary = f"not run: undecided on the enclosure [{lo:.17g}, {hi:.17g}] at n = {undecided}"
-    return CheckResult(name, None, summary, {"witness": undecided, **details})
+    return f"not run: undecided on the enclosure [{lo:.17g}, {hi:.17g}] at {where}"
 
 
 def _tail_sums(counts: dict, unit: dict, power, n_max: int, exact: bool):
@@ -608,8 +626,8 @@ def mixing_liminf_probe(measure, u_words, v_words, m_range) -> dict:
     U and V are unions of cylinders given by word lists.  Each u's class
     paths are carried along the increasing gaps and every v is read off
     them; overlapping windows are merged symbol-by-symbol and clashes
-    contribute zero.  The totals and their infimum are exact, and reported
-    rounded once.
+    contribute zero.  The totals and their infimum are exact numbers
+    (`Fraction`s or field elements), for the caller to round.
     """
     classes = measure.classes
     results = {}
@@ -632,20 +650,10 @@ def mixing_liminf_probe(measure, u_words, v_words, m_range) -> dict:
                     weight = classes.pattern_weight(template)
                 num, den = classes.scales[n]
                 total = (total[0] * den + (weight or 0) * num * total[1], total[1] * den)
-        if running is None or _compare(total, running) < 0:
-            running = total
-        results[m] = (_rounded(total), _rounded(running))
+        value = _exact(total)
+        running = value if running is None else min(running, value)
+        results[m] = (value, running)
     return results
-
-
-def gibbs_proof_constant(c1_sup: float, tau: int, entropy: float) -> float:
-    """(4 C1)^-1 e^(-2 tau h): the constructive one-window floor."""
-    return math.exp(-2 * tau * entropy) / (4 * c1_sup)
-
-
-def mixing_proof_constant(c1_sup: float, tau: int, entropy: float) -> float:
-    """(8 C1)^-1 e^(-4 tau h): the constructive two-window floor."""
-    return math.exp(-4 * tau * entropy) / (8 * c1_sup)
 
 
 def positive_mass_constant(c1: float, c2: float, gamma: float) -> float:
@@ -653,7 +661,158 @@ def positive_mass_constant(c1: float, c2: float, gamma: float) -> float:
     return c1 * math.exp(-c2 / float(gamma))
 
 
-def correlation_floor_constant(c_gamma: float, k_prime: float) -> float:
-    """c_gamma^2 k' / 4: the two-set correlation floor built from the
-    positive-mass coefficient and the two-window mass floor."""
-    return c_gamma ** 2 * k_prime / 4
+# -- the verify battery -------------------------------------------------------------
+
+POSITIVE_MASS_GAMMAS = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
+# the obstruction rate must sit this far below log beta
+OBSTRUCTION_MARGIN = 0.05
+
+
+def _glue_row(name: str, tau, note: str, summary: str) -> CheckResult:
+    """A gluing row: passed with its time and evidence, or not run with why."""
+    if tau is None:
+        return CheckResult(name, None, note)
+    return CheckResult(name, True, summary, {"tau": tau, "evidence": note})
+
+
+def verify_battery(system, scheme, measure, *, level: int, j: int, tau_max: int,
+                   n_max: int) -> tuple:
+    """The rows of `verify`, and the counting suite whose constants they use.
+
+    Each row is a `CheckResult` whose `details` are its rendered extra
+    fields, and whose `passed` is None when it was not run or is undecided:
+    a gluing time not established (or past tau_max), a check that needs
+    one, a window past the measure's depth, or a comparison that lo <= beta
+    <= hi leave open.  Only the obstruction row is decided on floats (its
+    rate against log beta with a margin); every constant is its exact value
+    rounded once.
+    """
+    rows = []
+    # gluing times of the filtration levels, established as the scheme does:
+    # (tau, how) or (None, why not)
+    level_glue = {}
+    for M in range(level + 1):
+        gap, note = scheme.gluing_time(M, j, tau_max)
+        if gap is not None and gap > tau_max:
+            gap, note = None, f"certificate gluing time {gap} exceeds --tau-max {tau_max}"
+        level_glue[M] = gap, note
+        rows.append(_glue_row(f"gluing-level-{M}", gap, note, f"gluing time {gap} at depth {j}"))
+    # the cores are level 0 in every scheme
+    tau, note = level_glue[0]
+    rows.append(_glue_row("gluing-cores", tau, note, f"gluing time {tau}"))
+
+    # without a core gluing time the two checks that need one are not run;
+    # the other checks and constants do not depend on tau
+    suite = counting_suite(system, scheme, n_max=n_max, j=j,
+                           tau=tau_max if tau is None else tau)
+    for c in suite.checks:
+        if tau is None and "tau" in c.details:
+            rows.append(CheckResult(f"counting:{c.name}", None,
+                                    "not run: gluing time not established"))
+        else:
+            rows.append(CheckResult(f"counting:{c.name}", c.passed, c.summary))
+    lo, hi = suite.bounds
+    c1 = suite.c1_value
+    # None when the level's gluing time was not established
+    level_tau = level_glue[level][0]
+
+    def proof_fields(k):
+        """The constructive k-window floor (4k C1_sup)^-1 beta^(-2k tau), at
+        hi, so a lower bound; null without a gluing time."""
+        if level_tau is None:
+            return {"proof_constant": None,
+                    "proof_constant_reason": "gluing time not established"}
+        e, (num, den) = 2 * k * level_tau, suite.c1_sup_value
+        return {"proof_constant": fmt_float(_rounded((hi[1] ** e * den,
+                                                      hi[0] ** e * 4 * k * num)))}
+
+    # lengths from the measure in use: a measure file sets its own depth
+    gibbs = gibbs_check(measure, system, scheme, M=level,
+                        n_range=range(1, min(measure.depth - j, 12) + 1), j=j)
+    rows.append(CheckResult(
+        "mass-floor", gibbs.passed,
+        f"min mass * growth^n = {gibbs.constant:.6g} on {gibbs.word_class}",
+        {"constant": fmt_float(gibbs.constant), **proof_fields(1)},
+    ))
+
+    words = scheme.level_words(level, 1)
+    mixing = None
+    if level_tau is None:
+        # the level's gluing rows are not run either: no gap to check the floor at
+        rows.append(CheckResult("two-window-mass-floor", None,
+                                "not run: gluing time not established"))
+    else:
+        q = max(2 * level_tau, 2)
+        try:
+            mixing = mixing_check(measure, system, scheme, M=level,
+                                  pairs=[(u, v) for u in words for v in words],
+                                  q=q, tau=level_tau)
+        except DepthError as exc:
+            # the gap q does not fit in the measure's depth: no verdict either way
+            rows.append(CheckResult("two-window-mass-floor", None, f"not run: {exc}"))
+        else:
+            rows.append(CheckResult(
+                "two-window-mass-floor", mixing.passed,
+                f"min joint mass * growth^(m+n) = {mixing.constant:.6g} at gap {q}",
+                {"constant": fmt_float(mixing.constant), **proof_fields(2)},
+            ))
+
+    # count >= C1 (2 C1)^(-1/gamma) beta^n, for gamma = a / b, is
+    # count^a >= x(beta): it holds where it holds at hi and fails where it
+    # fails at lo
+    n = min(10, measure.depth)
+
+    def x(beta, a, b):
+        """C1^a (2 C1)^-b beta^(an) = D^(b-a) beta^(an) / (2^b N^(b-a)), for
+        C1 = N / D, as a quotient."""
+        return (c1[1] ** (b - a) * beta[0] ** (a * n),
+                2 ** b * c1[0] ** (b - a) * beta[1] ** (a * n))
+
+    pm_rows, outcomes = [], []
+    for gamma in POSITIVE_MASS_GAMMAS:
+        count = positive_mass_count(measure, gamma, n)
+        a, b = gamma.numerator, gamma.denominator
+        x_hi = x(hi, a, b)
+        outcomes.append(True if _compare((count ** a, 1), x_hi) >= 0
+                        else False if _compare((count ** a, 1), x(lo, a, b)) < 0 else None)
+        pm_rows.append({"gamma": fmt_number(gamma), "count": count,
+                        "bound": fmt_float(_rounded(x_hi) ** (1 / a))})
+    passed = False if False in outcomes else None if None in outcomes else True
+    rows.append(CheckResult(
+        "positive-mass-count", passed,
+        _undecided((lo, hi), f"gamma = {POSITIVE_MASS_GAMMAS[outcomes.index(None)]}")
+        if passed is None else f"at n = {n}",
+        {"rows": pm_rows},
+    ))
+
+    top = max(1, measure.depth - 2)
+    try:
+        probe = mixing_liminf_probe(measure, [(0,)], [(0,)], range(1, top + 1))
+    except DepthError as exc:
+        # a depth-1 measure holds no two-symbol pattern
+        rows.append(CheckResult("correlation-floor", None, f"not run: {exc}",
+                                {"alpha_constant": None}))
+    else:
+        running = probe[top][1]
+        # alpha = c^2 k' / 4 = k' / (64 C1^2) for the two-window floor k' and
+        # the positive-mass coefficient c = C1 (2 C1)^-2 at gamma = 1/2
+        alpha = None if mixing is None else fmt_float(_rounded(
+            (mixing.value[0] * c1[1] ** 2, mixing.value[1] * 64 * c1[0] ** 2)))
+        rows.append(CheckResult(
+            "correlation-floor", running > 0,
+            f"running infimum {float(running):.6g} over gaps 1..{top}",
+            {"running_infimum": fmt_float(running), "alpha_constant": alpha},
+        ))
+
+    obstruction = upper_entropy(scheme.boundary(), j, n_max)
+    entropy = system.log_beta()
+    unglued = [str(M) for M, (t, _) in level_glue.items() if t is None]
+    summary = f"obstruction rate {obstruction.rate:.6g} vs growth {entropy:.6g}"
+    if unglued:
+        summary += f"; gluing time not established at levels {', '.join(unglued)}"
+    rows.append(CheckResult(
+        "obstruction-below-entropy",
+        obstruction.rate + OBSTRUCTION_MARGIN < entropy and not unglued, summary,
+        {"obstruction_rate": fmt_float(obstruction.rate), "log_beta": fmt_float(entropy)},
+    ))
+    return rows, suite

@@ -536,6 +536,28 @@ def test_correlation_probe_past_a_depth_1_measure_is_not_run(argv, tmp_path, cap
     assert rows["two-window-mass-floor"]["summary"].startswith("not run: ")
 
 
+def test_correlation_floor_below_the_least_float_passes(tmp_path, capsys):
+    # 00 and 11 have mass 10^-400: the running infimum is positive, though
+    # it renders as 0
+    tiny = Fraction(1, 10 ** 400)
+    mass = {"": Fraction(1), "0": Fraction(1, 2), "1": Fraction(1, 2),
+            "00": tiny, "11": tiny, "01": Fraction(1, 2) - tiny, "10": Fraction(1, 2) - tiny}
+    for n in range(3, 6):
+        for w in itertools.product("01", repeat=n):
+            mass["".join(w)] = mass["".join(w[:-1])] / 2
+    path = tmp_path / "measure.json"
+    path.write_text(json.dumps({
+        "depth": 5, "alphabet_size": 2, "provenance": "test",
+        "entries": [{"word": w, "mass_num": str(m.numerator), "mass_den": str(m.denominator)}
+                    for w, m in mass.items()],
+    }))
+    assert main(["verify", "--beta", "2", "--measure-file", str(path)]) == EXIT_PASS
+    rows = {c["name"]: c for c in json.loads(capsys.readouterr().out)["payload"]["checks"]}
+    probe = rows["correlation-floor"]
+    assert probe["passed"] is True
+    assert probe["summary"] == "running infimum 0 over gaps 1..3"
+
+
 @pytest.mark.parametrize("argv", [
     # the certificate's gap, 9, exceeds --tau-max 4
     ["verify", "--beta", "1.5", "--horizon", "60", "--depth", "3"],

@@ -18,7 +18,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from obstruct import cli, suites
 from obstruct.beta import BetaSystem
-from obstruct.cli import EXIT_INPUT, EXIT_PASS, main
+from obstruct.cli import EXIT_INCONCLUSIVE, EXIT_INPUT, EXIT_PASS, main
 from obstruct.decomposition import beta_decomposition
 from obstruct.errors import InputError
 from obstruct.measures import parry_measure
@@ -132,14 +132,15 @@ def test_growth_decisions_and_bound_directions_match_the_renewal_root(digits, ta
 
 def _verify_in_process(argv, monkeypatch):
     """Run `verify` in process: its exit code, payload, and the arguments
-    and result of each suite call, by name."""
+    and result of the battery and of each suite call in it, by name."""
     calls = {}
-    for name in ("counting_suite", "gibbs_check", "mixing_check"):
-        def traced(*args, _name=name, _run=getattr(cli, name), **kwargs):
+    for module, name in ((cli, "verify_battery"), (suites, "counting_suite"),
+                         (suites, "gibbs_check"), (suites, "mixing_check")):
+        def traced(*args, _name=name, _run=getattr(module, name), **kwargs):
             calls[_name] = (args, kwargs, _run(*args, **kwargs))
             return calls[_name][2]
 
-        monkeypatch.setattr(cli, name, traced)
+        monkeypatch.setattr(module, name, traced)
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
@@ -153,6 +154,15 @@ def _assert_verify_invariants(argv, monkeypatch):
     rows = {c["name"]: c for c in payload["checks"]}
     # exit 0 only when every check passed
     assert (code == EXIT_PASS) <= all(c["passed"] for c in payload["checks"])
+    # the battery's rows set the exit code: 3 exactly when one was not run or
+    # is undecided, 0 exactly when all passed; the payload renders each
+    battery_rows, _ = calls["verify_battery"][2]
+    outcomes = [r.passed for r in battery_rows]
+    assert (code == EXIT_INCONCLUSIVE) == (None in outcomes)
+    assert (code == EXIT_PASS) == all(outcomes)
+    assert [(c["name"], c["passed"]) for c in payload["checks"]] == [
+        (r.name, bool(r.passed)) for r in battery_rows
+    ]
 
     # lo^n <= |L_n| <= hi^(n+1) / (lo - 1) (Renyi 1957; Parry 1960)
     (system, scheme), kwargs, suite = calls["counting_suite"]
@@ -175,12 +185,24 @@ def _assert_verify_invariants(argv, monkeypatch):
     }
 
     # every floor constant is its exact value rounded once, and every proof
-    # constant is at most the measured one
-    for name, call in (("mass-floor", "gibbs_check"), ("two-window-mass-floor", "mixing_check")):
+    # constant is at most the measured one, and is (4k C1_sup)^-1 hi^(-2k tau)
+    # for k windows, at the level's gluing time, rounded once
+    c1_sup = max(ratios.values())
+    level_row = rows[f"gluing-level-{calls['verify_battery'][1]['level']}"]
+    for k, name, call in ((1, "mass-floor", "gibbs_check"),
+                          (2, "two-window-mass-floor", "mixing_check")):
         if "constant" in rows[name]:
             assert rows[name]["constant"] == fmt_float(calls[call][2].constant_exact)
             if rows[name]["proof_constant"] is not None:
                 assert float(rows[name]["proof_constant"]) <= float(rows[name]["constant"])
+                assert rows[name]["proof_constant"] == fmt_float(
+                    1 / (4 * k * c1_sup * hi ** (2 * k * level_row["tau"])))
+
+    # alpha = k' / (64 C1^2) from the exact two-window floor, rounded once
+    c1 = max(ratios[n] for n in range((n_max + 1) // 2, n_max + 1))
+    if rows["correlation-floor"]["alpha_constant"] is not None:
+        assert rows["correlation-floor"]["alpha_constant"] == fmt_float(
+            calls["mixing_check"][2].constant_exact / (64 * c1 ** 2))
     return code
 
 

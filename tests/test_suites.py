@@ -13,21 +13,28 @@ from obstruct.errors import InputError, ObstructError
 from obstruct.measures import CylinderMeasure, parry_measure
 from obstruct.perron import perron_eigendata, simplest_between
 from obstruct.quadratic import golden_ratio
+from obstruct.reports import fmt_float
 from obstruct.suites import (
     _compositions,
     _largest_products,
     counting_suite,
     gibbs_check,
-    gibbs_proof_constant,
     mixing_check,
     mixing_liminf_probe,
-    mixing_proof_constant,
     positive_mass_constant,
     positive_mass_count,
+    verify_battery,
 )
 from obstruct.words import overlay, word
 
 PHI = (1 + math.sqrt(5)) / 2
+
+
+def _battery_row(system, scheme, measure, name, level=2, j=0):
+    """The battery's row of that name, and its counting suite."""
+    rows, suite = verify_battery(system, scheme, measure, level=level, j=j, tau_max=4,
+                                 n_max=24)
+    return next(r for r in rows if r.name == name), suite
 
 
 def _lower_bound(system):
@@ -147,11 +154,14 @@ class TestGibbs:
         assert n in range(1, 11) and report.per_length_min[n] == report.constant
 
     def test_proof_constant_below_empirical(self, golden, golden_scheme):
-        suite = counting_suite(golden, golden_scheme, n_max=24)
-        m = parry_measure(golden, 13)
-        proof = gibbs_proof_constant(suite.c1_sup, suite.tau, golden.log_beta())
-        report = gibbs_check(m, golden, golden_scheme, M=0, n_range=range(1, 13))
-        assert proof <= report.constant
+        # level 0 on a depth-13 measure: the floor over n = 1..12, at the
+        # cores' gluing time
+        row, suite = _battery_row(golden, golden_scheme, parry_measure(golden, 13),
+                                  "mass-floor", level=0)
+        tau = suite.tau
+        proof = 1 / (golden_ratio() ** (2 * tau) * 4 * suites._exact(suite.c1_sup_value))
+        assert row.details["proof_constant"] == fmt_float(proof)
+        assert float(row.details["proof_constant"]) <= float(row.details["constant"])
 
 
 class TestMixing:
@@ -243,15 +253,13 @@ class TestMixing:
             )
 
     def test_proof_constant_below_empirical(self, golden, golden_scheme):
-        suite = counting_suite(golden, golden_scheme, n_max=24)
-        m = parry_measure(golden, 8)
-        proof = mixing_proof_constant(suite.c1_sup, 1, golden.log_beta())
-        report = mixing_check(
-            m, golden, golden_scheme, M=1,
-            pairs=[(word("1"), word("1")), (word("0"), word("0"))],
-            q=2, tau=1,
-        )
-        assert proof <= report.constant
+        row, suite = _battery_row(golden, golden_scheme, parry_measure(golden, 8),
+                                  "two-window-mass-floor", level=1)
+        assert row.passed
+        tau = golden_scheme.gluing_time(1, 0, 4)[0]
+        proof = 1 / (golden_ratio() ** (4 * tau) * 8 * suites._exact(suite.c1_sup_value))
+        assert row.details["proof_constant"] == fmt_float(proof)
+        assert float(row.details["proof_constant"]) <= float(row.details["constant"])
 
 
 class TestPositiveMass:
@@ -338,6 +346,40 @@ class TestProbe:
             assert 0 < float(value) <= 1
 
 
+class TestBattery:
+    @pytest.mark.parametrize("bounds, passed, summary", [
+        # c1 = 1 at lo = 2: count >= 2^(-1/gamma) beta^10 holds at lo, not at hi
+        (((2, 1), (4, 1)), None, "not run: undecided on the enclosure [2, 4] at gamma = 1/4"),
+        # c1 = (2/3)^12 at lo = 3: the bound fails there already
+        (((3, 1), (4, 1)), False, "at n = 10"),
+        (((2, 1), (2, 1)), True, "at n = 10"),
+    ])
+    def test_positive_mass_count_is_decided_on_the_bounds(
+        self, full2, full2_scheme, monkeypatch, bounds, passed, summary
+    ):
+        monkeypatch.setattr(suites, "_growth", lambda system: bounds)
+        row, _ = _battery_row(full2, full2_scheme, parry_measure(full2, 10),
+                              "positive-mass-count")
+        assert (row.passed, row.summary) == (passed, summary)
+        assert [r["count"] for r in row.details["rows"]] == [256, 512, 768]
+
+    def test_rows_in_order_with_not_run_as_none(self, threehalf):
+        # the certificate's gap at depth 3, 9, exceeds tau_max 4: no gluing
+        # time, so the rows that need one are not run
+        scheme = beta_decomposition(threehalf)
+        rows, suite = verify_battery(threehalf, scheme, parry_measure(threehalf, 12),
+                                     level=2, j=3, tau_max=4, n_max=24)
+        names = [r.name for r in rows]
+        assert names[:4] == ["gluing-level-0", "gluing-level-1", "gluing-level-2",
+                             "gluing-cores"]
+        assert names[-4:] == ["two-window-mass-floor", "positive-mass-count",
+                              "correlation-floor", "obstruction-below-entropy"]
+        not_run = {r.name for r in rows if r.passed is None}
+        assert {"gluing-cores", "two-window-mass-floor", "counting:gluing-product-bound",
+                "counting:core-count-ceiling"} <= not_run
+        assert rows[-1].passed is False and suite.tau == 4
+
+
 # systems whose measures carry exact quadratic, exact integer and
 # enclosure-scaled integer class weights, and a listed table of rounded masses
 _SWEEP_SYSTEMS = {
@@ -368,7 +410,7 @@ def _outcome(call):
 
 def _probe_by_templates(m, u_words, v_words, gaps):
     """mixing_liminf_probe from one pattern_weight per overlaid template,
-    the exact masses summed as numbers."""
+    the exact masses summed as numbers, the totals and infimum unrounded."""
     results, running = {}, None
     for gap in sorted(gaps):
         total = 0
@@ -380,7 +422,7 @@ def _probe_by_templates(m, u_words, v_words, gaps):
                     num, den = m.classes.scales[len(t)]
                     total += Fraction(1) * weight * num / den
         running = total if running is None else min(running, total)
-        results[gap] = (float(total), float(running))
+        results[gap] = (total, running)
     return results
 
 
