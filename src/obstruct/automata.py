@@ -4,8 +4,9 @@ A presentation is a right-resolving automaton: states 0..n-1, at most one
 edge per (state, symbol), and a distinguished start state whose label
 sequences are exactly the points of the shift.  Path counts, word
 enumeration, and per-state extension counts are all exact big-integer
-computations on this graph.  Count rows are stepped by straight-line code
-compiled from the edge list; a far path-count row of a small presentation
+computations on this graph.  Count rows are stepped by a plan built once
+from the edge list (`step_plan`: slices for runs of copies, one C-level
+item fetch per wider sum); a far path-count row of a small presentation
 is reached by doubling instead.  The window sums of count rows against
 extension rows follow one left-to-right doubling chain, whose latest pairs
 are kept (`Presentation.window_sums`).
@@ -41,11 +42,6 @@ MAX_ENUMERATED_WORDS = 10 ** 6
 # presentation is reached by doubling, so the cap bounds the size of the
 # integers (about 0.7 n bits on the golden mean), not a number of steps
 MATRIX_POWER_CAP = 10 ** 6
-
-# longest sum a compiled step writes as a chain of `+`; CPython's compiler
-# recurses once per `+` and fails near 3 000 of them, so a wider fan-in is
-# written as the sum of one C-level item fetch
-MAX_CHAINED_TERMS = 64
 
 # most checkpoint rows a RowStore keeps; even, so that halving keeps every
 # other stride-th row
@@ -122,7 +118,7 @@ def check_enumeration_cap(n: int, cap: int | None) -> None:
 class RowStore:
     """Rows 0, 1, 2, ... of a forward recurrence, held in memory linear in n.
 
-    `compile_step()` is called once, before the first step, and returns
+    `make_step()` is called once, before the first step, and returns
     `step(row, k)`, which computes row k + 1 from row k and may raise.  The
     store keeps every `stride`-th row as a checkpoint, at most
     MAX_CHECKPOINTS of them (when full, every other one is dropped and the
@@ -132,8 +128,8 @@ class RowStore:
     order cost one step each.
     """
 
-    def __init__(self, first, compile_step):
-        self._compile_step = compile_step
+    def __init__(self, first, make_step):
+        self._make_step = make_step
         self._step = None
         self._stride = 1
         self._checkpoints = [first]  # rows 0, stride, 2 * stride, ...
@@ -142,9 +138,9 @@ class RowStore:
 
     @property
     def step(self):
-        """The compiled step, compiled on first use."""
+        """The step, built on first use."""
         if self._step is None:
-            self._step = self._compile_step()
+            self._step = self._make_step()
         return self._step
 
     def _below_frontier_start(self, n: int):
@@ -202,83 +198,90 @@ def _past_horizon(k):
     )
 
 
-def compile_step(sums, marker=None):
-    """`step(c, k)` returning the row [sum of c over sums[0], sum over
-    sums[1], ...], compiled from straight-line code.
+def step_plan(sums):
+    """The parts of the step `sum_step` runs for `sums`, built in one pass
+    over the terms: (runs, fan_ins, fixes).
 
-    `sums[t]` lists row indices, an index once per edge it stands for.
-    Entries that copy c[s], c[s + 1], ... are written as one slice, also
-    when they add d c[z] to the copy: such multiples are then added in
-    place, by one loop over (entry, d) pairs per z.  A sum of more than
-    MAX_CHAINED_TERMS other terms is the sum of one C-level item fetch.
-    With a marker, the step first raises HorizonError(certified=k) when
-    c[marker] is nonzero.
+    `sums[t]` lists row indices, an index once per edge it stands for.  An
+    entry of one term, or an entry d c[z] + c[s] (z its least term) beside
+    one that copies c[s - 1] or c[s + 1], is a copy: `runs` holds a (slice
+    of the row, slice of c) pair per run of copies, and `fixes` adds the
+    d c[z] in place after, one (z, scales, (entry, index of its scale)
+    pairs) per z.  Any other entry of several terms is the sum of one
+    C-level item fetch (`fan_ins`, (t, itemgetter) pairs); an empty entry
+    stays 0.
     """
-    namespace = {"past_horizon": _past_horizon, "mul": mul, "repeat": repeat}
-    sums = [sorted(terms) for terms in sums]
-    # (s, z, d) for an entry d c[z] + c[s], d = 0 for a plain copy
+    # (s, z, d) for an entry d c[z] + c[s]
     shapes = [
-        (terms[-1], terms[0], len(terms) - 1)
-        if terms and terms.count(terms[0]) == len(terms) - (terms[0] != terms[-1])
-        else None
+        (terms[0], terms[0], 0) if len(terms) == 1
+        else (max(terms), min(terms), len(terms) - 1)
+        if terms and terms.count(min(terms)) >= len(terms) - 1 else None
         for terms in sums
     ]
-
-    def in_run(t, u):
-        """Whether entries t and u copy indices u - t apart (one slice)."""
-        return (0 <= u < len(sums) and shapes[u] is not None
-                and shapes[u][0] - shapes[t][0] == u - t)
-
-    entries: list = []  # source text, or [first, last] of a run of copies
-    fixes: dict = {}  # z -> (entry, d) pairs
-    for t, terms in enumerate(sums):
-        if shapes[t] and (len(terms) == 1 or in_run(t, t - 1) or in_run(t, t + 1)):
-            s, z, d = shapes[t]
-            if d:
-                fixes.setdefault(z, []).append((t, d))
-            if entries and isinstance(entries[-1], list) and entries[-1][1] == s - 1:
-                entries[-1][1] = s
-            else:
-                entries.append([s, s])
-        elif len(terms) <= MAX_CHAINED_TERMS:
-            entries.append(" + ".join(f"c[{s}]" for s in terms) or "0")
+    # source[t + 1]: the index entry t would copy, None past either end
+    source = [None, *(shape and shape[0] for shape in shapes), None]
+    copies: list = []  # [first entry, first source, length] of each run
+    fan_ins, fixes = [], {}  # z -> ({d: index of d}, [(entry, index)])
+    after = None  # (entry, source) that would extend the last run
+    for t, shape in enumerate(shapes):
+        s, z, d = shape or (0, 0, 0)
+        if shape is None or d and source[t] != s - 1 and source[t + 2] != s + 1:
+            if len(sums[t]) > 1:
+                fan_ins.append((t, itemgetter(*sums[t])))
+            continue
+        if d:
+            scales, pairs = fixes.setdefault(z, ({}, []))
+            pairs.append((t, scales.setdefault(d, len(scales))))
+        if after == (t, s):
+            copies[-1][2] += 1
         else:
-            name = f"pick{len(namespace)}"
-            namespace[name] = itemgetter(*terms)
-            entries.append(f"sum({name}(c))")
-    row = ", ".join(
-        e if isinstance(e, str)
-        else f"c[{e[0]}]" if e[0] == e[1] else f"*c[{e[0]}:{e[1] + 1}]"
-        for e in entries
-    )
-    lines = ["def step(c, k):"]
-    if marker is not None:
-        lines += [f"    if c[{marker}]:", "        past_horizon(k)"]
-    lines.append(f"    row = [{row}]" if fixes else f"    return [{row}]")
-    for z, pairs in fixes.items():
-        scales = sorted({d for _, d in pairs})
-        name = f"fix{len(namespace)}"
-        namespace[name] = tuple((t, scales.index(d)) for t, d in pairs)
-        namespace[f"{name}_scales"] = tuple(scales)
-        lines += [f"    m = tuple(map(mul, {name}_scales, repeat(c[{z}])))",
-                  f"    for t, i in {name}:", "        row[t] += m[i]"]
-    if fixes:
-        lines.append("    return row")
-    exec(compile("\n".join(lines), "<transfer step>", "exec"), namespace)
-    return namespace["step"]
+            copies.append([t, s, 1])
+        after = t + 1, s + 1
+    return ([(slice(t, t + n), slice(s, s + n)) for t, s, n in copies], fan_ins,
+            [(z, tuple(scales), tuple(pairs)) for z, (scales, pairs) in fixes.items()])
 
 
-def _compile_state_step(delta, marker):
-    """Path counts of length k + 1 from those of length k: row[t] sums the
-    counts of the sources of the edges into t."""
-    sums = [[] for _ in delta]
+def sum_step(sums, marker=None):
+    """`step(c, k)` returning the row [sum of c over sums[0], sum over
+    sums[1], ...], run on the parts of `step_plan(sums)`.  With a marker,
+    it first raises HorizonError(certified=k) when c[marker] is nonzero.
+    """
+    runs, fan_ins, fixes = step_plan(sums)
+    width = len(sums)
+
+    def step(c, k):
+        if marker is not None and c[marker]:
+            _past_horizon(k)
+        row = [0] * width
+        for to, of in runs:
+            row[to] = c[of]
+        for t, pick in fan_ins:
+            row[t] = sum(pick(c))
+        for z, scales, pairs in fixes:
+            m = tuple(map(mul, scales, repeat(c[z])))
+            for t, i in pairs:
+                row[t] += m[i]
+        return row
+
+    return step
+
+
+def _sources(delta) -> list:
+    """Per state, the sources of the edges into it, once per edge."""
+    sources = [[] for _ in delta]
     for s, targets in enumerate(delta):
         for t in targets.values():
-            sums[t].append(s)
-    return compile_step(sums, marker)
+            sources[t].append(s)
+    return sources
 
 
-def _compile_extension_step(delta, order, dist):
+def _state_step(delta, marker):
+    """Path counts of length k + 1 from those of length k: row[t] sums the
+    counts of the sources of the edges into t."""
+    return sum_step(_sources(delta), marker)
+
+
+def _extension_step(delta, order, dist):
     """Continuation counts of length j + 1 from those of length j.
 
     A row is the pair (sums, shown): sums[s] adds up the counts of the
@@ -286,7 +289,7 @@ def _compile_extension_step(delta, order, dist):
     states that are poisoned at that length (see `_poisoned`).  A state not
     poisoned at j + 1 has no poisoned target at j, so its sum is exact.
     """
-    kernel = compile_step([list(targets.values()) for targets in delta])
+    kernel = sum_step([list(targets.values()) for targets in delta])
 
     def step(rows, j):
         sums = kernel(rows[0], j)
@@ -310,11 +313,7 @@ def _poisoned(order, dist, row, j):
 
 def distances_to(delta, target) -> list:
     """Edge distance from each state to `target` (None: no path)."""
-    sources = [[] for _ in delta]
-    for s, targets in enumerate(delta):
-        for t in targets.values():
-            sources[t].append(s)
-    return bfs_distances(sources, target)
+    return bfs_distances(_sources(delta), target)
 
 
 def doubling_pays(states: int, edges: int, n: int, base: int) -> bool:
@@ -363,14 +362,14 @@ class Presentation:
             raise ValueError("marker state must have no outgoing edges")
         self._moves = [tuple(sorted(d.items())) for d in self.delta]
         self._n_edges = sum(len(d) for d in self.delta)
-        # the compilers hold the graph, not self: no reference cycle
+        # the step makers hold the graph, not self: no reference cycle
         self._state_counts = RowStore(
             self._unit_vector(start),
-            partial(_compile_state_step, self.delta, marker),
+            partial(_state_step, self.delta, marker),
         )
         self._squares: list = []  # adjacency matrix to the powers 2^i
         self._chain: list = []  # (a, S_a, A^a) of the latest window_sums chain
-        self._out_sums = None  # compiled with the chain's first pair
+        self._out_sums = None  # built with the chain's first pair
         self._to_marker: int | None = None  # distance from start to marker
         self._essential: Presentation | None = None  # see essential_part
         self._all_essential = False  # no state dropped: self is the essential part
@@ -389,7 +388,7 @@ class Presentation:
         ones = [1] * n_states
         self._ext = RowStore(
             (ones, ones),
-            partial(_compile_extension_step, self.delta, order, order_dist),
+            partial(_extension_step, self.delta, order, order_dist),
         )
 
     def _unit_vector(self, s):
@@ -428,7 +427,7 @@ class Presentation:
         Row n is the start row of A^n when the latest `window_sums` chain
         holds it; else e_start A^n by binary powering, from the cached
         squares of the adjacency matrix A, when `doubling_pays`; otherwise
-        the compiled step runs forward to it (see RowStore).  A jump is
+        the step runs forward to it (see RowStore).  A jump is
         never stored and never crosses the marker.
         """
         if n < 0:
@@ -481,7 +480,7 @@ class Presentation:
         chain, k = self._chain, self.n_states
         if not chain:
             # row -> row A^T, a sum over the edges out of each state
-            self._out_sums = compile_step([list(d.values()) for d in self.delta])
+            self._out_sums = sum_step([list(d.values()) for d in self.delta])
             chain.append((0, [[0] * k] * k, [self._unit_vector(s) for s in range(k)]))
         values = [a for a, _, _ in chain]
         todo = []
@@ -525,9 +524,9 @@ class Presentation:
         `extensions`), in increasing order.
 
         Row `first` is read as `state_counts` (or the extension store) reads
-        it; every later row costs one compiled step and is not stored.  Rows are made as they are asked
-        for, so a path-count row past the marker raises HorizonError only
-        when it is reached.
+        it; every later row costs one step and is not stored.  Rows are made
+        as they are asked for, so a path-count row past the marker raises
+        HorizonError only when it is reached.
         """
         if extensions:
             store, row = self._ext, self._ext[first]
@@ -621,10 +620,7 @@ class Presentation:
         if self._essential is None and not self._all_essential:
             if self.start == self.marker:
                 raise HorizonError("the start state is the truncation marker")
-            sources: list[list[int]] = [[] for _ in self.delta]
-            for s, moves in enumerate(self._moves):
-                for _, t in moves:
-                    sources[t].append(s)
+            sources = _sources(self.delta)
             live = [len(moves) for moves in self._moves]
             dropped = [s for s, n in enumerate(live) if not n]
             for t in dropped:  # grows as states are dropped

@@ -408,7 +408,7 @@ class BetaSystem(PresentedShift):
     def _fill_core_counts(self, n: int) -> list[int]:
         """The cached Z_0, Z_1, ..., extended through Z_n.
 
-        Reads the count rows in increasing order, one compiled step each.
+        Reads the count rows in increasing order, one step each.
         """
         have = len(self._core_counts)
         if have <= n:

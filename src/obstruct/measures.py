@@ -551,7 +551,7 @@ def empirical_mme(system, n: int, depth: int) -> CylinderMeasure:
         def deepest_sum(s, t):
             return deepest[s][t]
     else:
-        # rows in increasing order, one compiled step each
+        # rows in increasing order, one step each
         state_counts = list(pres.count_rows(n))
         counts = state_counts[deep:]
         ext_rows = list(pres.count_rows(deep, extensions=True))

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+from decimal import MIN_EMIN, Context, Decimal
 from fractions import Fraction
 from itertools import accumulate, combinations, repeat
 from operator import mul
@@ -80,6 +81,19 @@ def _rounded(q) -> float:
     """The float nearest q: int / int, and `float` of a field element, round
     correctly."""
     return float(q[0] / q[1])
+
+
+def _significant(q, digits: int) -> str:
+    """The quotient q to `digits` significant digits, as `g` formats its
+    float, but worked out from q's integers where q is positive and below
+    the least float, whose float would read 0."""
+    x = _rounded(q)
+    exact = None if x else _exact(q)
+    if not (isinstance(exact, Fraction) and exact > 0):
+        return f"{x:.{digits}g}"
+    context = Context(prec=digits, Emin=MIN_EMIN)
+    x = context.divide(Decimal(exact.numerator), Decimal(exact.denominator))
+    return f"{x.normalize(context):.{digits}g}"
 
 
 def _exact(q):
@@ -167,25 +181,14 @@ def counting_suite(
     boundary_counts = {n: count_separated(boundary, n, j) for n in range(1, n_max + 1)}
 
     # (a) submultiplicativity of language counts
-    bad = next(
-        (
-            (m, n)
-            for m in range(1, n_max)
-            for n in range(1, n_max - m + 1)
-            if lang[m + n] > lang[m] * lang[n]
-        ),
-        None,
-    )
-    checks.append(
-        CheckResult(
-            "product-bound",
-            bad is None,
-            "count(m+n) <= count(m) * count(n)"
-            if bad is None
-            else f"violated at m={bad[0]}, n={bad[1]}",
-            {"witness": bad},
-        )
-    )
+    bad = next(((m, n) for m in range(1, n_max) for n in range(1, n_max - m + 1)
+                if lang[m + n] > lang[m] * lang[n]), None)
+    checks.append(CheckResult(
+        "product-bound", bad is None,
+        "count(m+n) <= count(m) * count(n)" if bad is None
+        else f"violated at m={bad[0]}, n={bad[1]}",
+        {"witness": bad},
+    ))
 
     # (b) growth floor: holds where hi^n <= count, fails where count < lo^n
     checks.append(_decide(
@@ -213,16 +216,12 @@ def counting_suite(
                 break
         if bad:
             break
-    checks.append(
-        CheckResult(
-            "gluing-product-bound",
-            bad is None,
-            f"count(sum n_i + (k-1)*{tau}) >= prod core-count(n_i)"
-            if bad is None
-            else f"violated at parts={bad[0]}: {bad[1]} < {bad[2]}",
-            {"witness": bad, "tau": tau},
-        )
-    )
+    checks.append(CheckResult(
+        "gluing-product-bound", bad is None,
+        f"count(sum n_i + (k-1)*{tau}) >= prod core-count(n_i)" if bad is None
+        else f"violated at parts={bad[0]}: {bad[1]} < {bad[2]}",
+        {"witness": bad, "tau": tau},
+    ))
 
     # (d) core count ceiling: holds where count <= lo^(n+tau), fails where
     # count > hi^(n+tau)
@@ -251,15 +250,11 @@ def counting_suite(
                     for ns in (range((n_max + 1) // 2, n_max + 1), ratios))
     c1_value, c1_sup_value = ((lang[n] * lo_pow[n][1], lo_pow[n][0]) for n in (top, top_sup))
     c1, c1_sup = _rounded(c1_value), _rounded(c1_sup_value)
-    checks.append(
-        CheckResult(
-            "count-ratio-ceiling",
-            ratios[top_sup] <= 2 * ratios[top],
-            f"count(n) <= {c1_sup:.6f} * beta^n for n <= {n_max}, "
-            f"tail value {c1:.6f}",
-            {"c1": c1, "c1_sup": c1_sup},
-        )
-    )
+    checks.append(CheckResult(
+        "count-ratio-ceiling", ratios[top_sup] <= 2 * ratios[top],
+        f"count(n) <= {c1_sup:.6f} * beta^n for n <= {n_max}, tail value {c1:.6f}",
+        {"c1": c1, "c1_sup": c1_sup},
+    ))
 
     # (g) coverage floors for the filtration levels
     coverage_rows = []
@@ -285,25 +280,14 @@ def counting_suite(
             coverage_rows.append((float(gamma2), None, None))
         else:
             coverage_rows.append((float(gamma2), found[0], float(found[1])))
-    checks.append(
-        CheckResult(
-            "coverage-floor",
-            cover_ok,
-            "every level fraction reaches 1 - gamma within the level cap"
-            if cover_ok
-            else "some gamma needs a level beyond the cap",
-            {"rows": coverage_rows},
-        )
-    )
-
-    return CountingSuiteReport(
-        checks=tuple(checks),
-        tau=tau,
-        c1_value=c1_value,
-        c1_sup_value=c1_sup_value,
-        b_tails=b_tails,
-        bounds=(lo, hi),
-    )
+    checks.append(CheckResult(
+        "coverage-floor", cover_ok,
+        "every level fraction reaches 1 - gamma within the level cap" if cover_ok
+        else "some gamma needs a level beyond the cap",
+        {"rows": coverage_rows},
+    ))
+    return CountingSuiteReport(checks=tuple(checks), tau=tau, c1_value=c1_value,
+                               c1_sup_value=c1_sup_value, b_tails=b_tails, bounds=(lo, hi))
 
 
 def _compositions(total: int, k: int):
@@ -440,8 +424,10 @@ def gibbs_check(
     M: int,
     n_range,
     j: int = 0,
+    bounds: tuple | None = None,
 ) -> GibbsReport:
-    """Floor for cylinder masses over level-M words: min mass([v]) * lo^n.
+    """Floor for cylinder masses over level-M words: min mass([v]) * lo^n,
+    for lo of `bounds`, the (lo, hi) of `_growth(system)` when not given.
 
     The exact masses of all depth-(n + j) extensions of level-M words are
     scaled by lo^n; the report carries the minimum, the word attaining it
@@ -457,7 +443,7 @@ def gibbs_check(
     least word of its first group is read back; only the words of a class
     of weight <= 0 are listed.
     """
-    power = _powers(_growth(system)[0], max(n_range, default=0))
+    power = _powers((bounds or _growth(system))[0], max(n_range, default=0))
     classes = measure.classes
     weights = classes.weights
     start, level_moves, member = scheme.level_automaton(M)
@@ -542,8 +528,10 @@ def mixing_check(
     pairs,
     q: int,
     tau: int = 0,
+    bounds: tuple | None = None,
 ) -> GibbsReport:
-    """Floor for two-window masses: min mass([u] & shift^-(|u|+q) [v]) * lo^(|u|+|v|).
+    """Floor for two-window masses: min mass([u] & shift^-(|u|+q) [v]) * lo^(|u|+|v|),
+    for lo of `bounds` as in `gibbs_check`.
 
     The joint mass is the total mass of u . t . v over all length-q middles:
     its pattern weight times S_(|u|+q+|v|).  The estimate is only claimed
@@ -555,7 +543,8 @@ def mixing_check(
     from the first such u: v is read off that u's class paths through the
     gap, walked once.
     """
-    power = _powers(_growth(system)[0], max((len(u) + len(v) for u, v in pairs), default=0))
+    power = _powers((bounds or _growth(system))[0],
+                    max((len(u) + len(v) for u, v in pairs), default=0))
     classes = measure.classes
     in_level = functools.cache(lambda w: scheme.in_level(w, M))
     first: dict = {}  # (len(u), class of u) -> the first such u
@@ -626,8 +615,9 @@ def mixing_liminf_probe(measure, u_words, v_words, m_range) -> dict:
     U and V are unions of cylinders given by word lists.  Each u's class
     paths are carried along the increasing gaps and every v is read off
     them; overlapping windows are merged symbol-by-symbol and clashes
-    contribute zero.  The totals and their infimum are exact numbers
-    (`Fraction`s or field elements), for the caller to round.
+    contribute zero.  The totals and their infimum are exact quotients
+    (num, den), compared by cross-multiplication and not normalised: the
+    caller normalises (`_exact`) or rounds what it reads.
     """
     classes = measure.classes
     results = {}
@@ -650,9 +640,9 @@ def mixing_liminf_probe(measure, u_words, v_words, m_range) -> dict:
                     weight = classes.pattern_weight(template)
                 num, den = classes.scales[n]
                 total = (total[0] * den + (weight or 0) * num * total[1], total[1] * den)
-        value = _exact(total)
-        running = value if running is None else min(running, value)
-        results[m] = (value, running)
+        if running is None or _compare(total, running) < 0:
+            running = total
+        results[m] = (total, running)
     return results
 
 
@@ -727,8 +717,8 @@ def verify_battery(system, scheme, measure, *, level: int, j: int, tau_max: int,
                                                       hi[0] ** e * 4 * k * num)))}
 
     # lengths from the measure in use: a measure file sets its own depth
-    gibbs = gibbs_check(measure, system, scheme, M=level,
-                        n_range=range(1, min(measure.depth - j, 12) + 1), j=j)
+    gibbs = gibbs_check(measure, system, scheme, M=level, j=j, bounds=suite.bounds,
+                        n_range=range(1, min(measure.depth - j, 12) + 1))
     rows.append(CheckResult(
         "mass-floor", gibbs.passed,
         f"min mass * growth^n = {gibbs.constant:.6g} on {gibbs.word_class}",
@@ -746,7 +736,7 @@ def verify_battery(system, scheme, measure, *, level: int, j: int, tau_max: int,
         try:
             mixing = mixing_check(measure, system, scheme, M=level,
                                   pairs=[(u, v) for u in words for v in words],
-                                  q=q, tau=level_tau)
+                                  q=q, tau=level_tau, bounds=suite.bounds)
         except DepthError as exc:
             # the gap q does not fit in the measure's depth: no verdict either way
             rows.append(CheckResult("two-window-mass-floor", None, f"not run: {exc}"))
@@ -799,9 +789,9 @@ def verify_battery(system, scheme, measure, *, level: int, j: int, tau_max: int,
         alpha = None if mixing is None else fmt_float(_rounded(
             (mixing.value[0] * c1[1] ** 2, mixing.value[1] * 64 * c1[0] ** 2)))
         rows.append(CheckResult(
-            "correlation-floor", running > 0,
-            f"running infimum {float(running):.6g} over gaps 1..{top}",
-            {"running_infimum": fmt_float(running), "alpha_constant": alpha},
+            "correlation-floor", running[0] > 0,
+            f"running infimum {_significant(running, 6)} over gaps 1..{top}",
+            {"running_infimum": _significant(running, 17), "alpha_constant": alpha},
         ))
 
     obstruction = upper_entropy(scheme.boundary(), j, n_max)

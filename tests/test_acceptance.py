@@ -186,9 +186,11 @@ def test_criterion_6_two_window_floor(golden, full2, golden_scheme, full2_scheme
         q=2, tau=1,
     )
     probe = mixing_liminf_probe(m_g, [word("0")], [word("0")], range(1, 11))
-    all_positive = all(float(probe[m][0]) > 0 for m in range(1, 11))
+    # the probe's totals are quotients (num, den), den > 0
+    all_positive = all(probe[m][0][0] > 0 for m in range(1, 11))
     floor = mix.constant / PHI ** 2
-    running = float(probe[10][1])
+    num, den = probe[10][1]
+    running = float(num / den)
     record(
         6,
         f"full-shift joint masses exactly 2^-(m+n); golden ([0], shift^-m [0]) "

@@ -1,3 +1,4 @@
+import builtins
 from itertools import product
 from operator import mul
 
@@ -8,7 +9,7 @@ from obstruct import automata
 from obstruct.automata import MAX_CHECKPOINTS, Presentation
 from obstruct.beta import BetaSystem
 from obstruct.errors import EnumerationCapError, HorizonError
-from obstruct.factors import PairAutomaton
+from obstruct.factors import BlockCode, FactorSystem, PairAutomaton
 
 
 def _mat_mul(a, b):
@@ -286,11 +287,11 @@ def test_golden_far_count_is_a_fibonacci_number():
 
 
 def test_wide_fan_in_compiles_and_counts():
-    # 6 621 edges enter state 0: a chain of `+` that long fails to compile;
-    # the extension step is one run of copies plus multiples of c[0]
+    # 6 621 edges enter state 0, one sum of one item fetch; the extension
+    # step is one run of copies plus multiples of c[0]
     system = BetaSystem.from_beta("2.5", horizon=10_000)
     pres = system.presentation
-    assert sum(t == 0 for _, _, t in pres.edges()) > automata.MAX_CHAINED_TERMS
+    assert sum(t == 0 for _, _, t in pres.edges()) == 6_621
     counts = _forward_state_counts(pres, 30)
     assert [pres.state_counts(n) for n in range(31)] == counts
     assert system.count_language(30) == sum(counts[30])
@@ -299,7 +300,7 @@ def test_wide_fan_in_compiles_and_counts():
 
 
 def _step_sums():
-    """Index lists for compile_step: runs d c[z] + c[s], d' c[z] + c[s + 1],
+    """Index lists for sum_step: runs d c[z] + c[s], d' c[z] + c[s + 1],
     ... (z possibly a copied index), and sums of any shape."""
     run = st.builds(
         lambda z, first, ds: [[z] * d + [first + i] for i, d in enumerate(ds)],
@@ -315,18 +316,18 @@ def _step_sums():
 @given(_step_sums(), st.lists(st.integers(0, 2 ** 80), min_size=12, max_size=12))
 @settings(max_examples=300, deadline=None)
 def test_compiled_step_matches_the_sums(sums, row):
-    step = automata.compile_step(sums)
+    step = automata.sum_step(sums)
     assert step(row, 0) == [sum(row[i] for i in terms) for terms in sums]
 
 
 def test_copy_runs_compile_to_code_of_one_size():
     # entries d c[0] + c[s + 1], as in a beta presentation's extension step,
     # are one slice and one loop however many states there are
-    def code_size(n):
+    def parts(n):
         sums = [[0] * (s % 3) + [s + 1] for s in range(n)]
-        return len(automata.compile_step(sums).__code__.co_code)
+        return list(map(len, automata.step_plan(sums)))
 
-    assert code_size(10) == code_size(10_000)
+    assert parts(10) == parts(10_000) == [1, 0, 1]
 
 
 @given(presentations(), st.lists(st.integers(1, 40), min_size=1, max_size=4))
@@ -399,6 +400,47 @@ def test_steps_compile_on_first_use():
     assert live._state_counts._step is None
     pres.state_counts(5)
     assert pres._state_counts._step is not None and pres._ext._step is None
+
+
+def test_rows_are_stepped_without_code_generation(monkeypatch):
+    # count rows, extension rows and window sums, each step built and run
+    # with compile and exec refused
+    maj3 = BlockCode(3, {b: int(sum(b) >= 2) for b in product((0, 1), repeat=3)}, 2)
+    systems = [
+        BetaSystem.from_beta("2.5", horizon=60),
+        BetaSystem.golden_mean(),
+        BetaSystem.from_beta("2.5", horizon=10_000),
+        FactorSystem(BetaSystem.full_shift(2), maj3),
+    ]
+    lengths = (1, 6, 7, 13)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("code generation")
+
+    for system in systems:
+        pres = system.presentation
+        counts = _forward_state_counts(pres, 30)
+        ext = _forward_extension_counts(pres, 30)
+        # a window sum is a k-by-k matrix: none on the 10 001 states
+        windows = lengths if pres.n_states < 100 else ()
+        with monkeypatch.context() as patch:
+            patch.setattr(builtins, "compile", refuse)
+            patch.setattr(builtins, "exec", refuse)
+            rows = list(pres.count_rows(len(counts) - 1))
+            ext_rows = list(pres.count_rows(30, extensions=True))
+            sums = [pres.window_sums(n) for n in windows]
+        assert rows == counts
+        assert ext_rows == ext
+        adjacency = pres.adjacency()
+        ones = [[1] * pres.n_states]
+        for n, got in zip(windows, sums):
+            while len(ones) < n:
+                ones.append([sum(map(mul, row, ones[-1])) for row in adjacency])
+            assert got == [
+                [sum(counts[k][s] * ones[n - 1 - k][t] for k in range(n))
+                 for t in range(pres.n_states)]
+                for s in range(pres.n_states)
+            ]
 
 
 def _outcome(fn):

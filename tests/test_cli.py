@@ -536,9 +536,9 @@ def test_correlation_probe_past_a_depth_1_measure_is_not_run(argv, tmp_path, cap
     assert rows["two-window-mass-floor"]["summary"].startswith("not run: ")
 
 
-def test_correlation_floor_below_the_least_float_passes(tmp_path, capsys):
-    # 00 and 11 have mass 10^-400: the running infimum is positive, though
-    # it renders as 0
+def _tiny_correlation_rows(tmp_path, capsys):
+    """verify --beta 2 on a depth-5 table where 00 and 11 have mass 10^-400:
+    the exit code and the rows by name."""
     tiny = Fraction(1, 10 ** 400)
     mass = {"": Fraction(1), "0": Fraction(1, 2), "1": Fraction(1, 2),
             "00": tiny, "11": tiny, "01": Fraction(1, 2) - tiny, "10": Fraction(1, 2) - tiny}
@@ -551,11 +551,23 @@ def test_correlation_floor_below_the_least_float_passes(tmp_path, capsys):
         "entries": [{"word": w, "mass_num": str(m.numerator), "mass_den": str(m.denominator)}
                     for w, m in mass.items()],
     }))
-    assert main(["verify", "--beta", "2", "--measure-file", str(path)]) == EXIT_PASS
-    rows = {c["name"]: c for c in json.loads(capsys.readouterr().out)["payload"]["checks"]}
+    code = main(["verify", "--beta", "2", "--measure-file", str(path)])
+    return code, {c["name"]: c for c in json.loads(capsys.readouterr().out)["payload"]["checks"]}
+
+
+def test_correlation_floor_below_the_least_float_passes(tmp_path, capsys):
+    # the running infimum 10^-400 is positive, though below the least float
+    code, rows = _tiny_correlation_rows(tmp_path, capsys)
+    assert code == EXIT_PASS
+    assert rows["correlation-floor"]["passed"] is True
+
+
+def test_sub_float_running_infimum_reads_its_exact_value(tmp_path, capsys):
+    # a float would read 0 beside passed: true
+    _, rows = _tiny_correlation_rows(tmp_path, capsys)
     probe = rows["correlation-floor"]
-    assert probe["passed"] is True
-    assert probe["summary"] == "running infimum 0 over gaps 1..3"
+    assert probe["running_infimum"] == "1e-400"
+    assert probe["summary"] == "running infimum 1e-400 over gaps 1..3"
 
 
 @pytest.mark.parametrize("argv", [

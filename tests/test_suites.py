@@ -309,17 +309,25 @@ class TestPositiveMass:
             positive_mass_count(m, Fraction(3, 2), 4)
 
 
+def _probe_values(m, u_words, v_words, gaps):
+    """mixing_liminf_probe with its quotients normalised to numbers."""
+    return {
+        gap: tuple(map(suites._exact, pair))
+        for gap, pair in mixing_liminf_probe(m, u_words, v_words, gaps).items()
+    }
+
+
 class TestProbe:
     def test_full_shift_independence(self, full2):
         m = parry_measure(full2, 12)
-        probe = mixing_liminf_probe(m, [word("0")], [word("1")], range(1, 11))
+        probe = _probe_values(m, [word("0")], [word("1")], range(1, 11))
         for gap, (value, running) in probe.items():
             assert value == Fraction(1, 4)
             assert running == Fraction(1, 4)
 
     def test_golden_ones_blocked_then_open(self, golden):
         m = parry_measure(golden, 8)
-        probe = mixing_liminf_probe(m, [word("1")], [word("1")], range(1, 4))
+        probe = _probe_values(m, [word("1")], [word("1")], range(1, 4))
         assert float(probe[1][0]) == 0
         assert float(probe[2][0]) > 0
         assert float(probe[2][0]) == pytest.approx(
@@ -333,13 +341,13 @@ class TestProbe:
             pairs=[(word("0"), word("0")), (word("1"), word("1"))],
             q=2, tau=1,
         )
-        probe = mixing_liminf_probe(m, [word("0")], [word("0")], range(1, 11))
+        probe = _probe_values(m, [word("0")], [word("0")], range(1, 11))
         running = float(probe[10][1])
         assert running >= mix.constant / PHI ** 2 - 1e-12
 
     def test_union_of_cylinders(self, golden):
         m = parry_measure(golden, 8)
-        probe = mixing_liminf_probe(
+        probe = _probe_values(
             m, [word("00"), word("01")], [word("0")], range(1, 5)
         )
         for gap, (value, _) in probe.items():
@@ -362,6 +370,16 @@ class TestBattery:
                               "positive-mass-count")
         assert (row.passed, row.summary) == (passed, summary)
         assert [r["count"] for r in row.details["rows"]] == [256, 512, 768]
+
+    def test_growth_bounds_are_widened_once(self, threehalf, monkeypatch):
+        # the mass floors read the counting suite's (lo, hi)
+        calls = []
+        growth = suites._growth
+        monkeypatch.setattr(suites, "_growth", lambda system: calls.append(1) or growth(system))
+        scheme = beta_decomposition(threehalf)
+        verify_battery(threehalf, scheme, parry_measure(threehalf, 12),
+                       level=1, j=1, tau_max=6, n_max=24)
+        assert len(calls) == 1
 
     def test_rows_in_order_with_not_run_as_none(self, threehalf):
         # the certificate's gap at depth 3, 9, exceeds tau_max 4: no gluing
@@ -453,7 +471,7 @@ def test_probe_matches_the_template_sums(data):
     u_words = data.draw(st.lists(words, min_size=1, max_size=3), label="u_words")
     v_words = data.draw(st.lists(words, min_size=1, max_size=3), label="v_words")
     gaps = data.draw(st.lists(st.integers(0, m.depth), min_size=1, max_size=6), label="gaps")
-    assert _outcome(lambda: mixing_liminf_probe(m, u_words, v_words, gaps)) == _outcome(
+    assert _outcome(lambda: _probe_values(m, u_words, v_words, gaps)) == _outcome(
         lambda: _probe_by_templates(m, u_words, v_words, gaps)
     )
 
