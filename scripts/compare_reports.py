@@ -136,10 +136,15 @@ EXTENDED = [
     "verify --expansion-file @golden --measure-depth 16 --depth 1",
     "verify --expansion-file @pq",
     "mme --expansion-file @pq --n 300",
-    # the window-sum chain: a 9-state deep chain, and at n = depth the
-    # shortest one, S_1, with count rows read from its power A^1
+    # window sums by a jump along the recurrence: 9 states, and at n = depth
+    # the shortest, S_1, with count rows read beside it
     "mme --expansion-file @p9 --n 4000",
     "mme --expansion-file @p5 --n 4",
+    # far jumps on larger presentations: 9 states at the largest n, and the
+    # 17-state xor image (D = 34) and 23-state maj3 image of p9
+    "mme --expansion-file @p9 --n 10000",
+    "factor --expansion-file @p9 --code-file @xor",
+    "factor --expansion-file @p9 --code-file @maj3",
     # float Parry masses of integer data from the power iteration
     "mme --expansion-file @wrap --n 500",
     # the counting suite: level rows, coverage floors and tail sums past the

@@ -6,10 +6,11 @@ sequences are exactly the points of the shift.  Path counts, word
 enumeration, and per-state extension counts are all exact big-integer
 computations on this graph.  Count rows are stepped by a plan built once
 from the edge list (`step_plan`: slices for runs of copies, one C-level
-item fetch per wider sum); a far path-count row of a small presentation
-is reached by doubling instead.  The window sums of count rows against
-extension rows follow one left-to-right doubling chain, whose latest pairs
-are kept (`Presentation.window_sums`).
+item fetch per wider sum).  A far path-count row of a small presentation,
+and the window sums of count rows against extension rows, are jumps along
+the integer recurrence of the adjacency matrix instead: x^n modulo the
+least annihilator of the sequence, built once per presentation
+(`annihilator`, `Recurrence`); no k-by-k matrix is multiplied.
 
 A presentation may carry a truncation marker: a state with no defined
 outgoing edges, standing for "matched every stored symbol".  Any
@@ -39,8 +40,8 @@ DEFAULT_ENUMERATION_CAP = 24
 # most words one listing may hold, counted before any is listed
 MAX_ENUMERATED_WORDS = 10 ** 6
 # longest word length count_language counts: a far row of a small
-# presentation is reached by doubling, so the cap bounds the size of the
-# integers (about 0.7 n bits on the golden mean), not a number of steps
+# presentation is a jump along its recurrence, so the cap bounds the size
+# of the integers (about 0.7 n bits on the golden mean), not a number of steps
 MATRIX_POWER_CAP = 10 ** 6
 
 # most checkpoint rows a RowStore keeps; even, so that halving keeps every
@@ -266,19 +267,22 @@ def sum_step(sums, marker=None):
     return step
 
 
-def _sources(delta) -> list:
-    """Per state, the sources of the edges into it, once per edge."""
-    sources = [[] for _ in delta]
-    for s, targets in enumerate(delta):
-        for t in targets.values():
-            sources[t].append(s)
+def _sources(delta, sources: list) -> list:
+    """Per state, the sources of the edges into it, once per edge: filled
+    into the empty list `sources` on the first call, so that a presentation
+    builds them once and a step maker holds them as data."""
+    if not sources:
+        sources.extend([] for _ in delta)
+        for s, targets in enumerate(delta):
+            for t in targets.values():
+                sources[t].append(s)
     return sources
 
 
-def _state_step(delta, marker):
+def _state_step(delta, sources, marker):
     """Path counts of length k + 1 from those of length k: row[t] sums the
     counts of the sources of the edges into t."""
-    return sum_step(_sources(delta), marker)
+    return sum_step(_sources(delta, sources), marker)
 
 
 def _extension_step(delta, order, dist):
@@ -311,37 +315,97 @@ def _poisoned(order, dist, row, j):
     return row
 
 
-def distances_to(delta, target) -> list:
-    """Edge distance from each state to `target` (None: no path)."""
-    return bfs_distances(_sources(delta), target)
+def jump_pays(states: int, edges: int, n: int, base: int) -> bool:
+    """Whether row n costs fewer multiplications by a jump along the
+    recurrence (`Presentation.state_counts`) than the (n - base) * edges
+    additions of stepping from row `base`: 2 states^3 for the elimination
+    (`annihilator`), then per bit of n at most a square and a product mod
+    mu, of degree D <= states, each 2 D^2 with the shifts; no tuned
+    constant."""
+    return 2 * states ** 3 + 4 * states ** 2 * n.bit_length() < (n - base) * edges
 
 
-def doubling_pays(states: int, edges: int, n: int, base: int) -> bool:
-    """Whether row n costs less by binary powering than by stepping from
-    row `base`: states^3 * bit_length(n) < (n - base) * edges, a squaring
-    against a step per row, with no tuned constant."""
-    return states ** 3 * n.bit_length() < (n - base) * edges
+def annihilator(vectors) -> list[int]:
+    """The least monic mu (coefficients, constant first) with sum_i mu_i
+    v_(m+i) = 0 for every m, for v_m = v_0 M^m, M a k-by-k integer matrix,
+    read from `vectors` = v_0, v_1, ..., v_k.
+
+    Each v_m, beside its polynomial x^m, is reduced against the rows before
+    it by fraction-free elimination and divided by its content, which keeps
+    the integers small; the first whose vector part vanishes, m = D <= k,
+    holds a primitive multiple of mu.  mu divides the minimal polynomial of
+    M, which divides det(xI - M), and a monic divisor in Q[x] of a monic
+    integer polynomial is integral (Gauss's lemma): that multiple is +-mu.
+    """
+    basis = []  # (pivot, row): a vector, then the coefficients of its polynomial
+    for m, v in enumerate(vectors):
+        k = len(v)
+        row = [*v, *[0] * m, 1, *[0] * (k - m)]
+        for p, r in basis:
+            if row[p]:
+                g = gcd(r[p], row[p])
+                a, b = r[p] // g, row[p] // g
+                row = [a * x - b * y for x, y in zip(row, r)]
+        content = gcd(*row)
+        if content > 1:
+            row = [x // content for x in row]
+        pivot = next((i for i in range(k) if row[i]), None)
+        if pivot is None:
+            return [x // row[k + m] for x in row[k:k + m + 1]]
+        basis.append((pivot, row))
 
 
-def _vector_times(row, matrix):
-    return [sum(map(mul, row, col)) for col in zip(*matrix)]
+class Recurrence:
+    """x^n mod mu, a monic integer polynomial of degree D >= 1, as its D
+    coefficients, constant first.  A product r s mod mu is the row r times
+    the matrix whose row j is x^j s mod mu, whose columns `_by(s)` lists.
+    `last` holds the latest (m, x^m mod mu), first m = 0: when the walk down
+    from n (halving when even, else less one) meets m, x^n follows from x^m
+    by a square per halving and a shift by x per step, so 2m + 2 after m is
+    one shift and one square; otherwise x^n is the product of x^(2^i) mod
+    mu over the set bits i of n, each square made once and kept."""
+
+    def __init__(self, mu: list[int]):
+        self.mu = mu
+        self._low = [-c for c in mu[:-1]]  # x^D mod mu
+        self.last = (0, [1] + [0] * (len(mu) - 2))
+        self._squares: list = []  # `_by` of x^(2^i) mod mu
+
+    def _times_x(self, r):
+        return [a + r[-1] * b for a, b in zip([0, *r[:-1]], self._low)]
+
+    def _by(self, s):
+        rows = [s]
+        while len(rows) < len(s):
+            rows.append(self._times_x(rows[-1]))
+        return list(zip(*rows))
+
+    def power(self, n: int) -> list[int]:
+        """The coefficients of x^n mod mu."""
+        if len(self.mu) == 2:  # x^n mod (x - a) is a^n
+            return [self._low[0] ** n]
+        (m, r), walk = self.last, [n]
+        while walk[-1] > m:
+            walk.append(walk[-1] - 1 if walk[-1] & 1 else walk[-1] >> 1)
+        if walk[-1] == m:
+            for k in reversed(walk[:-1]):
+                r = self._times_x(r) if k & 1 else _times(r, self._by(r))
+        else:
+            squares, r = self._squares, [1] + [0] * (len(r) - 1)
+            for i in range(n.bit_length()):
+                if i == len(squares):
+                    # x^(2^i) is the square of x^(2^(i-1)), or x (r is 1 at i = 0)
+                    squares.append(self._by(_times([c[0] for c in squares[-1]], squares[-1])
+                                            if squares else self._times_x(r)))
+                if n >> i & 1:
+                    r = _times(r, squares[i])
+        self.last = (n, r)
+        return r
 
 
-def _matrix_product(x, y):
-    cols = list(zip(*y))
-    return [[sum(map(mul, row, col)) for col in cols] for row in x]
-
-
-def _window_join(sums_a, power_a, sums_b, power_b):
-    """S_(a+b) = S_a (A^b)^T + (A^a)^T S_b from S_a, A^a, S_b and A^b (see
-    `Presentation.window_sums`): the first a shifts read b more extension
-    symbols, and the last b shifts start from the counts moved on by a."""
-    cols_b = list(zip(*sums_b))
-    return [
-        [sum(map(mul, left, row_b)) + sum(map(mul, col_a, col_b))
-         for row_b, col_b in zip(power_b, cols_b)]
-        for left, col_a in zip(sums_a, zip(*power_a))
-    ]
+def _times(row, columns):
+    """`row` times the matrix given by its columns."""
+    return [sum(map(mul, row, column)) for column in columns]
 
 
 class Presentation:
@@ -362,14 +426,13 @@ class Presentation:
             raise ValueError("marker state must have no outgoing edges")
         self._moves = [tuple(sorted(d.items())) for d in self.delta]
         self._n_edges = sum(len(d) for d in self.delta)
+        self._sources: list = []  # see _sources
         # the step makers hold the graph, not self: no reference cycle
         self._state_counts = RowStore(
             self._unit_vector(start),
-            partial(_state_step, self.delta, marker),
+            partial(_state_step, self.delta, self._sources, marker),
         )
-        self._squares: list = []  # adjacency matrix to the powers 2^i
-        self._chain: list = []  # (a, S_a, A^a) of the latest window_sums chain
-        self._out_sums = None  # built with the chain's first pair
+        self._counts = self._windows = None  # see _recurrence
         self._to_marker: int | None = None  # distance from start to marker
         self._essential: Presentation | None = None  # see essential_part
         self._all_essential = False  # no state dropped: self is the essential part
@@ -378,7 +441,7 @@ class Presentation:
         # the states that reach the marker, by distance (see _poisoned)
         order, order_dist = [], []
         if marker is not None:
-            dist = distances_to(self.delta, marker)
+            dist = bfs_distances(self.sources(), marker)
             self._to_marker = dist[start]
             order = sorted(
                 (s for s in range(n_states) if dist[s] is not None),
@@ -421,85 +484,79 @@ class Presentation:
 
     # -- exact counting -------------------------------------------------------
 
+    def sources(self) -> list:
+        """Per state, the sources of the edges into it, built once."""
+        return _sources(self.delta, self._sources)
+
     def state_counts(self, n: int) -> list[int]:
         """Vector of path counts of length n from the start state.
 
-        Row n is the start row of A^n when the latest `window_sums` chain
-        holds it; else e_start A^n by binary powering, from the cached
-        squares of the adjacency matrix A, when `doubling_pays`; otherwise
-        the step runs forward to it (see RowStore).  A jump is
-        never stored and never crosses the marker.
+        When `jump_pays`, row n is sum_i gamma_i c_i over the rows c_i =
+        e_start A^i (A the adjacency matrix), gamma the coefficients of x^n
+        mod mu_c, or of x^n mod mu_c mu_e when the latest `window_sums` was
+        at n (see `_recurrence`); otherwise the step runs forward to it (see
+        RowStore).  A jump is never stored and never crosses the marker.
         """
         if n < 0:
             raise ValueError(f"negative path length {n}")
-        for a, _, power in self._chain:
-            if a == n and (self._to_marker is None or n <= self._to_marker):
-                return list(power[self.start])
-        store = self._state_counts
-        if doubling_pays(self.n_states, self._n_edges, n, store.base(n)):
-            return self._power_row(n)
-        return store[n]
-
-    def _square(self, i: int) -> list[list[int]]:
-        """A^(2^i) for the adjacency matrix A, squared once and cached."""
-        squares = self._squares
-        if not squares:
-            squares.append(self.adjacency())
-        while len(squares) <= i:
-            squares.append(_matrix_product(squares[-1], squares[-1]))
-        return squares[i]
-
-    def _power_row(self, n: int) -> list[int]:
-        """e_start A^n, multiplying in A^(2^i) for each set bit i of n."""
+        # the row beside the latest window sum is read off its gamma, as mu_c
+        # divides mu
+        beside = self._windows is not None and self._windows[0].last[0] == n
+        if not beside and not jump_pays(self.n_states, self._n_edges, n, self._state_counts.base(n)):
+            return self._state_counts[n]
         if self._to_marker is not None and n > self._to_marker:
             _past_horizon(self._to_marker)
-        row = self._unit_vector(self.start)
-        i = 0
-        while n:
-            if n & 1:
-                row = _vector_times(row, self._square(i))
-            n >>= 1
-            i += 1
-        return row
+        counts, rows = self._recurrence()
+        gamma = (self._windows[0] if beside else counts).power(n)
+        return _times(gamma, zip(*rows))
+
+    def _recurrence(self, windows: bool = False):
+        """(mu_c, count rows) or, when `windows`, (mu = mu_c mu_e, extension
+        rows), each built once: mu_c and mu_e are the least monic
+        annihilators of the rows c_m = e_start A^m and of the columns e_m =
+        A^m 1, as `Recurrence`s, with c_0..c_(2k-1) and e_0..e_(2k-1),
+        stepped without the marker's check: the formal rows of A^m.
+        """
+        if self._counts is None:
+            rows, step = [self._unit_vector(self.start)], sum_step(self.sources())
+            for _ in range(2 * self.n_states - 1):
+                rows.append(step(rows[-1], 0))
+            self._counts = Recurrence(annihilator(rows)), rows
+        if windows and self._windows is None:
+            ext, step = [[1] * self.n_states], sum_step([list(d.values()) for d in self.delta])
+            for _ in range(2 * self.n_states - 1):
+                ext.append(step(ext[-1], 0))
+            mu_c, mu_e = self._counts[0].mu, annihilator(ext)
+            mu = [0] * (len(mu_c) + len(mu_e) - 1)
+            for i, a in enumerate(mu_c):
+                for j, b in enumerate(mu_e, i):
+                    mu[j] += a * b
+            self._windows = Recurrence(mu), ext
+        return self._windows if windows else self._counts
 
     def window_sums(self, n: int) -> list[list[int]]:
         """The k-by-k matrix S_n[s][t] = sum over k < n of state_counts(k)[s]
         * (A^(n - 1 - k) 1)[t], for n >= 1: the last factor is the extension
         count where that is not poisoned (see `extension_counts`).
 
-        Along a left-to-right chain from (S_0, A^0) = (0, I): a -> 2a is one
-        join, S_(a+b) = S_a (A^b)^T + (A^a)^T S_b, and one square; a -> a + 1
-        is S_a A^T + c_a 1^T (c_a the start row of A^a) and A A^a, k |E|
-        additions.  The latest chain's pairs are kept, O(log n) of them, and
-        a call resumes from the last one on its own chain: n' = 2n + 2 after
-        n is one step and one join.  Like `_power_row`, it never crosses the
-        marker: HorizonError as state_counts(n - 1) raises it.
+        S_n = sum_i gamma_i S_i over i < D, gamma the coefficients of x^n
+        mod mu = mu_c mu_e, of degree D (see `_recurrence`).  That holds for
+        every n because the generating function of S is proper with that
+        denominator: with C(z) = sum_m c_m z^m = P_c(z) / z^(D_c) mu_c(1/z),
+        deg P_c < D_c, and E(z) likewise, sum_n S_n z^n = z C(z) E(z)^T has
+        a numerator of degree at most D_c + D_e - 1 < D.  As S_i is the sum
+        of c_j e_l^T over j + l = i - 1, S_n[s][t] = sum_j c_j[s] f_j[t] with
+        f_j = sum_l gamma_(j + l + 1) e_l.  Like a jump of `state_counts`, it
+        never crosses the marker: HorizonError as state_counts(n - 1) raises
+        it.
         """
         if self._to_marker is not None and n - 1 > self._to_marker:
             _past_horizon(self._to_marker)
-        chain, k = self._chain, self.n_states
-        if not chain:
-            # row -> row A^T, a sum over the edges out of each state
-            self._out_sums = sum_step([list(d.values()) for d in self.delta])
-            chain.append((0, [[0] * k] * k, [self._unit_vector(s) for s in range(k)]))
-        values = [a for a, _, _ in chain]
-        todo = []
-        while n not in values:
-            todo.append(n)
-            n = n - 1 if n & 1 else n >> 1
-        del chain[values.index(n) + 1:]
-        _, sums, power = chain[-1]
-        step = self._out_sums
-        for a in reversed(todo):
-            if a & 1:  # the step from a - 1: rows of S, columns of A A^(a-1)
-                sums = [[w + c for w in step(row, 0)]
-                        for row, c in zip(sums, power[self.start])]
-                power = list(zip(*[step(col, 0) for col in zip(*power)]))
-            else:
-                sums = _window_join(sums, power, sums, power)
-                power = _matrix_product(power, power)
-            chain.append((a, sums, power))
-        return [list(row) for row in sums]  # the chain stays unchanged
+        window, ext = self._recurrence(windows=True)
+        gamma = window.power(n)
+        tails = [gamma[j:] for j in range(1, len(gamma))]
+        f = [_times(e, tails) for e in zip(*ext)]
+        return [_times(c, f) for c in zip(*self._counts[1])]
 
     def count_words(self, n: int) -> int:
         return sum(self.state_counts(n))
@@ -620,7 +677,7 @@ class Presentation:
         if self._essential is None and not self._all_essential:
             if self.start == self.marker:
                 raise HorizonError("the start state is the truncation marker")
-            sources = _sources(self.delta)
+            sources = self.sources()
             live = [len(moves) for moves in self._moves]
             dropped = [s for s, n in enumerate(live) if not n]
             for t in dropped:  # grows as states are dropped
@@ -673,10 +730,9 @@ class Presentation:
                 fh.write(f"{s},{a},{t}\n")
 
     def __repr__(self):
-        n_edges = sum(len(d) for d in self.delta)
         extra = ", truncated" if self.marker is not None else ""
         return (
-            f"Presentation({self.n_states} states, {n_edges} edges, "
+            f"Presentation({self.n_states} states, {self._n_edges} edges, "
             f"alphabet {self.alphabet_size}{extra})"
         )
 

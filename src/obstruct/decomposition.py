@@ -37,7 +37,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .automata import distances_to
+from .automata import bfs_distances
 from .errors import InputError, SpecificationError
 from .orbits import EntropyEstimate, OrbitCollection, count_separated, upper_entropy
 from .words import Word, overlay
@@ -229,7 +229,7 @@ class BetaDecomposition(DecompositionScheme):
             reached = {t for s in reached for _, t in pres.moves(s)}
         if pres.marker in reached:
             return None, f"level {M} at depth {j} reaches the truncation marker"
-        to_zero = distances_to(pres.delta, 0)
+        to_zero = bfs_distances(pres.sources(), 0)
         if any(to_zero[s] is None for s in reached):
             return None, (f"level {M} at depth {j} reaches a state with no "
                           "path to state 0 inside the stored horizon")

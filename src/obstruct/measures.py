@@ -6,10 +6,10 @@ state of a digit-expansion presentation admits) and averages the first n
 shift images.  Its cylinder masses are computed exactly from automaton
 occurrence counts as rationals with denominator n * |L_n|: the sums of
 every (state, state) pair at the deepest length at once, on a small
-presentation along its memoised doubling chain (a second n on the same
-presentation resumes it), else one n-term product sum per pair;
-and additions for every shorter length (extension counts satisfy e_j[t] =
-sum of e_{j-1} over the edges out of t).
+presentation as one jump along its integer recurrence (built once, so a
+second n on the same presentation reuses it), else one n-term product sum
+per pair; and additions for every shorter length (extension counts
+satisfy e_j[t] = sum of e_{j-1} over the edges out of t).
 
 The stationary oracle is the Parry (Markov) measure built from Perron
 eigendata of the presentation (see `obstruct.perron` for its two paths,
@@ -57,10 +57,10 @@ from .perron import perron_eigendata, simplest_between
 from .quadratic import QuadraticNumber
 from .words import Word, format_word, parse_word
 
-# largest n for empirical_mme: along the doubling chain, which keeps
-# O(log n) matrix pairs, it reads count rows n - depth + 1..n and bounds
-# only the size of the integers; otherwise it lists every count and
-# extension row up to n and takes one n-term product sum per pair
+# largest n for empirical_mme: a jump along the recurrence reads count
+# rows n - depth + 1..n, and the cap bounds only the size of the integers;
+# otherwise it lists every count and extension row up to n and takes one
+# n-term product sum per pair
 MAX_EMPIRICAL_N = 10_000
 # most cylinders a listed table may hold: sum over lengths n <= depth of
 # |L_n|, counted exactly before any word is listed
@@ -480,13 +480,14 @@ def _tail_prefix(pres, cache, state, length):
     return cache[key]
 
 
-def window_doubling_pays(states: int, pairs: int, n: int) -> bool:
-    """Whether the deepest window sums cost fewer multiplications along the
-    doubling chain (`Presentation.window_sums`, counted as one join of 2
-    states^3 products and one square of states^3 per bit of n; its steps
-    only add) than as one n-term product sum per (state, state) pair:
-    3 states^3 bit_length(n) < pairs n, no tuned constant."""
-    return 3 * states ** 3 * n.bit_length() < pairs * n
+def window_jump_pays(states: int, pairs: int, n: int) -> bool:
+    """Whether the deepest window sums cost fewer multiplications as one
+    jump along the recurrence (`Presentation.window_sums`) than as one
+    n-term product sum per (state, state) pair, pairs n: 4 states^3 for the
+    two eliminations, x^n mod mu as in `automata.jump_pays` with D <= 2
+    states, and D^2 states / 2 + D states^2 <= 4 states^3 for the vectors
+    f_j and the sums over j; no tuned constant."""
+    return 8 * states ** 3 + 16 * states ** 2 * n.bit_length() < pairs * n
 
 
 def empirical_mme(system, n: int, depth: int) -> CylinderMeasure:
@@ -507,19 +508,19 @@ def empirical_mme(system, n: int, depth: int) -> CylinderMeasure:
     W(l + 1, s, t') over those edges, plus state_counts(n - l)[s] when
     l >= 1: a shorter length costs additions.  At the deepest length every
     pair's sum comes from `Presentation.window_sums(n - depth + 1)` when
-    `window_doubling_pays`, and only count rows n - depth + 1..n are read,
-    the first the start row of the chain's last power (row n at depth 0);
-    otherwise all rows up to n are listed and a pair takes one C-level sum
-    over s's count column and t's reversed extension column.  The first
-    shift at which s is reached, first[s], is its distance from the start.
-    No sum reads a poisoned extension count (None: it meets the truncation
-    marker), which would need j = n - l - k >= 1 + the distance from t to
-    the marker: that gives a walk from the start to the marker of length
-    first[s] + l + dist(t) < n, and reading count row n has then raised
-    HorizonError already.  A word costs one walk from each state plus its
-    at most depth - 1 tail windows.  n above MAX_EMPIRICAL_N is refused
-    before any counting, and a table of more than MAX_TABLE_CYLINDERS
-    words (counted) before any word is listed.
+    `window_jump_pays`, and only count rows n - depth + 1..n are read, the
+    first off the same jump (see `Presentation.state_counts`; row n at
+    depth 0); otherwise all rows up to n are listed and a pair takes one
+    C-level sum over s's count column and t's reversed extension column.
+    The first shift at which s is reached, first[s], is its distance from
+    the start.  No sum reads a poisoned extension count (None: it meets the
+    truncation marker), which would need j = n - l - k >= 1 + the distance
+    from t to the marker: that gives a walk from the start to the marker of
+    length first[s] + l + dist(t) < n, and reading count row n has then
+    raised HorizonError already.  A word costs one walk from each state
+    plus its at most depth - 1 tail windows.  n above MAX_EMPIRICAL_N is
+    refused before any counting, and a table of more than
+    MAX_TABLE_CYLINDERS words (counted) before any word is listed.
     """
     if depth > n:
         raise InputError("measure depth cannot exceed n")
@@ -539,10 +540,9 @@ def empirical_mme(system, n: int, depth: int) -> CylinderMeasure:
     deep = n - depth
     deep_last = min(deep, n - 1)
     pairs = pres.n_states * sum(f <= deep_last for f in first)
-    if window_doubling_pays(pres.n_states, pairs, deep + 1):
+    if window_jump_pays(pres.n_states, pairs, deep + 1):
         deepest = pres.window_sums(deep + 1)
-        # count rows deep..n, |L_n| the last; row deep is read at depth 0
-        # only, and row deep + 1 is the start row of the chain's A^(deep + 1)
+        # count rows deep..n, |L_n| the last; row deep is read at depth 0 only
         first_row = deep + (depth > 0)
         counts = [None] * (depth > 0) + list(pres.count_rows(n, first=first_row))
         if deep_last < deep:  # depth 0: the shift k = n is no window

@@ -7,9 +7,10 @@ timestamp lives in a separate meta block excluded from comparisons.
 
 from __future__ import annotations
 
-import json
+import math
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 SCHEMA_VERSION = 1
 
@@ -39,8 +40,38 @@ def make_report(kind: str, payload: dict, config: dict | None = None) -> dict:
     }
 
 
+def _encode(o, indent: str) -> str:
+    """`json.dumps(o, sort_keys=True, indent=2)` at the nesting `indent`, for
+    string keys, without the pure-Python encoder an indent puts `json` on."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    inner = indent + "  "
+    if isinstance(o, dict):
+        items = [f"{encode_basestring_ascii(k)}: "
+                 f"{encode_basestring_ascii(v) if type(v) is str else _encode(v, inner)}"
+                 for k, v in sorted(o.items())]
+    elif isinstance(o, (list, tuple)):
+        items = [encode_basestring_ascii(v) if type(v) is str else _encode(v, inner) for v in o]
+    elif o is None or isinstance(o, bool):
+        return "null" if o is None else "true" if o else "false"
+    elif isinstance(o, int):
+        return int.__repr__(o)
+    elif isinstance(o, float):
+        if not math.isfinite(o):
+            return "NaN" if o != o else "Infinity" if o > 0 else "-Infinity"
+        return float.__repr__(o)
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+    ends = "{}" if isinstance(o, dict) else "[]"
+    if not items:
+        return ends
+    return f"{ends[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{ends[1]}"
+
+
 def dumps_report(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """The report as `json.dumps(report, sort_keys=True, indent=2)` and a
+    newline, byte for byte."""
+    return _encode(report, "") + "\n"
 
 
 def write_report(report: dict, path) -> None:

@@ -1,4 +1,5 @@
 import builtins
+from fractions import Fraction
 from itertools import product
 from operator import mul
 
@@ -233,14 +234,14 @@ def test_row_store_matches_forward_lists(pres, cap, queries):
             assert store.rows_held() <= cap + 2
 
 
-@pytest.mark.parametrize("doubling", [False, True])
+@pytest.mark.parametrize("jump", [False, True])
 @given(presentations(), st.lists(st.integers(0, 300), min_size=1, max_size=25))
 @settings(max_examples=200, deadline=None)
-def test_stepping_and_doubling_match_forward_lists(doubling, pres, queries):
+def test_stepping_and_doubling_match_forward_lists(jump, pres, queries):
     # each path forced in turn; past the marker both raise as stepping does
     counts = _forward_state_counts(pres, 300)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(automata, "doubling_pays", lambda *args: doubling)
+        mp.setattr(automata, "jump_pays", lambda *args: jump)
         for n in queries:
             if n < len(counts):
                 assert pres.state_counts(n) == counts[n], n
@@ -248,7 +249,7 @@ def test_stepping_and_doubling_match_forward_lists(doubling, pres, queries):
                 with pytest.raises(HorizonError) as info:
                     pres.state_counts(n)
                 assert info.value.certified == len(counts) - 1
-    if doubling:  # a jump leaves the row store as it was
+    if jump:  # a jump leaves the row store as it was
         assert pres._state_counts.base(10 ** 9) == 0
 
 
@@ -367,22 +368,19 @@ def test_window_sums_match_forward_lists(pres, ns):
 
 
 def test_window_sums_chain_resumes_from_the_memo(monkeypatch):
-    # 498 is eight doublings from 1; 998 = 2 (498 + 1) is one step and one
-    # join past it; the same n again is a memo hit
-    joins = []
-    join = automata._window_join
+    # 498 builds the recurrence, mu_c and mu_e by one elimination each;
+    # 998 and 998 again reuse it
+    built = []
+    annihilator = automata.annihilator
     monkeypatch.setattr(
-        automata, "_window_join", lambda *args: joins.append(1) or join(*args)
+        automata, "annihilator", lambda *args: built.append(1) or annihilator(*args)
     )
     pres = BetaSystem.golden_mean().presentation
     first = pres.window_sums(498)
-    assert len(joins) == 8
-    del joins[:]
+    assert len(built) == 2
     second = pres.window_sums(998)
-    assert len(joins) == 1
-    del joins[:]
     assert pres.window_sums(998) == second
-    assert not joins
+    assert len(built) == 2
     fresh = BetaSystem.golden_mean().presentation
     assert second == fresh.window_sums(998)
     assert first == BetaSystem.golden_mean().presentation.window_sums(498)
@@ -390,6 +388,97 @@ def test_window_sums_chain_resumes_from_the_memo(monkeypatch):
     second[0][0] += 1
     assert pres.window_sums(998) != second
     assert pres.window_sums(998) == fresh.window_sums(998)
+
+
+def _polynomial_kills(mu, rows):
+    """Whether sum_i mu_i rows[m + i] = 0 for every m that rows cover."""
+    return all(
+        not any(sum(c * row[s] for c, row in zip(mu, rows[m:])) for s in range(len(rows[0])))
+        for m in range(len(rows) - len(mu) + 1)
+    )
+
+
+def _rank(vectors):
+    """Rank over the rationals, by Gaussian elimination."""
+    rows = [[Fraction(x) for x in v] for v in vectors]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col] / rows[rank][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+@given(presentations(), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_annihilators_are_monic_integer_and_kill_both_sequences(pres, marked):
+    # e_start A^m and A^m 1, read off the adjacency matrix
+    if not marked:
+        pres = Presentation(pres.n_states, pres.alphabet_size, list(pres.edges()))
+    k = pres.n_states
+    adjacency = pres.adjacency()
+    rows, columns = [[int(s == pres.start) for s in range(k)]], [[1] * k]
+    for _ in range(3 * k):
+        rows.append([sum(rows[-1][s] * adjacency[s][t] for s in range(k)) for t in range(k)])
+        columns.append([sum(map(mul, row, columns[-1])) for row in adjacency])
+    degrees = []
+    for sequence in (rows, columns):
+        mu = automata.annihilator(iter(sequence))
+        degree = len(mu) - 1
+        assert mu[-1] == 1 and all(type(c) is int for c in mu)
+        assert 1 <= degree <= k
+        assert _polynomial_kills(mu, sequence)
+        # the least: the first D vectors are independent, so no nonzero
+        # polynomial of lower degree kills the sequence
+        assert _rank(sequence[:degree]) == degree
+        degrees.append(degree)
+    counts, window = pres._recurrence()[0], pres._recurrence(windows=True)[0]
+    assert [len(counts.mu) - 1, len(window.mu) - 1] == [degrees[0], sum(degrees)]
+
+
+def test_golden_count_rows_are_annihilated_by_x2_minus_x_minus_1():
+    pres = BetaSystem.golden_mean().presentation
+    step = automata.sum_step(pres.sources())
+    rows = [[1, 0], step([1, 0], 0), step(step([1, 0], 0), 0)]
+    assert automata.annihilator(rows) == [-1, -1, 1]
+    assert pres._recurrence()[0].mu == [-1, -1, 1]
+
+
+@given(presentations(), st.lists(st.integers(1, 300), min_size=1, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_far_rows_and_window_sums_match_forward_lists(pres, ns):
+    # jumps forced; past the marker both raise HorizonError with the
+    # certified length that stepping reports
+    counts = _forward_state_counts(pres, 301)
+    adjacency = pres.adjacency()
+    ones = [[1] * pres.n_states]
+    for _ in range(300):
+        ones.append([sum(map(mul, row, ones[-1])) for row in adjacency])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(automata, "jump_pays", lambda *args: True)
+        for n in ns:
+            if n < len(counts):
+                assert pres.state_counts(n) == counts[n], n
+            else:
+                with pytest.raises(HorizonError) as info:
+                    pres.state_counts(n)
+                assert info.value.certified == len(counts) - 1
+            if n - 1 < len(counts):
+                assert pres.window_sums(n) == [
+                    [sum(counts[k][s] * ones[n - 1 - k][t] for k in range(n))
+                     for t in range(pres.n_states)]
+                    for s in range(pres.n_states)
+                ], n
+            else:
+                with pytest.raises(HorizonError) as info:
+                    pres.window_sums(n)
+                assert info.value.certified == len(counts) - 1
 
 
 def test_steps_compile_on_first_use():

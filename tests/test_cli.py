@@ -216,6 +216,18 @@ class TestDeterminism:
         payload_text = dumps_report(a["payload"])
         assert a["meta"]["timestamp"] not in payload_text
 
+    @given(st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+        lambda inner: st.lists(inner) | st.lists(inner).map(tuple)
+        | st.dictionaries(st.text(), inner),
+        max_leaves=30,
+    ))
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_report_bytes_are_those_of_json_dumps(self, tree):
+        # NaN, infinities, non-ASCII text, empty containers and tuples
+        report = {"payload": tree}
+        assert dumps_report(report) == json.dumps(report, sort_keys=True, indent=2) + "\n"
+
 
 class TestMainEntry:
     def test_exit_codes_via_argv(self, golden_file, capsys):

@@ -230,11 +230,11 @@ def test_empirical_matches_per_shift_oracle_on_random_presentations(pres, data):
 
 def _both_branches(make, n, depth):
     """empirical_mme's outcome with the deepest window sums taken by
-    convolution, then by doubling."""
+    convolution, then by a jump along the recurrence."""
     outcomes = []
-    for doubling in (False, True):
+    for jump in (False, True):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(measures, "window_doubling_pays", lambda *args: doubling)
+            mp.setattr(measures, "window_jump_pays", lambda *args: jump)
             outcomes.append(_outcome(lambda: empirical_mme(make(), n, depth).table))
     return outcomes
 
@@ -271,15 +271,15 @@ def test_window_doubling_matches_convolution_on_random_presentations(pres, data)
             start=start, marker=pres.marker,
         ))
 
-    convolution, doubling = _both_branches(make, n, depth)
-    assert convolution == doubling
+    convolution, jump = _both_branches(make, n, depth)
+    assert convolution == jump
 
 
 def test_window_rule_picks_doubling_for_small_presentations(monkeypatch):
     picked = []
-    rule = measures.window_doubling_pays
+    rule = measures.window_jump_pays
     monkeypatch.setattr(
-        measures, "window_doubling_pays",
+        measures, "window_jump_pays",
         lambda *args: picked.append(rule(*args)) or picked[-1],
     )
     empirical_mme(BetaSystem.golden_mean(), 4000, 4)
