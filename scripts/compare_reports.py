@@ -176,6 +176,11 @@ EXTENDED = [
     # every gluing row a certificate, but the two-window gap does not fit the
     # measure's depth (exit 3)
     "verify --beta 1.5 --horizon 60 --depth 3 --tau-max 9",
+    # rates near 0, where a least-squares slope of log counts got both wrong:
+    # it failed the obstruction row by a 0.05 margin above log 1.04 = 0.039,
+    # and read 0.0330 for log 1.01 = 0.00995
+    "verify --beta 1.04 --horizon 150 --tau-max 90",
+    "entropy --beta 1.01 --horizon 120 --nmax 40",
 ]
 
 

@@ -27,13 +27,15 @@ their sliding-block images both answer it.
 from __future__ import annotations
 
 from bisect import bisect_right
+from fractions import Fraction
 from functools import partial
 from itertools import repeat
 from math import gcd, log
 from operator import itemgetter, mul
 
 from .errors import EnumerationCapError, HorizonError, InputError
-from .perron import perron_eigendata
+from .perron import perron_eigendata, simplest_between
+from .quadratic import QuadraticNumber
 from .words import Word
 
 DEFAULT_ENUMERATION_CAP = 24
@@ -743,7 +745,8 @@ class PresentedShift:
 
     A subclass sets `presentation` and `alphabet_size`.  Every shift lists
     words up to the one `enumeration_cap`.  `beta_value`, the growth rate
-    of the language, defaults to the Perron value of the presentation.
+    of the language, defaults to the Perron value of the presentation, and
+    enters every exact comparison as the bounds of `growth_bounds`.
     """
 
     enumeration_cap = DEFAULT_ENUMERATION_CAP
@@ -752,6 +755,21 @@ class PresentedShift:
         """The Perron value of the presentation (computed once, see
         `perron_eigendata`)."""
         return perron_eigendata(self.presentation).eigenvalue
+
+    def growth_bounds(self) -> tuple:
+        """Bounds (lo, hi), lo <= beta <= hi, as quotients (num, den): beta
+        twice when it is exact, else the Perron value's enclosure [a, b]
+        widened to the simplest rationals within b - a of its ends, of half
+        their bits."""
+        beta = self.beta_value()
+        if isinstance(beta, QuadraticNumber):
+            return ((beta, 1),) * 2
+        if isinstance(beta, (int, Fraction)):
+            lo = hi = Fraction(beta)
+        else:
+            a, b = perron_eigendata(self.presentation).enclosure
+            lo, hi = simplest_between(2 * a - b, a), simplest_between(b, 2 * b - a)
+        return (lo.numerator, lo.denominator), (hi.numerator, hi.denominator)
 
     def count_language(self, n: int) -> int:
         """|L_n| exactly, by path counting on the presentation."""

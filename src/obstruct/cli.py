@@ -189,27 +189,22 @@ def cmd_entropy(config: RunConfig):
     system = build_system(config)
     full = OrbitCollection.full_language(system)
     estimate = upper_entropy(full, config.depth, config.nmax)
+    lo, hi = estimate.bounds
     payload = {
         "rate": fmt_float(estimate.rate),
-        "tail_rate": fmt_float(estimate.tail_rate),
-        "method": estimate.method,
+        "exact": lo == hi,
+        "evidence": estimate.evidence,
         "depth": config.depth,
         "log_beta": fmt_float(system.log_beta()),
         "samples": [[n, fmt_float(y)] for n, y in estimate.samples],
     }
     if config.emit_csv and config.out:
         rows = system.presentation.count_rows(config.nmax, first=1)
-        _write_csv(
-            _csv_path(config, "counts.csv"),
-            [(n, sum(row)) for n, row in enumerate(rows, start=1)],
-        )
-        _write_csv(
-            _csv_path(config, "separated.csv"),
-            [
-                (n, config.depth, count_separated(full, n, config.depth))
-                for n in range(1, config.nmax + 1)
-            ],
-        )
+        _write_csv(_csv_path(config, "counts.csv"),
+                   [(n, sum(row)) for n, row in enumerate(rows, start=1)])
+        _write_csv(_csv_path(config, "separated.csv"),
+                   [(n, config.depth, count_separated(full, n, config.depth))
+                    for n in range(1, config.nmax + 1)])
         payload["counts_csv"] = "counts.csv"
     return EXIT_PASS, make_report("entropy", payload, config.to_dict())
 
@@ -365,7 +360,7 @@ def cmd_factor(config: RunConfig, code_file: str):
 
     hypotheses_met = (
         expans.expansive
-        and suffix.rate < 1e-9
+        and suffix.rate == 0
         and positive.positive
         and glue_tau is not None
         and (mme_gap is None or mme_gap < 0.05)
@@ -407,21 +402,6 @@ def cmd_factor(config: RunConfig, code_file: str):
 # -- argument parsing ----------------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--beta", help="beta as a decimal literal, e.g. 1.5")
-    parser.add_argument("--expansion-file", help="digits file with optional period= header")
-    parser.add_argument("--horizon", type=int, default=80, help="digits computed for beta")
-    parser.add_argument("--nmax", type=int, default=24, help="largest word length used")
-    parser.add_argument("--depth", type=int, default=0, help="scale depth index j")
-    parser.add_argument("--tau-max", type=int, default=4,
-                        help="largest gluing gap: gaps are searched up to it, "
-                        "and a larger certificate gap is not established")
-    parser.add_argument("--M", dest="level", type=int, default=2, help="filtration level")
-    parser.add_argument("--measure-depth", type=int, default=12)
-    parser.add_argument("--out", help="output directory for reports and CSV")
-    parser.add_argument("--emit-csv", action="store_true")
-
-
 def _config_from_args(args) -> RunConfig:
     cfg = RunConfig(
         beta=args.beta,
@@ -444,38 +424,44 @@ def _config_from_args(args) -> RunConfig:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process (parsing leaves it as it
-    was)."""
+    was); the options every subcommand takes come from one parent parser."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--beta", help="beta as a decimal literal, e.g. 1.5")
+    common.add_argument("--expansion-file", help="digits file with optional period= header")
+    common.add_argument("--horizon", type=int, default=80, help="digits computed for beta")
+    common.add_argument("--nmax", type=int, default=24, help="largest word length used")
+    common.add_argument("--depth", type=int, default=0, help="scale depth index j")
+    common.add_argument("--tau-max", type=int, default=4,
+                        help="largest gluing gap: gaps are searched up to it, "
+                        "and a larger certificate gap is not established")
+    common.add_argument("--M", dest="level", type=int, default=2, help="filtration level")
+    common.add_argument("--measure-depth", type=int, default=12)
+    common.add_argument("--out", help="output directory for reports and CSV")
+    common.add_argument("--emit-csv", action="store_true")
+
     parser = argparse.ArgumentParser(
         prog="obstruct",
         description="beta-shift decompositions, maximal-entropy measures, "
         "and machine checks of the estimates behind intrinsic ergodicity",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    sub.add_parser("expand", parents=[common], help="digit expansion of 1 and its automaton")
+    sub.add_parser("entropy", parents=[common], help="language growth of the system")
 
-    p = sub.add_parser("expand", help="digit expansion of 1 and its automaton")
-    _add_common(p)
-
-    p = sub.add_parser("entropy", help="language growth of the system")
-    _add_common(p)
-
-    p = sub.add_parser("decomp", help="splits, coverage, and gluing checks")
-    _add_common(p)
+    p = sub.add_parser("decomp", parents=[common], help="splits, coverage, and gluing checks")
     p.add_argument("--op", choices=("split", "coverage", "spec"), required=True)
     p.add_argument("--word", help="word to split (word file format)")
     p.add_argument("--n", type=int, help="length for coverage")
 
-    p = sub.add_parser("mme", help="empirical measure vs stationary oracle")
-    _add_common(p)
+    p = sub.add_parser("mme", parents=[common], help="empirical measure vs stationary oracle")
     p.add_argument("--n", type=int, default=500, help="empirical time parameter")
 
-    p = sub.add_parser("verify", help="run every estimate check")
-    _add_common(p)
+    p = sub.add_parser("verify", parents=[common], help="run every estimate check")
     p.add_argument("--degenerate", action="store_true",
                    help="use the everything-is-suffix scheme")
     p.add_argument("--measure-file", help="cylinder-measure JSON instead of the oracle")
 
-    p = sub.add_parser("factor", help="sliding-block image analysis")
-    _add_common(p)
+    p = sub.add_parser("factor", parents=[common], help="sliding-block image analysis")
     p.add_argument("--code-file", required=True, help="k-block rule file")
 
     return parser

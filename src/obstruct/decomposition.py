@@ -168,15 +168,11 @@ class BetaDecomposition(DecompositionScheme):
     def suffixes(self) -> OrbitCollection:
         system = self.system
 
-        def at(n):
-            return (system.expansion_prefix(n),)
-
         def counter(n, j):
             return system.presentation.extensions_from(system.match_state(n), j)
 
-        return OrbitCollection(
-            system, f"{self.name}:suffixes", at=at, counter=counter
-        )
+        return OrbitCollection.one_word(system, f"{self.name}:suffixes",
+                                        system.expansion_prefix, counter)
 
     def __init__(self, system):
         super().__init__(system)
@@ -628,11 +624,12 @@ def obstruction_entropy_upper(
     certify_levels=(0, 1, 2),
     tau_max: int = 4,
 ) -> EntropyEstimate:
-    """Growth of the scheme's obstruction collection at depth j.
+    """Growth rate of the scheme's obstruction collection at depth j.
 
     Each requested filtration level must first produce a gluing-time
-    certificate; the returned estimate then upper-bounds the infimum, over
-    admissible schemes, of the obstruction growth at this scale.
+    certificate; the returned exact rate (`upper_entropy`) then
+    upper-bounds the infimum, over admissible schemes, of the obstruction
+    growth at this scale.
     """
     for M in certify_levels:
         result = min_gluing_time(

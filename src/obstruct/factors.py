@@ -30,7 +30,7 @@ from .automata import (MAX_ENUMERATED_WORDS, Presentation, PresentedShift,
                        check_enumeration_cap)
 from .decomposition import DecompositionScheme
 from .errors import EnumerationCapError, InputError
-from .orbits import OrbitCollection, _regression_slope
+from .orbits import OrbitCollection
 from .words import EMPTY, Word, format_word, parse_word
 
 PAIR_STATE_CAP = 20_000
@@ -284,13 +284,11 @@ class InducedDecomposition(DecompositionScheme):
     def suffixes(self) -> OrbitCollection:
         factor = self.factor
 
-        def at(n):
-            return (self.suffix_word(n),)
-
         def counter(n, j):
             return factor.extensions(self.suffix_word(n), j)
 
-        return OrbitCollection(factor, f"{self.name}:suffixes", at=at, counter=counter)
+        return OrbitCollection.one_word(factor, f"{self.name}:suffixes",
+                                        self.suffix_word, counter)
 
 
 def induced_decomposition(system, code: BlockCode, source_scheme) -> InducedDecomposition:
@@ -477,6 +475,18 @@ class NonexpansiveReport:
     @property
     def expansive(self) -> bool:
         return self.verdict == "positively-expansive"
+
+
+def _regression_slope(points) -> float:
+    """The least-squares slope of the (n, y) points; y / n for one point,
+    0 for none."""
+    if len(points) < 2:
+        return points[0][1] / points[0][0] if points else 0.0
+    nbar = sum(p[0] for p in points) / len(points)
+    ybar = sum(p[1] for p in points) / len(points)
+    sxy = sum((p[0] - nbar) * (p[1] - ybar) for p in points)
+    sxx = sum((p[0] - nbar) ** 2 for p in points)
+    return sxy / sxx
 
 
 def nonexpansive_growth(system, code: BlockCode, n_max: int = 40) -> NonexpansiveReport:

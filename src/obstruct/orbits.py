@@ -1,4 +1,4 @@
-"""Collections of orbit segments and their separated-set growth.
+"""Collections of orbit segments, their separated-set counts and growth rates.
 
 A collection assigns to each length n a set of admissible n-words, the
 initial blocks of the points paired with time n.  Two points are
@@ -6,10 +6,11 @@ initial blocks of the points paired with time n.  Two points are
 the maximal separated-set size of a collection is the number of distinct
 depth-(n + j) extensions of its base words: an exact integer.
 
-Growth rates are estimated two ways from the exact counts and reported
-together: a least-squares slope of log-count over the tail half of the
-sample window (the headline figure), and the extremal value of
-log(count)/n over the same window.
+A growth rate is not fitted to the counts, which are kept as evidence: it
+follows from how the collection is built (`OrbitCollection.growth`).  One
+base word per length has at most |A|^j depth-j extensions, so its rate is
+exactly 0.  The whole language has beta^n <= |L_n| <= beta^(n+1) /
+(beta - 1) (Renyi 1957; Parry 1960), so its rate is exactly log beta.
 """
 
 from __future__ import annotations
@@ -18,35 +19,40 @@ import math
 
 from .errors import EmptyCollectionError, InputError
 
-METHOD_REGRESSION = "regression"
+# how a collection's growth rate follows from its structure
+ONE_WORD = "one-word"  # one base word per length: rate 0
+LANGUAGE = "language"  # the whole language: rate log beta
 
 
 class EntropyEstimate:
-    """A growth-rate estimate in nats per symbol."""
+    """An exact growth rate in nats per symbol, with the counts behind it:
+    0 when `bounds` is None, else log beta for lo <= beta <= hi, `bounds`
+    being (lo, hi) as quotients (num, den)."""
 
-    def __init__(self, rate: float, method: str, samples: tuple, depth: int,
-                 tail_rate: float):
+    def __init__(self, rate: float, evidence: str, samples: tuple, depth: int,
+                 bounds: tuple | None = None):
         if not math.isfinite(rate) or rate < 0:
             raise ValueError("rate must be finite and non-negative")
         self.rate = rate
-        self.method = method
+        self.evidence = evidence
         self.samples = samples  # (n, log count) pairs, strictly increasing in n
         self.depth = depth
-        self.tail_rate = tail_rate
+        self.bounds = bounds
 
 
 class OrbitCollection:
     """Per-length word sets, with optional exact fast counting."""
 
-    def __init__(self, system, label, at, counter=None):
+    def __init__(self, system, label, at, counter=None, growth=None):
         """at(n) -> sorted tuple of the base words of length n (possibly
         empty).  `counter(n, j)` may supply the separated count without
-        enumeration.
+        enumeration.  `growth` is ONE_WORD, LANGUAGE, or None: no rate.
         """
         self.system = system
         self.label = label
         self._at = at
         self._counter = counter
+        self.growth = growth
         # values callers derive from the listed words, kept with them; only
         # a memoized collection keeps any (see `memoized`)
         self.derived: dict | None = None
@@ -68,7 +74,7 @@ class OrbitCollection:
                 listed[n] = self._at(n)
             return listed[n]
 
-        memo = OrbitCollection(self.system, self.label, at=at, counter=self._counter)
+        memo = OrbitCollection(self.system, self.label, at, self._counter, self.growth)
         memo.derived = {}
         return memo
 
@@ -84,12 +90,14 @@ class OrbitCollection:
             return sum(c * (pres.extensions_from(s, j) if ext[s] is None else ext[s])
                        for s, c in enumerate(pres.state_counts(n)) if c)
 
-        return cls(
-            system,
-            label,
-            at=lambda n: tuple(system.enumerate_language(n)),
-            counter=counter,
-        )
+        return cls(system, label, at=lambda n: tuple(system.enumerate_language(n)),
+                   counter=counter, growth=LANGUAGE)
+
+    @classmethod
+    def one_word(cls, system, label, word, counter):
+        """The collection of the one word `word(n)` at each length n."""
+        return cls(system, label, at=lambda n: (word(n),), counter=counter,
+                   growth=ONE_WORD)
 
 
 def count_separated(collection: OrbitCollection, n: int, j: int = 0) -> int:
@@ -104,55 +112,34 @@ def count_separated(collection: OrbitCollection, n: int, j: int = 0) -> int:
         raise InputError("depth must be >= 0")
     if collection._counter is not None:
         return collection._counter(n, j)
-    words = collection.at(n)
-    total = 0
-    for v in words:
-        total += collection.system.extensions(v, j)
-    return total
+    return sum(collection.system.extensions(v, j) for v in collection.at(n))
 
 
-def _regression_slope(points) -> float:
-    if len(points) < 2:
-        return points[0][1] / points[0][0] if points else 0.0
-    nbar = sum(p[0] for p in points) / len(points)
-    ybar = sum(p[1] for p in points) / len(points)
-    sxy = sum((p[0] - nbar) * (p[1] - ybar) for p in points)
-    sxx = sum((p[0] - nbar) ** 2 for p in points)
-    return sxy / sxx
+def upper_entropy(collection: OrbitCollection, j: int, n_max: int) -> EntropyEstimate:
+    """The exact growth rate of the collection at depth j, with its depth-j
+    counts for n <= n_max as evidence.
 
-
-def _collect_samples(collection, j, n_max):
-    samples = []
-    for n in range(1, n_max + 1):
-        c = count_separated(collection, n, j)
-        if c > 0:
-            samples.append((n, math.log(c)))
-    return samples
-
-
-def upper_entropy(
-    collection: OrbitCollection, j: int, n_max: int, tail_start: int | None = None
-) -> EntropyEstimate:
-    """Upper growth estimate of the collection at depth j.
-
-    The headline rate is the least-squares slope of log-count over the tail
-    window; the attached tail_rate is the window supremum of log(count)/n,
-    which is non-increasing as the window start moves right.
+    The rate is 0 for one base word per length, whose count is at most
+    |A|^j at every n, and log beta for the whole language, on the bounds
+    of `growth_bounds`.  Any other collection is refused.
     """
     if n_max < 8:
         raise InputError("n_max must be at least 8")
-    samples = _collect_samples(collection, j, n_max)
+    samples = tuple((n, math.log(c)) for n in range(1, n_max + 1)
+                    if (c := count_separated(collection, n, j)) > 0)
     if not samples:
         raise EmptyCollectionError(f"empty collection {collection.label!r}")
-    start = tail_start if tail_start is not None else (n_max + 1) // 2
-    window = [p for p in samples if p[0] >= start] or samples[-1:]
-    tail_rate = max(y / n for n, y in window)
-    slope = _regression_slope(window)
-    return EntropyEstimate(
-        rate=max(slope, 0.0),
-        method=METHOD_REGRESSION,
-        samples=tuple(samples),
-        depth=j,
-        tail_rate=max(tail_rate, 0.0),
-    )
-
+    system = collection.system
+    if collection.growth == ONE_WORD:
+        return EntropyEstimate(0.0, f"count <= {system.alphabet_size}^{j} at every n",
+                               samples, j)
+    if collection.growth == LANGUAGE:
+        bounds = system.growth_bounds()
+        evidence = "log beta, beta exact"
+        if bounds[0] != bounds[1]:
+            (p, q), (r, s) = bounds
+            evidence = (f"log beta, beta in the enclosure [lo, lo + w], lo = {p / q:.17g}, "
+                        f"w = {(r * q - p * s) / (q * s):.3g}")
+        return EntropyEstimate(system.log_beta(), evidence, samples, j, bounds)
+    raise InputError(f"collection {collection.label!r} has no rate that follows "
+                     "from its structure")

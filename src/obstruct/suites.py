@@ -1,11 +1,12 @@
 """Machine checks for the counting, Gibbs, mixing, and mass-spread estimates,
 and `verify_battery`, the rows of `verify` and how each is decided.
 
-Every row but the obstruction rate is decided in one exact arithmetic of
-integers, `Fraction`s and `QuadraticNumber`s; a failure names the check,
-the length, and the witness numbers.  Beta enters as bounds lo <= beta
-<= hi (`_growth`), and a growth comparison that they leave open reads
-"not run: undecided".
+Every row is decided in one exact arithmetic of integers, `Fraction`s and
+`QuadraticNumber`s; a failure names the check, the length, and the
+witness numbers.  Beta enters as bounds lo <= beta <= hi
+(`PresentedShift.growth_bounds`), and a growth comparison that they leave
+open reads "not run: undecided".  The obstruction rate is exact by
+structure (`orbits.upper_entropy`): 0, or log beta itself.
 Masses enter unrounded, as class weights times the exact per-length scale
 S_n (`MassClasses.scales`).  So c1, c1_sup and the tails b_M, computed
 with lo, are upper bounds, and the Gibbs and two-window constants,
@@ -33,7 +34,6 @@ from .automata import check_enumeration_cap
 from .decomposition import filtration_coverage, min_gluing_time
 from .errors import DepthError, InputError
 from .orbits import OrbitCollection, count_separated, upper_entropy
-from .perron import perron_eigendata, simplest_between
 from .quadratic import QuadraticNumber
 from .reports import fmt_float, fmt_number
 from .words import overlay
@@ -45,21 +45,6 @@ PRODUCT_K_MAX = 3
 PRODUCT_TOTAL = 18
 GAMMA2_TABLE = (Fraction(1, 2), Fraction(1, 4), Fraction(1, 10))
 LEVEL_CAP = 16
-
-
-def _growth(system) -> tuple:
-    """Bounds (lo, hi), lo <= beta <= hi, as quotients (num, den): beta twice
-    when it is exact, else the Perron value's enclosure [a, b] widened to
-    the simplest rationals within b - a of its ends, of half their bits."""
-    beta = system.beta_value()
-    if isinstance(beta, QuadraticNumber):
-        return ((beta, 1),) * 2
-    if isinstance(beta, (int, Fraction)):
-        lo = hi = Fraction(beta)
-    else:
-        a, b = perron_eigendata(system.presentation).enclosure
-        lo, hi = simplest_between(2 * a - b, a), simplest_between(b, 2 * b - a)
-    return (lo.numerator, lo.denominator), (hi.numerator, hi.denominator)
 
 
 def _powers(x, top: int) -> list:
@@ -117,7 +102,7 @@ class CheckResult:
 class CountingSuiteReport:
     """The counting rows and constants: c1 and c1_sup as exact quotients
     (num, den) at lo, `c1_value` and `c1_sup_value`, and rounded once, `c1`
-    and `c1_sup`; `bounds` is the (lo, hi) of `_growth`."""
+    and `c1_sup`; `bounds` is the system's `growth_bounds()`."""
 
     def __init__(self, checks: tuple, tau: int, c1_value: tuple, c1_sup_value: tuple,
                  b_tails: dict, bounds: tuple):
@@ -172,7 +157,7 @@ def counting_suite(
         if not glue.found:
             raise InputError("cores admit no gluing time up to 4; pass tau explicitly")
         tau = glue.tau
-    lo, hi = _growth(system)
+    lo, hi = system.growth_bounds()
     lo_pow = _powers(lo, n_max + tau)
     hi_pow = lo_pow if hi == lo else _powers(hi, n_max + tau)
 
@@ -427,7 +412,7 @@ def gibbs_check(
     bounds: tuple | None = None,
 ) -> GibbsReport:
     """Floor for cylinder masses over level-M words: min mass([v]) * lo^n,
-    for lo of `bounds`, the (lo, hi) of `_growth(system)` when not given.
+    for lo of `bounds`, the system's `growth_bounds()` when not given.
 
     The exact masses of all depth-(n + j) extensions of level-M words are
     scaled by lo^n; the report carries the minimum, the word attaining it
@@ -443,7 +428,7 @@ def gibbs_check(
     least word of its first group is read back; only the words of a class
     of weight <= 0 are listed.
     """
-    power = _powers((bounds or _growth(system))[0], max(n_range, default=0))
+    power = _powers((bounds or system.growth_bounds())[0], max(n_range, default=0))
     classes = measure.classes
     weights = classes.weights
     start, level_moves, member = scheme.level_automaton(M)
@@ -543,7 +528,7 @@ def mixing_check(
     from the first such u: v is read off that u's class paths through the
     gap, walked once.
     """
-    power = _powers((bounds or _growth(system))[0],
+    power = _powers((bounds or system.growth_bounds())[0],
                     max((len(u) + len(v) for u, v in pairs), default=0))
     classes = measure.classes
     in_level = functools.cache(lambda w: scheme.in_level(w, M))
@@ -654,8 +639,6 @@ def positive_mass_constant(c1: float, c2: float, gamma: float) -> float:
 # -- the verify battery -------------------------------------------------------------
 
 POSITIVE_MASS_GAMMAS = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
-# the obstruction rate must sit this far below log beta
-OBSTRUCTION_MARGIN = 0.05
 
 
 def _glue_row(name: str, tau, note: str, summary: str) -> CheckResult:
@@ -673,9 +656,9 @@ def verify_battery(system, scheme, measure, *, level: int, j: int, tau_max: int,
     fields, and whose `passed` is None when it was not run or is undecided:
     a gluing time not established (or past tau_max), a check that needs
     one, a window past the measure's depth, or a comparison that lo <= beta
-    <= hi leave open.  Only the obstruction row is decided on floats (its
-    rate against log beta with a margin); every constant is its exact value
-    rounded once.
+    <= hi leave open.  The obstruction rate is 0 or log beta by structure:
+    0 < log beta is decided on 1 < lo, and log beta is never below itself.
+    Every constant is its exact value rounded once.
     """
     rows = []
     # gluing times of the filtration levels, established as the scheme does:
@@ -797,12 +780,19 @@ def verify_battery(system, scheme, measure, *, level: int, j: int, tau_max: int,
     obstruction = upper_entropy(scheme.boundary(), j, n_max)
     entropy = system.log_beta()
     unglued = [str(M) for M, (t, _) in level_glue.items() if t is None]
-    summary = f"obstruction rate {obstruction.rate:.6g} vs growth {entropy:.6g}"
     if unglued:
-        summary += f"; gluing time not established at levels {', '.join(unglued)}"
+        passed = None
+        summary = f"not run: gluing time not established at levels {', '.join(unglued)}"
+    elif obstruction.bounds is not None:
+        # the obstruction collection is the whole language
+        passed, summary = False, f"obstruction rate is log beta = {entropy:.6g}"
+    elif lo[0] > lo[1]:
+        passed, summary = True, f"obstruction rate 0 < log beta = {entropy:.6g}"
+    else:
+        passed, summary = None, _undecided((lo, hi), "obstruction rate 0")
     rows.append(CheckResult(
-        "obstruction-below-entropy",
-        obstruction.rate + OBSTRUCTION_MARGIN < entropy and not unglued, summary,
-        {"obstruction_rate": fmt_float(obstruction.rate), "log_beta": fmt_float(entropy)},
+        "obstruction-below-entropy", passed, summary,
+        {"obstruction_rate": fmt_float(obstruction.rate), "log_beta": fmt_float(entropy),
+         "evidence": obstruction.evidence},
     ))
     return rows, suite

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from obstruct.cli import RunConfig, cmd_entropy, cmd_factor, cmd_verify
+from obstruct.cli import RunConfig, build_system, cmd_entropy, cmd_factor, cmd_verify
 from obstruct.decomposition import (
     filtration_coverage,
     min_gluing_time,
@@ -71,6 +71,31 @@ def test_criterion_1_entropy_recovery(golden_file):
         f"(errors {', '.join(f'{e:.2e}' for e in errors)}; {elapsed:.1f}s)",
         all(e < 0.02 for e in errors) and elapsed < 5.0,
     )
+
+
+@pytest.mark.parametrize("j", [0, 2])
+@pytest.mark.parametrize("source", ["golden", "2", "1.5@60", "1.01@120"])
+def test_criterion_1_counts_lie_in_the_renyi_window(source, j, golden_file):
+    # criterion 1 holds by construction now that the rate is log beta; the
+    # counts behind it are checked here: beta^m <= |L_m| <= beta^(m+1) /
+    # (beta - 1) (Renyi 1957; Parry 1960), so each sample log|L_m| / n, m =
+    # n + j, lies in [m log lo / n, ((m + 1) log hi - log(lo - 1)) / n]
+    if source == "golden":
+        config = RunConfig(expansion_file=golden_file, nmax=40, depth=j)
+    else:
+        beta, _, horizon = source.partition("@")
+        config = RunConfig(beta=beta, horizon=int(horizon or 80), nmax=40, depth=j)
+    (lo_num, lo_den), (hi_num, hi_den) = build_system(config).growth_bounds()
+    log_lo, log_hi = math.log(float(lo_num / lo_den)), math.log(float(hi_num / hi_den))
+    log_gap = math.log(float((lo_num - lo_den) / lo_den))
+    _, report = cmd_entropy(config)
+    payload = report["payload"]
+    assert payload["rate"] == payload["log_beta"] and payload["exact"]
+    samples = payload["samples"]
+    assert [n for n, _ in samples] == list(range(1, 41))
+    for n, y in samples:
+        m = n + j
+        assert m * log_lo - 1e-9 <= float(y) <= (m + 1) * log_hi - log_gap + 1e-9, (n, y)
 
 
 def test_criterion_2_counting_suite(golden, full2, golden_scheme, full2_scheme):

@@ -22,6 +22,7 @@ from obstruct.cli import (
     MAX_DEPTH,
     MAX_NMAX,
     RunConfig,
+    build_parser,
     build_system,
     cmd_decomp,
     cmd_entropy,
@@ -227,6 +228,38 @@ class TestDeterminism:
         # NaN, infinities, non-ASCII text, empty containers and tuples
         report = {"payload": tree}
         assert dumps_report(report) == json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+# every option a subcommand shares, with a value and what it parses to
+_COMMON_FLAGS = [
+    ("--beta", "1.5", "beta", "1.5"),
+    ("--expansion-file", "e.txt", "expansion_file", "e.txt"),
+    ("--horizon", "7", "horizon", 7),
+    ("--nmax", "9", "nmax", 9),
+    ("--depth", "1", "depth", 1),
+    ("--tau-max", "3", "tau_max", 3),
+    ("--M", "1", "level", 1),
+    ("--measure-depth", "5", "measure_depth", 5),
+    ("--out", "reports", "out", "reports"),
+    ("--emit-csv", None, "emit_csv", True),
+]
+_DEFAULTS = {"beta": None, "expansion_file": None, "horizon": 80, "nmax": 24, "depth": 0,
+             "tau_max": 4, "level": 2, "measure_depth": 12, "out": None, "emit_csv": False}
+
+
+@pytest.mark.parametrize("command, required", [
+    ("expand", []), ("entropy", []), ("decomp", ["--op", "split"]), ("mme", []),
+    ("verify", []), ("factor", ["--code-file", "c.code"]),
+])
+def test_every_subcommand_takes_every_common_flag(command, required):
+    args = build_parser().parse_args([command, *required])
+    assert {dest: getattr(args, dest) for dest in _DEFAULTS} == _DEFAULTS
+    argv = [command, *required]
+    for flag, value, _, _ in _COMMON_FLAGS:
+        argv += [flag] if value is None else [flag, value]
+    args = build_parser().parse_args(argv)
+    assert {dest: getattr(args, dest) for _, _, dest, _ in _COMMON_FLAGS} == {
+        dest: parsed for _, _, dest, parsed in _COMMON_FLAGS}
 
 
 class TestMainEntry:
@@ -673,13 +706,12 @@ def test_two_window_floor_needs_the_level_gluing_time(op, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("op, summary", [
-    # the rate comparison holds; the three levels' gaps, 5, exceed --tau-max
+    # the three levels' gaps, 5, exceed --tau-max: the row is not run
     ("verify --expansion-file @p5 --depth 2",
-     "obstruction rate 0.025726 vs growth 0.900523; "
-     "gluing time not established at levels 0, 1, 2"),
-    # every level glues: the summary is the comparison alone
+     "not run: gluing time not established at levels 0, 1, 2"),
+    # every level glues: the exact rate 0 against log beta
     ("verify --expansion-file @p5 --depth 1 --tau-max 6",
-     "obstruction rate 0.00919767 vs growth 0.900523"),
+     "obstruction rate 0 < log beta = 0.900523"),
 ])
 def test_obstruction_summary_names_the_unglued_levels(op, summary, tmp_path, capsys):
     _BENCH.write_inputs(tmp_path)
@@ -688,6 +720,20 @@ def test_obstruction_summary_names_the_unglued_levels(op, summary, tmp_path, cap
     row = rows["obstruction-below-entropy"]
     assert row["summary"] == summary
     assert row["passed"] == all(rows[f"gluing-level-{M}"]["passed"] for M in range(3))
+    assert row["obstruction_rate"] == "0" and row["evidence"].startswith("count <= 3^")
+
+
+@pytest.mark.parametrize("op, evidence", [
+    ("verify --beta 2.5 --horizon 60 --depth 2", "count <= 3^2 at every n"),
+    # log beta = 0.039 is below any fixed margin: the exact rate 0 still
+    # passes, on lo = 1.04 > 1
+    ("verify --beta 1.04 --horizon 150 --tau-max 90", "count <= 2^0 at every n"),
+])
+def test_obstruction_rate_is_zero_by_structure(op, evidence, capsys):
+    main(op.split())
+    rows = {c["name"]: c for c in json.loads(capsys.readouterr().out)["payload"]["checks"]}
+    row = rows["obstruction-below-entropy"]
+    assert (row["passed"], row["obstruction_rate"], row["evidence"]) == (True, "0", evidence)
 
 
 # -- fuzzing the command line in-process ----------------------------------------------

@@ -1,11 +1,12 @@
 """Invariants of the exact growth bounds and of whole `verify` reports.
 
 Every comparison of a count with a power of beta is decided on the bounds
-lo <= beta <= hi of `suites._growth`, and every reported constant is the
-exact value at lo rounded once.  The property test checks the decisions
-and the direction of each bound against a test-local root of the renewal
-polynomial; the sweep runs `verify` in process on rational beta and checks
-the invariants that hold for every beta.
+lo <= beta <= hi of `PresentedShift.growth_bounds`, and every reported
+constant is the exact value at lo rounded once.  The property test checks
+the decisions and the direction of each bound against a test-local root of
+the renewal polynomial; the sweep runs `verify` in process on rational
+beta, with both schemes, and checks the invariants that hold for every
+beta.
 """
 
 import contextlib
@@ -47,8 +48,8 @@ def _renewal_root(digits):
 
 
 def _bounds(system):
-    """The exact lo and hi of `suites._growth`."""
-    return tuple(suites._exact(q) for q in suites._growth(system))
+    """The exact lo and hi of `growth_bounds`."""
+    return tuple(suites._exact(q) for q in system.growth_bounds())
 
 
 def _truth(below, above):
@@ -203,19 +204,41 @@ def _assert_verify_invariants(argv, monkeypatch):
     if rows["correlation-floor"]["alpha_constant"] is not None:
         assert rows["correlation-floor"]["alpha_constant"] == fmt_float(
             calls["mixing_check"][2].constant_exact / (64 * c1 ** 2))
+
+    # the obstruction rate is exact by structure: 0 on the beta scheme, whose
+    # row passes whenever every level glued, and log beta on the degenerate
+    # scheme, whose row fails; not run where a level did not glue
+    row = rows["obstruction-below-entropy"]
+    glued = all(rows[f"gluing-level-{M}"]["passed"]
+                for M in range(calls["verify_battery"][1]["level"] + 1))
+    if scheme.name == "degenerate":
+        assert row["obstruction_rate"] == row["log_beta"] == fmt_float(system.log_beta())
+        assert battery_rows[-1].passed is (False if glued else None)
+    else:
+        assert row["obstruction_rate"] == "0"
+        assert battery_rows[-1].passed is (True if glued else None)
     return code
 
 
-@settings(max_examples=12, deadline=None, derandomize=True)
-@given(
-    beta=st.integers(1, 20).flatmap(
-        lambda q: st.integers(q + 1, 4 * q).map(lambda p: Fraction(p, q))
-    ),
-    horizon=st.integers(24, 40),
-    depth=st.integers(0, 1),
+# beta = p / q with q <= 20 and q < p <= 4q
+_RATIONAL_BETA = st.integers(1, 20).flatmap(
+    lambda q: st.integers(q + 1, 4 * q).map(lambda p: Fraction(p, q))
 )
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(beta=_RATIONAL_BETA, horizon=st.integers(24, 40), depth=st.integers(0, 1))
 def test_verify_invariants_over_rational_beta(beta, horizon, depth):
     argv = ["verify", "--beta", str(beta), "--horizon", str(horizon),
+            "--depth", str(depth)]
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _assert_verify_invariants(argv, monkeypatch)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(beta=_RATIONAL_BETA, horizon=st.integers(24, 40), depth=st.integers(0, 1))
+def test_verify_invariants_over_rational_beta_on_the_degenerate_scheme(beta, horizon, depth):
+    argv = ["verify", "--degenerate", "--beta", str(beta), "--horizon", str(horizon),
             "--depth", str(depth)]
     with pytest.MonkeyPatch.context() as monkeypatch:
         _assert_verify_invariants(argv, monkeypatch)

@@ -1,8 +1,10 @@
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 
+from obstruct.beta import BetaSystem
 from obstruct.decomposition import beta_decomposition
 from obstruct.errors import EmptyCollectionError, InputError
 from obstruct.orbits import (
@@ -85,24 +87,34 @@ class TestCountSeparated:
 class TestUpperEntropy:
     def test_full_shift_exact(self, full2):
         est = upper_entropy(OrbitCollection.full_language(full2), 0, 30)
-        assert est.rate == pytest.approx(math.log(2), abs=1e-12)
-        assert est.method == "regression"
+        assert est.rate == math.log(2)
+        assert est.bounds == ((2, 1), (2, 1))
+        assert est.evidence == "log beta, beta exact"
 
     def test_golden_fibonacci_oracle(self, golden):
         est = upper_entropy(OrbitCollection.full_language(golden), 0, 40)
-        assert abs(est.rate - LOG_PHI) < 0.02
+        assert est.rate == pytest.approx(LOG_PHI, abs=1e-15)
+        assert est.bounds[0] == est.bounds[1]
+        # the samples are the Fibonacci counts |L_n| = F_(n+2)
+        fib = [1, 2]
+        while len(fib) < 41:
+            fib.append(fib[-1] + fib[-2])
+        assert est.samples == tuple((n, math.log(fib[n])) for n in range(1, 41))
+
+    def test_enclosed_beta_reads_its_enclosure(self):
+        # p5's Perron root is neither rational nor quadratic
+        p5 = BetaSystem.from_expansion((2, 1, 0, 0, 1), period=5)
+        est = upper_entropy(OrbitCollection.full_language(p5), 0, 10)
+        (p, q), (r, s) = est.bounds
+        assert Fraction(p, q) < Fraction(r, s) < Fraction(p, q) + Fraction(1, 2 ** 128)
+        assert est.rate == p5.log_beta()
+        assert est.evidence.startswith(
+            f"log beta, beta in the enclosure [lo, lo + w], lo = {p / q:.17g}, w = ")
 
     def test_suffix_collection_rate_zero(self, golden):
         suffixes = beta_decomposition(golden).suffixes()
         est = upper_entropy(suffixes, 0, 40)
         assert est.rate == 0.0
-
-    def test_tail_sup_monotone_in_window_start(self, golden):
-        full = OrbitCollection.full_language(golden)
-        sups = [
-            upper_entropy(full, 0, 30, tail_start=t).tail_rate for t in range(5, 28)
-        ]
-        assert all(a >= b - 1e-15 for a, b in zip(sups, sups[1:]))
 
     def test_requires_window(self, golden):
         with pytest.raises(InputError):
@@ -116,44 +128,45 @@ class TestUpperEntropy:
 
 class TestLowerEntropy:
     def test_alternating_gaps(self, golden):
+        # a collection whose rate does not follow from its structure (here
+        # the even lengths of the language) is refused, not estimated
         coll = OrbitCollection(
             golden,
             "even-only",
             at=lambda n: tuple(golden.enumerate_language(n)) if n % 2 == 0 else (),
         )
-        upper = upper_entropy(coll, 0, 20)
-        assert upper.rate > 0.3
+        with pytest.raises(InputError, match="even-only"):
+            upper_entropy(coll, 0, 20)
 
-    def test_upper_dominates_lower(self, golden, full2):
-        # compared on the same tail window: the window supremum of
-        # log(count)/n is above its infimum (empty lengths count 0); the
-        # headline upper estimate is a regression and is not pointwise above
-        # the window infimum at finite n
-        collections = [
-            OrbitCollection.full_language(golden),
-            beta_decomposition(golden).cores(),
-            OrbitCollection.full_language(full2),
-            beta_decomposition(full2).level_collection(2),
-        ]
-        for coll in collections:
-            for j in (0, 1):
-                up = upper_entropy(coll, j, 24)
-                counts = [count_separated(coll, n, j) for n in range(12, 25)]
-                low = min(math.log(c) / n if c else 0.0
-                          for n, c in zip(range(12, 25), counts))
-                assert up.tail_rate >= low - 1e-12
+    def test_upper_dominates_lower(self, golden, full2, threehalf):
+        # the exact rate is below every sample log(count)/n, and the samples
+        # come down to it: count <= |A|^j for one word per length, and
+        # beta^n <= |L_n| <= beta^(n+1) / (beta - 1) for the language
+        for system in (golden, full2, threehalf):
+            lo = float(system.beta_value())
+            for coll in (OrbitCollection.full_language(system),
+                         beta_decomposition(system).suffixes()):
+                for j in (0, 1):
+                    up = upper_entropy(coll, j, 24)
+                    if up.bounds is None:
+                        excess = j * math.log(system.alphabet_size)
+                    else:
+                        excess = (j + 1) * up.rate - math.log(lo - 1)
+                    for n, y in up.samples:
+                        assert up.rate - 1e-12 <= y / n <= up.rate + (excess + 1e-12) / n
 
     def test_scale_independence(self, golden):
         full = OrbitCollection.full_language(golden)
-        n_max = 40
-        rates = [upper_entropy(full, j, n_max).rate for j in range(5)]
-        tol = 2 * math.log(2) * 4 / n_max
-        assert max(rates) - min(rates) <= tol
+        rates = {upper_entropy(full, j, 40).rate for j in range(5)}
+        assert rates == {math.log(float(golden.beta_value()))}
 
 
 def test_estimate_invariants(golden):
     est = upper_entropy(OrbitCollection.full_language(golden), 0, 20)
     ns = [n for n, _ in est.samples]
-    assert ns == sorted(set(ns))
+    assert ns == sorted(set(ns)) == list(range(1, 21))
     assert est.rate >= 0 and math.isfinite(est.rate)
     assert est.depth == 0
+    suffix = upper_entropy(beta_decomposition(golden).suffixes(), 2, 20)
+    assert (suffix.rate, suffix.bounds) == (0.0, None)
+    assert suffix.evidence == "count <= 2^2 at every n"

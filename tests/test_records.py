@@ -24,4 +24,4 @@ def test_block_code_window_below_one_is_refused():
 @pytest.mark.parametrize("rate", [-0.5, math.inf, math.nan])
 def test_entropy_estimate_rate_must_be_finite_and_non_negative(rate):
     with pytest.raises(ValueError, match="finite and non-negative"):
-        EntropyEstimate(rate, "regression", (), 0, 0.0)
+        EntropyEstimate(rate, "count <= 2^0 at every n", (), 0)
